@@ -76,8 +76,9 @@ pub fn appsat_attack(
 mod tests {
     use super::*;
     use crate::metrics::verify_key;
-    use crate::oracle::{NetlistOracle, StochasticOracle};
     use crate::sat_attack::{AttackConfig, AttackStatus};
+    use crate::stack::tests::cloaked_noise;
+    use crate::stack::OracleStack;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::{GeneratorConfig, NetlistGenerator};
     use rand::rngs::StdRng as TestRng;
@@ -93,7 +94,7 @@ mod tests {
         let picks = select_gates(&nl, 0.3, 19);
         let mut rng = TestRng::seed_from_u64(19);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-        let mut oracle = NetlistOracle::new(&nl);
+        let mut oracle = OracleStack::exact(&nl);
         let out = appsat_attack(&keyed, &mut oracle, &AppSatConfig::default());
         assert_eq!(out.status, AttackStatus::Success);
         let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
@@ -108,7 +109,7 @@ mod tests {
         let picks = select_gates(&nl, 0.4, 23);
         let mut rng = TestRng::seed_from_u64(23);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-        let mut oracle = NetlistOracle::new(&nl);
+        let mut oracle = OracleStack::exact(&nl);
         let config = AppSatConfig {
             error_threshold: 1.0, // accept anything at the first round
             reinforce_every: 1,
@@ -135,7 +136,7 @@ mod tests {
         let mut broken = 0;
         let trials = 4;
         for seed in 0..trials {
-            let mut oracle = StochasticOracle::new(&keyed, 0.25, seed);
+            let mut oracle = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 0.25), seed);
             let config = AppSatConfig {
                 base: AttackConfig::with_timeout_secs(20),
                 reinforce_every: 2,

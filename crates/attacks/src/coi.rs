@@ -19,8 +19,8 @@
 //!    output at all (otherwise that output would be affected), so any
 //!    valid candidate works and the expansion assigns them code 0.
 //! 4. **Oracle projection** — [`CoiOracle`] adapts the full working chip
-//!    to the cone interface: cone inputs scatter into a full input
-//!    vector (false elsewhere — the cone outputs do not depend on those
+//!    to the cone interface: cone input lanes scatter into a full-width
+//!    block (zero elsewhere — the cone outputs do not depend on those
 //!    positions), and full outputs gather down to the affected subset.
 //!    Query accounting passes through one-to-one, so rotation periods
 //!    and per-pattern query counts are preserved exactly.
@@ -325,37 +325,22 @@ impl CoiProjection {
 }
 
 /// Adapts a full-design working chip to the cone interface of a
-/// [`CoiProjection`]: scatter cone inputs into a full input vector
-/// (false-filled elsewhere), gather affected outputs back out. Query
+/// [`CoiProjection`]: scatter cone input lanes into a full-width block
+/// (zero-filled elsewhere), gather affected output lanes back out. Query
 /// accounting delegates one-to-one to the wrapped oracle.
 pub struct CoiOracle<'a> {
     inner: &'a mut dyn Oracle,
     proj: &'a CoiProjection,
-    scatter: Vec<bool>,
 }
 
 impl<'a> CoiOracle<'a> {
     /// Wraps `inner` (the full chip) behind `proj`'s cone interface.
     pub fn new(inner: &'a mut dyn Oracle, proj: &'a CoiProjection) -> Self {
-        let scatter = vec![false; proj.full_num_inputs];
-        CoiOracle {
-            inner,
-            proj,
-            scatter,
-        }
+        CoiOracle { inner, proj }
     }
 }
 
 impl Oracle for CoiOracle<'_> {
-    fn query(&mut self, inputs: &[bool]) -> Vec<bool> {
-        self.scatter.fill(false);
-        for (k, &full) in self.proj.input_map.iter().enumerate() {
-            self.scatter[full] = inputs[k];
-        }
-        let y = self.inner.query(&self.scatter);
-        self.proj.output_map.iter().map(|&o| y[o]).collect()
-    }
-
     fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
         let mut lanes = vec![0u64; self.proj.full_num_inputs];
         for (k, &full) in self.proj.input_map.iter().enumerate() {
@@ -386,8 +371,8 @@ impl Oracle for CoiOracle<'_> {
 mod tests {
     use super::*;
     use crate::metrics::verify_key;
-    use crate::oracle::NetlistOracle;
     use crate::sat_attack::{sat_attack, AttackConfig, AttackStatus};
+    use crate::stack::OracleStack;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::{Bf2, GeneratorConfig, Netlist, NetlistBuilder, NetlistGenerator};
     use rand::rngs::StdRng;
@@ -450,8 +435,8 @@ mod tests {
     fn cone_oracle_matches_full_oracle_on_affected_outputs() {
         let (nl, keyed) = split_design();
         let proj = CoiProjection::build(&keyed, CoiMode::On).unwrap();
-        let mut full = NetlistOracle::new(&nl);
-        let mut inner = NetlistOracle::new(&nl);
+        let mut full = OracleStack::exact(&nl);
+        let mut inner = OracleStack::exact(&nl);
         let mut cone = CoiOracle::new(&mut inner, &proj);
         assert_eq!(cone.num_inputs(), 2);
         assert_eq!(cone.num_outputs(), 1);
@@ -473,7 +458,7 @@ mod tests {
     fn expanded_cone_key_is_functionally_correct() {
         let (nl, keyed) = split_design();
         let proj = CoiProjection::build(&keyed, CoiMode::On).unwrap();
-        let mut inner = NetlistOracle::new(&nl);
+        let mut inner = OracleStack::exact(&nl);
         let mut cone_oracle = CoiOracle::new(&mut inner, &proj);
         let out = sat_attack(
             proj.keyed(),
@@ -498,10 +483,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
         let base = AttackConfig::with_timeout_secs(20);
-        let mut o1 = NetlistOracle::new(&nl);
-        let off = sat_attack(&keyed, &mut o1, &base.with_coi(CoiMode::Off));
-        let mut o2 = NetlistOracle::new(&nl);
-        let on = sat_attack(&keyed, &mut o2, &base.with_coi(CoiMode::On));
+        let mut o1 = OracleStack::exact(&nl);
+        let off = sat_attack(&keyed, &mut o1, &base.with_coi_mode(CoiMode::Off));
+        let mut o2 = OracleStack::exact(&nl);
+        let on = sat_attack(&keyed, &mut o2, &base.with_coi_mode(CoiMode::On));
         assert_eq!(off.status, AttackStatus::Success);
         assert_eq!(on.status, AttackStatus::Success);
         for out in [&off, &on] {

@@ -14,30 +14,29 @@
 //!
 //! ## Batched DIP discovery
 //!
-//! The loop discovers up to [`AttackConfig::dip_batch`] DIPs per solver
-//! round. After each model, every key copy's outputs on the discovered
-//! input are encoded once ([`encode_keyed_fixed`]) and the copies are
-//! asserted to **agree** on them ([`assert_outputs_agree`]) — without
-//! pinning to the (still unknown) oracle value. That *class-split
-//! blocking* forces the re-solved miter — an incremental continuation,
-//! not a fresh solve — onto a key-class split no batched DIP already
-//! witnesses, so a batch cannot fill up with redundant patterns that
-//! split the same classes. The whole batch is then answered by **one**
-//! [`Oracle::query_block`] call (64 patterns per pass of the bit-parallel
-//! engine) instead of one scalar query per iteration, and the stored
-//! output signals are pinned to the observations. Agreement constraints
-//! are sound to keep permanently: once a DIP's observation pins every
-//! copy to the same constants, the agreement is implied.
+//! Every round discovers up to [`AttackConfig::dip_batch`] DIPs. Before
+//! each in-batch re-solve, every key copy's outputs on the latest DIP are
+//! encoded once ([`encode_keyed_fixed`]) and the copies are asserted to
+//! **agree** on them ([`assert_outputs_agree`]) — without pinning to the
+//! (still unknown) oracle value. That *class-split blocking* forces the
+//! re-solved miter — an incremental continuation, not a fresh solve —
+//! onto a key-class split no batched DIP already witnesses, so a batch
+//! cannot fill up with redundant patterns that split the same classes.
+//! The whole batch is then answered by **one** [`Oracle::query_block`]
+//! call (64 patterns per pass of the bit-parallel engine), and each DIP
+//! is pinned to its observation: through its stored output signals if it
+//! was agreed, otherwise encoded and pinned key copy by key copy.
+//! Agreement constraints are sound to keep permanently: once a DIP's
+//! observation pins every copy to the same constants, the agreement is
+//! implied.
 //!
-//! At `dip_batch = 1` (the default) the engine performs the *identical*
-//! operation sequence as the historical per-attack loops — same variable
-//! allocation, solve, scalar `Oracle::query`, and constraint order — so
-//! seeded outcomes (status, extracted key, query counts) are preserved
-//! bit-for-bit. Larger widths trade mildly weaker per-DIP pruning (a
-//! batch is discovered before its own observations constrain the miter)
-//! for the block-oracle and warm-resolve throughput win;
-//! [`DEFAULT_BATCH_WIDTH`] is the recommended setting for
-//! throughput-oriented runs.
+//! `dip_batch = 1` (the default) is a batch of one: no in-batch re-solve,
+//! hence no agreement — the DIP is queried, then encoded and pinned key
+//! copy by key copy, the classic one-query-per-iteration SAT attack.
+//! Larger widths trade mildly weaker per-DIP pruning (a batch is
+//! discovered before its own observations constrain the miter) for the
+//! block-oracle and warm-resolve throughput win; [`DEFAULT_BATCH_WIDTH`]
+//! is the recommended setting for throughput-oriented runs.
 
 use crate::coi::{CoiMode, CoiOracle, CoiProjection};
 use crate::encode::{
@@ -49,7 +48,7 @@ use crate::sat_attack::{AttackConfig, AttackOutcome, AttackStatus};
 use gshe_camo::KeyedNetlist;
 use gshe_logic::{PatternBlock, Simulator};
 use gshe_sat::solver::Budget;
-use gshe_sat::{CircuitEncoder, Lit, Polarity, SearchConfig, SolveResult, Solver};
+use gshe_sat::{CircuitEncoder, Lit, Polarity, SolveResult, Solver};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -218,10 +217,6 @@ pub fn refine(
     solver.set_budget(Budget {
         max_conflicts: None,
         max_vars: config.max_vars,
-    });
-    solver.set_search_config(SearchConfig {
-        restart: config.restart_mode,
-        ..SearchConfig::default()
     });
     solver.set_simplify(config.simplify);
 
@@ -397,81 +392,65 @@ pub fn refine(
                     gshe_obs::count("attack.rounds", 1);
                     let first: Vec<bool> =
                         input_lits.iter().map(|&l| solver.model_lit(l)).collect();
+                    // Each entry: a DIP and, once a re-solve follows it,
+                    // its agreement signals (see the module docs). An
+                    // UNSAT re-solve means the phase has converged — the
+                    // agreement constraints are implied by the
+                    // observations pinned below, so the outer re-solve is
+                    // skipped.
+                    let mut batch = vec![(first, None)];
                     let mut converged = false;
-                    if width == 1 {
-                        // Historical scalar round: query the oracle, then
-                        // encode and pin both observations (the exact
-                        // pre-engine operation sequence).
-                        gshe_obs::record("attack.dip_batch_fill", 1);
-                        let y = {
-                            let _span = gshe_obs::span("attack.oracle");
-                            oracle.query(&first)
-                        };
-                        let mut enc = CircuitEncoder::new(&mut solver);
-                        for key in &keys {
-                            let outs = encode_keyed_fixed(&mut enc, keyed, key, &first);
-                            assert_outputs_equal(&mut enc, &outs, &y);
-                        }
-                    } else {
-                        // Batched discovery: assert the copies *agree* on
-                        // each discovered DIP (class-split blocking) and
-                        // re-solve for a DIP witnessing a fresh split,
-                        // before touching the oracle. An UNSAT here means
-                        // the phase has converged — the agreement
-                        // constraints are implied by the observations
-                        // pinned below, so the outer re-solve is skipped.
-                        let mut batch: Vec<(Vec<bool>, Vec<Vec<SigVal>>)> = vec![(
-                            first.clone(),
-                            encode_agreement(&mut solver, keyed, &keys, &first),
-                        )];
-                        while batch.len() < width {
-                            if Instant::now() >= deadline {
+                    while batch.len() < width
+                        && Instant::now() < deadline
+                        && config.max_iterations.is_none_or(|max| iterations < max)
+                    {
+                        let (dip, agreed) = batch.last_mut().expect("batch is never empty");
+                        *agreed = Some(encode_agreement(&mut solver, keyed, &keys, dip));
+                        match solve_sliced(
+                            &mut solver,
+                            assumptions,
+                            deadline,
+                            config.conflicts_per_slice,
+                        ) {
+                            Some(SolveResult::Sat) => {
+                                iterations += 1;
+                                let dip: Vec<bool> =
+                                    input_lits.iter().map(|&l| solver.model_lit(l)).collect();
+                                batch.push((dip, None));
+                            }
+                            Some(SolveResult::Unsat) => {
+                                converged = true;
                                 break;
                             }
-                            if let Some(max) = config.max_iterations {
-                                if iterations >= max {
-                                    break;
-                                }
-                            }
-                            match solve_sliced(
-                                &mut solver,
-                                assumptions,
-                                deadline,
-                                config.conflicts_per_slice,
-                            ) {
-                                Some(SolveResult::Sat) => {
-                                    iterations += 1;
-                                    let dip: Vec<bool> =
-                                        input_lits.iter().map(|&l| solver.model_lit(l)).collect();
-                                    let outs = encode_agreement(&mut solver, keyed, &keys, &dip);
-                                    batch.push((dip, outs));
-                                }
-                                Some(SolveResult::Unsat) => {
-                                    converged = true;
-                                    break;
-                                }
-                                // Deadline/budget exhaustion mid-batch:
-                                // resolve what we have; the outer solve
-                                // re-diagnoses.
-                                None | Some(SolveResult::Unknown) => break,
-                            }
+                            // Deadline/budget exhaustion mid-batch: resolve
+                            // what we have; the outer solve re-diagnoses.
+                            None | Some(SolveResult::Unknown) => break,
                         }
-                        // The whole batch through the oracle in one
-                        // bit-parallel pass, then pin the stored output
-                        // signals to the observations.
-                        let patterns: Vec<Vec<bool>> =
-                            batch.iter().map(|(dip, _)| dip.clone()).collect();
-                        gshe_obs::record("attack.dip_batch_fill", batch.len() as u64);
-                        let lanes = {
-                            let _span = gshe_obs::span("attack.oracle");
-                            oracle.query_block(&PatternBlock::from_patterns(&patterns))
-                        };
-                        let mut enc = CircuitEncoder::new(&mut solver);
-                        for (k, (_, per_key)) in batch.iter().enumerate() {
-                            let y: Vec<bool> =
-                                lanes.iter().map(|lane| (lane >> k) & 1 == 1).collect();
-                            for outs in per_key {
-                                assert_outputs_equal(&mut enc, outs, &y);
+                    }
+                    // The whole batch through the oracle in one
+                    // bit-parallel pass, then pin every DIP to its
+                    // observation.
+                    let patterns: Vec<Vec<bool>> =
+                        batch.iter().map(|(dip, _)| dip.clone()).collect();
+                    gshe_obs::record("attack.dip_batch_fill", batch.len() as u64);
+                    let lanes = {
+                        let _span = gshe_obs::span("attack.oracle");
+                        oracle.query_block(&PatternBlock::from_patterns(&patterns))
+                    };
+                    let mut enc = CircuitEncoder::new(&mut solver);
+                    for (k, (dip, agreed)) in batch.iter().enumerate() {
+                        let y: Vec<bool> = lanes.iter().map(|lane| (lane >> k) & 1 == 1).collect();
+                        match agreed {
+                            Some(per_key) => {
+                                for outs in per_key {
+                                    assert_outputs_equal(&mut enc, outs, &y);
+                                }
+                            }
+                            None => {
+                                for key in &keys {
+                                    let outs = encode_keyed_fixed(&mut enc, keyed, key, dip);
+                                    assert_outputs_equal(&mut enc, &outs, &y);
+                                }
                             }
                         }
                     }
@@ -618,8 +597,9 @@ fn appsat_round(
 mod tests {
     use super::*;
     use crate::metrics::verify_key;
-    use crate::oracle::{NetlistOracle, StochasticOracle};
     use crate::sat_attack::sat_attack;
+    use crate::stack::tests::cloaked_noise;
+    use crate::stack::OracleStack;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::{GeneratorConfig, Netlist, NetlistGenerator};
 
@@ -640,7 +620,7 @@ mod tests {
         let (nl, keyed) = keyed_instance(2);
         for width in [1usize, 2, 16, 64] {
             let config = AttackConfig::with_timeout_secs(30).with_dip_batch(width);
-            let mut oracle = NetlistOracle::new(&nl);
+            let mut oracle = OracleStack::exact(&nl);
             let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
             assert_eq!(out.status, AttackStatus::Success, "width {width}");
             let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
@@ -657,9 +637,9 @@ mod tests {
         // be indistinguishable on a deterministic instance.
         let (nl, keyed) = keyed_instance(3);
         let config = AttackConfig::with_timeout_secs(30);
-        let mut o1 = NetlistOracle::new(&nl);
+        let mut o1 = OracleStack::exact(&nl);
         let via_entry = sat_attack(&keyed, &mut o1, &config);
-        let mut o2 = NetlistOracle::new(&nl);
+        let mut o2 = OracleStack::exact(&nl);
         let via_engine = refine(&keyed, &mut o2, &config, &RefinePolicy::Single);
         assert_eq!(via_entry.status, via_engine.status);
         assert_eq!(via_entry.key, via_engine.key);
@@ -671,7 +651,7 @@ mod tests {
     fn batched_double_dip_recovers_a_correct_key() {
         let (nl, keyed) = keyed_instance(4);
         let config = AttackConfig::with_timeout_secs(30).with_dip_batch(DEFAULT_BATCH_WIDTH);
-        let mut oracle = NetlistOracle::new(&nl);
+        let mut oracle = OracleStack::exact(&nl);
         let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::DoubleDip);
         assert_eq!(out.status, AttackStatus::Success);
         let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
@@ -681,12 +661,12 @@ mod tests {
     #[test]
     fn batched_rounds_still_collapse_against_noise() {
         // The stochastic defense must beat the batched engine exactly as it
-        // beats the scalar loop.
+        // beats width 1.
         let (nl, keyed) = keyed_instance(6);
         let mut broken = 0;
         let trials = 3;
         for seed in 0..trials {
-            let mut oracle = StochasticOracle::new(&keyed, 0.25, seed);
+            let mut oracle = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 0.25), seed);
             let config = AttackConfig::with_timeout_secs(20).with_dip_batch(16);
             let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
             let failed = match out.status {
@@ -726,7 +706,7 @@ mod tests {
         let keyed = KeyedNetlist::new(nl.clone(), vec![gate], 4);
         for width in [1usize, 2, 16] {
             let config = AttackConfig::with_timeout_secs(10).with_dip_batch(width);
-            let mut oracle = NetlistOracle::new(&nl);
+            let mut oracle = OracleStack::exact(&nl);
             let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
             assert_eq!(out.status, AttackStatus::Success, "width {width}");
             let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
@@ -759,7 +739,7 @@ mod tests {
         let keyed = KeyedNetlist::new(nl.clone(), vec![gate], 4);
         for width in [1usize, 4, 16] {
             let config = AttackConfig::with_timeout_secs(10).with_dip_batch(width);
-            let mut oracle = NetlistOracle::new(&nl);
+            let mut oracle = OracleStack::exact(&nl);
             let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
             assert_eq!(out.status, AttackStatus::Success, "width {width}");
             let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
@@ -776,7 +756,7 @@ mod tests {
             max_iterations: Some(3),
             ..AttackConfig::with_timeout_secs(30).with_dip_batch(64)
         };
-        let mut oracle = NetlistOracle::new(&nl);
+        let mut oracle = OracleStack::exact(&nl);
         let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
         assert!(out.iterations <= 3, "{} iterations", out.iterations);
         assert_eq!(out.status, AttackStatus::Timeout);

@@ -35,8 +35,8 @@ pub fn double_dip_attack(
 mod tests {
     use super::*;
     use crate::metrics::verify_key;
-    use crate::oracle::NetlistOracle;
     use crate::sat_attack::AttackStatus;
+    use crate::stack::OracleStack;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
     use gshe_logic::{GeneratorConfig, NetlistGenerator};
@@ -50,7 +50,7 @@ mod tests {
             let picks = select_gates(&nl, 1.0, 7);
             let mut rng = StdRng::seed_from_u64(7);
             let keyed = camouflage(&nl, &picks, scheme, &mut rng).unwrap();
-            let mut oracle = NetlistOracle::new(&nl);
+            let mut oracle = OracleStack::exact(&nl);
             let out = double_dip_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(30));
             assert_eq!(out.status, AttackStatus::Success, "{scheme}");
             let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
@@ -69,13 +69,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(13);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
 
-        let mut o1 = NetlistOracle::new(&nl);
+        let mut o1 = OracleStack::exact(&nl);
         let dd = double_dip_attack(&keyed, &mut o1, &AttackConfig::with_timeout_secs(30));
         assert_eq!(dd.status, AttackStatus::Success);
         let v = verify_key(&nl, &keyed, dd.key.as_ref().unwrap()).unwrap();
         assert!(v.functionally_equivalent);
 
-        let mut o2 = NetlistOracle::new(&nl);
+        let mut o2 = OracleStack::exact(&nl);
         let sat =
             crate::sat_attack::sat_attack(&keyed, &mut o2, &AttackConfig::with_timeout_secs(30));
         assert_eq!(sat.status, AttackStatus::Success);
@@ -103,9 +103,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
 
-        let mut o1 = NetlistOracle::new(&nl);
+        let mut o1 = OracleStack::exact(&nl);
         let dd = double_dip_attack(&keyed, &mut o1, &AttackConfig::with_timeout_secs(60));
-        let mut o2 = NetlistOracle::new(&nl);
+        let mut o2 = OracleStack::exact(&nl);
         let sat =
             crate::sat_attack::sat_attack(&keyed, &mut o2, &AttackConfig::with_timeout_secs(60));
         assert_eq!(dd.status, AttackStatus::Success);

@@ -15,14 +15,14 @@
 //!   [`RefinePolicy`], discovering up to [`AttackConfig::dip_batch`] DIPs
 //!   per solver round and resolving each batch through **one**
 //!   bit-parallel [`Oracle::query_block`] call;
-//! * oracles as a layered [`stack`]: a bit-parallel base (exact or
-//!   fault-injecting) with an optional key-rotation layer, composed via
-//!   [`OracleStack`]. The legacy chips are thin adapters: a perfect
-//!   working chip ([`NetlistOracle`]), the tunable **stochastic** GSHE
-//!   chip of Sec. V-B ([`StochasticOracle`]) whose per-cell error rates
-//!   superpose into correlated output errors, and the key-rotating chip
-//!   of Sec. V-C ([`RotatingOracle`]); [`OracleStack::rotating_noisy`]
-//!   is the combined rotating + stochastic defense;
+//! * the working chip as one layered [`OracleStack`] behind the
+//!   [`Oracle`] trait: a bit-parallel base (exact or fault-injecting)
+//!   with an optional key-rotation layer — the perfect chip
+//!   ([`OracleStack::exact`]), the tunable **stochastic** GSHE chip of
+//!   Sec. V-B ([`OracleStack::noisy`]) whose per-cell error rates
+//!   superpose into correlated output errors, the key-rotating chip of
+//!   Sec. V-C ([`OracleStack::rotating`]), and the combined rotating +
+//!   stochastic defense ([`OracleStack::rotating_noisy`]);
 //! * key verification by exact SAT equivalence ([`verify_key`]).
 //!
 //! The attacker's view of a [`gshe_camo::KeyedNetlist`] is its structure
@@ -48,9 +48,9 @@ pub use coi::{cone_inputs, CoiMode, CoiOracle, CoiProjection, COI_AUTO_THRESHOLD
 pub use dip_engine::{RefinePolicy, DEFAULT_BATCH_WIDTH};
 pub use double_dip::double_dip_attack;
 pub use encode::{assert_valid_key_codes, encode_keyed, encode_keyed_fixed, EncodedCopy};
-pub use gshe_sat::{RestartMode, SimplifyMode};
+pub use gshe_sat::SimplifyMode;
 pub use metrics::{sat_equivalent_on, verify_key, verify_key_scoped, KeyVerification};
-pub use oracle::{NetlistOracle, Oracle, RotatingOracle, StochasticOracle};
+pub use oracle::Oracle;
 pub use runner::{AttackKind, AttackRunner};
 pub use sat_attack::{sat_attack, AttackConfig, AttackOutcome, AttackStatus};
 pub use stack::{EvalLayer, OracleStack};

@@ -1,22 +1,20 @@
-//! Attack oracles: the working chip the adversary owns.
+//! The attacker's view of the working chip: the [`Oracle`] trait.
 //!
-//! Every oracle here is a thin adapter over the layered
-//! [`OracleStack`](crate::stack::OracleStack) — base evaluation layer
-//! (deterministic or noisy, always bit-parallel), optional key-rotation
-//! layer — so block queries answer 64 patterns per pass while query
-//! accounting stays per-pattern. The adapters exist to keep the
-//! historical construction APIs; new code (and the campaign engine's job
-//! materialization) composes the stack directly, which is how the
-//! *combined* rotating + stochastic defense is built.
+//! The chip itself is always an [`OracleStack`](crate::stack::OracleStack)
+//! — exact, noisy, rotating, or rotating + noisy. The other implementors
+//! only reshape or memoize its answers: [`CoiOracle`](crate::coi::CoiOracle)
+//! projects it onto a cone of influence, and `gshe-campaign`'s caching
+//! layer memoizes the exact stack campaign-wide.
 
-use crate::stack::OracleStack;
-use gshe_camo::KeyedNetlist;
-use gshe_logic::{ErrorProfile, Netlist, NodeId, PatternBlock};
+use gshe_logic::PatternBlock;
 
 /// A black-box working chip: apply inputs, observe outputs.
 pub trait Oracle {
-    /// Queries the chip once.
-    fn query(&mut self, inputs: &[bool]) -> Vec<bool>;
+    /// Queries the chip on a whole [`PatternBlock`] (up to 64 patterns) in
+    /// one call, returning one `u64` per primary output with bit `k` set to
+    /// the output's value under pattern `k` (bits at `k >= block.count`
+    /// clear). Every pattern counts as one query.
+    fn query_block(&mut self, block: &PatternBlock) -> Vec<u64>;
     /// Number of primary inputs.
     fn num_inputs(&self) -> usize;
     /// Number of primary outputs.
@@ -24,205 +22,33 @@ pub trait Oracle {
     /// Queries issued so far.
     fn queries(&self) -> u64;
 
-    /// Queries the chip on a whole [`PatternBlock`] (up to 64 patterns) in
-    /// one call, returning one `u64` per primary output with bit `k` set to
-    /// the output's value under pattern `k`.
-    ///
-    /// The default implementation loops over [`Oracle::query`], so every
-    /// pattern still counts as one query. Block-capable oracles (e.g.
-    /// any [`OracleStack`] composition over the bit-parallel engine)
-    /// override this to answer all 64 patterns per pass while keeping the
-    /// same query accounting.
-    fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
-        let mut lanes = vec![0u64; self.num_outputs()];
-        for k in 0..block.count {
-            let y = self.query(&block.pattern(k));
-            debug_assert_eq!(y.len(), lanes.len(), "oracle output arity drifted");
-            for (lane, &bit) in lanes.iter_mut().zip(&y) {
-                if bit {
-                    *lane |= 1 << k;
-                }
-            }
-        }
-        lanes
+    /// Queries the chip once: a one-pattern [`Oracle::query_block`].
+    fn query(&mut self, inputs: &[bool]) -> Vec<bool> {
+        let block = PatternBlock {
+            lanes: inputs.iter().map(|&bit| u64::from(bit)).collect(),
+            count: 1,
+        };
+        self.query_block(&block)
+            .iter()
+            .map(|lane| lane & 1 == 1)
+            .collect()
     }
 }
-
-/// Implements [`Oracle`] by delegating every method to the adapter's
-/// inner [`OracleStack`].
-macro_rules! delegate_oracle_to_stack {
-    ($adapter:ty) => {
-        impl Oracle for $adapter {
-            fn query(&mut self, inputs: &[bool]) -> Vec<bool> {
-                self.stack.query(inputs)
-            }
-
-            fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
-                self.stack.query_block(block)
-            }
-
-            fn num_inputs(&self) -> usize {
-                self.stack.num_inputs()
-            }
-
-            fn num_outputs(&self) -> usize {
-                self.stack.num_outputs()
-            }
-
-            fn queries(&self) -> u64 {
-                self.stack.queries()
-            }
-        }
-    };
-}
-
-/// A perfect oracle backed by the original (unprotected) netlist: the
-/// bare exact base of the stack. Scratch buffers are hoisted into the
-/// stack, so repeated block queries reuse one allocation.
-#[derive(Debug, Clone)]
-pub struct NetlistOracle<'a> {
-    stack: OracleStack<'a>,
-}
-
-impl<'a> NetlistOracle<'a> {
-    /// Wraps the original design.
-    pub fn new(netlist: &'a Netlist) -> Self {
-        NetlistOracle {
-            stack: OracleStack::exact(netlist),
-        }
-    }
-}
-
-delegate_oracle_to_stack!(NetlistOracle<'_>);
-
-/// The stochastic GSHE chip of Sec. V-B: every cloaked cell computes its
-/// *correct* function but its output flips per evaluation according to an
-/// [`ErrorProfile`] (thermally induced stochastic switching, tunable per
-/// switch via I_S and the clock period). Errors at internal cells propagate
-/// and superpose, producing *stochastically correlated* behaviour at the
-/// primary outputs — precisely what breaks the consistency assumption of
-/// SAT-style attacks.
-///
-/// The noisy base of the stack, without a rotation layer: per-node rates
-/// live in a dense table, scalar queries keep the historical
-/// one-`gen_bool`-per-noisy-node stream (seeded runs reproduce across the
-/// refactor), and [`Oracle::query_block`] answers 64 patterns per engine
-/// pass with Bernoulli flip masks.
-#[derive(Debug, Clone)]
-pub struct StochasticOracle<'a> {
-    stack: OracleStack<'a>,
-    /// Uniform per-cell rate the oracle was built with ([`f64::NAN`] when
-    /// constructed from a heterogeneous profile).
-    error_rate: f64,
-}
-
-impl<'a> StochasticOracle<'a> {
-    /// Creates a stochastic chip over the *defender's* keyed netlist
-    /// (correct functions installed) with uniform per-cell `error_rate`
-    /// at every cloaked cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `error_rate` is outside `[0, 1]`.
-    pub fn new(keyed: &'a KeyedNetlist, error_rate: f64, seed: u64) -> Self {
-        let nodes: Vec<NodeId> = keyed.camo_gates().iter().map(|g| g.node).collect();
-        let profile = ErrorProfile::uniform_at(keyed.netlist().len(), &nodes, error_rate);
-        let mut oracle = Self::with_profile(keyed, profile, seed);
-        oracle.error_rate = error_rate;
-        oracle
-    }
-
-    /// Creates a stochastic chip with an arbitrary per-node
-    /// [`ErrorProfile`] — the "error rate for any switch can be tuned
-    /// individually" knob. Nodes outside the cloaked set may be noisy too
-    /// (e.g. device-derived profiles over a full GSHE fabric).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile does not cover the keyed netlist's nodes.
-    pub fn with_profile(keyed: &'a KeyedNetlist, profile: ErrorProfile, seed: u64) -> Self {
-        StochasticOracle {
-            stack: OracleStack::noisy(keyed, profile, seed),
-            error_rate: f64::NAN,
-        }
-    }
-
-    /// The uniform per-cell error rate, or the profile's maximum rate when
-    /// the oracle was built from a heterogeneous profile.
-    pub fn error_rate(&self) -> f64 {
-        if self.error_rate.is_nan() {
-            self.profile().max_rate()
-        } else {
-            self.error_rate
-        }
-    }
-
-    /// The installed per-node error profile (dense).
-    pub fn profile(&self) -> &ErrorProfile {
-        self.stack.profile().expect("noisy base carries a profile")
-    }
-}
-
-delegate_oracle_to_stack!(StochasticOracle<'_>);
-
-/// An oracle whose key rotates every `period` queries (dynamic functional
-/// obfuscation after Koteshwara et al. \[40\] — the Sec. V-C
-/// "dynamic camouflaging" defense). The first epoch uses the correct key;
-/// later epochs draw random keys, so answers from different epochs are
-/// mutually inconsistent — starving SAT attacks of a consistent solution
-/// space. Campaigns sweep the rotation `period` as a defense-side grid
-/// dimension (`rotation_periods` in `gshe-campaign`).
-///
-/// The rotation layer of the stack over the exact base; stack a noisy base
-/// underneath via [`OracleStack::rotating_noisy`] for the combined
-/// rotating + stochastic defense.
-#[derive(Debug, Clone)]
-pub struct RotatingOracle<'a> {
-    stack: OracleStack<'a>,
-}
-
-impl<'a> RotatingOracle<'a> {
-    /// Creates a rotating oracle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn new(keyed: &'a KeyedNetlist, period: u64, seed: u64) -> Self {
-        RotatingOracle {
-            stack: OracleStack::rotating(keyed, period, seed),
-        }
-    }
-
-    /// The configured rotation period (queries per epoch).
-    pub fn period(&self) -> u64 {
-        self.stack
-            .rotation_period()
-            .expect("rotating stack carries a period")
-    }
-}
-
-delegate_oracle_to_stack!(RotatingOracle<'_>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gshe_camo::{camouflage, select_gates, CamoScheme};
+    use crate::stack::tests::{c17_keyed, cloaked_noise};
+    use crate::stack::OracleStack;
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
+    use gshe_logic::ErrorProfile;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    fn c17_keyed() -> (Netlist, KeyedNetlist) {
-        let nl = parse_bench(C17_BENCH).unwrap();
-        let picks = select_gates(&nl, 1.0, 3);
-        let mut rng = StdRng::seed_from_u64(0);
-        let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-        (nl, keyed)
-    }
 
     #[test]
     fn netlist_oracle_counts_queries() {
         let nl = parse_bench(C17_BENCH).unwrap();
-        let mut o = NetlistOracle::new(&nl);
+        let mut o = OracleStack::exact(&nl);
         assert_eq!(o.queries(), 0);
         let y = o.query(&[false; 5]);
         assert_eq!(y.len(), 2);
@@ -234,7 +60,7 @@ mod tests {
     #[test]
     fn zero_error_stochastic_oracle_matches_original() {
         let (nl, keyed) = c17_keyed();
-        let mut o = StochasticOracle::new(&keyed, 0.0, 5);
+        let mut o = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 0.0), 5);
         for p in 0..32u32 {
             let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
             assert_eq!(o.query(&v), nl.evaluate(&v), "p={p}");
@@ -244,15 +70,14 @@ mod tests {
     #[test]
     fn high_error_oracle_disagrees_often() {
         let (nl, keyed) = c17_keyed();
-        let mut o = StochasticOracle::new(&keyed, 0.5, 5);
+        let mut o = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 0.5), 5);
         let mut mismatches = 0;
-        for rep in 0..20 {
+        for _ in 0..20 {
             for p in 0..32u32 {
                 let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
                 if o.query(&v) != nl.evaluate(&v) {
                     mismatches += 1;
                 }
-                let _ = rep;
             }
         }
         assert!(
@@ -264,16 +89,15 @@ mod tests {
     #[test]
     fn small_error_rate_is_mostly_correct() {
         let (nl, keyed) = c17_keyed();
-        let mut o = StochasticOracle::new(&keyed, 0.02, 6);
+        let mut o = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 0.02), 6);
         let mut mismatches = 0usize;
         let trials = 640usize;
-        for rep in 0..(trials / 32) {
+        for _ in 0..(trials / 32) {
             for p in 0..32u32 {
                 let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
                 if o.query(&v) != nl.evaluate(&v) {
                     mismatches += 1;
                 }
-                let _ = rep;
             }
         }
         let rate = mismatches as f64 / trials as f64;
@@ -289,8 +113,8 @@ mod tests {
     fn oracle_is_reproducible_per_seed() {
         let (_, keyed) = c17_keyed();
         let inputs = [true, false, true, true, false];
-        let mut a = StochasticOracle::new(&keyed, 0.3, 42);
-        let mut b = StochasticOracle::new(&keyed, 0.3, 42);
+        let mut a = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 0.3), 42);
+        let mut b = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 0.3), 42);
         for _ in 0..10 {
             assert_eq!(a.query(&inputs), b.query(&inputs));
         }
@@ -300,7 +124,7 @@ mod tests {
     #[should_panic(expected = "error rate")]
     fn error_rate_is_validated() {
         let (_, keyed) = c17_keyed();
-        let _ = StochasticOracle::new(&keyed, 1.5, 0);
+        let _ = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 1.5), 0);
     }
 
     #[test]
@@ -311,13 +135,11 @@ mod tests {
             .collect();
         let block = PatternBlock::from_patterns(&patterns);
 
-        // Bit-parallel override.
-        let mut fast = NetlistOracle::new(&nl);
+        let mut fast = OracleStack::exact(&nl);
         let lanes = fast.query_block(&block);
         assert_eq!(fast.queries(), 20, "block path must count every pattern");
 
-        // Scalar reference.
-        let mut slow = NetlistOracle::new(&nl);
+        let mut slow = OracleStack::exact(&nl);
         for (k, p) in patterns.iter().enumerate() {
             let y = slow.query(p);
             for (o, &bit) in y.iter().enumerate() {
@@ -329,18 +151,18 @@ mod tests {
 
     #[test]
     fn stochastic_block_query_counts_per_pattern() {
-        // StochasticOracle's engine-backed query_block must count one
-        // query per pattern, and with zero error it must agree bit-for-bit
-        // with the deterministic bit-parallel path.
+        // A noisy stack's query_block must count one query per pattern,
+        // and with zero error it must agree bit-for-bit with the exact
+        // chip.
         let (_, keyed) = c17_keyed();
-        let mut o = StochasticOracle::new(&keyed, 0.0, 1);
+        let mut o = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 0.0), 1);
         let block = PatternBlock::from_patterns(&[vec![false; 5], vec![true; 5]]);
         let lanes = o.query_block(&block);
         assert_eq!(o.queries(), 2);
         assert_eq!(lanes.len(), o.num_outputs());
 
-        let mut fast = NetlistOracle::new(keyed.netlist());
-        assert_eq!(fast.query_block(&block), lanes);
+        let mut exact = OracleStack::exact(keyed.netlist());
+        assert_eq!(exact.query_block(&block), lanes);
     }
 
     #[test]
@@ -348,8 +170,8 @@ mod tests {
         // At 50% per-cell error over six cloaked cells, a full block must
         // disagree with the clean chip on many lanes.
         let (nl, keyed) = c17_keyed();
-        let mut noisy = StochasticOracle::new(&keyed, 0.5, 9);
-        let mut clean = NetlistOracle::new(&nl);
+        let mut noisy = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 0.5), 9);
+        let mut clean = OracleStack::exact(&nl);
         let mut rng = StdRng::seed_from_u64(2);
         let mut flipped = 0u32;
         for _ in 0..8 {
@@ -367,13 +189,13 @@ mod tests {
 
     #[test]
     fn scalar_path_uses_a_dense_rate_table() {
-        // Satellite regression: the scalar path must not probe a per-node
-        // hash set. The oracle exposes its engine profile — a dense
-        // per-node rate vector covering *every* node, with the cloaked
-        // cells (and only those) noisy.
+        // The scalar path must not probe a per-node hash set. The stack
+        // exposes its engine profile — a dense per-node rate vector
+        // covering *every* node, with the cloaked cells (and only those)
+        // noisy.
         let (_, keyed) = c17_keyed();
-        let o = StochasticOracle::new(&keyed, 0.25, 3);
-        let profile = o.profile();
+        let o = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 0.25), 3);
+        let profile = o.profile().expect("noisy base carries a profile");
         assert_eq!(profile.len(), keyed.netlist().len(), "table must be dense");
         let mut expected: Vec<_> = keyed.camo_gates().iter().map(|g| g.node).collect();
         expected.sort_unstable();
@@ -393,8 +215,8 @@ mod tests {
         // bit-for-bit.
         let (_, keyed) = c17_keyed();
         for period in [1u64, 7, 20] {
-            let mut fast = RotatingOracle::new(&keyed, period, 5);
-            let mut slow = RotatingOracle::new(&keyed, period, 5);
+            let mut fast = OracleStack::rotating(&keyed, period, 5);
+            let mut slow = OracleStack::rotating(&keyed, period, 5);
             let mut rng = StdRng::seed_from_u64(4);
             for round in 0..2 {
                 let block = PatternBlock::random(5, &mut rng);
@@ -423,8 +245,8 @@ mod tests {
         // more rotations must therefore agree between the twins.
         let (_, keyed) = c17_keyed();
         for period in [1u64, 7, 20] {
-            let mut fast = RotatingOracle::new(&keyed, period, 9);
-            let mut slow = RotatingOracle::new(&keyed, period, 9);
+            let mut fast = OracleStack::rotating(&keyed, period, 9);
+            let mut slow = OracleStack::rotating(&keyed, period, 9);
             let mut rng = StdRng::seed_from_u64(6);
             let block = PatternBlock::random_n(5, 50, &mut rng);
             let _ = fast.query_block(&block);
@@ -451,8 +273,8 @@ mod tests {
         let (nl, keyed) = c17_keyed();
         let target = keyed.camo_gates()[0].node;
         let profile = ErrorProfile::uniform_at(keyed.netlist().len(), &[target], 1.0);
-        let mut o = StochasticOracle::with_profile(&keyed, profile, 4);
-        assert!(o.error_rate() == 1.0, "max rate of the profile");
+        let mut o = OracleStack::noisy(&keyed, profile, 4);
+        assert_eq!(o.profile().map(ErrorProfile::max_rate), Some(1.0));
         let mut disagreements = 0;
         for p in 0..32u32 {
             let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();

@@ -117,8 +117,8 @@ impl AttackRunner {
 mod tests {
     use super::*;
     use crate::metrics::verify_key;
-    use crate::oracle::NetlistOracle;
     use crate::sat_attack::AttackStatus;
+    use crate::stack::OracleStack;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
     use rand::rngs::StdRng;
@@ -135,7 +135,7 @@ mod tests {
         for kind in AttackKind::ALL {
             let runner = AttackRunner::new(kind, Duration::from_secs(30), 1);
             send_check(&runner);
-            let mut oracle = NetlistOracle::new(&nl);
+            let mut oracle = OracleStack::exact(&nl);
             let out = runner.run(&keyed, &mut oracle);
             assert_eq!(out.status, AttackStatus::Success, "{kind}");
             let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
@@ -154,7 +154,7 @@ mod tests {
         let config = crate::AttackConfig::with_timeout_secs(30);
         let runner = AttackRunner::with_config(AttackKind::Sat, config, 1).with_dip_batch(16);
         assert_eq!(runner.config.dip_batch, 16);
-        let mut oracle = NetlistOracle::new(&nl);
+        let mut oracle = OracleStack::exact(&nl);
         let out = runner.run(&keyed, &mut oracle);
         assert_eq!(out.status, AttackStatus::Success);
         assert!(

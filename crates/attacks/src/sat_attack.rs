@@ -13,7 +13,7 @@ use crate::coi::CoiMode;
 use crate::dip_engine::{refine, RefinePolicy};
 use crate::oracle::Oracle;
 use gshe_camo::KeyedNetlist;
-use gshe_sat::{RestartMode, SimplifyMode, SolverStats};
+use gshe_sat::{SimplifyMode, SolverStats};
 use std::time::Duration;
 
 /// Attack configuration.
@@ -31,16 +31,11 @@ pub struct AttackConfig {
     pub max_vars: Option<usize>,
     /// DIPs discovered per solver round (clamped to `1..=64`): the round's
     /// patterns are answered by **one** bit-parallel
-    /// [`Oracle::query_block`] call instead of one scalar query each. `1`
-    /// (the default) reproduces the historical one-query-per-iteration
-    /// loop bit-for-bit on seeded runs;
+    /// [`Oracle::query_block`] call. `1` (the default) is the classic
+    /// one-query-per-iteration loop;
     /// [`crate::dip_engine::DEFAULT_BATCH_WIDTH`] is the recommended
     /// throughput setting.
     pub dip_batch: usize,
-    /// Restart pacing for the shared solver:
-    /// [`RestartMode::LbdEma`] (Glucose-style adaptive, the default) or
-    /// [`RestartMode::Luby`].
-    pub restart_mode: RestartMode,
     /// Cone-of-influence miter reduction ([`CoiMode::Auto`] by default:
     /// designs with at least [`crate::coi::COI_AUTO_THRESHOLD`] nodes
     /// are attacked through the cloaked cells' output cone; smaller
@@ -65,7 +60,6 @@ impl Default for AttackConfig {
             conflicts_per_slice: 20_000,
             max_vars: Some(134_217_724),
             dip_batch: 1,
-            restart_mode: RestartMode::default(),
             coi: CoiMode::default(),
             simplify: SimplifyMode::default(),
         }
@@ -89,38 +83,18 @@ impl AttackConfig {
         }
     }
 
-    /// Returns the configuration with the solver restart mode set.
-    pub fn with_restart_mode(self, restart_mode: RestartMode) -> Self {
-        AttackConfig {
-            restart_mode,
-            ..self
-        }
-    }
-
-    /// Returns the configuration with the cone-of-influence mode set.
-    pub fn with_coi(self, coi: CoiMode) -> Self {
+    /// Returns the configuration with the cone-of-influence mode set
+    /// (spec-driven callers resolve the `coi_mode` key, including
+    /// `"auto:<nodes>"` thresholds, via [`CoiMode::parse`]).
+    pub fn with_coi_mode(self, coi: CoiMode) -> Self {
         AttackConfig { coi, ..self }
     }
 
-    /// Alias of [`AttackConfig::with_coi`] for spec-driven callers: the
-    /// campaign layer resolves the `coi_mode` spec key (including
-    /// `"auto:<nodes>"` thresholds via [`CoiMode::parse`]) and threads it
-    /// here.
-    pub fn with_coi_mode(self, coi: CoiMode) -> Self {
-        self.with_coi(coi)
-    }
-
-    /// Returns the configuration with the SAT simplification mode set.
-    pub fn with_simplify(self, simplify: SimplifyMode) -> Self {
-        AttackConfig { simplify, ..self }
-    }
-
-    /// Alias of [`AttackConfig::with_simplify`] for spec-driven callers:
-    /// the campaign layer resolves the `sat_simplify` spec key (including
-    /// `"auto:<clauses>"` thresholds via [`SimplifyMode::parse`]) and
-    /// threads it here.
+    /// Returns the configuration with the SAT simplification mode set
+    /// (spec-driven callers resolve the `sat_simplify` key, including
+    /// `"auto:<clauses>"` thresholds, via [`SimplifyMode::parse`]).
     pub fn with_simplify_mode(self, simplify: SimplifyMode) -> Self {
-        self.with_simplify(simplify)
+        AttackConfig { simplify, ..self }
     }
 }
 
@@ -181,7 +155,8 @@ pub fn sat_attack(
 mod tests {
     use super::*;
     use crate::metrics::verify_key;
-    use crate::oracle::{NetlistOracle, StochasticOracle};
+    use crate::stack::tests::cloaked_noise;
+    use crate::stack::OracleStack;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
     use gshe_logic::{GeneratorConfig, Netlist, NetlistGenerator};
@@ -192,7 +167,7 @@ mod tests {
         let picks = select_gates(nl, fraction, 55);
         let mut rng = StdRng::seed_from_u64(55);
         let keyed = camouflage(nl, &picks, scheme, &mut rng).unwrap();
-        let mut oracle = NetlistOracle::new(nl);
+        let mut oracle = OracleStack::exact(nl);
         let out = sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(30));
         assert_eq!(out.status, AttackStatus::Success, "{scheme}");
         let key = out.key.as_ref().unwrap();
@@ -240,7 +215,7 @@ mod tests {
         let picks = select_gates(&nl, 1.0, 1);
         let mut rng = StdRng::seed_from_u64(1);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-        let mut oracle = NetlistOracle::new(&nl);
+        let mut oracle = OracleStack::exact(&nl);
         let config = AttackConfig {
             timeout: Duration::from_millis(0),
             conflicts_per_slice: 1,
@@ -265,7 +240,7 @@ mod tests {
         let mut failures = 0;
         let trials = 4;
         for seed in 0..trials {
-            let mut oracle = StochasticOracle::new(&keyed, 0.25, seed);
+            let mut oracle = OracleStack::noisy(&keyed, cloaked_noise(&keyed, 0.25), seed);
             let out = sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(20));
             let broken = match out.status {
                 AttackStatus::Inconsistent => true,

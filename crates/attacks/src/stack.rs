@@ -20,9 +20,10 @@
 //!   stack only, the one configuration whose answers are memoizable.
 //!
 //! Every layer is `query_block`-first, so any composition answers 64
-//! patterns per pass end to end. The legacy oracles are thin adapters
-//! over the stack ([`crate::NetlistOracle`], [`crate::StochasticOracle`],
-//! [`crate::RotatingOracle`]) with byte-identical seeded behaviour.
+//! patterns per pass end to end. [`OracleStack`] is the only model of the
+//! working chip: attacks, campaigns and benchmarks all build one of its
+//! four compositions ([`OracleStack::exact`], [`OracleStack::noisy`],
+//! [`OracleStack::rotating`], [`OracleStack::rotating_noisy`]).
 //!
 //! ## Seed-salt composition
 //!
@@ -30,28 +31,23 @@
 //! the *same* caller seed with a layer-specific salt, so the layers
 //! compose without stealing each other's draws:
 //!
-//! * noise stream: `seed ^ 0x570C_4A57` (the historical
-//!   `StochasticOracle` derivation);
-//! * rotation key stream: `seed ^ 0xD07A7E` (the historical
-//!   `RotatingOracle` derivation).
+//! * noise stream: `seed ^` [`NOISE_SEED_SALT`];
+//! * rotation key stream: `seed ^` [`ROTATION_SEED_SALT`].
 //!
-//! A noise-only or rotation-only stack therefore reproduces its legacy
-//! oracle's stream exactly, and the combined stack draws both streams
-//! from one seed without perturbing either.
+//! Stacking or removing one layer therefore never perturbs the other
+//! layer's stream.
 //!
-//! ## Noise-stream discipline under rotation
+//! ## One noise stream
 //!
-//! The chip's reference semantics are *per query*: rotation counts
-//! queries, and the scalar noise stream draws one `gen_bool` per noisy
-//! node per query. A noise-only stack keeps the historical fast block
-//! path (one [`gshe_logic::bernoulli_mask`] per noisy node per pass — a
-//! different, equally valid sample stream, pinned by pre-stack
-//! campaigns). Once rotation is stacked on top, the block path switches
-//! to the engine's **scalar-stream** segments
-//! ([`FaultSimulator::run_scalar_stream`]): gate evaluation stays
-//! 64-wide, but noise is drawn pattern-major, so `query_block` is
-//! bit-for-bit the scalar loop — epochs, key draws, flips, and post-call
-//! RNG state all included.
+//! The chip's reference semantics are *per query* (`OracleStack`'s
+//! [`Oracle::query`]): rotation counts queries, and the noise stream draws
+//! one `gen_bool` per noisy node per query. `query_block` splits the block
+//! at epoch boundaries (a static stack is one segment) and answers each
+//! segment with one engine pass ([`FaultSimulator::run_scalar_stream`] on
+//! the noisy base): gate evaluation stays 64-wide, but noise is drawn
+//! pattern-major, so `query_block` is bit-for-bit the scalar loop —
+//! epochs, key draws, flips, and post-call RNG state all included.
+//! Batching never changes what the chip says.
 
 use crate::oracle::Oracle;
 use gshe_camo::KeyedNetlist;
@@ -60,12 +56,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
 
-/// Salt folded into the caller seed for the noise stream (the historical
-/// `StochasticOracle` derivation — seeded noise-only stacks reproduce).
+/// Salt folded into the caller seed for the noise stream.
 pub const NOISE_SEED_SALT: u64 = 0x570C_4A57;
 
-/// Salt folded into the caller seed for the rotation key stream (the
-/// historical `RotatingOracle` derivation).
+/// Salt folded into the caller seed for the rotation key stream.
 pub const ROTATION_SEED_SALT: u64 = 0xD0_7A7E;
 
 /// The stack's base layer: one bit-parallel evaluation pass over a
@@ -152,32 +146,13 @@ impl<'a> EvalLayer<'a> {
         .expect("oracle input arity mismatch")
     }
 
-    /// A full block, invalid lanes cleared — the fast path for stacks
-    /// without a rotation layer (mask-stream noise for the noisy base).
-    fn block_masked(&mut self, block: &PatternBlock) -> Vec<u64> {
-        match self {
-            EvalLayer::Exact { netlist, scratch } => {
-                let mut lanes = sim::run_with_scratch(netlist, scratch, block)
-                    .expect("oracle input arity mismatch");
-                let mask = block.valid_mask();
-                for lane in &mut lanes {
-                    *lane &= mask;
-                }
-                lanes
-            }
-            EvalLayer::Noisy(engine) => engine
-                .run_masked(block)
-                .expect("oracle input arity mismatch"),
-        }
-    }
-
     /// An epoch segment (`start..start + len`) of `block`, unmasked, into
-    /// a caller-owned buffer — the rotation layer's per-epoch pass. The
-    /// noisy base draws the scalar noise stream for exactly the segment's
-    /// patterns, so segmented block queries stay bit-for-bit the scalar
-    /// loop. Writing into the hoisted buffer keeps the steady-state
-    /// rotating block path at one allocation per call (the returned lane
-    /// vector), regardless of how many epoch segments the block spans.
+    /// a caller-owned buffer — one pass per epoch (a static stack's block
+    /// is one segment). The noisy base draws the scalar noise stream for
+    /// exactly the segment's patterns, so block queries stay bit-for-bit
+    /// the scalar loop. Writing into the hoisted buffer keeps the
+    /// steady-state block path at one allocation per call (the returned
+    /// lane vector), however many epoch segments the block spans.
     fn segment_into(&mut self, block: &PatternBlock, start: usize, len: usize, out: &mut Vec<u64>) {
         match self {
             EvalLayer::Exact { netlist, scratch } => {
@@ -215,14 +190,13 @@ pub struct OracleStack<'a> {
     base: EvalLayer<'a>,
     rotation: Option<Rotation<'a>>,
     count: u64,
-    /// Per-epoch segment lanes, hoisted so a rotating block query reuses
-    /// one buffer across all its segments (and across calls).
+    /// Per-epoch segment lanes, hoisted so a block query reuses one
+    /// buffer across all its segments (and across calls).
     seg_buf: Vec<u64>,
 }
 
 impl<'a> OracleStack<'a> {
-    /// The bare deterministic chip over the original netlist
-    /// (`NetlistOracle` semantics).
+    /// The bare deterministic chip over the original netlist.
     pub fn exact(netlist: &'a Netlist) -> Self {
         OracleStack {
             base: EvalLayer::exact(netlist),
@@ -233,9 +207,9 @@ impl<'a> OracleStack<'a> {
     }
 
     /// The stochastic chip of Sec. V-B: the defender's keyed netlist with
-    /// correct functions installed, flipping per `profile`
-    /// (`StochasticOracle` semantics; noise stream `seed ^`
-    /// [`NOISE_SEED_SALT`]).
+    /// correct functions installed, flipping per `profile` (noise stream
+    /// `seed ^` [`NOISE_SEED_SALT`]). Uniform noise over the cloaked cells
+    /// is [`ErrorProfile::uniform_at`] over their nodes.
     ///
     /// # Panics
     ///
@@ -250,9 +224,8 @@ impl<'a> OracleStack<'a> {
     }
 
     /// The key-rotating chip of Sec. V-C: correct key for the first epoch,
-    /// a fresh random key every `period` queries after that
-    /// (`RotatingOracle` semantics; key stream `seed ^`
-    /// [`ROTATION_SEED_SALT`]).
+    /// a fresh random key every `period` queries after that (key stream
+    /// `seed ^` [`ROTATION_SEED_SALT`]).
     ///
     /// # Panics
     ///
@@ -270,8 +243,8 @@ impl<'a> OracleStack<'a> {
     /// The **combined defense**: a rotating chip whose switches also run
     /// in the stochastic regime — rotation layered over the noisy base.
     /// Key stream and noise stream derive from the same `seed` with their
-    /// respective salts, so either dimension alone reproduces its legacy
-    /// oracle's stream.
+    /// respective salts, so either dimension alone draws the stream of
+    /// the single-layer stack.
     ///
     /// # Panics
     ///
@@ -343,6 +316,9 @@ impl OracleStack<'_> {
 }
 
 impl Oracle for OracleStack<'_> {
+    /// The per-query reference semantics `query_block` reproduces: rotate
+    /// on an epoch boundary, count the query, evaluate one pattern (one
+    /// `gen_bool` per noisy node on the noisy base).
     fn query(&mut self, inputs: &[bool]) -> Vec<bool> {
         let timed = gshe_obs::enabled().then(std::time::Instant::now);
         self.maybe_rotate();
@@ -357,29 +333,22 @@ impl Oracle for OracleStack<'_> {
         out
     }
 
-    /// Bit-parallel block path. Without a rotation layer this is one pass
-    /// of the base engine. With rotation, the block is split at epoch
-    /// boundaries and each segment answered by one pass over the epoch's
-    /// resolved netlist, drawing the scalar noise stream — key draws,
-    /// flips, query accounting, and answers match the scalar loop exactly;
-    /// only the gate evaluation is batched.
+    /// Bit-parallel block path: the block is split at epoch boundaries (a
+    /// static stack is one segment) and each segment answered by one pass
+    /// over the epoch's netlist, drawing the per-query noise stream — key
+    /// draws, flips, query accounting, and answers match the scalar loop
+    /// exactly; only the gate evaluation is batched.
     fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
         let timed = gshe_obs::enabled().then(std::time::Instant::now);
-        if self.rotation.is_none() {
-            self.count += block.count as u64;
-            let out = self.base.block_masked(block);
-            if let Some(t0) = timed {
-                gshe_obs::record(self.latency_histogram(true), t0.elapsed().as_nanos() as u64);
-            }
-            return out;
-        }
         let mut lanes = vec![0u64; self.num_outputs()];
         let mut k = 0usize;
         while k < block.count {
             self.maybe_rotate();
-            let period = self.rotation.as_ref().expect("rotation checked").period;
-            let until_rotation = (period - self.count % period).min(64) as usize;
-            let take = until_rotation.min(block.count - k);
+            let until_rotation = self
+                .rotation
+                .as_ref()
+                .map_or(64, |rot| (rot.period - self.count % rot.period).min(64));
+            let take = (until_rotation as usize).min(block.count - k);
             let segment = if take == 64 {
                 !0u64
             } else {
@@ -412,13 +381,14 @@ impl Oracle for OracleStack<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
     use gshe_logic::NodeId;
 
-    fn c17_keyed() -> (Netlist, KeyedNetlist) {
+    /// c17 with its gates cloaked as GSHE-16 cells (test fixture).
+    pub(crate) fn c17_keyed() -> (Netlist, KeyedNetlist) {
         let nl = parse_bench(C17_BENCH).unwrap();
         let picks = select_gates(&nl, 1.0, 3);
         let mut rng = StdRng::seed_from_u64(0);
@@ -426,39 +396,70 @@ mod tests {
         (nl, keyed)
     }
 
-    fn cloaked_profile(keyed: &KeyedNetlist, rate: f64) -> ErrorProfile {
+    /// Uniform noise at `rate` over `keyed`'s cloaked cells (test
+    /// fixture).
+    pub(crate) fn cloaked_noise(keyed: &KeyedNetlist, rate: f64) -> ErrorProfile {
         let nodes: Vec<NodeId> = keyed.camo_gates().iter().map(|g| g.node).collect();
         ErrorProfile::uniform_at(keyed.netlist().len(), &nodes, rate)
     }
 
+    /// Answers full and partial blocks through a clone of `stack` and the
+    /// scalar `query` loop through `stack` itself, then checks answers,
+    /// query counts, and the post-call state of both RNG streams (the
+    /// follow-up scalar queries span several more rotations).
+    fn assert_blocks_match_scalar(stack: OracleStack<'_>, label: &str) {
+        let mut fast = stack.clone();
+        let mut slow = stack;
+        let mut rng = StdRng::seed_from_u64(4);
+        for (round, count) in [64usize, 50, 64, 17].into_iter().enumerate() {
+            let block = PatternBlock::random_n(5, count, &mut rng);
+            let lanes = fast.query_block(&block);
+            for k in 0..count {
+                let y = slow.query(&block.pattern(k));
+                for (o, &bit) in y.iter().enumerate() {
+                    assert_eq!(
+                        bit,
+                        (lanes[o] >> k) & 1 == 1,
+                        "{label} round {round} pattern {k} output {o}"
+                    );
+                }
+            }
+            for lane in &lanes {
+                assert_eq!(lane & !block.valid_mask(), 0, "{label}: stray lane bits");
+            }
+            assert_eq!(fast.queries(), slow.queries(), "{label} round {round}");
+        }
+        for q in 0..64u32 {
+            let p: Vec<bool> = (0..5).map(|k| (q >> k) & 1 == 1).collect();
+            assert_eq!(
+                fast.query(&p),
+                slow.query(&p),
+                "{label}: post-block query {q} diverged"
+            );
+        }
+    }
+
     #[test]
     fn combined_stack_blocks_match_scalar_queries_bit_for_bit() {
-        // The headline contract: rotation × noise composed, `query_block`
-        // vs 64 scalar queries, across epoch boundaries (period 1 rotates
-        // before every query after the first; 7 ∤ 64 drifts the boundary
-        // through consecutive blocks; 20 puts three boundaries inside one
-        // block) at a nonzero error rate.
+        // The headline contract, for every layer composition: exact,
+        // noise-only, rotating, and rotating + noisy. Period 1 rotates
+        // before every query after the first; 5 and 7 do not divide 64,
+        // so the boundary drifts through consecutive blocks; 20 puts
+        // three boundaries inside one block; 64 and 1000 align with or
+        // outlast the blocks.
         let (_, keyed) = c17_keyed();
-        for period in [1u64, 7, 20] {
-            let profile = cloaked_profile(&keyed, 0.3);
-            let mut fast = OracleStack::rotating_noisy(&keyed, profile.clone(), period, 5);
-            let mut slow = OracleStack::rotating_noisy(&keyed, profile, period, 5);
-            let mut rng = StdRng::seed_from_u64(4);
-            for round in 0..3 {
-                let block = PatternBlock::random(5, &mut rng);
-                let lanes = fast.query_block(&block);
-                for k in 0..block.count {
-                    let y = slow.query(&block.pattern(k));
-                    for (o, &bit) in y.iter().enumerate() {
-                        assert_eq!(
-                            bit,
-                            (lanes[o] >> k) & 1 == 1,
-                            "period {period} round {round} pattern {k} output {o}"
-                        );
-                    }
-                }
-                assert_eq!(fast.queries(), slow.queries(), "period {period}");
-            }
+        let noise = cloaked_noise(&keyed, 0.3);
+        assert_blocks_match_scalar(OracleStack::exact(keyed.netlist()), "exact");
+        assert_blocks_match_scalar(OracleStack::noisy(&keyed, noise.clone(), 5), "noisy");
+        for period in [1u64, 5, 7, 20, 64, 1000] {
+            assert_blocks_match_scalar(
+                OracleStack::rotating(&keyed, period, 5),
+                &format!("rotating period {period}"),
+            );
+            assert_blocks_match_scalar(
+                OracleStack::rotating_noisy(&keyed, noise.clone(), period, 5),
+                &format!("rotating+noisy period {period}"),
+            );
         }
     }
 
@@ -470,9 +471,9 @@ mod tests {
         // further rotations must therefore agree between the twins.
         let (_, keyed) = c17_keyed();
         for period in [1u64, 7, 20] {
-            let profile = cloaked_profile(&keyed, 0.25);
-            let mut fast = OracleStack::rotating_noisy(&keyed, profile.clone(), period, 9);
-            let mut slow = OracleStack::rotating_noisy(&keyed, profile, period, 9);
+            let noise = cloaked_noise(&keyed, 0.25);
+            let mut fast = OracleStack::rotating_noisy(&keyed, noise.clone(), period, 9);
+            let mut slow = OracleStack::rotating_noisy(&keyed, noise, period, 9);
             let mut rng = StdRng::seed_from_u64(6);
             let block = PatternBlock::random_n(5, 50, &mut rng);
             let _ = fast.query_block(&block);
@@ -497,8 +498,7 @@ mod tests {
         // cells plus period-4 rotation, blocks must disagree with the
         // clean chip on many lanes.
         let (nl, keyed) = c17_keyed();
-        let profile = cloaked_profile(&keyed, 0.5);
-        let mut combined = OracleStack::rotating_noisy(&keyed, profile, 4, 11);
+        let mut combined = OracleStack::rotating_noisy(&keyed, cloaked_noise(&keyed, 0.5), 4, 11);
         assert_eq!(combined.rotation_period(), Some(4));
         assert!(combined.profile().is_some());
         let mut clean = OracleStack::exact(&nl);
@@ -535,38 +535,6 @@ mod tests {
             let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
             assert_eq!(exact.query(&v), noisy.query(&v));
         }
-    }
-
-    #[test]
-    fn noise_only_stack_reproduces_the_legacy_stochastic_stream() {
-        // The stack constructor applies the historical seed salt, so a
-        // noise-only stack and the legacy adapter are the same oracle.
-        let (_, keyed) = c17_keyed();
-        let mut stack = OracleStack::noisy(&keyed, cloaked_profile(&keyed, 0.3), 42);
-        let mut legacy = crate::StochasticOracle::new(&keyed, 0.3, 42);
-        let inputs = [true, false, true, true, false];
-        for _ in 0..10 {
-            assert_eq!(stack.query(&inputs), legacy.query(&inputs));
-        }
-        let block = PatternBlock::from_patterns(&[vec![false; 5], vec![true; 5]]);
-        assert_eq!(stack.query_block(&block), legacy.query_block(&block));
-    }
-
-    #[test]
-    fn rotation_only_stack_reproduces_the_legacy_rotating_stream() {
-        let (_, keyed) = c17_keyed();
-        let mut stack = OracleStack::rotating(&keyed, 7, 9);
-        let mut legacy = crate::RotatingOracle::new(&keyed, 7, 9);
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..2 {
-            let block = PatternBlock::random(5, &mut rng);
-            assert_eq!(stack.query_block(&block), legacy.query_block(&block));
-        }
-        for p in 0..23u32 {
-            let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
-            assert_eq!(stack.query(&v), legacy.query(&v));
-        }
-        assert_eq!(stack.queries(), legacy.queries());
     }
 
     #[test]

@@ -1,29 +1,43 @@
 //! Pins the oracle stack's steady-state allocation behaviour: after
 //! warm-up, a block query performs exactly **one** heap allocation — the
-//! returned lane vector — on both the static and the rotating path. The
+//! returned lane vector — on both a static and a rotating stack. The
 //! per-epoch segment buffers and the evaluation scratch are hoisted onto
 //! the stack, so they must not re-allocate per call (the regression this
 //! test pins: the rotating path once collected a fresh `Vec` per epoch
 //! segment).
+//!
+//! Allocations are counted per thread: `cargo test` runs these tests on
+//! parallel threads, and a process-global counter would pick up a
+//! sibling test's allocations inside another test's window.
 
-use gshe_attacks::{NetlistOracle, Oracle, OracleStack};
+use gshe_attacks::{Oracle, OracleStack};
 use gshe_camo::{camouflage, select_gates, CamoScheme};
 use gshe_logic::bench_format::{parse_bench, C17_BENCH};
 use gshe_logic::PatternBlock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocation (and growing reallocation) through the global
-/// allocator.
+/// allocator, per thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // Const-initialized and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Bumps the calling thread's counter. `try_with` rather than `with`: the
+/// allocator must never panic, including during thread teardown.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,12 +46,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -45,16 +59,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations the calling thread performs while running `f`.
 fn allocs_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 #[test]
 fn static_block_query_allocates_only_the_return_vector() {
     let nl = parse_bench(C17_BENCH).unwrap();
-    let mut oracle = NetlistOracle::new(&nl);
+    let mut oracle = OracleStack::exact(&nl);
     let mut rng = StdRng::seed_from_u64(1);
     let blocks: Vec<PatternBlock> = (0..12).map(|_| PatternBlock::random(5, &mut rng)).collect();
 
@@ -111,7 +126,7 @@ fn rotating_block_query_allocates_only_the_return_vector() {
 #[test]
 fn scalar_queries_allocate_only_the_return_vector() {
     let nl = parse_bench(C17_BENCH).unwrap();
-    let mut oracle = NetlistOracle::new(&nl);
+    let mut oracle = OracleStack::exact(&nl);
     let inputs = [true, false, true, false, true];
     for _ in 0..2 {
         let _ = oracle.query(&inputs);

@@ -13,7 +13,7 @@
 
 use gshe_attacks::{
     encode_keyed, sat_attack, verify_key, AttackConfig, AttackStatus, CoiMode, CoiProjection,
-    NetlistOracle,
+    OracleStack,
 };
 use gshe_camo::{camouflage, select_gates_count, CamoScheme, KeyedNetlist};
 use gshe_logic::{suites, Netlist};
@@ -52,8 +52,8 @@ fn coi_and_full_attacks_agree_on_s38584() {
     // Unscaled s38584 sits below the Auto threshold, so force each path.
     let mut keys = Vec::new();
     for coi in [CoiMode::On, CoiMode::Off] {
-        let mut oracle = NetlistOracle::new(&nl);
-        let config = AttackConfig::default().with_coi(coi);
+        let mut oracle = OracleStack::exact(&nl);
+        let config = AttackConfig::default().with_coi_mode(coi);
         let outcome = sat_attack(&keyed, &mut oracle, &config);
         assert_eq!(
             outcome.status,

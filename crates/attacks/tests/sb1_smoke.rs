@@ -25,7 +25,7 @@
 //! cargo test -q --release -- --ignored sb1_smoke
 //! ```
 
-use gshe_attacks::{sat_attack, AttackConfig, AttackStatus, CoiMode, CoiProjection, NetlistOracle};
+use gshe_attacks::{sat_attack, AttackConfig, AttackStatus, CoiMode, CoiProjection, OracleStack};
 use gshe_camo::{camouflage, select_gates_count, CamoScheme};
 use gshe_logic::{suites, Netlist, NodeId, PatternBlock};
 use rand::rngs::StdRng;
@@ -116,7 +116,7 @@ fn sb1_smoke() {
     // One campaign-style cell: batched SAT attack against the exact
     // working chip. The miter solves over a ~27k-node cone with
     // thousands of free inputs (~3 min of real CDCL work measured).
-    let mut oracle = NetlistOracle::new(&nl);
+    let mut oracle = OracleStack::exact(&nl);
     let config = AttackConfig::with_timeout_secs(480).with_dip_batch(16);
     let outcome = sat_attack(&keyed, &mut oracle, &config);
     assert_eq!(outcome.status, AttackStatus::Success, "{outcome:?}");

@@ -5,9 +5,7 @@
 //! Double DIP.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gshe_core::attacks::{
-    double_dip_attack, sat_attack, AttackConfig, AttackStatus, NetlistOracle,
-};
+use gshe_core::attacks::{double_dip_attack, sat_attack, AttackConfig, AttackStatus, OracleStack};
 use gshe_core::camo::{camouflage, select_gates, CamoScheme};
 use gshe_core::logic::{GeneratorConfig, Netlist, NetlistGenerator};
 use rand::rngs::StdRng;
@@ -35,7 +33,7 @@ fn bench_attack_by_scheme(c: &mut Criterion) {
             &keyed,
             |b, keyed| {
                 b.iter(|| {
-                    let mut oracle = NetlistOracle::new(&nl);
+                    let mut oracle = OracleStack::exact(&nl);
                     let out = sat_attack(keyed, &mut oracle, &AttackConfig::with_timeout_secs(60));
                     assert_eq!(out.status, AttackStatus::Success);
                 })
@@ -53,13 +51,13 @@ fn bench_double_dip_vs_sat(c: &mut Criterion) {
     let mut group = c.benchmark_group("dip_loop");
     group.bench_function("sat_attack", |b| {
         b.iter(|| {
-            let mut oracle = NetlistOracle::new(&nl);
+            let mut oracle = OracleStack::exact(&nl);
             sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(60))
         })
     });
     group.bench_function("double_dip", |b| {
         b.iter(|| {
-            let mut oracle = NetlistOracle::new(&nl);
+            let mut oracle = OracleStack::exact(&nl);
             double_dip_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(60))
         })
     });

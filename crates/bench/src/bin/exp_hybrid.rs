@@ -5,7 +5,7 @@
 //! resolved by SAT attacks within the budget.
 
 use gshe_bench::{runtime_cell, HarnessArgs};
-use gshe_core::attacks::{sat_attack, AttackConfig, AttackStatus, NetlistOracle};
+use gshe_core::attacks::{sat_attack, AttackConfig, AttackStatus, OracleStack};
 use gshe_core::logic::suites::{benchmark_scaled, spec};
 use gshe_core::timing::DelayModel;
 use gshe_core::{protect_delay_aware, Provisioning};
@@ -36,7 +36,7 @@ fn main() {
         assert_eq!(protected.provisioning, Provisioning::SplitManufacturing);
         fractions.push(hybrid.fraction);
 
-        let mut oracle = NetlistOracle::new(&nl);
+        let mut oracle = OracleStack::exact(&nl);
         let out = sat_attack(&protected.keyed, &mut oracle, &config);
         let status = match out.status {
             AttackStatus::Success => "success",

@@ -5,7 +5,7 @@
 //! use of the primitive to curb PPA overheads.
 
 use gshe_bench::HarnessArgs;
-use gshe_core::attacks::{sat_attack, verify_key, AttackConfig, AttackStatus, NetlistOracle};
+use gshe_core::attacks::{sat_attack, verify_key, AttackConfig, AttackStatus, OracleStack};
 use gshe_core::camo::{camouflage, select_gates, CamoScheme};
 use gshe_core::logic::suites::{benchmark_scaled, S38584};
 use rand::rngs::StdRng;
@@ -37,7 +37,7 @@ fn main() {
         let mut rng = StdRng::seed_from_u64(args.seed ^ run);
         let keyed = camouflage(&nl, &picks, CamoScheme::ThresholdSttLut, &mut rng)
             .expect("STT-LUT absorbs standard functions");
-        let mut oracle = NetlistOracle::new(&nl);
+        let mut oracle = OracleStack::exact(&nl);
         let out = sat_attack(&keyed, &mut oracle, &config);
         let secs = out.elapsed.as_secs_f64();
         total += secs;

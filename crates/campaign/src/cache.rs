@@ -206,9 +206,8 @@ impl OracleCache {
     }
 
     /// Like [`OracleCache::get_or_insert_block`] over an already-packed
-    /// key — the scalar hot path packs straight from `&[bool]` so a hit
-    /// allocates nothing beyond the key words. `cone` attributes the
-    /// probe to the cone-keyed statistics.
+    /// key — the cone-keyed path packs only the cone columns. `cone`
+    /// attributes the probe to the cone-keyed statistics.
     fn get_or_insert_packed(
         &self,
         fingerprint: u64,
@@ -289,8 +288,8 @@ impl OracleCache {
 /// shared prefix differ, and garbage bits beyond `count` never split
 /// logically-identical blocks).
 ///
-/// Single-pattern blocks — the scalar-query hot path of a `dip_batch=1`
-/// attack — use a dense form instead ([`pack_bits`]): the pattern
+/// Single-pattern blocks — every round of a `dip_batch = 1` attack — use
+/// a dense form instead ([`pack_bits`]): the pattern
 /// bit-packed across inputs plus the arity word (`⌈n/64⌉ + 1` words
 /// rather than `n + 1`), so per-query hashing and resident-key size stay
 /// at the pre-block-key level.
@@ -304,8 +303,8 @@ fn pack_block(block: &PatternBlock) -> Vec<u64> {
     words
 }
 
-/// The dense single-pattern key form shared by [`pack_block`]'s
-/// `count == 1` arm and the scalar-query path: pattern bits packed across
+/// The dense single-pattern key form shared by the `count == 1` arms of
+/// [`pack_block`] and [`pack_block_cone`]: pattern bits packed across
 /// inputs, then the input arity. The arity word keeps same-fingerprint
 /// queries of different widths (a caller bug the oracle would panic on)
 /// from ever aliasing a cached entry, and keeps the form disjoint from
@@ -470,32 +469,6 @@ impl<O: Oracle> CacheLayer<O> {
 }
 
 impl<O: Oracle> Oracle for CacheLayer<O> {
-    fn query(&mut self, inputs: &[bool]) -> Vec<bool> {
-        // Scalar queries share the block key space (a single pattern
-        // packs to the same dense form as a 1-pattern block), but pack
-        // straight from the inputs: a hit — the case the cache exists
-        // for — allocates nothing beyond the key words.
-        self.count += 1;
-        let timed = gshe_obs::enabled().then(std::time::Instant::now);
-        let inner = &mut self.inner;
-        let (fingerprint, packed) = match &self.cone {
-            Some(cone) => (
-                cone.fingerprint,
-                pack_bits(cone.inputs.iter().map(|&i| inputs[i])),
-            ),
-            None => (self.fingerprint, pack_bits(inputs.iter().copied())),
-        };
-        let lanes =
-            self.cache
-                .get_or_insert_packed(fingerprint, packed, self.cone.is_some(), || {
-                    inner.query_block(&PatternBlock::from_patterns(&[inputs.to_vec()]))
-                });
-        if let Some(t0) = timed {
-            gshe_obs::record("cache.query_ns", t0.elapsed().as_nanos() as u64);
-        }
-        lanes.iter().map(|lane| lane & 1 == 1).collect()
-    }
-
     fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
         self.count += block.count as u64;
         let timed = gshe_obs::enabled().then(std::time::Instant::now);
@@ -634,10 +607,9 @@ mod tests {
 
     #[test]
     fn single_pattern_keys_are_dense_and_shared_with_scalar_queries() {
-        // The scalar hot path (dip_batch = 1) must not pay n-word keys:
-        // a single pattern packs to ⌈n/64⌉ + 1 words, and a scalar query
-        // and a 1-pattern block query over the same pattern share one
-        // entry (both route through the same packed form).
+        // The single-pattern hot path (dip_batch = 1) must not pay n-word
+        // keys: a single pattern packs to ⌈n/64⌉ + 1 words, and a scalar
+        // query is a 1-pattern block query, so both share one entry.
         let one = PatternBlock::from_patterns(&[vec![true, false, true, false, true]]);
         assert_eq!(pack_block(&one), vec![0b10101, 5]);
         // The arity word keeps different-width patterns (a caller bug)
@@ -772,7 +744,7 @@ mod tests {
 
     #[test]
     fn cone_keyed_hits_are_byte_identical_to_full_key_and_uncached() {
-        use gshe_attacks::{cone_inputs, CoiMode, CoiOracle, CoiProjection, NetlistOracle};
+        use gshe_attacks::{cone_inputs, CoiMode, CoiOracle, CoiProjection};
 
         let (nl, keyed) = split_design();
         let proj = CoiProjection::build(&keyed, CoiMode::On).expect("projection engages");
@@ -785,7 +757,7 @@ mod tests {
         let full_cache = OracleCache::shared();
         let mut cone_inner = CachedOracle::over_cone(&nl, Arc::clone(&cone_cache), inputs.clone());
         let mut full_inner = CachedOracle::over(&nl, Arc::clone(&full_cache));
-        let mut bare_inner = NetlistOracle::new(&nl);
+        let mut bare_inner = OracleStack::exact(&nl);
         let mut cone_keyed = CoiOracle::new(&mut cone_inner, &proj);
         let mut full_keyed = CoiOracle::new(&mut full_inner, &proj);
         let mut uncached = CoiOracle::new(&mut bare_inner, &proj);

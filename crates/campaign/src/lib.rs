@@ -20,10 +20,9 @@
 //!   campaign-wide oracle-response cache with **block-level** keys
 //!   (netlist fingerprint + packed 64-pattern block), so no block is
 //!   simulated — or hashed pattern-at-a-time — twice across jobs;
-//! * [`physical`] — device-derived operating points: the memoized
-//!   clock-period → error-rate table behind the `clock_periods_ns` grid
-//!   dimension (and the historical `gshe_core::stochastic` derivation
-//!   functions, which live here so campaigns can use them);
+//! * [`physical`] — device-derived operating points: the Monte Carlo
+//!   error-rate derivations and the memoized clock-period → error-rate
+//!   table behind the `clock_periods_ns` grid dimension;
 //! * [`aggregate`]/[`report`] — reduce raw job results into the paper's
 //!   table rows (key-recovery rate, query counts, output-error rate,
 //!   runtime percentiles) and serialize them to JSON or CSV;

@@ -4,9 +4,8 @@
 //! Sec. V-B's knob is *physical*: a switch driven at spin current `I_S`
 //! and clocked with period `t_clk` misses its deadline with a probability
 //! set by the switching-delay distribution (Fig. 4). This module hosts
-//! the derivation ([`error_rate_for_clock`], [`error_profile_for_drives`];
-//! re-exported at the historical `gshe_core::stochastic` paths) and the
-//! campaign-facing piece: [`ClockRateTable`], the memoized
+//! the derivation ([`error_rate_for_clock`], [`error_profile_for_drives`])
+//! and the campaign-facing piece: [`ClockRateTable`], the memoized
 //! clock-period → error-rate map behind the spec-level `clock_periods_ns`
 //! grid dimension, which lets campaigns sweep clock periods end to end —
 //! device Monte Carlo → per-cell rate → noise profile → attack.
@@ -186,5 +185,48 @@ mod tests {
     #[should_panic(expected = "clock period must be positive")]
     fn clock_table_rejects_nonpositive_periods() {
         let _ = ClockRateTable::new().rate_for(0.0);
+    }
+
+    #[test]
+    fn error_rate_decreases_with_higher_current() {
+        // Fig. 4: higher I_S → faster, tighter distribution → fewer misses
+        // at a fixed (aggressive) clock.
+        let params = SwitchParams::table_i();
+        let low = error_rate_for_clock(&params, 20e-6, 1.2e-9, 64, 5);
+        let high = error_rate_for_clock(&params, 100e-6, 1.2e-9, 64, 5);
+        assert!(high < low, "I_S=100uA err {high} vs 20uA err {low}");
+    }
+
+    #[test]
+    fn drive_profile_orders_rates_by_clock() {
+        // Two switches at the same current: the aggressively-clocked one
+        // must be at least as noisy as the relaxed one, and unlisted nodes
+        // stay deterministic. Duplicate drive points share one Monte Carlo
+        // measurement (identical rates).
+        let params = SwitchParams::table_i();
+        let drives = [
+            SwitchDrive {
+                node: NodeId(1),
+                i_s: 20e-6,
+                t_clk: 0.8e-9,
+            },
+            SwitchDrive {
+                node: NodeId(3),
+                i_s: 20e-6,
+                t_clk: 6e-9,
+            },
+            SwitchDrive {
+                node: NodeId(4),
+                i_s: 20e-6,
+                t_clk: 0.8e-9,
+            },
+        ];
+        let profile = error_profile_for_drives(&params, 6, &drives, 64, 3);
+        assert_eq!(profile.len(), 6);
+        assert_eq!(profile.rate(NodeId(0)), 0.0);
+        assert_eq!(profile.rate(NodeId(2)), 0.0);
+        assert!(profile.rate(NodeId(1)) >= profile.rate(NodeId(3)));
+        assert!(profile.rate(NodeId(1)) > 0.2, "0.8 ns clock should err");
+        assert_eq!(profile.rate(NodeId(1)), profile.rate(NodeId(4)));
     }
 }

@@ -141,8 +141,8 @@ pub struct CampaignSpec {
     /// (heterogeneous noise placements as a grid dimension).
     pub profiles: Vec<NoiseShape>,
     /// Dynamic-camouflaging rotation periods (`0` = the static oracle the
-    /// grid always had; `n > 0` = a `RotatingOracle` drawing a fresh random
-    /// key every `n` queries). The defense-side dimension of the
+    /// grid always had; `n > 0` = a rotating oracle stack drawing a fresh
+    /// random key every `n` queries). The defense-side dimension of the
     /// attack-collapse-vs-period experiment.
     pub rotation_periods: Vec<u64>,
     /// Trials per grid cell (stochastic cells need repeats).

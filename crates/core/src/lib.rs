@@ -12,11 +12,14 @@
 //! * [`primitive`] — [`GshePrimitive`]: evaluates a configuration through
 //!   the *device*: current summation → sLLGS write of the W-NM → dipolar
 //!   flip of the R-NM → resistive read-out current direction.
-//! * [`stochastic`] — Sec. V-B: tunable per-device error rates derived
-//!   from the switching-delay distribution vs. the clock period.
+//! * [`stochastic`] — Sec. V-B: the primitive operated in the stochastic
+//!   regime (per-device error rates derived from the switching-delay
+//!   distribution vs. the clock period live in
+//!   [`campaign::physical`]).
 //! * [`polymorphic`] — Sec. V-C: runtime polymorphism (function morphing
-//!   that preserves chip function) and key rotation against
-//!   runtime-intensive attacks.
+//!   that preserves chip function); key rotation against
+//!   runtime-intensive attacks is the oracle stack's rotation layer
+//!   ([`OracleStack::rotating`](gshe_attacks::OracleStack::rotating)).
 //! * [`flows`] — chip-level protection flows: plain/full camouflaging and
 //!   the delay-aware hybrid CMOS–GSHE flow, with the Sec. IV provisioning
 //!   options.
@@ -37,11 +40,9 @@ pub mod stochastic;
 
 pub use config::{CurrentInput, GsheConfig, ReadMode};
 pub use flows::{protect, protect_delay_aware, Protected, Provisioning};
-pub use polymorphic::{morph_complement, morph_random, RotatingOracle};
+pub use polymorphic::{morph_complement, morph_random};
 pub use primitive::GshePrimitive;
-pub use stochastic::{
-    error_profile_for_drives, error_rate_for_clock, StochasticPrimitive, SwitchDrive,
-};
+pub use stochastic::StochasticPrimitive;
 
 pub use gshe_attacks as attacks;
 pub use gshe_camo as camo;
@@ -57,13 +58,10 @@ pub mod prelude {
     pub use crate::config::{CurrentInput, GsheConfig, ReadMode};
     pub use crate::flows::{protect, protect_delay_aware, Protected, Provisioning};
     pub use crate::primitive::GshePrimitive;
-    pub use crate::stochastic::{
-        error_profile_for_drives, error_rate_for_clock, StochasticPrimitive, SwitchDrive,
-    };
+    pub use crate::stochastic::StochasticPrimitive;
     pub use gshe_attacks::{
         appsat_attack, double_dip_attack, sat_attack, verify_key, AttackConfig, AttackKind,
-        AttackRunner, AttackStatus, NetlistOracle, Oracle, OracleStack, RestartMode,
-        StochasticOracle,
+        AttackRunner, AttackStatus, Oracle, OracleStack,
     };
     pub use gshe_camo::{camouflage, select_gates, CamoScheme, KeyedNetlist};
     pub use gshe_campaign::{

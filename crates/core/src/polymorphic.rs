@@ -10,20 +10,16 @@
 //!   at two instants sees two different circuits ("it is virtually
 //!   impossible to resolve all dynamic features on full-chip scale at
 //!   once").
-//! * **Key rotation** ([`RotatingOracle`]), after Koteshwara et al. \[40\]:
-//!   the chip's key (and hence oracle behaviour) is altered dynamically,
-//!   rendering runtime-intensive attacks — SAT attacks in particular —
-//!   incapable.
+//! * **Key rotation**, after Koteshwara et al. \[40\]: the chip's key
+//!   (and hence oracle behaviour) is altered dynamically, rendering
+//!   runtime-intensive attacks — SAT attacks in particular — incapable.
+//!   The rotating chip is the oracle stack's rotation layer
+//!   ([`gshe_attacks::OracleStack::rotating`]), where the campaign engine
+//!   materializes it per job.
 
 use gshe_logic::{Bf1, LogicError, Netlist, NodeId, NodeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-// The rotating chip is an attack-facing oracle, so the implementation
-// lives with the other oracles in `gshe_attacks::oracle` (where the
-// campaign engine can materialize it per job); re-exported here to keep
-// the Sec. V-C defense surface together.
-pub use gshe_attacks::RotatingOracle;
 
 /// Complements the function of gate `node` and compensates every fanout by
 /// negating the corresponding input, preserving the netlist's function.
@@ -104,7 +100,7 @@ pub fn morph_random(nl: &mut Netlist, candidates: &[NodeId], seed: u64) -> Vec<N
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gshe_attacks::{sat_attack, verify_key, AttackConfig, AttackStatus, Oracle};
+    use gshe_attacks::{sat_attack, verify_key, AttackConfig, AttackStatus, Oracle, OracleStack};
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::sim::random_equivalence_check;
     use gshe_logic::{Bf2, GeneratorConfig, NetlistBuilder, NetlistGenerator};
@@ -187,7 +183,7 @@ mod tests {
         let mut broken = 0;
         let trials = 3;
         for seed in 0..trials {
-            let mut oracle = RotatingOracle::new(&keyed, 3, seed);
+            let mut oracle = OracleStack::rotating(&keyed, 3, seed);
             let out = sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(20));
             let failed = match out.status {
                 AttackStatus::Inconsistent => true,
@@ -207,41 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn rotating_block_query_matches_scalar_loop() {
-        // The engine-backed block path must reproduce the scalar loop
-        // exactly — same per-pattern rotation points, same key stream,
-        // same answers, same accounting — even when a block straddles
-        // several epochs.
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 6, 3, 40).with_seed(21))
-            .unwrap()
-            .generate();
-        let picks = select_gates(&nl, 0.5, 17);
-        let mut rng = StdRng::seed_from_u64(17);
-        let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-
-        for period in [1u64, 5, 64, 1000] {
-            let mut fast = RotatingOracle::new(&keyed, period, 3);
-            let mut slow = RotatingOracle::new(&keyed, period, 3);
-            let mut prng = StdRng::seed_from_u64(8);
-            for _ in 0..3 {
-                let block = gshe_logic::PatternBlock::random_n(6, 50, &mut prng);
-                let lanes = fast.query_block(&block);
-                for k in 0..block.count {
-                    let y = slow.query(&block.pattern(k));
-                    for (o, &bit) in y.iter().enumerate() {
-                        assert_eq!(
-                            bit,
-                            (lanes[o] >> k) & 1 == 1,
-                            "period {period} pattern {k} output {o}"
-                        );
-                    }
-                }
-                assert_eq!(fast.queries(), slow.queries(), "period {period}");
-            }
-        }
-    }
-
-    #[test]
     fn rotating_oracle_is_consistent_within_first_epoch() {
         let nl = NetlistGenerator::new(GeneratorConfig::new("t", 6, 3, 30).with_seed(9))
             .unwrap()
@@ -249,7 +210,7 @@ mod tests {
         let picks = select_gates(&nl, 0.5, 13);
         let mut rng = StdRng::seed_from_u64(13);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-        let mut oracle = RotatingOracle::new(&keyed, 1000, 1);
+        let mut oracle = OracleStack::rotating(&keyed, 1000, 1);
         let x = vec![true; 6];
         let y0 = oracle.query(&x);
         assert_eq!(y0, nl.evaluate(&x), "first epoch uses the correct key");

@@ -4,20 +4,16 @@
 //! the primitive faster than the delay distribution's tail and evaluations
 //! occasionally miss the deadline — the output error rate becomes a *knob*
 //! set by the clock period and the spin current: "the error rate for any
-//! switch can be tuned individually". [`error_rate_for_clock`] derives the
-//! rate from the device Monte Carlo; [`StochasticPrimitive`] applies it at
-//! the logic level.
+//! switch can be tuned individually".
+//! [`gshe_campaign::physical::error_rate_for_clock`] derives the rate from
+//! the device Monte Carlo (in the campaign crate, so campaigns can sweep
+//! physical clock periods); [`StochasticPrimitive`] applies it at the
+//! logic level.
 
 use crate::config::GsheConfig;
 use gshe_logic::Bf2;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-// The device-Monte-Carlo rate derivations moved down into
-// `gshe_campaign::physical` so the campaign engine can sweep *physical*
-// clock periods (`clock_periods_ns`) without a dependency cycle;
-// re-exported here to keep the historical Sec. V-B surface together.
-pub use gshe_campaign::physical::{error_profile_for_drives, error_rate_for_clock, SwitchDrive};
 
 /// A GSHE primitive operated in the stochastic regime.
 #[derive(Debug, Clone)]
@@ -31,7 +27,7 @@ pub struct StochasticPrimitive {
 
 impl StochasticPrimitive {
     /// Creates a stochastic primitive with the given per-evaluation error
-    /// rate (e.g. from [`error_rate_for_clock`]).
+    /// rate (e.g. from [`gshe_campaign::physical::error_rate_for_clock`]).
     ///
     /// # Panics
     ///
@@ -83,31 +79,6 @@ impl StochasticPrimitive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gshe_device::SwitchParams;
-    use gshe_logic::NodeId;
-
-    #[test]
-    fn error_rate_decreases_with_longer_clock() {
-        let params = SwitchParams::table_i();
-        let fast = error_rate_for_clock(&params, 20e-6, 0.8e-9, 64, 3);
-        let slow = error_rate_for_clock(&params, 20e-6, 6e-9, 64, 3);
-        assert!(slow <= fast, "slow clock {slow} vs fast clock {fast}");
-        assert!(
-            slow < 0.05,
-            "6 ns clock should be near-deterministic: {slow}"
-        );
-        assert!(fast > 0.2, "0.8 ns clock should err often: {fast}");
-    }
-
-    #[test]
-    fn error_rate_decreases_with_higher_current() {
-        // Fig. 4: higher I_S → faster, tighter distribution → fewer misses
-        // at a fixed (aggressive) clock.
-        let params = SwitchParams::table_i();
-        let low = error_rate_for_clock(&params, 20e-6, 1.2e-9, 64, 5);
-        let high = error_rate_for_clock(&params, 100e-6, 1.2e-9, 64, 5);
-        assert!(high < low, "I_S=100uA err {high} vs 20uA err {low}");
-    }
 
     #[test]
     fn zero_error_rate_is_exact() {
@@ -136,38 +107,5 @@ mod tests {
     #[should_panic(expected = "error rate")]
     fn error_rate_bounds_checked() {
         let _ = StochasticPrimitive::new(GsheConfig::for_function(Bf2::AND), -0.1, 0);
-    }
-
-    #[test]
-    fn drive_profile_orders_rates_by_clock() {
-        // Two switches at the same current: the aggressively-clocked one
-        // must be at least as noisy as the relaxed one, and unlisted nodes
-        // stay deterministic. Duplicate drive points share one Monte Carlo
-        // measurement (identical rates).
-        let params = SwitchParams::table_i();
-        let drives = [
-            SwitchDrive {
-                node: NodeId(1),
-                i_s: 20e-6,
-                t_clk: 0.8e-9,
-            },
-            SwitchDrive {
-                node: NodeId(3),
-                i_s: 20e-6,
-                t_clk: 6e-9,
-            },
-            SwitchDrive {
-                node: NodeId(4),
-                i_s: 20e-6,
-                t_clk: 0.8e-9,
-            },
-        ];
-        let profile = error_profile_for_drives(&params, 6, &drives, 64, 3);
-        assert_eq!(profile.len(), 6);
-        assert_eq!(profile.rate(NodeId(0)), 0.0);
-        assert_eq!(profile.rate(NodeId(2)), 0.0);
-        assert!(profile.rate(NodeId(1)) >= profile.rate(NodeId(3)));
-        assert!(profile.rate(NodeId(1)) > 0.2, "0.8 ns clock should err");
-        assert_eq!(profile.rate(NodeId(1)), profile.rate(NodeId(4)));
     }
 }

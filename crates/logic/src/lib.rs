@@ -45,7 +45,7 @@ pub use builder::NetlistBuilder;
 pub use error::LogicError;
 pub use generator::{GeneratorConfig, NetlistGenerator, Topology, LOCAL_WINDOW};
 pub use netlist::{FanoutCsr, IdMap, Netlist, Node, NodeId, NodeKind, NodeRef};
-pub use noise::{bernoulli_mask, ErrorProfile, FaultSimulator};
+pub use noise::{ErrorProfile, FaultSimulator};
 pub use opt::{optimize, optimize_protected, OptReport};
 pub use seq::scan_preprocess;
 pub use sim::{PatternBlock, Simulator};

@@ -7,65 +7,30 @@
 //!
 //! * [`ErrorProfile`] — a dense per-node flip-rate table (`Vec<f64>`, one
 //!   entry per netlist node). Uniform rates, per-node vectors, and
-//!   device-derived per-switch rates (see `gshe_core::stochastic`) all
+//!   device-derived per-switch rates (see `gshe_campaign::physical`) all
 //!   normalize to this one representation, so interpreters never do a
 //!   per-node set-membership probe.
-//! * [`FaultSimulator`] — a bit-parallel simulator that evaluates 64 input
-//!   patterns per pass (like [`Simulator`]) and injects faults as per-node
-//!   64-bit Bernoulli flip masks. A mask costs at most 32 RNG words
-//!   (usually fewer), so noise costs O(noisy nodes) per *block* instead of
-//!   one RNG call per node per pattern.
+//! * [`FaultSimulator`] — a noise-injecting simulator with one sample
+//!   stream: one `gen_bool` per noisy node per pattern, pattern-major.
+//!   [`FaultSimulator::run_scalar`] evaluates one pattern;
+//!   [`FaultSimulator::run_scalar_stream`] evaluates a block segment 64
+//!   lanes per pass (like [`Simulator`]) while drawing exactly the flips
+//!   the scalar calls would, so batching never changes a seeded answer.
 //!
 //! With an all-zero profile the engine is bit-identical to [`Simulator`]
 //! (property-tested in `tests/fault_sim_props.rs`), so deterministic and
 //! stochastic evaluation share one gate-eval core:
 //! [`NodeKind::eval_lanes`].
+//!
+//! [`Simulator`]: crate::sim::Simulator
+//! [`NodeKind::eval_lanes`]: crate::netlist::NodeKind::eval_lanes
 
 use crate::error::LogicError;
 use crate::netlist::{Netlist, NodeId};
 use crate::sim::{PatternBlock, NODES_EVALUATED};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
-
-/// Fractional bits of precision in [`bernoulli_mask`]'s fixed-point
-/// representation of the flip probability.
-const BERNOULLI_BITS: u32 = 32;
-
-/// Draws a 64-bit mask whose bits are independently 1 with probability `p`
-/// (quantized to 32 fractional bits).
-///
-/// The mask is built by Horner-evaluating the binary expansion of `p` over
-/// uniform random words: processing digit `b` maps the running mask `m` to
-/// `r | m` (digit 1) or `r & m` (digit 0), which halves-and-shifts the
-/// per-bit probability exactly. Trailing zero digits are no-ops and are
-/// skipped, so dyadic rates (0.5, 0.25, …) cost only a few words and any
-/// rate costs at most 32 — versus 64 `gen_bool` calls for a
-/// pattern-at-a-time interpreter.
-///
-/// # Panics
-///
-/// Panics (debug) if `p` is outside `[0, 1]`.
-pub fn bernoulli_mask<R: RngCore + ?Sized>(rng: &mut R, p: f64) -> u64 {
-    debug_assert!((0.0..=1.0).contains(&p), "flip probability out of range");
-    let q = (p * (1u64 << BERNOULLI_BITS) as f64).round() as u64;
-    if q == 0 {
-        return 0;
-    }
-    if q >= 1u64 << BERNOULLI_BITS {
-        return !0;
-    }
-    let mut mask = 0u64;
-    for i in q.trailing_zeros()..BERNOULLI_BITS {
-        let r = rng.next_u64();
-        mask = if (q >> i) & 1 == 1 {
-            r | mask
-        } else {
-            r & mask
-        };
-    }
-    mask
-}
 
 /// A dense per-node error-rate table: entry `i` is the probability that
 /// node `i`'s computed value flips per evaluation.
@@ -101,8 +66,7 @@ impl ErrorProfile {
     }
 
     /// A profile with `rate` at exactly the listed `nodes` and 0 elsewhere
-    /// — the uniform-over-cloaked-cells shape of the original
-    /// `StochasticOracle`.
+    /// — e.g. uniform noise over a keyed netlist's cloaked cells.
     ///
     /// # Panics
     ///
@@ -224,25 +188,20 @@ fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Bit-parallel, noise-aware netlist simulator: evaluates 64 patterns per
-/// pass and flips each node's 64 computed values according to its
-/// [`ErrorProfile`] rate.
+/// Bit-parallel, noise-aware netlist simulator: flips each node's computed
+/// value according to its [`ErrorProfile`] rate.
 ///
 /// Faults at internal nodes propagate forward through the sweep and
 /// superpose — exactly the stochastically correlated output behaviour
 /// Sec. V-B relies on to break SAT-style attacks.
 ///
-/// Two evaluation paths share one gate core ([`NodeKind::eval_lanes`]) but
-/// consume the RNG differently:
-///
-/// * [`FaultSimulator::run`] (block path) draws one Bernoulli *mask* per
-///   noisy node per block;
-/// * [`FaultSimulator::run_scalar`] (scalar path) draws one `gen_bool` per
-///   noisy node per pattern — the historical `StochasticOracle::query`
-///   stream, kept so seeded scalar experiments reproduce across the
-///   refactor.
-///
-/// Both are deterministic per (netlist, profile, seed).
+/// Noise comes from one stream: one `gen_bool` per noisy node per
+/// pattern, patterns in order and noisy nodes in topological order within
+/// each. [`FaultSimulator::run_scalar`] consumes it one pattern at a time;
+/// [`FaultSimulator::run_scalar_stream`] consumes it for a block segment
+/// while evaluating gates 64 lanes wide. Any split of a pattern sequence
+/// into scalar calls and segments therefore yields the same answers and
+/// leaves the RNG in the same state.
 ///
 /// The netlist is held as a [`Cow`], so the engine normally borrows (the
 /// static-oracle case) but an upper layer may swap in an owned netlist of
@@ -324,55 +283,10 @@ impl<'a> FaultSimulator<'a> {
         &self.profile
     }
 
-    /// Simulates a block of patterns with fault injection; returns one
-    /// `u64` per primary output (bit `k` = output value under pattern
-    /// `k`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::InputCountMismatch`] if the block width does
-    /// not match the number of primary inputs.
-    pub fn run(&mut self, block: &PatternBlock) -> Result<Vec<u64>, LogicError> {
-        let nl: &Netlist = &self.netlist;
-        if block.lanes.len() != nl.inputs().len() {
-            return Err(LogicError::InputCountMismatch {
-                expected: nl.inputs().len(),
-                got: block.lanes.len(),
-            });
-        }
-        let values = &mut self.values;
-        let rates = self.profile.rates();
-        for i in 0..nl.len() {
-            let mut v = nl.eval_node_lanes(i, values, |k| block.lanes[k]);
-            let rate = rates[i];
-            if rate > 0.0 {
-                v ^= bernoulli_mask(&mut self.rng, rate);
-            }
-            values[i] = v;
-        }
-        gshe_obs::count(NODES_EVALUATED, nl.len() as u64);
-        Ok(nl.outputs().iter().map(|o| values[o.index()]).collect())
-    }
-
-    /// Like [`FaultSimulator::run`], but clears the bits of invalid lanes
-    /// (`k >= block.count`) so block-capable oracles can return the lanes
-    /// directly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
-    pub fn run_masked(&mut self, block: &PatternBlock) -> Result<Vec<u64>, LogicError> {
-        let mut lanes = self.run(block)?;
-        let mask = block.valid_mask();
-        for lane in &mut lanes {
-            *lane &= mask;
-        }
-        Ok(lanes)
-    }
-
     /// Evaluates one pattern with fault injection, drawing exactly one
-    /// `gen_bool` per noisy node (the historical scalar stream: flips at
-    /// noisy nodes in topological order).
+    /// `gen_bool` per noisy node (flips at noisy nodes in topological
+    /// order) — the per-pattern reference for
+    /// [`FaultSimulator::run_scalar_stream`].
     ///
     /// # Errors
     ///
@@ -416,9 +330,9 @@ impl<'a> FaultSimulator<'a> {
     /// and the post-call RNG state, match `len` scalar calls bit for bit.
     ///
     /// Lanes outside the segment evaluate noise-free; callers mask to the
-    /// segment. This is the path a key-rotating layer uses to batch
-    /// per-epoch segments over a noisy chip without changing the chip's
-    /// per-query reference semantics.
+    /// segment. The oracle stack answers every block through this path,
+    /// one segment per key-rotation epoch (a static chip is one segment),
+    /// so block queries keep the chip's per-query reference semantics.
     ///
     /// # Errors
     ///
@@ -529,7 +443,10 @@ mod tests {
         let mut noisy = FaultSimulator::new(&nl, ErrorProfile::zero(nl.len()), 1);
         for _ in 0..8 {
             let block = PatternBlock::random(2, &mut rng);
-            assert_eq!(plain.run(&block).unwrap(), noisy.run(&block).unwrap());
+            assert_eq!(
+                plain.run(&block).unwrap(),
+                noisy.run_scalar_stream(&block, 0, 64).unwrap()
+            );
         }
     }
 
@@ -550,32 +467,12 @@ mod tests {
         let profile = ErrorProfile::uniform_at(nl.len(), &[s], 1.0);
         let mut sim = FaultSimulator::new(&nl, profile, 3);
         let block = PatternBlock::from_patterns(&[vec![true, false]]);
-        let lanes = sim.run_masked(&block).unwrap();
+        let lanes = sim.run_scalar_stream(&block, 0, 1).unwrap();
         // XOR(1,0) = 1, flipped with certainty → 0; AND untouched → 0.
         assert_eq!(lanes[0] & 1, 0);
         assert_eq!(lanes[1] & 1, 0);
         let scalar = sim.run_scalar(&[true, false]).unwrap();
         assert_eq!(scalar, vec![false, false]);
-    }
-
-    #[test]
-    fn bernoulli_mask_extremes_are_exact() {
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(bernoulli_mask(&mut rng, 0.0), 0);
-        assert_eq!(bernoulli_mask(&mut rng, 1.0), !0);
-    }
-
-    #[test]
-    fn bernoulli_mask_tracks_probability() {
-        let mut rng = StdRng::seed_from_u64(17);
-        for &p in &[0.5, 0.25, 0.05, 0.9] {
-            let blocks = 4_000;
-            let ones: u64 = (0..blocks)
-                .map(|_| bernoulli_mask(&mut rng, p).count_ones() as u64)
-                .sum();
-            let freq = ones as f64 / (blocks * 64) as f64;
-            assert!((freq - p).abs() < 0.01, "p={p} observed {freq}");
-        }
     }
 
     #[test]

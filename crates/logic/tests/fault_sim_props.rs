@@ -1,13 +1,12 @@
 //! Property tests for the noise-aware evaluation engine.
 //!
-//! Two contracts keep the four interpreters collapsed onto one core
-//! honest: (1) a zero-rate [`FaultSimulator`] is *bit-identical* to the
-//! plain [`Simulator`] on arbitrary generated netlists (so the engine can
-//! stand in for every deterministic path), and (2) observed flip
-//! frequencies track the configured per-node rates (so the stochastic
-//! defense measures what the spec says it measures).
+//! Two contracts keep the engine honest: (1) a zero-rate
+//! [`FaultSimulator`] is *bit-identical* to the plain [`Simulator`] on
+//! arbitrary generated netlists (so the engine can stand in for every
+//! deterministic path), and (2) observed flip frequencies track the
+//! configured per-node rates (so the stochastic defense measures what the
+//! spec says it measures).
 
-use gshe_logic::noise::bernoulli_mask;
 use gshe_logic::{
     Bf2, ErrorProfile, FaultSimulator, GeneratorConfig, NetlistBuilder, NetlistGenerator,
     PatternBlock, Simulator,
@@ -20,7 +19,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// All rates = 0 ⇒ the fault engine matches the plain bit-parallel
-    /// simulator bit-for-bit, block-path and scalar-path alike, on
+    /// simulator bit-for-bit, block segments and scalar calls alike, on
     /// generated netlists of arbitrary shape.
     #[test]
     fn zero_rate_engine_is_bit_identical_to_simulator(
@@ -41,7 +40,7 @@ proptest! {
         for _ in 0..4 {
             let block = PatternBlock::random(nl.inputs().len(), &mut rng);
             let expected = plain.run(&block).unwrap();
-            prop_assert_eq!(&engine.run(&block).unwrap(), &expected);
+            prop_assert_eq!(&engine.run_scalar_stream(&block, 0, 64).unwrap(), &expected);
             // Per-node values agree too — the whole sweep is identical,
             // not just the outputs.
             prop_assert_eq!(engine.node_values(), plain.node_values());
@@ -50,20 +49,6 @@ proptest! {
             let pattern = block.pattern(k);
             prop_assert_eq!(engine.run_scalar(&pattern).unwrap(), nl.evaluate(&pattern));
         }
-    }
-
-    /// The Bernoulli mask builder is unbiased across the representable
-    /// rate range (quantization error ≤ 2⁻³²).
-    #[test]
-    fn bernoulli_mask_frequency_tracks_rate(rate in 0.01f64..0.99, seed in 0u64..1_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let blocks = 2_000u64;
-        let ones: u64 = (0..blocks)
-            .map(|_| bernoulli_mask(&mut rng, rate).count_ones() as u64)
-            .sum();
-        let freq = ones as f64 / (blocks * 64) as f64;
-        // 128k samples: |freq − p| stays within ~4σ ≈ 4·√(p(1−p)/n) < 0.012.
-        prop_assert!((freq - rate).abs() < 0.012, "rate {} observed {}", rate, freq);
     }
 }
 
@@ -94,7 +79,7 @@ fn observed_flip_frequency_tracks_per_node_rates() {
     let mut flips = [0u64; 2];
     for _ in 0..blocks {
         let block = PatternBlock::random(2, &mut rng);
-        let noisy = engine.run(&block).unwrap();
+        let noisy = engine.run_scalar_stream(&block, 0, 64).unwrap();
         let reference = clean.run(&block).unwrap();
         for (o, flip_count) in flips.iter_mut().enumerate() {
             *flip_count += (noisy[o] ^ reference[o]).count_ones() as u64;
@@ -113,8 +98,7 @@ fn observed_flip_frequency_tracks_per_node_rates() {
     );
 }
 
-/// The scalar path obeys the same per-node rates (one `gen_bool` per noisy
-/// node per pattern).
+/// One-pattern calls obey the same per-node rates.
 #[test]
 fn scalar_flip_frequency_tracks_rate() {
     let mut b = NetlistBuilder::new("probe");

@@ -26,7 +26,7 @@ fn main() {
     for scheme in CamoScheme::ALL {
         let mut rng = StdRng::seed_from_u64(99);
         let keyed = camouflage(&design, &picks, scheme, &mut rng).expect("camouflage");
-        let mut oracle = NetlistOracle::new(&design);
+        let mut oracle = OracleStack::exact(&design);
         let outcome = sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(30));
         let verdict = match outcome.status {
             AttackStatus::Success => {

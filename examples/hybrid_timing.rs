@@ -42,7 +42,7 @@ fn main() {
         hybrid.hybrid_power * 1e6
     );
 
-    let mut oracle = NetlistOracle::new(&design);
+    let mut oracle = OracleStack::exact(&design);
     let outcome = sat_attack(
         &protected.keyed,
         &mut oracle,

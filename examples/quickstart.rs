@@ -60,7 +60,7 @@ fn main() {
     println!("with a wrong key     : {bad:?}");
 
     // 4. And the SAT attacker's view of the problem.
-    let mut oracle = NetlistOracle::new(&design);
+    let mut oracle = OracleStack::exact(&design);
     let outcome = sat_attack(
         &protected.keyed,
         &mut oracle,

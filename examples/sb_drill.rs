@@ -59,8 +59,8 @@ fn main() {
     spin_hall_security::obs::enable();
     let config = AttackConfig::with_timeout_secs(300)
         .with_coi_mode(CoiMode::AutoAt(3_000))
-        .with_simplify(simplify);
-    let mut oracle = NetlistOracle::new(&nl);
+        .with_simplify_mode(simplify);
+    let mut oracle = OracleStack::exact(&nl);
     let t = Instant::now();
     let out = sat_attack(&keyed, &mut oracle, &config);
     let dt = t.elapsed().as_secs_f64();

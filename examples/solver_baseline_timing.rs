@@ -19,7 +19,7 @@ fn main() {
         let reps = 3;
         let mut best = f64::MAX;
         for _ in 0..reps {
-            let mut oracle = NetlistOracle::new(&nl);
+            let mut oracle = OracleStack::exact(&nl);
             let t = Instant::now();
             let out = sat_attack(&keyed, &mut oracle, &config);
             let dt = t.elapsed().as_secs_f64();

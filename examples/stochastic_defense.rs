@@ -5,6 +5,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spin_hall_security::campaign::noise_profile;
+use spin_hall_security::campaign::physical::error_rate_for_clock;
 use spin_hall_security::logic::{GeneratorConfig, NetlistGenerator};
 use spin_hall_security::prelude::*;
 
@@ -38,10 +40,11 @@ fn main() {
     for accuracy in [1.0, 0.95, 0.90] {
         let eps = 1.0 - accuracy;
         let outcome = if eps == 0.0 {
-            let mut oracle = NetlistOracle::new(&design);
+            let mut oracle = OracleStack::exact(&design);
             sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(20))
         } else {
-            let mut oracle = StochasticOracle::new(&keyed, eps, 11);
+            let noise = noise_profile(&keyed, NoiseShape::Uniform, eps);
+            let mut oracle = OracleStack::noisy(&keyed, noise, 11);
             sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(20))
         };
         let verdict = match outcome.status {

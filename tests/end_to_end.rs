@@ -2,10 +2,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use spin_hall_security::campaign::noise_profile;
 use spin_hall_security::logic::bench_format::{parse_bench, write_bench, C17_BENCH};
 use spin_hall_security::logic::suites::{benchmark_scaled, spec};
 use spin_hall_security::prelude::*;
-use spin_hall_security::{protect, protect_delay_aware, GsheConfig, RotatingOracle};
+use spin_hall_security::{protect, protect_delay_aware, GsheConfig};
 
 #[test]
 fn full_pipeline_on_c17() {
@@ -16,7 +17,7 @@ fn full_pipeline_on_c17() {
     let protected = protect(&design, 1.0, 1).expect("camouflage");
     assert_eq!(protected.keyed.key_len(), 24); // 6 gates x 4 bits
 
-    let mut oracle = NetlistOracle::new(&design);
+    let mut oracle = OracleStack::exact(&design);
     let outcome = sat_attack(
         &protected.keyed,
         &mut oracle,
@@ -39,7 +40,7 @@ fn scheme_ordering_on_shared_selection() {
     for scheme in [CamoScheme::InvBuf, CamoScheme::GsheAll16] {
         let mut rng = StdRng::seed_from_u64(5);
         let keyed = camouflage(&design, &picks, scheme, &mut rng).expect("camouflage");
-        let mut oracle = NetlistOracle::new(&design);
+        let mut oracle = OracleStack::exact(&design);
         let out = sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(60));
         assert_eq!(out.status, AttackStatus::Success, "{scheme}");
         let key = out.key.expect("key");
@@ -67,7 +68,7 @@ fn bench_round_trip_then_protect_then_attack() {
     let text = write_bench(&design);
     let reparsed = parse_bench(&text).expect("round trip");
     let protected = protect(&reparsed, 0.25, 11).expect("camouflage");
-    let mut oracle = NetlistOracle::new(&reparsed);
+    let mut oracle = OracleStack::exact(&reparsed);
     let out = sat_attack(
         &protected.keyed,
         &mut oracle,
@@ -103,7 +104,8 @@ fn stochastic_oracle_breaks_attack_end_to_end() {
     let protected = protect(&design, 0.4, 23).expect("camouflage");
     let mut broken = 0;
     for seed in 0..3 {
-        let mut oracle = StochasticOracle::new(&protected.keyed, 0.2, seed);
+        let noise = noise_profile(&protected.keyed, NoiseShape::Uniform, 0.2);
+        let mut oracle = OracleStack::noisy(&protected.keyed, noise, seed);
         let out = sat_attack(
             &protected.keyed,
             &mut oracle,
@@ -129,7 +131,7 @@ fn stochastic_oracle_breaks_attack_end_to_end() {
 fn rotating_key_oracle_breaks_attack_end_to_end() {
     let design = benchmark_scaled(spec("ex1010").expect("spec"), 80, 31);
     let protected = protect(&design, 0.4, 33).expect("camouflage");
-    let mut oracle = RotatingOracle::new(&protected.keyed, 2, 1);
+    let mut oracle = OracleStack::rotating(&protected.keyed, 2, 1);
     let out = sat_attack(
         &protected.keyed,
         &mut oracle,
