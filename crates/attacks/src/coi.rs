@@ -11,9 +11,11 @@
 //!    reached by some cloaked cell; the affected outputs are the primary
 //!    outputs so marked. Unaffected outputs are key-independent by
 //!    construction and need no miter at all.
-//! 2. **Cone extraction** — [`Netlist::cone_of`] over the affected
-//!    outputs yields a compact netlist containing exactly the transitive
-//!    fanin of those outputs, with an [`IdMap`] back to the full design.
+//! 2. **Cone extraction** —
+//!    [`Netlist::cone_of`](gshe_logic::Netlist::cone_of) over the
+//!    affected outputs yields a compact netlist containing exactly the
+//!    transitive fanin of those outputs, with an
+//!    [`IdMap`](gshe_logic::IdMap) back to the full design.
 //! 3. **Key projection** — cloaked cells inside the cone are remapped to
 //!    contiguous key offsets; cells *outside* the cone reach no primary
 //!    output at all (otherwise that output would be affected), so any
@@ -27,79 +29,30 @@
 //!
 //! The DIP loop then runs unchanged on the cone instance and the
 //! recovered cone key is [expanded](CoiProjection::expand_key) to a full
-//! key. [`CoiMode::Auto`] (the [`AttackConfig`](crate::AttackConfig)
-//! default) applies the reduction only above
-//! [`COI_AUTO_THRESHOLD`] nodes, keeping small historical instances on
-//! the byte-identical full-miter path.
+//! key. [`CoiMode::On`] (the [`AttackConfig`](crate::AttackConfig)
+//! default) applies the reduction at every design size whenever the
+//! cloaked cells reach a non-empty strict subset of the outputs;
+//! [`CoiMode::Off`] keeps the full-design miter as the reference path.
+//!
+//! Outputs and inputs are addressed by **ordinal** (position in
+//! `outputs()` / `inputs()`), never by node id: camouflage rebuilds the
+//! netlist and may insert cells, so an id of the keyed netlist can name a
+//! different node, or none, in the original design.
 
 use crate::oracle::Oracle;
 use gshe_camo::{CamoGate, KeyedNetlist};
 use gshe_logic::{NodeId, PatternBlock};
 
-/// Smallest full-design node count at which [`CoiMode::Auto`] switches
-/// the attack onto the cone-of-influence miter. Below this the full
-/// miter is cheap and the historical operation sequence (variable
-/// numbering, seeded outcomes) is preserved bit-for-bit.
-pub const COI_AUTO_THRESHOLD: usize = 100_000;
-
-/// Whether the DIP engine reduces the miter to the cone of influence of
-/// the cloaked cells.
+/// Whether the DIP engine, the campaign's oracle cache and key
+/// verification work on the cone of influence of the cloaked cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoiMode {
-    /// Reduce only when the design has at least [`COI_AUTO_THRESHOLD`]
-    /// nodes (the default: large designs get the reduction, small
-    /// seeded instances keep their historical byte-identical trace).
+    /// Reduce whenever the cloaked cells reach a non-empty strict subset
+    /// of the outputs (the default).
     #[default]
-    Auto,
-    /// Like [`CoiMode::Auto`] with a caller-chosen node threshold.
-    AutoAt(usize),
-    /// Always reduce (when the cone is a strict subset).
     On,
-    /// Never reduce.
+    /// Never reduce: the full-design reference path.
     Off,
-}
-
-impl CoiMode {
-    /// The node-count threshold at or above which this mode engages the
-    /// reduction, or `None` when it never engages.
-    pub fn threshold(self) -> Option<usize> {
-        match self {
-            CoiMode::Auto => Some(COI_AUTO_THRESHOLD),
-            CoiMode::AutoAt(t) => Some(t),
-            CoiMode::On => Some(0),
-            CoiMode::Off => None,
-        }
-    }
-
-    /// Whether this mode engages the reduction on a design of `nodes`
-    /// nodes. The affected-output preconditions (non-empty strict subset)
-    /// are checked separately by [`CoiProjection::build`].
-    pub fn engages(self, nodes: usize) -> bool {
-        self.threshold().is_some_and(|t| nodes >= t)
-    }
-
-    /// Parses `"auto"`, `"on"`, `"off"`, or `"auto:<nodes>"`.
-    pub fn parse(s: &str) -> Option<CoiMode> {
-        match s {
-            "auto" => Some(CoiMode::Auto),
-            "on" => Some(CoiMode::On),
-            "off" => Some(CoiMode::Off),
-            _ => {
-                let t = s.strip_prefix("auto:")?;
-                t.parse::<usize>().ok().map(CoiMode::AutoAt)
-            }
-        }
-    }
-
-    /// The spec-file spelling accepted by [`CoiMode::parse`].
-    pub fn name(&self) -> String {
-        match self {
-            CoiMode::Auto => "auto".to_string(),
-            CoiMode::AutoAt(t) => format!("auto:{t}"),
-            CoiMode::On => "on".to_string(),
-            CoiMode::Off => "off".to_string(),
-        }
-    }
 }
 
 /// Full-design **input ordinals** feeding the cone the DIP engine will
@@ -110,17 +63,14 @@ impl CoiMode {
 /// (the campaign's cone-keyed oracle cache) can key on the cone inputs
 /// *before* the attack runs without risking a key-aliasing mismatch.
 pub fn cone_inputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<usize>> {
+    let affected = affected_outputs(keyed, mode)?;
     let nl = keyed.netlist();
-    if !mode.engages(nl.len()) {
-        return None;
-    }
-    let affected = affected_outputs_of(keyed)?;
 
     // Reverse sweep: transitive fanin of the affected outputs. Node ids
     // are topological, so one descending pass suffices.
     let mut need = vec![false; nl.len()];
-    for &o in &affected {
-        need[o.index()] = true;
+    for &k in &affected {
+        need[nl.outputs()[k].index()] = true;
     }
     for i in (0..nl.len()).rev() {
         if need[i] {
@@ -139,23 +89,16 @@ pub fn cone_inputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<usize>> {
     )
 }
 
-/// Primary outputs reached by some cloaked cell under `mode`'s
-/// engagement gate, or `None` when callers should stay on the full
-/// design (mode off or below threshold, no affected output, or every
-/// output affected). Same decision as [`CoiProjection::build`], at the
-/// cost of two linear sweeps — used by cone-scoped key verification,
-/// which only needs the output set, not the materialized cone.
-pub fn affected_outputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<NodeId>> {
-    if !mode.engages(keyed.netlist().len()) {
+/// Ordinals of the primary outputs some cloaked cell reaches, or `None`
+/// when callers should stay on the full design: mode [`CoiMode::Off`],
+/// no affected output (the key is unconstrained), or every output
+/// affected (no reduction to be had). One linear sweep; the same
+/// decision [`CoiProjection::build`] and [`cone_inputs`] make, and all
+/// cone-scoped key verification needs.
+pub fn affected_outputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<usize>> {
+    if mode == CoiMode::Off {
         return None;
     }
-    affected_outputs_of(keyed)
-}
-
-/// Primary outputs reached by some cloaked cell, or `None` when the
-/// projection preconditions fail (no affected output, or every output
-/// affected).
-fn affected_outputs_of(keyed: &KeyedNetlist) -> Option<Vec<NodeId>> {
     let nl = keyed.netlist();
     // Forward taint sweep: a node is tainted when it is a cloaked cell
     // or any fanin is tainted. Node order is topological, so one
@@ -169,11 +112,12 @@ fn affected_outputs_of(keyed: &KeyedNetlist) -> Option<Vec<NodeId>> {
             tainted[i] = true;
         }
     }
-    let affected: Vec<NodeId> = nl
+    let affected: Vec<usize> = nl
         .outputs()
         .iter()
-        .copied()
-        .filter(|o| tainted[o.index()])
+        .enumerate()
+        .filter(|(_, o)| tainted[o.index()])
+        .map(|(k, _)| k)
         .collect();
     if affected.is_empty() || affected.len() == nl.outputs().len() {
         return None;
@@ -202,29 +146,12 @@ pub struct CoiProjection {
 
 impl CoiProjection {
     /// Builds the projection for `keyed` under `mode`, or `None` when the
-    /// attack should run on the full design: mode [`CoiMode::Off`], an
-    /// [`CoiMode::Auto`] design below the threshold, no affected outputs
-    /// (the key is unconstrained — the full miter converges immediately),
-    /// or every output affected (no reduction to be had).
+    /// attack should run on the full design (see [`affected_outputs`]).
     pub fn build(keyed: &KeyedNetlist, mode: CoiMode) -> Option<CoiProjection> {
+        let output_map = affected_outputs(keyed, mode)?;
         let nl = keyed.netlist();
-        if !mode.engages(nl.len()) {
-            return None;
-        }
-        let affected = affected_outputs_of(keyed)?;
-        let mut is_affected = vec![false; nl.len()];
-        for &o in &affected {
-            is_affected[o.index()] = true;
-        }
-        let output_map: Vec<usize> = nl
-            .outputs()
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| is_affected[o.index()])
-            .map(|(k, _)| k)
-            .collect();
-
-        let (cone, map) = nl.cone_of(&affected);
+        let roots: Vec<NodeId> = output_map.iter().map(|&k| nl.outputs()[k]).collect();
+        let (cone, map) = nl.cone_of(&roots);
 
         // Remap in-cone cloaked cells onto contiguous cone key offsets.
         let mut gates: Vec<CamoGate> = Vec::new();
@@ -406,12 +333,6 @@ mod tests {
         assert_eq!(cone.outputs().len(), 1);
         assert!(proj.cone_len() < keyed.netlist().len());
         assert_eq!(proj.keyed().key_len(), keyed.key_len());
-    }
-
-    #[test]
-    fn auto_mode_keeps_small_designs_on_the_full_path() {
-        let (_, keyed) = split_design();
-        assert!(CoiProjection::build(&keyed, CoiMode::Auto).is_none());
         assert!(CoiProjection::build(&keyed, CoiMode::Off).is_none());
     }
 
@@ -500,14 +421,7 @@ mod tests {
         let (_, keyed) = split_design();
         // The cheap sweep and the full build must agree on engagement for
         // every mode, and on the input set whenever both engage.
-        for mode in [
-            CoiMode::Auto,
-            CoiMode::On,
-            CoiMode::Off,
-            CoiMode::AutoAt(0),
-            CoiMode::AutoAt(3),
-            CoiMode::AutoAt(1_000_000),
-        ] {
+        for mode in [CoiMode::On, CoiMode::Off] {
             let inputs = cone_inputs(&keyed, mode);
             let proj = CoiProjection::build(&keyed, mode);
             assert_eq!(inputs.is_some(), proj.is_some(), "{mode:?}");
@@ -517,37 +431,20 @@ mod tests {
                 assert_eq!(inputs, from_proj, "{mode:?}");
             }
         }
-        // An AutoAt threshold at or below the node count engages, above
-        // it does not.
-        let n = keyed.netlist().len();
-        assert!(cone_inputs(&keyed, CoiMode::AutoAt(n)).is_some());
-        assert!(cone_inputs(&keyed, CoiMode::AutoAt(n + 1)).is_none());
-    }
-
-    #[test]
-    fn coi_mode_parse_round_trips() {
-        for (text, mode) in [
-            ("auto", CoiMode::Auto),
-            ("on", CoiMode::On),
-            ("off", CoiMode::Off),
-            ("auto:20000", CoiMode::AutoAt(20_000)),
-        ] {
-            assert_eq!(CoiMode::parse(text), Some(mode));
-            assert_eq!(mode.name(), text);
-        }
-        assert_eq!(CoiMode::parse("auto:"), None);
-        assert_eq!(CoiMode::parse("sometimes"), None);
-        assert_eq!(CoiMode::Auto.threshold(), Some(COI_AUTO_THRESHOLD));
-        assert!(!CoiMode::Off.engages(usize::MAX));
-        assert!(CoiMode::On.engages(0));
     }
 
     #[test]
     fn auto_at_engages_small_designs_through_the_engine() {
+        // There is no size threshold: the default mode projects an
+        // eight-node design, and the engine recovers a correct key
+        // through the cone.
         let (nl, keyed) = split_design();
-        let proj = CoiProjection::build(&keyed, CoiMode::AutoAt(4)).expect("above threshold");
+        let proj = CoiProjection::build(&keyed, CoiMode::default()).expect("strict output subset");
         assert!(proj.cone_len() < nl.len());
-        // And the default threshold keeps the same design on the full path.
-        assert!(CoiProjection::build(&keyed, CoiMode::Auto).is_none());
+        let mut oracle = OracleStack::exact(&nl);
+        let out = sat_attack(&keyed, &mut oracle, &AttackConfig::with_timeout_secs(10));
+        assert_eq!(out.status, AttackStatus::Success);
+        let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
+        assert!(v.functionally_equivalent);
     }
 }

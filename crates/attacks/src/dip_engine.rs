@@ -12,6 +12,19 @@
 //! a single-DIP mop-up phase) and the per-round extras (AppSAT's random
 //! reinforcement and approximate early exit).
 //!
+//! ## One encoding at every design size
+//!
+//! Under the default [`CoiMode::On`](crate::coi::CoiMode) the loop runs on
+//! the cloaked cells' cone of influence whenever they reach a strict
+//! subset of the outputs ([`CoiProjection`]), whatever the design's size.
+//! Every difference literal — the phase miters, Double DIP's double
+//! miter and its key-distinctness ORs — is only ever assumed true, so it
+//! is encoded Plaisted–Greenbaum single-sided ([`Polarity::Pos`]); the
+//! circuit copies stay two-sided because their outputs are pinned to
+//! oracle observations of either value. Solver simplification is a
+//! separate switch ([`AttackConfig::simplify`], off by default) that
+//! changes solver work, not the clauses encoded.
+//!
 //! ## Batched DIP discovery
 //!
 //! Every round discovers up to [`AttackConfig::dip_batch`] DIPs. Before
@@ -175,8 +188,8 @@ pub fn refine(
     policy: &RefinePolicy,
 ) -> AttackOutcome {
     // Cone-of-influence reduction: when the cloaked cells reach only a
-    // strict subset of the outputs (and the config opts in), run the
-    // identical loop on the compact cone instance against a projected
+    // strict subset of the outputs (and the config does not opt out), run
+    // the identical loop on the compact cone instance against a projected
     // oracle, then expand the recovered cone key to the full design.
     if let Some(proj) = CoiProjection::build(keyed, config.coi) {
         gshe_obs::count("attack.coi_reductions", 1);
@@ -186,10 +199,7 @@ pub fn refine(
         gshe_obs::count("attack.coi_collapsed", cleanup.collapsed as u64);
         gshe_obs::count("attack.coi_swept", cleanup.swept_dead as u64);
         let mut cone_oracle = CoiOracle::new(oracle, &proj);
-        let inner = AttackConfig {
-            coi: CoiMode::Off,
-            ..*config
-        };
+        let inner = config.with_coi_mode(CoiMode::Off);
         let mut out = refine(proj.keyed(), &mut cone_oracle, &inner, policy);
         if let Some(cone_key) = out.key.take() {
             out.key = Some(proj.expand_key(&cone_key));
@@ -250,20 +260,13 @@ pub fn refine(
         }
         copies
     };
-    // The miter structure is encoded Plaisted–Greenbaum single-sided when
-    // the simplify knob engages on the copy-encoding clause count: the
+    // The miter structure is encoded Plaisted–Greenbaum single-sided: the
     // difference literals are only ever *assumed true*, never fixed false
     // or read from a model, so the `d → outputs differ` direction alone is
-    // sound. Gated on the same threshold as preprocessing so small seeded
-    // traces (goldens) keep the historical two-sided clause set
-    // bit-for-bit. The circuit copies themselves stay two-sided: their
-    // output literals are later pinned to oracle observations in either
+    // sound. The circuit copies themselves stay two-sided: their output
+    // literals are later pinned to oracle observations in either
     // polarity.
-    let pol = if config.simplify.engages(solver.num_problem_clauses()) {
-        Polarity::Pos
-    } else {
-        Polarity::Both
-    };
+    let pol = Polarity::Pos;
     let (phases, input_lits) = {
         let mut enc = CircuitEncoder::new(&mut solver);
         let d01 = enc.miter_pol(&copies[0].outputs, &copies[1].outputs, pol);
@@ -275,7 +278,7 @@ pub fn refine(
             // single-DIP mop-up and the final extraction are not
             // over-constrained. Under `act`, only the `ne → some diff` and
             // `diff → keys differ` directions are needed, so the xor/or
-            // definitions inherit the single-sided polarity.
+            // definitions are single-sided too.
             let act = enc.fresh();
             if keyed.key_len() > 0 {
                 for (i, j) in [(0usize, 2usize), (0, 3), (1, 2), (1, 3)] {
@@ -288,11 +291,7 @@ pub fn refine(
                     enc.clause(&[!act, ne]);
                 }
             }
-            let both = match pol {
-                // Historical emission (4 truth-table row clauses).
-                Polarity::Both => enc.and(d01, d23),
-                _ => enc.and_many_pol(&[d01, d23], pol),
-            };
+            let both = enc.and_many_pol(&[d01, d23], pol);
             vec![vec![both, act], vec![d01]]
         } else {
             vec![vec![d01]]

@@ -44,7 +44,7 @@ pub mod sat_attack;
 pub mod stack;
 
 pub use appsat::{appsat_attack, AppSatConfig};
-pub use coi::{cone_inputs, CoiMode, CoiOracle, CoiProjection, COI_AUTO_THRESHOLD};
+pub use coi::{cone_inputs, CoiMode, CoiOracle, CoiProjection};
 pub use dip_engine::{RefinePolicy, DEFAULT_BATCH_WIDTH};
 pub use double_dip::double_dip_attack;
 pub use encode::{assert_valid_key_codes, encode_keyed, encode_keyed_fixed, EncodedCopy};

@@ -4,10 +4,9 @@ use crate::coi::{affected_outputs, CoiMode};
 use crate::encode::encode_keyed;
 use gshe_camo::{CamoError, KeyedNetlist};
 use gshe_logic::{Netlist, NodeId, PatternBlock, Simulator};
-use gshe_sat::{CircuitEncoder, Lit, SolveResult, Solver};
+use gshe_sat::{CircuitEncoder, Lit, Polarity, SolveResult, Solver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 
 /// Verdict on a recovered key.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,8 +45,7 @@ pub fn verify_key(
 /// a full-width UNSAT proof (the dominant cost of a campaign attack
 /// cell once the DIP loop itself runs on the cone) into one over a
 /// few-thousand-node cone. The verdict is identical to [`verify_key`]'s;
-/// [`CoiMode::Off`] (or a design below the threshold, or a degenerate
-/// affected set) falls back to the full-interface miter.
+/// [`CoiMode::Off`] (or a degenerate affected set) proves every output.
 ///
 /// # Errors
 ///
@@ -59,10 +57,9 @@ pub fn verify_key_scoped(
     mode: CoiMode,
 ) -> Result<KeyVerification, CamoError> {
     let resolved = keyed.resolve(key)?;
-    let functionally_equivalent = match affected_outputs(keyed, mode) {
-        Some(outputs) => sat_equivalent_on(original, &resolved, &outputs),
-        None => sat_equivalent(original, &resolved),
-    };
+    let outputs =
+        affected_outputs(keyed, mode).unwrap_or_else(|| (0..original.outputs().len()).collect());
+    let functionally_equivalent = sat_equivalent_on(original, &resolved, &outputs);
     let sampled_error_rate = if functionally_equivalent {
         0.0
     } else {
@@ -75,64 +72,63 @@ pub fn verify_key_scoped(
     })
 }
 
-/// Exact combinational equivalence via a SAT miter (both netlists must have
-/// identical interfaces).
-pub fn sat_equivalent(a: &Netlist, b: &Netlist) -> bool {
+/// Exact equivalence of `a` and `b` on the outputs at the given
+/// **ordinals** (positions in `outputs()`), by a SAT miter over their
+/// fanin cones. Primary inputs are matched by ordinal too, so the two
+/// netlists need not share an id space: an original design and a keyed
+/// netlist camouflage rebuilt from it (inserting cells, which shifts
+/// every later id) compare directly. An input only one cone reads stays
+/// free — if the other side truly ignores it the miter stays UNSAT, and
+/// any dependence it could witness is a real inequivalence.
+///
+/// # Panics
+///
+/// Panics if the interfaces differ in width, or an ordinal is out of
+/// range.
+pub fn sat_equivalent_on(a: &Netlist, b: &Netlist, outputs: &[usize]) -> bool {
     assert_eq!(a.inputs().len(), b.inputs().len(), "interface mismatch");
     assert_eq!(a.outputs().len(), b.outputs().len(), "interface mismatch");
     let mut solver = Solver::new();
     let diff = {
         let mut enc = CircuitEncoder::new(&mut solver);
-        let ca = encode_plain(&mut enc, a);
-        let cb = encode_plain(&mut enc, b);
-        for (x, y) in ca.0.iter().zip(&cb.0) {
-            enc.equal(*x, *y);
-        }
-        enc.miter(&ca.1, &cb.1)
-    };
-    solver.add_clause(&[diff]);
-    solver.solve() == SolveResult::Unsat
-}
-
-/// Exact equivalence of `a` and `b` restricted to `outputs` (node ids
-/// valid in both netlists — they must share an id space, as an original
-/// and its resolved keyed clone do). Each side contributes the fanin
-/// cone of those outputs; primary inputs present in both cones are
-/// unified, and an input only one side reads stays free — if the other
-/// side truly ignores it the miter stays UNSAT, and any dependence it
-/// could witness is a real inequivalence.
-pub fn sat_equivalent_on(a: &Netlist, b: &Netlist, outputs: &[NodeId]) -> bool {
-    let (ca, ma) = a.cone_of(outputs);
-    let (cb, mb) = b.cone_of(outputs);
-    let mut solver = Solver::new();
-    let diff = {
-        let mut enc = CircuitEncoder::new(&mut solver);
-        let (ia, oa) = encode_plain(&mut enc, &ca);
-        let (ib, ob) = encode_plain(&mut enc, &cb);
-        let by_full: HashMap<usize, Lit> = ca
-            .inputs()
-            .iter()
-            .zip(&ia)
-            .map(|(&n, &lit)| (ma.to_full(n).index(), lit))
-            .collect();
-        for (&n, &lit) in cb.inputs().iter().zip(&ib) {
-            if let Some(&la) = by_full.get(&mb.to_full(n).index()) {
-                enc.equal(la, lit);
+        let (ia, oa) = encode_cone(&mut enc, a, outputs);
+        let (ib, ob) = encode_cone(&mut enc, b, outputs);
+        for (la, lb) in ia.into_iter().zip(ib) {
+            if let (Some(la), Some(lb)) = (la, lb) {
+                enc.equal(la, lb);
             }
         }
-        enc.miter(&oa, &ob)
+        // The difference literal is only ever asserted true, so the
+        // single-sided (Plaisted–Greenbaum) miter is exact.
+        enc.miter_pol(&oa, &ob, Polarity::Pos)
     };
     solver.add_clause(&[diff]);
     solver.solve() == SolveResult::Unsat
 }
 
-/// Encodes an ordinary netlist; returns (input lits, output lits).
-fn encode_plain(enc: &mut CircuitEncoder<'_, Solver>, nl: &Netlist) -> (Vec<Lit>, Vec<Lit>) {
-    // Reuse the keyed encoder with an empty key by wrapping the netlist in
-    // a keyless KeyedNetlist.
-    let keyed = KeyedNetlist::new(nl.clone(), Vec::new(), 0);
+/// Encodes the fanin cone of `nl`'s outputs at `outputs` (ordinals).
+/// Returns the literal of every primary input by ordinal (`None` when
+/// the cone does not read it) and the cone's output literals.
+fn encode_cone(
+    enc: &mut CircuitEncoder<'_, Solver>,
+    nl: &Netlist,
+    outputs: &[usize],
+) -> (Vec<Option<Lit>>, Vec<Lit>) {
+    let roots: Vec<NodeId> = outputs.iter().map(|&k| nl.outputs()[k]).collect();
+    let (cone, map) = nl.cone_of(&roots);
+    // Reuse the keyed encoder with an empty key.
+    let keyed = KeyedNetlist::new(cone, Vec::new(), 0);
     let copy = encode_keyed(enc, &keyed, &[]);
-    (copy.inputs, copy.outputs)
+    let mut by_ordinal = vec![None; nl.inputs().len()];
+    for (&n, lit) in keyed.netlist().inputs().iter().zip(copy.inputs) {
+        // `inputs()` lists the input nodes in ascending id order.
+        let k = nl
+            .inputs()
+            .binary_search(&map.to_full(n))
+            .expect("a cone input is a primary input");
+        by_ordinal[k] = Some(lit);
+    }
+    (by_ordinal, copy.outputs)
 }
 
 /// Fraction of `blocks`×64 random patterns where the two netlists disagree
@@ -165,6 +161,11 @@ mod tests {
     use gshe_logic::Bf2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    fn sat_equivalent(a: &Netlist, b: &Netlist) -> bool {
+        let all: Vec<usize> = (0..a.outputs().len()).collect();
+        sat_equivalent_on(a, b, &all)
+    }
 
     #[test]
     fn identical_netlists_are_equivalent() {
@@ -216,6 +217,9 @@ mod tests {
     /// full-interface proof, for correct keys, near-miss keys (one cell
     /// flipped), and fully wrong keys, on a netlist whose cloaked cells
     /// affect a proper subset of the outputs (so the scoping engages).
+    /// Inv-buf and four-fn insert cells while camouflaging, so their
+    /// keyed netlists number nodes differently from the original: the
+    /// scoped proof must address outputs and inputs by ordinal.
     #[test]
     fn scoped_verification_matches_full() {
         use gshe_logic::{GeneratorConfig, NetlistGenerator};
@@ -226,23 +230,34 @@ mod tests {
         // outputs that read it — a proper subset — where a random
         // interior pick percolates to every output on this topology.
         let picks = vec![nl.outputs()[0]];
-        let mut rng = StdRng::seed_from_u64(5);
-        let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-        assert!(
-            affected_outputs(&keyed, CoiMode::On).is_some(),
-            "placement must give the scoped path a proper output subset"
-        );
-        let correct = keyed.correct_key();
-        let mut near = correct.clone();
-        near[0] = !near[0];
-        let mut wrong = correct.clone();
-        for b in wrong.iter_mut() {
-            *b = !*b;
-        }
-        for key in [&correct, &near, &wrong] {
-            let full = verify_key(&nl, &keyed, key).unwrap();
-            let scoped = verify_key_scoped(&nl, &keyed, key, CoiMode::On).unwrap();
-            assert_eq!(full, scoped, "verdicts diverged for key {key:?}");
+        for scheme in [
+            CamoScheme::GsheAll16,
+            CamoScheme::InvBuf,
+            CamoScheme::FourFn,
+        ] {
+            let mut rng = StdRng::seed_from_u64(5);
+            let keyed = camouflage(&nl, &picks, scheme, &mut rng).unwrap();
+            assert!(
+                affected_outputs(&keyed, CoiMode::On).is_some(),
+                "{scheme}: placement must give the scoped path a proper output subset"
+            );
+            let correct = keyed.correct_key();
+            let mut near = correct.clone();
+            near[0] = !near[0];
+            let mut wrong = correct.clone();
+            for b in wrong.iter_mut() {
+                *b = !*b;
+            }
+            for key in [&correct, &near, &wrong] {
+                let full = verify_key(&nl, &keyed, key).unwrap();
+                let scoped = verify_key_scoped(&nl, &keyed, key, CoiMode::On).unwrap();
+                assert_eq!(full, scoped, "{scheme}: verdicts diverged for key {key:?}");
+            }
+            assert!(
+                verify_key_scoped(&nl, &keyed, &correct, CoiMode::On)
+                    .unwrap()
+                    .functionally_equivalent
+            );
         }
     }
 

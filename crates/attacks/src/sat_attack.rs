@@ -36,19 +36,16 @@ pub struct AttackConfig {
     /// [`crate::dip_engine::DEFAULT_BATCH_WIDTH`] is the recommended
     /// throughput setting.
     pub dip_batch: usize,
-    /// Cone-of-influence miter reduction ([`CoiMode::Auto`] by default:
-    /// designs with at least [`crate::coi::COI_AUTO_THRESHOLD`] nodes
-    /// are attacked through the cloaked cells' output cone; smaller
-    /// instances keep the historical full-miter trace bit-for-bit).
+    /// Cone-of-influence miter reduction ([`CoiMode::On`] by default:
+    /// whenever the cloaked cells reach a strict subset of the outputs,
+    /// the attack runs on their output cone, at any design size;
+    /// [`CoiMode::Off`] is the full-design reference path).
     pub coi: CoiMode,
     /// SAT simplification for the shared incremental solver
-    /// ([`SimplifyMode::Auto`] by default: instances with at least
-    /// [`gshe_sat::SIMPLIFY_AUTO_THRESHOLD`] problem clauses are
-    /// preprocessed — subsumption, self-subsumption strengthening, and
-    /// bounded variable elimination — and vivified at restart boundaries;
-    /// the same gate enables Plaisted–Greenbaum single-sided miter
-    /// encoding. Smaller instances keep the historical solver trace
-    /// bit-for-bit).
+    /// ([`SimplifyMode::Off`] by default; [`SimplifyMode::On`]
+    /// preprocesses the miter — subsumption, self-subsumption
+    /// strengthening, and bounded variable elimination — at the first
+    /// solve and vivifies learnts at restart boundaries).
     pub simplify: SimplifyMode,
 }
 
@@ -83,16 +80,14 @@ impl AttackConfig {
         }
     }
 
-    /// Returns the configuration with the cone-of-influence mode set
-    /// (spec-driven callers resolve the `coi_mode` key, including
-    /// `"auto:<nodes>"` thresholds, via [`CoiMode::parse`]).
+    /// Returns the configuration with the cone-of-influence mode set.
     pub fn with_coi_mode(self, coi: CoiMode) -> Self {
         AttackConfig { coi, ..self }
     }
 
     /// Returns the configuration with the SAT simplification mode set
-    /// (spec-driven callers resolve the `sat_simplify` key, including
-    /// `"auto:<clauses>"` thresholds, via [`SimplifyMode::parse`]).
+    /// (spec-driven callers resolve the `sat_simplify` key via
+    /// [`SimplifyMode::parse`]).
     pub fn with_simplify_mode(self, simplify: SimplifyMode) -> Self {
         AttackConfig { simplify, ..self }
     }

@@ -49,7 +49,7 @@ fn encoding_clauses(keyed: &KeyedNetlist) -> usize {
 fn coi_and_full_attacks_agree_on_s38584() {
     let (nl, keyed) = s38584_keyed();
 
-    // Unscaled s38584 sits below the Auto threshold, so force each path.
+    // The default cone path and the full-design reference path.
     let mut keys = Vec::new();
     for coi in [CoiMode::On, CoiMode::Off] {
         let mut oracle = OracleStack::exact(&nl);

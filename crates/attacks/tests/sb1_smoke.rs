@@ -11,10 +11,9 @@
 //! scan (two linear passes per candidate, no materialization) ranks
 //! candidate gates by the size of their affected-output fanin cone, and
 //! the cell with the smallest cone is cloaked. On this netlist that
-//! still leaves a ~27k-node cone — three orders of magnitude above the
-//! auto threshold's view of "small" designs, and the SAT miter over it
-//! carries thousands of free primary inputs, so the attack does real
-//! solver work while staying inside the budget. A uniformly random
+//! still leaves a ~27k-node cone, and the SAT miter over it carries
+//! thousands of free primary inputs, so the attack does real solver work
+//! while staying inside the budget. A uniformly random
 //! placement taints 90%+ of the netlist (measured), which is exactly
 //! the full-miter wall this test exists to prove we no longer hit.
 //!
@@ -103,9 +102,9 @@ fn sb1_smoke() {
     let mut rng = StdRng::seed_from_u64(3);
     let keyed = camouflage(&nl, &best_picks, CamoScheme::GsheAll16, &mut rng).expect("camouflage");
 
-    // sb1 is far above the COI auto threshold: the projection must
-    // engage, and with this placement the cone is a small slice.
-    let proj = CoiProjection::build(&keyed, CoiMode::Auto).expect("auto engages at 856k nodes");
+    // The default COI mode engages, and with this placement the cone is
+    // a small slice.
+    let proj = CoiProjection::build(&keyed, CoiMode::default()).expect("a strict output subset");
     assert!(
         proj.cone_len() * 4 < nl.len(),
         "cone {} of {} nodes",

@@ -279,10 +279,10 @@ fn bench_coi_miter(c: &mut Criterion) {
 /// standard s38584 instance (scale 40, 10% protection) with
 /// `SimplifyMode::On` — SatELite-style preprocessing of the key-search
 /// miter (subsumption, self-subsumption, bounded variable elimination;
-/// ≥30% clause reduction, pinned by the `simplify_smoke` root test),
-/// Plaisted–Greenbaum single-sided miter encoding, and learnt-clause
-/// vivification at restart boundaries — vs. `SimplifyMode::Off`, the
-/// PR 9 search on the raw clause set.
+/// ≥30% clause reduction, pinned by the `simplify_smoke` root test) and
+/// learnt-clause vivification at restart boundaries — vs.
+/// `SimplifyMode::Off`, the search on the raw clause set. Both rows
+/// encode the same single-sided miter.
 fn bench_simplify_miter(c: &mut Criterion) {
     use gshe_core::attacks::SimplifyMode;
 

@@ -65,12 +65,8 @@ GRID FLAGS (each overrides the spec file's value):
   --trials N             repeats per grid cell
   --scale N              benchmark scale divisor
   --topology NAME        generator wiring profile: uniform | local
-  --coi-mode MODE        cone-of-influence gating for attacks *and* the
-                         cache's cone-keyed entries: auto | auto:<nodes>
-                         | on | off
   --sat-simplify MODE    solver pre/inprocessing (variable elimination,
-                         subsumption, vivification) plus single-sided
-                         miter encoding: auto | auto:<clauses> | on | off
+                         subsumption, vivification): on | off (default off)
   --seed N               master seed
   --timeout SECS         per-job attack budget
   --threads N            workers (0 = available parallelism)
@@ -255,18 +251,11 @@ fn main() {
                     ))
                 })
             }
-            "--coi-mode" => {
-                spec.coi_mode = gshe_core::attacks::CoiMode::parse(&value).unwrap_or_else(|| {
-                    fail(&format!(
-                        "unknown coi mode `{value}` (valid: auto, auto:<nodes>, on, off)"
-                    ))
-                })
-            }
             "--sat-simplify" => {
-                spec.sat_simplify = gshe_core::attacks::SimplifyMode::parse(&value)
-                    .unwrap_or_else(|| {
+                spec.sat_simplify =
+                    gshe_core::attacks::SimplifyMode::parse(&value).unwrap_or_else(|| {
                         fail(&format!(
-                            "unknown sat-simplify mode `{value}` (valid: auto, auto:<clauses>, on, off)"
+                            "unknown sat-simplify mode `{value}` (valid: on, off)"
                         ))
                     })
             }

@@ -477,14 +477,13 @@ pub struct JobContext {
     /// Session-wide memo of scheme materializations.
     pub keyed: Arc<KeyedMemo>,
     /// Cone-of-influence policy shared by every attack job — the same
-    /// mode gates the attack engine's COI projection and the campaign
-    /// cache's cone-keyed entries, so the two can never disagree about
-    /// whether a design's oracle answers are a function of its cone
-    /// inputs alone.
+    /// mode gates the attack engine's COI projection, the campaign
+    /// cache's cone-keyed entries and cone-scoped key verification, so
+    /// they can never disagree about whether a design's oracle answers
+    /// are a function of its cone inputs alone.
     pub coi_mode: CoiMode,
     /// SAT simplification policy shared by every attack job's
-    /// incremental solver (preprocessing, inprocessing, and the
-    /// Plaisted–Greenbaum encoding gate).
+    /// incremental solver (preprocessing and inprocessing).
     pub sat_simplify: SimplifyMode,
 }
 
@@ -814,8 +813,8 @@ mod tests {
             cache: OracleCache::shared(),
             params: SwitchParams::table_i(),
             keyed: Arc::new(KeyedMemo::default()),
-            coi_mode: CoiMode::Auto,
-            sat_simplify: SimplifyMode::Auto,
+            coi_mode: CoiMode::On,
+            sat_simplify: SimplifyMode::Off,
         };
         let out = run_job(&spec, &ctx);
         assert_eq!(out.status, JobStatus::Failed);
@@ -841,8 +840,8 @@ mod tests {
             cache: OracleCache::shared(),
             params: SwitchParams::table_i(),
             keyed: Arc::new(KeyedMemo::default()),
-            coi_mode: CoiMode::Auto,
-            sat_simplify: SimplifyMode::Auto,
+            coi_mode: CoiMode::On,
+            sat_simplify: SimplifyMode::Off,
         };
         let out = run_job(&spec, &ctx);
         assert_eq!(out.status, JobStatus::TimedOut);
@@ -864,8 +863,8 @@ mod tests {
             cache: OracleCache::shared(),
             params: SwitchParams::table_i(),
             keyed: Arc::new(KeyedMemo::default()),
-            coi_mode: CoiMode::Auto,
-            sat_simplify: SimplifyMode::Auto,
+            coi_mode: CoiMode::On,
+            sat_simplify: SimplifyMode::Off,
         };
         let out = run_job(&spec, &ctx);
         assert_eq!(out.status, JobStatus::Completed);

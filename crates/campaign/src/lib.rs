@@ -74,11 +74,7 @@
 //! levels = [0.1, 0.2]        # protection fractions ([0.2])
 //! schemes = ["gshe16"]       # scheme names, or "all" (["gshe16"])
 //! attacks = ["sat"]          # sat | double-dip | appsat (["sat"])
-//! coi_mode = "auto:20000"    # cone-of-influence gating: auto | auto:<n>
-//!                            # | on | off ("auto")
-//! sat_simplify = "auto"      # solver pre/inprocessing + single-sided
-//!                            # encoding: auto | auto:<clauses> | on | off
-//!                            # ("auto")
+//! sat_simplify = "on"        # solver pre/inprocessing: on | off ("off")
 //! error_rates = [0.0, 0.05]  # oracle per-cell error rates ([0.0])
 //! clock_periods_ns = [0.8, 2] # physical clock periods as rate sources ([])
 //! profiles = ["uniform"]     # error-profile shapes, or "all" (["uniform"])
@@ -89,6 +85,11 @@
 //! threads = 0                # workers; 0 = available parallelism (0)
 //! memo_budget_mb = 256.5     # streaming memo budget, MiB; 0 = unbounded (0)
 //! ```
+//!
+//! There is no cone-of-influence key: whenever the cloaked cells reach a
+//! strict subset of the outputs, every attack cell runs on their cone
+//! ([`gshe_attacks::coi`]) — projected miter, cone-keyed cache entries
+//! and cone-scoped key verification — at any design size.
 //!
 //! Scheme names: `look-alike`, `stt-lut`, `sinw`, `inv-buf`, `four-fn`,
 //! `dwm`, `gshe16`.
@@ -766,8 +767,8 @@ mod tests {
             levels: vec![0.15],
             schemes: vec![CamoScheme::InvBuf, CamoScheme::FourFn],
             attacks: vec![AttackKind::Sat],
-            coi_mode: CoiMode::Auto,
-            sat_simplify: SimplifyMode::Auto,
+            coi_mode: CoiMode::On,
+            sat_simplify: SimplifyMode::Off,
             error_rates: vec![0.0],
             clock_periods_ns: Vec::new(),
             profiles: vec![job::NoiseShape::Uniform],

@@ -48,8 +48,8 @@ use crate::job::{
 use crate::physical::{is_valid_clock_period, ClockRateTable};
 use crate::report::{json_f64, json_str};
 use crate::spec::{
-    parse_array, parse_scheme, parse_string, parse_string_array, scheme_name, strip_comment,
-    valid_attack_names, valid_scheme_names,
+    check_level, check_scale, parse_array, parse_scheme, parse_string, parse_string_array,
+    scheme_name, strip_comment, valid_attack_names, valid_scheme_names,
 };
 use crate::EvalSession;
 use gshe_attacks::{
@@ -483,8 +483,11 @@ impl<'s> ProfileSearch<'s> {
     /// # Errors
     ///
     /// Propagates benchmark resolution and camouflage failures; rejects a
-    /// spec with no attacks (scoring would be a 0/0 success rate).
+    /// scale below 1 or a level outside `(0, 1]` (naming the value), and
+    /// a spec with no attacks (scoring would be a 0/0 success rate).
     pub fn new(session: &'s EvalSession, spec: SearchSpec) -> Result<Self, String> {
+        check_scale(spec.scale)?;
+        check_level(spec.level)?;
         if spec.attacks.is_empty() {
             return Err(format!(
                 "search spec `{}` lists no attacks — nothing to defeat (valid: {})",
@@ -967,6 +970,40 @@ threads = 2
             Ok(_) => panic!("empty attack list accepted"),
         };
         assert!(err.contains("no attacks"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_scale_and_levels_are_rejected_at_setup() {
+        let session = EvalSession::new(1);
+        for (spec, expected) in [
+            (
+                SearchSpec {
+                    scale: 0,
+                    ..SearchSpec::default()
+                },
+                "scale must be at least 1, got 0",
+            ),
+            (
+                SearchSpec {
+                    level: 0.0,
+                    ..SearchSpec::default()
+                },
+                "(0, 1], got 0",
+            ),
+            (
+                SearchSpec {
+                    level: 1.5,
+                    ..SearchSpec::default()
+                },
+                "(0, 1], got 1.5",
+            ),
+        ] {
+            let err = match ProfileSearch::new(&session, spec) {
+                Err(e) => e,
+                Ok(_) => panic!("out-of-range spec accepted"),
+            };
+            assert!(err.contains(expected), "{err}");
+        }
     }
 
     #[test]

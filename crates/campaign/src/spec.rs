@@ -42,7 +42,7 @@ pub fn parse_scheme(name: &str) -> Option<CamoScheme> {
 }
 
 /// The valid TOML keys of a campaign spec, in documentation order.
-pub const SPEC_KEYS: [&str; 18] = [
+pub const SPEC_KEYS: [&str; 17] = [
     "name",
     "benchmarks",
     "scale",
@@ -50,7 +50,6 @@ pub const SPEC_KEYS: [&str; 18] = [
     "levels",
     "schemes",
     "attacks",
-    "coi_mode",
     "sat_simplify",
     "error_rates",
     "clock_periods_ns",
@@ -94,6 +93,33 @@ pub fn valid_key_names() -> String {
     join_names(SPEC_KEYS)
 }
 
+/// Rejects a benchmark-scale divisor below 1.
+pub(crate) fn check_scale(scale: usize) -> Result<(), String> {
+    if scale == 0 {
+        return Err("scale must be at least 1, got 0".to_string());
+    }
+    Ok(())
+}
+
+/// Rejects a protection level (fraction of gates camouflaged) outside
+/// `(0, 1]`, NaN included.
+pub(crate) fn check_level(level: f64) -> Result<(), String> {
+    if level > 0.0 && level <= 1.0 {
+        Ok(())
+    } else {
+        Err(format!("protection level must be in (0, 1], got {level}"))
+    }
+}
+
+/// Rejects an oracle error rate outside `[0, 1]`, NaN included.
+fn check_error_rate(rate: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&rate) {
+        Ok(())
+    } else {
+        Err(format!("error rate must be in [0, 1], got {rate}"))
+    }
+}
+
 /// A declarative description of one campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
@@ -118,16 +144,14 @@ pub struct CampaignSpec {
     pub schemes: Vec<CamoScheme>,
     /// Attack algorithms to launch.
     pub attacks: Vec<AttackKind>,
-    /// Cone-of-influence policy for every attack job (and the campaign
-    /// cache's cone-keyed entries): `auto` (engage at the historical
-    /// 100k-node threshold), `auto:<nodes>` (custom threshold), `on`,
-    /// or `off`.
+    /// Cone-of-influence policy for every attack job, the campaign
+    /// cache's cone-keyed entries and key verification. Not a spec-file
+    /// key: [`CoiMode::On`] (the default) is the one campaign path, and
+    /// [`CoiMode::Off`] the full-design reference for equivalence tests.
     pub coi_mode: CoiMode,
-    /// SAT simplification policy for every attack job's incremental
-    /// solver: `auto` (preprocess instances with at least the historical
-    /// 100k-clause threshold and vivify learnts at restart boundaries),
-    /// `auto:<clauses>` (custom threshold), `on`, or `off`. The same
-    /// gate selects Plaisted–Greenbaum single-sided miter encoding.
+    /// SAT simplification for every attack job's incremental solver:
+    /// `on` (preprocess the miter at the first solve and vivify learnts
+    /// at restart boundaries) or `off` (the default).
     pub sat_simplify: SimplifyMode,
     /// Oracle per-cell error rates (0.0 = perfect chip).
     pub error_rates: Vec<f64>,
@@ -174,8 +198,8 @@ impl Default for CampaignSpec {
             levels: vec![0.2],
             schemes: vec![CamoScheme::GsheAll16],
             attacks: vec![AttackKind::Sat],
-            coi_mode: CoiMode::Auto,
-            sat_simplify: SimplifyMode::Auto,
+            coi_mode: CoiMode::On,
+            sat_simplify: SimplifyMode::Off,
             error_rates: vec![0.0],
             clock_periods_ns: Vec::new(),
             profiles: vec![NoiseShape::Uniform],
@@ -247,8 +271,17 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Propagates benchmark-resolution failures.
+    /// Rejects a scale below 1, a level outside `(0, 1]`, an error rate
+    /// outside `[0, 1]` and a non-positive clock period, naming the
+    /// value; propagates benchmark-resolution failures.
     pub fn expand(&self) -> Result<Vec<JobSpec>, String> {
+        check_scale(self.scale)?;
+        for &level in &self.levels {
+            check_level(level)?;
+        }
+        for &rate in &self.error_rates {
+            check_error_rate(rate)?;
+        }
         let benchmarks = self.resolve_benchmarks()?;
         let profiles = if self.profiles.is_empty() {
             vec![NoiseShape::Uniform]
@@ -376,20 +409,10 @@ impl CampaignSpec {
                         ))
                     })?;
                 }
-                "coi_mode" => {
-                    let name = parse_string(value).ok_or_else(|| fail("bad string"))?;
-                    spec.coi_mode = CoiMode::parse(&name).ok_or_else(|| {
-                        fail(&format!(
-                            "unknown coi_mode `{name}` (valid: auto, auto:<nodes>, on, off)"
-                        ))
-                    })?;
-                }
                 "sat_simplify" => {
                     let name = parse_string(value).ok_or_else(|| fail("bad string"))?;
                     spec.sat_simplify = SimplifyMode::parse(&name).ok_or_else(|| {
-                        fail(&format!(
-                            "unknown sat_simplify `{name}` (valid: auto, auto:<clauses>, on, off)"
-                        ))
+                        fail(&format!("unknown sat_simplify `{name}` (valid: on, off)"))
                     })?;
                 }
                 "memo_budget_mb" => {
@@ -823,6 +846,70 @@ mod tests {
         assert_ne!(seed2, seed1);
     }
 
+    fn expand_error(spec: CampaignSpec) -> String {
+        spec.expand()
+            .expect_err("out-of-range spec must not expand")
+    }
+
+    #[test]
+    fn zero_scale_is_rejected() {
+        let err = expand_error(CampaignSpec {
+            scale: 0,
+            ..Default::default()
+        });
+        assert!(err.contains("scale must be at least 1, got 0"), "{err}");
+    }
+
+    #[test]
+    fn zero_level_is_rejected() {
+        let err = expand_error(CampaignSpec {
+            levels: vec![0.1, 0.0],
+            ..Default::default()
+        });
+        assert!(err.contains("(0, 1], got 0"), "{err}");
+    }
+
+    #[test]
+    fn level_above_one_is_rejected() {
+        let err = expand_error(CampaignSpec {
+            levels: vec![1.5],
+            ..Default::default()
+        });
+        assert!(err.contains("(0, 1], got 1.5"), "{err}");
+    }
+
+    #[test]
+    fn error_rate_above_one_is_rejected() {
+        let err = expand_error(CampaignSpec {
+            error_rates: vec![0.0, 1.5],
+            ..Default::default()
+        });
+        assert!(err.contains("[0, 1], got 1.5"), "{err}");
+    }
+
+    #[test]
+    fn negative_error_rate_is_rejected() {
+        let err = expand_error(CampaignSpec {
+            error_rates: vec![-0.1],
+            ..Default::default()
+        });
+        assert!(err.contains("[0, 1], got -0.1"), "{err}");
+    }
+
+    #[test]
+    fn nan_level_and_error_rate_are_rejected() {
+        let err = expand_error(CampaignSpec {
+            levels: vec![f64::NAN],
+            ..Default::default()
+        });
+        assert!(err.contains("got NaN"), "{err}");
+        let err = expand_error(CampaignSpec {
+            error_rates: vec![f64::NAN],
+            ..Default::default()
+        });
+        assert!(err.contains("got NaN"), "{err}");
+    }
+
     #[test]
     fn clock_periods_parse_from_toml_and_reject_nonpositive() {
         let spec = CampaignSpec::parse_toml("clock_periods_ns = [0.8, 2.0, 6.0]").unwrap();
@@ -836,29 +923,25 @@ mod tests {
     #[test]
     fn topology_coi_and_memo_budget_parse_from_toml() {
         let spec = CampaignSpec::parse_toml(
-            "topology = \"local\"\ncoi_mode = \"auto:20000\"\nsat_simplify = \"auto:50000\"\nmemo_budget_mb = 1.5",
+            "topology = \"local\"\nsat_simplify = \"on\"\nmemo_budget_mb = 1.5",
         )
         .unwrap();
         assert_eq!(spec.topology, Topology::Local);
-        assert_eq!(spec.coi_mode, CoiMode::AutoAt(20_000));
-        assert_eq!(spec.sat_simplify, SimplifyMode::AutoAt(50_000));
+        assert_eq!(spec.sat_simplify, SimplifyMode::On);
         assert_eq!(spec.memo_budget_mb, 1.5);
-        // Defaults are the historical behavior.
+        // Defaults: uniform wiring, the cone path, no simplification.
         let default = CampaignSpec::default();
         assert_eq!(default.topology, Topology::Uniform);
-        assert_eq!(default.coi_mode, CoiMode::Auto);
-        assert_eq!(default.sat_simplify, SimplifyMode::Auto);
+        assert_eq!(default.coi_mode, CoiMode::On);
+        assert_eq!(default.sat_simplify, SimplifyMode::Off);
         assert_eq!(default.memo_budget_mb, 0.0);
-
-        let spec = CampaignSpec::parse_toml("sat_simplify = \"on\"").unwrap();
-        assert_eq!(spec.sat_simplify, SimplifyMode::On);
 
         let err = CampaignSpec::parse_toml("topology = \"spiral\"").unwrap_err();
         assert!(err.contains("uniform, local"), "{err}");
-        let err = CampaignSpec::parse_toml("coi_mode = \"maybe\"").unwrap_err();
-        assert!(err.contains("auto:<nodes>"), "{err}");
-        let err = CampaignSpec::parse_toml("sat_simplify = \"maybe\"").unwrap_err();
-        assert!(err.contains("auto:<clauses>"), "{err}");
+        let err = CampaignSpec::parse_toml("sat_simplify = \"auto\"").unwrap_err();
+        assert!(err.contains("valid: on, off"), "{err}");
+        // The cone of influence is not a spec knob.
+        assert!(!SPEC_KEYS.contains(&"coi_mode"));
         assert!(CampaignSpec::parse_toml("memo_budget_mb = -1").is_err());
         assert!(CampaignSpec::parse_toml("memo_budget_mb = nan").is_err());
     }

@@ -57,6 +57,6 @@ pub mod tseitin;
 
 pub use cnf::{ClauseSink, CnfFormula};
 pub use lit::{Lit, Var};
-pub use simplify::{SimplifyMode, SIMPLIFY_AUTO_THRESHOLD};
+pub use simplify::SimplifyMode;
 pub use solver::{SearchConfig, SolveResult, Solver, SolverStats};
 pub use tseitin::{CircuitEncoder, Polarity};

@@ -59,12 +59,6 @@ use crate::arena::ClauseRef;
 use crate::lit::{LBool, Lit, Var};
 use crate::solver::Solver;
 
-/// Problem-clause count at which [`SimplifyMode::Auto`] engages
-/// preprocessing. Chosen (like the COI threshold) so the seeded small
-/// traces and committed golden baselines never engage and stay
-/// byte-identical; superblue-scale miters engage.
-pub const SIMPLIFY_AUTO_THRESHOLD: usize = 100_000;
-
 /// Restarts between vivification rounds.
 const VIVIFY_RESTART_PERIOD: u32 = 8;
 /// Learnt clauses probed per vivification round.
@@ -79,62 +73,41 @@ const ELIM_RESOLVENT_CAP: usize = 20;
 /// Preprocessing runs elimination rounds to fixpoint, capped here.
 const ELIM_MAX_ROUNDS: usize = 10;
 
-/// When the solver runs the preprocessing pass (set via
+/// Whether the solver runs the preprocessing pass at its first solve and
+/// vivifies learnts at restart boundaries (set via
 /// [`Solver::set_simplify`]; threaded from the campaign `sat_simplify`
-/// knob). Mirrors the attack layer's `CoiMode`.
+/// knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimplifyMode {
-    /// Engage when the problem has at least [`SIMPLIFY_AUTO_THRESHOLD`]
-    /// clauses at first solve. The default: small instances (and every
-    /// committed golden trace) keep the exact pre-simplification solver
-    /// trajectory.
-    #[default]
-    Auto,
-    /// Engage at a custom clause-count threshold.
-    AutoAt(usize),
-    /// Always preprocess.
+    /// Preprocess at the first solve, then vivify.
     On,
-    /// Never preprocess or vivify.
+    /// Never preprocess or vivify (the default).
+    #[default]
     Off,
 }
 
 impl SimplifyMode {
-    /// The clause-count threshold above which preprocessing engages, or
-    /// `None` if disabled.
-    pub fn threshold(self) -> Option<usize> {
-        match self {
-            SimplifyMode::Auto => Some(SIMPLIFY_AUTO_THRESHOLD),
-            SimplifyMode::AutoAt(t) => Some(t),
-            SimplifyMode::On => Some(0),
-            SimplifyMode::Off => None,
-        }
+    /// `true` if preprocessing engages for a problem of `clauses`
+    /// clauses: always under [`SimplifyMode::On`], never under
+    /// [`SimplifyMode::Off`], whatever the size.
+    pub fn engages(self, _clauses: usize) -> bool {
+        self == SimplifyMode::On
     }
 
-    /// `true` if preprocessing engages for a problem of `clauses` clauses.
-    pub fn engages(self, clauses: usize) -> bool {
-        self.threshold().is_some_and(|t| clauses >= t)
-    }
-
-    /// Parses `"auto"`, `"auto:<clauses>"`, `"on"`, or `"off"`.
+    /// Parses `"on"` or `"off"`.
     pub fn parse(s: &str) -> Option<SimplifyMode> {
         match s {
-            "auto" => Some(SimplifyMode::Auto),
             "on" => Some(SimplifyMode::On),
             "off" => Some(SimplifyMode::Off),
-            _ => {
-                let t = s.strip_prefix("auto:")?;
-                t.parse().ok().map(SimplifyMode::AutoAt)
-            }
+            _ => None,
         }
     }
 
-    /// The canonical spelling accepted by [`SimplifyMode::parse`].
-    pub fn name(&self) -> String {
+    /// The spelling accepted by [`SimplifyMode::parse`].
+    pub fn name(self) -> &'static str {
         match self {
-            SimplifyMode::Auto => "auto".to_string(),
-            SimplifyMode::AutoAt(t) => format!("auto:{t}"),
-            SimplifyMode::On => "on".to_string(),
-            SimplifyMode::Off => "off".to_string(),
+            SimplifyMode::On => "on",
+            SimplifyMode::Off => "off",
         }
     }
 }
@@ -488,7 +461,7 @@ fn resolve(a: &[Lit], b: &[Lit], v: Var) -> Option<Vec<Lit>> {
 }
 
 impl Solver {
-    /// Sets when preprocessing engages (default [`SimplifyMode::Auto`]).
+    /// Sets whether preprocessing engages (default [`SimplifyMode::Off`]).
     /// Takes effect at the next solve; has no effect once preprocessing
     /// has already run.
     pub fn set_simplify(&mut self, mode: SimplifyMode) {
@@ -537,8 +510,8 @@ impl Solver {
         self.learnts.iter().map(|&c| self.arena.lbd(c)).collect()
     }
 
-    /// Runs the preprocessing pass now, regardless of the configured mode
-    /// or threshold. Returns `false` if the formula was proven
+    /// Runs the preprocessing pass now, regardless of the configured
+    /// mode. Returns `false` if the formula was proven
     /// unsatisfiable. Idempotent in effect (rerunning simplifies the
     /// already simplified formula).
     pub fn preprocess(&mut self) -> bool {
@@ -937,21 +910,14 @@ mod tests {
 
     #[test]
     fn mode_parse_round_trips() {
-        for mode in [
-            SimplifyMode::Auto,
-            SimplifyMode::AutoAt(512),
-            SimplifyMode::On,
-            SimplifyMode::Off,
-        ] {
-            assert_eq!(SimplifyMode::parse(&mode.name()), Some(mode));
+        for mode in [SimplifyMode::On, SimplifyMode::Off] {
+            assert_eq!(SimplifyMode::parse(mode.name()), Some(mode));
         }
         assert_eq!(SimplifyMode::parse("sometimes"), None);
-        assert_eq!(SimplifyMode::parse("auto:"), None);
+        assert_eq!(SimplifyMode::parse("auto"), None);
         assert!(SimplifyMode::On.engages(0));
         assert!(!SimplifyMode::Off.engages(usize::MAX));
-        assert!(!SimplifyMode::Auto.engages(SIMPLIFY_AUTO_THRESHOLD - 1));
-        assert!(SimplifyMode::Auto.engages(SIMPLIFY_AUTO_THRESHOLD));
-        assert!(SimplifyMode::AutoAt(3).engages(3));
+        assert_eq!(SimplifyMode::default(), SimplifyMode::Off);
     }
 
     #[test]
@@ -1100,11 +1066,11 @@ mod tests {
     #[test]
     fn auto_mode_engages_on_first_solve_only_above_threshold() {
         let mut s = Solver::new();
-        s.set_simplify(SimplifyMode::AutoAt(1_000_000));
         let v = lits(&mut s, 3);
-        s.add_clause(&[v[0], v[1], v[2]]);
+        s.add_clause(&[v[0], v[1]]);
+        s.add_clause(&[v[0], v[2]]);
         assert_eq!(s.solve(), SolveResult::Sat);
-        assert_eq!(s.stats().elim_vars, 0, "below threshold: untouched");
+        assert_eq!(s.stats().elim_vars, 0, "off by default: untouched");
         let mut s2 = Solver::new();
         s2.set_simplify(SimplifyMode::On);
         let w = lits(&mut s2, 3);

@@ -338,9 +338,8 @@ impl Solver {
     }
 
     /// Number of problem (non-learnt) clauses of length ≥ 2. Level-0 units
-    /// are consumed into the trail and not counted. This is the count
-    /// [`crate::simplify::SimplifyMode::Auto`] gates on and the base number
-    /// for measured clause reductions.
+    /// are consumed into the trail and not counted. This is the base
+    /// number for measured clause reductions.
     pub fn num_problem_clauses(&self) -> usize {
         self.clauses.len()
     }

@@ -21,7 +21,6 @@ use crate::lit::Lit;
 /// - [`Polarity::Pos`]: `z` occurs only **positively** downstream (it is
 ///   asserted, assumed, or appears un-negated inside later clauses). Only
 ///   `z → f` is needed: a model with `z` false never constrains `f`.
-/// - [`Polarity::Neg`]: `z` occurs only negatively; only `f → z` is kept.
 /// - [`Polarity::Both`]: full equivalence — required whenever `z` may
 ///   later be fixed to either value, read from a model *and reused in an
 ///   added clause*, or compared with [`CircuitEncoder::equal`].
@@ -36,22 +35,8 @@ use crate::lit::Lit;
 pub enum Polarity {
     /// Only the `z → f` clauses (those containing `¬z`).
     Pos,
-    /// Only the `f → z` clauses (those containing `z`).
-    Neg,
     /// Full equivalence (the default everywhere a literal is reused).
     Both,
-}
-
-impl Polarity {
-    /// `true` if the `z → f` clauses (containing `¬z`) are emitted.
-    pub fn wants_pos(self) -> bool {
-        matches!(self, Polarity::Pos | Polarity::Both)
-    }
-
-    /// `true` if the `f → z` clauses (containing `z`) are emitted.
-    pub fn wants_neg(self) -> bool {
-        matches!(self, Polarity::Neg | Polarity::Both)
-    }
 }
 
 /// Tseitin encoder over a clause sink.
@@ -68,11 +53,6 @@ impl<'a, S: ClauseSink> CircuitEncoder<'a, S> {
             sink,
             const_true: None,
         }
-    }
-
-    /// Releases the underlying sink.
-    pub fn into_inner(self) -> &'a mut S {
-        self.sink
     }
 
     /// Allocates a fresh literal (positive phase of a new variable).
@@ -118,41 +98,22 @@ impl<'a, S: ClauseSink> CircuitEncoder<'a, S> {
     /// (bit `va + 2·vb` = output for inputs `(va, vb)`) and returns the
     /// output literal.
     pub fn gate_tt(&mut self, tt: u8, a: Lit, b: Lit) -> Lit {
-        debug_assert!(tt < 16, "truth table must be a nibble");
-        let z = self.fresh();
-        self.gate_tt_onto(tt, a, b, z);
-        z
+        self.gate_tt_pol(tt, a, b, Polarity::Both)
     }
 
-    /// Like [`CircuitEncoder::gate_tt`] but forces the output onto an
-    /// existing literal `z`.
-    pub fn gate_tt_onto(&mut self, tt: u8, a: Lit, b: Lit, z: Lit) {
-        self.gate_tt_onto_pol(tt, a, b, z, Polarity::Both);
-    }
-
-    /// [`CircuitEncoder::gate_tt`] with a single-sided definition: a fresh
-    /// output constrained only in the direction(s) `pol` declares.
+    /// [`CircuitEncoder::gate_tt`] with Plaisted–Greenbaum polarity
+    /// control. The rows where the gate outputs 0 produce the clauses
+    /// containing `¬z` (the `z → f` direction, always emitted); the rows
+    /// outputting 1 produce the clauses containing `z` (`f → z`, emitted
+    /// only for [`Polarity::Both`]).
     pub fn gate_tt_pol(&mut self, tt: u8, a: Lit, b: Lit, pol: Polarity) -> Lit {
         debug_assert!(tt < 16, "truth table must be a nibble");
         let z = self.fresh();
-        self.gate_tt_onto_pol(tt, a, b, z, pol);
-        z
-    }
-
-    /// Truth-table gate with Plaisted–Greenbaum polarity control. The
-    /// rows where the gate outputs 0 produce the clauses containing `¬z`
-    /// (the `z → f` direction, kept for [`Polarity::Pos`]); the rows
-    /// outputting 1 produce the clauses containing `z` (`f → z`, kept for
-    /// [`Polarity::Neg`]).
-    pub fn gate_tt_onto_pol(&mut self, tt: u8, a: Lit, b: Lit, z: Lit, pol: Polarity) {
         for row in 0..4u8 {
             let va = row & 1 == 1;
             let vb = row & 2 == 2;
             let out = (tt >> row) & 1 == 1;
-            if out && !pol.wants_neg() {
-                continue;
-            }
-            if !out && !pol.wants_pos() {
+            if out && pol == Polarity::Pos {
                 continue;
             }
             // (a = va ∧ b = vb) → (z = out)
@@ -161,49 +122,11 @@ impl<'a, S: ClauseSink> CircuitEncoder<'a, S> {
             let lz = if out { z } else { !z };
             self.clause(&[la, lb, lz]);
         }
-    }
-
-    /// `z = a ∧ b`.
-    pub fn and(&mut self, a: Lit, b: Lit) -> Lit {
-        self.gate_tt(0b1000, a, b)
-    }
-
-    /// `z = a ∨ b`.
-    pub fn or(&mut self, a: Lit, b: Lit) -> Lit {
-        self.gate_tt(0b1110, a, b)
-    }
-
-    /// `z = a ⊕ b`.
-    pub fn xor(&mut self, a: Lit, b: Lit) -> Lit {
-        self.gate_tt(0b0110, a, b)
-    }
-
-    /// `z = ¬(a ⊕ b)`.
-    pub fn xnor(&mut self, a: Lit, b: Lit) -> Lit {
-        self.gate_tt(0b1001, a, b)
-    }
-
-    /// `z = s ? t : e` (multiplexer).
-    pub fn mux(&mut self, s: Lit, t: Lit, e: Lit) -> Lit {
-        let z = self.fresh();
-        self.clause(&[!s, !t, z]);
-        self.clause(&[!s, t, !z]);
-        self.clause(&[s, !e, z]);
-        self.clause(&[s, e, !z]);
         z
     }
 
-    /// `z = l₀ ∨ l₁ ∨ …` (single fresh output, one big clause + bindings).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty operand list.
-    pub fn or_many(&mut self, lits: &[Lit]) -> Lit {
-        self.or_many_pol(lits, Polarity::Both)
-    }
-
-    /// [`CircuitEncoder::or_many`] with polarity control: the big clause
-    /// `(l₀ ∨ … ∨ ¬z)` is the `z → f` side ([`Polarity::Pos`]), the
+    /// `z = l₀ ∨ l₁ ∨ …` with polarity control: the big clause
+    /// `(l₀ ∨ … ∨ ¬z)` is the `z → f` side (always emitted), the
     /// per-operand bindings `(¬lᵢ ∨ z)` the `f → z` side. A single
     /// operand is passed through unchanged (no definition at all).
     ///
@@ -211,78 +134,56 @@ impl<'a, S: ClauseSink> CircuitEncoder<'a, S> {
     ///
     /// Panics on an empty operand list.
     pub fn or_many_pol(&mut self, lits: &[Lit], pol: Polarity) -> Lit {
-        assert!(!lits.is_empty(), "or_many needs at least one operand");
+        assert!(!lits.is_empty(), "or_many_pol needs at least one operand");
         if lits.len() == 1 {
             return lits[0];
         }
         let z = self.fresh();
         let mut big = Vec::with_capacity(lits.len() + 1);
         for &l in lits {
-            if pol.wants_neg() {
+            if pol == Polarity::Both {
                 self.clause(&[!l, z]);
             }
             big.push(l);
         }
-        if pol.wants_pos() {
-            big.push(!z);
-            self.clause(&big);
-        }
+        big.push(!z);
+        self.clause(&big);
         z
     }
 
-    /// `z = l₀ ∧ l₁ ∧ …`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty operand list.
-    pub fn and_many(&mut self, lits: &[Lit]) -> Lit {
-        self.and_many_pol(lits, Polarity::Both)
-    }
-
-    /// [`CircuitEncoder::and_many`] with polarity control: the per-operand
-    /// bindings `(¬z ∨ lᵢ)` are the `z → f` side ([`Polarity::Pos`]), the
-    /// big clause `(¬l₀ ∨ … ∨ z)` the `f → z` side.
+    /// `z = l₀ ∧ l₁ ∧ …` with polarity control: the per-operand bindings
+    /// `(¬z ∨ lᵢ)` are the `z → f` side (always emitted), the big clause
+    /// `(¬l₀ ∨ … ∨ z)` the `f → z` side.
     ///
     /// # Panics
     ///
     /// Panics on an empty operand list.
     pub fn and_many_pol(&mut self, lits: &[Lit], pol: Polarity) -> Lit {
-        assert!(!lits.is_empty(), "and_many needs at least one operand");
+        assert!(!lits.is_empty(), "and_many_pol needs at least one operand");
         if lits.len() == 1 {
             return lits[0];
         }
         let z = self.fresh();
         let mut big = Vec::with_capacity(lits.len() + 1);
         for &l in lits {
-            if pol.wants_pos() {
-                self.clause(&[!z, l]);
-            }
+            self.clause(&[!z, l]);
             big.push(!l);
         }
-        if pol.wants_neg() {
+        if pol == Polarity::Both {
             big.push(z);
             self.clause(&big);
         }
         z
     }
 
-    /// Constrains at least one of `lits` to differ between the two lists
-    /// (`∃i: a[i] ≠ b[i]`), returning the miter output literal that is true
-    /// iff they differ.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lists have different lengths or are empty.
-    pub fn miter(&mut self, a: &[Lit], b: &[Lit]) -> Lit {
-        self.miter_pol(a, b, Polarity::Both)
-    }
-
-    /// [`CircuitEncoder::miter`] with polarity control. The per-bit XORs
-    /// inherit the requested polarity (each xor output occurs downstream
-    /// only inside the OR with that same polarity), so a
-    /// [`Polarity::Pos`] miter — an output that is only ever *assumed*
-    /// true, the DIP-loop case — costs half the xor rows and drops every
-    /// per-bit OR binding.
+    /// A miter over two buses: returns a literal that (under `pol`)
+    /// implies `∃i: a[i] ≠ b[i]`, and is equivalent to it under
+    /// [`Polarity::Both`]. The per-bit XORs inherit the requested
+    /// polarity (each xor output occurs downstream only inside the OR
+    /// with that same polarity), so a [`Polarity::Pos`] miter — an
+    /// output that is only ever *assumed* or asserted true, the
+    /// DIP-loop and equivalence-proof case — costs half the xor rows and
+    /// drops every per-bit OR binding.
     ///
     /// # Panics
     ///
@@ -330,34 +231,15 @@ mod tests {
     }
 
     #[test]
-    fn mux_selects() {
-        for sv in [false, true] {
-            for tv in [false, true] {
-                for ev in [false, true] {
-                    let mut s = Solver::new();
-                    let sel = Lit::pos(s.new_var());
-                    let t = Lit::pos(s.new_var());
-                    let e = Lit::pos(s.new_var());
-                    let z = CircuitEncoder::new(&mut s).mux(sel, t, e);
-                    let asm = [
-                        if sv { sel } else { !sel },
-                        if tv { t } else { !t },
-                        if ev { e } else { !e },
-                    ];
-                    assert_eq!(s.solve_with(&asm), SolveResult::Sat);
-                    assert_eq!(s.model_lit(z), if sv { tv } else { ev });
-                }
-            }
-        }
-    }
-
-    #[test]
     fn or_many_and_and_many() {
         let mut s = Solver::new();
         let xs: Vec<Lit> = (0..5).map(|_| Lit::pos(s.new_var())).collect();
         let (any, all) = {
             let mut enc = CircuitEncoder::new(&mut s);
-            (enc.or_many(&xs), enc.and_many(&xs))
+            (
+                enc.or_many_pol(&xs, Polarity::Both),
+                enc.and_many_pol(&xs, Polarity::Both),
+            )
         };
         // All false → any = 0; force and check.
         let neg: Vec<Lit> = xs.iter().map(|&l| !l).collect();
@@ -381,7 +263,7 @@ mod tests {
         let mut s = Solver::new();
         let a: Vec<Lit> = (0..3).map(|_| Lit::pos(s.new_var())).collect();
         let b: Vec<Lit> = (0..3).map(|_| Lit::pos(s.new_var())).collect();
-        let diff = CircuitEncoder::new(&mut s).miter(&a, &b);
+        let diff = CircuitEncoder::new(&mut s).miter_pol(&a, &b, Polarity::Both);
         // Force equal buses → diff must be 0.
         let mut asm: Vec<Lit> = Vec::new();
         for i in 0..3 {

@@ -5,18 +5,19 @@
 //! JSON on stdout. Human-readable progress goes to stderr, so
 //!
 //! ```text
-//! cargo run --release --example sb_drill -- sb5 64 auto > drill.json
+//! cargo run --release --example sb_drill -- sb5 64 on > drill.json
 //! ```
 //!
 //! leaves a clean machine-readable file. Arguments (all optional):
 //! benchmark name (default `sb5`), scale divisor (default `64`), and a
-//! `sat_simplify` mode — `auto`, `auto:<clauses>`, `on`, or `off`
-//! (default `auto`) — for before/after comparisons of the solver's
-//! pre/inprocessing pipeline on the same instance.
+//! `sat_simplify` mode — `on` or `off` (default `off`) — for
+//! before/after comparisons of the solver's pre/inprocessing pipeline on
+//! the same instance. The attack runs on the cloaked cells' cone of
+//! influence, as every campaign cell does.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spin_hall_security::attacks::{CoiMode, SimplifyMode};
+use spin_hall_security::attacks::SimplifyMode;
 use spin_hall_security::logic::{suites, Topology};
 use spin_hall_security::prelude::*;
 use std::time::Instant;
@@ -30,7 +31,7 @@ fn main() {
         .unwrap_or(64);
     let simplify = args
         .next()
-        .map(|s| SimplifyMode::parse(&s).expect("simplify mode: auto | auto:<clauses> | on | off"))
+        .map(|s| SimplifyMode::parse(&s).expect("simplify mode: on | off"))
         .unwrap_or_default();
 
     let spec = suites::spec(&bench).expect("unknown benchmark");
@@ -57,9 +58,7 @@ fn main() {
     );
 
     spin_hall_security::obs::enable();
-    let config = AttackConfig::with_timeout_secs(300)
-        .with_coi_mode(CoiMode::AutoAt(3_000))
-        .with_simplify_mode(simplify);
+    let config = AttackConfig::with_timeout_secs(300).with_simplify_mode(simplify);
     let mut oracle = OracleStack::exact(&nl);
     let t = Instant::now();
     let out = sat_attack(&keyed, &mut oracle, &config);

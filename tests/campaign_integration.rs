@@ -27,8 +27,8 @@ fn two_by_two_spec(threads: usize) -> CampaignSpec {
         timeout: Duration::from_secs(60),
         threads,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
-        sat_simplify: SimplifyMode::Auto,
+        coi_mode: CoiMode::On,
+        sat_simplify: SimplifyMode::Off,
         memo_budget_mb: 0.0,
     }
 }
@@ -95,8 +95,8 @@ fn exhausted_budgets_mark_jobs_timed_out_without_hanging_the_pool() {
         timeout: Duration::from_millis(0),
         threads: 4,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
-        sat_simplify: SimplifyMode::Auto,
+        coi_mode: CoiMode::On,
+        sat_simplify: SimplifyMode::Off,
         memo_budget_mb: 0.0,
     };
     let start = Instant::now();
@@ -146,8 +146,8 @@ fn rotation_period_sweep_shows_attack_collapse_end_to_end() {
         timeout: Duration::from_secs(30),
         threads: 2,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
-        sat_simplify: SimplifyMode::Auto,
+        coi_mode: CoiMode::On,
+        sat_simplify: SimplifyMode::Off,
         memo_budget_mb: 0.0,
     };
     let report = Campaign::run(&spec).expect("rotation campaign");
@@ -196,8 +196,8 @@ fn combined_defense_grid_is_no_easier_than_either_defense_alone() {
         timeout: Duration::from_secs(30),
         threads: 2,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
-        sat_simplify: SimplifyMode::Auto,
+        coi_mode: CoiMode::On,
+        sat_simplify: SimplifyMode::Off,
         memo_budget_mb: 0.0,
     };
     let report = Campaign::run(&spec).expect("combined campaign");
@@ -267,8 +267,8 @@ fn clock_period_sweep_derives_physical_rates_end_to_end() {
         timeout: Duration::from_secs(30),
         threads: 2,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
-        sat_simplify: SimplifyMode::Auto,
+        coi_mode: CoiMode::On,
+        sat_simplify: SimplifyMode::Off,
         memo_budget_mb: 0.0,
     };
     let report = Campaign::run(&spec).expect("clock campaign");
@@ -330,8 +330,8 @@ fn aag_suite_runs_through_the_campaign_engine() {
         timeout: Duration::from_secs(30),
         threads,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
-        sat_simplify: SimplifyMode::Auto,
+        coi_mode: CoiMode::On,
+        sat_simplify: SimplifyMode::Off,
         memo_budget_mb: 0.0,
     };
     let report = Campaign::run(&spec_for(2)).expect("aag campaign");
@@ -379,8 +379,8 @@ fn stochastic_cells_defeat_the_attack_in_campaign_form() {
         timeout: Duration::from_secs(30),
         threads: 2,
         topology: Topology::Uniform,
-        coi_mode: CoiMode::Auto,
-        sat_simplify: SimplifyMode::Auto,
+        coi_mode: CoiMode::On,
+        sat_simplify: SimplifyMode::Off,
         memo_budget_mb: 0.0,
     };
     let report = Campaign::run(&spec).expect("stochastic campaign");

@@ -155,8 +155,8 @@ fn warm_session_campaign_output_stays_byte_identical() {
         timeout: Duration::from_secs(30),
         threads: 2,
         topology: spin_hall_security::logic::Topology::Uniform,
-        coi_mode: spin_hall_security::attacks::CoiMode::Auto,
-        sat_simplify: spin_hall_security::attacks::SimplifyMode::Auto,
+        coi_mode: spin_hall_security::attacks::CoiMode::On,
+        sat_simplify: spin_hall_security::attacks::SimplifyMode::Off,
         memo_budget_mb: 0.0,
     };
     let fresh = Campaign::run(&campaign_spec).expect("fresh campaign");

@@ -1,10 +1,11 @@
-//! The `sat_simplify` knob changes solver work, never answers: running
-//! the CI smoke campaign with simplification forced on must produce the
-//! same verdict (status, key recovered, functional correctness) for
-//! every job as the same campaign with simplification off. Query and
-//! iteration counts may differ — preprocessing reshapes the search and
-//! therefore the DIP sequence — but an attack that breaks a cell
-//! without simplification must break it with, and vice versa.
+//! The two remaining attack switches change solver work, never answers:
+//! running the CI smoke campaign's exact-oracle cells with the
+//! cone-of-influence projection on and off, and with solver
+//! simplification on and off, must produce the same verdict (status and
+//! key recovered) for every job. Query and iteration counts may differ —
+//! the cone instance and preprocessing reshape the search and therefore
+//! the DIP sequence — but an attack that breaks a cell under one setting
+//! must break it under every other, and vice versa.
 //!
 //! Only exact-oracle cells are comparable this way: a noisy or rotating
 //! oracle answers as a function of the query *sequence*, so two attacks
@@ -15,47 +16,68 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spin_hall_security::attacks::{assert_valid_key_codes, encode_keyed, SimplifyMode};
-use spin_hall_security::campaign::{Campaign, CampaignSpec};
+use spin_hall_security::attacks::{assert_valid_key_codes, encode_keyed, CoiMode, SimplifyMode};
+use spin_hall_security::campaign::{Campaign, CampaignSpec, JobStatus};
 use spin_hall_security::logic::suites;
 use spin_hall_security::prelude::{camouflage, select_gates, CamoScheme};
-use spin_hall_security::sat::{CircuitEncoder, Lit, Solver};
+use spin_hall_security::sat::{CircuitEncoder, Lit, Polarity, Solver};
 
 #[test]
 fn smoke_verdicts_match_with_and_without_simplification() {
     let toml = std::fs::read_to_string("specs/smoke.toml").expect("smoke spec present");
     let mut spec = CampaignSpec::parse_toml(&toml).expect("smoke spec parses");
     // Exact oracles only (see module docs): drop the noise, clock-rate,
-    // and rotation sweeps; keep the full trial grid.
+    // and rotation sweeps; keep the full trial grid. Inv-buf and four-fn
+    // insert cells while camouflaging, so their keyed netlists number
+    // nodes differently from the original design.
     spec.error_rates = vec![0.0];
     spec.clock_periods_ns = Vec::new();
     spec.profiles.truncate(1);
     spec.rotation_periods = vec![0];
+    spec.schemes = vec![
+        CamoScheme::InvBuf,
+        CamoScheme::FourFn,
+        CamoScheme::GsheAll16,
+    ];
 
-    spec.sat_simplify = SimplifyMode::Off;
-    let off = Campaign::run(&spec).expect("smoke without simplification");
-    spec.sat_simplify = SimplifyMode::On;
-    let on = Campaign::run(&spec).expect("smoke with simplification");
+    let mut runs = Vec::new();
+    for coi in [CoiMode::On, CoiMode::Off] {
+        for simplify in [SimplifyMode::Off, SimplifyMode::On] {
+            let run = CampaignSpec {
+                coi_mode: coi,
+                sat_simplify: simplify,
+                ..spec.clone()
+            };
+            let report = Campaign::run(&run)
+                .unwrap_or_else(|e| panic!("smoke with coi {coi:?}, simplify {simplify:?}: {e}"));
+            runs.push(((coi, simplify), report));
+        }
+    }
 
-    assert_eq!(off.results.len(), on.results.len());
-    assert!(!off.results.is_empty());
-    for (a, b) in off.results.iter().zip(&on.results) {
-        assert_eq!(a.spec.kind, b.spec.kind, "job grids diverged");
-        assert_eq!(
-            a.status, b.status,
-            "status flipped under simplification: {:?}",
-            a.spec.kind
-        );
-        assert_eq!(
-            a.key_recovered, b.key_recovered,
-            "key verdict flipped under simplification: {:?}",
-            a.spec.kind
+    let (base_mode, base) = &runs[0];
+    assert!(!base.results.is_empty());
+    for r in &base.results {
+        assert!(
+            r.status == JobStatus::Completed && r.key_recovered,
+            "an exact cell must recover a verified key: {r:?}"
         );
     }
-    for (a, b) in off.rows.iter().zip(&on.rows) {
-        assert_eq!(a.key, b.key);
-        assert_eq!(a.status_counts, b.status_counts);
-        assert_eq!(a.key_recovery_rate, b.key_recovery_rate);
+    for (mode, run) in &runs[1..] {
+        assert_eq!(base.results.len(), run.results.len());
+        for (a, b) in base.results.iter().zip(&run.results) {
+            assert_eq!(a.spec.kind, b.spec.kind, "job grids diverged");
+            assert_eq!(
+                (a.status, a.key_recovered),
+                (b.status, b.key_recovered),
+                "verdict differs between {base_mode:?} and {mode:?}: {:?}",
+                a.spec.kind
+            );
+        }
+        for (a, b) in base.rows.iter().zip(&run.rows) {
+            assert_eq!(a.key, b.key);
+            assert_eq!(a.status_counts, b.status_counts);
+            assert_eq!(a.key_recovery_rate, b.key_recovery_rate);
+        }
     }
 }
 
@@ -94,7 +116,7 @@ fn preprocessing_reduces_the_s38584_miter_by_30_percent() {
         for (a, b) in copies[0].inputs.iter().zip(&copies[1].inputs) {
             enc.equal(*a, *b);
         }
-        let d = enc.miter(&copies[0].outputs, &copies[1].outputs);
+        let d = enc.miter_pol(&copies[0].outputs, &copies[1].outputs, Polarity::Pos);
         enc.clause(&[d]);
         copies[0].inputs.clone()
     };

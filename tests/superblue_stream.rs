@@ -34,12 +34,12 @@ fn superblue_spec(memo_budget_mb: f64) -> CampaignSpec {
         topology: Topology::Local,
         // A handful of cloaked gates per instance: with tile-local
         // wiring their affected-output cones stay a thin slice, so the
-        // forced COI threshold below engages cone-keyed caching.
+        // COI projection engages cone-keyed caching.
         levels: vec![0.0005],
         schemes: vec![CamoScheme::GsheAll16],
         attacks: vec![AttackKind::Sat],
-        coi_mode: CoiMode::AutoAt(3_000),
-        sat_simplify: SimplifyMode::Auto,
+        coi_mode: CoiMode::On,
+        sat_simplify: SimplifyMode::Off,
         error_rates: vec![0.0],
         clock_periods_ns: Vec::new(),
         profiles: vec![NoiseShape::Uniform],
