@@ -1,28 +1,30 @@
 //! Key verification and attack-quality metrics.
 
 use crate::coi::{affected_outputs, CoiMode};
-use crate::encode::encode_keyed;
 use gshe_camo::{CamoError, KeyedNetlist};
-use gshe_logic::{Netlist, NodeId, PatternBlock, Simulator};
+use gshe_logic::{Bf2, Netlist, NodeId, NodeKind, PatternBlock, Simulator};
 use gshe_sat::{CircuitEncoder, Lit, Polarity, SolveResult, Solver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// Verdict on a recovered key.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeyVerification {
     /// The key selects the defender's exact candidate at every cell.
     pub structurally_correct: bool,
-    /// The resolved netlist is **provably** (SAT-checked) equivalent to the
-    /// original — the attacker's actual success criterion.
+    /// The resolved netlist is **provably** equivalent to the original —
+    /// the attacker's actual success criterion. The proof is
+    /// [`sat_equivalent_on`]: outputs that structural hashing merges with
+    /// the original's are equal by construction, the rest are SAT-checked.
     pub functionally_equivalent: bool,
     /// Fraction of 4096 random patterns on which the resolved netlist
     /// disagrees with the original (0.0 when equivalent).
     pub sampled_error_rate: f64,
 }
 
-/// Verifies a recovered key against the original design: exact SAT
-/// equivalence of the resolved netlist plus a sampled error rate.
+/// Verifies a recovered key against the original design: an exact
+/// equivalence proof of the resolved netlist plus a sampled error rate.
 ///
 /// # Errors
 ///
@@ -40,12 +42,12 @@ pub fn verify_key(
 ///
 /// Resolution rewrites only the cloaked cells, so any output no cell
 /// reaches computes the same function of the primary inputs in both
-/// netlists by construction — the SAT proof need cover only the
-/// affected outputs' fanin cones. On superblue-scale designs that turns
-/// a full-width UNSAT proof (the dominant cost of a campaign attack
-/// cell once the DIP loop itself runs on the cone) into one over a
-/// few-thousand-node cone. The verdict is identical to [`verify_key`]'s;
-/// [`CoiMode::Off`] (or a degenerate affected set) proves every output.
+/// netlists by construction — the proof need cover only the affected
+/// outputs' fanin cones, which on superblue-scale designs are a few
+/// thousand nodes of a full-width interface. Within those cones
+/// [`sat_equivalent_on`] hashes away the logic the key left unchanged.
+/// The verdict is identical to [`verify_key`]'s; [`CoiMode::Off`] (or a
+/// degenerate affected set) proves every output.
 ///
 /// # Errors
 ///
@@ -73,13 +75,21 @@ pub fn verify_key_scoped(
 }
 
 /// Exact equivalence of `a` and `b` on the outputs at the given
-/// **ordinals** (positions in `outputs()`), by a SAT miter over their
-/// fanin cones. Primary inputs are matched by ordinal too, so the two
-/// netlists need not share an id space: an original design and a keyed
-/// netlist camouflage rebuilt from it (inserting cells, which shifts
-/// every later id) compare directly. An input only one cone reads stays
-/// free — if the other side truly ignores it the miter stays UNSAT, and
-/// any dependence it could witness is a real inequivalence.
+/// **ordinals** (positions in `outputs()`). Primary inputs are matched by
+/// ordinal too, so the two netlists need not share an id space: an
+/// original design and a keyed netlist camouflage rebuilt from it
+/// (inserting cells, which shifts every later id) compare directly.
+///
+/// Both fanin cones go into one structurally hashed CNF: the two sides
+/// share their input literals, and a gate computing the same function of
+/// the same literals as one already encoded reuses its literal. Logic a
+/// recovered key left unchanged therefore collapses onto the original's,
+/// output pairs that hash to one literal are equal by construction, and
+/// only the remaining pairs reach a SAT miter. When none remain (an empty
+/// `outputs` included) the answer is `true` without a solve. An input
+/// only one cone reads stays free — if the other side truly ignores it
+/// the miter stays UNSAT, and any dependence it could witness is a real
+/// inequivalence.
 ///
 /// # Panics
 ///
@@ -88,47 +98,153 @@ pub fn verify_key_scoped(
 pub fn sat_equivalent_on(a: &Netlist, b: &Netlist, outputs: &[usize]) -> bool {
     assert_eq!(a.inputs().len(), b.inputs().len(), "interface mismatch");
     assert_eq!(a.outputs().len(), b.outputs().len(), "interface mismatch");
-    let mut solver = Solver::new();
-    let diff = {
-        let mut enc = CircuitEncoder::new(&mut solver);
-        let (ia, oa) = encode_cone(&mut enc, a, outputs);
-        let (ib, ob) = encode_cone(&mut enc, b, outputs);
-        for (la, lb) in ia.into_iter().zip(ib) {
-            if let (Some(la), Some(lb)) = (la, lb) {
-                enc.equal(la, lb);
-            }
-        }
-        // The difference literal is only ever asserted true, so the
-        // single-sided (Plaisted–Greenbaum) miter is exact.
-        enc.miter_pol(&oa, &ob, Polarity::Pos)
-    };
+    gshe_obs::count("verify.outputs", outputs.len() as u64);
+    let (mut solver, open) = open_pairs(a, b, outputs);
+    gshe_obs::count("verify.open_outputs", open.len() as u64);
+    if open.is_empty() {
+        return true;
+    }
+    let (oa, ob): (Vec<Lit>, Vec<Lit>) = open.into_iter().unzip();
+    // The difference literal is only ever asserted true, so the
+    // single-sided (Plaisted–Greenbaum) miter is exact.
+    let diff = CircuitEncoder::new(&mut solver).miter_pol(&oa, &ob, Polarity::Pos);
     solver.add_clause(&[diff]);
     solver.solve() == SolveResult::Unsat
 }
 
-/// Encodes the fanin cone of `nl`'s outputs at `outputs` (ordinals).
-/// Returns the literal of every primary input by ordinal (`None` when
-/// the cone does not read it) and the cone's output literals.
-fn encode_cone(
-    enc: &mut CircuitEncoder<'_, Solver>,
-    nl: &Netlist,
-    outputs: &[usize],
-) -> (Vec<Option<Lit>>, Vec<Lit>) {
-    let roots: Vec<NodeId> = outputs.iter().map(|&k| nl.outputs()[k]).collect();
-    let (cone, map) = nl.cone_of(&roots);
-    // Reuse the keyed encoder with an empty key.
-    let keyed = KeyedNetlist::new(cone, Vec::new(), 0);
-    let copy = encode_keyed(enc, &keyed, &[]);
-    let mut by_ordinal = vec![None; nl.inputs().len()];
-    for (&n, lit) in keyed.netlist().inputs().iter().zip(copy.inputs) {
-        // `inputs()` lists the input nodes in ascending id order.
-        let k = nl
-            .inputs()
-            .binary_search(&map.to_full(n))
-            .expect("a cone input is a primary input");
-        by_ordinal[k] = Some(lit);
+/// Encodes the cones of `a`'s and `b`'s outputs at `outputs` into one
+/// structurally hashed CNF. Returns it with the output pairs that
+/// hashing left on distinct literals.
+fn open_pairs(a: &Netlist, b: &Netlist, outputs: &[usize]) -> (Solver, Vec<(Lit, Lit)>) {
+    let mut strash = Strash::new(a.inputs().len());
+    let oa = strash.cone(a, outputs);
+    let ob = strash.cone(b, outputs);
+    let open = oa.into_iter().zip(ob).filter(|(x, y)| x != y).collect();
+    (strash.solver, open)
+}
+
+/// A structurally hashed Tseitin encoder. Every two-input gate is put
+/// in a canonical form — fanins positive and ordered by variable, output
+/// complemented so that row 00 reads 0 — and looked up before it is
+/// encoded, so a gate identical to one already in the CNF costs nothing.
+/// Constants and one-input gates are literals, never variables.
+struct Strash {
+    solver: Solver,
+    /// The constant-true literal (the first variable allocated).
+    t: Lit,
+    /// One literal per primary-input ordinal, shared by every cone.
+    inputs: Vec<Option<Lit>>,
+    /// Canonical `(truth table, a, b)` → the gate's output literal. Only
+    /// ever looked up, never iterated, so the CNF is deterministic.
+    gates: HashMap<(u8, Lit, Lit), Lit>,
+}
+
+impl Strash {
+    fn new(inputs: usize) -> Self {
+        let mut solver = Solver::new();
+        let t = Lit::pos(solver.new_var());
+        solver.add_clause(&[t]);
+        Strash {
+            solver,
+            t,
+            inputs: vec![None; inputs],
+            gates: HashMap::new(),
+        }
     }
-    (by_ordinal, copy.outputs)
+
+    /// Encodes the fanin cone of `nl`'s outputs at `outputs` (ordinals)
+    /// and returns their literals.
+    fn cone(&mut self, nl: &Netlist, outputs: &[usize]) -> Vec<Lit> {
+        let roots: Vec<NodeId> = outputs.iter().map(|&k| nl.outputs()[k]).collect();
+        let mut seen = vec![false; nl.len()];
+        let mut cone = Vec::new();
+        let mut stack = roots.clone();
+        while let Some(id) = stack.pop() {
+            if !std::mem::replace(&mut seen[id.index()], true) {
+                cone.push(id);
+                stack.extend(nl.fanins(id));
+            }
+        }
+        // Ids are topological: every fanin is encoded before its gate.
+        cone.sort_unstable();
+        let mut lits: Vec<Option<Lit>> = vec![None; nl.len()];
+        let lit = |lits: &[Option<Lit>], id: NodeId| lits[id.index()].expect("fanin encoded first");
+        for id in cone {
+            let z = match nl.kind(id) {
+                NodeKind::Input => {
+                    // `inputs()` lists the input nodes in ascending id order.
+                    let k = nl.inputs().binary_search(&id).expect("an input node");
+                    *self.inputs[k].get_or_insert_with(|| Lit::pos(self.solver.new_var()))
+                }
+                NodeKind::Const(c) => self.constant(c),
+                NodeKind::Gate1 { f, a } => self.unary(f.eval(false), f.eval(true), lit(&lits, a)),
+                NodeKind::Gate2 { f, a, b } => self.gate2(f, lit(&lits, a), lit(&lits, b)),
+            };
+            lits[id.index()] = Some(z);
+        }
+        roots.iter().map(|&r| lit(&lits, r)).collect()
+    }
+
+    fn constant(&self, value: bool) -> Lit {
+        if value {
+            self.t
+        } else {
+            !self.t
+        }
+    }
+
+    /// The one-input function reading `v0` at `x = 0` and `v1` at `x = 1`.
+    fn unary(&self, v0: bool, v1: bool, x: Lit) -> Lit {
+        match (v0, v1) {
+            (false, true) => x,
+            (true, false) => !x,
+            (v, _) => self.constant(v),
+        }
+    }
+
+    /// `f(a, b)`, folded when degenerate and hashed otherwise.
+    fn gate2(&mut self, mut f: Bf2, mut a: Lit, mut b: Lit) -> Lit {
+        if !a.is_positive() {
+            f = f.negate_a();
+            a = !a;
+        }
+        if !b.is_positive() {
+            f = f.negate_b();
+            b = !b;
+        }
+        if a.var() > b.var() {
+            f = f.swap_inputs();
+            std::mem::swap(&mut a, &mut b);
+        }
+        if a == b {
+            return self.unary(f.eval(false, false), f.eval(true, true), a);
+        }
+        // The constant sorts first: it is the lowest variable.
+        if a == self.t {
+            return self.unary(f.eval(true, false), f.eval(true, true), b);
+        }
+        // Constant tables ignore both inputs.
+        if f.ignores_a() {
+            return self.unary(f.eval(false, false), f.eval(false, true), b);
+        }
+        if f.ignores_b() {
+            return self.unary(f.eval(false, false), f.eval(true, false), a);
+        }
+        let flip = f.eval(false, false);
+        if flip {
+            f = f.complement();
+        }
+        let tt = f.truth_table();
+        let z = *self
+            .gates
+            .entry((tt, a, b))
+            .or_insert_with(|| CircuitEncoder::new(&mut self.solver).gate_tt(tt, a, b));
+        if flip {
+            !z
+        } else {
+            z
+        }
+    }
 }
 
 /// Fraction of `blocks`×64 random patterns where the two netlists disagree
@@ -258,6 +374,61 @@ mod tests {
                     .unwrap()
                     .functionally_equivalent
             );
+        }
+    }
+
+    #[test]
+    fn empty_output_set_is_vacuously_equivalent() {
+        let a = parse_bench(C17_BENCH).unwrap();
+        let mut b = parse_bench(C17_BENCH).unwrap();
+        let g = b.find("22").unwrap();
+        b.set_gate2_function(g, Bf2::NOR).unwrap();
+        assert!(sat_equivalent_on(&a, &b, &[]));
+    }
+
+    #[test]
+    fn canonical_gates_hash_to_one_literal() {
+        let mut strash = Strash::new(2);
+        let a = Lit::pos(strash.solver.new_var());
+        let b = Lit::pos(strash.solver.new_var());
+        let and = strash.gate2(Bf2::AND, a, b);
+        assert_eq!(strash.gate2(Bf2::AND, b, a), and);
+        assert_eq!(strash.gate2(Bf2::NOR, !a, !b), and);
+        let xor = strash.gate2(Bf2::XOR, a, b);
+        assert_eq!(strash.gate2(Bf2::XNOR, a, b), !xor);
+        assert_eq!(strash.gate2(Bf2::XNOR, b, !a), xor);
+        // Degenerate gates fold to a literal or a constant.
+        let t = strash.t;
+        assert_eq!(strash.gate2(Bf2::NOT_A, a, b), !a);
+        assert_eq!(strash.gate2(Bf2::AND, a, !a), !t);
+        assert_eq!(strash.gate2(Bf2::OR, !t, b), b);
+        assert_eq!(strash.gate2(Bf2::NAND, b, t), !b);
+        assert_eq!(strash.gates.len(), 2, "only AND and XOR reach the CNF");
+    }
+
+    /// A structurally correct key rebuilds the original's logic, so every
+    /// output pair hashes to one literal and the proof never solves; a
+    /// wrong key leaves pairs open. Inv-buf's inserted inverter pairs fold
+    /// away too (four-fn and look-alike rebuild XORs as NAND trees, which
+    /// hashing does not undo).
+    #[test]
+    fn structurally_correct_key_leaves_no_pair_open() {
+        use gshe_logic::{GeneratorConfig, NetlistGenerator};
+        let nl = NetlistGenerator::new(GeneratorConfig::new("sh", 12, 8, 120).with_seed(4))
+            .unwrap()
+            .generate();
+        let all: Vec<usize> = (0..nl.outputs().len()).collect();
+        let picks = select_gates(&nl, 0.3, 4);
+        for scheme in [CamoScheme::GsheAll16, CamoScheme::InvBuf] {
+            let mut rng = StdRng::seed_from_u64(4);
+            let keyed = camouflage(&nl, &picks, scheme, &mut rng).unwrap();
+            let correct = keyed.correct_key();
+            let resolved = keyed.resolve(&correct).unwrap();
+            assert!(open_pairs(&nl, &resolved, &all).1.is_empty(), "{scheme}");
+            assert!(sat_equivalent_on(&nl, &resolved, &all), "{scheme}");
+            let wrong: Vec<bool> = correct.iter().map(|b| !b).collect();
+            let resolved = keyed.resolve(&wrong).unwrap();
+            assert!(!open_pairs(&nl, &resolved, &all).1.is_empty(), "{scheme}");
         }
     }
 

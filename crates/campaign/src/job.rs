@@ -602,10 +602,12 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
             result.iterations = out.iterations;
             result.solver_stats = out.solver_stats;
             if let Some(key) = &out.key {
-                // Scoped to the cloaked cells' affected-output cones
-                // when the job's COI mode engages — at superblue scale
-                // the full-interface UNSAT proof would dwarf the
-                // cone-projected attack it is checking.
+                // A proof against the original design, scoped to the
+                // cloaked cells' affected-output cones when the job's COI
+                // mode engages. The proof is structurally hashed, so the
+                // solver sees only the outputs whose logic the recovered
+                // key changed.
+                let _span = gshe_obs::span("job.verify");
                 match verify_key_scoped(nl, &keyed, key, ctx.coi_mode) {
                     Ok(v) => {
                         result.key_recovered = v.functionally_equivalent;

@@ -43,7 +43,8 @@ struct WorkerCounters {
     steals: AtomicU64,
     /// Nanoseconds spent executing tasks.
     busy_ns: AtomicU64,
-    /// Nanoseconds spent parked on the condvar waiting for work.
+    /// Nanoseconds of finished parks on the condvar waiting for work
+    /// (the current park, if any, is in [`PoolState::parked_since`]).
     idle_ns: AtomicU64,
 }
 
@@ -101,6 +102,11 @@ struct PoolState {
     /// Set once by [`WorkerPool::drop`]; workers exit when their queues
     /// drain afterwards.
     shutdown: bool,
+    /// When each worker parked, if it is parked now. Kept under the lock
+    /// the worker parks and wakes with, so [`WorkerPool::worker_stats`]
+    /// sees a park either here or in the worker's `idle_ns`, never in both
+    /// or neither.
+    parked_since: Vec<Option<Instant>>,
 }
 
 struct PoolShared {
@@ -146,6 +152,7 @@ impl WorkerPool {
             state: Mutex::new(PoolState {
                 queues: (0..threads).map(|_| VecDeque::new()).collect(),
                 shutdown: false,
+                parked_since: vec![None; threads],
             }),
             work: Condvar::new(),
             counters: (0..threads).map(|_| WorkerCounters::default()).collect(),
@@ -169,17 +176,25 @@ impl WorkerPool {
     }
 
     /// Snapshots every worker's cumulative activity counters (indexed by
-    /// worker id). Callers wanting per-batch numbers take a snapshot
-    /// before and after and use [`WorkerStats::delta_from`].
+    /// worker id). A worker parked now has its park so far counted as
+    /// idle, so a snapshot taken after a batch includes the batch's idle
+    /// tail. Callers wanting per-batch numbers take a snapshot before and
+    /// after and use [`WorkerStats::delta_from`].
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
+        let state = self.shared.state.lock().unwrap();
+        let now = Instant::now();
         self.shared
             .counters
             .iter()
-            .map(|c| WorkerStats {
-                tasks: c.tasks.load(Ordering::Relaxed),
-                steals: c.steals.load(Ordering::Relaxed),
-                busy_ns: c.busy_ns.load(Ordering::Relaxed),
-                idle_ns: c.idle_ns.load(Ordering::Relaxed),
+            .zip(&state.parked_since)
+            .map(|(c, parked)| {
+                let parked_ns = parked.map_or(0, |t| now.duration_since(t).as_nanos() as u64);
+                WorkerStats {
+                    tasks: c.tasks.load(Ordering::Relaxed),
+                    steals: c.steals.load(Ordering::Relaxed),
+                    busy_ns: c.busy_ns.load(Ordering::Relaxed),
+                    idle_ns: c.idle_ns.load(Ordering::Relaxed) + parked_ns,
+                }
             })
             .collect()
     }
@@ -267,7 +282,9 @@ fn worker_loop(shared: &PoolShared, me: usize) {
                     break None;
                 }
                 let parked = Instant::now();
+                state.parked_since[me] = Some(parked);
                 state = shared.work.wait(state).unwrap();
+                state.parked_since[me] = None;
                 counters
                     .idle_ns
                     .fetch_add(parked.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -469,6 +486,58 @@ mod tests {
             deltas.iter().any(|w| w.busy_ns > 0),
             "sleeping tasks must register busy time"
         );
+    }
+
+    #[test]
+    fn worker_stats_count_a_parked_workers_idle_time() {
+        // A barrier puts the two tasks of a batch on different workers,
+        // each having booked its wake from the previous park. One task
+        // then holds its worker until released; the other returns, and
+        // its worker parks. Snapshots taken while it is still parked
+        // must already count that park as idle, not only once it wakes.
+        let pool = WorkerPool::new(2);
+        let both_running = Arc::new(std::sync::Barrier::new(2));
+        let (quick_tx, quick_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let held = Arc::clone(&both_running);
+        std::thread::scope(|s| {
+            let batch = s.spawn(|| {
+                pool.run_all(vec![
+                    Box::new(move || {
+                        both_running.wait();
+                        quick_tx.send(()).unwrap();
+                        0usize
+                    }) as Box<dyn FnOnce() -> usize + Send>,
+                    Box::new(move || {
+                        held.wait();
+                        let _ = release_rx.recv();
+                        1usize
+                    }),
+                ])
+            });
+            quick_rx.recv().unwrap();
+            // Nothing wakes the free worker until release: its idle time
+            // grows only if parks in progress are counted.
+            let first = pool.worker_stats();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let grown = loop {
+                let now = pool.worker_stats();
+                if now.iter().zip(&first).any(|(n, f)| n.idle_ns > f.idle_ns) {
+                    break Some(now);
+                }
+                if Instant::now() >= deadline {
+                    break None;
+                }
+                std::thread::yield_now();
+            };
+            release_tx.send(()).unwrap();
+            assert_eq!(batch.join().unwrap(), vec![0, 1]);
+            let grown = grown.expect("a parked worker's idle time never reached a snapshot");
+            // Waking books the park once: snapshots stay monotone.
+            for (after, during) in pool.worker_stats().iter().zip(&grown) {
+                assert!(after.idle_ns >= during.idle_ns);
+            }
+        });
     }
 
     #[test]

@@ -69,6 +69,7 @@
 //! | `pool.task` | `campaign::pool` | one erased task on a worker |
 //! | `job.attack` / `job.device` | `campaign::job` | one campaign job |
 //! | `job.materialize` | `campaign::job` | camouflaged-netlist materialization |
+//! | `job.verify` | `campaign::job` | the recovered key's equivalence proof |
 //! | `session.materialize` | `campaign` | benchmark netlist generation |
 //! | `attack.solve` | `attacks::dip_engine` | one conflict-sliced solver call |
 //! | `attack.oracle` | `attacks::dip_engine` | one oracle `query`/`query_block` |
@@ -79,7 +80,9 @@
 //! (`sat.elim_vars`, `sat.subsumed`, `sat.strengthened`) and histograms
 //! (`sat.simplify_ns` — nanoseconds per attack spent in pre/inprocessing,
 //! `sat.lbd` — final learnt-clause LBD distribution, `sat.solve.*` —
-//! per-solve conflict/decision/propagation deltas).
+//! per-solve conflict/decision/propagation deltas). Key verification
+//! counts the output pairs it is asked about (`verify.outputs`) and those
+//! structural hashing leaves for the solver (`verify.open_outputs`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use spin_hall_security::attacks::sat_equivalent_on;
 use spin_hall_security::camo::{camouflage, select_gates_count, CamoScheme};
 use spin_hall_security::logic::bench_format::{parse_bench, write_bench};
 use spin_hall_security::logic::sim::random_equivalence_check;
@@ -183,6 +184,47 @@ proptest! {
             random_equivalence_check(&nl, &resolved, 2, &mut rng2).unwrap(),
             None
         );
+    }
+
+    /// The structurally hashed equivalence proof agrees with exhaustive
+    /// simulation over all 256 input patterns, for every scheme, the
+    /// correct, a one-bit-flipped or a random key, and any non-empty
+    /// output subset. Inv-buf, four-fn and look-alike insert cells, so the
+    /// two sides differ structurally and the solver must decide.
+    #[test]
+    fn sat_equivalent_on_matches_exhaustive_simulation(
+        seed in 0u64..200,
+        scheme_idx in 0usize..7,
+        cells in 1usize..12,
+        key_kind in 0u8..3,
+        subset in 1u32..16,
+    ) {
+        let scheme = CamoScheme::ALL[scheme_idx];
+        let nl = NetlistGenerator::new(
+            GeneratorConfig::new("eq", 8, 4, 60).with_seed(seed),
+        )
+        .unwrap()
+        .generate();
+        let picks = select_gates_count(&nl, cells, seed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keyed = camouflage(&nl, &picks, scheme, &mut rng).unwrap();
+        let mut key = keyed.correct_key();
+        let flip = seed as usize % key.len();
+        match key_kind {
+            0 => {}
+            1 => key[flip] ^= true,
+            _ => key.iter_mut().for_each(|b| *b = rng.gen()),
+        }
+        let resolved = keyed.resolve(&key).unwrap();
+        // Four outputs, so every mask in 1..16 picks a non-empty subset.
+        prop_assert_eq!(nl.outputs().len(), 4);
+        let outputs: Vec<usize> = (0..4).filter(|k| (subset >> k) & 1 == 1).collect();
+        let simulated = (0..256u32).all(|p| {
+            let x: Vec<bool> = (0..8).map(|i| (p >> i) & 1 == 1).collect();
+            let (ya, yb) = (nl.evaluate(&x), resolved.evaluate(&x));
+            outputs.iter().all(|&k| ya[k] == yb[k])
+        });
+        prop_assert_eq!(sat_equivalent_on(&nl, &resolved, &outputs), simulated);
     }
 
     /// STA invariants: arrival monotone along edges, slack non-negative off
