@@ -7,10 +7,11 @@
 //! copies* of the circuit per phase. This module projects the attack onto
 //! the **cone of influence** of the cloaked cells:
 //!
-//! 1. **Affected outputs** — a single forward sweep marks every node
-//!    reached by some cloaked cell; the affected outputs are the primary
-//!    outputs so marked. Unaffected outputs are key-independent by
-//!    construction and need no miter at all.
+//! 1. **Affected outputs** — a forward sweep marks every node reached by
+//!    some cloaked cell; the affected outputs are the primary outputs so
+//!    marked ([`KeyedNetlist::reached_outputs`], computed once when the
+//!    keyed netlist is assembled). Unaffected outputs are key-independent
+//!    by construction and need no miter at all.
 //! 2. **Cone extraction** —
 //!    [`Netlist::cone_of`](gshe_logic::Netlist::cone_of) over the
 //!    affected outputs yields a compact netlist containing exactly the
@@ -41,7 +42,7 @@
 
 use crate::oracle::Oracle;
 use gshe_camo::{CamoGate, KeyedNetlist};
-use gshe_logic::{NodeId, PatternBlock};
+use gshe_logic::{Netlist, NodeId, NodeKind, PatternBlock};
 
 /// Whether the DIP engine, the campaign's oracle cache and key
 /// verification work on the cone of influence of the cloaked cells.
@@ -56,73 +57,45 @@ pub enum CoiMode {
 }
 
 /// Full-design **input ordinals** feeding the cone the DIP engine will
-/// attack under `mode`, or `None` when the engine stays on the full
-/// miter. This mirrors [`CoiProjection::build`]'s engagement decision
-/// exactly — same mode gate, same affected-output preconditions — but
-/// costs only two linear sweeps and materializes nothing, so callers
-/// (the campaign's cone-keyed oracle cache) can key on the cone inputs
-/// *before* the attack runs without risking a key-aliasing mismatch.
+/// attack under `mode`, ascending, or `None` when the engine stays on
+/// the full miter. This mirrors [`CoiProjection::build`]'s engagement
+/// decision exactly — same mode gate, same affected-output
+/// preconditions — but walks only the affected outputs' fanin and
+/// materializes nothing, so callers (the campaign's cone-keyed oracle
+/// cache) can key on the cone inputs *before* the attack runs without
+/// risking a key-aliasing mismatch.
 pub fn cone_inputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<usize>> {
-    let affected = affected_outputs(keyed, mode)?;
     let nl = keyed.netlist();
-
-    // Reverse sweep: transitive fanin of the affected outputs. Node ids
-    // are topological, so one descending pass suffices.
-    let mut need = vec![false; nl.len()];
-    for &k in &affected {
-        need[nl.outputs()[k].index()] = true;
-    }
-    for i in (0..nl.len()).rev() {
-        if need[i] {
-            for f in nl.fanins(NodeId(i as u32)) {
-                need[f.index()] = true;
-            }
-        }
-    }
+    let roots: Vec<NodeId> = affected_outputs(keyed, mode)?
+        .iter()
+        .map(|&k| nl.outputs()[k])
+        .collect();
     Some(
-        nl.inputs()
+        nl.fanin_set(&roots)
             .iter()
-            .enumerate()
-            .filter(|(_, i)| need[i.index()])
-            .map(|(k, _)| k)
+            .filter(|&id| nl.kind(id) == NodeKind::Input)
+            .map(|id| input_ordinal(nl, id))
             .collect(),
     )
 }
 
-/// Ordinals of the primary outputs some cloaked cell reaches, or `None`
-/// when callers should stay on the full design: mode [`CoiMode::Off`],
-/// no affected output (the key is unconstrained), or every output
-/// affected (no reduction to be had). One linear sweep; the same
-/// decision [`CoiProjection::build`] and [`cone_inputs`] make, and all
-/// cone-scoped key verification needs.
-pub fn affected_outputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<usize>> {
-    if mode == CoiMode::Off {
-        return None;
-    }
-    let nl = keyed.netlist();
-    // Forward taint sweep: a node is tainted when it is a cloaked cell
-    // or any fanin is tainted. Node order is topological, so one
-    // ascending pass suffices — no fanout adjacency needed.
-    let mut tainted = vec![false; nl.len()];
-    for g in keyed.camo_gates() {
-        tainted[g.node.index()] = true;
-    }
-    for i in 0..nl.len() {
-        if !tainted[i] && nl.fanins(NodeId(i as u32)).any(|f| tainted[f.index()]) {
-            tainted[i] = true;
-        }
-    }
-    let affected: Vec<usize> = nl
-        .outputs()
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| tainted[o.index()])
-        .map(|(k, _)| k)
-        .collect();
-    if affected.is_empty() || affected.len() == nl.outputs().len() {
-        return None;
-    }
-    Some(affected)
+/// Position of input node `id` in `nl.inputs()`, which lists the input
+/// nodes in ascending id order.
+fn input_ordinal(nl: &Netlist, id: NodeId) -> usize {
+    nl.inputs().binary_search(&id).expect("an input node")
+}
+
+/// Ordinals of the primary outputs some cloaked cell reaches
+/// ([`KeyedNetlist::reached_outputs`], computed once per keyed netlist),
+/// or `None` when callers should stay on the full design: mode
+/// [`CoiMode::Off`], no affected output (the key is unconstrained), or
+/// every output affected (no reduction to be had). The same decision
+/// [`CoiProjection::build`] and [`cone_inputs`] make, and all cone-scoped
+/// key verification needs.
+pub fn affected_outputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<&[usize]> {
+    let reached = keyed.reached_outputs();
+    let strict = !reached.is_empty() && reached.len() < keyed.netlist().outputs().len();
+    (mode == CoiMode::On && strict).then_some(reached)
 }
 
 /// A keyed netlist projected onto the cone of influence of its cloaked
@@ -148,7 +121,7 @@ impl CoiProjection {
     /// Builds the projection for `keyed` under `mode`, or `None` when the
     /// attack should run on the full design (see [`affected_outputs`]).
     pub fn build(keyed: &KeyedNetlist, mode: CoiMode) -> Option<CoiProjection> {
-        let output_map = affected_outputs(keyed, mode)?;
+        let output_map = affected_outputs(keyed, mode)?.to_vec();
         let nl = keyed.netlist();
         let roots: Vec<NodeId> = output_map.iter().map(|&k| nl.outputs()[k]).collect();
         let (cone, map) = nl.cone_of(&roots);
@@ -170,15 +143,10 @@ impl CoiProjection {
             }
         }
 
-        // Cone input ordinal → full input ordinal.
-        let mut full_input_ord = vec![usize::MAX; nl.len()];
-        for (k, i) in nl.inputs().iter().enumerate() {
-            full_input_ord[i.index()] = k;
-        }
         let input_map: Vec<usize> = cone
             .inputs()
             .iter()
-            .map(|&ci| full_input_ord[map.to_full(ci).index()])
+            .map(|&ci| input_ordinal(nl, map.to_full(ci)))
             .collect();
 
         // Cone cleanup before encoding: resolution and camouflaging leave

@@ -191,7 +191,11 @@ pub fn refine(
     // strict subset of the outputs (and the config does not opt out), run
     // the identical loop on the compact cone instance against a projected
     // oracle, then expand the recovered cone key to the full design.
-    if let Some(proj) = CoiProjection::build(keyed, config.coi) {
+    let projection = {
+        let _span = gshe_obs::span("attack.coi_build");
+        CoiProjection::build(keyed, config.coi)
+    };
+    if let Some(proj) = projection {
         gshe_obs::count("attack.coi_reductions", 1);
         gshe_obs::record("attack.coi_cone_nodes", proj.cone_len() as u64);
         let cleanup = proj.opt_report();

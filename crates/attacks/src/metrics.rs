@@ -44,10 +44,15 @@ pub fn verify_key(
 /// reaches computes the same function of the primary inputs in both
 /// netlists by construction — the proof need cover only the affected
 /// outputs' fanin cones, which on superblue-scale designs are a few
-/// thousand nodes of a full-width interface. Within those cones
-/// [`sat_equivalent_on`] hashes away the logic the key left unchanged.
-/// The verdict is identical to [`verify_key`]'s; [`CoiMode::Off`] (or a
-/// degenerate affected set) proves every output.
+/// hundred nodes of a full-width interface. The keyed side is encoded
+/// straight from the keyed netlist with each cloaked cell's keyed
+/// function ([`KeyedNetlist::cell_kinds`]) substituted, so nothing
+/// design-sized is copied or indexed: the proof's tables are as long as
+/// the cones. It is the same structurally
+/// hashed CNF [`sat_equivalent_on`] builds over the resolved netlist.
+/// The key is resolved only to sample the error rate of a key that
+/// fails the proof. The verdict is identical to [`verify_key`]'s;
+/// [`CoiMode::Off`] (or a degenerate affected set) proves every output.
 ///
 /// # Errors
 ///
@@ -58,14 +63,20 @@ pub fn verify_key_scoped(
     key: &[bool],
     mode: CoiMode,
 ) -> Result<KeyVerification, CamoError> {
-    let resolved = keyed.resolve(key)?;
-    let outputs =
-        affected_outputs(keyed, mode).unwrap_or_else(|| (0..original.outputs().len()).collect());
-    let functionally_equivalent = sat_equivalent_on(original, &resolved, &outputs);
+    let cells = keyed.cell_kinds(key)?;
+    let all: Vec<usize>;
+    let outputs = match affected_outputs(keyed, mode) {
+        Some(outputs) => outputs,
+        None => {
+            all = (0..original.outputs().len()).collect();
+            &all
+        }
+    };
+    let functionally_equivalent = prove_on(original, keyed.netlist(), &cells, outputs);
     let sampled_error_rate = if functionally_equivalent {
         0.0
     } else {
-        sampled_error(original, &resolved, 64)
+        sampled_error(original, &keyed.resolve(key)?, 64)
     };
     Ok(KeyVerification {
         structurally_correct: keyed.key_is_structurally_correct(key),
@@ -96,10 +107,17 @@ pub fn verify_key_scoped(
 /// Panics if the interfaces differ in width, or an ordinal is out of
 /// range.
 pub fn sat_equivalent_on(a: &Netlist, b: &Netlist, outputs: &[usize]) -> bool {
+    prove_on(a, b, &[], outputs)
+}
+
+/// [`sat_equivalent_on`] against `b` with the kinds in `b_cells` —
+/// `(node, kind)` pairs in ascending node order, each a gate on the
+/// node's own fanins — substituted for `b`'s own.
+fn prove_on(a: &Netlist, b: &Netlist, b_cells: &[(NodeId, NodeKind)], outputs: &[usize]) -> bool {
     assert_eq!(a.inputs().len(), b.inputs().len(), "interface mismatch");
     assert_eq!(a.outputs().len(), b.outputs().len(), "interface mismatch");
     gshe_obs::count("verify.outputs", outputs.len() as u64);
-    let (mut solver, open) = open_pairs(a, b, outputs);
+    let (mut solver, open) = open_pairs(a, b, b_cells, outputs);
     gshe_obs::count("verify.open_outputs", open.len() as u64);
     if open.is_empty() {
         return true;
@@ -115,10 +133,15 @@ pub fn sat_equivalent_on(a: &Netlist, b: &Netlist, outputs: &[usize]) -> bool {
 /// Encodes the cones of `a`'s and `b`'s outputs at `outputs` into one
 /// structurally hashed CNF. Returns it with the output pairs that
 /// hashing left on distinct literals.
-fn open_pairs(a: &Netlist, b: &Netlist, outputs: &[usize]) -> (Solver, Vec<(Lit, Lit)>) {
+fn open_pairs(
+    a: &Netlist,
+    b: &Netlist,
+    b_cells: &[(NodeId, NodeKind)],
+    outputs: &[usize],
+) -> (Solver, Vec<(Lit, Lit)>) {
     let mut strash = Strash::new(a.inputs().len());
-    let oa = strash.cone(a, outputs);
-    let ob = strash.cone(b, outputs);
+    let oa = strash.cone(a, &[], outputs);
+    let ob = strash.cone(b, b_cells, outputs);
     let open = oa.into_iter().zip(ob).filter(|(x, y)| x != y).collect();
     (strash.solver, open)
 }
@@ -152,25 +175,25 @@ impl Strash {
         }
     }
 
-    /// Encodes the fanin cone of `nl`'s outputs at `outputs` (ordinals)
-    /// and returns their literals.
-    fn cone(&mut self, nl: &Netlist, outputs: &[usize]) -> Vec<Lit> {
+    /// Encodes the fanin cone of `nl`'s outputs at `outputs` (ordinals),
+    /// with the kinds in `cells` (ascending by node) in place of the
+    /// netlist's, and returns the outputs' literals.
+    fn cone(&mut self, nl: &Netlist, cells: &[(NodeId, NodeKind)], outputs: &[usize]) -> Vec<Lit> {
         let roots: Vec<NodeId> = outputs.iter().map(|&k| nl.outputs()[k]).collect();
-        let mut seen = vec![false; nl.len()];
-        let mut cone = Vec::new();
-        let mut stack = roots.clone();
-        while let Some(id) = stack.pop() {
-            if !std::mem::replace(&mut seen[id.index()], true) {
-                cone.push(id);
-                stack.extend(nl.fanins(id));
-            }
-        }
-        // Ids are topological: every fanin is encoded before its gate.
-        cone.sort_unstable();
-        let mut lits: Vec<Option<Lit>> = vec![None; nl.len()];
-        let lit = |lits: &[Option<Lit>], id: NodeId| lits[id.index()].expect("fanin encoded first");
-        for id in cone {
-            let z = match nl.kind(id) {
+        let cone = nl.fanin_set(&roots);
+        // Literals by cone position. Ids are topological and the cone is
+        // walked ascending, so every fanin is encoded before its gate.
+        let mut lits: Vec<Lit> = Vec::with_capacity(cone.len());
+        let lit = |lits: &[Lit], id: NodeId| lits[cone.position(id).expect("fanin in the cone")];
+        let mut cells = cells.iter().peekable();
+        for id in cone.iter() {
+            // The cells are ascending too: skip those outside the cone.
+            while cells.next_if(|&&(c, _)| c < id).is_some() {}
+            let kind = match cells.next_if(|&&(c, _)| c == id) {
+                Some(&(_, kind)) => kind,
+                None => nl.kind(id),
+            };
+            let z = match kind {
                 NodeKind::Input => {
                     // `inputs()` lists the input nodes in ascending id order.
                     let k = nl.inputs().binary_search(&id).expect("an input node");
@@ -180,7 +203,7 @@ impl Strash {
                 NodeKind::Gate1 { f, a } => self.unary(f.eval(false), f.eval(true), lit(&lits, a)),
                 NodeKind::Gate2 { f, a, b } => self.gate2(f, lit(&lits, a), lit(&lits, b)),
             };
-            lits[id.index()] = Some(z);
+            lits.push(z);
         }
         roots.iter().map(|&r| lit(&lits, r)).collect()
     }
@@ -424,11 +447,17 @@ mod tests {
             let keyed = camouflage(&nl, &picks, scheme, &mut rng).unwrap();
             let correct = keyed.correct_key();
             let resolved = keyed.resolve(&correct).unwrap();
-            assert!(open_pairs(&nl, &resolved, &all).1.is_empty(), "{scheme}");
+            assert!(
+                open_pairs(&nl, &resolved, &[], &all).1.is_empty(),
+                "{scheme}"
+            );
             assert!(sat_equivalent_on(&nl, &resolved, &all), "{scheme}");
             let wrong: Vec<bool> = correct.iter().map(|b| !b).collect();
             let resolved = keyed.resolve(&wrong).unwrap();
-            assert!(!open_pairs(&nl, &resolved, &all).1.is_empty(), "{scheme}");
+            assert!(
+                !open_pairs(&nl, &resolved, &[], &all).1.is_empty(),
+                "{scheme}"
+            );
         }
     }
 

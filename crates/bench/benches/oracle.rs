@@ -323,8 +323,18 @@ fn bench_coi_cached_oracle(c: &mut Criterion) {
     let nl = suites::benchmark_scaled_with(spec, 16, 1, Topology::Local);
     let cone: Vec<usize> = (0..64).collect();
     let mut rng = StdRng::seed_from_u64(17);
+    // Random cone lanes scattered into zero-filled full-width blocks, as
+    // `CoiOracle` does: the cone-keyed cache keys on the cone lanes
+    // alone and rejects blocks that set any other input.
     let blocks: Vec<PatternBlock> = (0..16)
-        .map(|_| PatternBlock::random(nl.inputs().len(), &mut rng))
+        .map(|_| {
+            let cone_block = PatternBlock::random(cone.len(), &mut rng);
+            let mut lanes = vec![0u64; nl.inputs().len()];
+            for (&full, &lane) in cone.iter().zip(&cone_block.lanes) {
+                lanes[full] = lane;
+            }
+            PatternBlock { lanes, count: 64 }
+        })
         .collect();
 
     let mut group = c.benchmark_group("coi_cached_oracle_sb1");

@@ -52,17 +52,28 @@ impl CamoGate {
         self.candidates.key_bits()
     }
 
+    /// This cell's raw key code: its key bits, least significant first.
+    fn code(&self, key: &[bool]) -> usize {
+        (0..self.key_bits())
+            .filter(|&b| key[self.key_offset + b])
+            .fold(0, |code, b| code | 1 << b)
+    }
+
     /// Decodes this cell's candidate index from a full key.
     ///
     /// Returns `None` when the key bits encode an invalid (≥ len) index.
     pub fn decode(&self, key: &[bool]) -> Option<usize> {
-        let mut idx = 0usize;
-        for b in 0..self.key_bits() {
-            if key[self.key_offset + b] {
-                idx |= 1 << b;
-            }
-        }
-        (idx < self.candidates.len()).then_some(idx)
+        let code = self.code(key);
+        (code < self.candidates.len()).then_some(code)
+    }
+
+    /// The candidate a full key selects on the chip: the decoded index,
+    /// and for an invalid code (possible when the candidate count is not
+    /// a power of two) candidate `code mod len`, mirroring a chip whose
+    /// undocumented configurations alias onto documented ones. This is
+    /// the one decode rule resolution and key verification share.
+    pub fn select(&self, key: &[bool]) -> usize {
+        self.code(key) % self.candidates.len()
     }
 
     /// Encodes candidate `index` into `key` at this cell's offset.
@@ -92,10 +103,18 @@ pub struct KeyedNetlist {
     netlist: Netlist,
     camo_gates: Vec<CamoGate>,
     key_len: usize,
+    /// Ordinals of the outputs some cloaked cell reaches, ascending.
+    reached_outputs: Vec<usize>,
 }
 
 impl KeyedNetlist {
     /// Assembles a keyed netlist (used by [`crate::transform::camouflage`]).
+    ///
+    /// Also computes [`KeyedNetlist::reached_outputs`]: one forward taint
+    /// sweep from the lowest cloaked id to the end of the arena, so every
+    /// later cone-of-influence step on this draw (the cone-keyed cache,
+    /// the attack's projection, the key proof) starts from the cone
+    /// instead of sweeping the design again.
     ///
     /// # Panics
     ///
@@ -103,11 +122,20 @@ impl KeyedNetlist {
     pub fn new(netlist: Netlist, camo_gates: Vec<CamoGate>, key_len: usize) -> Self {
         let total: usize = camo_gates.iter().map(|g| g.key_bits()).sum();
         assert_eq!(total, key_len, "key offsets inconsistent with key length");
+        let reached_outputs = reached_outputs(&netlist, &camo_gates);
         KeyedNetlist {
             netlist,
             camo_gates,
             key_len,
+            reached_outputs,
         }
+    }
+
+    /// Ordinals (positions in `outputs()`) of the primary outputs some
+    /// cloaked cell reaches, ascending. Every other output computes the
+    /// same function under every key.
+    pub fn reached_outputs(&self) -> &[usize] {
+        &self.reached_outputs
     }
 
     /// The underlying structure **with correct functions installed**
@@ -135,45 +163,62 @@ impl KeyedNetlist {
         key
     }
 
-    /// Resolves the design under `key` into a plain netlist.
-    ///
-    /// Invalid key codes (possible when a cell's candidate count is not a
-    /// power of two) select candidate `code mod len`, mirroring a chip whose
-    /// undocumented configurations alias onto documented ones.
+    /// The kind every cloaked cell takes under `key`, as `(node, kind)`
+    /// pairs in ascending node order: the cell's gate with the
+    /// [selected](CamoGate::select) candidate installed, fanins unchanged.
+    /// This is [`KeyedNetlist::resolve`] without copying the design —
+    /// resolution installs exactly these kinds.
     ///
     /// # Errors
     ///
-    /// Returns [`CamoError::KeyLengthMismatch`] on key-length mismatch.
-    pub fn resolve(&self, key: &[bool]) -> Result<Netlist, CamoError> {
+    /// Returns [`CamoError::KeyLengthMismatch`] on key-length mismatch, or
+    /// [`CamoError::NotAGate`] when a cell's node is not a gate of its
+    /// candidates' arity.
+    pub fn cell_kinds(&self, key: &[bool]) -> Result<Vec<(NodeId, NodeKind)>, CamoError> {
         if key.len() != self.key_len {
             return Err(CamoError::KeyLengthMismatch {
                 expected: self.key_len,
                 got: key.len(),
             });
         }
-        let mut nl = self.netlist.clone();
-        for g in &self.camo_gates {
-            let idx = match g.decode(key) {
-                Some(i) => i,
-                None => {
-                    let mut raw = 0usize;
-                    for b in 0..g.key_bits() {
-                        if key[g.key_offset + b] {
-                            raw |= 1 << b;
-                        }
+        let mut cells = self
+            .camo_gates
+            .iter()
+            .map(|g| {
+                let idx = g.select(key);
+                let kind = match (&g.candidates, self.netlist.kind(g.node)) {
+                    (Candidates::TwoInput(fs), NodeKind::Gate2 { a, b, .. }) => {
+                        NodeKind::Gate2 { f: fs[idx], a, b }
                     }
-                    raw % g.candidates.len()
-                }
+                    (Candidates::OneInput(fs), NodeKind::Gate1 { a, .. }) => {
+                        NodeKind::Gate1 { f: fs[idx], a }
+                    }
+                    _ => return Err(CamoError::NotAGate(g.node)),
+                };
+                Ok((g.node, kind))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        cells.sort_unstable_by_key(|&(id, _)| id);
+        Ok(cells)
+    }
+
+    /// Resolves the design under `key` into a plain netlist by installing
+    /// [`KeyedNetlist::cell_kinds`] (invalid codes alias `code mod len`,
+    /// see [`CamoGate::select`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the errors of [`KeyedNetlist::cell_kinds`].
+    pub fn resolve(&self, key: &[bool]) -> Result<Netlist, CamoError> {
+        let cells = self.cell_kinds(key)?;
+        let mut nl = self.netlist.clone();
+        for (id, kind) in cells {
+            let installed = match kind {
+                NodeKind::Gate2 { f, .. } => nl.set_gate2_function(id, f),
+                NodeKind::Gate1 { f, a } => nl.set_gate1_function(id, f, a),
+                _ => unreachable!("cloaked cells are gates"),
             };
-            match &g.candidates {
-                Candidates::TwoInput(fs) => {
-                    nl.set_gate2_function(g.node, fs[idx])
-                        .map_err(|_| CamoError::NotAGate(g.node))?;
-                }
-                Candidates::OneInput(fs) => {
-                    set_gate1_function(&mut nl, g.node, fs[idx])?;
-                }
-            }
+            installed.expect("cell_kinds matched the node's gate kind");
         }
         Ok(nl)
     }
@@ -206,18 +251,33 @@ impl KeyedNetlist {
     }
 }
 
-fn set_gate1_function(nl: &mut Netlist, node: NodeId, f: Bf1) -> Result<(), CamoError> {
-    // Netlist has no public Gate1 mutator; emulate via kind inspection and
-    // a rebuild-free in-place update through set_gate2_function's sibling.
-    // We rely on the transform having installed a Gate1 at `node`.
-    match nl.node(node).kind {
-        NodeKind::Gate1 { a, .. } => {
-            // Replace by rebuilding just this node's kind.
-            nl.set_gate1_function(node, f, a)
-                .map_err(|_| CamoError::NotAGate(node))
-        }
-        _ => Err(CamoError::NotAGate(node)),
+/// Ordinals of the outputs `gates` reach in `nl`. A node is tainted when
+/// it is a cloaked cell or any fanin is tainted; ids are topological, so
+/// one ascending pass suffices, and it starts at the lowest cloaked id —
+/// nothing below it can be tainted.
+fn reached_outputs(nl: &Netlist, gates: &[CamoGate]) -> Vec<usize> {
+    let Some(lo) = gates.iter().map(|g| g.node.index()).min() else {
+        return Vec::new();
+    };
+    let mut tainted = vec![false; nl.len() - lo];
+    for g in gates {
+        tainted[g.node.index() - lo] = true;
     }
+    for i in lo..nl.len() {
+        if !tainted[i - lo]
+            && nl
+                .fanins(NodeId(i as u32))
+                .any(|f| f.index() >= lo && tainted[f.index() - lo])
+        {
+            tainted[i - lo] = true;
+        }
+    }
+    nl.outputs()
+        .iter()
+        .enumerate()
+        .filter(|(_, o)| o.index() >= lo && tainted[o.index() - lo])
+        .map(|(k, _)| k)
+        .collect()
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use gshe_camo::{camouflage, camouflage_with_report, select_gates, CamoScheme};
 use gshe_logic::sim::random_equivalence_check;
-use gshe_logic::{GeneratorConfig, Netlist, NetlistGenerator};
+use gshe_logic::{GeneratorConfig, Netlist, NetlistGenerator, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,5 +111,39 @@ fn camo_netlists_remain_structurally_valid() {
         // Interface preserved.
         assert_eq!(keyed.netlist().inputs().len(), nl.inputs().len());
         assert_eq!(keyed.netlist().outputs().len(), nl.outputs().len());
+    }
+}
+
+#[test]
+fn reached_outputs_match_fanout_reachability() {
+    // `KeyedNetlist::new` finds the outputs the cloaked cells reach with
+    // one ascending taint sweep; check it against a depth-first walk
+    // along fanout edges from the cloaked nodes. Inv-buf, four-fn and
+    // look-alike insert cells, so their keyed netlists are renumbered.
+    // These few picks reach anywhere from none to all of the outputs.
+    for scheme in CamoScheme::ALL {
+        for (seed, level) in (20u64..40).flat_map(|s| [(s, 0.02), (s, 0.03), (s, 0.05)]) {
+            let nl = workload(seed);
+            let picks = select_gates(&nl, level, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let keyed = camouflage(&nl, &picks, scheme, &mut rng).unwrap();
+            let knl = keyed.netlist();
+            let fanouts = knl.fanout_csr();
+            let mut reached = vec![false; knl.len()];
+            let mut stack: Vec<NodeId> = keyed.camo_gates().iter().map(|g| g.node).collect();
+            while let Some(id) = stack.pop() {
+                if !std::mem::replace(&mut reached[id.index()], true) {
+                    stack.extend_from_slice(fanouts.fanouts(id));
+                }
+            }
+            let expected: Vec<usize> = knl
+                .outputs()
+                .iter()
+                .enumerate()
+                .filter(|(_, o)| reached[o.index()])
+                .map(|(k, _)| k)
+                .collect();
+            assert_eq!(keyed.reached_outputs(), &expected[..], "{scheme}/{level}");
+        }
     }
 }

@@ -42,8 +42,11 @@
 //! patterns would be megabyte keys. The cone fingerprint mixes the
 //! netlist fingerprint, the cone input ordinal list, and a salt, so
 //! cone entries can never alias full-key entries or another cone's.
-//! The full-key path is byte-identical to the historical behaviour
-//! when no cone is installed.
+//! Every cone-keyed query asserts the invariant: a block whose valid
+//! patterns set an input outside the cone panics instead of aliasing.
+//!
+//! The netlist fingerprint is [`Netlist::structural_hash`] — one pass
+//! over the raw arena, names left out.
 //!
 //! [`CacheLayer`] is the layer itself: a thin `query_block`-first
 //! combinator over any inner [`Oracle`]. It only composes soundly over
@@ -54,7 +57,7 @@
 
 use crate::job::hash_mix;
 use gshe_attacks::{Oracle, OracleStack};
-use gshe_logic::{Netlist, NodeKind, PatternBlock};
+use gshe_logic::{Netlist, PatternBlock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -330,38 +333,15 @@ fn hash_key(key: &Key) -> u64 {
     h
 }
 
-/// A stable structural fingerprint of a netlist, independent of memory
-/// addresses: hashes the node kinds, wiring, and output list.
-pub fn netlist_fingerprint(netlist: &Netlist) -> u64 {
-    let mut h = hash_mix(netlist.len() as u64);
-    for node in netlist.nodes() {
-        let tag = match node.kind {
-            NodeKind::Input => 0x11,
-            NodeKind::Const(c) => 0x20 | c as u64,
-            NodeKind::Gate1 { f, a } => 0x3000 | ((f as u64) << 32) | (a.index() as u64),
-            NodeKind::Gate2 { f, a, b } => {
-                0x4000
-                    | ((f.truth_table() as u64) << 48)
-                    | ((a.index() as u64) << 24)
-                    | (b.index() as u64)
-            }
-        };
-        h = hash_mix(h ^ tag);
-    }
-    for out in netlist.outputs() {
-        h = hash_mix(h ^ (0x5000 | out.index() as u64));
-    }
-    h
-}
-
 /// The cone-input key space of one `(netlist, cone)` pair: the
 /// full-design input ordinals the attacked cone actually reads, plus a
 /// fingerprint mixing the netlist fingerprint with that ordinal list
-/// under a salt. Install on a [`CacheLayer`] **only** when every query
-/// reaching it is guaranteed to carry `false` on all non-listed input
+/// under a salt. Install on a [`CacheLayer`] **only** when every valid
+/// pattern of every query reaching it is `false` on all non-listed input
 /// positions — the invariant `gshe_attacks::CoiOracle`'s scatter
 /// provides — so the full output lanes are a pure function of the
-/// listed lanes and keying on them alone is sound.
+/// listed lanes and keying on them alone is sound. The layer asserts the
+/// invariant on every block.
 #[derive(Debug, Clone)]
 pub struct ConeKey {
     /// Full-design input ordinals the cone reads, ascending.
@@ -372,10 +352,18 @@ pub struct ConeKey {
 
 impl ConeKey {
     /// Builds the key space for the cone reading `inputs` (full-design
-    /// input ordinals) of the netlist identified by `full_fingerprint`.
-    /// The salt keeps cone entries disjoint from full-key entries even
-    /// for a cone that happens to read every input.
+    /// input ordinals, ascending) of the netlist identified by
+    /// `full_fingerprint`. The salt keeps cone entries disjoint from
+    /// full-key entries even for a cone that happens to read every input.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs` is not strictly ascending.
     pub fn new(full_fingerprint: u64, inputs: Vec<usize>) -> Self {
+        assert!(
+            inputs.windows(2).all(|w| w[0] < w[1]),
+            "cone input ordinals must be strictly ascending"
+        );
         let mut h = hash_mix(full_fingerprint ^ 0xC04E_1B17_5A17_ED01);
         h = hash_mix(h ^ inputs.len() as u64);
         for &i in &inputs {
@@ -390,6 +378,22 @@ impl ConeKey {
     /// Number of cone inputs (the sub-pattern width, in bits).
     pub fn width(&self) -> usize {
         self.inputs.len()
+    }
+
+    /// Panics unless every valid pattern of `block` is `false` on every
+    /// input outside the cone — the contract that makes keying on the
+    /// cone lanes alone sound. One pass over the lanes.
+    fn assert_conforms(&self, block: &PatternBlock) {
+        let mask = block.valid_mask();
+        let mut cone = self.inputs.iter().peekable();
+        for (i, &lane) in block.lanes.iter().enumerate() {
+            if cone.next_if_eq(&&i).is_none() {
+                assert!(
+                    lane & mask == 0,
+                    "cone-keyed cache query sets input {i}, which is outside the cone"
+                );
+            }
+        }
     }
 }
 
@@ -449,7 +453,7 @@ pub struct CacheLayer<O> {
 
 impl<O: Oracle> CacheLayer<O> {
     /// Stacks the cache over `inner`, whose netlist is identified by
-    /// `fingerprint` (see [`netlist_fingerprint`]).
+    /// `fingerprint` (see [`Netlist::structural_hash`]).
     pub fn new(inner: O, fingerprint: u64, cache: Arc<OracleCache>) -> Self {
         CacheLayer {
             inner,
@@ -461,7 +465,7 @@ impl<O: Oracle> CacheLayer<O> {
     }
 
     /// Switches this layer to cone-input keys. See [`ConeKey`] for the
-    /// soundness contract the caller must uphold.
+    /// soundness contract the caller must uphold; every query asserts it.
     pub fn with_cone(mut self, cone: ConeKey) -> Self {
         self.cone = Some(cone);
         self
@@ -474,12 +478,15 @@ impl<O: Oracle> Oracle for CacheLayer<O> {
         let timed = gshe_obs::enabled().then(std::time::Instant::now);
         let inner = &mut self.inner;
         let out = match &self.cone {
-            Some(cone) => self.cache.get_or_insert_packed(
-                cone.fingerprint,
-                pack_block_cone(block, cone),
-                true,
-                || inner.query_block(block),
-            ),
+            Some(cone) => {
+                cone.assert_conforms(block);
+                self.cache.get_or_insert_packed(
+                    cone.fingerprint,
+                    pack_block_cone(block, cone),
+                    true,
+                    || inner.query_block(block),
+                )
+            }
             None => self
                 .cache
                 .get_or_insert_block(self.fingerprint, block, || inner.query_block(block)),
@@ -512,7 +519,7 @@ impl<'a> CachedOracle<'a> {
     pub fn over(netlist: &'a Netlist, cache: Arc<OracleCache>) -> Self {
         CacheLayer::new(
             OracleStack::exact(netlist),
-            netlist_fingerprint(netlist),
+            netlist.structural_hash(),
             cache,
         )
     }
@@ -523,12 +530,17 @@ impl<'a> CachedOracle<'a> {
     /// [`gshe_attacks::cone_inputs`](gshe_attacks::coi::cone_inputs)).
     /// Sound only when every query arrives through the matching
     /// `CoiOracle` scatter — see [`ConeKey`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cone_inputs` is not strictly ascending, and on any query
+    /// whose valid patterns set an input outside the cone.
     pub fn over_cone(
         netlist: &'a Netlist,
         cache: Arc<OracleCache>,
         cone_inputs: Vec<usize>,
     ) -> Self {
-        let fingerprint = netlist_fingerprint(netlist);
+        let fingerprint = netlist.structural_hash();
         CacheLayer::new(OracleStack::exact(netlist), fingerprint, cache)
             .with_cone(ConeKey::new(fingerprint, cone_inputs))
     }
@@ -561,19 +573,6 @@ mod tests {
         // Query counting is per-oracle, unaffected by caching.
         assert_eq!(a.queries(), 1);
         assert_eq!(b.queries(), 1);
-    }
-
-    #[test]
-    fn fingerprint_is_structural() {
-        let c17 = parse_bench(C17_BENCH).unwrap();
-        let fp_a = netlist_fingerprint(&c17);
-        // Identical structure → identical fingerprint, regardless of
-        // allocation identity.
-        assert_eq!(netlist_fingerprint(&c17.clone()), fp_a);
-
-        // A genuinely different circuit gets a different fingerprint.
-        let tiny = parse_bench("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\n").unwrap();
-        assert_ne!(netlist_fingerprint(&tiny), fp_a);
     }
 
     #[test]
@@ -808,6 +807,26 @@ mod tests {
         let misses_before = cone_cache.stats().1;
         assert_eq!(second.query_block(&block), lanes);
         assert_eq!(cone_cache.stats().1, misses_before, "warm trial re-misses");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the cone")]
+    fn cone_keyed_queries_must_be_zero_outside_the_cone() {
+        // Two blocks that differ only outside the cone would share one
+        // cone-keyed entry and get one answer for two different output
+        // sets, so the layer refuses any block that sets a non-cone input
+        // in a valid pattern.
+        let nl = parse_bench(C17_BENCH).unwrap();
+        let mut o = CachedOracle::over_cone(&nl, OracleCache::shared(), vec![0, 2]);
+        // Garbage beyond the valid patterns is allowed.
+        let conforming = PatternBlock {
+            lanes: vec![0b01, 0b100, 0b11, 0, 0b100],
+            count: 2,
+        };
+        o.query_block(&conforming);
+        let mut stray = conforming;
+        stray.lanes[4] = 0b10;
+        o.query_block(&stray);
     }
 
     #[test]

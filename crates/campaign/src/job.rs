@@ -571,9 +571,12 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
                     // sub-pattern instead of the full input width —
                     // superblue-wide blocks shrink to cone-width keys and
                     // hit across jobs whose non-cone lanes differ.
-                    let mut oracle = match cone_inputs(&keyed, ctx.coi_mode) {
-                        Some(cone) => CachedOracle::over_cone(nl, Arc::clone(&ctx.cache), cone),
-                        None => CachedOracle::over(nl, Arc::clone(&ctx.cache)),
+                    let mut oracle = {
+                        let _span = gshe_obs::span("job.oracle_build");
+                        match cone_inputs(&keyed, ctx.coi_mode) {
+                            Some(cone) => CachedOracle::over_cone(nl, Arc::clone(&ctx.cache), cone),
+                            None => CachedOracle::over(nl, Arc::clone(&ctx.cache)),
+                        }
                     };
                     runner.run(&keyed, &mut oracle)
                 }

@@ -146,7 +146,7 @@ pub mod search;
 pub mod spec;
 
 pub use aggregate::{CellKey, DeviceRow, TableRow};
-pub use cache::{netlist_fingerprint, CacheLayer, CachedOracle, OracleCache};
+pub use cache::{CacheLayer, CachedOracle, OracleCache};
 pub use job::{
     noise_profile, run_job, select_seed, transform_seed, AttackSeeds, JobContext, JobKind,
     JobResult, JobSpec, JobStatus, KeyedMemo, NoiseShape,

@@ -44,7 +44,7 @@ pub use bf2::{Bf1, Bf2};
 pub use builder::NetlistBuilder;
 pub use error::LogicError;
 pub use generator::{GeneratorConfig, NetlistGenerator, Topology, LOCAL_WINDOW};
-pub use netlist::{FanoutCsr, IdMap, Netlist, Node, NodeId, NodeKind, NodeRef};
+pub use netlist::{FanoutCsr, IdMap, Netlist, Node, NodeId, NodeKind, NodeRef, NodeSet};
 pub use noise::{ErrorProfile, FaultSimulator};
 pub use opt::{optimize, optimize_protected, OptReport};
 pub use seq::scan_preprocess;

@@ -41,6 +41,11 @@
 //! original primary-input order (restricted to the cone), and is
 //! re-validated by [`Netlist::check`]. The SAT attack uses this to encode
 //! cone-of-influence-restricted miters at superblue scale.
+//!
+//! [`Netlist::fanin_set`] is the walk underneath: it marks the cone in a
+//! [`NodeSet`] (one bit per node plus a rank index) and visits only the
+//! cone, so a pass that needs a table per cone node indexes it by cone
+//! position instead of allocating one entry per design node.
 
 use crate::bf2::{Bf1, Bf2};
 use crate::error::LogicError;
@@ -653,29 +658,47 @@ impl Netlist {
     }
 
     /// Ids of nodes in the transitive fanin cone of `root` (including
-    /// `root`).
+    /// `root`), ascending.
     pub fn fanin_cone(&self, root: NodeId) -> Vec<NodeId> {
-        let marked = self.mark_cone(&[root]);
-        marked
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
+        self.fanin_set(&[root]).iter().collect()
     }
 
-    /// Marks the transitive fanin cone of `roots` (backward DFS).
-    fn mark_cone(&self, roots: &[NodeId]) -> Vec<bool> {
-        let mut marked = vec![false; self.len()];
+    /// The transitive fanin cone of `roots` (roots included) as a
+    /// [`NodeSet`]. A backward walk from the roots: it visits only the
+    /// cone, plus one bit per design node for the membership set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any root id is out of range.
+    pub fn fanin_set(&self, roots: &[NodeId]) -> NodeSet {
+        let mut words = vec![0u64; self.len().div_ceil(64)];
         let mut stack: Vec<NodeId> = roots.to_vec();
         while let Some(id) = stack.pop() {
-            if marked[id.index()] {
-                continue;
+            let (w, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+            if words[w] & bit == 0 {
+                words[w] |= bit;
+                stack.extend(self.fanins(id));
             }
-            marked[id.index()] = true;
-            stack.extend(self.fanins(id));
         }
-        marked
+        NodeSet::from_words(words, self.len())
+    }
+
+    /// A hash of the netlist's structure: every node's kind, function and
+    /// fanin wiring, and the output list. Names are left out, so two
+    /// netlists that differ only in signal names hash equal. Stable across
+    /// runs and processes.
+    ///
+    /// One pass over the raw arena (`meta`, `fanin_a`, `fanin_b`, then
+    /// `outputs`), spread over four independent multiply-rotate lanes so
+    /// consecutive words do not wait on each other.
+    pub fn structural_hash(&self) -> u64 {
+        let mut h = LaneHash::new(self.len() as u64, self.outputs.len() as u64);
+        h.absorb_bytes(&self.meta);
+        h.absorb_u32(&self.fanin_a);
+        h.absorb_u32(&self.fanin_b);
+        let outputs: Vec<u32> = self.outputs.iter().map(|o| o.0).collect();
+        h.absorb_u32(&outputs);
+        h.finish()
     }
 
     /// Extracts the transitive fanin cone of `roots` as a standalone
@@ -690,23 +713,20 @@ impl Netlist {
     ///
     /// Panics if any root id is out of range.
     pub fn cone_of(&self, roots: &[NodeId]) -> (Netlist, IdMap) {
-        let n = self.len();
-        let marked = self.mark_cone(roots);
-        let cone_n = marked.iter().filter(|&&m| m).count();
-        let mut forward = vec![u32::MAX; n];
+        let set = self.fanin_set(roots);
+        let cone_n = set.len();
+        // Cone id of a member: its position in the ascending member order.
+        let forward = |full: u32| set.position(NodeId(full)).expect("fanin in cone") as u32;
         let mut back = Vec::with_capacity(cone_n);
         let mut meta = Vec::with_capacity(cone_n);
         let mut fanin_a = Vec::with_capacity(cone_n);
         let mut fanin_b = Vec::with_capacity(cone_n);
         let mut names = NameTable::with_capacity(cone_n);
         let mut inputs = Vec::new();
-        for i in 0..n {
-            if !marked[i] {
-                continue;
-            }
+        for id in set.iter() {
+            let i = id.index();
             let new_id = back.len() as u32;
-            forward[i] = new_id;
-            back.push(NodeId(i as u32));
+            back.push(id);
             let m = self.meta[i];
             let (a, b) = match m & TAG_MASK {
                 TAG_INPUT => {
@@ -714,18 +734,15 @@ impl Netlist {
                     (inputs.len() as u32 - 1, 0)
                 }
                 TAG_CONST => (0, 0),
-                TAG_GATE1 => (forward[self.fanin_a[i] as usize], 0),
-                _ => (
-                    forward[self.fanin_a[i] as usize],
-                    forward[self.fanin_b[i] as usize],
-                ),
+                TAG_GATE1 => (forward(self.fanin_a[i]), 0),
+                _ => (forward(self.fanin_a[i]), forward(self.fanin_b[i])),
             };
             meta.push(m);
             fanin_a.push(a);
             fanin_b.push(b);
             names.push(self.names.get(i));
         }
-        let outputs = roots.iter().map(|r| NodeId(forward[r.index()])).collect();
+        let outputs = roots.iter().map(|r| NodeId(forward(r.0))).collect();
         let cone = Netlist {
             name: format!("{}_cone", self.name),
             meta,
@@ -737,7 +754,7 @@ impl Netlist {
         };
         cone.check()
             .expect("cone extraction preserves netlist invariants");
-        (cone, IdMap { forward, back })
+        (cone, IdMap { set, back })
     }
 }
 
@@ -819,11 +836,150 @@ impl FanoutCsr {
     }
 }
 
+/// A set of node ids of one netlist: a bitset over the ids plus a rank
+/// index, so membership and a member's *position* (its index among the
+/// members in ascending id order) are O(1), and iteration is ascending.
+/// Tables indexed by position are as long as the set, not the design —
+/// which is how cone-sized passes over a superblue-scale design avoid
+/// design-sized tables. Built by [`Netlist::fanin_set`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NodeSet {
+    words: Vec<u64>,
+    /// Members in the words before word `w`.
+    rank: Vec<u32>,
+    /// Number of ids the set ranges over (the netlist's node count).
+    universe: usize,
+}
+
+impl NodeSet {
+    fn from_words(words: Vec<u64>, universe: usize) -> Self {
+        let mut rank = Vec::with_capacity(words.len() + 1);
+        let mut total = 0u32;
+        for w in &words {
+            rank.push(total);
+            total += w.count_ones();
+        }
+        rank.push(total);
+        NodeSet {
+            words,
+            rank,
+            universe,
+        }
+    }
+
+    /// `true` if `id` is a member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of the set's range.
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.words[id.index() / 64] >> (id.index() % 64) & 1 == 1
+    }
+
+    /// The index of `id` among the members in ascending id order, or
+    /// `None` if `id` is not a member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of the set's range.
+    #[inline]
+    pub fn position(&self, id: NodeId) -> Option<usize> {
+        let (w, b) = (id.index() / 64, id.index() % 64);
+        let word = self.words[w];
+        (word >> b & 1 == 1)
+            .then(|| self.rank[w] as usize + (word & ((1u64 << b) - 1)).count_ones() as usize)
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        *self.rank.last().expect("rank has a final total") as usize
+    }
+
+    /// `true` if the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of ids the set ranges over.
+    pub(crate) fn universe(&self) -> usize {
+        self.universe
+    }
+
+    /// The members, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    NodeId((w * 64) as u32 + b)
+                })
+            })
+        })
+    }
+}
+
+/// Four independent multiply-rotate accumulators for
+/// [`Netlist::structural_hash`]: word `j` of every 4-word group feeds
+/// lane `j`, so each step depends only on its own lane's last state.
+struct LaneHash([u64; 4]);
+
+impl LaneHash {
+    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    fn new(nodes: u64, outputs: u64) -> Self {
+        LaneHash([nodes, outputs, 0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344])
+    }
+
+    #[inline]
+    fn absorb(&mut self, words: [u64; 4]) {
+        for (lane, w) in self.0.iter_mut().zip(words) {
+            *lane = (*lane ^ w).wrapping_mul(Self::MUL).rotate_left(29);
+        }
+    }
+
+    /// Absorbs `bytes` 32 at a time; a short tail is zero-padded (the
+    /// lengths seeded in [`LaneHash::new`] keep padding unambiguous).
+    fn absorb_bytes(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(32);
+        for c in &mut chunks {
+            self.absorb(std::array::from_fn(|j| {
+                u64::from_le_bytes(c[8 * j..8 * j + 8].try_into().expect("8 bytes"))
+            }));
+        }
+        let mut tail = [0u8; 32];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        self.absorb(std::array::from_fn(|j| {
+            u64::from_le_bytes(tail[8 * j..8 * j + 8].try_into().expect("8 bytes"))
+        }));
+    }
+
+    /// Absorbs `words` eight at a time, two per lane word.
+    fn absorb_u32(&mut self, words: &[u32]) {
+        let pair = |c: &[u32], j: usize| c[2 * j] as u64 | (c[2 * j + 1] as u64) << 32;
+        let mut chunks = words.chunks_exact(8);
+        for c in &mut chunks {
+            self.absorb(std::array::from_fn(|j| pair(c, j)));
+        }
+        let mut tail = [0u32; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        self.absorb(std::array::from_fn(|j| pair(&tail, j)));
+    }
+
+    fn finish(self) -> u64 {
+        self.0
+            .iter()
+            .fold(0, |h, &lane| crate::noise::splitmix(h ^ lane))
+    }
+}
+
 /// Old-id ↔ new-id correspondence produced by [`Netlist::cone_of`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IdMap {
-    /// Full-netlist id → cone id (`u32::MAX` when outside the cone).
-    forward: Vec<u32>,
+    /// The cone's members in the full netlist; a member's position is
+    /// its cone id.
+    set: NodeSet,
     /// Cone id → full-netlist id.
     back: Vec<NodeId>,
 }
@@ -835,10 +991,7 @@ impl IdMap {
     ///
     /// Panics if `full` is out of range for the full netlist.
     pub fn to_cone(&self, full: NodeId) -> Option<NodeId> {
-        match self.forward[full.index()] {
-            u32::MAX => None,
-            i => Some(NodeId(i)),
-        }
+        self.set.position(full).map(|i| NodeId(i as u32))
     }
 
     /// The full-netlist id of cone node `cone`.
@@ -852,7 +1005,7 @@ impl IdMap {
 
     /// `true` if `full` lies in the cone.
     pub fn contains(&self, full: NodeId) -> bool {
-        self.forward[full.index()] != u32::MAX
+        self.set.contains(full)
     }
 
     /// Number of nodes in the cone.
@@ -862,7 +1015,7 @@ impl IdMap {
 
     /// Number of nodes in the full netlist.
     pub fn full_len(&self) -> usize {
-        self.forward.len()
+        self.set.universe()
     }
 }
 
@@ -1135,6 +1288,87 @@ mod tests {
         assert!(nl.arena_bytes() < 8 * 64, "{}", nl.arena_bytes());
         let (cone, _) = nl.cone_of(&[nl.find("cout").unwrap()]);
         assert!(cone.arena_bytes() < nl.arena_bytes());
+    }
+
+    /// `nl` rebuilt through [`Netlist::from_parts`] after `edit` changes
+    /// its nodes and output list.
+    fn rebuild(nl: &Netlist, edit: impl FnOnce(&mut Vec<Node>, &mut Vec<NodeId>)) -> Netlist {
+        let mut nodes: Vec<Node> = nl
+            .nodes()
+            .map(|n| Node {
+                kind: n.kind,
+                name: n.name.to_string(),
+            })
+            .collect();
+        let mut outputs = nl.outputs().to_vec();
+        edit(&mut nodes, &mut outputs);
+        Netlist::from_parts(nl.name(), nodes, nl.inputs().to_vec(), outputs).unwrap()
+    }
+
+    #[test]
+    fn structural_hash_covers_structure_not_names() {
+        let nl = full_adder();
+        let h = nl.structural_hash();
+        assert_eq!(nl.clone().structural_hash(), h);
+        let renamed = rebuild(&nl, |nodes, _| {
+            for n in nodes {
+                n.name.insert_str(0, "renamed_");
+            }
+        });
+        assert_eq!(renamed.structural_hash(), h, "names are not structure");
+
+        let cout = nl.find("cout").unwrap();
+        let mut refunc = nl.clone();
+        refunc.set_gate2_function(cout, Bf2::AND).unwrap();
+        assert_ne!(refunc.structural_hash(), h, "one changed function");
+
+        // cout = OR(c1, c2); rewire each fanin in turn to s1.
+        let s1 = nl.find("s1").unwrap();
+        let (c1, c2) = (nl.find("c1").unwrap(), nl.find("c2").unwrap());
+        for (a, b) in [(s1, c2), (c1, s1)] {
+            let rewired = rebuild(&nl, |nodes, _| {
+                nodes[cout.index()].kind = NodeKind::Gate2 { f: Bf2::OR, a, b };
+            });
+            assert_ne!(rewired.structural_hash(), h, "one rewired fanin");
+        }
+
+        let swapped = rebuild(&nl, |_, outputs| outputs.swap(0, 1));
+        assert_ne!(swapped.structural_hash(), h, "two swapped outputs");
+
+        let mut b = NetlistBuilder::new("tiny");
+        let a = b.input("a");
+        let z = b.gate1("z", Bf1::Inv, a);
+        b.output(z);
+        assert_ne!(b.finish().unwrap().structural_hash(), h, "another circuit");
+    }
+
+    #[test]
+    fn fanin_set_ranks_members_in_id_order() {
+        // Two interleaved inverter chains over 200 nodes: the cone of one
+        // chain's end is every other node, spread across four bit words.
+        let mut b = NetlistBuilder::new("chains");
+        let mut ends = [b.input("x"), b.input("y")];
+        for i in 0..99 {
+            for (c, end) in ends.iter_mut().enumerate() {
+                *end = b.gate1(format!("g{c}_{i}"), Bf1::Inv, *end);
+            }
+        }
+        b.output(ends[0]);
+        b.output(ends[1]);
+        let nl = b.finish().unwrap();
+        let set = nl.fanin_set(&[ends[1]]);
+        let members: Vec<NodeId> = set.iter().collect();
+        assert_eq!(members.len(), 100);
+        assert_eq!(set.len(), 100);
+        assert_eq!(set.universe(), nl.len());
+        assert!(members.windows(2).all(|w| w[0] < w[1]), "ascending");
+        for (pos, &id) in members.iter().enumerate() {
+            assert!(set.contains(id));
+            assert_eq!(set.position(id), Some(pos));
+        }
+        assert_eq!(set.position(ends[0]), None);
+        assert!(!set.contains(ends[0]));
+        assert!(nl.fanin_set(&[]).is_empty());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spin_hall_security::attacks::sat_equivalent_on;
+use spin_hall_security::attacks::{sat_equivalent_on, verify_key_scoped, CoiMode};
 use spin_hall_security::camo::{camouflage, select_gates_count, CamoScheme};
 use spin_hall_security::logic::bench_format::{parse_bench, write_bench};
 use spin_hall_security::logic::sim::random_equivalence_check;
@@ -191,6 +191,12 @@ proptest! {
     /// correct, a one-bit-flipped or a random key, and any non-empty
     /// output subset. Inv-buf, four-fn and look-alike insert cells, so the
     /// two sides differ structurally and the solver must decide.
+    ///
+    /// Key verification, which substitutes the key's functions into the
+    /// keyed netlist instead of resolving it, must agree with the same
+    /// simulation on all four outputs under both COI modes. Random keys
+    /// hit invalid codes (look-alike has 3 candidates on 2 key bits), so
+    /// the decode rule verification shares with resolution is covered.
     #[test]
     fn sat_equivalent_on_matches_exhaustive_simulation(
         seed in 0u64..200,
@@ -225,6 +231,15 @@ proptest! {
             outputs.iter().all(|&k| ya[k] == yb[k])
         });
         prop_assert_eq!(sat_equivalent_on(&nl, &resolved, &outputs), simulated);
+
+        let all_equal = (0..256u32).all(|p| {
+            let x: Vec<bool> = (0..8).map(|i| (p >> i) & 1 == 1).collect();
+            nl.evaluate(&x) == resolved.evaluate(&x)
+        });
+        for mode in [CoiMode::On, CoiMode::Off] {
+            let verdict = verify_key_scoped(&nl, &keyed, &key, mode).unwrap();
+            prop_assert_eq!(verdict.functionally_equivalent, all_equal, "{:?}", mode);
+        }
     }
 
     /// STA invariants: arrival monotone along edges, slack non-negative off

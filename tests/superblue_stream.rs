@@ -127,12 +127,22 @@ fn superblue_stream() {
     let sb1 =
         suites::benchmark_scaled_with(suites::spec("sb1").unwrap(), SCALE, SEED, Topology::Local);
     let cone: Vec<usize> = (0..64).collect();
+    let mut rng = StdRng::seed_from_u64(17);
+    // Random cone lanes scattered into zero-filled full-width blocks, as
+    // `CoiOracle` does: the cone-keyed cache keys on the cone lanes
+    // alone and rejects blocks that set any other input.
+    let blocks: Vec<PatternBlock> = (0..32)
+        .map(|_| {
+            let cone_block = PatternBlock::random(cone.len(), &mut rng);
+            let mut lanes = vec![0u64; sb1.inputs().len()];
+            for (&full, &lane) in cone.iter().zip(&cone_block.lanes) {
+                lanes[full] = lane;
+            }
+            PatternBlock { lanes, count: 64 }
+        })
+        .collect();
     let cache = OracleCache::shared_with_cap(0);
     let mut oracle = CachedOracle::over_cone(&sb1, cache, cone);
-    let mut rng = StdRng::seed_from_u64(17);
-    let blocks: Vec<PatternBlock> = (0..32)
-        .map(|_| PatternBlock::random(sb1.inputs().len(), &mut rng))
-        .collect();
     let cold_t = Instant::now();
     for block in &blocks {
         oracle.query_block(block);
