@@ -102,6 +102,47 @@ mod tests {
     }
 
     #[test]
+    fn reinforcement_runs_after_every_third_dip() {
+        // One reinforcement round per `reinforce_every` DIPs, each round
+        // `samples_per_round` oracle queries; a negative threshold never
+        // exits early, so every round runs to its full sample count.
+        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 100).with_seed(42))
+            .unwrap()
+            .generate();
+        let picks = select_gates(&nl, 0.3, 19);
+        let mut rng = TestRng::seed_from_u64(19);
+        let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
+        let mut oracle = OracleStack::exact(&nl);
+        let samples = 7;
+        let config = AppSatConfig {
+            reinforce_every: 3,
+            samples_per_round: samples,
+            error_threshold: -1.0,
+            ..Default::default()
+        };
+        let out = appsat_attack(&keyed, &mut oracle, &config);
+        assert_eq!(out.status, AttackStatus::Success);
+        let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
+        assert!(v.functionally_equivalent);
+        assert_eq!(
+            out.queries,
+            out.iterations + (out.iterations / 3) * samples as u64,
+            "{} DIPs",
+            out.iterations
+        );
+        // The first round follows the third DIP, not an earlier one.
+        let capped = AppSatConfig {
+            base: AttackConfig {
+                max_iterations: Some(2),
+                ..config.base
+            },
+            ..config
+        };
+        let out = appsat_attack(&keyed, &mut OracleStack::exact(&nl), &capped);
+        assert_eq!((out.iterations, out.queries), (2, 2));
+    }
+
+    #[test]
     fn appsat_early_exit_with_loose_threshold() {
         let nl = NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 100).with_seed(43))
             .unwrap()

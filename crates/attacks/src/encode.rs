@@ -321,38 +321,6 @@ fn encode_camo_cell_fixed<S: ClauseSink>(
     z
 }
 
-/// Asserts two encoded output vectors agree pairwise (without pinning
-/// either to a constant). This is the batched-DIP *class-split blocker*:
-/// asserting that all key copies agree on an already-discovered DIP forces
-/// the next miter model onto a key-class split no batched DIP witnesses —
-/// and once the oracle's observation pins both vectors to the same
-/// constants, the agreement is implied, so the constraint is sound to keep
-/// permanently.
-///
-/// # Panics
-///
-/// Panics on width mismatch.
-pub fn assert_outputs_agree<S: ClauseSink>(
-    enc: &mut CircuitEncoder<'_, S>,
-    a: &[SigVal],
-    b: &[SigVal],
-) {
-    assert_eq!(a.len(), b.len(), "output width mismatch");
-    for (&x, &y) in a.iter().zip(b) {
-        match (x, y) {
-            (SigVal::Known(va), SigVal::Known(vb)) => {
-                if va != vb {
-                    enc.clause(&[]);
-                }
-            }
-            (SigVal::Known(v), SigVal::Sym(l)) | (SigVal::Sym(l), SigVal::Known(v)) => {
-                enc.assert(if v { l } else { !l });
-            }
-            (SigVal::Sym(la), SigVal::Sym(lb)) => enc.equal(la, lb),
-        }
-    }
-}
-
 /// Asserts `outputs == expected`; a `Known` mismatch adds the empty clause
 /// (the constraint set is contradictory — exactly what happens when a
 /// stochastic oracle returns an output no key can explain).

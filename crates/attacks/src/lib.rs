@@ -12,9 +12,8 @@
 //!   ([`appsat_attack`]);
 //! * the shared [`dip_engine`] all three delegate to: one
 //!   miter/constraint-accumulation loop parameterized by a
-//!   [`RefinePolicy`], discovering up to [`AttackConfig::dip_batch`] DIPs
-//!   per solver round and resolving each batch through **one**
-//!   bit-parallel [`Oracle::query_block`] call;
+//!   [`RefinePolicy`], querying the oracle once per discriminating input
+//!   pattern and pinning every key copy to the answer;
 //! * the working chip as one layered [`OracleStack`] behind the
 //!   [`Oracle`] trait: a bit-parallel base (exact or fault-injecting)
 //!   with an optional key-rotation layer — the perfect chip
@@ -45,7 +44,7 @@ pub mod stack;
 
 pub use appsat::{appsat_attack, AppSatConfig};
 pub use coi::{cone_inputs, CoiMode, CoiOracle, CoiProjection};
-pub use dip_engine::{RefinePolicy, DEFAULT_BATCH_WIDTH};
+pub use dip_engine::RefinePolicy;
 pub use double_dip::double_dip_attack;
 pub use encode::{assert_valid_key_codes, encode_keyed, encode_keyed_fixed, EncodedCopy};
 pub use gshe_sat::SimplifyMode;

@@ -79,21 +79,10 @@ impl AttackRunner {
     }
 
     /// A runner with full control over the engine limits — the scoring
-    /// entry point for callers (the campaign profile search) that tune
-    /// `dip_batch`/budgets per evaluation instead of per campaign.
+    /// entry point for callers (the campaign profile search) that set
+    /// the limits per evaluation instead of per campaign.
     pub fn with_config(kind: AttackKind, config: AttackConfig, seed: u64) -> Self {
         AttackRunner { kind, config, seed }
-    }
-
-    /// Returns the runner with its DIP batch width set to `width` (see
-    /// [`AttackConfig::dip_batch`];
-    /// [`crate::dip_engine::DEFAULT_BATCH_WIDTH`] is the recommended
-    /// throughput setting for scoring runs).
-    pub fn with_dip_batch(self, width: usize) -> Self {
-        AttackRunner {
-            config: self.config.with_dip_batch(width),
-            ..self
-        }
     }
 
     /// Runs the configured attack against `keyed` using `oracle`.
@@ -144,24 +133,22 @@ mod tests {
     }
 
     #[test]
-    fn with_config_and_batch_width_reach_the_engine() {
-        // The scoring entry point: a width-16 runner must still break the
-        // instance, issuing no more solver rounds than queries.
+    fn with_config_reaches_the_engine() {
+        // The scoring entry point: the runner's config, not a default,
+        // bounds the engine's DIP loop.
         let nl = parse_bench(C17_BENCH).unwrap();
         let picks = select_gates(&nl, 1.0, 5);
         let mut rng = StdRng::seed_from_u64(5);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
-        let config = crate::AttackConfig::with_timeout_secs(30);
-        let runner = AttackRunner::with_config(AttackKind::Sat, config, 1).with_dip_batch(16);
-        assert_eq!(runner.config.dip_batch, 16);
+        let config = crate::AttackConfig {
+            max_iterations: Some(1),
+            ..crate::AttackConfig::with_timeout_secs(30)
+        };
+        let runner = AttackRunner::with_config(AttackKind::Sat, config, 1);
         let mut oracle = OracleStack::exact(&nl);
         let out = runner.run(&keyed, &mut oracle);
-        assert_eq!(out.status, AttackStatus::Success);
-        assert!(
-            verify_key(&nl, &keyed, out.key.as_ref().unwrap())
-                .unwrap()
-                .functionally_equivalent
-        );
+        assert_eq!(out.status, AttackStatus::Timeout);
+        assert_eq!((out.iterations, out.queries), (1, 1));
     }
 
     #[test]

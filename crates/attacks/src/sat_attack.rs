@@ -29,13 +29,6 @@ pub struct AttackConfig {
     pub conflicts_per_slice: u64,
     /// Variable budget (mirrors the paper's lglib 134M-variable failure).
     pub max_vars: Option<usize>,
-    /// DIPs discovered per solver round (clamped to `1..=64`): the round's
-    /// patterns are answered by **one** bit-parallel
-    /// [`Oracle::query_block`] call. `1` (the default) is the classic
-    /// one-query-per-iteration loop;
-    /// [`crate::dip_engine::DEFAULT_BATCH_WIDTH`] is the recommended
-    /// throughput setting.
-    pub dip_batch: usize,
     /// Cone-of-influence miter reduction ([`CoiMode::On`] by default:
     /// whenever the cloaked cells reach a strict subset of the outputs,
     /// the attack runs on their output cone, at any design size;
@@ -45,7 +38,7 @@ pub struct AttackConfig {
     /// ([`SimplifyMode::Off`] by default; [`SimplifyMode::On`]
     /// preprocesses the miter — subsumption, self-subsumption
     /// strengthening, and bounded variable elimination — at the first
-    /// solve and vivifies learnts at restart boundaries).
+    /// solve).
     pub simplify: SimplifyMode,
 }
 
@@ -56,7 +49,6 @@ impl Default for AttackConfig {
             max_iterations: None,
             conflicts_per_slice: 20_000,
             max_vars: Some(134_217_724),
-            dip_batch: 1,
             coi: CoiMode::default(),
             simplify: SimplifyMode::default(),
         }
@@ -69,14 +61,6 @@ impl AttackConfig {
         AttackConfig {
             timeout: Duration::from_secs(secs),
             ..Default::default()
-        }
-    }
-
-    /// Returns the configuration with the DIP batch width set to `width`.
-    pub fn with_dip_batch(self, width: usize) -> Self {
-        AttackConfig {
-            dip_batch: width,
-            ..self
         }
     }
 

@@ -112,11 +112,11 @@ fn sb1_smoke() {
         nl.len()
     );
 
-    // One campaign-style cell: batched SAT attack against the exact
-    // working chip. The miter solves over a ~27k-node cone with
+    // One campaign-style cell: the SAT attack against the exact working
+    // chip. The miter solves over a ~27k-node cone with
     // thousands of free inputs (~3 min of real CDCL work measured).
     let mut oracle = OracleStack::exact(&nl);
-    let config = AttackConfig::with_timeout_secs(480).with_dip_batch(16);
+    let config = AttackConfig::with_timeout_secs(480);
     let outcome = sat_attack(&keyed, &mut oracle, &config);
     assert_eq!(outcome.status, AttackStatus::Success, "{outcome:?}");
     let key = outcome.key.expect("successful attack returns a key");

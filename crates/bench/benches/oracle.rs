@@ -1,13 +1,12 @@
 //! Oracle query-path benchmarks: the bit-parallel block path vs. 64
 //! pattern-at-a-time scalar queries, for the deterministic chip and the
-//! stochastic (noise-engine) chip of Sec. V-B — plus the **batched-DIP**
-//! attack benchmark measuring the unified engine's end-to-end win.
+//! stochastic (noise-engine) chip of Sec. V-B — plus the full SAT attack
+//! on an ISCAS-89 s-suite benchmark (s38584, scaled) through the unified
+//! DIP engine.
 //!
 //! Block and scalar paths draw the same per-query noise stream, so the
 //! stochastic block-vs-scalar gap is what batching the gate evaluation
-//! buys; for the batched DIP engine the target is a wall-clock reduction
-//! of the full SAT attack at batch width 16 vs. width 1 on an ISCAS-89
-//! s-suite benchmark (s38584, scaled).
+//! buys.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gshe_core::attacks::OracleStack;
@@ -152,32 +151,24 @@ fn bench_obs_overhead(c: &mut Criterion) {
 }
 
 /// The unified DIP-refinement engine end to end: the full SAT attack on
-/// s38584 (scaled 1/40, 5% protection) at batch width 1 (one query per
-/// iteration) vs. width 16 (class-split-blocked batch
-/// discovery resolved through one `query_block` per round). The batched
-/// rounds must *reduce* wall-clock, not just oracle calls — this is the
-/// measured form of the speedup claim.
-fn bench_batched_dip(c: &mut Criterion) {
+/// s38584 (scaled 1/40, 5% protection), one oracle query per DIP.
+fn bench_sat_attack(c: &mut Criterion) {
     let (nl, keyed) = s38584_keyed_at(0.05);
-    let mut group = c.benchmark_group("batched_dip_s38584");
-
-    for width in [1usize, 16] {
-        let config = AttackConfig::with_timeout_secs(120).with_dip_batch(width);
-        group.bench_function(format!("sat_attack_batch_{width}"), |b| {
-            b.iter(|| {
-                let mut oracle = OracleStack::exact(&nl);
-                let out = sat_attack(black_box(&keyed), &mut oracle, &config);
-                assert_eq!(out.status, AttackStatus::Success, "width {width}");
-                black_box(out.iterations)
-            })
-        });
-    }
-
+    let mut group = c.benchmark_group("sat_attack_s38584");
+    let config = AttackConfig::with_timeout_secs(120);
+    group.bench_function("sat_attack", |b| {
+        b.iter(|| {
+            let mut oracle = OracleStack::exact(&nl);
+            let out = sat_attack(black_box(&keyed), &mut oracle, &config);
+            assert_eq!(out.status, AttackStatus::Success);
+            black_box(out.iterations)
+        })
+    });
     group.finish();
 }
 
-/// One profile-search candidate evaluation (1 trial × SAT at batch width
-/// 16 against the noisy stack) through a **warm** [`EvalSession`] — pool
+/// One profile-search candidate evaluation (1 trial × SAT against the
+/// noisy stack) through a **warm** [`EvalSession`] — pool
 /// up, benchmark and scheme materializations memoized — vs. a **cold**
 /// one rebuilt per evaluation. The gap is what the evaluation-service
 /// refactor buys every candidate after the first; the warm path is the
@@ -240,8 +231,8 @@ fn bench_gates_per_sec(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cone-of-influence miter reduction end to end: the width-16
-/// batched SAT attack on s38584 (scale 4, full 304-output interface, 6
+/// The cone-of-influence miter reduction end to end: the SAT attack on
+/// s38584 (scale 4, full 304-output interface, 6
 /// camouflaged gates) with `CoiMode::On` vs. `CoiMode::Off`. With few
 /// cloaked cells the affected-output cone is a small slice of the
 /// netlist, so the On row encodes and propagates a fraction of the
@@ -260,10 +251,8 @@ fn bench_coi_miter(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("coi_miter_s38584");
     for (label, coi) in [("coi_on", CoiMode::On), ("coi_off", CoiMode::Off)] {
-        let config = AttackConfig::with_timeout_secs(120)
-            .with_dip_batch(16)
-            .with_coi_mode(coi);
-        group.bench_function(format!("sat_attack_w16_{label}"), |b| {
+        let config = AttackConfig::with_timeout_secs(120).with_coi_mode(coi);
+        group.bench_function(format!("sat_attack_{label}"), |b| {
             b.iter(|| {
                 let mut oracle = OracleStack::exact(&nl);
                 let out = sat_attack(black_box(&keyed), &mut oracle, &config);
@@ -275,12 +264,11 @@ fn bench_coi_miter(c: &mut Criterion) {
     group.finish();
 }
 
-/// SAT simplification end to end: the width-16 batched attack on the
-/// standard s38584 instance (scale 40, 10% protection) with
-/// `SimplifyMode::On` — SatELite-style preprocessing of the key-search
-/// miter (subsumption, self-subsumption, bounded variable elimination;
-/// ≥30% clause reduction, pinned by the `simplify_smoke` root test) and
-/// learnt-clause vivification at restart boundaries — vs.
+/// SAT simplification end to end: the SAT attack on the standard s38584
+/// instance (scale 40, 10% protection) with `SimplifyMode::On` —
+/// SatELite-style preprocessing of the key-search miter (subsumption,
+/// self-subsumption, bounded variable elimination; ≥30% clause
+/// reduction, pinned by the `simplify_smoke` root test) — vs.
 /// `SimplifyMode::Off`, the search on the raw clause set. Both rows
 /// encode the same single-sided miter.
 fn bench_simplify_miter(c: &mut Criterion) {
@@ -293,10 +281,8 @@ fn bench_simplify_miter(c: &mut Criterion) {
         ("simplify_on", SimplifyMode::On),
         ("simplify_off", SimplifyMode::Off),
     ] {
-        let config = AttackConfig::with_timeout_secs(120)
-            .with_dip_batch(16)
-            .with_simplify_mode(mode);
-        group.bench_function(format!("sat_attack_w16_{label}"), |b| {
+        let config = AttackConfig::with_timeout_secs(120).with_simplify_mode(mode);
+        group.bench_function(format!("sat_attack_{label}"), |b| {
             b.iter(|| {
                 let mut oracle = OracleStack::exact(&nl);
                 let out = sat_attack(black_box(&keyed), &mut oracle, &config);
@@ -383,9 +369,9 @@ criterion_group! {
     targets = bench_profile_candidate_score
 }
 criterion_group! {
-    name = batched_dip;
+    name = sat_attack_s38584;
     config = Criterion::default().sample_size(5);
-    targets = bench_batched_dip
+    targets = bench_sat_attack
 }
 criterion_group! {
     name = coi_miter;
@@ -405,7 +391,7 @@ criterion_group! {
 criterion_main!(
     oracle,
     obs_overhead,
-    batched_dip,
+    sat_attack_s38584,
     coi_miter,
     simplify_miter,
     candidate_score,

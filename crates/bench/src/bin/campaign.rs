@@ -65,8 +65,8 @@ GRID FLAGS (each overrides the spec file's value):
   --trials N             repeats per grid cell
   --scale N              benchmark scale divisor
   --topology NAME        generator wiring profile: uniform | local
-  --sat-simplify MODE    solver pre/inprocessing (variable elimination,
-                         subsumption, vivification): on | off (default off)
+  --sat-simplify MODE    solver preprocessing (variable elimination,
+                         subsumption, strengthening): on | off (default off)
   --seed N               master seed
   --timeout SECS         per-job attack budget
   --threads N            workers (0 = available parallelism)

@@ -11,7 +11,7 @@
 //!                [--rotation-period N] [--clock-periods-ns 0.8,2,6]
 //!                [--trials N] [--generations N] [--lambda N]
 //!                [--target-success FRAC] [--seed N] [--timeout SECS]
-//!                [--threads N] [--cache-cap N] [--dip-batch N]
+//!                [--threads N] [--cache-cap N]
 //!                [--out PREFIX] [--deterministic]
 //! ```
 //!
@@ -63,7 +63,6 @@ SEARCH FLAGS (each overrides the spec file's value):
   --timeout SECS         wall-clock budget per attack trial
   --threads N            workers (0 = available parallelism)
   --cache-cap N          oracle-cache entry cap (0 = unbounded)
-  --dip-batch N          DIP batch width scoring runs at
 
 OUTPUT:
   --out PREFIX           write PREFIX.json and PREFIX.csv
@@ -213,11 +212,6 @@ fn main() {
                 spec.cache_cap = value
                     .parse()
                     .unwrap_or_else(|_| fail("--cache-cap takes an integer (0 = unbounded)"))
-            }
-            "--dip-batch" => {
-                spec.dip_batch = value
-                    .parse()
-                    .unwrap_or_else(|_| fail("--dip-batch takes an integer"))
             }
             "--out" => out_prefix = Some(value),
             "--trace-out" => trace_out = Some(value),

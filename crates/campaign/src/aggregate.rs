@@ -80,11 +80,11 @@ pub struct TableRow {
     /// Mean clauses removed by backward subsumption per trial
     /// (timing-side diagnostic only).
     pub mean_subsumed: f64,
-    /// Mean literals removed by strengthening/vivification per trial
+    /// Mean literals removed by self-subsumption strengthening per trial
     /// (timing-side diagnostic only).
     pub mean_strengthened: f64,
-    /// Mean milliseconds spent simplifying (preprocess + vivify) per
-    /// trial (timing-side diagnostic only).
+    /// Mean milliseconds spent preprocessing per trial (timing-side
+    /// diagnostic only).
     pub mean_simplify_ms: f64,
 }
 

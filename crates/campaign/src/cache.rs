@@ -291,11 +291,11 @@ impl OracleCache {
 /// shared prefix differ, and garbage bits beyond `count` never split
 /// logically-identical blocks).
 ///
-/// Single-pattern blocks — every round of a `dip_batch = 1` attack — use
-/// a dense form instead ([`pack_bits`]): the pattern
-/// bit-packed across inputs plus the arity word (`⌈n/64⌉ + 1` words
-/// rather than `n + 1`), so per-query hashing and resident-key size stay
-/// at the pre-block-key level.
+/// Single-pattern blocks — every DIP query of an attack — use a dense
+/// form instead ([`pack_bits`]): the pattern bit-packed across inputs
+/// plus the arity word (`⌈n/64⌉ + 1` words rather than `n + 1`), so
+/// per-query hashing and resident-key size stay at the pre-block-key
+/// level.
 fn pack_block(block: &PatternBlock) -> Vec<u64> {
     if block.count == 1 {
         return pack_bits(block.lanes.iter().map(|&lane| lane & 1 == 1));
@@ -606,9 +606,10 @@ mod tests {
 
     #[test]
     fn single_pattern_keys_are_dense_and_shared_with_scalar_queries() {
-        // The single-pattern hot path (dip_batch = 1) must not pay n-word
-        // keys: a single pattern packs to ⌈n/64⌉ + 1 words, and a scalar
-        // query is a 1-pattern block query, so both share one entry.
+        // The single-pattern hot path (one query per DIP) must not pay
+        // n-word keys: a single pattern packs to ⌈n/64⌉ + 1 words, and a
+        // scalar query is a 1-pattern block query, so both share one
+        // entry.
         let one = PatternBlock::from_patterns(&[vec![true, false, true, false, true]]);
         assert_eq!(pack_block(&one), vec![0b10101, 5]);
         // The arity word keeps different-width patterns (a caller bug)

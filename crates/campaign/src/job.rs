@@ -483,7 +483,7 @@ pub struct JobContext {
     /// are a function of its cone inputs alone.
     pub coi_mode: CoiMode,
     /// SAT simplification policy shared by every attack job's
-    /// incremental solver (preprocessing and inprocessing).
+    /// incremental solver (preprocessing at the first solve).
     pub sat_simplify: SimplifyMode,
 }
 

@@ -74,7 +74,7 @@
 //! levels = [0.1, 0.2]        # protection fractions ([0.2])
 //! schemes = ["gshe16"]       # scheme names, or "all" (["gshe16"])
 //! attacks = ["sat"]          # sat | double-dip | appsat (["sat"])
-//! sat_simplify = "on"        # solver pre/inprocessing: on | off ("off")
+//! sat_simplify = "on"        # solver preprocessing: on | off ("off")
 //! error_rates = [0.0, 0.05]  # oracle per-cell error rates ([0.0])
 //! clock_periods_ns = [0.8, 2] # physical clock periods as rate sources ([])
 //! profiles = ["uniform"]     # error-profile shapes, or "all" (["uniform"])

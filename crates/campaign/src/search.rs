@@ -21,8 +21,7 @@
 //!   when no winner exists yet), dedups against everything already
 //!   scored, and evaluates λ fresh candidates;
 //! * **scoring** runs trials × attacks through the session pool: each
-//!   trial is one [`gshe_attacks::dip_engine`] refinement at the spec'd
-//!   batch width ([`DEFAULT_BATCH_WIDTH`] by default) against
+//!   trial is one [`gshe_attacks::dip_engine`] refinement against
 //!   [`OracleStack::noisy`] — or [`OracleStack::rotating_noisy`] when the
 //!   spec carries a rotation budget, searching the *combined*-defense
 //!   frontier. The defense wins a trial when the attack fails to recover
@@ -52,10 +51,7 @@ use crate::spec::{
     scheme_name, strip_comment, valid_attack_names, valid_scheme_names,
 };
 use crate::EvalSession;
-use gshe_attacks::{
-    verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, OracleStack,
-    DEFAULT_BATCH_WIDTH,
-};
+use gshe_attacks::{verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, OracleStack};
 use gshe_camo::{CamoScheme, KeyedNetlist};
 use gshe_logic::{ErrorProfile, Netlist};
 use rand::rngs::StdRng;
@@ -72,7 +68,7 @@ fn profile_salt(profile: &ErrorProfile) -> u64 {
 }
 
 /// The valid TOML keys of a search spec, in documentation order.
-pub const SEARCH_KEYS: [&str; 17] = [
+pub const SEARCH_KEYS: [&str; 16] = [
     "name",
     "benchmark",
     "scale",
@@ -89,7 +85,6 @@ pub const SEARCH_KEYS: [&str; 17] = [
     "timeout_secs",
     "threads",
     "cache_cap",
-    "dip_batch",
 ];
 
 /// A declarative description of one profile search.
@@ -133,8 +128,6 @@ pub struct SearchSpec {
     pub threads: usize,
     /// Oracle-cache entry cap for the session (0 = unbounded).
     pub cache_cap: u64,
-    /// DIP batch width scoring runs at.
-    pub dip_batch: usize,
 }
 
 impl Default for SearchSpec {
@@ -156,7 +149,6 @@ impl Default for SearchSpec {
             timeout: Duration::from_secs(30),
             threads: 0,
             cache_cap: 1 << 16,
-            dip_batch: DEFAULT_BATCH_WIDTH,
         }
     }
 }
@@ -250,7 +242,6 @@ impl SearchSpec {
                 }
                 "threads" => spec.threads = value.parse().map_err(|_| fail("bad integer"))?,
                 "cache_cap" => spec.cache_cap = value.parse().map_err(|_| fail("bad integer"))?,
-                "dip_batch" => spec.dip_batch = value.parse().map_err(|_| fail("bad integer"))?,
                 other => {
                     return Err(fail(&format!(
                         "unknown key `{other}` (valid keys: {})",
@@ -616,8 +607,7 @@ impl<'s> ProfileSearch<'s> {
                     let config = AttackConfig {
                         timeout: spec.timeout,
                         ..Default::default()
-                    }
-                    .with_dip_batch(spec.dip_batch);
+                    };
                     let period = spec.rotation_period;
                     tasks.push(Box::new(move || {
                         let _span = gshe_obs::span("search.trial");

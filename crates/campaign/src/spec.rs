@@ -150,8 +150,8 @@ pub struct CampaignSpec {
     /// [`CoiMode::Off`] the full-design reference for equivalence tests.
     pub coi_mode: CoiMode,
     /// SAT simplification for every attack job's incremental solver:
-    /// `on` (preprocess the miter at the first solve and vivify learnts
-    /// at restart boundaries) or `off` (the default).
+    /// `on` (preprocess the miter at the first solve) or `off` (the
+    /// default).
     pub sat_simplify: SimplifyMode,
     /// Oracle per-cell error rates (0.0 = perfect chip).
     pub error_rates: Vec<f64>,

@@ -46,7 +46,7 @@ pub use error::LogicError;
 pub use generator::{GeneratorConfig, NetlistGenerator, Topology, LOCAL_WINDOW};
 pub use netlist::{FanoutCsr, IdMap, Netlist, Node, NodeId, NodeKind, NodeRef, NodeSet};
 pub use noise::{ErrorProfile, FaultSimulator};
-pub use opt::{optimize, optimize_protected, OptReport};
+pub use opt::{optimize_protected, OptReport};
 pub use seq::scan_preprocess;
 pub use sim::{PatternBlock, Simulator};
 pub use stats::NetlistStats;

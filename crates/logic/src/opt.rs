@@ -3,9 +3,10 @@
 //!
 //! Camouflaging transforms (complement rule, XOR decomposition) insert
 //! visible inverters and helper gates; resolving a keyed design can leave
-//! constants and pass-through cells behind. [`optimize`] normalizes such
-//! netlists while provably preserving their function (tested by random
-//! simulation and, in the integration suite, by SAT equivalence).
+//! constants and pass-through cells behind. [`optimize_protected`]
+//! normalizes such netlists while provably preserving their function
+//! (tested by random simulation and, in the integration suite, by SAT
+//! equivalence).
 
 use crate::bf2::{Bf1, Bf2};
 use crate::builder::NetlistBuilder;
@@ -34,178 +35,16 @@ pub struct OptReport {
 
 /// Optimizes `nl`: folds constants through the cone, collapses
 /// buffers/inverters and degenerate two-input gates into wire aliases, and
-/// sweeps unreachable logic. The primary-input and primary-output
-/// interfaces are preserved exactly (an output that folds to a constant is
+/// sweeps unreachable logic (an output that folds to a constant is
 /// re-materialized as a constant driver).
-pub fn optimize(nl: &Netlist) -> (Netlist, OptReport) {
-    let mut report = OptReport::default();
-    let mut b = NetlistBuilder::new(nl.name().to_string());
-
-    // Reachability: which nodes feed an output.
-    let mut live = vec![false; nl.len()];
-    let mut stack: Vec<NodeId> = nl.outputs().to_vec();
-    while let Some(id) = stack.pop() {
-        if live[id.index()] {
-            continue;
-        }
-        live[id.index()] = true;
-        stack.extend(nl.node(id).kind.fanins());
-    }
-
-    // Forward pass with folding. `folds[i]` describes node i in terms of
-    // the *new* netlist; `emitted[i]` is its id when it needed a real node.
-    let mut folds: Vec<Option<Fold>> = vec![None; nl.len()];
-    let mut emitted: Vec<Option<NodeId>> = vec![None; nl.len()];
-
-    // Resolve an old node to (new node, inverted, const).
-    let resolve = |folds: &[Option<Fold>],
-                   emitted: &[Option<NodeId>],
-                   id: NodeId|
-     -> Result<(NodeId, bool), bool> {
-        match folds[id.index()] {
-            Some(Fold::Const(c)) => Err(c),
-            Some(Fold::Alias { node, inverted }) => Ok((node, inverted)),
-            None => Ok((emitted[id.index()].expect("live fanin emitted"), false)),
-        }
-    };
-
-    for (i, node) in nl.nodes().enumerate() {
-        if !live[i] {
-            report.swept_dead += node.kind.is_gate() as usize;
-            continue;
-        }
-        match node.kind {
-            NodeKind::Input => {
-                emitted[i] = Some(b.input(node.name));
-            }
-            NodeKind::Const(c) => {
-                folds[i] = Some(Fold::Const(c));
-            }
-            NodeKind::Gate1 { f, a } => match (f, resolve(&folds, &emitted, a)) {
-                (Bf1::Const0, _) => {
-                    folds[i] = Some(Fold::Const(false));
-                    report.folded_constants += 1;
-                }
-                (Bf1::Const1, _) => {
-                    folds[i] = Some(Fold::Const(true));
-                    report.folded_constants += 1;
-                }
-                (g, Err(c)) => {
-                    folds[i] = Some(Fold::Const(g.eval(c)));
-                    report.folded_constants += 1;
-                }
-                (Bf1::Buf, Ok((n, inv))) => {
-                    folds[i] = Some(Fold::Alias {
-                        node: n,
-                        inverted: inv,
-                    });
-                    report.collapsed += 1;
-                }
-                (Bf1::Inv, Ok((n, inv))) => {
-                    folds[i] = Some(Fold::Alias {
-                        node: n,
-                        inverted: !inv,
-                    });
-                    report.collapsed += 1;
-                }
-            },
-            NodeKind::Gate2 { f, a, b: bb } => {
-                let ra = resolve(&folds, &emitted, a);
-                let rb = resolve(&folds, &emitted, bb);
-                // Absorb alias inversions into the function table.
-                let (fa, ca) = match ra {
-                    Err(c) => (None, Some(c)),
-                    Ok((n, inv)) => (Some((n, inv)), None),
-                };
-                let (fb, cb) = match rb {
-                    Err(c) => (None, Some(c)),
-                    Ok((n, inv)) => (Some((n, inv)), None),
-                };
-                let mut g = f;
-                if let Some((_, true)) = fa {
-                    g = g.negate_a();
-                }
-                if let Some((_, true)) = fb {
-                    g = g.negate_b();
-                }
-                match (fa, ca, fb, cb) {
-                    (None, Some(va), None, Some(vb)) => {
-                        folds[i] = Some(Fold::Const(g.eval(va, vb)));
-                        report.folded_constants += 1;
-                    }
-                    (None, Some(va), Some((nb, _)), None) => {
-                        let f0 = g.eval(va, false);
-                        let f1 = g.eval(va, true);
-                        folds[i] = Some(partial(f0, f1, nb, &mut report));
-                    }
-                    (Some((na, _)), None, None, Some(vb)) => {
-                        let f0 = g.eval(false, vb);
-                        let f1 = g.eval(true, vb);
-                        folds[i] = Some(partial(f0, f1, na, &mut report));
-                    }
-                    (Some((na, _)), None, Some((nb, _)), None) => {
-                        if g.is_constant() {
-                            folds[i] = Some(Fold::Const(g == Bf2::TRUE));
-                            report.folded_constants += 1;
-                        } else if na == nb {
-                            // Both operands are the same signal: the gate
-                            // degenerates to its diagonal g(v, v).
-                            folds[i] = Some(partial(
-                                g.eval(false, false),
-                                g.eval(true, true),
-                                na,
-                                &mut report,
-                            ));
-                        } else if g.ignores_b() {
-                            folds[i] = Some(partial(
-                                g.eval(false, false),
-                                g.eval(true, false),
-                                na,
-                                &mut report,
-                            ));
-                        } else if g.ignores_a() {
-                            folds[i] = Some(partial(
-                                g.eval(false, false),
-                                g.eval(false, true),
-                                nb,
-                                &mut report,
-                            ));
-                        } else {
-                            emitted[i] = Some(b.gate2(node.name, g, na, nb));
-                        }
-                    }
-                    _ => unreachable!("each operand is exactly const or alias"),
-                }
-            }
-        }
-    }
-
-    // Re-materialize outputs.
-    for &o in nl.outputs() {
-        let id = match folds[o.index()] {
-            Some(Fold::Const(c)) => b.constant(c),
-            Some(Fold::Alias {
-                node,
-                inverted: false,
-            }) => node,
-            Some(Fold::Alias {
-                node,
-                inverted: true,
-            }) => b.gate1_auto(Bf1::Inv, node),
-            None => emitted[o.index()].expect("live output emitted"),
-        };
-        b.output(id);
-    }
-    (b.finish().expect("optimizer preserves invariants"), report)
-}
-
-/// [`optimize`] for keyed/camouflaged designs: nodes listed in `protected`
-/// are emitted **verbatim** — same kind and arity, same fanin structure —
-/// and are never folded, aliased away, or swept. A protected node's
-/// *visible* function is not trusted (a camouflaged cell may realize any
-/// candidate function at attack time), so the rewrite must preserve the
-/// design's function under *every* substitution of the protected nodes'
-/// functions, not just the visible one. Concretely:
+///
+/// For keyed/camouflaged designs, nodes listed in `protected` are emitted
+/// **verbatim** — same kind and arity, same fanin structure — and are
+/// never folded, aliased away, or swept; plain netlists pass `&[]`. A
+/// protected node's *visible* function is not trusted (a camouflaged cell
+/// may realize any candidate function at attack time), so the rewrite
+/// must preserve the design's function under *every* substitution of the
+/// protected nodes' functions, not just the visible one. Concretely:
 ///
 /// - a protected gate's fanins are materialized as real nodes: alias
 ///   inversions become explicit inverters instead of being absorbed into
@@ -477,7 +316,7 @@ mod tests {
         let n2 = b.gate1("n2", Bf1::Inv, n1);
         b.output(n2);
         let nl = b.finish().unwrap();
-        let (opt, report) = optimize(&nl);
+        let (opt, report, _) = optimize_protected(&nl, &[]);
         assert_eq!(opt.gate_count(), 1, "only the AND survives");
         assert_eq!(report.collapsed, 4);
         for va in [false, true] {
@@ -498,7 +337,7 @@ mod tests {
         b.output(g2);
         b.output(g3);
         let nl = b.finish().unwrap();
-        let (opt, _) = optimize(&nl);
+        let (opt, _, _) = optimize_protected(&nl, &[]);
         // g3 is constant true; g2 is an inverter alias of x.
         assert!(opt.gate_count() <= 1);
         assert_eq!(opt.evaluate(&[false]), vec![true, true]);
@@ -515,7 +354,7 @@ mod tests {
         let _d2 = b.gate2("dead2", Bf2::XOR, d1, y);
         b.output(live);
         let nl = b.finish().unwrap();
-        let (opt, report) = optimize(&nl);
+        let (opt, report, _) = optimize_protected(&nl, &[]);
         assert_eq!(report.swept_dead, 2);
         assert_eq!(opt.gate_count(), 1);
     }
@@ -529,7 +368,7 @@ mod tests {
         let g = b.gate2("g", Bf2::AND, nx, y); // = !x & y
         b.output(g);
         let nl = b.finish().unwrap();
-        let (opt, _) = optimize(&nl);
+        let (opt, _, _) = optimize_protected(&nl, &[]);
         // The inverter disappears; g becomes NOT_A_AND_B.
         assert_eq!(opt.gate_count(), 1);
         for va in [false, true] {
@@ -545,7 +384,7 @@ mod tests {
             let nl = NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 80).with_seed(seed))
                 .unwrap()
                 .generate();
-            let (opt, _) = optimize(&nl);
+            let (opt, _, _) = optimize_protected(&nl, &[]);
             opt.check().unwrap();
             assert_eq!(opt.inputs().len(), 8);
             assert_eq!(opt.outputs().len(), 4);
@@ -563,8 +402,8 @@ mod tests {
         let nl = NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 60).with_seed(5))
             .unwrap()
             .generate();
-        let (once, _) = optimize(&nl);
-        let (twice, report) = optimize(&once);
+        let (once, _, _) = optimize_protected(&nl, &[]);
+        let (twice, report, _) = optimize_protected(&once, &[]);
         assert_eq!(once.gate_count(), twice.gate_count());
         assert_eq!(report.folded_constants, 0);
     }
@@ -572,8 +411,8 @@ mod tests {
     #[test]
     fn protected_nodes_survive_verbatim() {
         // x --inv--> nx --AND(protected)--> g --buf--> out
-        // Plain optimize would absorb the inverter into the AND and
-        // collapse the buffer; the protected AND must keep an explicit
+        // Unprotected, the inverter would be absorbed into the AND and
+        // the buffer collapsed; the protected AND must keep an explicit
         // inverter fanin and its own node.
         let mut b = NetlistBuilder::new("t");
         let x = b.input("x");
@@ -694,9 +533,28 @@ mod tests {
         let g = b.gate2("g", Bf2::AND, x, nx); // always 0
         b.output(g);
         let nl = b.finish().unwrap();
-        let (opt, _) = optimize(&nl);
+        let (opt, _, _) = optimize_protected(&nl, &[]);
         assert_eq!(opt.evaluate(&[false]), vec![false]);
         assert_eq!(opt.evaluate(&[true]), vec![false]);
         assert_eq!(opt.gate_count(), 0);
+    }
+
+    #[test]
+    fn unused_input_keeps_the_input_interface() {
+        // An input that feeds no output still survives, in order.
+        let mut b = NetlistBuilder::new("t");
+        let x = b.input("x");
+        let _unused = b.input("unused");
+        let y = b.input("y");
+        let g = b.gate2("g", Bf2::AND, x, y);
+        b.output(g);
+        let nl = b.finish().unwrap();
+        let (opt, _, _) = optimize_protected(&nl, &[]);
+        let names: Vec<&str> = opt.inputs().iter().map(|&i| opt.node(i).name).collect();
+        assert_eq!(names, ["x", "unused", "y"]);
+        for row in 0..8u8 {
+            let v: Vec<bool> = (0..3).map(|k| row >> k & 1 == 1).collect();
+            assert_eq!(opt.evaluate(&v), nl.evaluate(&v));
+        }
     }
 }

@@ -54,7 +54,7 @@
 //!
 //! ```json
 //! {"counters":{"cache.hits":42},
-//!  "histograms":{"attack.dip_batch_fill":
+//!  "histograms":{"sat.solve.conflicts":
 //!    {"count":7,"sum":98,"buckets":[[1,1],[8,3],[16,3]]}}}
 //! ```
 //!
@@ -80,7 +80,7 @@
 //! The SAT layer itself is dependency-free; its simplification work
 //! surfaces through `attacks::dip_engine` as counters
 //! (`sat.elim_vars`, `sat.subsumed`, `sat.strengthened`) and histograms
-//! (`sat.simplify_ns` — nanoseconds per attack spent in pre/inprocessing,
+//! (`sat.simplify_ns` — nanoseconds per attack spent in preprocessing,
 //! `sat.lbd` — final learnt-clause LBD distribution, `sat.solve.*` —
 //! per-solve conflict/decision/propagation deltas). Key verification
 //! counts the output pairs it is asked about (`verify.outputs`) and those

@@ -23,9 +23,8 @@
 //!   (backward subsumption, self-subsumption strengthening, bounded
 //!   variable elimination with model reconstruction and a
 //!   [`solver::Solver::freeze`] contract for incremental use) gated by
-//!   [`simplify::SimplifyMode`], plus learnt-clause vivification at
-//!   restart boundaries; and Plaisted–Greenbaum single-sided encoding via
-//!   [`tseitin::Polarity`].
+//!   [`simplify::SimplifyMode`]; and Plaisted–Greenbaum single-sided
+//!   encoding via [`tseitin::Polarity`].
 //!
 //! The solver also enforces an explicit resource budget, mirroring the
 //! scalability failures the paper observes ("internal error in 'lglib.c':

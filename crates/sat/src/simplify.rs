@@ -1,6 +1,5 @@
-//! SAT preprocessing and inprocessing: bounded variable elimination,
-//! backward subsumption, self-subsumption strengthening, and learnt-clause
-//! vivification.
+//! SAT preprocessing: bounded variable elimination, backward subsumption
+//! and self-subsumption strengthening.
 //!
 //! The preprocessing pass ([`Solver::preprocess`]) is SatELite-style. It
 //! extracts the problem clauses into a side database with per-literal
@@ -45,13 +44,6 @@
 //!
 //! The removed clauses are stored as literal vectors, not arena
 //! references, so records survive arena garbage collection.
-//!
-//! Inprocessing is clause **vivification** at restart boundaries
-//! ([`Solver::maybe_vivify`]): for a budgeted batch of long learnt
-//! clauses, assert the negation of each literal in turn and propagate;
-//! a conflict or satisfied literal proves a shorter clause, which replaces
-//! the original. The clause under probe is detached first so it cannot
-//! propagate against itself.
 
 use std::time::Instant;
 
@@ -59,12 +51,6 @@ use crate::arena::ClauseRef;
 use crate::lit::{LBool, Lit, Var};
 use crate::solver::Solver;
 
-/// Restarts between vivification rounds.
-const VIVIFY_RESTART_PERIOD: u32 = 8;
-/// Learnt clauses probed per vivification round.
-const VIVIFY_CLAUSE_BUDGET: usize = 64;
-/// Propagations spent per vivification round.
-const VIVIFY_PROP_BUDGET: u64 = 200_000;
 /// Skip BVE candidates whose occurrence-list product exceeds this (the
 /// quadratic resolvent scan would dominate preprocessing time).
 const ELIM_PRODUCT_CAP: usize = 1024;
@@ -73,15 +59,14 @@ const ELIM_RESOLVENT_CAP: usize = 20;
 /// Preprocessing runs elimination rounds to fixpoint, capped here.
 const ELIM_MAX_ROUNDS: usize = 10;
 
-/// Whether the solver runs the preprocessing pass at its first solve and
-/// vivifies learnts at restart boundaries (set via
-/// [`Solver::set_simplify`]; threaded from the campaign `sat_simplify`
-/// knob).
+/// Whether the solver runs the preprocessing pass at its first solve (set
+/// via [`Solver::set_simplify`]; threaded from the campaign
+/// `sat_simplify` knob).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimplifyMode {
-    /// Preprocess at the first solve, then vivify.
+    /// Preprocess at the first solve.
     On,
-    /// Never preprocess or vivify (the default).
+    /// Never preprocess (the default).
     #[default]
     Off,
 }
@@ -132,12 +117,8 @@ pub(crate) struct SimpState {
     /// Elimination history, oldest first.
     pub(crate) elim_stack: Vec<ElimRecord>,
     /// Preprocessing runs once per solver lifetime (variables created
-    /// afterwards are trivially safe); vivification keeps running.
+    /// afterwards are trivially safe).
     pub(crate) preprocessed: bool,
-    /// Restart countdown to the next vivification round.
-    pub(crate) restarts_since_vivify: u32,
-    /// Round-robin cursor into the learnt list for vivification.
-    pub(crate) vivify_cursor: usize,
 }
 
 /// 64-bit clause signature: one bit per variable bucket. `sig(c) & !sig(d)
@@ -758,142 +739,6 @@ impl Solver {
                         .any(|&l| self.model[l.var().index()] == l.is_positive()),
                     "reconstructed model violates a removed clause"
                 );
-            }
-        }
-    }
-
-    /// Inprocessing hook, called at restart boundaries. Every
-    /// [`VIVIFY_RESTART_PERIOD`]th restart, probes a budgeted batch of
-    /// long learnt clauses by asserting literal negations and propagating;
-    /// proven-shorter clauses are replaced. Returns `false` if the formula
-    /// was proven unsatisfiable.
-    pub(crate) fn maybe_vivify(&mut self) -> bool {
-        if !self.simp.preprocessed {
-            return true; // simplification never engaged
-        }
-        self.simp.restarts_since_vivify += 1;
-        if self.simp.restarts_since_vivify < VIVIFY_RESTART_PERIOD {
-            return true;
-        }
-        self.simp.restarts_since_vivify = 0;
-        self.cancel_until(0);
-        let t = Instant::now();
-        let prop_start = self.stats.propagations;
-        let mut probed = 0usize;
-        let mut any_deleted = false;
-        let total = self.learnts.len();
-        let mut scanned = 0usize;
-        while scanned < total
-            && probed < VIVIFY_CLAUSE_BUDGET
-            && self.stats.propagations - prop_start < VIVIFY_PROP_BUDGET
-        {
-            let idx = self.simp.vivify_cursor % self.learnts.len().max(1);
-            self.simp.vivify_cursor = idx + 1;
-            scanned += 1;
-            let c = self.learnts[idx];
-            if self.arena.is_deleted(c) || self.arena.len(c) < 3 || self.locked(c) {
-                continue;
-            }
-            probed += 1;
-            if !self.vivify_clause(c) {
-                self.stats.simplify_ns += t.elapsed().as_nanos() as u64;
-                return false;
-            }
-            if self.arena.is_deleted(c) {
-                any_deleted = true;
-            }
-        }
-        if any_deleted {
-            let arena = &self.arena;
-            self.learnts.retain(|&c| !arena.is_deleted(c));
-            self.stats.learnts = self.learnts.len() as u64;
-        }
-        self.stats.simplify_ns += t.elapsed().as_nanos() as u64;
-        true
-    }
-
-    /// Probes one learnt clause. The clause is detached first so it cannot
-    /// propagate against itself. Returns `false` on proven inconsistency.
-    fn vivify_clause(&mut self, c: ClauseRef) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        let lits: Vec<Lit> = (0..self.arena.len(c))
-            .map(|k| self.arena.lit(c, k))
-            .collect();
-        self.detach_watches(c);
-        let mut kept: Vec<Lit> = Vec::with_capacity(lits.len());
-        // Outcome: None = no shrink; Some(new) = replace by `new` (empty ⇒
-        // the clause is satisfied at level 0 and simply dropped).
-        let mut outcome: Option<Vec<Lit>> = None;
-        for &l in &lits {
-            match self.value_lit(l) {
-                LBool::True => {
-                    if self.level[l.var().index()] == 0 {
-                        // Permanently satisfied: drop the clause.
-                        outcome = Some(Vec::new());
-                    } else {
-                        // Assumed prefix implies l: prefix ∪ {l} is a
-                        // shorter clause.
-                        kept.push(l);
-                        outcome = Some(kept.clone());
-                    }
-                    break;
-                }
-                LBool::False => {
-                    if self.level[l.var().index()] == 0 {
-                        continue; // permanently falsified literal: strip it
-                    }
-                    continue; // implied-false by the prefix: redundant
-                }
-                LBool::Undef => {
-                    self.trail_lim.push(self.trail.len());
-                    self.enqueue(!l, ClauseRef::NONE);
-                    kept.push(l);
-                    if !self.propagate().is_none() {
-                        // Prefix alone is contradictory: it is a clause.
-                        outcome = Some(kept.clone());
-                        break;
-                    }
-                }
-            }
-        }
-        if outcome.is_none() && kept.len() < lits.len() {
-            outcome = Some(kept);
-        }
-        self.cancel_until(0);
-        match outcome {
-            None => {
-                self.attach_watches(c);
-                true
-            }
-            Some(new) if new.len() == lits.len() => {
-                self.attach_watches(c);
-                true
-            }
-            Some(new) => {
-                let old_lbd = self.arena.lbd(c);
-                self.arena.delete(c);
-                self.stats.strengthened += (lits.len() - new.len()) as u64;
-                match new.len() {
-                    0 => true, // satisfied at level 0: deleted outright
-                    1 => {
-                        if !self.enqueue(new[0], ClauseRef::NONE) {
-                            self.ok = false;
-                            return false;
-                        }
-                        if !self.propagate().is_none() {
-                            self.ok = false;
-                            return false;
-                        }
-                        true
-                    }
-                    len => {
-                        let lbd = old_lbd.min(len as u32 - 1).max(1);
-                        // attach_clause pushes to `learnts`; the deleted
-                        // original is retained out by the caller.
-                        self.attach_clause(&new, true, lbd);
-                        true
-                    }
-                }
             }
         }
     }

@@ -65,10 +65,10 @@ pub struct SolverStats {
     pub elim_vars: u64,
     /// Clauses removed by backward subsumption (preprocessing).
     pub subsumed: u64,
-    /// Literals removed by self-subsumption strengthening and clause
-    /// vivification (pre- and inprocessing).
+    /// Literals removed by self-subsumption strengthening
+    /// (preprocessing).
     pub strengthened: u64,
-    /// Total nanoseconds spent in simplification (preprocess + vivify).
+    /// Total nanoseconds spent in preprocessing.
     pub simplify_ns: u64,
 }
 
@@ -501,11 +501,10 @@ impl Solver {
 
     /// Adds a **blocking clause** forbidding the most recent model's
     /// assignment to `lits`: at least one of them must flip in any future
-    /// model. This is the enumeration primitive batched DIP discovery is
-    /// built on — solve, read the model, block it, re-solve for the next
-    /// distinct one. Returns `false` if the solver became trivially
-    /// unsatisfiable (e.g. `lits` is empty: a model over zero literals can
-    /// only be blocked by the empty clause).
+    /// model. This is the enumeration primitive — solve, read the model,
+    /// block it, re-solve for the next distinct one. Returns `false` if
+    /// the solver became trivially unsatisfiable (e.g. `lits` is empty: a
+    /// model over zero literals can only be blocked by the empty clause).
     ///
     /// # Panics
     ///
@@ -576,21 +575,6 @@ impl Solver {
                 clause: c,
                 blocker: l0,
             });
-        }
-    }
-
-    /// Removes the two watcher entries of `c` (the exact inverse of
-    /// [`Solver::attach_watches`]); used by vivification to take a clause
-    /// out of propagation while it is probed against itself.
-    pub(crate) fn detach_watches(&mut self, c: ClauseRef) {
-        let l0 = self.arena.lit(c, 0);
-        let l1 = self.arena.lit(c, 1);
-        if self.arena.len(c) == 2 {
-            self.bwatches[(!l0).code()].retain(|w| w.clause != c);
-            self.bwatches[(!l1).code()].retain(|w| w.clause != c);
-        } else {
-            self.watches[(!l0).code()].retain(|w| w.clause != c);
-            self.watches[(!l1).code()].retain(|w| w.clause != c);
         }
     }
 
@@ -1138,13 +1122,6 @@ impl Solver {
                     self.lbd_queue.clear();
                     let keep = (assumptions.len() as u32).min(self.decision_level());
                     self.cancel_until(keep);
-                    // Inprocessing rides the restart boundary: every Nth
-                    // restart, vivify a budgeted batch of learnt clauses
-                    // (drops to level 0; the decide loop below re-pushes
-                    // any assumptions).
-                    if !self.maybe_vivify() {
-                        return SolveResult::Unsat;
-                    }
                 }
                 continue;
             }

@@ -11,7 +11,7 @@
 //! leaves a clean machine-readable file. Arguments (all optional):
 //! benchmark name (default `sb5`), scale divisor (default `64`), and a
 //! `sat_simplify` mode — `on` or `off` (default `off`) — for
-//! before/after comparisons of the solver's pre/inprocessing pipeline on
+//! before/after comparisons of the solver's preprocessing pipeline on
 //! the same instance. The attack runs on the cloaked cells' cone of
 //! influence, as every campaign cell does.
 

@@ -1,5 +1,5 @@
-//! Quick wall-clock harness for the s38584 batched SAT attack (the
-//! `batched_dip_s38584` criterion bench's workload, without criterion's
+//! Quick wall-clock harness for the s38584 SAT attack (the
+//! `sat_attack_s38584` criterion bench's workload, without criterion's
 //! warmup overhead). Used to compare solver revisions during development.
 
 use rand::rngs::StdRng;
@@ -14,27 +14,25 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(3);
     let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).expect("camouflage");
 
-    for width in [1usize, 16] {
-        let config = AttackConfig::with_timeout_secs(120).with_dip_batch(width);
-        let reps = 3;
-        let mut best = f64::MAX;
-        for _ in 0..reps {
-            let mut oracle = OracleStack::exact(&nl);
-            let t = Instant::now();
-            let out = sat_attack(&keyed, &mut oracle, &config);
-            let dt = t.elapsed().as_secs_f64();
-            assert_eq!(out.status, AttackStatus::Success);
-            best = best.min(dt);
-            println!(
-                "width {width}: {dt:.3}s  iters={} decisions={} conflicts={} learnts={} deleted={} restarts={}",
-                out.iterations,
-                out.solver_stats.decisions,
-                out.solver_stats.conflicts,
-                out.solver_stats.learnts,
-                out.solver_stats.deleted,
-                out.solver_stats.restarts,
-            );
-        }
-        println!("width {width}: best {best:.3}s");
+    let config = AttackConfig::with_timeout_secs(120);
+    let reps = 3;
+    let mut best = f64::MAX;
+    for _ in 0..reps {
+        let mut oracle = OracleStack::exact(&nl);
+        let t = Instant::now();
+        let out = sat_attack(&keyed, &mut oracle, &config);
+        let dt = t.elapsed().as_secs_f64();
+        assert_eq!(out.status, AttackStatus::Success);
+        best = best.min(dt);
+        println!(
+            "{dt:.3}s  iters={} decisions={} conflicts={} learnts={} deleted={} restarts={}",
+            out.iterations,
+            out.solver_stats.decisions,
+            out.solver_stats.conflicts,
+            out.solver_stats.learnts,
+            out.solver_stats.deleted,
+            out.solver_stats.restarts,
+        );
     }
+    println!("best {best:.3}s");
 }

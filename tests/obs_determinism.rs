@@ -72,7 +72,7 @@ fn deterministic_json_is_byte_identical_with_obs_enabled_and_disabled() {
     for metric in [
         "\"cache.misses\"",
         "\"sat.decisions\"",
-        "\"attack.dip_batch_fill\"",
+        "\"sat.solve.conflicts\"",
     ] {
         assert!(metrics.contains(metric), "metrics missing {metric}");
     }

@@ -29,7 +29,6 @@ fn smoke_search_spec(threads: usize) -> SearchSpec {
         timeout: Duration::from_secs(20),
         threads,
         cache_cap: 1 << 16,
-        dip_batch: 16,
     }
 }
 

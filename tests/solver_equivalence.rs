@@ -1,7 +1,7 @@
-//! The CDCL-rewrite equivalence pin on a real benchmark: the seeded
-//! width-16 SAT attack on s38584 (scaled, 5% protection — the
-//! batched-DIP benchmark instance) must recover a functionally correct
-//! key. Solver changes may move the search trajectory (query and conflict
+//! The CDCL-rewrite equivalence pin on a real benchmark: the seeded SAT
+//! attack on s38584 (scaled, 5% protection — the `sat_attack_s38584`
+//! criterion bench's instance) must recover a functionally correct key.
+//! Solver changes may move the search trajectory (query and conflict
 //! counts), but never the attack's semantic outcome.
 //!
 //! CI runs this as the solver smoke test alongside the `gshe-sat`
@@ -13,14 +13,14 @@ use spin_hall_security::logic::suites::{benchmark_scaled, spec};
 use spin_hall_security::prelude::*;
 
 #[test]
-fn batched_attack_recovers_a_correct_key_on_s38584() {
+fn sat_attack_recovers_a_correct_key_on_s38584() {
     let suite = spec("s38584").expect("s-suite benchmark present");
     let nl = benchmark_scaled(suite, 40, 1);
     let picks = select_gates(&nl, 0.05, 3);
     let mut rng = StdRng::seed_from_u64(3);
     let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).expect("camouflage");
 
-    let config = AttackConfig::with_timeout_secs(120).with_dip_batch(16);
+    let config = AttackConfig::with_timeout_secs(120);
     let mut oracle = OracleStack::exact(&nl);
     let out = sat_attack(&keyed, &mut oracle, &config);
     assert_eq!(out.status, AttackStatus::Success);
