@@ -76,21 +76,25 @@ pub enum RefinePolicy {
     },
 }
 
-/// Solves with the wall clock checked between conflict-budget slices.
-/// Returns `None` on deadline/budget exhaustion.
+/// Solves with the wall clock checked between slices of
+/// [`AttackConfig::conflicts_per_slice`] conflicts. Returns `None` once
+/// the deadline passes, and [`SolveResult::Unknown`] without solving when
+/// the formula has more variables than [`AttackConfig::max_vars`].
 pub(crate) fn solve_sliced(
     solver: &mut Solver,
     assumptions: &[Lit],
     deadline: Instant,
-    slice: u64,
+    config: &AttackConfig,
 ) -> Option<SolveResult> {
+    if config.max_vars.is_some_and(|max| solver.num_vars() > max) {
+        return Some(SolveResult::Unknown);
+    }
     let _span = gshe_obs::span("attack.solve");
     let before = solver.stats();
+    solver.set_budget(Budget {
+        max_conflicts: Some(config.conflicts_per_slice),
+    });
     loop {
-        solver.set_budget(Budget {
-            max_conflicts: Some(slice),
-            max_vars: None,
-        });
         match solver.solve_with(assumptions) {
             SolveResult::Unknown => {
                 if Instant::now() >= deadline {
@@ -177,10 +181,6 @@ pub fn refine(
         _ => None,
     };
     let mut solver = Solver::new();
-    solver.set_budget(Budget {
-        max_conflicts: None,
-        max_vars: config.max_vars,
-    });
     solver.set_simplify(config.simplify);
 
     // Key copies first (their variable indices anchor the search), then the
@@ -321,12 +321,7 @@ pub fn refine(
                     return finish(AttackStatus::Timeout, None, iterations, &solver, oracle);
                 }
             }
-            match solve_sliced(
-                &mut solver,
-                assumptions,
-                deadline,
-                config.conflicts_per_slice,
-            ) {
+            match solve_sliced(&mut solver, assumptions, deadline, config) {
                 None => return finish(AttackStatus::Timeout, None, iterations, &solver, oracle),
                 Some(SolveResult::Unknown) => {
                     return finish(
@@ -376,7 +371,7 @@ pub fn refine(
 
     // All phases converged: extract any key consistent with the
     // accumulated I/O constraints (without the miter assumptions).
-    match solve_sliced(&mut solver, &[], deadline, config.conflicts_per_slice) {
+    match solve_sliced(&mut solver, &[], deadline, config) {
         None => finish(AttackStatus::Timeout, None, iterations, &solver, oracle),
         Some(SolveResult::Sat) => {
             let key: Vec<bool> = keys[0].iter().map(|&l| solver.model_lit(l)).collect();
@@ -428,7 +423,7 @@ fn appsat_round(
     }
 
     // Candidate key: any key consistent so far.
-    let candidate = match solve_sliced(solver, &[], deadline, config.conflicts_per_slice) {
+    let candidate = match solve_sliced(solver, &[], deadline, config) {
         Some(SolveResult::Sat) => {
             let k: Vec<bool> = keys[0].iter().map(|&l| solver.model_lit(l)).collect();
             Some(k)
@@ -643,5 +638,43 @@ mod tests {
         let out = refine(&keyed, &mut oracle, &config, &RefinePolicy::Single);
         assert_eq!(out.iterations, 3);
         assert_eq!(out.status, AttackStatus::Timeout);
+    }
+
+    #[test]
+    fn variable_budget_ends_the_attack_as_resource_exhausted() {
+        // c17 with all six gates cloaked by the 16-function cell: two
+        // 24-bit key copies, two 11-variable circuit copies and a
+        // 3-variable miter make 73 variables before the first solve, and
+        // every DIP adds at least one variable per cloaked cell and copy.
+        use gshe_logic::bench_format::{parse_bench, C17_BENCH};
+        let nl = parse_bench(C17_BENCH).unwrap();
+        let picks = select_gates(&nl, 1.0, 3);
+        let mut rng = StdRng::seed_from_u64(8);
+        let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
+        let run = |max_vars| {
+            let config = AttackConfig {
+                max_vars,
+                ..AttackConfig::with_timeout_secs(30)
+            };
+            let mut oracle = OracleStack::exact(&nl);
+            refine(&keyed, &mut oracle, &config, &RefinePolicy::Single)
+        };
+
+        let under = run(Some(72));
+        assert_eq!(under.status, AttackStatus::ResourceExhausted);
+        assert_eq!(under.key, None);
+        assert_eq!(under.iterations, 0);
+
+        // The initial encoding fits, so the first solve runs; the budget
+        // still holds for the DIP rounds' encodings after it.
+        let at = run(Some(73));
+        assert_eq!(at.status, AttackStatus::ResourceExhausted);
+        assert_eq!(at.key, None);
+        assert!(at.iterations >= 1, "the first solve must run");
+
+        let default = run(AttackConfig::default().max_vars);
+        assert_eq!(default.status, AttackStatus::Success);
+        let v = verify_key(&nl, &keyed, default.key.as_ref().unwrap()).unwrap();
+        assert!(v.functionally_equivalent);
     }
 }

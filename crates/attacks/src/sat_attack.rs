@@ -27,7 +27,11 @@ pub struct AttackConfig {
     /// Conflict budget per solver call; the attack checks the wall clock
     /// between budget slices.
     pub conflicts_per_slice: u64,
-    /// Variable budget (mirrors the paper's lglib 134M-variable failure).
+    /// Variable budget (`None` = unlimited): once the attack's formula
+    /// has more variables than this, its next solve ends the attack as
+    /// [`AttackStatus::ResourceExhausted`]. The default mirrors the
+    /// scalability failure the paper observes ("internal error in
+    /// 'lglib.c': more than 134,217,724 variables").
     pub max_vars: Option<usize>,
     /// Cone-of-influence miter reduction ([`CoiMode::On`] by default:
     /// whenever the cloaked cells reach a strict subset of the outputs,
@@ -84,8 +88,9 @@ pub enum AttackStatus {
     Success,
     /// The wall-clock budget ran out (the paper's "t-o").
     Timeout,
-    /// The solver's resource budget was exhausted (the paper's
-    /// "computational failure" rows).
+    /// The attack's formula outgrew its variable budget
+    /// ([`AttackConfig::max_vars`]; the paper's "computational failure"
+    /// rows).
     ResourceExhausted,
     /// The accumulated I/O constraints became contradictory — no key can
     /// explain the oracle's answers. The signature failure mode against the

@@ -283,7 +283,8 @@ pub enum JobStatus {
     Completed,
     /// The attack hit its wall-clock budget; partial metrics recorded.
     TimedOut,
-    /// The attack's solver budget was exhausted.
+    /// The attack outgrew its variable budget
+    /// ([`AttackStatus::ResourceExhausted`]).
     Exhausted,
     /// The attack's constraints became contradictory (stochastic oracle).
     Inconsistent,

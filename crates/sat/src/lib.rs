@@ -18,17 +18,13 @@
 //!   updates, and LBD-tiered learnt-DB reduction on a geometric schedule
 //!   — see [`solver::SearchConfig`].
 //! - **Incrementality**: clause addition between solves, solving under
-//!   assumptions, and model-blocking enumeration primitives.
+//!   assumptions, and model-blocking enumeration ([`Solver::block_model`]).
 //! - **Simplification** ([`simplify`]): SatELite-style preprocessing
 //!   (backward subsumption, self-subsumption strengthening, bounded
 //!   variable elimination with model reconstruction and a
 //!   [`solver::Solver::freeze`] contract for incremental use) gated by
 //!   [`simplify::SimplifyMode`]; and Plaisted–Greenbaum single-sided
 //!   encoding via [`tseitin::Polarity`].
-//!
-//! The solver also enforces an explicit resource budget, mirroring the
-//! scalability failures the paper observes ("internal error in 'lglib.c':
-//! more than 134,217,724 variables").
 //!
 //! ```
 //! use gshe_sat::{Lit, Solver, SolveResult};
@@ -46,15 +42,12 @@
 #![warn(missing_docs)]
 
 pub mod arena;
-pub mod cnf;
-pub mod dimacs;
 pub mod heap;
 pub mod lit;
 pub mod simplify;
 pub mod solver;
 pub mod tseitin;
 
-pub use cnf::{ClauseSink, CnfFormula};
 pub use lit::{Lit, Var};
 pub use simplify::SimplifyMode;
 pub use solver::{SearchConfig, SolveResult, Solver, SolverStats};

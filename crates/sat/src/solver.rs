@@ -25,7 +25,6 @@
 //! incremental and assumption-based.
 
 use crate::arena::{ClauseArena, ClauseRef};
-use crate::cnf::ClauseSink;
 use crate::heap::OrderHeap;
 use crate::lit::{LBool, Lit, Var};
 
@@ -36,9 +35,9 @@ pub enum SolveResult {
     Sat,
     /// The formula (under the given assumptions) is unsatisfiable.
     Unsat,
-    /// The conflict or memory budget was exhausted before an answer was
-    /// reached — the solver-scale failure mode the paper reports for its
-    /// 48-hour attacks.
+    /// The conflict budget was exhausted before an answer was reached —
+    /// the solver-scale failure mode the paper reports for its 48-hour
+    /// attacks.
     Unknown,
 }
 
@@ -91,14 +90,13 @@ impl std::ops::AddAssign for SolverStats {
     }
 }
 
-/// Resource limits; `None` means unlimited.
+/// Search limit of one solve; `None` means unlimited. Callers that cap
+/// the formula's size check [`Solver::num_vars`] between solves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Budget {
-    /// Abort the solve after this many conflicts.
+    /// Abort the solve with [`SolveResult::Unknown`] after this many
+    /// conflicts.
     pub max_conflicts: Option<u64>,
-    /// Refuse to allocate more variables than this (mirrors the paper's
-    /// "more than 134,217,724 variables" lglib failure).
-    pub max_vars: Option<usize>,
 }
 
 /// Search-heuristic knobs; [`SearchConfig::default`] is the tuned setting
@@ -353,22 +351,7 @@ impl Solver {
     }
 
     /// Allocates a fresh variable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variable budget is exhausted (the paper's lglib-style
-    /// scalability wall); check [`Solver::try_new_var`] to handle it.
     pub fn new_var(&mut self) -> Var {
-        self.try_new_var().expect("variable budget exhausted")
-    }
-
-    /// Allocates a fresh variable unless the budget forbids it.
-    pub fn try_new_var(&mut self) -> Option<Var> {
-        if let Some(max) = self.budget.max_vars {
-            if self.assign.len() >= max {
-                return None;
-            }
-        }
         let v = Var(self.assign.len() as u32);
         self.assign.push(LBool::Undef);
         self.level.push(0);
@@ -384,7 +367,7 @@ impl Solver {
         self.bwatches.push(Vec::new());
         self.bwatches.push(Vec::new());
         self.heap.insert(v, &self.activity);
-        Some(v)
+        v
     }
 
     pub(crate) fn value_lit(&self, l: Lit) -> LBool {
@@ -515,26 +498,6 @@ impl Solver {
             .iter()
             .map(|&l| if self.model_lit(l) { !l } else { l })
             .collect();
-        self.add_clause(&clause)
-    }
-
-    /// Like [`Solver::block_model`], but gates the blocking clause on the
-    /// activation literal `act`: the model is forbidden only while `act`
-    /// is passed as an assumption, and solves without it see the formula
-    /// as if the clause were never added. This is the scoped-lemma form
-    /// enumeration loops need when the blocked assignments must remain
-    /// reachable for a later, differently-constrained solve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the last [`Solver::solve`] did not return
-    /// [`SolveResult::Sat`].
-    pub fn block_model_under(&mut self, act: Lit, lits: &[Lit]) -> bool {
-        let mut clause: Vec<Lit> = lits
-            .iter()
-            .map(|&l| if self.model_lit(l) { !l } else { l })
-            .collect();
-        clause.push(!act);
         self.add_clause(&clause)
     }
 
@@ -1165,16 +1128,6 @@ impl Solver {
     }
 }
 
-impl ClauseSink for Solver {
-    fn add_clause_sink(&mut self, lits: &[Lit]) {
-        let _ = self.add_clause(lits);
-    }
-
-    fn new_var_sink(&mut self) -> Var {
-        self.new_var()
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::needless_range_loop)] // hole index `j` ties pigeon rows together
 mod tests {
@@ -1258,19 +1211,29 @@ mod tests {
 
     #[test]
     fn gated_blocking_applies_only_under_its_assumption() {
+        // The model's blocking clause gated on an activation literal, the
+        // way the Double DIP miter gates its key-distinctness clauses.
+        fn block_under(s: &mut Solver, act: Lit, v: &[Lit]) {
+            let mut clause: Vec<Lit> = v
+                .iter()
+                .map(|&l| if s.model_lit(l) { !l } else { l })
+                .collect();
+            clause.push(!act);
+            s.add_clause(&clause);
+        }
         let mut s = Solver::new();
         let v = lits(&mut s, 2);
         let act = Lit::pos(s.new_var());
         assert_eq!(s.solve(), SolveResult::Sat);
         let model: Vec<bool> = v.iter().map(|&l| s.model_lit(l)).collect();
-        s.block_model_under(act, &v);
+        block_under(&mut s, act, &v);
         // Under the activation assumption the model is forbidden…
         assert_eq!(s.solve_with(&[act]), SolveResult::Sat);
         let next: Vec<bool> = v.iter().map(|&l| s.model_lit(l)).collect();
         assert_ne!(model, next, "gated blocking must forbid the model");
         // …and blocking all four assignments exhausts the gated space…
         for _ in 0..3 {
-            s.block_model_under(act, &v);
+            block_under(&mut s, act, &v);
             if s.solve_with(&[act]) != SolveResult::Sat {
                 break;
             }
@@ -1402,24 +1365,11 @@ mod tests {
         pigeonhole(&mut s, 7, 6);
         s.set_budget(Budget {
             max_conflicts: Some(1),
-            max_vars: None,
         });
         assert_eq!(s.solve(), SolveResult::Unknown);
         // Raising the budget resolves it.
         s.set_budget(Budget::default());
         assert_eq!(s.solve(), SolveResult::Unsat);
-    }
-
-    #[test]
-    fn var_budget_is_enforced() {
-        let mut s = Solver::new();
-        s.set_budget(Budget {
-            max_conflicts: None,
-            max_vars: Some(2),
-        });
-        assert!(s.try_new_var().is_some());
-        assert!(s.try_new_var().is_some());
-        assert!(s.try_new_var().is_none());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Tseitin encoding of combinational logic into CNF.
 //!
-//! [`CircuitEncoder`] emits clauses into any [`ClauseSink`] (a live
-//! [`crate::Solver`] for incremental attacks, or a [`crate::CnfFormula`]
-//! for export). Two-input gates are encoded from their 4-bit truth tables,
-//! so every one of the 16 functions the GSHE primitive cloaks — and any
-//! key-dependent selection among them — encodes uniformly.
+//! [`CircuitEncoder`] adds clauses straight into a live [`Solver`], so
+//! incremental attacks can keep encoding between solves. Two-input gates
+//! are encoded from their 4-bit truth tables, so every one of the 16
+//! functions the GSHE primitive cloaks — and any key-dependent selection
+//! among them — encodes uniformly.
 //!
 //! Definitions can be emitted single-sided (Plaisted–Greenbaum) via the
 //! [`Polarity`]-taking variants: when a defined literal `z` only ever
@@ -12,8 +12,8 @@
 //! fixed false), the `¬z → ¬f` direction is never needed and its clauses
 //! can be dropped. See [`Polarity`] for the exact contract.
 
-use crate::cnf::ClauseSink;
 use crate::lit::Lit;
+use crate::solver::Solver;
 
 /// Which implication direction of a Tseitin definition `z ↔ f` must be
 /// emitted, given how the defined literal `z` is used downstream.
@@ -39,30 +39,30 @@ pub enum Polarity {
     Both,
 }
 
-/// Tseitin encoder over a clause sink.
+/// Tseitin encoder over a solver.
 #[derive(Debug)]
-pub struct CircuitEncoder<'a, S: ClauseSink> {
-    sink: &'a mut S,
+pub struct CircuitEncoder<'a> {
+    solver: &'a mut Solver,
     const_true: Option<Lit>,
 }
 
-impl<'a, S: ClauseSink> CircuitEncoder<'a, S> {
-    /// Wraps a sink.
-    pub fn new(sink: &'a mut S) -> Self {
+impl<'a> CircuitEncoder<'a> {
+    /// Wraps a solver.
+    pub fn new(solver: &'a mut Solver) -> Self {
         CircuitEncoder {
-            sink,
+            solver,
             const_true: None,
         }
     }
 
     /// Allocates a fresh literal (positive phase of a new variable).
     pub fn fresh(&mut self) -> Lit {
-        Lit::pos(self.sink.new_var_sink())
+        Lit::pos(self.solver.new_var())
     }
 
     /// Adds a raw clause.
     pub fn clause(&mut self, lits: &[Lit]) {
-        self.sink.add_clause_sink(lits);
+        let _ = self.solver.add_clause(lits);
     }
 
     /// Asserts that `l` holds.
@@ -202,7 +202,7 @@ impl<'a, S: ClauseSink> CircuitEncoder<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{SolveResult, Solver};
+    use crate::solver::SolveResult;
 
     /// Exhaustively verifies `z = f(a,b)` for the encoded gate.
     fn check_gate_tt(tt: u8) {
@@ -338,16 +338,16 @@ mod tests {
 
     #[test]
     fn polarity_halves_gate_clauses() {
-        let mut pos = crate::CnfFormula::new();
-        let mut both = crate::CnfFormula::new();
-        for (f, pol) in [(&mut pos, Polarity::Pos), (&mut both, Polarity::Both)] {
-            let mut enc = CircuitEncoder::new(f);
+        let mut pos = Solver::new();
+        let mut both = Solver::new();
+        for (s, pol) in [(&mut pos, Polarity::Pos), (&mut both, Polarity::Both)] {
+            let mut enc = CircuitEncoder::new(s);
             let a = enc.fresh();
             let b = enc.fresh();
             enc.gate_tt_pol(0b0110, a, b, pol);
         }
-        assert_eq!(both.len(), 4);
-        assert_eq!(pos.len(), 2, "xor has two 0-rows");
+        assert_eq!(both.num_problem_clauses(), 4);
+        assert_eq!(pos.num_problem_clauses(), 2, "xor has two 0-rows");
     }
 
     #[test]

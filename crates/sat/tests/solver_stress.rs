@@ -164,7 +164,6 @@ fn budget_unknown_then_resolution() {
     }
     s.set_budget(Budget {
         max_conflicts: Some(10),
-        max_vars: None,
     });
     assert_eq!(s.solve(), SolveResult::Unknown);
     s.set_budget(Budget::default());
