@@ -12,7 +12,8 @@
 //! artifact, per DESIGN.md substitution 3).
 //!
 //! Usage: `table4 [--scale N] [--timeout SECS] [--seed N] [--only BENCH]
-//! [--threads N]`
+//! [--threads N] [--levels FRACTIONS]`, with levels as fractions of gates
+//! camouflaged (default `0.1,0.2,0.3,0.4`).
 
 use gshe_bench::{runtime_cell, HarnessArgs};
 use gshe_core::campaign::{

@@ -25,7 +25,129 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use gshe_core::campaign::{flag_key, SpecValue};
 use std::time::Duration;
+
+/// Prints `error: <msg>` and exits with status 2 (command-line misuse or a
+/// bad spec).
+pub fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// The command line of a spec binary (`campaign`, `profile-search`): the
+/// run and output flags `--spec FILE.toml`, `--out PREFIX`, `--trace-out
+/// FILE`, `--metrics-out FILE` and `--deterministic`, and the
+/// `--key-name value` flags that set spec keys.
+#[derive(Debug, Default)]
+pub struct SpecArgs {
+    spec: Option<String>,
+    out: Option<String>,
+    trace_out: Option<String>,
+    metrics_out: Option<String>,
+    /// `--deterministic`: print the timing-free JSON instead of a table.
+    pub deterministic: bool,
+    /// Every other `(flag, value)` pair, in command-line order.
+    flags: Vec<(String, String)>,
+}
+
+impl SpecArgs {
+    /// Reads `std::env::args`. Prints `print_help`'s usage and exits on
+    /// `--help`; fails on a flag without a value.
+    pub fn parse(print_help: fn()) -> SpecArgs {
+        let mut args = SpecArgs::default();
+        let mut argv = std::env::args().skip(1);
+        while let Some(flag) = argv.next() {
+            match flag.as_str() {
+                "--help" | "-h" => {
+                    print_help();
+                    std::process::exit(0);
+                }
+                "--deterministic" => {
+                    args.deterministic = true;
+                    continue;
+                }
+                _ => {}
+            }
+            let value = argv.next().unwrap_or_else(|| {
+                fail(&format!("missing value for {flag}; see --help for usage"))
+            });
+            match flag.as_str() {
+                "--spec" => args.spec = Some(value),
+                "--out" => args.out = Some(value),
+                "--trace-out" => args.trace_out = Some(value),
+                "--metrics-out" => args.metrics_out = Some(value),
+                _ => args.flags.push((flag, value)),
+            }
+        }
+        args
+    }
+
+    /// Builds the spec: the `--spec` file through `parse_toml` (or the
+    /// default spec), then every other flag `--key-name value`, wherever
+    /// it appears, through `set` as key `key_name`. Fails on an unreadable
+    /// or bad spec file, a flag that is not a key and a bad value.
+    pub fn spec<S: Default>(
+        &self,
+        bin: &str,
+        parse_toml: fn(&str) -> Result<S, String>,
+        mut set: impl FnMut(&mut S, &str, SpecValue) -> Result<(), String>,
+    ) -> S {
+        let mut spec = match &self.spec {
+            Some(path) => {
+                let text = std::fs::read_to_string(path)
+                    .unwrap_or_else(|e| fail(&format!("cannot read spec `{path}`: {e}")));
+                parse_toml(&text).unwrap_or_else(|e| fail(&format!("bad spec `{path}`: {e}")))
+            }
+            None => S::default(),
+        };
+        for (flag, value) in &self.flags {
+            let key = flag_key(flag).unwrap_or_else(|| {
+                fail(&format!(
+                    "unknown option `{flag}` (run `{bin} --help` for the flag list)"
+                ))
+            });
+            set(&mut spec, &key, SpecValue::Flag(value))
+                .unwrap_or_else(|e| fail(&format!("{flag}: {e}")));
+        }
+        spec
+    }
+
+    /// Turns instrumentation on, before any work runs, when a trace or a
+    /// metrics file is asked for. Tracing implies metrics (spans feed
+    /// both); metrics alone skips the per-event trace buffers.
+    pub fn enable_instrumentation(&self) {
+        if self.trace_out.is_some() {
+            gshe_core::obs::enable_tracing();
+        } else if self.metrics_out.is_some() {
+            gshe_core::obs::enable();
+        }
+    }
+
+    /// Writes the report, rendered by `report` as JSON and CSV, to
+    /// `PREFIX.json` and `PREFIX.csv` under the `--out` prefix, and the
+    /// trace and metrics files, for each one asked for.
+    pub fn write_outputs(&self, report: impl FnOnce() -> (String, String)) {
+        let write = |path: &str, text: &str| {
+            std::fs::write(path, text)
+                .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")))
+        };
+        if let Some(prefix) = &self.out {
+            let (json, csv) = report();
+            write(&format!("{prefix}.json"), &json);
+            write(&format!("{prefix}.csv"), &csv);
+            eprintln!("wrote {prefix}.json and {prefix}.csv");
+        }
+        if let Some(path) = &self.trace_out {
+            write(path, &gshe_core::obs::trace_json());
+            eprintln!("wrote Chrome trace to {path}");
+        }
+        if let Some(path) = &self.metrics_out {
+            write(path, &gshe_core::obs::metrics_json());
+            eprintln!("wrote metrics snapshot to {path}");
+        }
+    }
+}
 
 /// Common command-line options for the harness binaries.
 ///
@@ -64,8 +186,10 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `--scale N --timeout SECS --samples N --seed N --only NAME`
-    /// from `std::env::args`, falling back to the defaults.
+    /// Parses `--scale N --timeout SECS --samples N --seed N --only NAME
+    /// --threads N --levels FRACTIONS` from `std::env::args`, falling back
+    /// to the defaults. Levels are fractions of gates camouflaged, as in
+    /// campaign specs: `--levels 0.1,0.2`.
     ///
     /// # Panics
     ///
@@ -77,7 +201,7 @@ impl HarnessArgs {
         while i < argv.len() {
             let key = argv[i].as_str();
             let value = argv.get(i + 1).unwrap_or_else(|| {
-                panic!("missing value for {key}; usage: --scale N --timeout SECS --samples N --seed N --only NAME")
+                panic!("missing value for {key}; usage: --scale N --timeout SECS --samples N --seed N --only NAME --threads N --levels 0.1,0.2")
             });
             match key {
                 "--scale" => args.scale = value.parse().expect("--scale takes an integer"),
@@ -92,11 +216,7 @@ impl HarnessArgs {
                 "--levels" => {
                     args.levels = value
                         .split(',')
-                        .map(|v| {
-                            v.parse::<f64>()
-                                .expect("--levels takes percents, e.g. 10,20")
-                                / 100.0
-                        })
+                        .map(|v| v.parse().expect("--levels takes fractions, e.g. 0.1,0.2"))
                         .collect()
                 }
                 other => panic!("unknown option `{other}`"),

@@ -62,7 +62,10 @@
 //! [`CampaignSpec::parse_toml`] reads a minimal TOML subset: `key = value`
 //! lines, `#` comments, double-quoted strings, and one-line homogeneous
 //! arrays. A single optional `[campaign]` table header is accepted and
-//! ignored. Keys (all optional, defaults in parentheses):
+//! ignored. Every key is also a `campaign` flag, `--key-name value`, with
+//! the same value and unit, strings bare and lists comma-separated
+//! (`--levels 0.1,0.2`); both go through [`CampaignSpec::set`]. Keys (all
+//! optional, defaults in parentheses):
 //!
 //! ```toml
 //! [campaign]
@@ -156,8 +159,8 @@ pub use pool::{pool_summary, WorkerPool, WorkerStats};
 pub use report::CampaignReport;
 pub use search::{Candidate, ProfileSearch, ScoredCandidate, SearchReport, SearchSpec};
 pub use spec::{
-    parse_scheme, scheme_name, valid_attack_names, valid_key_names, valid_profile_names,
-    valid_scheme_names, CampaignSpec, SPEC_KEYS,
+    flag_key, parse_scheme, scheme_name, valid_attack_names, valid_profile_names,
+    valid_scheme_names, CampaignSpec, SpecValue, SPEC_KEYS,
 };
 
 use gshe_camo::KeyedNetlist;

@@ -31,8 +31,8 @@ pub const CLOCK_SWEEP_MC_SAMPLES: usize = 256;
 pub const CLOCK_SWEEP_MC_SEED: u64 = 0x6A7E_0DD5;
 
 /// The validity rule for a spec-level clock period: finite and strictly
-/// positive nanoseconds. Shared by the CLI flag parser, the TOML parser,
-/// and grid expansion so the three surfaces cannot diverge.
+/// positive nanoseconds. Shared by the spec setters and grid expansion so
+/// the surfaces cannot diverge.
 pub fn is_valid_clock_period(clock_ns: f64) -> bool {
     clock_ns.is_finite() && clock_ns > 0.0
 }

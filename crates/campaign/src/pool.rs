@@ -223,7 +223,7 @@ impl WorkerPool {
                 let batch = Arc::clone(&batch);
                 let erased: ErasedTask = Box::new(move || {
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
-                        .map_err(|payload| panic_message(&payload));
+                        .map_err(|payload| panic_message(&*payload));
                     batch.slots.lock().unwrap()[index] = Some(outcome);
                     let mut remaining = batch.remaining.lock().unwrap();
                     *remaining -= 1;
@@ -446,7 +446,9 @@ mod tests {
             .collect();
         let pool = WorkerPool::new(2);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run_all(tasks)));
-        assert!(result.is_err());
+        let payload = result.expect_err("the job panic must be re-raised");
+        let message = panic_message(&*payload);
+        assert!(message.contains("job exploded"), "{message}");
         assert_eq!(
             completed.load(Ordering::SeqCst),
             5,

@@ -44,11 +44,11 @@ use crate::job::{
     hash_mix, hash_str, noise_profile, rotation_salt, select_seed, transform_seed, AttackSeeds,
     NoiseShape,
 };
-use crate::physical::{is_valid_clock_period, ClockRateTable};
+use crate::physical::ClockRateTable;
 use crate::report::{json_f64, json_str};
 use crate::spec::{
-    check_level, check_scale, parse_array, parse_scheme, parse_string, parse_string_array,
-    scheme_name, strip_comment, valid_attack_names, valid_scheme_names,
+    attacks_value, check_level, check_scale, check_timeout, clock_periods_value, read_toml,
+    scheme_name, scheme_named, unknown_key, valid_attack_names, SpecValue,
 };
 use crate::EvalSession;
 use gshe_attacks::{verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, OracleStack};
@@ -67,7 +67,8 @@ fn profile_salt(profile: &ErrorProfile) -> u64 {
     hash_mix(profile.fingerprint() ^ 0x9F0F_11E5)
 }
 
-/// The valid TOML keys of a search spec, in documentation order.
+/// The keys of a search spec, in documentation order. Each is a
+/// spec-file key and, spelled `--key-name`, a `profile-search` flag.
 pub const SEARCH_KEYS: [&str; 16] = [
     "name",
     "benchmark",
@@ -164,6 +165,38 @@ impl SearchSpec {
         }
     }
 
+    /// Sets one key from its spec-file or command-line spelling. This is
+    /// the only place a search key maps to a field:
+    /// [`SearchSpec::parse_toml`] feeds it every `key = value` line, and
+    /// the `profile-search` binary every `--key-name value` flag.
+    ///
+    /// # Errors
+    ///
+    /// Rejects an unknown key, a malformed value, an unknown name and a
+    /// non-positive clock period.
+    pub fn set(&mut self, key: &str, value: SpecValue) -> Result<(), String> {
+        match key {
+            "name" => self.name = value.string()?,
+            "benchmark" => self.benchmark = value.string()?,
+            "scale" => self.scale = value.number()?,
+            "level" => self.level = value.number()?,
+            "scheme" => self.scheme = scheme_named(&value.string()?)?,
+            "attacks" => self.attacks = attacks_value(value)?,
+            "rotation_period" => self.rotation_period = value.number()?,
+            "clock_periods_ns" => self.clock_periods_ns = clock_periods_value(value)?,
+            "trials" => self.trials = value.number()?,
+            "generations" => self.generations = value.number()?,
+            "lambda" => self.lambda = value.number()?,
+            "target_success" => self.target_success = value.number()?,
+            "seed" => self.seed = value.number()?,
+            "timeout_secs" => self.timeout = Duration::from_secs(value.number()?),
+            "threads" => self.threads = value.number()?,
+            "cache_cap" => self.cache_cap = value.number()?,
+            other => return Err(unknown_key(other, &SEARCH_KEYS)),
+        }
+        Ok(())
+    }
+
     /// Parses a search spec from the same minimal TOML subset campaign
     /// specs use (see [`crate::CampaignSpec::parse_toml`]); a `[search]`
     /// table header is accepted and ignored.
@@ -173,83 +206,7 @@ impl SearchSpec {
     /// Returns a message naming the offending line.
     pub fn parse_toml(text: &str) -> Result<SearchSpec, String> {
         let mut spec = SearchSpec::default();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = strip_comment(raw).trim();
-            if line.is_empty() || line.starts_with('[') {
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            let (key, value) = (key.trim(), value.trim());
-            let fail = |what: &str| format!("line {}: {what}", lineno + 1);
-            match key {
-                "name" => spec.name = parse_string(value).ok_or_else(|| fail("bad string"))?,
-                "benchmark" => {
-                    spec.benchmark = parse_string(value).ok_or_else(|| fail("bad string"))?
-                }
-                "scale" => spec.scale = value.parse().map_err(|_| fail("bad integer"))?,
-                "level" => spec.level = value.parse().map_err(|_| fail("bad number"))?,
-                "scheme" => {
-                    let name = parse_string(value).ok_or_else(|| fail("bad string"))?;
-                    spec.scheme = parse_scheme(&name).ok_or_else(|| {
-                        fail(&format!(
-                            "unknown scheme `{name}` (valid: {})",
-                            valid_scheme_names()
-                        ))
-                    })?;
-                }
-                "attacks" => {
-                    let names =
-                        parse_string_array(value).ok_or_else(|| fail("bad string array"))?;
-                    spec.attacks = names
-                        .iter()
-                        .map(|n| {
-                            AttackKind::parse(n).ok_or_else(|| {
-                                fail(&format!(
-                                    "unknown attack `{n}` (valid: {})",
-                                    valid_attack_names()
-                                ))
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                }
-                "rotation_period" => {
-                    spec.rotation_period = value.parse().map_err(|_| fail("bad integer"))?
-                }
-                "clock_periods_ns" => {
-                    let periods = parse_array::<f64>(value)
-                        .ok_or_else(|| fail("bad number array (clock periods in ns)"))?;
-                    if let Some(bad) = periods.iter().find(|p| !is_valid_clock_period(**p)) {
-                        return Err(fail(&format!(
-                            "clock period must be a positive number of ns, got {bad}"
-                        )));
-                    }
-                    spec.clock_periods_ns = periods;
-                }
-                "trials" => spec.trials = value.parse().map_err(|_| fail("bad integer"))?,
-                "generations" => {
-                    spec.generations = value.parse().map_err(|_| fail("bad integer"))?
-                }
-                "lambda" => spec.lambda = value.parse().map_err(|_| fail("bad integer"))?,
-                "target_success" => {
-                    spec.target_success = value.parse().map_err(|_| fail("bad number"))?
-                }
-                "seed" => spec.seed = value.parse().map_err(|_| fail("bad integer"))?,
-                "timeout_secs" => {
-                    spec.timeout =
-                        Duration::from_secs(value.parse().map_err(|_| fail("bad integer"))?)
-                }
-                "threads" => spec.threads = value.parse().map_err(|_| fail("bad integer"))?,
-                "cache_cap" => spec.cache_cap = value.parse().map_err(|_| fail("bad integer"))?,
-                other => {
-                    return Err(fail(&format!(
-                        "unknown key `{other}` (valid keys: {})",
-                        SEARCH_KEYS.join(", ")
-                    )))
-                }
-            }
-        }
+        read_toml(text, |key, value| spec.set(key, value))?;
         Ok(spec)
     }
 }
@@ -474,11 +431,13 @@ impl<'s> ProfileSearch<'s> {
     /// # Errors
     ///
     /// Propagates benchmark resolution and camouflage failures; rejects a
-    /// scale below 1 or a level outside `(0, 1]` (naming the value), and
-    /// a spec with no attacks (scoring would be a 0/0 success rate).
+    /// scale below 1, a level outside `(0, 1]` or a timeout too large for
+    /// a deadline (naming the value), and a spec with no attacks (scoring
+    /// would be a 0/0 success rate).
     pub fn new(session: &'s EvalSession, spec: SearchSpec) -> Result<Self, String> {
         check_scale(spec.scale)?;
         check_level(spec.level)?;
+        check_timeout(spec.timeout)?;
         if spec.attacks.is_empty() {
             return Err(format!(
                 "search spec `{}` lists no attacks — nothing to defeat (valid: {})",
@@ -901,32 +860,50 @@ mod tests {
         assert!(child.mean_rate() > 0.0);
     }
 
+    /// A sample value for every key, spelled for a spec file and as a
+    /// flag; each differs from the key's default.
+    const SAMPLES: [(&str, &str, &str); 16] = [
+        ("name", r#""s""#, "s"),
+        ("benchmark", r#""c7552""#, "c7552"),
+        ("scale", "40", "40"),
+        ("level", "0.25", "0.25"),
+        ("scheme", r#""inv-buf""#, "inv-buf"),
+        ("attacks", r#"["sat", "appsat"]"#, "sat,appsat"),
+        ("rotation_period", "4", "4"),
+        ("clock_periods_ns", "[0.8, 6.0]", "0.8,6"),
+        ("trials", "3", "3"),
+        ("generations", "2", "2"),
+        ("lambda", "5", "5"),
+        ("target_success", "0.25", "0.25"),
+        ("seed", "9", "9"),
+        ("timeout_secs", "20", "20"),
+        ("threads", "2", "2"),
+        ("cache_cap", "1024", "1024"),
+    ];
+
     #[test]
     fn spec_parses_from_toml_and_rejects_unknown_keys() {
-        let text = r#"
-[search]
-name = "s"
-benchmark = "ex1010"
-scale = 400
-level = 0.15
-scheme = "gshe16"
-attacks = ["sat", "appsat"]
-rotation_period = 4
-clock_periods_ns = [0.8, 6.0]
-trials = 3
-generations = 2
-lambda = 5
-target_success = 0.25
-seed = 9
-timeout_secs = 20
-threads = 2
-"#;
-        let spec = SearchSpec::parse_toml(text).unwrap();
+        // Every key once from its file spelling and once from its flag
+        // spelling: both front ends must build the same spec.
+        let mut text = String::from("[search]\n");
+        let mut from_flags = SearchSpec::default();
+        for key in SEARCH_KEYS {
+            let (_, file, flag) = SAMPLES
+                .iter()
+                .find(|sample| sample.0 == key)
+                .unwrap_or_else(|| panic!("no sample for key `{key}`"));
+            text.push_str(&format!("{key} = {file}\n"));
+            let flag_name = format!("--{}", key.replace('_', "-"));
+            assert_eq!(crate::flag_key(&flag_name).as_deref(), Some(key));
+            from_flags.set(key, SpecValue::Flag(flag)).unwrap();
+        }
+        let spec = SearchSpec::parse_toml(&text).unwrap();
+        assert_eq!(spec, from_flags);
         assert_eq!(spec.name, "s");
-        assert_eq!(spec.benchmark, "ex1010");
-        assert_eq!(spec.scale, 400);
-        assert_eq!(spec.level, 0.15);
-        assert_eq!(spec.scheme, CamoScheme::GsheAll16);
+        assert_eq!(spec.benchmark, "c7552");
+        assert_eq!(spec.scale, 40);
+        assert_eq!(spec.level, 0.25);
+        assert_eq!(spec.scheme, CamoScheme::InvBuf);
         assert_eq!(spec.attacks, [AttackKind::Sat, AttackKind::AppSat]);
         assert_eq!(spec.rotation_period, 4);
         assert_eq!(spec.clock_periods_ns, [0.8, 6.0]);
@@ -937,13 +914,25 @@ threads = 2
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.timeout, Duration::from_secs(20));
         assert_eq!(spec.threads, 2);
+        assert_eq!(spec.cache_cap, 1024);
 
         let err = SearchSpec::parse_toml("bogus = 1").unwrap_err();
         assert!(err.contains("valid keys:"), "{err}");
         assert!(err.contains("target_success"), "{err}");
         let err = SearchSpec::parse_toml(r#"scheme = "nope""#).unwrap_err();
         assert!(err.contains("gshe16"), "{err}");
-        assert!(SearchSpec::parse_toml("clock_periods_ns = [0.0]").is_err());
+
+        // Errors read the same through both front ends.
+        for (line, key, flag) in [
+            ("clock_periods_ns = [0.0]", "clock_periods_ns", "0"),
+            ("bogus = 1", "bogus", "1"),
+        ] {
+            let from_file = SearchSpec::parse_toml(line).unwrap_err();
+            let from_flag = SearchSpec::default()
+                .set(key, SpecValue::Flag(flag))
+                .unwrap_err();
+            assert_eq!(from_file, format!("line 1: {from_flag}"));
+        }
     }
 
     #[test]
@@ -994,6 +983,20 @@ threads = 2
             };
             assert!(err.contains(expected), "{err}");
         }
+    }
+
+    #[test]
+    fn timeout_past_the_clock_is_rejected_at_setup() {
+        let spec = SearchSpec {
+            timeout: Duration::from_secs(u64::MAX),
+            ..SearchSpec::default()
+        };
+        let session = EvalSession::new(1);
+        let err = match ProfileSearch::new(&session, spec) {
+            Err(e) => e,
+            Ok(_) => panic!("a timeout past the clock was accepted"),
+        };
+        assert!(err.contains("got 18446744073709551615 s"), "{err}");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! identity-derived seeds; the paper-table harnesses build the job list
 //! themselves when they need a historical seed derivation.
 //!
-//! Specs can be read from a minimal TOML subset (see
-//! [`CampaignSpec::parse_toml`] and the crate-level docs).
+//! Specs are read from a minimal TOML subset ([`CampaignSpec::parse_toml`],
+//! format in the crate-level docs) or from `--key-name value` flags; both
+//! front ends set every key through [`CampaignSpec::set`].
 
 use crate::job::{
     clock_salt, hash_mix, hash_str, rotation_salt, select_seed, transform_seed, AttackSeeds,
@@ -19,7 +20,8 @@ use crate::physical::{is_valid_clock_period, ClockRateTable};
 use gshe_attacks::{AttackKind, CoiMode, SimplifyMode};
 use gshe_camo::CamoScheme;
 use gshe_logic::Topology;
-use std::time::Duration;
+use std::str::FromStr;
+use std::time::{Duration, Instant};
 
 /// Machine-friendly scheme names used in spec files and CSV output.
 pub fn scheme_name(scheme: CamoScheme) -> &'static str {
@@ -41,7 +43,8 @@ pub fn parse_scheme(name: &str) -> Option<CamoScheme> {
         .find(|&s| scheme_name(s) == name)
 }
 
-/// The valid TOML keys of a campaign spec, in documentation order.
+/// The keys of a campaign spec, in documentation order. Each is a
+/// spec-file key and, spelled `--key-name`, a `campaign` flag.
 pub const SPEC_KEYS: [&str; 17] = [
     "name",
     "benchmarks",
@@ -88,11 +91,6 @@ pub fn valid_profile_names() -> String {
     )
 }
 
-/// Comma-separated spec-file keys ([`SPEC_KEYS`]) for error messages.
-pub fn valid_key_names() -> String {
-    join_names(SPEC_KEYS)
-}
-
 /// Rejects a benchmark-scale divisor below 1.
 pub(crate) fn check_scale(scale: usize) -> Result<(), String> {
     if scale == 0 {
@@ -118,6 +116,194 @@ fn check_error_rate(rate: f64) -> Result<(), String> {
     } else {
         Err(format!("error rate must be in [0, 1], got {rate}"))
     }
+}
+
+/// Rejects a clock period that is not a positive number of ns.
+fn check_clock_period(clock_ns: f64) -> Result<(), String> {
+    if is_valid_clock_period(clock_ns) {
+        Ok(())
+    } else {
+        Err(format!(
+            "clock period must be a positive number of ns, got {clock_ns}"
+        ))
+    }
+}
+
+/// Rejects a per-job budget so large that its deadline (job start plus
+/// budget) does not fit an [`Instant`].
+pub(crate) fn check_timeout(timeout: Duration) -> Result<(), String> {
+    match Instant::now().checked_add(timeout) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "timeout is past the latest deadline the clock can hold, got {} s",
+            timeout.as_secs()
+        )),
+    }
+}
+
+/// A spec value as one front end spells it. Every key reads its value
+/// through the same accessors whichever front end supplied it, so a spec
+/// file and the command line accept the same values in the same units.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SpecValue<'a> {
+    /// The text after `key =` in a spec file: strings in double quotes,
+    /// lists in brackets (`"ex1010"`, `["sat", "appsat"]`, `[0.1, 0.2]`).
+    File(&'a str),
+    /// The argument of a `--key-name` flag: strings bare, lists
+    /// comma-separated (`ex1010`, `sat,appsat`, `0.1,0.2`).
+    Flag(&'a str),
+}
+
+impl<'a> SpecValue<'a> {
+    /// One string.
+    pub(crate) fn string(self) -> Result<String, String> {
+        match self {
+            SpecValue::File(text) => text
+                .strip_prefix('"')
+                .and_then(|t| t.strip_suffix('"'))
+                .map(str::to_string)
+                .ok_or_else(|| format!("expected a double-quoted string, got `{text}`")),
+            SpecValue::Flag(text) => Ok(text.to_string()),
+        }
+    }
+
+    /// One number of type `T`, spelled the same in both front ends.
+    ///
+    /// # Errors
+    ///
+    /// Names the type and the text when the text does not parse as a `T`.
+    pub fn number<T: FromStr>(self) -> Result<T, String> {
+        let (SpecValue::File(text) | SpecValue::Flag(text)) = self;
+        text.parse()
+            .map_err(|_| format!("expected {}, got `{text}`", std::any::type_name::<T>()))
+    }
+
+    /// The items of a list, each spelled like a scalar of the same front
+    /// end.
+    fn items(self) -> Result<Vec<SpecValue<'a>>, String> {
+        let (list, item): (&str, fn(&'a str) -> SpecValue<'a>) = match self {
+            SpecValue::File(text) => (
+                text.strip_prefix('[')
+                    .and_then(|t| t.strip_suffix(']'))
+                    .ok_or_else(|| format!("expected a `[a, b]` list, got `{text}`"))?,
+                SpecValue::File,
+            ),
+            SpecValue::Flag(text) => (text, SpecValue::Flag),
+        };
+        if list.trim().is_empty() {
+            return Ok(Vec::new());
+        }
+        Ok(list.split(',').map(|text| item(text.trim())).collect())
+    }
+
+    /// A list of strings.
+    fn strings(self) -> Result<Vec<String>, String> {
+        self.items()?.into_iter().map(SpecValue::string).collect()
+    }
+
+    /// A list of numbers of type `T`.
+    fn numbers<T: FromStr>(self) -> Result<Vec<T>, String> {
+        self.items()?.into_iter().map(SpecValue::number).collect()
+    }
+}
+
+/// The spec key a `--key-name` command-line flag sets (`key_name`), or
+/// `None` for anything not spelled as such a flag.
+pub fn flag_key(flag: &str) -> Option<String> {
+    flag.strip_prefix("--")
+        .filter(|name| !name.contains('_'))
+        .map(|name| name.replace('-', "_"))
+}
+
+/// Looks `name` up with `parse`, naming the valid alternatives on a miss.
+fn lookup<T>(
+    what: &str,
+    name: &str,
+    parse: impl Fn(&str) -> Option<T>,
+    valid: &str,
+) -> Result<T, String> {
+    parse(name).ok_or_else(|| format!("unknown {what} `{name}` (valid: {valid})"))
+}
+
+/// Reads a list of names in which `"all"` stands for every member of
+/// `all`.
+fn names_or_all<T: Copy>(
+    value: SpecValue,
+    all: &[T],
+    one: impl Fn(&str) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::new();
+    for name in value.strings()? {
+        if name == "all" {
+            out.extend_from_slice(all);
+        } else {
+            out.push(one(&name)?);
+        }
+    }
+    Ok(out)
+}
+
+/// Looks a camouflaging scheme up by its [`scheme_name`].
+pub(crate) fn scheme_named(name: &str) -> Result<CamoScheme, String> {
+    lookup("scheme", name, parse_scheme, &valid_scheme_names())
+}
+
+/// Reads a list of attack names.
+pub(crate) fn attacks_value(value: SpecValue) -> Result<Vec<AttackKind>, String> {
+    value
+        .strings()?
+        .iter()
+        .map(|name| lookup("attack", name, AttackKind::parse, &valid_attack_names()))
+        .collect()
+}
+
+/// Reads a list of clock periods in ns, each positive.
+pub(crate) fn clock_periods_value(value: SpecValue) -> Result<Vec<f64>, String> {
+    let periods: Vec<f64> = value.numbers()?;
+    for &clock_ns in &periods {
+        check_clock_period(clock_ns)?;
+    }
+    Ok(periods)
+}
+
+/// The error for a key that is not one of `keys`.
+pub(crate) fn unknown_key(key: &str, keys: &[&str]) -> String {
+    format!("unknown key `{key}` (valid keys: {})", keys.join(", "))
+}
+
+/// Feeds every `key = value` line of a spec file to `set`: the minimal
+/// TOML subset documented at the crate level, whose `#` comments, blank
+/// lines and `[table]` headers are skipped. An error names its line.
+pub(crate) fn read_toml(
+    text: &str,
+    mut set: impl FnMut(&str, SpecValue) -> Result<(), String>,
+) -> Result<(), String> {
+    for (lineno, raw) in text.lines().enumerate() {
+        let line = strip_comment(raw).trim();
+        if line.is_empty() || line.starts_with('[') {
+            continue;
+        }
+        let at_line = |what: String| format!("line {}: {what}", lineno + 1);
+        let (key, value) = line
+            .split_once('=')
+            .ok_or_else(|| at_line("expected `key = value`".to_string()))?;
+        set(key.trim(), SpecValue::File(value.trim())).map_err(at_line)?;
+    }
+    Ok(())
+}
+
+/// Drops a `#` comment, but only when the `#` sits outside a
+/// double-quoted string.
+fn strip_comment(line: &str) -> &str {
+    let mut in_string = false;
+    for (i, c) in line.char_indices() {
+        match c {
+            '"' => in_string = !in_string,
+            '#' if !in_string => return &line[..i],
+            _ => {}
+        }
+    }
+    line
 }
 
 /// A declarative description of one campaign.
@@ -272,8 +458,9 @@ impl CampaignSpec {
     /// # Errors
     ///
     /// Rejects a scale below 1, a level outside `(0, 1]`, an error rate
-    /// outside `[0, 1]` and a non-positive clock period, naming the
-    /// value; propagates benchmark-resolution failures.
+    /// outside `[0, 1]`, a timeout too large for a deadline and a
+    /// non-positive clock period, naming the value; propagates
+    /// benchmark-resolution failures.
     pub fn expand(&self) -> Result<Vec<JobSpec>, String> {
         check_scale(self.scale)?;
         for &level in &self.levels {
@@ -282,6 +469,7 @@ impl CampaignSpec {
         for &rate in &self.error_rates {
             check_error_rate(rate)?;
         }
+        check_timeout(self.timeout)?;
         let benchmarks = self.resolve_benchmarks()?;
         let profiles = if self.profiles.is_empty() {
             vec![NoiseShape::Uniform]
@@ -301,11 +489,7 @@ impl CampaignSpec {
             self.error_rates.iter().map(|&rate| (0.0, rate)).collect();
         let mut clock_table = ClockRateTable::new();
         for &clock_ns in &self.clock_periods_ns {
-            if !is_valid_clock_period(clock_ns) {
-                return Err(format!(
-                    "clock period must be a positive number of ns, got {clock_ns}"
-                ));
-            }
+            check_clock_period(clock_ns)?;
             rate_cells.push((clock_ns, clock_table.rate_for(clock_ns)));
         }
         let mut jobs = Vec::new();
@@ -369,6 +553,65 @@ impl CampaignSpec {
         Ok(jobs)
     }
 
+    /// Sets one key from its spec-file or command-line spelling. This is
+    /// the only place a campaign key maps to a field:
+    /// [`CampaignSpec::parse_toml`] feeds it every `key = value` line, and
+    /// the `campaign` binary every `--key-name value` flag.
+    ///
+    /// # Errors
+    ///
+    /// Rejects an unknown key, a malformed value, an unknown name, a
+    /// non-positive clock period and a negative or non-finite memo budget.
+    pub fn set(&mut self, key: &str, value: SpecValue) -> Result<(), String> {
+        match key {
+            "name" => self.name = value.string()?,
+            "benchmarks" => self.benchmarks = value.strings()?,
+            "scale" => self.scale = value.number()?,
+            "topology" => {
+                self.topology = lookup(
+                    "topology",
+                    &value.string()?,
+                    Topology::parse,
+                    "uniform, local",
+                )?
+            }
+            "levels" => self.levels = value.numbers()?,
+            "schemes" => self.schemes = names_or_all(value, &CamoScheme::ALL, scheme_named)?,
+            "attacks" => self.attacks = attacks_value(value)?,
+            "sat_simplify" => {
+                self.sat_simplify = lookup(
+                    "sat_simplify",
+                    &value.string()?,
+                    SimplifyMode::parse,
+                    "on, off",
+                )?
+            }
+            "error_rates" => self.error_rates = value.numbers()?,
+            "clock_periods_ns" => self.clock_periods_ns = clock_periods_value(value)?,
+            "profiles" => {
+                self.profiles = names_or_all(value, &NoiseShape::ALL, |name| {
+                    lookup("profile", name, NoiseShape::parse, &valid_profile_names())
+                })?
+            }
+            "rotation_periods" => self.rotation_periods = value.numbers()?,
+            "trials" => self.trials = value.number()?,
+            "seed" => self.seed = value.number()?,
+            "timeout_secs" => self.timeout = Duration::from_secs(value.number()?),
+            "threads" => self.threads = value.number()?,
+            "memo_budget_mb" => {
+                let mb: f64 = value.number()?;
+                if !(mb.is_finite() && mb >= 0.0) {
+                    return Err(format!(
+                        "memo_budget_mb must be a non-negative number of MiB, got {mb}"
+                    ));
+                }
+                self.memo_budget_mb = mb;
+            }
+            other => return Err(unknown_key(other, &SPEC_KEYS)),
+        }
+        Ok(())
+    }
+
     /// Parses a campaign spec from the TOML subset documented at the crate
     /// level: `key = value` lines, `#` comments, strings in double quotes,
     /// homogeneous `[ ... ]` arrays of strings/numbers on one line.
@@ -380,189 +623,9 @@ impl CampaignSpec {
     /// Returns a message naming the offending line.
     pub fn parse_toml(text: &str) -> Result<CampaignSpec, String> {
         let mut spec = CampaignSpec::default();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = strip_comment(raw).trim();
-            if line.is_empty() || line.starts_with('[') {
-                // Blank, comment, or a table header like [campaign] —
-                // headers are accepted and ignored (single-table format).
-                continue;
-            }
-            let (key, value) = line
-                .split_once('=')
-                .ok_or_else(|| format!("line {}: expected `key = value`", lineno + 1))?;
-            let (key, value) = (key.trim(), value.trim());
-            let fail = |what: &str| format!("line {}: {what}", lineno + 1);
-            match key {
-                "name" => spec.name = parse_string(value).ok_or_else(|| fail("bad string"))?,
-                "benchmarks" => {
-                    spec.benchmarks =
-                        parse_string_array(value).ok_or_else(|| fail("bad string array"))?
-                }
-                "scale" => {
-                    spec.scale = value.parse().map_err(|_| fail("bad integer"))?;
-                }
-                "topology" => {
-                    let name = parse_string(value).ok_or_else(|| fail("bad string"))?;
-                    spec.topology = Topology::parse(&name).ok_or_else(|| {
-                        fail(&format!(
-                            "unknown topology `{name}` (valid: uniform, local)"
-                        ))
-                    })?;
-                }
-                "sat_simplify" => {
-                    let name = parse_string(value).ok_or_else(|| fail("bad string"))?;
-                    spec.sat_simplify = SimplifyMode::parse(&name).ok_or_else(|| {
-                        fail(&format!("unknown sat_simplify `{name}` (valid: on, off)"))
-                    })?;
-                }
-                "memo_budget_mb" => {
-                    let mb: f64 = value
-                        .parse()
-                        .map_err(|_| fail("bad number (MiB; 0 = unbounded)"))?;
-                    if !(mb.is_finite() && mb >= 0.0) {
-                        return Err(fail("memo_budget_mb must be a non-negative number of MiB"));
-                    }
-                    spec.memo_budget_mb = mb;
-                }
-                "levels" => {
-                    spec.levels =
-                        parse_array::<f64>(value).ok_or_else(|| fail("bad number array"))?
-                }
-                "schemes" => {
-                    let names =
-                        parse_string_array(value).ok_or_else(|| fail("bad string array"))?;
-                    spec.schemes = names
-                        .iter()
-                        .map(|n| {
-                            if n == "all" {
-                                Ok(CamoScheme::ALL.to_vec())
-                            } else {
-                                parse_scheme(n).map(|s| vec![s]).ok_or_else(|| {
-                                    fail(&format!(
-                                        "unknown scheme `{n}` (valid: {})",
-                                        valid_scheme_names()
-                                    ))
-                                })
-                            }
-                        })
-                        .collect::<Result<Vec<_>, _>>()?
-                        .into_iter()
-                        .flatten()
-                        .collect();
-                }
-                "attacks" => {
-                    let names =
-                        parse_string_array(value).ok_or_else(|| fail("bad string array"))?;
-                    spec.attacks = names
-                        .iter()
-                        .map(|n| {
-                            AttackKind::parse(n).ok_or_else(|| {
-                                fail(&format!(
-                                    "unknown attack `{n}` (valid: {})",
-                                    valid_attack_names()
-                                ))
-                            })
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                }
-                "error_rates" => {
-                    spec.error_rates =
-                        parse_array::<f64>(value).ok_or_else(|| fail("bad number array"))?
-                }
-                "clock_periods_ns" => {
-                    let periods = parse_array::<f64>(value)
-                        .ok_or_else(|| fail("bad number array (clock periods in ns)"))?;
-                    if let Some(bad) = periods.iter().find(|p| !is_valid_clock_period(**p)) {
-                        return Err(fail(&format!(
-                            "clock period must be a positive number of ns, got {bad}"
-                        )));
-                    }
-                    spec.clock_periods_ns = periods;
-                }
-                "profiles" => {
-                    let names =
-                        parse_string_array(value).ok_or_else(|| fail("bad string array"))?;
-                    spec.profiles = names
-                        .iter()
-                        .map(|n| {
-                            if n == "all" {
-                                Ok(NoiseShape::ALL.to_vec())
-                            } else {
-                                NoiseShape::parse(n).map(|s| vec![s]).ok_or_else(|| {
-                                    fail(&format!(
-                                        "unknown profile `{n}` (valid: {})",
-                                        valid_profile_names()
-                                    ))
-                                })
-                            }
-                        })
-                        .collect::<Result<Vec<_>, _>>()?
-                        .into_iter()
-                        .flatten()
-                        .collect();
-                }
-                "rotation_periods" => {
-                    spec.rotation_periods = parse_array::<u64>(value)
-                        .ok_or_else(|| fail("bad integer array (periods in queries; 0 = static)"))?
-                }
-                "trials" => spec.trials = value.parse().map_err(|_| fail("bad integer"))?,
-                "seed" => spec.seed = value.parse().map_err(|_| fail("bad integer"))?,
-                "timeout_secs" => {
-                    spec.timeout =
-                        Duration::from_secs(value.parse().map_err(|_| fail("bad integer"))?)
-                }
-                "threads" => spec.threads = value.parse().map_err(|_| fail("bad integer"))?,
-                other => {
-                    return Err(fail(&format!(
-                        "unknown key `{other}` (valid keys: {})",
-                        valid_key_names()
-                    )))
-                }
-            }
-        }
+        read_toml(text, |key, value| spec.set(key, value))?;
         Ok(spec)
     }
-}
-
-/// Drops a `#` comment, but only when the `#` sits outside a
-/// double-quoted string.
-pub(crate) fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-pub(crate) fn parse_string(value: &str) -> Option<String> {
-    let inner = value.strip_prefix('"')?.strip_suffix('"')?;
-    Some(inner.to_string())
-}
-
-pub(crate) fn parse_string_array(value: &str) -> Option<Vec<String>> {
-    let inner = value.strip_prefix('[')?.strip_suffix(']')?.trim();
-    if inner.is_empty() {
-        return Some(Vec::new());
-    }
-    inner
-        .split(',')
-        .map(|item| parse_string(item.trim()))
-        .collect()
-}
-
-pub(crate) fn parse_array<T: std::str::FromStr>(value: &str) -> Option<Vec<T>> {
-    let inner = value.strip_prefix('[')?.strip_suffix(']')?.trim();
-    if inner.is_empty() {
-        return Some(Vec::new());
-    }
-    inner
-        .split(',')
-        .map(|item| item.trim().parse().ok())
-        .collect()
 }
 
 #[cfg(test)]
@@ -861,6 +924,15 @@ mod tests {
     }
 
     #[test]
+    fn timeout_past_the_clock_is_rejected() {
+        let err = expand_error(CampaignSpec {
+            timeout: Duration::from_secs(u64::MAX),
+            ..Default::default()
+        });
+        assert!(err.contains("got 18446744073709551615 s"), "{err}");
+    }
+
+    #[test]
     fn zero_level_is_rejected() {
         let err = expand_error(CampaignSpec {
             levels: vec![0.1, 0.0],
@@ -1017,25 +1089,54 @@ mod tests {
         assert!(bad.resolve_benchmarks().is_err());
     }
 
+    /// A sample value for every key, spelled for a spec file and as a
+    /// flag; each differs from the key's default.
+    const SAMPLES: [(&str, &str, &str); 17] = [
+        ("name", r#""smoke""#, "smoke"),
+        (
+            "benchmarks",
+            r#"["c7552", "suite:itc99"]"#,
+            "c7552,suite:itc99",
+        ),
+        ("scale", "40", "40"),
+        ("topology", r#""local""#, "local"),
+        ("levels", "[0.1, 0.2]", "0.1,0.2"),
+        ("schemes", r#"["inv-buf", "gshe16"]"#, "inv-buf,gshe16"),
+        ("attacks", r#"["sat", "appsat"]"#, "sat,appsat"),
+        ("sat_simplify", r#""on""#, "on"),
+        ("error_rates", "[0.0, 0.05]", "0,0.05"),
+        ("clock_periods_ns", "[0.8, 6.0]", "0.8,6"),
+        (
+            "profiles",
+            r#"["uniform", "depth-gradient"]"#,
+            "uniform,depth-gradient",
+        ),
+        ("rotation_periods", "[0, 32]", "0,32"),
+        ("trials", "2", "2"),
+        ("seed", "9", "9"),
+        ("timeout_secs", "30", "30"),
+        ("threads", "4", "4"),
+        ("memo_budget_mb", "1.5", "1.5"),
+    ];
+
     #[test]
     fn toml_round_trip() {
-        let text = r#"
-# A worked example.
-[campaign]
-name = "smoke"
-benchmarks = ["c7552", "suite:itc99"]
-scale = 40
-levels = [0.1, 0.2]
-schemes = ["inv-buf", "gshe16"]
-attacks = ["sat", "appsat"]
-error_rates = [0.0, 0.05]
-rotation_periods = [0, 32]
-trials = 2
-seed = 9
-timeout_secs = 30
-threads = 4
-"#;
-        let spec = CampaignSpec::parse_toml(text).unwrap();
+        // Every key once from its file spelling and once from its flag
+        // spelling: both front ends must build the same spec.
+        let mut text = String::from("# A worked example.\n[campaign]\n");
+        let mut from_flags = CampaignSpec::default();
+        for key in SPEC_KEYS {
+            let (_, file, flag) = SAMPLES
+                .iter()
+                .find(|sample| sample.0 == key)
+                .unwrap_or_else(|| panic!("no sample for key `{key}`"));
+            text.push_str(&format!("{key} = {file}\n"));
+            let flag_name = format!("--{}", key.replace('_', "-"));
+            assert_eq!(flag_key(&flag_name).as_deref(), Some(key));
+            from_flags.set(key, SpecValue::Flag(flag)).unwrap();
+        }
+        let spec = CampaignSpec::parse_toml(&text).unwrap();
+        assert_eq!(spec, from_flags);
         assert_eq!(spec.name, "smoke");
         assert_eq!(spec.benchmarks, ["c7552", "suite:itc99"]);
         assert_eq!(spec.scale, 40);
@@ -1048,6 +1149,20 @@ threads = 4
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.timeout, Duration::from_secs(30));
         assert_eq!(spec.threads, 4);
+
+        // Selectors and errors read the same through both front ends.
+        for (line, key, flag, accepted) in [
+            (r#"schemes = ["all"]"#, "schemes", "all", true),
+            (r#"profiles = ["all"]"#, "profiles", "all", true),
+            ("clock_periods_ns = [0.0]", "clock_periods_ns", "0", false),
+            ("bogus = 1", "bogus", "1", false),
+        ] {
+            let from_file = CampaignSpec::parse_toml(line);
+            let mut spec = CampaignSpec::default();
+            let from_flag = spec.set(key, SpecValue::Flag(flag)).map(|()| spec);
+            assert_eq!(from_file.is_ok(), accepted, "{line}");
+            assert_eq!(from_file, from_flag.map_err(|e| format!("line 1: {e}")));
+        }
     }
 
     #[test]

@@ -1,17 +1,28 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants: Boolean-function algebra, solver vs. brute force, Tseitin
-//! encodings, netlist generation, camouflaging key semantics, and STA.
+//! encodings, netlist generation, camouflaging key semantics, STA, and
+//! the spec front ends.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spin_hall_security::attacks::{sat_equivalent_on, verify_key_scoped, CoiMode};
 use spin_hall_security::camo::{camouflage, select_gates_count, CamoScheme};
+use spin_hall_security::campaign::search::SEARCH_KEYS;
+use spin_hall_security::campaign::{flag_key, CampaignSpec, SearchSpec, SpecValue, SPEC_KEYS};
 use spin_hall_security::logic::bench_format::{parse_bench, write_bench};
 use spin_hall_security::logic::sim::random_equivalence_check;
 use spin_hall_security::logic::{Bf2, GeneratorConfig, NetlistGenerator, Topology};
 use spin_hall_security::sat::{CircuitEncoder, Lit, SolveResult, Solver};
 use spin_hall_security::timing::{DelayModel, TimingAnalysis};
+
+/// Fragments random spec input is built from: the TOML subset's
+/// punctuation, names the setters look up, and numbers at and past the
+/// edges of every field's type.
+const SPEC_TOKENS: [&str; 27] = [
+    "=", "[", "]", ",", "\"", "#", " ", "\n", "-", "_", "all", "sat", "gshe16", "uniform", "local",
+    "on", "ex1010", "0", "1", "0.5", "-1", "99999", "1e400", "nan", "inf", "\u{e9}", "x",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -240,6 +251,38 @@ proptest! {
             let verdict = verify_key_scoped(&nl, &keyed, &key, mode).unwrap();
             prop_assert_eq!(verdict.functionally_equivalent, all_equal, "{:?}", mode);
         }
+    }
+
+    /// Malformed spec input is an error, never a panic: random
+    /// `key = value` lines through both `parse_toml`s, and the same keys
+    /// and values as `--flag value` pairs through both setters.
+    #[test]
+    fn spec_front_ends_never_panic(
+        lines in prop::collection::vec(
+            (0usize..64, prop::collection::vec(0usize..SPEC_TOKENS.len(), 0..8)),
+            1..6,
+        ),
+    ) {
+        let keys: Vec<&str> = SPEC_KEYS.iter().chain(&SEARCH_KEYS).copied().chain(["bogus"]).collect();
+        let mut text = String::new();
+        for (key, tokens) in &lines {
+            let key = keys[key % keys.len()];
+            let value: String = tokens.iter().map(|&t| SPEC_TOKENS[t]).collect();
+            let line = format!("{key} = {value}");
+            let _ = CampaignSpec::parse_toml(&line);
+            let _ = SearchSpec::parse_toml(&line);
+            text.push_str(&line);
+            text.push('\n');
+            let flag = format!("--{}", key.replace('_', "-"));
+            for flag in [flag.as_str(), value.as_str()] {
+                if let Some(key) = flag_key(flag) {
+                    let _ = CampaignSpec::default().set(&key, SpecValue::Flag(&value));
+                    let _ = SearchSpec::default().set(&key, SpecValue::Flag(&value));
+                }
+            }
+        }
+        let _ = CampaignSpec::parse_toml(&text);
+        let _ = SearchSpec::parse_toml(&text);
     }
 
     /// STA invariants: arrival monotone along edges, slack non-negative off
