@@ -62,10 +62,11 @@ the spec file's value.
   --seed N               master seed
   --timeout-secs SECS    per-job attack budget in seconds
   --threads N            workers (0 = available parallelism)
-  --memo-budget-mb MIB   streaming memo budget in MiB (fractions allowed;
-                         0 = keep every benchmark resident): benchmarks
-                         run in chunks whose arenas fit the budget, with
-                         per-chunk eviction
+  --memo-budget-mb MIB   memo budget in MiB (fractions allowed; at least
+                         one byte when positive): benchmarks run in chunks
+                         whose arenas fit the budget, built one ahead, and
+                         each finished chunk is evicted; 0 = no budget
+                         (every benchmark built at once and kept resident)
 
 RUN FLAGS:
   --spec FILE.toml       read the spec file before any other flag

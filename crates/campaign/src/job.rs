@@ -451,8 +451,8 @@ impl KeyedMemo {
 
     /// Evicts every materialization derived from `nl` (matched by `Arc`
     /// allocation identity, like the memo's own lookups). Returns how
-    /// many entries were dropped. The streaming scheduler calls this when
-    /// a benchmark's chunk retires.
+    /// many entries were dropped. A run with a memo budget calls this
+    /// when a benchmark's chunk finishes.
     pub fn evict_for(&self, nl: &Arc<Netlist>) -> usize {
         let mut entries = self.entries.lock().unwrap();
         let before = entries.len();

@@ -86,7 +86,7 @@
 //! seed = 1                   # master seed (1)
 //! timeout_secs = 60          # per-job attack budget (60)
 //! threads = 0                # workers; 0 = available parallelism (0)
-//! memo_budget_mb = 256.5     # streaming memo budget, MiB; 0 = unbounded (0)
+//! memo_budget_mb = 256.5     # memo budget per chunk, MiB; 0 = no budget (0)
 //! ```
 //!
 //! There is no cone-of-influence key: whenever the cloaked cells reach a
@@ -166,6 +166,7 @@ pub use spec::{
 use gshe_camo::KeyedNetlist;
 use gshe_device::SwitchParams;
 use gshe_logic::{suites, Netlist, Topology};
+use spec::memo_budget_bytes;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -223,7 +224,7 @@ impl NetlistSource {
 }
 
 /// The benchmarks a job list references, in first-reference order (the
-/// order streaming admission walks them in).
+/// order the chunk loop admits them in).
 fn referenced_benchmarks(jobs: &[JobSpec]) -> Vec<String> {
     let mut referenced: Vec<String> = Vec::new();
     for job in jobs {
@@ -266,8 +267,8 @@ pub struct EvalSession {
     keyed: Arc<job::KeyedMemo>,
     params: SwitchParams,
     /// High-water mark of the netlist memo's summed arena bytes, sampled
-    /// at every admission and chunk boundary (the memory the streaming
-    /// scheduler bounds; keyed materializations ride along per chunk).
+    /// at every admission, the only time the memo grows (the memory a
+    /// memo budget bounds; keyed materializations ride along per chunk).
     peak_memo: AtomicU64,
 }
 
@@ -323,29 +324,13 @@ impl EvalSession {
     }
 
     /// High-water mark, in bytes, of the benchmark memo's summed
-    /// [`Netlist::arena_bytes`] over the session's lifetime. Under a
-    /// `memo_budget_mb` streaming run this is the number the budget
-    /// bounds (modulo one carried-over benchmark of slack — see
-    /// [`CampaignSpec::memo_budget_mb`]).
+    /// [`Netlist::arena_bytes`] over the session's lifetime. A run with a
+    /// [`CampaignSpec::memo_budget_mb`] keeps it within the budget, or
+    /// within its largest benchmark when that alone exceeds the budget.
+    /// A report's [`CampaignReport::peak_memo_bytes`] is its own run's
+    /// peak.
     pub fn peak_memo_bytes(&self) -> u64 {
         self.peak_memo.load(Ordering::Relaxed)
-    }
-
-    /// Current netlist-memo footprint: summed arena bytes over every
-    /// resident materialization.
-    fn memo_bytes(&self) -> u64 {
-        self.netlists
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(_, nl)| nl.arena_bytes() as u64)
-            .sum()
-    }
-
-    /// Samples the current memo footprint into the peak gauge.
-    fn note_memo_peak(&self) {
-        self.peak_memo
-            .fetch_max(self.memo_bytes(), Ordering::Relaxed);
     }
 
     /// Runs an arbitrary task batch on the session's worker pool, results
@@ -384,10 +369,9 @@ impl EvalSession {
         seed: u64,
         topology: Topology,
     ) -> Result<Arc<Netlist>, String> {
-        Ok(self
-            .materialize_netlists(&[name.to_string()], scale, seed, topology)?
-            .remove(0)
-            .1)
+        let built = self.materialize_netlists(&[name.to_string()], scale, seed, topology)?;
+        self.admit(&built, scale, seed, topology);
+        Ok(Arc::clone(&built[0].1))
     }
 
     /// The keyed (camouflaged) netlist for the given materialization
@@ -409,9 +393,11 @@ impl EvalSession {
         self.keyed.get_or_materialize(&nl, level, scheme, seeds)
     }
 
-    /// Materializes every benchmark in `names` (memoized), generating the
-    /// missing ones in parallel through the pool. Returns entries in
-    /// `names` order.
+    /// Returns each benchmark in `names`, in order: from the memo when
+    /// resident, otherwise built. Every missing name resolves before any
+    /// build starts, so an unknown benchmark or an unreadable `.aag` file
+    /// fails before generation work. Admits nothing: the caller decides
+    /// what becomes resident ([`Self::admit`]).
     fn materialize_netlists(
         &self,
         names: &[String],
@@ -419,22 +405,22 @@ impl EvalSession {
         seed: u64,
         topology: Topology,
     ) -> Result<Vec<NamedNetlist>, String> {
-        // Resolve every name up front so unknown benchmarks (and
-        // unreadable `.aag` files) fail before any generation work.
+        let mut found: Vec<NamedNetlist> = Vec::new();
         let mut missing: Vec<(String, NetlistSource)> = Vec::new();
         {
             let memo = self.netlists.lock().unwrap();
             for name in names {
                 let key = (name.clone(), scale, seed, topology);
-                if memo.iter().any(|(k, _)| *k == key) || missing.iter().any(|(n, _)| n == name) {
-                    continue;
+                if let Some((_, nl)) = memo.iter().find(|(k, _)| *k == key) {
+                    found.push((name.clone(), Arc::clone(nl)));
+                } else if !missing.iter().any(|(n, _)| n == name) {
+                    missing.push((name.clone(), NetlistSource::resolve(name)?));
                 }
-                missing.push((name.clone(), NetlistSource::resolve(name)?));
             }
         }
-        // Generation can be minutes of work at low scale divisors, so it
-        // runs through the same work-stealing pool as the jobs (and
-        // outside the memo lock).
+        // Generation can be minutes of work at low scale divisors, so the
+        // missing benchmarks build in one batch on the same work-stealing
+        // pool as the jobs (and outside the memo lock).
         let gen_tasks: Vec<Box<dyn FnOnce() -> Result<NamedNetlist, String> + Send>> = missing
             .into_iter()
             .map(|(name, source)| {
@@ -445,72 +431,35 @@ impl EvalSession {
                 }) as Box<dyn FnOnce() -> Result<NamedNetlist, String> + Send>
             })
             .collect();
-        let generated = self
-            .pool
-            .run_all(gen_tasks)
-            .into_iter()
-            .collect::<Result<Vec<NamedNetlist>, String>>()?;
-        let mut memo = self.netlists.lock().unwrap();
-        for (name, nl) in generated {
-            let key = (name.clone(), scale, seed, topology);
-            if !memo.iter().any(|(k, _)| *k == key) {
-                memo.push((key, nl));
-            }
+        for generated in self.pool.run_all(gen_tasks) {
+            found.push(generated?);
         }
-        let out = names
+        Ok(names
             .iter()
             .map(|name| {
-                let key = (name.clone(), scale, seed, topology);
-                let nl = memo
+                found
                     .iter()
-                    .find(|(k, _)| *k == key)
-                    .map(|(_, nl)| Arc::clone(nl))
-                    .expect("materialized above");
-                (name.clone(), nl)
+                    .find(|(n, _)| n == name)
+                    .cloned()
+                    .expect("resident or built above")
             })
-            .collect();
-        drop(memo);
-        self.note_memo_peak();
-        Ok(out)
+            .collect())
     }
 
-    /// Materializes one benchmark **without** admitting it to the memo —
-    /// streaming admission must measure a candidate's arena bytes before
-    /// committing memo residency. Returns the resident entry when the
-    /// memo already holds one (a warm session).
-    fn materialize_one(
-        &self,
-        name: &str,
-        scale: usize,
-        seed: u64,
-        topology: Topology,
-    ) -> Result<NamedNetlist, String> {
-        let key = (name.to_string(), scale, seed, topology);
-        if let Some(nl) = self
-            .netlists
-            .lock()
-            .unwrap()
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, nl)| Arc::clone(nl))
-        {
-            return Ok((name.to_string(), nl));
-        }
-        let _span = gshe_obs::span("session.materialize");
-        let nl = NetlistSource::resolve(name)?.build(name, scale, seed, topology)?;
-        Ok((name.to_string(), Arc::new(nl)))
-    }
-
-    /// Admits chunk entries into the netlist memo (idempotent), so the
-    /// peak gauge sees exactly the resident set.
-    fn admit(&self, chunk: &[NamedNetlist], scale: usize, seed: u64, topology: Topology) {
+    /// Admits entries into the netlist memo (idempotent) and returns the
+    /// memo's summed arena bytes afterwards. The memo grows only here, so
+    /// this is where the session's peak is sampled.
+    fn admit(&self, entries: &[NamedNetlist], scale: usize, seed: u64, topology: Topology) -> u64 {
         let mut memo = self.netlists.lock().unwrap();
-        for (name, nl) in chunk {
+        for (name, nl) in entries {
             let key = (name.clone(), scale, seed, topology);
             if !memo.iter().any(|(k, _)| *k == key) {
                 memo.push((key, Arc::clone(nl)));
             }
         }
+        let bytes = memo.iter().map(|(_, nl)| nl.arena_bytes() as u64).sum();
+        self.peak_memo.fetch_max(bytes, Ordering::Relaxed);
+        bytes
     }
 
     /// Releases a finished chunk: drops its netlists from the memo and
@@ -528,16 +477,17 @@ impl EvalSession {
     /// # Errors
     ///
     /// Returns a message when the spec cannot be expanded (unknown
-    /// benchmark selector). Individual job failures do *not* abort the
-    /// campaign; they surface as [`JobStatus::Failed`] results.
+    /// benchmark selector) or its memo budget is negative or not finite.
+    /// Individual job failures do *not* abort the campaign; they surface
+    /// as [`JobStatus::Failed`] results.
     pub fn run(&self, spec: &CampaignSpec) -> Result<CampaignReport, String> {
         let jobs = spec.expand()?;
         self.run_jobs(spec, jobs)
     }
 
     /// Runs an explicit job list under `spec`'s shared knobs (name, scale,
-    /// seed). This is the entry point for harnesses that need a historical
-    /// seed derivation instead of [`CampaignSpec::expand`]'s.
+    /// seed, memo budget). This is the entry point for harnesses that need
+    /// a historical seed derivation instead of [`CampaignSpec::expand`]'s.
     ///
     /// The spec's `threads` knob is ignored here — the session's pool is
     /// already sized; reported cache stats are per-run deltas, so a warm
@@ -545,24 +495,21 @@ impl EvalSession {
     ///
     /// # Errors
     ///
-    /// Returns a message when a job references a benchmark that cannot be
-    /// instantiated.
+    /// Returns a message, before any job runs, when `spec.memo_budget_mb`
+    /// is negative or not finite; and when a job references a benchmark
+    /// that cannot be instantiated.
     pub fn run_jobs(
         &self,
         spec: &CampaignSpec,
         jobs: Vec<JobSpec>,
     ) -> Result<CampaignReport, String> {
+        let budget = memo_budget_bytes(spec.memo_budget_mb)?;
         let start = Instant::now();
         let (hits_before, misses_before) = self.cache.stats();
         let (cone_hits_before, cone_misses_before) = self.cache.cone_stats();
         let pool_before = self.pool.worker_stats();
 
-        let budget_bytes = (spec.memo_budget_mb * (1u64 << 20) as f64) as u64;
-        let results = if budget_bytes == 0 {
-            self.run_unbounded(spec, jobs)?
-        } else {
-            self.run_streaming(spec, jobs, budget_bytes)?
-        };
+        let (results, peak_memo) = self.run_chunks(spec, jobs, budget)?;
 
         let (hits, misses) = self.cache.stats();
         let (cone_hits, cone_misses) = self.cache.cone_stats();
@@ -591,90 +538,68 @@ impl EvalSession {
                 cone_misses - cone_misses_before,
             ),
             self.cache.cone_key_words(),
-            self.peak_memo_bytes(),
+            peak_memo,
         ))
     }
 
-    /// The historical scheduling path: every referenced benchmark is
-    /// materialized up front and stays resident for the whole run.
-    fn run_unbounded(
+    /// The chunk loop behind [`Self::run_jobs`]. A chunk holds the next
+    /// benchmarks, in the order the jobs first name them, while their
+    /// measured [`Netlist::arena_bytes`] fit `budget`; a benchmark bigger
+    /// than the whole budget runs in a chunk of its own. Each chunk is
+    /// admitted to the memo and its jobs run in one pool batch; device
+    /// jobs ride in the first chunk. Results return in submission order,
+    /// so the deterministic report does not depend on the budget.
+    ///
+    /// The budget decides two things. A benchmark's size is known only
+    /// once it is built, so a budgeted run builds one benchmark ahead
+    /// (one built-but-unadmitted benchmark of slack) and evicts each
+    /// finished chunk's netlists and keyed materializations. Without a
+    /// budget, every missing benchmark builds in one pool batch, one chunk
+    /// runs, and the memo is kept for later runs on the session.
+    ///
+    /// Also returns the run's peak memo bytes: the largest memo size at
+    /// its admissions.
+    fn run_chunks(
         &self,
         spec: &CampaignSpec,
         jobs: Vec<JobSpec>,
-    ) -> Result<Vec<JobResult>, String> {
-        let referenced = referenced_benchmarks(&jobs);
-        let netlists =
-            self.materialize_netlists(&referenced, spec.scale, spec.seed, spec.topology)?;
-
-        let ctx = Arc::new(JobContext {
-            netlists,
-            cache: Arc::clone(&self.cache),
-            params: self.params,
-            keyed: Arc::clone(&self.keyed),
-            coi_mode: spec.coi_mode,
-            sat_simplify: spec.sat_simplify,
-        });
-
-        let tasks: Vec<Box<dyn FnOnce() -> JobResult + Send>> = jobs
-            .into_iter()
-            .map(|job| {
-                let ctx = Arc::clone(&ctx);
-                Box::new(move || run_job(&job, &ctx)) as Box<dyn FnOnce() -> JobResult + Send>
-            })
-            .collect();
-        Ok(self.pool.run_all(tasks))
-    }
-
-    /// Memory-bounded streaming scheduling: benchmarks are admitted into
-    /// the memo in chunks whose summed [`Netlist::arena_bytes`] fit the
-    /// byte budget, each chunk's jobs run to completion, and the chunk's
-    /// materializations (netlists *and* their keyed schemes) are evicted
-    /// before the next admission. A superblue-scale grid therefore peaks
-    /// at one chunk of arenas instead of the whole suite.
-    ///
-    /// Admission is measure-then-admit: a benchmark must be built before
-    /// its size is known, so a candidate that overflows the current chunk
-    /// is held in a carry slot — one benchmark of slack above the budget
-    /// while the chunk drains — and admitted first at the next boundary.
-    /// A benchmark bigger than the whole budget still runs (in a chunk of
-    /// its own); the budget shapes scheduling, it never drops work.
-    ///
-    /// Results are reassembled into submission-order slots, so the
-    /// deterministic report is byte-identical to [`Self::run_unbounded`].
-    fn run_streaming(
-        &self,
-        spec: &CampaignSpec,
-        jobs: Vec<JobSpec>,
-        budget_bytes: u64,
-    ) -> Result<Vec<JobResult>, String> {
-        let mut queue: VecDeque<String> = referenced_benchmarks(&jobs).into();
+        budget: Option<u64>,
+    ) -> Result<(Vec<JobResult>, u64), String> {
+        let names = referenced_benchmarks(&jobs);
+        let mut unbuilt: &[String] = &names;
+        let mut built: VecDeque<NamedNetlist> = VecDeque::new();
         let mut slots: Vec<Option<JobResult>> = jobs.iter().map(|_| None).collect();
         let mut pending: Vec<Option<JobSpec>> = jobs.into_iter().map(Some).collect();
-
-        let mut carry: Option<NamedNetlist> = None;
+        let mut peak = 0;
         let mut first_chunk = true;
-        while first_chunk || carry.is_some() || !queue.is_empty() {
+        while first_chunk || !built.is_empty() || !unbuilt.is_empty() {
             let mut chunk: Vec<NamedNetlist> = Vec::new();
             let mut used: u64 = 0;
-            if let Some(nl) = carry.take() {
-                used += nl.1.arena_bytes() as u64;
-                chunk.push(nl);
-            }
-            while let Some(name) = queue.pop_front() {
-                let nl = self.materialize_one(&name, spec.scale, spec.seed, spec.topology)?;
-                let bytes = nl.1.arena_bytes() as u64;
-                if chunk.is_empty() || used + bytes <= budget_bytes {
-                    used += bytes;
-                    chunk.push(nl);
-                } else {
-                    carry = Some(nl);
+            loop {
+                if built.is_empty() && !unbuilt.is_empty() {
+                    let ahead = if budget.is_some() { 1 } else { unbuilt.len() };
+                    let (now, later) = unbuilt.split_at(ahead);
+                    built.extend(self.materialize_netlists(
+                        now,
+                        spec.scale,
+                        spec.seed,
+                        spec.topology,
+                    )?);
+                    unbuilt = later;
+                }
+                let Some((_, nl)) = built.front() else {
+                    break;
+                };
+                let bytes = nl.arena_bytes() as u64;
+                if !chunk.is_empty() && budget.is_some_and(|b| used + bytes > b) {
                     break;
                 }
+                used += bytes;
+                chunk.extend(built.pop_front());
             }
-            self.admit(&chunk, spec.scale, spec.seed, spec.topology);
-            self.note_memo_peak();
+            peak = peak.max(self.admit(&chunk, spec.scale, spec.seed, spec.topology));
 
-            // Every job whose benchmark is resident runs now; device
+            // Every job whose benchmark is in the chunk runs now; device
             // jobs (no benchmark at all) ride in the first chunk.
             let mut batch: Vec<(usize, JobSpec)> = Vec::new();
             for (idx, slot) in pending.iter_mut().enumerate() {
@@ -692,7 +617,7 @@ impl EvalSession {
             first_chunk = false;
 
             let ctx = Arc::new(JobContext {
-                netlists: chunk.clone(),
+                netlists: chunk,
                 cache: Arc::clone(&self.cache),
                 params: self.params,
                 keyed: Arc::clone(&self.keyed),
@@ -707,19 +632,20 @@ impl EvalSession {
                     Box::new(move || run_job(&job, &ctx)) as Box<dyn FnOnce() -> JobResult + Send>
                 })
                 .collect();
-            let results = self.pool.run_all(tasks);
-            self.note_memo_peak();
-            for (idx, result) in indices.into_iter().zip(results) {
+            for (idx, result) in indices.into_iter().zip(self.pool.run_all(tasks)) {
                 slots[idx] = Some(result);
             }
-            self.evict(&chunk);
+            if budget.is_some() {
+                self.evict(&ctx.netlists);
+            }
         }
 
-        slots
+        let results = slots
             .into_iter()
             .zip(pending)
             .map(|(slot, job)| slot.ok_or_else(|| format!("job was never scheduled: {job:?}")))
-            .collect()
+            .collect::<Result<Vec<JobResult>, String>>()?;
+        Ok((results, peak))
     }
 }
 
@@ -837,10 +763,10 @@ mod tests {
     #[test]
     fn streaming_budget_matches_unbounded_and_bounds_the_memo() {
         // Three benchmarks, a budget sized so at most one ~64-gate arena
-        // is resident at a time: the streaming scheduler must chunk, hold
-        // peak memo bytes to one benchmark (measure-then-admit allows at
-        // most one candidate of slack), evict everything at the end, and
-        // still emit byte-identical deterministic output.
+        // is resident at a time: the run must chunk, hold peak memo bytes
+        // to one benchmark (the benchmark built ahead is not admitted),
+        // evict everything at the end, and still emit byte-identical
+        // deterministic output.
         let mut spec = tiny_spec(2);
         spec.benchmarks = vec!["ex1010".into(), "c7552".into(), "b14".into()];
         let unbounded = Campaign::run(&spec).unwrap();
@@ -857,16 +783,11 @@ mod tests {
         // invariant: a chunk never exceeds max(budget, one benchmark) —
         // only a single oversized benchmark may overflow, alone — so the
         // peak must sit strictly below the whole suite's footprint.
-        let arenas: Vec<u64> = spec
-            .benchmarks
+        let arenas: Vec<u64> = session
+            .materialize_netlists(&spec.benchmarks, spec.scale, spec.seed, spec.topology)
+            .unwrap()
             .iter()
-            .map(|name| {
-                session
-                    .materialize_one(name, spec.scale, spec.seed, spec.topology)
-                    .unwrap()
-                    .1
-                    .arena_bytes() as u64
-            })
+            .map(|(_, nl)| nl.arena_bytes() as u64)
             .collect();
         let budget = (spec.memo_budget_mb * 1024.0 * 1024.0) as u64;
         let largest = *arenas.iter().max().unwrap();
@@ -903,6 +824,120 @@ mod tests {
         spec.memo_budget_mb = 0.0;
         let unbounded = session.run(&spec).unwrap();
         assert_eq!(report.deterministic_json(), unbounded.deterministic_json());
+    }
+
+    #[test]
+    fn sub_byte_budget_streams_one_benchmark_per_chunk() {
+        // A positive budget under one byte is still a budget: it rounds up
+        // to one byte, so every chunk is one benchmark and none stays.
+        let mut spec = tiny_spec(2);
+        spec.benchmarks = vec!["ex1010".into(), "c7552".into(), "b14".into()];
+        spec.schemes = vec![CamoScheme::InvBuf];
+        spec.memo_budget_mb = 1e-9;
+        let session = EvalSession::new(2);
+        let report = session.run(&spec).unwrap();
+        assert_eq!(session.cached_netlists(), 0, "every chunk is evicted");
+        let largest = session
+            .materialize_netlists(&spec.benchmarks, spec.scale, spec.seed, spec.topology)
+            .unwrap()
+            .iter()
+            .map(|(_, nl)| nl.arena_bytes() as u64)
+            .max()
+            .unwrap();
+        assert_eq!(report.peak_memo_bytes, largest);
+    }
+
+    #[test]
+    fn negative_or_non_finite_budget_is_an_error() {
+        // A struct-built spec skips the setter's check; the run applies it
+        // before any job runs.
+        let session = EvalSession::new(1);
+        for mb in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut spec = tiny_spec(1);
+            spec.memo_budget_mb = mb;
+            let err = session.run(&spec).unwrap_err();
+            assert!(err.contains(&format!("got {mb}")), "{err}");
+            assert_eq!(session.run_jobs(&spec, Vec::new()).unwrap_err(), err);
+        }
+        assert_eq!(session.cached_netlists(), 0);
+    }
+
+    #[test]
+    fn report_peak_is_the_runs_own() {
+        // A budgeted run after a larger one on the same session reports
+        // its own peak; the session keeps the lifetime mark.
+        let mut spec = tiny_spec(1);
+        spec.benchmarks = vec!["c7552".into()];
+        spec.schemes = vec![CamoScheme::InvBuf];
+        spec.memo_budget_mb = 64.0;
+        spec.scale = 20;
+        let session = EvalSession::new(1);
+        let large = session.run(&spec).unwrap();
+        spec.scale = 400;
+        let small = session.run(&spec).unwrap();
+        let arena = session
+            .materialize_netlists(&spec.benchmarks, spec.scale, spec.seed, spec.topology)
+            .unwrap()[0]
+            .1
+            .arena_bytes() as u64;
+        assert_eq!(small.peak_memo_bytes, arena);
+        assert!(large.peak_memo_bytes > arena, "{}", large.peak_memo_bytes);
+        assert_eq!(session.peak_memo_bytes(), large.peak_memo_bytes);
+    }
+
+    #[test]
+    fn device_jobs_ride_in_the_first_chunk() {
+        // Device jobs name no benchmark. Mixed with attacks on two
+        // benchmarks, every result lands in its submission slot whether
+        // the run streams one benchmark per chunk or has no budget.
+        let mut spec = tiny_spec(2);
+        spec.benchmarks = vec!["ex1010".into(), "c7552".into()];
+        spec.schemes = vec![CamoScheme::InvBuf];
+        let attacks = spec.expand().unwrap();
+        let device = |kind| JobSpec {
+            kind,
+            timeout: spec.timeout,
+        };
+        let delay = device(JobKind::DeviceDelay {
+            i_s: 20e-6,
+            samples: 8,
+            seed: 1,
+        });
+        let rate = device(JobKind::DeviceErrorRate {
+            i_s: 20e-6,
+            t_clk: 1e-9,
+            samples: 8,
+            seed: 2,
+        });
+        let jobs = vec![
+            delay.clone(),
+            attacks[0].clone(),
+            rate.clone(),
+            attacks[1].clone(),
+            delay,
+        ];
+        let mut reports = Vec::new();
+        for mb in [0.0, 1e-9] {
+            spec.memo_budget_mb = mb;
+            let report = EvalSession::new(2).run_jobs(&spec, jobs.clone()).unwrap();
+            let order: Vec<&JobSpec> = report.results.iter().map(|r| &r.spec).collect();
+            assert_eq!(order, jobs.iter().collect::<Vec<_>>());
+            assert!(report
+                .results
+                .iter()
+                .all(|r| r.status == JobStatus::Completed));
+            reports.push(report.deterministic_json());
+        }
+        assert_eq!(reports[0], reports[1]);
+
+        // A device-only job list under the same 1e-9 MiB budget: one
+        // chunk, no benchmark.
+        let report = EvalSession::new(1)
+            .run_jobs(&spec, vec![rate.clone()])
+            .unwrap();
+        assert_eq!(report.results.len(), 1);
+        assert_eq!(report.results[0].spec, rate);
+        assert_eq!(report.results[0].status, JobStatus::Completed);
     }
 
     #[test]

@@ -4,14 +4,13 @@
 //! Sec. V-B's knob is *physical*: a switch driven at spin current `I_S`
 //! and clocked with period `t_clk` misses its deadline with a probability
 //! set by the switching-delay distribution (Fig. 4). This module hosts
-//! the derivation ([`error_rate_for_clock`], [`error_profile_for_drives`])
-//! and the campaign-facing piece: [`ClockRateTable`], the memoized
-//! clock-period → error-rate map behind the spec-level `clock_periods_ns`
-//! grid dimension, which lets campaigns sweep clock periods end to end —
-//! device Monte Carlo → per-cell rate → noise profile → attack.
+//! the derivation ([`error_rate_for_clock`]) and the campaign-facing
+//! piece: [`ClockRateTable`], the memoized clock-period → error-rate map
+//! behind the spec-level `clock_periods_ns` grid dimension, which lets
+//! campaigns sweep clock periods end to end — device Monte Carlo →
+//! per-cell rate → noise profile → attack.
 
 use gshe_device::{MonteCarlo, MonteCarloConfig, SwitchParams};
-use gshe_logic::{ErrorProfile, NodeId};
 
 /// Spin current (A) every cloaked cell is driven at in a spec-level
 /// `clock_periods_ns` sweep: the paper's nominal 20 µA operating point,
@@ -54,54 +53,6 @@ pub fn error_rate_for_clock(
         threads: 0,
     });
     1.0 - mc.switching_probability(i_s, t_clk)
-}
-
-/// One switch's drive point: which netlist node it implements and how it
-/// is driven (spin current and clock period — the two per-switch knobs of
-/// Sec. V-B).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SwitchDrive {
-    /// The netlist node the switch realizes.
-    pub node: NodeId,
-    /// Spin current, A.
-    pub i_s: f64,
-    /// Clock period, s.
-    pub t_clk: f64,
-}
-
-/// Derives a dense per-node [`ErrorProfile`] from per-switch drive points:
-/// each listed switch's flip rate comes from the device Monte Carlo
-/// ([`error_rate_for_clock`]); unlisted nodes are deterministic.
-///
-/// Distinct `(i_s, t_clk)` pairs are measured once and shared — a fabric
-/// with thousands of switches at a handful of operating points costs a
-/// handful of Monte Carlo sweeps.
-///
-/// # Panics
-///
-/// Panics if a drive's node index is outside `0..len`.
-pub fn error_profile_for_drives(
-    params: &SwitchParams,
-    len: usize,
-    drives: &[SwitchDrive],
-    samples: usize,
-    seed: u64,
-) -> ErrorProfile {
-    let mut rates = vec![0.0; len];
-    let mut measured: Vec<(u64, u64, f64)> = Vec::new();
-    for drive in drives {
-        let key = (drive.i_s.to_bits(), drive.t_clk.to_bits());
-        let rate = match measured.iter().find(|(i, t, _)| (*i, *t) == key) {
-            Some(&(_, _, r)) => r,
-            None => {
-                let r = error_rate_for_clock(params, drive.i_s, drive.t_clk, samples, seed);
-                measured.push((key.0, key.1, r));
-                r
-            }
-        };
-        rates[drive.node.index()] = rate;
-    }
-    ErrorProfile::from_rates(rates)
 }
 
 /// A memoized clock-period → per-cell error-rate table over uniform
@@ -195,38 +146,5 @@ mod tests {
         let low = error_rate_for_clock(&params, 20e-6, 1.2e-9, 64, 5);
         let high = error_rate_for_clock(&params, 100e-6, 1.2e-9, 64, 5);
         assert!(high < low, "I_S=100uA err {high} vs 20uA err {low}");
-    }
-
-    #[test]
-    fn drive_profile_orders_rates_by_clock() {
-        // Two switches at the same current: the aggressively-clocked one
-        // must be at least as noisy as the relaxed one, and unlisted nodes
-        // stay deterministic. Duplicate drive points share one Monte Carlo
-        // measurement (identical rates).
-        let params = SwitchParams::table_i();
-        let drives = [
-            SwitchDrive {
-                node: NodeId(1),
-                i_s: 20e-6,
-                t_clk: 0.8e-9,
-            },
-            SwitchDrive {
-                node: NodeId(3),
-                i_s: 20e-6,
-                t_clk: 6e-9,
-            },
-            SwitchDrive {
-                node: NodeId(4),
-                i_s: 20e-6,
-                t_clk: 0.8e-9,
-            },
-        ];
-        let profile = error_profile_for_drives(&params, 6, &drives, 64, 3);
-        assert_eq!(profile.len(), 6);
-        assert_eq!(profile.rate(NodeId(0)), 0.0);
-        assert_eq!(profile.rate(NodeId(2)), 0.0);
-        assert!(profile.rate(NodeId(1)) >= profile.rate(NodeId(3)));
-        assert!(profile.rate(NodeId(1)) > 0.2, "0.8 ns clock should err");
-        assert_eq!(profile.rate(NodeId(1)), profile.rate(NodeId(4)));
     }
 }

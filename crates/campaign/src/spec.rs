@@ -141,6 +141,18 @@ pub(crate) fn check_timeout(timeout: Duration) -> Result<(), String> {
     }
 }
 
+/// Converts a memo budget in MiB to bytes: `None` for `0` (no budget),
+/// and at least one byte for any positive budget. Rejects a negative or
+/// non-finite budget, naming the value.
+pub(crate) fn memo_budget_bytes(mb: f64) -> Result<Option<u64>, String> {
+    if !(mb.is_finite() && mb >= 0.0) {
+        return Err(format!(
+            "memo_budget_mb must be a non-negative number of MiB, got {mb}"
+        ));
+    }
+    Ok((mb > 0.0).then(|| ((mb * (1u64 << 20) as f64) as u64).max(1)))
+}
+
 /// A spec value as one front end spells it. Every key reads its value
 /// through the same accessors whichever front end supplied it, so a spec
 /// file and the command line accept the same values in the same units.
@@ -363,14 +375,14 @@ pub struct CampaignSpec {
     pub timeout: Duration,
     /// Worker threads (0 = available parallelism).
     pub threads: usize,
-    /// Memory budget, in MiB (fractional allowed), for memoized benchmark
-    /// materializations during a run. `0` = unbounded — the historical
-    /// behavior: every benchmark resident at once. A positive budget
-    /// switches [`crate::EvalSession::run_jobs`] to streaming chunks:
-    /// benchmarks are admitted while their measured
-    /// [`gshe_logic::Netlist::arena_bytes`] fit the budget, their jobs
-    /// run, and the chunk's materializations are evicted before the next
-    /// chunk is admitted.
+    /// Memory budget, in MiB (fractional allowed, at least one byte when
+    /// positive), for memoized benchmark materializations during a run.
+    /// [`crate::EvalSession::run_jobs`] runs benchmarks in chunks whose
+    /// measured [`gshe_logic::Netlist::arena_bytes`] fit the budget,
+    /// building one benchmark ahead and evicting each finished chunk's
+    /// materializations. `0` = no budget: every benchmark builds at once,
+    /// runs in one chunk and stays resident for later runs on the
+    /// session. Negative and non-finite budgets are rejected.
     pub memo_budget_mb: f64,
 }
 
@@ -600,11 +612,7 @@ impl CampaignSpec {
             "threads" => self.threads = value.number()?,
             "memo_budget_mb" => {
                 let mb: f64 = value.number()?;
-                if !(mb.is_finite() && mb >= 0.0) {
-                    return Err(format!(
-                        "memo_budget_mb must be a non-negative number of MiB, got {mb}"
-                    ));
-                }
+                memo_budget_bytes(mb)?;
                 self.memo_budget_mb = mb;
             }
             other => return Err(unknown_key(other, &SPEC_KEYS)),

@@ -2,9 +2,9 @@
 //! IBM superblue instances must stream through a memory-bounded memo
 //! (peak resident netlist arenas under the byte budget, everything
 //! evicted afterwards), engage the cone-keyed oracle cache, and still
-//! serialize byte-identically to the unbounded scheduler. A direct
-//! warm-vs-cold measurement on the cone-keyed cache pins the ≥5×
-//! replay win the caching layer exists for.
+//! serialize byte-identically to the same campaign run without a budget.
+//! A direct warm-vs-cold measurement on the cone-keyed cache pins the
+//! ≥5× replay win the caching layer exists for.
 //!
 //! Ignored by default; CI runs it explicitly in release:
 //!
@@ -113,8 +113,8 @@ fn superblue_stream() {
         "cone-keyed caching never engaged: {warm:?}"
     );
 
-    // Scheduler equivalence: the unbounded path (fresh session, budget
-    // 0) produces byte-identical deterministic output.
+    // Budget independence: the same campaign without a budget (fresh
+    // session, budget 0) produces byte-identical deterministic output.
     let mut unbounded_spec = spec.clone();
     unbounded_spec.memo_budget_mb = 0.0;
     let unbounded = Campaign::run(&unbounded_spec).expect("unbounded run");
