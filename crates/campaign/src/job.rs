@@ -15,10 +15,10 @@
 
 use crate::cache::{CachedOracle, OracleCache};
 use gshe_attacks::{
-    cone_inputs, verify_key_scoped, AttackConfig, AttackKind, AttackRunner, AttackStatus, CoiMode,
-    OracleStack, SimplifyMode,
+    cone_inputs, verify_key_scoped, AttackConfig, AttackKind, AttackOutcome, AttackRunner,
+    AttackStatus, CoiMode, KeyVerification, OracleStack, SimplifyMode,
 };
-use gshe_camo::{camouflage, select_gates, CamoScheme, KeyedNetlist};
+use gshe_camo::{camouflage, select_gates, CamoError, CamoScheme, KeyedNetlist};
 use gshe_device::{MonteCarlo, MonteCarloConfig, SwitchParams};
 use gshe_logic::{ErrorProfile, Netlist, NodeId, Topology};
 use gshe_sat::SolverStats;
@@ -58,6 +58,14 @@ pub fn select_seed(seed: u64, benchmark: &str, level: f64) -> u64 {
 /// [`select_seed`]'s value.
 pub fn transform_seed(select: u64, scheme: CamoScheme) -> u64 {
     hash_mix(select ^ hash_str(crate::spec::scheme_name(scheme)))
+}
+
+/// The oracle seed of one attack cell: the scheme's transform seed, the
+/// attack, the cell's dimension salts composed by XOR, and the trial.
+/// Campaign cells ([`crate::CampaignSpec::expand`]) and profile-search
+/// trials both derive their seeds here.
+pub(crate) fn oracle_seed(transform: u64, attack: AttackKind, salt: u64, trial: u64) -> u64 {
+    hash_mix(transform ^ hash_str(attack.name()) ^ salt ^ trial)
 }
 
 /// Seed salt folded into the oracle seed for the rotation-period
@@ -555,47 +563,9 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
                 .with_simplify_mode(ctx.sat_simplify),
                 seeds.oracle,
             );
-            // Build the oracle stack bottom-up from the cell's defense
-            // dimensions: a noisy base when the cell carries an error
-            // rate, a rotation layer when it carries a period — any
-            // combination is one bit-parallel stack — and the campaign
-            // cache only over the bare exact stack (noisy answers are
-            // samples and rotating answers a per-chip key stream, so
-            // neither is memoizable).
             let noise = (*error_rate > 0.0).then(|| noise_profile(&keyed, *profile, *error_rate));
-            let out = match (*rotation_period, noise) {
-                (0, None) => {
-                    // When the job's COI mode engages on this design, the
-                    // oracle answers are a pure function of the cone
-                    // inputs (the engine zero-fills the rest), so the
-                    // cache can key entries on the packed cone
-                    // sub-pattern instead of the full input width —
-                    // superblue-wide blocks shrink to cone-width keys and
-                    // hit across jobs whose non-cone lanes differ.
-                    let mut oracle = {
-                        let _span = gshe_obs::span("job.oracle_build");
-                        match cone_inputs(&keyed, ctx.coi_mode) {
-                            Some(cone) => CachedOracle::over_cone(nl, Arc::clone(&ctx.cache), cone),
-                            None => CachedOracle::over(nl, Arc::clone(&ctx.cache)),
-                        }
-                    };
-                    runner.run(&keyed, &mut oracle)
-                }
-                (0, Some(noise)) => {
-                    let mut oracle = OracleStack::noisy(&keyed, noise, seeds.oracle);
-                    runner.run(&keyed, &mut oracle)
-                }
-                (period, None) => {
-                    let mut oracle = OracleStack::rotating(&keyed, period, seeds.oracle);
-                    runner.run(&keyed, &mut oracle)
-                }
-                (period, Some(noise)) => {
-                    // The combined defense cell: rotation over noise.
-                    let mut oracle =
-                        OracleStack::rotating_noisy(&keyed, noise, period, seeds.oracle);
-                    runner.run(&keyed, &mut oracle)
-                }
-            };
+            let (out, verdict) =
+                attack_cell(nl, &keyed, &runner, noise, *rotation_period, &ctx.cache);
             result.status = match out.status {
                 AttackStatus::Success => JobStatus::Completed,
                 AttackStatus::Timeout => JobStatus::TimedOut,
@@ -605,23 +575,16 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
             result.queries = out.queries;
             result.iterations = out.iterations;
             result.solver_stats = out.solver_stats;
-            if let Some(key) = &out.key {
-                // A proof against the original design, scoped to the
-                // cloaked cells' affected-output cones when the job's COI
-                // mode engages. The proof is structurally hashed, so the
-                // solver sees only the outputs whose logic the recovered
-                // key changed.
-                let _span = gshe_obs::span("job.verify");
-                match verify_key_scoped(nl, &keyed, key, ctx.coi_mode) {
-                    Ok(v) => {
-                        result.key_recovered = v.functionally_equivalent;
-                        result.output_error_rate = v.sampled_error_rate;
-                    }
-                    Err(e) => {
-                        result.status = JobStatus::Failed;
-                        result.error = Some(format!("verification failed: {e}"));
-                    }
+            match verdict {
+                Some(Ok(v)) => {
+                    result.key_recovered = v.functionally_equivalent;
+                    result.output_error_rate = v.sampled_error_rate;
                 }
+                Some(Err(e)) => {
+                    result.status = JobStatus::Failed;
+                    result.error = Some(format!("verification failed: {e}"));
+                }
+                None => {}
             }
         }
         JobKind::DeviceDelay { i_s, samples, seed } => {
@@ -656,6 +619,63 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
     }
     result.elapsed = start.elapsed();
     result
+}
+
+/// Attacks one cell of a keyed design: builds the chip's oracle stack
+/// from the cell's defense dimensions, runs `runner` against it, and
+/// proves a recovered key against the original design `nl`. Campaign jobs
+/// and profile-search trials both attack through here, so a cell and a
+/// trial with the same dimensions face the same oracle and the same proof.
+///
+/// The stack is built bottom-up: a noisy base when the cell carries a
+/// `noise` profile, a rotation layer when it carries a period (any
+/// combination is one bit-parallel stack), every layer seeded by
+/// `runner.seed`. The session `cache` sits only over the bare exact chip:
+/// noisy answers are samples and rotating answers a per-chip key stream,
+/// so neither is memoizable. Returns the attack's outcome and, when it
+/// recovered a key, the proof's verdict.
+pub(crate) fn attack_cell(
+    nl: &Netlist,
+    keyed: &KeyedNetlist,
+    runner: &AttackRunner,
+    noise: Option<ErrorProfile>,
+    rotation_period: u64,
+    cache: &Arc<OracleCache>,
+) -> (AttackOutcome, Option<Result<KeyVerification, CamoError>>) {
+    let coi = runner.config.coi;
+    let seed = runner.seed;
+    let out = match (rotation_period, noise) {
+        (0, None) => {
+            // When the runner's COI mode engages on this design, the
+            // oracle answers are a pure function of the cone inputs (the
+            // engine zero-fills the rest), so the cache can key entries on
+            // the packed cone sub-pattern instead of the full input width —
+            // superblue-wide blocks shrink to cone-width keys and hit
+            // across cells whose non-cone lanes differ.
+            let mut oracle = {
+                let _span = gshe_obs::span("job.oracle_build");
+                match cone_inputs(keyed, coi) {
+                    Some(cone) => CachedOracle::over_cone(nl, Arc::clone(cache), cone),
+                    None => CachedOracle::over(nl, Arc::clone(cache)),
+                }
+            };
+            runner.run(keyed, &mut oracle)
+        }
+        (0, Some(noise)) => runner.run(keyed, &mut OracleStack::noisy(keyed, noise, seed)),
+        (period, None) => runner.run(keyed, &mut OracleStack::rotating(keyed, period, seed)),
+        (period, Some(noise)) => runner.run(
+            keyed,
+            &mut OracleStack::rotating_noisy(keyed, noise, period, seed),
+        ),
+    };
+    // The proof is scoped to the cloaked cells' affected-output cones when
+    // the COI mode engages, and structurally hashed, so the solver sees
+    // only the outputs whose logic the recovered key changed.
+    let verdict = out.key.as_deref().map(|key| {
+        let _span = gshe_obs::span("job.verify");
+        verify_key_scoped(nl, keyed, key, coi)
+    });
+    (out, verdict)
 }
 
 /// Samples per deadline check in budgeted Monte Carlo jobs.

@@ -21,37 +21,36 @@
 //!   when no winner exists yet), dedups against everything already
 //!   scored, and evaluates λ fresh candidates;
 //! * **scoring** runs trials × attacks through the session pool: each
-//!   trial is one [`gshe_attacks::dip_engine`] refinement against
-//!   [`OracleStack::noisy`] — or [`OracleStack::rotating_noisy`] when the
-//!   spec carries a rotation budget, searching the *combined*-defense
-//!   frontier. The defense wins a trial when the attack fails to recover
-//!   a functionally-correct key.
+//!   trial is one campaign attack cell. A quiet static candidate attacks
+//!   the session-cached exact chip; any other attacks the noisy, rotating
+//!   or rotating + noisy oracle stack (a rotation budget searches the
+//!   *combined*-defense frontier). Every recovered key gets the campaign's
+//!   cone-scoped proof, and the defense wins a trial when the attack fails
+//!   to recover a functionally-correct key.
 //!
 //! ## Reproducibility
 //!
 //! Every random choice derives from the spec seed: gate selection and
 //! transform seeds use the campaign derivation, each trial's oracle seed
-//! composes the candidate's profile salt with the rotation salt by the
-//! XOR discipline of [`crate::job`] (`rotation_salt(period) ^
-//! profile_salt ^ trial`), and mutation draws come from a dedicated
-//! main-thread RNG. Scoring tasks land in submission order whatever the
-//! thread count, so a whole search is replayable from one seed —
-//! [`SearchReport::deterministic_json`] is byte-identical across
-//! `threads = 1` and `threads = N`.
+//! comes from the campaign's seed function with the rotation salt and the
+//! candidate's profile salt as the cell's salts, and mutation draws come
+//! from a dedicated main-thread RNG. Scoring tasks land in submission
+//! order whatever the thread count, so a whole search is replayable from
+//! one seed — [`SearchReport::deterministic_json`] is byte-identical
+//! across `threads = 1` and `threads = N`.
 
-use crate::cache::CachedOracle;
 use crate::job::{
-    hash_mix, hash_str, noise_profile, rotation_salt, select_seed, transform_seed, AttackSeeds,
-    NoiseShape,
+    attack_cell, hash_mix, noise_profile, oracle_seed, rotation_salt, select_seed, transform_seed,
+    AttackSeeds, NoiseShape,
 };
 use crate::physical::ClockRateTable;
 use crate::report::{json_f64, json_str};
 use crate::spec::{
-    attacks_value, check_level, check_scale, check_timeout, clock_periods_value, read_toml,
-    scheme_name, scheme_named, unknown_key, valid_attack_names, SpecValue,
+    attacks_value, check_level, check_rate, check_scale, check_timeout, clock_periods_value,
+    read_toml, scheme_name, scheme_named, unknown_key, valid_attack_names, SpecValue,
 };
 use crate::EvalSession;
-use gshe_attacks::{verify_key, AttackConfig, AttackKind, AttackRunner, AttackStatus, OracleStack};
+use gshe_attacks::{AttackConfig, AttackKind, AttackRunner, AttackStatus};
 use gshe_camo::{CamoScheme, KeyedNetlist};
 use gshe_logic::{ErrorProfile, Netlist};
 use rand::rngs::StdRng;
@@ -104,9 +103,9 @@ pub struct SearchSpec {
     /// Attacks every candidate must defeat.
     pub attacks: Vec<AttackKind>,
     /// Rotation budget: `0` searches the noise-only frontier; `n > 0`
-    /// scores candidates against the **combined** defense
-    /// ([`OracleStack::rotating_noisy`] at period `n`) — the cheapest
-    /// noise *given* that rotation budget.
+    /// scores candidates against the **combined** defense (a chip that
+    /// draws a fresh key every `n` queries over the candidate's noise) —
+    /// the cheapest noise *given* that rotation budget.
     pub rotation_period: u64,
     /// Clock periods (ns) seeding generation 0 via the device Monte
     /// Carlo; empty uses the spec default `[0.8, 2.0, 6.0]`.
@@ -431,12 +430,13 @@ impl<'s> ProfileSearch<'s> {
     /// # Errors
     ///
     /// Propagates benchmark resolution and camouflage failures; rejects a
-    /// scale below 1, a level outside `(0, 1]` or a timeout too large for
-    /// a deadline (naming the value), and a spec with no attacks (scoring
-    /// would be a 0/0 success rate).
+    /// scale below 1, a level outside `(0, 1]`, a target success outside
+    /// `[0, 1]` or a timeout too large for a deadline (naming the value),
+    /// and a spec with no attacks (scoring would be a 0/0 success rate).
     pub fn new(session: &'s EvalSession, spec: SearchSpec) -> Result<Self, String> {
         check_scale(spec.scale)?;
         check_level(spec.level)?;
+        check_rate("target success", spec.target_success)?;
         check_timeout(spec.timeout)?;
         if spec.attacks.is_empty() {
             return Err(format!(
@@ -486,10 +486,10 @@ impl<'s> ProfileSearch<'s> {
         &self.spec
     }
 
-    /// Materializes a candidate's dense [`ErrorProfile`] over the full
-    /// netlist.
+    /// Materializes a candidate's dense [`ErrorProfile`] over the keyed
+    /// netlist (the chip the noisy oracle simulates).
     pub fn profile_of(&self, candidate: &Candidate) -> ErrorProfile {
-        let mut rates = vec![0.0; self.netlist.len()];
+        let mut rates = vec![0.0; self.keyed.netlist().len()];
         for (gate, &rate) in self.keyed.camo_gates().iter().zip(&candidate.rates) {
             rates[gate.node.index()] = rate;
         }
@@ -547,61 +547,35 @@ impl<'s> ProfileSearch<'s> {
         let spec = &self.spec;
         let trials = spec.trials.max(1);
         let mut tasks: Vec<Box<dyn FnOnce() -> TrialOutcome + Send>> = Vec::new();
+        let period = spec.rotation_period;
+        let config = AttackConfig {
+            timeout: spec.timeout,
+            ..Default::default()
+        };
         for candidate in &candidates {
             let profile = self.profile_of(candidate);
-            let salt = profile_salt(&profile);
+            let salt = rotation_salt(period) ^ profile_salt(&profile);
+            // A quiet candidate is the exact chip and rides the session
+            // cache, like a rate-0 campaign cell.
+            let noise = (!profile.is_quiet()).then_some(profile);
             for &attack in &spec.attacks {
                 for trial in 0..trials {
-                    let oracle_seed = hash_mix(
-                        self.transform
-                            ^ hash_str(attack.name())
-                            ^ rotation_salt(spec.rotation_period)
-                            ^ salt
-                            ^ trial,
+                    let runner = AttackRunner::with_config(
+                        attack,
+                        config,
+                        oracle_seed(self.transform, attack, salt, trial),
                     );
-                    let profile = profile.clone();
+                    let noise = noise.clone();
                     let netlist = Arc::clone(&self.netlist);
                     let keyed = Arc::clone(&self.keyed);
                     let cache = Arc::clone(self.session.cache());
-                    let config = AttackConfig {
-                        timeout: spec.timeout,
-                        ..Default::default()
-                    };
-                    let period = spec.rotation_period;
                     tasks.push(Box::new(move || {
                         let _span = gshe_obs::span("search.trial");
                         gshe_obs::count("search.trials", 1);
-                        let runner = AttackRunner::with_config(attack, config, oracle_seed);
-                        // Build the stack from the candidate's dimensions,
-                        // exactly like campaign job materialization: quiet
-                        // static candidates are deterministic chips and
-                        // ride the session cache.
-                        let out = match (period, profile.is_quiet()) {
-                            (0, true) => {
-                                let mut oracle = CachedOracle::over(&netlist, cache);
-                                runner.run(&keyed, &mut oracle)
-                            }
-                            (0, false) => {
-                                let mut oracle = OracleStack::noisy(&keyed, profile, oracle_seed);
-                                runner.run(&keyed, &mut oracle)
-                            }
-                            (p, true) => {
-                                let mut oracle = OracleStack::rotating(&keyed, p, oracle_seed);
-                                runner.run(&keyed, &mut oracle)
-                            }
-                            (p, false) => {
-                                let mut oracle =
-                                    OracleStack::rotating_noisy(&keyed, profile, p, oracle_seed);
-                                runner.run(&keyed, &mut oracle)
-                            }
-                        };
+                        let (out, verdict) =
+                            attack_cell(&netlist, &keyed, &runner, noise, period, &cache);
                         let attacker_won = out.status == AttackStatus::Success
-                            && out
-                                .key
-                                .as_ref()
-                                .and_then(|key| verify_key(&netlist, &keyed, key).ok())
-                                .map(|v| v.functionally_equivalent)
-                                .unwrap_or(false);
+                            && matches!(verdict, Some(Ok(v)) if v.functionally_equivalent);
                         (attacker_won, out.queries)
                     }));
                 }
@@ -976,6 +950,27 @@ mod tests {
                 },
                 "(0, 1], got 1.5",
             ),
+            (
+                SearchSpec {
+                    target_success: 1.5,
+                    ..SearchSpec::default()
+                },
+                "target success must be in [0, 1], got 1.5",
+            ),
+            (
+                SearchSpec {
+                    target_success: -0.5,
+                    ..SearchSpec::default()
+                },
+                "target success must be in [0, 1], got -0.5",
+            ),
+            (
+                SearchSpec {
+                    target_success: f64::NAN,
+                    ..SearchSpec::default()
+                },
+                "target success must be in [0, 1], got NaN",
+            ),
         ] {
             let err = match ProfileSearch::new(&session, spec) {
                 Err(e) => e,
@@ -983,6 +978,11 @@ mod tests {
             };
             assert!(err.contains(expected), "{err}");
         }
+        assert_eq!(
+            session.cached_netlists(),
+            0,
+            "a rejected spec built a netlist"
+        );
     }
 
     #[test]
@@ -1027,6 +1027,71 @@ mod tests {
             1,
             "campaign minted a second keyed netlist — seed derivations diverged"
         );
+    }
+
+    #[test]
+    fn search_trials_attack_the_campaign_chip() {
+        // A quiet search trial and the rate-0 campaign cell of the same
+        // instance run one attack cell: the cone-keyed cached chip, the
+        // same proof. Their oracle seeds differ, but SAT against an exact
+        // chip reads no seed, so the two measure the same attack.
+        let session = EvalSession::new(1);
+        let spec = SearchSpec {
+            seed: 5,
+            generations: 0,
+            trials: 1,
+            clock_periods_ns: vec![6.0],
+            ..SearchSpec::default()
+        };
+        let search = ProfileSearch::new(&session, spec).unwrap();
+        let report = search.run();
+        let (cone_hits, cone_misses) = session.cache().cone_stats();
+        assert!(
+            cone_hits + cone_misses > 0,
+            "the quiet trial did not key the cache on the cone"
+        );
+        let quiet = report
+            .evaluated
+            .iter()
+            .find(|row| row.candidate.origin == "baseline:quiet")
+            .expect("the quiet baseline is scored");
+        let campaign = crate::CampaignSpec {
+            benchmarks: vec![search.spec().benchmark.clone()],
+            scale: search.spec().scale,
+            levels: vec![search.spec().level],
+            schemes: vec![search.spec().scheme],
+            seed: search.spec().seed,
+            ..Default::default()
+        };
+        let cells = session.run(&campaign).unwrap().results;
+        assert_eq!(cells.len(), 1);
+        let cell = &cells[0];
+        assert_eq!(cell.status, crate::JobStatus::Completed);
+        assert_eq!(quiet.success_rate, f64::from(u8::from(cell.key_recovered)));
+        assert_eq!(quiet.mean_queries, cell.queries as f64);
+    }
+
+    #[test]
+    fn search_runs_under_every_scheme() {
+        // Schemes that insert cells while camouflaging make the keyed
+        // netlist longer than the original; candidate profiles must cover
+        // the keyed chip the noisy oracle simulates.
+        let session = EvalSession::new(1);
+        for scheme in CamoScheme::ALL {
+            let spec = SearchSpec {
+                scheme,
+                generations: 0,
+                trials: 1,
+                ..SearchSpec::default()
+            };
+            let report = ProfileSearch::new(&session, spec).unwrap().run();
+            let quiet = report
+                .evaluated
+                .iter()
+                .find(|row| row.candidate.origin == "baseline:quiet")
+                .unwrap_or_else(|| panic!("{scheme:?}: the quiet baseline is not scored"));
+            assert!(!quiet.wins, "{scheme:?}: the quiet baseline won");
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! front ends set every key through [`CampaignSpec::set`].
 
 use crate::job::{
-    clock_salt, hash_mix, hash_str, rotation_salt, select_seed, transform_seed, AttackSeeds,
-    JobKind, JobSpec, NoiseShape,
+    clock_salt, oracle_seed, rotation_salt, select_seed, transform_seed, AttackSeeds, JobKind,
+    JobSpec, NoiseShape,
 };
 use crate::physical::{is_valid_clock_period, ClockRateTable};
 use gshe_attacks::{AttackKind, CoiMode, SimplifyMode};
@@ -109,12 +109,13 @@ pub(crate) fn check_level(level: f64) -> Result<(), String> {
     }
 }
 
-/// Rejects an oracle error rate outside `[0, 1]`, NaN included.
-fn check_error_rate(rate: f64) -> Result<(), String> {
+/// Rejects a rate (`what`: an oracle error rate, a target attacker
+/// success rate) outside `[0, 1]`, NaN included.
+pub(crate) fn check_rate(what: &str, rate: f64) -> Result<(), String> {
     if (0.0..=1.0).contains(&rate) {
         Ok(())
     } else {
-        Err(format!("error rate must be in [0, 1], got {rate}"))
+        Err(format!("{what} must be in [0, 1], got {rate}"))
     }
 }
 
@@ -479,7 +480,7 @@ impl CampaignSpec {
             check_level(level)?;
         }
         for &rate in &self.error_rates {
-            check_error_rate(rate)?;
+            check_rate("error rate", rate)?;
         }
         check_timeout(self.timeout)?;
         let benchmarks = self.resolve_benchmarks()?;
@@ -523,17 +524,13 @@ impl CampaignSpec {
                                     &[NoiseShape::Uniform]
                                 };
                                 for &profile in cell_profiles {
+                                    let salt = ((error_rate * 1e6) as u64)
+                                        .wrapping_mul(0x2545_F491_4F6C_DD1D)
+                                        ^ profile.seed_salt()
+                                        ^ rotation_salt(rotation_period)
+                                        ^ clock_salt(clock_ns);
                                     for trial in 0..self.trials.max(1) {
-                                        let oracle = hash_mix(
-                                            transform
-                                                ^ hash_str(attack.name())
-                                                ^ ((error_rate * 1e6) as u64)
-                                                    .wrapping_mul(0x2545_F491_4F6C_DD1D)
-                                                ^ profile.seed_salt()
-                                                ^ rotation_salt(rotation_period)
-                                                ^ clock_salt(clock_ns)
-                                                ^ trial,
-                                        );
+                                        let oracle = oracle_seed(transform, attack, salt, trial);
                                         jobs.push(JobSpec {
                                             kind: JobKind::Attack {
                                                 benchmark: benchmark.clone(),

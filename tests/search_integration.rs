@@ -2,9 +2,9 @@
 //! one seed at any thread count, its Pareto front must consist of
 //! profiles that actually defeat the attack while a cheaper rejected
 //! neighbor does not, and the `EvalSession` it runs on must leave
-//! campaign output untouched (pinned against the committed PR 3 / PR 4
-//! deterministic baselines by `tests/golden_report.rs`; re-checked here
-//! through a *shared warm* session).
+//! campaign output untouched: a campaign run on a *shared warm* session
+//! must serialize exactly like a fresh one (whose verdicts
+//! `tests/golden_report.rs` pins to `tests/golden/small_grid.json`).
 
 use spin_hall_security::campaign::search::{ProfileSearch, SearchSpec};
 use spin_hall_security::campaign::{Campaign, CampaignSpec, EvalSession, NoiseShape};
@@ -136,8 +136,8 @@ fn warm_session_campaign_output_stays_byte_identical() {
     // The EvalSession equality pin: the same campaign spec run twice on
     // one warm session — with a profile search in between, growing the
     // session's memos and cache — must serialize byte-identically to a
-    // fresh one-shot `Campaign::run` (which the golden tests pin against
-    // the committed PR 3 / PR 4 baselines).
+    // fresh one-shot `Campaign::run` (whose verdicts the golden test pins
+    // to `tests/golden/small_grid.json`).
     let campaign_spec = CampaignSpec {
         name: "warm".to_string(),
         benchmarks: vec!["ex1010".to_string()],
