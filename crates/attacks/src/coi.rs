@@ -36,9 +36,11 @@
 //! [`CoiMode::Off`] keeps the full-design miter as the reference path.
 //!
 //! Outputs and inputs are addressed by **ordinal** (position in
-//! `outputs()` / `inputs()`), never by node id: camouflage rebuilds the
-//! netlist and may insert cells, so an id of the keyed netlist can name a
-//! different node, or none, in the original design.
+//! `outputs()` / `inputs()`), never by node id. A draw that cloaks every
+//! pick in its own slot keeps the original's ids, but a scheme that
+//! inserts cells renumbers every node behind each insertion, so an id of
+//! the keyed netlist can name a different node, or none, in the original
+//! design.
 
 use crate::oracle::Oracle;
 use gshe_camo::{CamoGate, KeyedNetlist};

@@ -6,14 +6,19 @@
 //! test pins: the rotating path once collected a fresh `Vec` per epoch
 //! segment).
 //!
+//! It also pins that camouflaging a one-cell gshe16 draw copies the
+//! design and patches the cell in place: a few dozen allocations in
+//! total, where rebuilding every node through the netlist builder costs
+//! more than two per node.
+//!
 //! Allocations are counted per thread: `cargo test` runs these tests on
 //! parallel threads, and a process-global counter would pick up a
 //! sibling test's allocations inside another test's window.
 
 use gshe_attacks::{Oracle, OracleStack};
-use gshe_camo::{camouflage, select_gates, CamoScheme};
+use gshe_camo::{camouflage, select_gates, select_gates_count, CamoScheme};
 use gshe_logic::bench_format::{parse_bench, C17_BENCH};
-use gshe_logic::PatternBlock;
+use gshe_logic::{GeneratorConfig, NetlistGenerator, PatternBlock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -141,5 +146,26 @@ fn scalar_queries_allocate_only_the_return_vector() {
     assert_eq!(
         n, rounds,
         "scalar query must allocate exactly the returned output vector"
+    );
+}
+
+#[test]
+fn one_cell_gshe16_camouflage_patches_a_copy_instead_of_rebuilding() {
+    let nl = NetlistGenerator::new(GeneratorConfig::new("big", 64, 32, 20_000).with_seed(5))
+        .unwrap()
+        .generate();
+    let picks = select_gates_count(&nl, 1, 9);
+    let mut rng = StdRng::seed_from_u64(0);
+    let mut keyed = None;
+    let n = allocs_during(|| {
+        keyed = Some(camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap());
+    });
+    let keyed = keyed.unwrap();
+    assert_eq!(keyed.netlist().len(), nl.len());
+    assert_eq!(keyed.camo_gates()[0].node, picks[0]);
+    assert!(
+        n < 64,
+        "camouflaging one cell of a {}-node design allocated {n} times",
+        nl.len()
     );
 }

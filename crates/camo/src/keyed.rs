@@ -213,12 +213,8 @@ impl KeyedNetlist {
         let cells = self.cell_kinds(key)?;
         let mut nl = self.netlist.clone();
         for (id, kind) in cells {
-            let installed = match kind {
-                NodeKind::Gate2 { f, .. } => nl.set_gate2_function(id, f),
-                NodeKind::Gate1 { f, a } => nl.set_gate1_function(id, f, a),
-                _ => unreachable!("cloaked cells are gates"),
-            };
-            installed.expect("cell_kinds matched the node's gate kind");
+            nl.set_gate(id, kind)
+                .expect("cell_kinds keeps each cell's gate and fanins");
         }
         Ok(nl)
     }

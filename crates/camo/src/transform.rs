@@ -16,6 +16,22 @@
 //! The INV/BUF scheme (\[24, c\], \[35\]) instead *inserts* a cloaked
 //! inverter-or-buffer cell behind the selected gate, randomly complementing
 //! the gate so that both candidate functions genuinely occur on chip.
+//!
+//! # Two ways to emit cells
+//!
+//! Rule 1 and rule 4's direct case cloak a gate *in its own slot*: the
+//! cell is the gate itself, and rule 4 swaps the one-input gate for the
+//! degenerate cell `f₂(a, a)` on the same fanin. When every pick of a
+//! draw is cloaked that way, the transform copies the design's arena and
+//! installs each cell with [`Netlist::set_gate`], so ids, names and ports
+//! all stay. That covers every gshe16, stt-lut and dwm draw on a
+//! generated (`Gate2`-only, standard-function) design. A draw with any
+//! pick that needs an inserted node (INV/BUF insertion, rules 2–3, rule
+//! 4's complement case) goes through the builder loop instead, which
+//! re-emits every node through [`NetlistBuilder`] and renumbers the nodes
+//! behind each insertion. For an in-place draw both ways give the same
+//! keyed netlist, except that the copy keeps each constant's name where
+//! the builder renames it `const0_<n>` / `const1_<n>`.
 
 use crate::error::CamoError;
 use crate::keyed::{CamoGate, Candidates, KeyedNetlist};
@@ -45,6 +61,16 @@ impl CamoReport {
     pub fn protected(&self) -> usize {
         self.direct + self.complemented + self.decomposed + self.degenerate
     }
+
+    /// Counts one cell that took neither rule 2 nor rule 3: `degenerate`
+    /// when it cloaks a one-input gate, `direct` otherwise.
+    fn count_plain(&mut self, gate: NodeKind) {
+        if matches!(gate, NodeKind::Gate1 { .. }) {
+            self.degenerate += 1;
+        } else {
+            self.direct += 1;
+        }
+    }
 }
 
 /// Camouflages `picks` (a memorized selection from
@@ -52,9 +78,9 @@ impl CamoReport {
 ///
 /// # Errors
 ///
-/// Returns [`CamoError::NotAGate`] if a pick is not a gate and
-/// [`CamoError::Uncloakable`] if the scheme cannot absorb a picked gate's
-/// function.
+/// Returns [`CamoError::NotAGate`] if a pick is not a gate of `netlist`
+/// and [`CamoError::Uncloakable`] if the scheme cannot absorb a picked
+/// gate's function.
 pub fn camouflage<R: Rng + ?Sized>(
     netlist: &Netlist,
     picks: &[NodeId],
@@ -75,11 +101,99 @@ pub fn camouflage_with_report<R: Rng + ?Sized>(
     scheme: CamoScheme,
     rng: &mut R,
 ) -> Result<(KeyedNetlist, CamoReport), CamoError> {
+    if let Some(&p) = picks
+        .iter()
+        .find(|p| p.index() >= netlist.len() || !netlist.kind(**p).is_gate())
+    {
+        return Err(CamoError::NotAGate(p));
+    }
+    let candidates = scheme.candidates();
+    let cells: Option<Vec<_>> = picks
+        .iter()
+        .map(|&p| cloak_in_place(netlist.kind(p), &candidates).map(|(cell, pos)| (p, cell, pos)))
+        .collect();
+    match cells {
+        Some(cells) => Ok(patch(netlist, cells, scheme)),
+        None => rebuild(netlist, picks, scheme, rng),
+    }
+}
+
+/// The cell that cloaks a gate of `kind` in its own slot under
+/// `candidates`, with the index of its correct function, or `None` when
+/// the scheme needs an inserted node (or cannot cloak the gate at all):
+///
+/// * rule 1: a two-input gate whose function is a candidate is its own
+///   cell;
+/// * rule 4, direct case: a one-input gate `f` becomes the degenerate
+///   cell `f₂(a, a)` of the first candidate with `f₂(v, v) = f(v)`.
+fn cloak_in_place(kind: NodeKind, candidates: &Candidates) -> Option<(NodeKind, usize)> {
+    let Candidates::TwoInput(fs) = candidates else {
+        return None;
+    };
+    match kind {
+        NodeKind::Gate2 { f, .. } => fs.iter().position(|&g| g == f).map(|pos| (kind, pos)),
+        NodeKind::Gate1 { f, a } => {
+            let pos = fs
+                .iter()
+                .position(|g| (0..2).all(|v| g.eval(v == 1, v == 1) == f.eval(v == 1)))?;
+            Some((
+                NodeKind::Gate2 {
+                    f: fs[pos],
+                    a,
+                    b: a,
+                },
+                pos,
+            ))
+        }
+        NodeKind::Input | NodeKind::Const(_) => None,
+    }
+}
+
+/// The in-place way: a copy of `netlist` with each `(gate, cell, correct
+/// index)` of `cells` installed in its own slot.
+fn patch(
+    netlist: &Netlist,
+    mut cells: Vec<(NodeId, NodeKind, usize)>,
+    scheme: CamoScheme,
+) -> (KeyedNetlist, CamoReport) {
+    // Ascending ids, each gate once: the order and the collapse of the
+    // builder loop's `picked` bitmap.
+    cells.sort_unstable_by_key(|&(id, ..)| id);
+    cells.dedup_by_key(|&mut (id, ..)| id);
+    let mut nl = netlist.clone();
+    nl.set_name(format!("{}_camo", netlist.name()));
+    let mut report = CamoReport::default();
+    let mut camo_gates = Vec::with_capacity(cells.len());
+    let mut key_offset = 0;
+    for (id, cell, correct_index) in cells {
+        report.count_plain(netlist.kind(id));
+        nl.set_gate(id, cell)
+            .expect("an in-place cell keeps its gate's fanins");
+        let gate = CamoGate {
+            node: id,
+            candidates: scheme.candidates(),
+            key_offset,
+            correct_index,
+        };
+        key_offset += gate.key_bits();
+        camo_gates.push(gate);
+    }
+    report.key_bits = key_offset;
+    (KeyedNetlist::new(nl, camo_gates, key_offset), report)
+}
+
+/// The builder loop: re-emits every node of `netlist` through
+/// [`NetlistBuilder`], emitting each pick's cell(s) by the first rule
+/// that absorbs it. The only way to emit inserted nodes; every pick must
+/// be a gate.
+fn rebuild<R: Rng + ?Sized>(
+    netlist: &Netlist,
+    picks: &[NodeId],
+    scheme: CamoScheme,
+    rng: &mut R,
+) -> Result<(KeyedNetlist, CamoReport), CamoError> {
     let mut picked = vec![false; netlist.len()];
     for &p in picks {
-        if !netlist.node(p).kind.is_gate() {
-            return Err(CamoError::NotAGate(p));
-        }
         picked[p.index()] = true;
     }
 
@@ -92,26 +206,32 @@ pub fn camouflage_with_report<R: Rng + ?Sized>(
     let remap = |map: &[Option<NodeId>], id: NodeId| -> NodeId {
         map[id.index()].expect("topological order guarantees the fanin exists")
     };
+    let emit =
+        |b: &mut NetlistBuilder, map: &[Option<NodeId>], name: &str, kind: NodeKind| match kind {
+            NodeKind::Input => b.input(name),
+            NodeKind::Const(c) => b.constant(c),
+            NodeKind::Gate1 { f, a } => b.gate1(name, f, remap(map, a)),
+            NodeKind::Gate2 { f, a, b: bb } => b.gate2(name, f, remap(map, a), remap(map, bb)),
+        };
 
     for (i, node) in netlist.nodes().enumerate() {
         let old = NodeId(i as u32);
         if !picked[i] {
-            let new_id = match node.kind {
-                NodeKind::Input => b.input(node.name),
-                NodeKind::Const(c) => b.constant(c),
-                NodeKind::Gate1 { f, a } => b.gate1(node.name, f, remap(&map, a)),
-                NodeKind::Gate2 { f, a, b: bb } => {
-                    b.gate2(node.name, f, remap(&map, a), remap(&map, bb))
-                }
-            };
-            map[i] = Some(new_id);
+            map[i] = Some(emit(&mut b, &map, node.name, node.kind));
             continue;
         }
 
         // Picked: emit the cloaked cell(s).
         let candidates = scheme.candidates();
-        let (cell_node, correct_index, mapped) = match (&candidates, node.kind) {
-            (Candidates::OneInput(fs), kind) => {
+        let in_place = cloak_in_place(node.kind, &candidates);
+        let (cell_node, correct_index, mapped) = match (in_place, &candidates, node.kind) {
+            (Some((cell, pos)), _, kind) => {
+                // Rules 1 and 4 (direct case): the cell is the gate itself.
+                let cell = emit(&mut b, &map, node.name, cell);
+                report.count_plain(kind);
+                (cell, pos, cell)
+            }
+            (None, Candidates::OneInput(fs), kind) => {
                 // INV/BUF insertion behind the gate.
                 let invert = rng.gen_bool(0.5);
                 let pre = match kind {
@@ -136,18 +256,13 @@ pub fn camouflage_with_report<R: Rng + ?Sized>(
                     .iter()
                     .position(|&f| f == cell_fn)
                     .expect("InvBuf candidates contain both functions");
-                report.degenerate += matches!(kind, NodeKind::Gate1 { .. }) as usize;
-                report.direct += matches!(kind, NodeKind::Gate2 { .. }) as usize;
+                report.count_plain(kind);
                 report.extra_gates += 1;
                 (cell, correct, cell)
             }
-            (Candidates::TwoInput(fs), NodeKind::Gate2 { f, a, b: bb }) => {
+            (None, Candidates::TwoInput(fs), NodeKind::Gate2 { f, a, b: bb }) => {
                 let (na, nb) = (remap(&map, a), remap(&map, bb));
-                if let Some(pos) = fs.iter().position(|&g| g == f) {
-                    let cell = b.gate2(node.name, f, na, nb);
-                    report.direct += 1;
-                    (cell, pos, cell)
-                } else if let Some(pos) = fs.iter().position(|&g| g == f.complement()) {
+                if let Some(pos) = fs.iter().position(|&g| g == f.complement()) {
                     let cell = b.gate2(format!("{}__camocell", node.name), f.complement(), na, nb);
                     let inv = b.gate1(node.name, Bf1::Inv, cell);
                     report.complemented += 1;
@@ -177,18 +292,13 @@ pub fn camouflage_with_report<R: Rng + ?Sized>(
                     });
                 }
             }
-            (Candidates::TwoInput(fs), NodeKind::Gate1 { f, a }) => {
-                // Degenerate cell f₂(a, a) with f₂(v, v) = f(v).
+            (None, Candidates::TwoInput(fs), NodeKind::Gate1 { f, a }) => {
+                // Rule 4, complement case: a degenerate cell with
+                // f₂(v, v) = ¬f(v) behind a visible inverter.
                 let na = remap(&map, a);
-                let matches_direct =
-                    |g: &Bf2| (0..2).all(|v| g.eval(v == 1, v == 1) == f.eval(v == 1));
                 let matches_compl =
                     |g: &Bf2| (0..2).all(|v| g.eval(v == 1, v == 1) != f.eval(v == 1));
-                if let Some(pos) = fs.iter().position(matches_direct) {
-                    let cell = b.gate2(node.name, fs[pos], na, na);
-                    report.degenerate += 1;
-                    (cell, pos, cell)
-                } else if let Some(pos) = fs.iter().position(matches_compl) {
+                if let Some(pos) = fs.iter().position(matches_compl) {
                     let cell = b.gate2(format!("{}__camocell", node.name), fs[pos], na, na);
                     let inv = b.gate1(node.name, Bf1::Inv, cell);
                     report.degenerate += 1;
@@ -201,7 +311,9 @@ pub fn camouflage_with_report<R: Rng + ?Sized>(
                     });
                 }
             }
-            (_, NodeKind::Input | NodeKind::Const(_)) => return Err(CamoError::NotAGate(old)),
+            (None, _, NodeKind::Input | NodeKind::Const(_)) => {
+                return Err(CamoError::NotAGate(old))
+            }
         };
 
         let bits = candidates.key_bits();
@@ -354,6 +466,130 @@ mod tests {
             camouflage(&nl, &[input], CamoScheme::GsheAll16, &mut rng),
             Err(CamoError::NotAGate(_))
         ));
+    }
+
+    /// Camouflages `picks` through the in-place way and through the
+    /// builder loop, and asserts both give the same keyed netlist and
+    /// report, and that the public entry point gives it too.
+    fn assert_in_place_matches_builder(nl: &Netlist, picks: &[NodeId], scheme: CamoScheme) {
+        let candidates = scheme.candidates();
+        let cells = picks
+            .iter()
+            .map(|&p| {
+                let (cell, pos) =
+                    cloak_in_place(nl.kind(p), &candidates).expect("every pick cloaks in place");
+                (p, cell, pos)
+            })
+            .collect();
+        let (patched, patched_report) = patch(nl, cells, scheme);
+        let mut rng = StdRng::seed_from_u64(0);
+        let (built, built_report) = rebuild(nl, picks, scheme, &mut rng).unwrap();
+        let what = format!("{scheme} on {} with {} picks", nl.name(), picks.len());
+        let (p, b) = (patched.netlist(), built.netlist());
+        assert_eq!(p.len(), b.len(), "{what}");
+        for (i, (pn, bn)) in p.nodes().zip(b.nodes()).enumerate() {
+            assert_eq!(pn, bn, "{what}: node {i}");
+        }
+        assert_eq!(p.name(), b.name(), "{what}");
+        assert_eq!(p.inputs(), b.inputs(), "{what}");
+        assert_eq!(p.outputs(), b.outputs(), "{what}");
+        assert_eq!(patched.camo_gates(), built.camo_gates(), "{what}");
+        assert_eq!(patched.key_len(), built.key_len(), "{what}");
+        assert_eq!(patched.correct_key(), built.correct_key(), "{what}");
+        assert_eq!(patched.reached_outputs(), built.reached_outputs(), "{what}");
+        assert_eq!(patched_report, built_report, "{what}");
+        assert_eq!(patched_report.extra_gates, 0, "{what}");
+        assert_eq!(patched, built, "{what}");
+        let via_entry = camouflage_with_report(nl, picks, scheme, &mut rng).unwrap();
+        assert_eq!(via_entry, (patched, patched_report), "{what}");
+    }
+
+    /// `picks` reversed with its first and last picks repeated.
+    fn shuffled_with_repeats(picks: &[NodeId]) -> Vec<NodeId> {
+        let mut v: Vec<NodeId> = picks.iter().rev().copied().collect();
+        v.extend(picks.first());
+        v.extend(picks.last());
+        v
+    }
+
+    const IN_PLACE_SCHEMES: [CamoScheme; 3] = [
+        CamoScheme::GsheAll16,
+        CamoScheme::ThresholdSttLut,
+        CamoScheme::DwmPolymorphic,
+    ];
+
+    #[test]
+    fn in_place_matches_builder_on_generated_designs() {
+        for seed in [3, 21, 58] {
+            let nl = NetlistGenerator::new(GeneratorConfig::new("g", 12, 6, 300).with_seed(seed))
+                .unwrap()
+                .generate();
+            for level in [0.01, 0.1, 0.5, 1.0] {
+                let picks = select_gates(&nl, level, seed ^ 7);
+                for scheme in IN_PLACE_SCHEMES {
+                    assert_in_place_matches_builder(&nl, &picks, scheme);
+                    assert_in_place_matches_builder(&nl, &shuffled_with_repeats(&picks), scheme);
+                }
+            }
+        }
+    }
+
+    /// A `.bench` design with `NOT` and `BUFF` gates, which rule 4 cloaks
+    /// as degenerate two-input cells.
+    const ONE_INPUT_BENCH: &str = "\
+        INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n\
+        n1 = NAND(a, b)\nn2 = NOT(n1)\nn3 = BUFF(c)\n\
+        n4 = XOR(n2, n3)\ny = NOT(n4)\nz = AND(n3, a)\n";
+
+    #[test]
+    fn in_place_matches_builder_on_one_input_gates() {
+        let nl = parse_bench(ONE_INPUT_BENCH).unwrap();
+        let gates = nl.gate_ids();
+        let one_input: Vec<NodeId> = gates
+            .iter()
+            .copied()
+            .filter(|&g| matches!(nl.kind(g), NodeKind::Gate1 { .. }))
+            .collect();
+        assert_eq!(one_input.len(), 3);
+        for scheme in IN_PLACE_SCHEMES {
+            for picks in [&gates, &one_input] {
+                assert_in_place_matches_builder(&nl, picks, scheme);
+                assert_in_place_matches_builder(&nl, &shuffled_with_repeats(picks), scheme);
+            }
+            let (_, report) =
+                camouflage_with_report(&nl, &gates, scheme, &mut StdRng::seed_from_u64(0)).unwrap();
+            assert_eq!((report.direct, report.degenerate), (3, 3), "{scheme}");
+        }
+    }
+
+    #[test]
+    fn a_pick_that_inserts_sends_the_draw_through_the_builder() {
+        // SiNW has neither AND nor a candidate with f₂(v, v) = v: the AND
+        // gate takes rule 2 and BUFF rule 4's complement case, and each
+        // inserts a visible inverter that renumbers every later node.
+        let nl = parse_bench(ONE_INPUT_BENCH).unwrap();
+        let gates = nl.gate_ids();
+        let mut rng = StdRng::seed_from_u64(0);
+        let (keyed, report) =
+            camouflage_with_report(&nl, &gates, CamoScheme::SiNw, &mut rng).unwrap();
+        let (built, built_report) = rebuild(&nl, &gates, CamoScheme::SiNw, &mut rng).unwrap();
+        assert_eq!(report.extra_gates, 2);
+        assert_eq!(keyed.netlist().len(), nl.len() + 2);
+        assert_eq!((keyed, report), (built, built_report));
+    }
+
+    #[test]
+    fn picking_outside_the_design_is_rejected() {
+        let nl = parse_bench(C17_BENCH).unwrap();
+        let outside = NodeId(nl.len() as u32);
+        for scheme in CamoScheme::ALL {
+            let mut rng = StdRng::seed_from_u64(11);
+            assert_eq!(
+                camouflage(&nl, &[nl.gate_ids()[0], outside], scheme, &mut rng),
+                Err(CamoError::NotAGate(outside)),
+                "{scheme}"
+            );
+        }
     }
 
     #[test]

@@ -53,8 +53,9 @@ fn parse_lits(s: &str, n: usize, line: usize, what: &str) -> Result<Vec<u32>, Lo
 ///
 /// # Errors
 ///
-/// Returns [`LogicError::Parse`] for malformed headers or lines,
-/// [`LogicError::DuplicateSignal`] for re-defined variables,
+/// Returns [`LogicError::Parse`] for malformed headers or lines and for a
+/// symbol name used twice, [`LogicError::DuplicateSignal`] for re-defined
+/// variables,
 /// [`LogicError::UnknownSignal`] for references to undefined variables,
 /// and [`LogicError::CombinationalLoop`] for cyclic AND definitions.
 pub fn parse_aag(text: &str) -> Result<Netlist, LogicError> {
@@ -77,11 +78,14 @@ pub fn parse_aag(text: &str) -> Result<Netlist, LogicError> {
         nums[4] as usize,
     );
 
-    let mut input_vars: Vec<u32> = Vec::with_capacity(n_in);
-    let mut latches: Vec<(u32, u32)> = Vec::with_capacity(n_latch); // (current var, next lit)
-    let mut output_lits: Vec<u32> = Vec::with_capacity(n_out);
-    let mut and_defs: HashMap<u32, (u32, u32)> = HashMap::with_capacity(n_and);
-    let mut and_order: Vec<u32> = Vec::with_capacity(n_and);
+    // Every entry takes a line, so no section outgrows the text, whatever
+    // the header claims.
+    let cap = |n: usize| n.min(text.len());
+    let mut input_vars: Vec<u32> = Vec::with_capacity(cap(n_in));
+    let mut latches: Vec<(u32, u32)> = Vec::with_capacity(cap(n_latch)); // (current var, next lit)
+    let mut output_lits: Vec<u32> = Vec::with_capacity(cap(n_out));
+    let mut and_defs: HashMap<u32, (u32, u32)> = HashMap::with_capacity(cap(n_and));
+    let mut and_order: Vec<u32> = Vec::with_capacity(cap(n_and));
     let mut defined: HashSet<u32> = HashSet::new();
 
     let mut next = |what: &str| {
@@ -152,7 +156,9 @@ pub fn parse_aag(text: &str) -> Result<Netlist, LogicError> {
             }
         }
     }
-    for (k, lit) in output_lits.iter().enumerate() {
+    // Latch next states become the outputs after the declared ones.
+    let next_states = latches.iter().map(|&(_, lit)| lit);
+    for (k, lit) in output_lits.iter().copied().chain(next_states).enumerate() {
         let v = lit >> 1;
         if v != 0 && !defined.contains(&v) {
             return Err(LogicError::UnknownSignal(format!(
@@ -167,6 +173,11 @@ pub fn parse_aag(text: &str) -> Result<Netlist, LogicError> {
     }
 
     // Symbol table: `i<k> name`, `l<k> name`, `o<k> name` until `c`/EOF.
+    // Each name names one signal, and the builder keeps it for that
+    // signal: a generated name (`i<k>`, `l<k>`, `g<v>`, `o<k>`,
+    // `l<k>_next`) that a symbol took becomes a free variant instead.
+    let mut b = NetlistBuilder::new("aag");
+    let mut symbol_line: HashMap<String, usize> = HashMap::new();
     let mut in_names: HashMap<usize, String> = HashMap::new();
     let mut latch_names: HashMap<usize, String> = HashMap::new();
     let mut out_names: HashMap<usize, String> = HashMap::new();
@@ -178,33 +189,45 @@ pub fn parse_aag(text: &str) -> Result<Netlist, LogicError> {
         if l.is_empty() {
             continue;
         }
-        let (tag, rest) = l.split_at(1);
+        let mut rest = l.chars();
+        let tag = rest.next();
         let (idx, name) = rest
+            .as_str()
             .split_once(' ')
             .ok_or_else(|| parse_err(i + 1, "symbol line must be `<pos> <name>`"))?;
         let idx: usize = idx
             .parse()
             .map_err(|e| parse_err(i + 1, format!("bad symbol position: {e}")))?;
-        match tag {
-            "i" => in_names.insert(idx, name.to_string()),
-            "l" => latch_names.insert(idx, name.to_string()),
-            "o" => out_names.insert(idx, name.to_string()),
+        let names = match tag {
+            Some('i') => &mut in_names,
+            Some('l') => &mut latch_names,
+            Some('o') => &mut out_names,
             _ => return Err(parse_err(i + 1, "symbol tag must be i/l/o")),
         };
+        if let Some(prev) = symbol_line.insert(name.to_string(), i + 1) {
+            return Err(parse_err(
+                i + 1,
+                format!("symbol `{name}` is already used on line {prev}"),
+            ));
+        }
+        b.reserve(name);
+        names.insert(idx, name.to_string());
     }
 
     // Lower into the gate library.
-    let mut b = NetlistBuilder::new("aag");
     let mut node_of: HashMap<u32, NodeId> = HashMap::new();
     for (k, &v) in input_vars.iter().enumerate() {
-        let name = in_names.get(&k).cloned().unwrap_or_else(|| format!("i{k}"));
+        let name = in_names
+            .get(&k)
+            .cloned()
+            .unwrap_or_else(|| b.free_name(&format!("i{k}")));
         node_of.insert(v, b.input(name));
     }
     for (k, &(v, _)) in latches.iter().enumerate() {
         let name = latch_names
             .get(&k)
             .cloned()
-            .unwrap_or_else(|| format!("l{k}"));
+            .unwrap_or_else(|| b.free_name(&format!("l{k}")));
         node_of.insert(v, b.input(name));
     }
     let mut consts: [Option<NodeId>; 2] = [None, None];
@@ -227,19 +250,18 @@ pub fn parse_aag(text: &str) -> Result<Netlist, LogicError> {
                 stack.pop();
                 continue;
             }
+            // Descend into one unbuilt operand at a time (the second one
+            // first), so the stack is exactly the path from `root`, and an
+            // operand already on it closes a loop.
             let &(r0, r1) = and_defs.get(&v).expect("checked above");
-            let mut ready = true;
-            for r in [r0, r1] {
-                let dep = r >> 1;
-                if dep != 0 && !node_of.contains_key(&dep) {
-                    if !on_stack.insert(dep) {
-                        return Err(LogicError::CombinationalLoop(format!("variable {dep}")));
-                    }
-                    stack.push(dep);
-                    ready = false;
+            if let Some(dep) = [r1 >> 1, r0 >> 1]
+                .into_iter()
+                .find(|&dep| dep != 0 && !node_of.contains_key(&dep))
+            {
+                if !on_stack.insert(dep) {
+                    return Err(LogicError::CombinationalLoop(format!("variable {dep}")));
                 }
-            }
-            if !ready {
+                stack.push(dep);
                 continue;
             }
             let fanin = |b: &mut NetlistBuilder,
@@ -265,7 +287,7 @@ pub fn parse_aag(text: &str) -> Result<Netlist, LogicError> {
                 }
             }
             let f = Bf2::from_truth_table(tt);
-            let id = b.gate2(format!("g{v}"), f, a, bb);
+            let id = b.gate2(b.free_name(&format!("g{v}")), f, a, bb);
             node_of.insert(v, id);
             on_stack.remove(&v);
             stack.pop();
@@ -290,11 +312,12 @@ pub fn parse_aag(text: &str) -> Result<Netlist, LogicError> {
         let name = out_names
             .get(&k)
             .cloned()
-            .unwrap_or_else(|| format!("o{k}"));
+            .unwrap_or_else(|| b.free_name(&format!("o{k}")));
         emit_output(&mut b, lit, name);
     }
     for (k, &(_, next_lit)) in latches.iter().enumerate() {
-        emit_output(&mut b, next_lit, format!("l{k}_next"));
+        let name = b.free_name(&format!("l{k}_next"));
+        emit_output(&mut b, next_lit, name);
     }
 
     b.finish()
@@ -464,6 +487,17 @@ mod tests {
     }
 
     #[test]
+    fn out_of_order_shared_operands_are_not_loops() {
+        // 6 = AND(8, 10) with 10 = AND(8, ¬2): operand 8 is reached twice
+        // before it is defined, once through 10. And 12 = AND(8, 8).
+        let text = "aag 6 2 0 2 4\n2\n4\n6\n12\n6 8 10\n10 8 3\n8 2 4\n12 8 8\n";
+        let nl = parse_aag(text).unwrap();
+        for (a, b) in [(false, false), (true, false), (false, true), (true, true)] {
+            assert_eq!(nl.evaluate(&[a, b]), vec![false, a && b], "({a}, {b})");
+        }
+    }
+
+    #[test]
     fn cyclic_definitions_are_rejected() {
         let text = "aag 4 1 0 1 2\n2\n6\n6 8 2\n8 6 2\n";
         assert!(matches!(
@@ -483,6 +517,62 @@ mod tests {
         for text in ["", "aig 1 1 0 1 0\n", "aag 1 1 0\n"] {
             assert!(matches!(parse_aag(text), Err(LogicError::Parse { .. })));
         }
+    }
+
+    #[test]
+    fn repeated_symbol_names_are_a_parse_error() {
+        for (text, at) in [
+            ("aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 x\ni1 x\n", 7),
+            (
+                "aag 3 2 0 2 1\n2\n4\n7\n7\n6 2 4\ni0 a\ni1 b\no0 y\no1 y\n",
+                10,
+            ),
+        ] {
+            match parse_aag(text) {
+                Err(LogicError::Parse { line, message }) => {
+                    assert_eq!(line, at, "{text:?}");
+                    assert!(message.contains("already used on line"), "{message}");
+                }
+                other => panic!("expected a parse error for {text:?}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn generated_names_give_way_to_symbols() {
+        for (text, names) in [
+            (
+                "aag 3 2 0 1 1\n2\n4\n6\n6 2 4\ni0 g3\n",
+                &["g3", "i1", "g3_1"][..],
+            ),
+            (
+                "aag 3 2 0 1 1\n2\n4\n7\n6 2 4\ni1 i0\no0 g3\n",
+                &["i0_1", "i0", "g3_1", "g3"],
+            ),
+            ("aag 1 0 1 1 0\n2 3\n3\nl0 o0\n", &["o0", "o0_1", "l0_next"]),
+            (
+                "aag 1 0 1 1 0\n2 3\n3\nl0 l0_next\n",
+                &["l0_next", "o0", "l0_next_1"],
+            ),
+        ] {
+            let nl = parse_aag(text).unwrap();
+            let got: Vec<&str> = nl.nodes().map(|n| n.name).collect();
+            assert_eq!(got, names, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn bad_latch_targets_and_symbol_tags_are_errors() {
+        // The latch's next state reads variable 4, which nothing defines.
+        assert!(matches!(
+            parse_aag("aag 1 0 1 0 0\n2 9\n"),
+            Err(LogicError::UnknownSignal(_))
+        ));
+        // A symbol tag wider than one byte.
+        assert!(matches!(
+            parse_aag("aag 1 1 0 0 0\n2\né0 x\n"),
+            Err(LogicError::Parse { line: 3, .. })
+        ));
     }
 
     #[test]

@@ -41,10 +41,13 @@ fn parse_call(expr: &str, line: usize) -> Result<(String, Vec<String>), LogicErr
         line,
         message: format!("expected OP(...) but found `{expr}`"),
     })?;
-    let close = expr.rfind(')').ok_or_else(|| LogicError::Parse {
-        line,
-        message: "missing closing parenthesis".into(),
-    })?;
+    let close = expr
+        .rfind(')')
+        .filter(|&close| close > open)
+        .ok_or_else(|| LogicError::Parse {
+            line,
+            message: "missing closing parenthesis".into(),
+        })?;
     let op = expr[..open].trim().to_ascii_uppercase();
     let args: Vec<String> = expr[open + 1..close]
         .split(',')
@@ -169,8 +172,13 @@ pub fn parse_bench_detailed(text: &str) -> Result<ParsedBench, LogicError> {
         }
     }
 
-    // Kahn topological sort of the gate set.
+    // Kahn topological sort of the gate set. Gate names are reserved up
+    // front, so the trees of n-ary gates never name a node after a gate
+    // emitted later.
     let mut b = NetlistBuilder::new(name);
+    for g in &comb_gates {
+        b.reserve(g.lhs.clone());
+    }
     let mut ids: HashMap<String, NodeId> = HashMap::new();
     for pin in inputs.iter().chain(&pseudo_inputs) {
         if ids.contains_key(pin) {
@@ -531,6 +539,32 @@ y = BUFF(p)
         match parse_bench(text) {
             Err(LogicError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parentheses_out_of_order_are_a_parse_error() {
+        for (text, at) in [
+            ("INPUT)(1\n", 1),
+            ("INPUT(1)\nOUTPUT(2)\n2 = NAND)(1, 1\n", 3),
+        ] {
+            match parse_bench(text) {
+                Err(LogicError::Parse { line, .. }) => assert_eq!(line, at, "{text:?}"),
+                other => panic!("expected a parse error for {text:?}, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn nary_trees_leave_gate_names_to_their_gates() {
+        // The tree under `g0` is auto-named, and the first auto name is
+        // `g0` itself unless the parser keeps it for the gate.
+        let text = "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(g0)\ng0 = AND(a, b, c)\n";
+        let nl = parse_bench(text).unwrap();
+        assert_eq!(nl.node(nl.outputs()[0]).name, "g0");
+        for p in 0..8u32 {
+            let v: Vec<bool> = (0..3).map(|k| (p >> k) & 1 == 1).collect();
+            assert_eq!(nl.evaluate(&v), vec![p == 7], "pattern {p}");
         }
     }
 

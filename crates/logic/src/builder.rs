@@ -30,6 +30,7 @@ pub struct NetlistBuilder {
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
     names: HashSet<String>,
+    reserved: HashSet<String>,
     anon_counter: usize,
 }
 
@@ -49,14 +50,36 @@ impl NetlistBuilder {
         id
     }
 
+    fn is_free(&self, name: &str) -> bool {
+        !self.names.contains(name) && !self.reserved.contains(name)
+    }
+
     fn fresh_name(&mut self, prefix: &str) -> String {
         loop {
             let candidate = format!("{prefix}{}", self.anon_counter);
             self.anon_counter += 1;
-            if !self.names.contains(&candidate) {
+            if self.is_free(&candidate) {
                 return candidate;
             }
         }
+    }
+
+    /// Keeps `name` for a node the caller creates later: auto-named gates,
+    /// constants and [`NetlistBuilder::free_name`] never take it.
+    pub(crate) fn reserve(&mut self, name: impl Into<String>) {
+        self.reserved.insert(name.into());
+    }
+
+    /// `base` if no node has it and nobody reserved it, otherwise the
+    /// first such `base_<n>` (`n = 1, 2, …`).
+    pub(crate) fn free_name(&self, base: &str) -> String {
+        if self.is_free(base) {
+            return base.to_string();
+        }
+        (1..)
+            .map(|n| format!("{base}_{n}"))
+            .find(|name| self.is_free(name))
+            .expect("a finite name set leaves a free variant")
     }
 
     /// Number of nodes created so far.
@@ -209,6 +232,24 @@ mod tests {
         b.output(g);
         let nl = b.finish().unwrap();
         assert_eq!(nl.evaluate(&[true]), vec![false]);
+    }
+
+    #[test]
+    fn reserved_names_are_skipped_until_claimed() {
+        let mut b = NetlistBuilder::new("t");
+        b.reserve("g0");
+        b.reserve("const1_1");
+        b.reserve("x_1");
+        let x = b.input("x");
+        assert_eq!(b.free_name("x"), "x_2");
+        assert_eq!(b.free_name("y"), "y");
+        let g = b.gate1_auto(Bf1::Inv, x);
+        let one = b.constant(true);
+        let named = b.gate2("g0", Bf2::AND, g, one);
+        b.output(named);
+        let nl = b.finish().unwrap();
+        let names: Vec<_> = nl.nodes().map(|n| n.name.to_string()).collect();
+        assert_eq!(names, ["x", "g1", "const1_2", "g0"]);
     }
 
     #[test]

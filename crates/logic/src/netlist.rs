@@ -199,6 +199,17 @@ const TAG_GATE1: u8 = 0b10;
 const TAG_GATE2: u8 = 0b11;
 const TAG_MASK: u8 = 0b11;
 
+/// The arena slots of a node of `kind`: its `meta` byte and its two fanin
+/// words. `ordinal` is stored in `fanin_a` for an `Input` node.
+fn pack(kind: NodeKind, ordinal: u32) -> (u8, u32, u32) {
+    match kind {
+        NodeKind::Input => (TAG_INPUT, ordinal, 0),
+        NodeKind::Const(c) => (TAG_CONST | (c as u8) << 2, 0, 0),
+        NodeKind::Gate1 { f, a } => (TAG_GATE1 | f.code() << 2, a.0, 0),
+        NodeKind::Gate2 { f, a, b } => (TAG_GATE2 | f.truth_table() << 2, a.0, b.0),
+    }
+}
+
 /// A combinational gate-level netlist in topological order, stored as a
 /// flat arena (see the module docs for the layout).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -236,16 +247,8 @@ impl Netlist {
         let mut names = NameTable::with_capacity(n);
         let mut ordinal = 0u32;
         for node in &nodes {
-            let (m, a, b) = match node.kind {
-                NodeKind::Input => {
-                    let o = ordinal;
-                    ordinal += 1;
-                    (TAG_INPUT, o, 0)
-                }
-                NodeKind::Const(c) => (TAG_CONST | (c as u8) << 2, 0, 0),
-                NodeKind::Gate1 { f, a } => (TAG_GATE1 | f.code() << 2, a.0, 0),
-                NodeKind::Gate2 { f, a, b } => (TAG_GATE2 | f.truth_table() << 2, a.0, b.0),
-            };
+            let (m, a, b) = pack(node.kind, ordinal);
+            ordinal += (node.kind == NodeKind::Input) as u32;
             meta.push(m);
             fanin_a.push(a);
             fanin_b.push(b);
@@ -327,6 +330,11 @@ impl Netlist {
     /// The design name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Renames the design.
+    pub fn set_name(&mut self, name: impl Into<String>) {
+        self.name = name.into();
     }
 
     /// All nodes, in topological order.
@@ -597,6 +605,35 @@ impl Netlist {
         Ok(lanes.iter().map(|&v| v & 1 == 1).collect())
     }
 
+    /// Replaces gate `id` with the gate `kind` in place: function, arity
+    /// and fanins may all change, while the id, the name and every port
+    /// stay. Each fanin of `kind` must precede `id`, so the arena stays in
+    /// topological order and needs no [`Netlist::check`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LogicError::Validation`] if `id` is not a gate of this
+    /// netlist, `kind` is not a gate, or a fanin of `kind` does not
+    /// precede `id`.
+    pub fn set_gate(&mut self, id: NodeId, kind: NodeKind) -> Result<(), LogicError> {
+        let i = id.index();
+        if i >= self.len() || !self.kind(id).is_gate() {
+            return Err(LogicError::Validation(format!("node {id} is not a gate")));
+        }
+        if !kind.is_gate() {
+            return Err(LogicError::Validation(format!(
+                "cannot install {kind:?} at gate {id}"
+            )));
+        }
+        if let Some(fanin) = kind.fanins().find(|f| f.index() >= i) {
+            return Err(LogicError::Validation(format!(
+                "gate {id} cannot take non-topological fanin {fanin}"
+            )));
+        }
+        (self.meta[i], self.fanin_a[i], self.fanin_b[i]) = pack(kind, 0);
+        Ok(())
+    }
+
     /// Replaces the function of the two-input gate `id`.
     ///
     /// This is the primitive operation behind runtime polymorphism
@@ -607,15 +644,12 @@ impl Netlist {
     ///
     /// Returns [`LogicError::Validation`] if `id` is not a `Gate2`.
     pub fn set_gate2_function(&mut self, id: NodeId, f: Bf2) -> Result<(), LogicError> {
-        let i = id.index();
-        if self.meta[i] & TAG_MASK != TAG_GATE2 {
-            return Err(LogicError::Validation(format!(
-                "node {id} is {:?}, not a two-input gate",
-                self.kind(id)
-            )));
+        match self.kind(id) {
+            NodeKind::Gate2 { a, b, .. } => self.set_gate(id, NodeKind::Gate2 { f, a, b }),
+            other => Err(LogicError::Validation(format!(
+                "node {id} is {other:?}, not a two-input gate"
+            ))),
         }
-        self.meta[i] = TAG_GATE2 | f.truth_table() << 2;
-        Ok(())
     }
 
     /// Replaces the function of the one-input gate `id` (keeping fanin `a`,
@@ -626,15 +660,14 @@ impl Netlist {
     /// Returns [`LogicError::Validation`] if `id` is not a `Gate1` or the
     /// fanin does not match.
     pub fn set_gate1_function(&mut self, id: NodeId, f: Bf1, a: NodeId) -> Result<(), LogicError> {
-        let i = id.index();
-        if self.meta[i] & TAG_MASK != TAG_GATE1 || self.fanin_a[i] != a.0 {
-            return Err(LogicError::Validation(format!(
-                "node {id} is {:?}, not a one-input gate fed by {a}",
-                self.kind(id)
-            )));
+        match self.kind(id) {
+            NodeKind::Gate1 { a: fanin, .. } if fanin == a => {
+                self.set_gate(id, NodeKind::Gate1 { f, a })
+            }
+            other => Err(LogicError::Validation(format!(
+                "node {id} is {other:?}, not a one-input gate fed by {a}"
+            ))),
         }
-        self.meta[i] = TAG_GATE1 | f.code() << 2;
-        Ok(())
     }
 
     /// A histogram of gate functions: `(function name, count)` sorted by
@@ -1150,6 +1183,60 @@ mod tests {
         let mut nl = full_adder();
         let a = nl.find("a").unwrap();
         assert!(nl.set_gate2_function(a, Bf2::AND).is_err());
+    }
+
+    #[test]
+    fn set_gate_rejects_non_gates_and_forward_fanins() {
+        let mut b = NetlistBuilder::new("t");
+        let x = b.input("x");
+        let one = b.constant(true);
+        let g = b.gate2("g", Bf2::AND, x, one);
+        let h = b.gate1("h", Bf1::Inv, g);
+        b.output(h);
+        let mut nl = b.finish().unwrap();
+        let before = nl.clone();
+        let and = |a, b| NodeKind::Gate2 { f: Bf2::AND, a, b };
+        for target in [x, one, NodeId(nl.len() as u32)] {
+            assert!(nl.set_gate(target, and(x, x)).is_err(), "{target}");
+        }
+        for kind in [NodeKind::Input, NodeKind::Const(false)] {
+            assert!(nl.set_gate(g, kind).is_err(), "{kind:?}");
+        }
+        assert!(nl.set_gate(g, and(x, g)).is_err(), "self loop");
+        assert!(nl.set_gate(g, and(x, h)).is_err(), "forward fanin");
+        assert_eq!(nl, before, "a rejected edit changes nothing");
+    }
+
+    #[test]
+    fn set_gate_turns_a_gate1_into_a_degenerate_gate2() {
+        let mut b = NetlistBuilder::new("t");
+        let x = b.input("x");
+        let y = b.input("y");
+        let g = b.gate2("g", Bf2::XOR, x, y);
+        let h = b.gate1("h", Bf1::Inv, g);
+        b.output(h);
+        let mut nl = b.finish().unwrap();
+        let cell = NodeKind::Gate2 {
+            f: Bf2::NAND,
+            a: g,
+            b: g,
+        };
+        nl.set_gate(h, cell).unwrap();
+        assert_eq!(nl.kind(h), cell);
+        assert_eq!(nl.node(h).name, "h");
+        nl.check().unwrap();
+        for p in 0..4u32 {
+            let v = [p & 1 == 1, p & 2 == 2];
+            assert_eq!(nl.evaluate(&v), vec![v[0] == v[1]], "NAND(g, g) = INV(g)");
+        }
+        // The arena matches a netlist built with the cell from the start.
+        let mut b = NetlistBuilder::new("t");
+        let x = b.input("x");
+        let y = b.input("y");
+        let g = b.gate2("g", Bf2::XOR, x, y);
+        let h = b.gate2("h", Bf2::NAND, g, g);
+        b.output(h);
+        assert_eq!(nl, b.finish().unwrap());
     }
 
     #[test]
