@@ -16,7 +16,9 @@
 //!    [`Netlist::cone_of`](gshe_logic::Netlist::cone_of) over the
 //!    affected outputs yields a compact netlist containing exactly the
 //!    transitive fanin of those outputs, with an
-//!    [`IdMap`](gshe_logic::IdMap) back to the full design.
+//!    [`IdMap`](gshe_logic::IdMap) back to the full design. The cone is
+//!    encoded as extracted: the keyed encoder folds its constants and
+//!    turns its one-input gates into literals.
 //! 3. **Key projection** — cloaked cells inside the cone are remapped to
 //!    contiguous key offsets; cells *outside* the cone reach no primary
 //!    output at all (otherwise that output would be affected), so any
@@ -114,9 +116,6 @@ pub struct CoiProjection {
     key_map: Vec<usize>,
     full_key_len: usize,
     full_num_inputs: usize,
-    /// Statistics of the cone cleanup pass
-    /// ([`gshe_logic::optimize_protected`]) run before encoding.
-    opt_report: gshe_logic::OptReport,
 }
 
 impl CoiProjection {
@@ -151,28 +150,13 @@ impl CoiProjection {
             .map(|&ci| input_ordinal(nl, map.to_full(ci)))
             .collect();
 
-        // Cone cleanup before encoding: resolution and camouflaging leave
-        // constants and pass-through cells behind, and the extracted cone
-        // re-exposes them. The cloaked cells are *protected* — emitted
-        // verbatim with explicit (not absorbed) fanin inversions — because
-        // their visible function is exactly what the attacker does not
-        // trust; the pass preserves the keyed function under every
-        // candidate substitution. Input/output positional order is
-        // preserved, so `input_map`/`output_map` stay valid.
-        let protected: Vec<gshe_logic::NodeId> = gates.iter().map(|g| g.node).collect();
-        let (opt_cone, opt_report, opt_map) = gshe_logic::optimize_protected(&cone, &protected);
-        for g in &mut gates {
-            g.node = opt_map[g.node.index()].expect("protected cloaked cells survive cleanup");
-        }
-
         Some(CoiProjection {
-            keyed: KeyedNetlist::new(opt_cone, gates, offset),
+            keyed: KeyedNetlist::new(cone, gates, offset),
             input_map,
             output_map,
             key_map,
             full_key_len: keyed.key_len(),
             full_num_inputs: nl.inputs().len(),
-            opt_report,
         })
     }
 
@@ -206,13 +190,6 @@ impl CoiProjection {
     /// Nodes in the cone vs. the full design, as a reduction diagnostic.
     pub fn cone_len(&self) -> usize {
         self.keyed.netlist().len()
-    }
-
-    /// Statistics of the protected cleanup pass run on the cone before
-    /// encoding (folded constants, collapsed pass-through cells, swept
-    /// dead gates).
-    pub fn opt_report(&self) -> gshe_logic::OptReport {
-        self.opt_report
     }
 
     /// Cone input ordinal → full-design input ordinal.
@@ -271,7 +248,7 @@ mod tests {
     use crate::sat_attack::{sat_attack, AttackConfig, AttackStatus};
     use crate::stack::OracleStack;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
-    use gshe_logic::{Bf2, GeneratorConfig, Netlist, NetlistBuilder, NetlistGenerator};
+    use gshe_logic::{Bf1, Bf2, GeneratorConfig, Netlist, NetlistBuilder, NetlistGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -291,6 +268,51 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let keyed = camouflage(&nl, &[g1], CamoScheme::GsheAll16, &mut rng).unwrap();
         (nl, keyed)
+    }
+
+    #[test]
+    fn cone_with_constants_and_one_input_gates_is_encoded_as_is() {
+        // The cloaked cell's cone holds a constant, a BUF→NOT chain, an
+        // AND with a constant fanin and a lone NOT (an odd number of
+        // inversions, so a one-input gate encoded with the wrong polarity
+        // shows); the other output escapes the cell.
+        let mut b = NetlistBuilder::new("consts");
+        let a = b.input("a");
+        let c = b.input("b");
+        let d = b.input("c");
+        let e = b.input("d");
+        let one = b.constant(true);
+        let buf = b.gate1("buf", Bf1::Buf, a);
+        let inv = b.gate1("inv", Bf1::Inv, buf);
+        let and = b.gate2("and", Bf2::AND, inv, one);
+        let not_b = b.gate1("not_b", Bf1::Inv, c);
+        let cell = b.gate2("cell", Bf2::XOR, and, not_b);
+        let other = b.gate2("other", Bf2::OR, d, e);
+        b.output(cell);
+        b.output(other);
+        let nl = b.finish().unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let keyed = camouflage(&nl, &[cell], CamoScheme::GsheAll16, &mut rng).unwrap();
+
+        let proj = CoiProjection::build(&keyed, CoiMode::On).expect("one of two outputs affected");
+        assert_eq!(proj.affected_outputs(), &[0]);
+        // The projection keeps them as they are; the encoder copes.
+        let cone = proj.keyed().netlist();
+        let is_const = |id: NodeId| matches!(cone.kind(id), NodeKind::Const(_));
+        let is_buf = |id: NodeId| matches!(cone.kind(id), NodeKind::Gate1 { f: Bf1::Buf, .. });
+        let buf_not = |k| matches!(k, NodeKind::Gate1 { f: Bf1::Inv, a } if is_buf(a));
+        let const_fanin =
+            |k| matches!(k, NodeKind::Gate2 { a, b, .. } if is_const(a) || is_const(b));
+        assert!(cone.nodes().any(|n| buf_not(n.kind)));
+        assert!(cone.nodes().any(|n| const_fanin(n.kind)));
+        for mode in [CoiMode::On, CoiMode::Off] {
+            let mut oracle = OracleStack::exact(&nl);
+            let config = AttackConfig::with_timeout_secs(10).with_coi_mode(mode);
+            let out = sat_attack(&keyed, &mut oracle, &config);
+            assert_eq!(out.status, AttackStatus::Success, "{mode:?}");
+            let v = verify_key(&nl, &keyed, out.key.as_ref().unwrap()).unwrap();
+            assert!(v.functionally_equivalent, "{mode:?}");
+        }
     }
 
     #[test]

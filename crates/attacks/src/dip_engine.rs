@@ -76,10 +76,14 @@ pub enum RefinePolicy {
     },
 }
 
+/// Conflict budget per solver call: the attack checks the wall clock
+/// between slices of this many conflicts.
+const CONFLICTS_PER_SLICE: u64 = 20_000;
+
 /// Solves with the wall clock checked between slices of
-/// [`AttackConfig::conflicts_per_slice`] conflicts. Returns `None` once
-/// the deadline passes, and [`SolveResult::Unknown`] without solving when
-/// the formula has more variables than [`AttackConfig::max_vars`].
+/// [`CONFLICTS_PER_SLICE`] conflicts. Returns `None` once the deadline
+/// passes, and [`SolveResult::Unknown`] without solving when the formula
+/// has more variables than [`AttackConfig::max_vars`].
 pub(crate) fn solve_sliced(
     solver: &mut Solver,
     assumptions: &[Lit],
@@ -92,7 +96,7 @@ pub(crate) fn solve_sliced(
     let _span = gshe_obs::span("attack.solve");
     let before = solver.stats();
     solver.set_budget(Budget {
-        max_conflicts: Some(config.conflicts_per_slice),
+        max_conflicts: Some(CONFLICTS_PER_SLICE),
     });
     loop {
         match solver.solve_with(assumptions) {
@@ -152,10 +156,6 @@ pub fn refine(
     if let Some(proj) = projection {
         gshe_obs::count("attack.coi_reductions", 1);
         gshe_obs::record("attack.coi_cone_nodes", proj.cone_len() as u64);
-        let cleanup = proj.opt_report();
-        gshe_obs::count("attack.coi_folded", cleanup.folded_constants as u64);
-        gshe_obs::count("attack.coi_collapsed", cleanup.collapsed as u64);
-        gshe_obs::count("attack.coi_swept", cleanup.swept_dead as u64);
         let mut cone_oracle = CoiOracle::new(oracle, &proj);
         let inner = config.with_coi_mode(CoiMode::Off);
         let mut out = refine(proj.keyed(), &mut cone_oracle, &inner, policy);

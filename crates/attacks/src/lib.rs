@@ -4,7 +4,7 @@
 //! paper's Sec. V evaluation apparatus:
 //!
 //! * the oracle-guided **SAT attack** of Subramanyan et al. (\[8\], \[37\]) —
-//!   miter-based DIP refinement ([`sat_attack`]);
+//!   miter-based DIP refinement ([`sat_attack`](fn@sat_attack));
 //! * **Double DIP** (Shen & Zhou \[12\]) — each iteration rules out at least
 //!   two incorrect keys ([`double_dip_attack`]);
 //! * an **AppSAT**-style approximate attack (Shamsi et al. \[11\]) — SAT

@@ -24,9 +24,6 @@ pub struct AttackConfig {
     pub timeout: Duration,
     /// Hard cap on DIP iterations (`None` = unlimited).
     pub max_iterations: Option<u64>,
-    /// Conflict budget per solver call; the attack checks the wall clock
-    /// between budget slices.
-    pub conflicts_per_slice: u64,
     /// Variable budget (`None` = unlimited): once the attack's formula
     /// has more variables than this, its next solve ends the attack as
     /// [`AttackStatus::ResourceExhausted`]. The default mirrors the
@@ -51,7 +48,6 @@ impl Default for AttackConfig {
         AttackConfig {
             timeout: Duration::from_secs(60),
             max_iterations: None,
-            conflicts_per_slice: 20_000,
             max_vars: Some(134_217_724),
             coi: CoiMode::default(),
             simplify: SimplifyMode::default(),
@@ -202,7 +198,6 @@ mod tests {
         let mut oracle = OracleStack::exact(&nl);
         let config = AttackConfig {
             timeout: Duration::from_millis(0),
-            conflicts_per_slice: 1,
             ..Default::default()
         };
         let out = sat_attack(&keyed, &mut oracle, &config);

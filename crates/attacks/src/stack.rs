@@ -64,7 +64,7 @@ pub const ROTATION_SEED_SALT: u64 = 0xD0_7A7E;
 
 /// The stack's base layer: one bit-parallel evaluation pass over a
 /// netlist, exact or fault-injecting. The netlist is swappable in place
-/// ([`EvalLayer::install`]) so a rotation layer can re-resolve per epoch
+/// (`EvalLayer::install`) so a rotation layer can re-resolve per epoch
 /// while scratch buffers — and, for the noisy base, the noise RNG stream —
 /// survive.
 #[derive(Debug, Clone)]

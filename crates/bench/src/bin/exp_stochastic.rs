@@ -8,7 +8,7 @@
 //! 2-attack × 5-trial grid — is one campaign: every cell runs as a pooled
 //! job, so the trials that used to run back-to-back now run in parallel.
 
-use gshe_bench::HarnessArgs;
+use gshe_bench::{fail, HarnessArgs};
 use gshe_core::campaign::{
     AttackSeeds, Campaign, CampaignSpec, JobKind, JobResult, JobSpec, JobStatus, NoiseShape,
 };
@@ -74,7 +74,7 @@ fn main() {
         threads: args.threads,
         ..Default::default()
     };
-    let report = Campaign::run_jobs(&spec, jobs).expect("stochastic campaign");
+    let report = Campaign::run_jobs(&spec, jobs).unwrap_or_else(|e| fail(&e));
 
     println!("SEC. V-B — STOCHASTIC SWITCHING AGAINST SAT ATTACKS");
     println!("\nerror-rate knob (device Monte Carlo, I_S = 20 uA):");

@@ -3,7 +3,7 @@
 //! computed live from the device model — power/energy from the read-out
 //! circuit, delay from an sLLGS Monte Carlo run as a campaign device job.
 
-use gshe_bench::HarnessArgs;
+use gshe_bench::{fail, HarnessArgs};
 use gshe_core::campaign::{Campaign, CampaignSpec, JobKind, JobSpec};
 use gshe_core::device::characterize::{
     format_metrics_row, this_work_metrics, EMERGING_DEVICE_TABLE, NOMINAL_DELAY,
@@ -31,7 +31,7 @@ fn main() {
         threads: args.threads,
         ..Default::default()
     };
-    let report = Campaign::run_jobs(&spec, jobs).expect("table2 campaign");
+    let report = Campaign::run_jobs(&spec, jobs).unwrap_or_else(|e| fail(&e));
     let measured = report.device[0].value;
 
     println!("TABLE II — COMPARISON OF SELECTED EMERGING-DEVICE PRIMITIVES");

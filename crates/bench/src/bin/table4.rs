@@ -15,7 +15,7 @@
 //! [--threads N] [--levels FRACTIONS]`, with levels as fractions of gates
 //! camouflaged (default `0.1,0.2,0.3,0.4`).
 
-use gshe_bench::{runtime_cell, HarnessArgs};
+use gshe_bench::{fail, runtime_cell, HarnessArgs};
 use gshe_core::campaign::{
     AttackSeeds, Campaign, CampaignSpec, JobKind, JobSpec, JobStatus, NoiseShape,
 };
@@ -77,7 +77,7 @@ fn main() {
         threads: args.threads,
         ..Default::default()
     };
-    let report = Campaign::run_jobs(&spec, jobs).expect("table4 campaign");
+    let report = Campaign::run_jobs(&spec, jobs).unwrap_or_else(|e| fail(&e));
 
     println!(
         "TABLE IV — SAT-ATTACK RUNTIME (seconds; t-o = {}s; scale 1/{}; {} threads)",

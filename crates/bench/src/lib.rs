@@ -185,46 +185,51 @@ impl Default for HarnessArgs {
     }
 }
 
+/// The flags [`HarnessArgs::parse`] reads.
+const HARNESS_USAGE: &str =
+    "--scale N --timeout SECS --samples N --seed N --only NAME --threads N --levels 0.1,0.2";
+
 impl HarnessArgs {
     /// Parses `--scale N --timeout SECS --samples N --seed N --only NAME
     /// --threads N --levels FRACTIONS` from `std::env::args`, falling back
     /// to the defaults. Levels are fractions of gates camouflaged, as in
-    /// campaign specs: `--levels 0.1,0.2`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// campaign specs: `--levels 0.1,0.2`. Fails (see [`fail`]) on a
+    /// missing or malformed value and on an unknown flag.
     pub fn parse() -> Self {
         let mut args = HarnessArgs::default();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = argv[i].as_str();
-            let value = argv.get(i + 1).unwrap_or_else(|| {
-                panic!("missing value for {key}; usage: --scale N --timeout SECS --samples N --seed N --only NAME --threads N --levels 0.1,0.2")
+        let mut argv = std::env::args().skip(1);
+        while let Some(key) = argv.next() {
+            let value = argv.next().unwrap_or_else(|| {
+                fail(&format!("missing value for {key}; usage: {HARNESS_USAGE}"))
             });
-            match key {
-                "--scale" => args.scale = value.parse().expect("--scale takes an integer"),
+            match key.as_str() {
+                "--scale" => args.scale = parse_value(&key, &value, "an integer"),
                 "--timeout" => {
-                    args.timeout =
-                        Duration::from_secs(value.parse().expect("--timeout takes seconds"))
+                    args.timeout = Duration::from_secs(parse_value(&key, &value, "seconds"))
                 }
-                "--samples" => args.samples = value.parse().expect("--samples takes an integer"),
-                "--seed" => args.seed = value.parse().expect("--seed takes an integer"),
-                "--only" => args.only = value.clone(),
-                "--threads" => args.threads = value.parse().expect("--threads takes an integer"),
+                "--samples" => args.samples = parse_value(&key, &value, "an integer"),
+                "--seed" => args.seed = parse_value(&key, &value, "an integer"),
+                "--only" => args.only = value,
+                "--threads" => args.threads = parse_value(&key, &value, "an integer"),
                 "--levels" => {
                     args.levels = value
                         .split(',')
-                        .map(|v| v.parse().expect("--levels takes fractions, e.g. 0.1,0.2"))
+                        .map(|v| parse_value(&key, v, "fractions (e.g. 0.1,0.2)"))
                         .collect()
                 }
-                other => panic!("unknown option `{other}`"),
+                other => fail(&format!("unknown option `{other}`; usage: {HARNESS_USAGE}")),
             }
-            i += 2;
         }
         args
     }
+}
+
+/// Parses the `value` of `flag`, failing with a message that names the
+/// flag, what it takes and the value.
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str, what: &str) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| fail(&format!("{flag} takes {what}, got `{value}`")))
 }
 
 /// Renders a histogram line: a label, a unicode bar, and the value.

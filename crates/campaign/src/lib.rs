@@ -166,7 +166,7 @@ pub use spec::{
 use gshe_camo::KeyedNetlist;
 use gshe_device::SwitchParams;
 use gshe_logic::{suites, Netlist, Topology};
-use spec::memo_budget_bytes;
+use spec::{check_level, check_rate, check_scale, check_timeout, memo_budget_bytes};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -495,15 +495,30 @@ impl EvalSession {
     ///
     /// # Errors
     ///
-    /// Returns a message, before any job runs, when `spec.memo_budget_mb`
-    /// is negative or not finite; and when a job references a benchmark
-    /// that cannot be instantiated.
+    /// Returns a message, before anything is built or run, when
+    /// `spec.memo_budget_mb` is negative or not finite, and on the values
+    /// [`CampaignSpec::expand`] rejects, which a hand-built job list has
+    /// not been through: a scale below 1, a job timeout too large for a
+    /// deadline, an attack job's level outside `(0, 1]` or error rate
+    /// outside `[0, 1]`. Also when a job references a benchmark that
+    /// cannot be instantiated.
     pub fn run_jobs(
         &self,
         spec: &CampaignSpec,
         jobs: Vec<JobSpec>,
     ) -> Result<CampaignReport, String> {
         let budget = memo_budget_bytes(spec.memo_budget_mb)?;
+        check_scale(spec.scale)?;
+        for job in &jobs {
+            check_timeout(job.timeout)?;
+            if let JobKind::Attack {
+                level, error_rate, ..
+            } = &job.kind
+            {
+                check_level(*level)?;
+                check_rate("error rate", *error_rate)?;
+            }
+        }
         let start = Instant::now();
         let (hits_before, misses_before) = self.cache.stats();
         let (cone_hits_before, cone_misses_before) = self.cache.cone_stats();
@@ -673,8 +688,9 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns a message when a job references a benchmark that cannot be
-    /// instantiated.
+    /// Returns a message on a bad spec or job value, and when a job
+    /// references a benchmark that cannot be instantiated (see
+    /// [`EvalSession::run_jobs`]).
     pub fn run_jobs(spec: &CampaignSpec, jobs: Vec<JobSpec>) -> Result<CampaignReport, String> {
         EvalSession::new(spec.threads).run_jobs(spec, jobs)
     }
@@ -860,6 +876,43 @@ mod tests {
             assert_eq!(session.run_jobs(&spec, Vec::new()).unwrap_err(), err);
         }
         assert_eq!(session.cached_netlists(), 0);
+    }
+
+    #[test]
+    fn hand_built_jobs_are_checked_before_anything_is_built() {
+        // A hand-built job list skips `CampaignSpec::expand`; the run
+        // applies its checks before building a benchmark.
+        let spec = tiny_spec(1);
+        let job = spec.expand().unwrap().remove(0);
+        let attack = |level: f64, rate: f64| {
+            let mut job = job.clone();
+            if let JobKind::Attack {
+                level: l,
+                error_rate: r,
+                ..
+            } = &mut job.kind
+            {
+                (*l, *r) = (level, rate);
+            }
+            job
+        };
+        let mut unscaled = spec.clone();
+        unscaled.scale = 0;
+        let mut forever = job.clone();
+        forever.timeout = Duration::from_secs(u64::MAX);
+        let cases = [
+            (&spec, attack(10.0, 0.0), "got 10"),
+            (&spec, attack(f64::NAN, 0.0), "got NaN"),
+            (&spec, attack(0.15, 1.5), "got 1.5"),
+            (&unscaled, job.clone(), "got 0"),
+            (&spec, forever, "got 18446744073709551615 s"),
+        ];
+        for (spec, job, value) in cases {
+            let session = EvalSession::new(1);
+            let err = session.run_jobs(spec, vec![job]).unwrap_err();
+            assert!(err.contains(value), "{value}: {err}");
+            assert_eq!(session.cached_netlists(), 0, "{err}");
+        }
     }
 
     #[test]

@@ -40,29 +40,6 @@ pub trait Integrator {
         h_th_r: Vec3,
         dt: f64,
     ) -> Result<PairState, DeviceError>;
-
-    /// Human-readable scheme name.
-    fn name(&self) -> &'static str;
-}
-
-/// Which integrator a simulation should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IntegratorKind {
-    /// Implicit midpoint (default, norm-preserving).
-    #[default]
-    Midpoint,
-    /// Stochastic Heun predictor–corrector.
-    Heun,
-}
-
-impl IntegratorKind {
-    /// Instantiates the integrator with default settings.
-    pub fn build(self) -> Box<dyn Integrator + Send + Sync> {
-        match self {
-            IntegratorKind::Midpoint => Box::new(MidpointIntegrator::default()),
-            IntegratorKind::Heun => Box::new(StochasticHeun),
-        }
-    }
 }
 
 /// Implicit midpoint rule solved by fixed-point iteration.
@@ -128,10 +105,6 @@ impl Integrator for MidpointIntegrator {
         }
         Ok(next.normalized())
     }
-
-    fn name(&self) -> &'static str {
-        "implicit-midpoint"
-    }
 }
 
 /// Stochastic Heun (explicit trapezoidal predictor–corrector).
@@ -166,10 +139,6 @@ impl Integrator for StochasticHeun {
             });
         }
         Ok(next.normalized())
-    }
-
-    fn name(&self) -> &'static str {
-        "stochastic-heun"
     }
 }
 
@@ -256,12 +225,5 @@ mod tests {
         // 20 ns of free relaxation: W settles on +x, R anti-parallel.
         assert!(s.m_w.x > 0.95, "m_w = {:?}", s.m_w);
         assert!(s.m_r.x < -0.95, "m_r = {:?}", s.m_r);
-    }
-
-    #[test]
-    fn builder_returns_named_schemes() {
-        assert_eq!(IntegratorKind::Midpoint.build().name(), "implicit-midpoint");
-        assert_eq!(IntegratorKind::Heun.build().name(), "stochastic-heun");
-        assert_eq!(IntegratorKind::default(), IntegratorKind::Midpoint);
     }
 }

@@ -55,7 +55,7 @@ pub mod vec3;
 pub use characterize::{DeviceMetrics, EMERGING_DEVICE_TABLE};
 pub use error::DeviceError;
 pub use fields::{demag_factors, DipolarCoupling, ThermalField, UniaxialAnisotropy};
-pub use integrator::{Integrator, IntegratorKind, MidpointIntegrator, StochasticHeun};
+pub use integrator::{Integrator, MidpointIntegrator, StochasticHeun};
 pub use llgs::{LlgsSystem, Torque};
 pub use material::{HeavyMetal, Nanomagnet, SwitchParams};
 pub use montecarlo::{

@@ -178,11 +178,6 @@ impl Bf2 {
         f00 == f01 && f10 == f11
     }
 
-    /// `true` for the constant functions.
-    pub const fn is_constant(self) -> bool {
-        self.0 == 0 || self.0 == 0x0F
-    }
-
     /// `true` if the function genuinely depends on both inputs.
     pub const fn is_nondegenerate(self) -> bool {
         !self.ignores_a() && !self.ignores_b()
@@ -417,8 +412,6 @@ mod tests {
     fn degeneracy_classification() {
         assert!(Bf2::BUF_A.ignores_b());
         assert!(Bf2::NOT_B.ignores_a());
-        assert!(Bf2::FALSE.is_constant());
-        assert!(Bf2::TRUE.is_constant());
         let nondegenerate: Vec<_> = Bf2::ALL.iter().filter(|f| f.is_nondegenerate()).collect();
         // 16 total − 2 constants − 4 single-input = 10 genuinely 2-input.
         assert_eq!(nondegenerate.len(), 10);

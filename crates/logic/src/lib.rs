@@ -32,7 +32,6 @@ pub mod error;
 pub mod generator;
 pub mod netlist;
 pub mod noise;
-pub mod opt;
 pub mod seq;
 pub mod sim;
 pub mod stats;
@@ -46,7 +45,6 @@ pub use error::LogicError;
 pub use generator::{GeneratorConfig, NetlistGenerator, Topology, LOCAL_WINDOW};
 pub use netlist::{FanoutCsr, IdMap, Netlist, Node, NodeId, NodeKind, NodeRef, NodeSet};
 pub use noise::{ErrorProfile, FaultSimulator};
-pub use opt::{optimize_protected, OptReport};
 pub use seq::scan_preprocess;
 pub use sim::{PatternBlock, Simulator};
 pub use stats::NetlistStats;

@@ -19,7 +19,7 @@
 //!   node, `fanin_a` stores the node's *input ordinal* (its position in
 //!   [`Netlist::inputs`]), so evaluation sweeps index the pattern lanes
 //!   directly instead of threading a counter.
-//! * an interned [`NameTable`] — all signal names in one `String` with a
+//! * an interned `NameTable` — all signal names in one `String` with a
 //!   span per node, out of the hot path entirely.
 //!
 //! The evaluation sweep is therefore a cache-linear walk over ~9 bytes per

@@ -153,7 +153,7 @@ impl ErrorProfile {
     }
 
     /// `true` if every rate is zero (the engine is then bit-identical to
-    /// [`Simulator`]).
+    /// [`Simulator`](crate::sim::Simulator)).
     pub fn is_quiet(&self) -> bool {
         self.noisy.is_empty()
     }

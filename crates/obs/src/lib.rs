@@ -72,7 +72,7 @@
 //! | `job.oracle_build` | `campaign::job` | the cached oracle's construction (cone inputs, netlist hash) |
 //! | `job.verify` | `campaign::job` | the recovered key's equivalence proof |
 //! | `session.materialize` | `campaign` | benchmark netlist generation |
-//! | `attack.coi_build` | `attacks::dip_engine` | the cone-of-influence projection and cleanup |
+//! | `attack.coi_build` | `attacks::dip_engine` | the cone-of-influence projection |
 //! | `attack.solve` | `attacks::dip_engine` | one conflict-sliced solver call |
 //! | `attack.oracle` | `attacks::dip_engine` | one oracle `query`/`query_block` |
 //! | `search.trial` | `campaign::search` | one candidate-scoring attack trial |

@@ -4,7 +4,7 @@
 //!
 //! - **Clause storage** is the flat [`ClauseArena`] (see [`crate::arena`]):
 //!   clauses are contiguous `u32` runs addressed by [`ClauseRef`] offsets,
-//!   and a real garbage collector ([`Solver::garbage_collect`]) compacts
+//!   and a real garbage collector (`Solver::garbage_collect`) compacts
 //!   the arena, rebuilds every watch list, and remaps `reason` references
 //!   once deleted clauses waste enough space.
 //! - **Binary clauses** live in dedicated watcher lists that carry the
