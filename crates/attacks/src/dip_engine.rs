@@ -455,7 +455,7 @@ fn appsat_round(
             let _span = gshe_obs::span("attack.oracle");
             oracle.query_block(&block)
         };
-        let y_cand = cand_sim.run_masked(&block).expect("interface matches");
+        let y_cand = cand_sim.run(&block).expect("interface matches");
         let mut diff = 0u64;
         for (chip, cand_lane) in y_chip.iter().zip(&y_cand) {
             diff |= chip ^ cand_lane;

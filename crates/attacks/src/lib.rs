@@ -15,8 +15,8 @@
 //!   [`RefinePolicy`], querying the oracle once per discriminating input
 //!   pattern and pinning every key copy to the answer;
 //! * the working chip as one layered [`OracleStack`] behind the
-//!   [`Oracle`] trait: a bit-parallel base (exact or fault-injecting)
-//!   with an optional key-rotation layer — the perfect chip
+//!   [`Oracle`] trait: one bit-parallel [`gshe_logic::Simulator`] (exact
+//!   or noisy) with an optional key-rotation layer — the perfect chip
 //!   ([`OracleStack::exact`]), the tunable **stochastic** GSHE chip of
 //!   Sec. V-B ([`OracleStack::noisy`]) whose per-cell error rates
 //!   superpose into correlated output errors, the key-rotating chip of
@@ -52,4 +52,4 @@ pub use metrics::{sat_equivalent_on, verify_key, verify_key_scoped, KeyVerificat
 pub use oracle::Oracle;
 pub use runner::{AttackKind, AttackRunner};
 pub use sat_attack::{sat_attack, AttackConfig, AttackOutcome, AttackStatus};
-pub use stack::{EvalLayer, OracleStack};
+pub use stack::OracleStack;

@@ -111,13 +111,6 @@ pub struct AttackOutcome {
     pub solver_stats: SolverStats,
 }
 
-impl AttackOutcome {
-    /// `true` when a key was produced.
-    pub fn succeeded(&self) -> bool {
-        self.status == AttackStatus::Success
-    }
-}
-
 /// Runs the SAT attack against `keyed` (attacker's view: structure and
 /// candidate sets only) using `oracle` as the working chip.
 ///

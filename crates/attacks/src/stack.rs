@@ -1,5 +1,5 @@
-//! The composable **oracle stack**: noise × rotation as layers over one
-//! bit-parallel evaluation engine.
+//! The composable **oracle stack**: noise × rotation over one
+//! bit-parallel [`Simulator`].
 //!
 //! The paper's two defenses — stochastic switching (Sec. V-B) and
 //! polymorphic key rotation (Sec. V-C) — are knobs on one device
@@ -9,12 +9,11 @@
 //! deterministic-to-probabilistic continuum of arXiv:1904.00421). This
 //! module models that composability directly:
 //!
-//! * [`EvalLayer`] — the base: a bit-parallel pass over a netlist, either
-//!   exact ([`gshe_logic::Simulator`] semantics) or fault-injecting
-//!   ([`FaultSimulator`] with an [`ErrorProfile`]);
+//! * the base — one [`Simulator`] over the chip's netlist, exact or
+//!   noisy (an [`ErrorProfile`] and a noise seed);
 //! * an optional **rotation layer** — epoch-segmented key resolution: the
 //!   chip answers `period` queries per key, then draws a fresh random key
-//!   and installs the re-resolved netlist into the base;
+//!   and installs the re-resolved netlist into the simulator;
 //! * an optional **caching layer** — lives in `gshe-campaign` (the cache
 //!   is campaign-wide infrastructure) and composes over the bare exact
 //!   stack only, the one configuration whose answers are memoizable.
@@ -43,126 +42,22 @@
 //! [`Oracle::query`]): rotation counts queries, and the noise stream draws
 //! one `gen_bool` per noisy node per query. `query_block` splits the block
 //! at epoch boundaries (a static stack is one segment) and answers each
-//! segment with one engine pass ([`FaultSimulator::run_scalar_stream`] on
-//! the noisy base): gate evaluation stays 64-wide, but noise is drawn
-//! pattern-major, so `query_block` is bit-for-bit the scalar loop —
-//! epochs, key draws, flips, and post-call RNG state all included.
-//! Batching never changes what the chip says.
+//! segment with one [`Simulator::run_segment_into`] pass: gate evaluation
+//! stays 64-wide, but noise is drawn pattern-major, so `query_block` is
+//! bit-for-bit the scalar loop — epochs, key draws, flips, and post-call
+//! RNG state all included. Batching never changes what the chip says.
 
 use crate::oracle::Oracle;
 use gshe_camo::KeyedNetlist;
-use gshe_logic::{sim, ErrorProfile, FaultSimulator, Netlist, PatternBlock};
+use gshe_logic::{ErrorProfile, Netlist, PatternBlock, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::borrow::Cow;
 
 /// Salt folded into the caller seed for the noise stream.
 pub const NOISE_SEED_SALT: u64 = 0x570C_4A57;
 
 /// Salt folded into the caller seed for the rotation key stream.
 pub const ROTATION_SEED_SALT: u64 = 0xD0_7A7E;
-
-/// The stack's base layer: one bit-parallel evaluation pass over a
-/// netlist, exact or fault-injecting. The netlist is swappable in place
-/// (`EvalLayer::install`) so a rotation layer can re-resolve per epoch
-/// while scratch buffers — and, for the noisy base, the noise RNG stream —
-/// survive.
-#[derive(Debug, Clone)]
-pub enum EvalLayer<'a> {
-    /// Deterministic evaluation ([`gshe_logic::Simulator`] semantics).
-    Exact {
-        /// The evaluated netlist (borrowed for static chips, owned once a
-        /// rotation layer has installed a resolved epoch netlist).
-        netlist: Cow<'a, Netlist>,
-        /// Bit-parallel scratch reused across calls.
-        scratch: Vec<u64>,
-    },
-    /// Fault-injecting evaluation: the noise layer fused onto the base
-    /// engine (dense per-node rates, one RNG stream).
-    Noisy(FaultSimulator<'a>),
-}
-
-impl<'a> EvalLayer<'a> {
-    /// An exact base over a borrowed netlist.
-    pub fn exact(netlist: &'a Netlist) -> Self {
-        EvalLayer::Exact {
-            netlist: Cow::Borrowed(netlist),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// An exact base over an owned netlist (the rotating case).
-    pub fn exact_owned(netlist: Netlist) -> Self {
-        EvalLayer::Exact {
-            netlist: Cow::Owned(netlist),
-            scratch: Vec::new(),
-        }
-    }
-
-    /// A noisy base over a borrowed netlist. `seed` is consumed verbatim —
-    /// stack constructors apply [`NOISE_SEED_SALT`].
-    pub fn noisy(netlist: &'a Netlist, profile: ErrorProfile, seed: u64) -> Self {
-        EvalLayer::Noisy(FaultSimulator::new(netlist, profile, seed))
-    }
-
-    /// A noisy base over an owned netlist (the rotating case).
-    pub fn noisy_owned(netlist: Netlist, profile: ErrorProfile, seed: u64) -> Self {
-        EvalLayer::Noisy(FaultSimulator::owned(netlist, profile, seed))
-    }
-
-    /// Swaps the evaluated netlist (same node count), keeping scratch and
-    /// any noise state.
-    fn install(&mut self, netlist: Netlist) {
-        match self {
-            EvalLayer::Exact { netlist: slot, .. } => *slot = Cow::Owned(netlist),
-            EvalLayer::Noisy(engine) => engine.install(netlist),
-        }
-    }
-
-    fn netlist(&self) -> &Netlist {
-        match self {
-            EvalLayer::Exact { netlist, .. } => netlist,
-            EvalLayer::Noisy(engine) => engine.netlist(),
-        }
-    }
-
-    /// The installed error profile (`None` for the exact base).
-    pub fn profile(&self) -> Option<&ErrorProfile> {
-        match self {
-            EvalLayer::Exact { .. } => None,
-            EvalLayer::Noisy(engine) => Some(engine.profile()),
-        }
-    }
-
-    /// One pattern through lane 0 — the scalar noise stream for the noisy
-    /// base (one `gen_bool` per noisy node).
-    fn scalar(&mut self, inputs: &[bool]) -> Vec<bool> {
-        match self {
-            EvalLayer::Exact { netlist, scratch } => {
-                sim::run_scalar_with_scratch(netlist, scratch, inputs)
-            }
-            EvalLayer::Noisy(engine) => engine.run_scalar(inputs),
-        }
-        .expect("oracle input arity mismatch")
-    }
-
-    /// An epoch segment (`start..start + len`) of `block`, unmasked, into
-    /// a caller-owned buffer — one pass per epoch (a static stack's block
-    /// is one segment). The noisy base draws the scalar noise stream for
-    /// exactly the segment's patterns, so block queries stay bit-for-bit
-    /// the scalar loop. Writing into the hoisted buffer keeps the
-    /// steady-state block path at one allocation per call (the returned
-    /// lane vector), however many epoch segments the block spans.
-    fn segment_into(&mut self, block: &PatternBlock, start: usize, len: usize, out: &mut Vec<u64>) {
-        match self {
-            EvalLayer::Exact { netlist, scratch } => {
-                sim::run_with_scratch_into(netlist, scratch, block, out)
-            }
-            EvalLayer::Noisy(engine) => engine.run_scalar_stream_into(block, start, len, out),
-        }
-        .expect("oracle input arity mismatch")
-    }
-}
 
 /// The rotation layer's state: which keyed netlist to re-resolve, how
 /// often, and the key stream.
@@ -182,12 +77,12 @@ impl Rotation<'_> {
     }
 }
 
-/// A layered oracle: base evaluation (exact or noisy), with an optional
+/// A layered oracle: one simulator (exact or noisy), with an optional
 /// key-rotation layer on top. See the [module docs](self) for the layer
 /// table, composition rules, and seed-salt derivation.
 #[derive(Debug, Clone)]
 pub struct OracleStack<'a> {
-    base: EvalLayer<'a>,
+    sim: Simulator<'a>,
     rotation: Option<Rotation<'a>>,
     count: u64,
     /// Per-epoch segment lanes, hoisted so a block query reuses one
@@ -198,12 +93,7 @@ pub struct OracleStack<'a> {
 impl<'a> OracleStack<'a> {
     /// The bare deterministic chip over the original netlist.
     pub fn exact(netlist: &'a Netlist) -> Self {
-        OracleStack {
-            base: EvalLayer::exact(netlist),
-            rotation: None,
-            count: 0,
-            seg_buf: Vec::new(),
-        }
+        Self::over(Simulator::new(netlist), None)
     }
 
     /// The stochastic chip of Sec. V-B: the defender's keyed netlist with
@@ -215,12 +105,8 @@ impl<'a> OracleStack<'a> {
     ///
     /// Panics if the profile does not cover the keyed netlist's nodes.
     pub fn noisy(keyed: &'a KeyedNetlist, profile: ErrorProfile, seed: u64) -> Self {
-        OracleStack {
-            base: EvalLayer::noisy(keyed.netlist(), profile, seed ^ NOISE_SEED_SALT),
-            rotation: None,
-            count: 0,
-            seg_buf: Vec::new(),
-        }
+        let sim = Simulator::new(keyed.netlist()).with_noise(profile, seed ^ NOISE_SEED_SALT);
+        Self::over(sim, None)
     }
 
     /// The key-rotating chip of Sec. V-C: correct key for the first epoch,
@@ -232,16 +118,11 @@ impl<'a> OracleStack<'a> {
     /// Panics if `period == 0`.
     pub fn rotating(keyed: &'a KeyedNetlist, period: u64, seed: u64) -> Self {
         let (rotation, resolved) = Self::rotation_over(keyed, period, seed);
-        OracleStack {
-            base: EvalLayer::exact_owned(resolved),
-            rotation: Some(rotation),
-            count: 0,
-            seg_buf: Vec::new(),
-        }
+        Self::over(Simulator::owned(resolved), Some(rotation))
     }
 
     /// The **combined defense**: a rotating chip whose switches also run
-    /// in the stochastic regime — rotation layered over the noisy base.
+    /// in the stochastic regime — rotation layered over a noisy simulator.
     /// Key stream and noise stream derive from the same `seed` with their
     /// respective salts, so either dimension alone draws the stream of
     /// the single-layer stack.
@@ -257,9 +138,14 @@ impl<'a> OracleStack<'a> {
         seed: u64,
     ) -> Self {
         let (rotation, resolved) = Self::rotation_over(keyed, period, seed);
+        let sim = Simulator::owned(resolved).with_noise(profile, seed ^ NOISE_SEED_SALT);
+        Self::over(sim, Some(rotation))
+    }
+
+    fn over(sim: Simulator<'a>, rotation: Option<Rotation<'a>>) -> Self {
         OracleStack {
-            base: EvalLayer::noisy_owned(resolved, profile, seed ^ NOISE_SEED_SALT),
-            rotation: Some(rotation),
+            sim,
+            rotation,
             count: 0,
             seg_buf: Vec::new(),
         }
@@ -285,9 +171,9 @@ impl<'a> OracleStack<'a> {
         self.rotation.as_ref().map(|r| r.period)
     }
 
-    /// The noise layer's error profile, if the base is noisy.
+    /// The noise layer's error profile, if the chip is noisy.
     pub fn profile(&self) -> Option<&ErrorProfile> {
-        self.base.profile()
+        self.sim.profile()
     }
 
     /// Rotates if the query counter sits on an epoch boundary (the
@@ -296,7 +182,7 @@ impl<'a> OracleStack<'a> {
         if let Some(rot) = &mut self.rotation {
             if self.count > 0 && self.count.is_multiple_of(rot.period) {
                 let resolved = rot.fresh_resolution();
-                self.base.install(resolved);
+                self.sim.install(resolved);
             }
         }
     }
@@ -318,12 +204,15 @@ impl OracleStack<'_> {
 impl Oracle for OracleStack<'_> {
     /// The per-query reference semantics `query_block` reproduces: rotate
     /// on an epoch boundary, count the query, evaluate one pattern (one
-    /// `gen_bool` per noisy node on the noisy base).
+    /// `gen_bool` per noisy node on a noisy chip).
     fn query(&mut self, inputs: &[bool]) -> Vec<bool> {
         let timed = gshe_obs::enabled().then(std::time::Instant::now);
         self.maybe_rotate();
         self.count += 1;
-        let out = self.base.scalar(inputs);
+        let out = self
+            .sim
+            .run_scalar(inputs)
+            .expect("oracle input arity mismatch");
         if let Some(t0) = timed {
             gshe_obs::record(
                 self.latency_histogram(false),
@@ -354,7 +243,9 @@ impl Oracle for OracleStack<'_> {
             } else {
                 ((1u64 << take) - 1) << k
             };
-            self.base.segment_into(block, k, take, &mut self.seg_buf);
+            self.sim
+                .run_segment_into(block, k, take, &mut self.seg_buf)
+                .expect("oracle input arity mismatch");
             for (lane, out) in lanes.iter_mut().zip(&self.seg_buf) {
                 *lane |= out & segment;
             }
@@ -368,11 +259,11 @@ impl Oracle for OracleStack<'_> {
     }
 
     fn num_inputs(&self) -> usize {
-        self.base.netlist().inputs().len()
+        self.sim.netlist().inputs().len()
     }
 
     fn num_outputs(&self) -> usize {
-        self.base.netlist().outputs().len()
+        self.sim.netlist().outputs().len()
     }
 
     fn queries(&self) -> u64 {
@@ -535,6 +426,63 @@ pub(crate) mod tests {
             let v: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
             assert_eq!(exact.query(&v), noisy.query(&v));
         }
+    }
+
+    /// Two random 5-input blocks from `StdRng::seed_from_u64(1)`, then
+    /// the 8 patterns `0..8` one query at a time: the block answers, then
+    /// the scalar answers packed like a block (bit `q` of word `o` is
+    /// output `o` of query `q`).
+    fn seeded_answers(mut stack: OracleStack<'_>) -> Vec<Vec<u64>> {
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut answers: Vec<Vec<u64>> = (0..2)
+            .map(|_| stack.query_block(&PatternBlock::random(5, &mut rng)))
+            .collect();
+        let mut scalar = vec![0u64; stack.num_outputs()];
+        for q in 0..8u32 {
+            let p: Vec<bool> = (0..5).map(|k| (q >> k) & 1 == 1).collect();
+            for (lane, bit) in scalar.iter_mut().zip(stack.query(&p)) {
+                *lane |= u64::from(bit) << q;
+            }
+        }
+        answers.push(scalar);
+        answers
+    }
+
+    #[test]
+    fn seeded_chips_answer_as_recorded() {
+        // Every other noise test compares two runs of the same code; this
+        // one pins what a seeded chip actually says, so a change that
+        // reorders the noise or key draws in block and scalar paths alike
+        // still fails here.
+        let (_, keyed) = c17_keyed();
+        let noise = cloaked_noise(&keyed, 0.3);
+        assert_eq!(
+            seeded_answers(OracleStack::noisy(&keyed, noise.clone(), 42)),
+            [
+                vec![0xa0e9_59ae_56de_7bd5, 0x6f3a_2c7c_967e_7173],
+                vec![0x6d5a_c5de_2fe3_742e, 0x8d7d_d53d_3623_b79e],
+                vec![0x44, 0x42],
+            ],
+            "noisy"
+        );
+        assert_eq!(
+            seeded_answers(OracleStack::rotating(&keyed, 7, 42)),
+            [
+                vec![0x8003_5486_f73d_c86e, 0xb27d_57f8_0f74_f37b],
+                vec![0x3ef9_008b_f80f_a03f, 0xbf83_00b8_000f_e027],
+                vec![0xfa, 0x1f],
+            ],
+            "rotating"
+        );
+        assert_eq!(
+            seeded_answers(OracleStack::rotating_noisy(&keyed, noise, 7, 42)),
+            [
+                vec![0xbb29_5e34_e7e5_c9d5, 0xee74_56a8_4366_b9f3],
+                vec![0x3b48_8030_aa01_60f7, 0xe4c0_04c4_6a52_b6ed],
+                vec![0xf2, 0x51],
+            ],
+            "rotating+noisy"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Oracle query-path benchmarks: the bit-parallel block path vs. 64
 //! pattern-at-a-time scalar queries, for the deterministic chip and the
-//! stochastic (noise-engine) chip of Sec. V-B — plus the full SAT attack
+//! stochastic (noisy-simulator) chip of Sec. V-B — plus the full SAT attack
 //! on an ISCAS-89 s-suite benchmark (s38584, scaled) through the unified
 //! DIP engine.
 //!
@@ -12,7 +12,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use gshe_core::attacks::OracleStack;
 use gshe_core::campaign::search::{ProfileSearch, SearchSpec};
 use gshe_core::campaign::EvalSession;
-use gshe_core::logic::{suites, ErrorProfile, FaultSimulator, Netlist, PatternBlock};
+use gshe_core::logic::{suites, ErrorProfile, Netlist, PatternBlock, Simulator};
 use gshe_core::prelude::{
     camouflage, sat_attack, select_gates, AttackConfig, AttackKind, AttackStatus, CamoScheme,
     KeyedNetlist, Oracle,
@@ -80,11 +80,11 @@ fn bench_oracle_paths(c: &mut Criterion) {
     group.finish();
 }
 
-/// The layered oracle stack's `query_block` against the bare
-/// [`FaultSimulator`] it drives: the noise-only stack (layer overhead
+/// The layered oracle stack's `query_block` against the bare noisy
+/// [`Simulator`] it drives: the noise-only stack (layer overhead
 /// only), the rotating noisy stack at a period long enough that
 /// no boundary falls inside a block (pure layer overhead plus the
-/// scalar-stream noise draw), and at period 20 (three epoch splits per
+/// pattern-major noise draw), and at period 20 (three epoch splits per
 /// block — the worst realistic segmentation). This is the measured form
 /// of "each layer is a thin combinator".
 fn bench_stacked_oracle(c: &mut Criterion) {
@@ -96,9 +96,9 @@ fn bench_stacked_oracle(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("stacked_oracle_s38584");
 
-    let mut bare = FaultSimulator::new(keyed.netlist(), profile.clone(), 11);
-    group.bench_function("bare_fault_simulator_64", |b| {
-        b.iter(|| black_box(bare.run_scalar_stream(black_box(&block), 0, 64).unwrap()))
+    let mut bare = Simulator::new(keyed.netlist()).with_noise(profile.clone(), 11);
+    group.bench_function("bare_noisy_simulator_64", |b| {
+        b.iter(|| black_box(bare.run(black_box(&block)).unwrap()))
     });
 
     let mut noisy = OracleStack::noisy(&keyed, profile.clone(), 11);

@@ -11,7 +11,6 @@ fn main() {
         params: SwitchParams::table_i(),
         samples: args.samples,
         seed: args.seed,
-        threads: 0,
     });
 
     println!(

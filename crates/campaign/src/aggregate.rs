@@ -8,7 +8,6 @@
 //! submission order, so aggregation is deterministic.
 
 use crate::job::{JobKind, JobResult, JobStatus, NoiseShape};
-use crate::spec::scheme_name;
 use gshe_attacks::AttackKind;
 use gshe_camo::CamoScheme;
 use gshe_logic::Topology;
@@ -242,11 +241,6 @@ impl TableRow {
             let _ = (exhausted, failed);
             "fail".to_string()
         }
-    }
-
-    /// Machine-friendly scheme label.
-    pub fn scheme_label(&self) -> &'static str {
-        scheme_name(self.key.scheme)
     }
 }
 

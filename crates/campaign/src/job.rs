@@ -601,21 +601,13 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
             t_clk,
             samples,
             seed,
-        } => {
-            match run_mc_budgeted(ctx, *i_s, *samples, *seed, start + spec.timeout) {
-                Some(runs) => {
-                    // 1 − switching probability, over the same sample set a
-                    // standalone `MonteCarlo::switching_probability` draws.
-                    let hits = runs
-                        .iter()
-                        .filter(|s| s.switched && s.delay <= *t_clk)
-                        .count();
-                    result.measurement = 1.0 - hits as f64 / runs.len().max(1) as f64;
-                    result.status = JobStatus::Completed;
-                }
-                None => result.status = JobStatus::TimedOut,
+        } => match run_mc_budgeted(ctx, *i_s, *samples, *seed, start + spec.timeout) {
+            Some(runs) => {
+                result.measurement = gshe_device::miss_rate(&runs, *t_clk);
+                result.status = JobStatus::Completed;
             }
-        }
+            None => result.status = JobStatus::TimedOut,
+        },
     }
     result.elapsed = start.elapsed();
     result
@@ -696,7 +688,6 @@ fn run_mc_budgeted(
         params: ctx.params,
         samples,
         seed,
-        threads: 1,
     });
     let mut runs = Vec::with_capacity(samples);
     let mut done = 0;

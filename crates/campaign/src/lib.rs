@@ -21,8 +21,9 @@
 //!   (netlist fingerprint + packed 64-pattern block), so no block is
 //!   simulated — or hashed pattern-at-a-time — twice across jobs;
 //! * [`physical`] — device-derived operating points: the Monte Carlo
-//!   error-rate derivations and the memoized clock-period → error-rate
-//!   table behind the `clock_periods_ns` grid dimension;
+//!   error-rate derivations and the clock-period → error-rate table
+//!   (one Monte Carlo run, every period read off its samples) behind the
+//!   `clock_periods_ns` grid dimension;
 //! * [`aggregate`]/[`report`] — reduce raw job results into the paper's
 //!   table rows (key-recovery rate, query counts, output-error rate,
 //!   runtime percentiles) and serialize them to JSON or CSV;
@@ -101,13 +102,14 @@
 //! `output-cone` (only cloaked cells in the deepest output's fanin cone),
 //! `depth-gradient` (rate scaled by logic level). Profiles describe *how*
 //! each rate spreads over the cloaked cells; their oracles run on the
-//! bit-parallel [`gshe_logic::FaultSimulator`] noise engine.
+//! bit-parallel [`gshe_logic::Simulator`] made noisy
+//! ([`gshe_logic::Simulator::with_noise`]).
 //!
 //! `clock_periods_ns` sweeps *physical* operating points: each period's
 //! per-cell rate is derived from the device Monte Carlo at the nominal
-//! drive current ([`physical::ClockRateTable`], one memoized sweep per
-//! distinct period), then spread by the profile shapes exactly like an
-//! abstract rate. Rows carry the period as `clock_ns` (implicit when 0).
+//! drive current ([`physical::ClockRateTable`]: one Monte Carlo run, each
+//! period the share of its samples that miss the clock), then spread by
+//! the profile shapes exactly like an abstract rate. Rows carry the period as `clock_ns` (implicit when 0).
 //!
 //! Rotation periods sweep the *dynamic camouflaging* defense (Sec. V-C):
 //! `0` is the static oracle the grid always had, `n > 0` stacks a

@@ -5,12 +5,14 @@
 //! and clocked with period `t_clk` misses its deadline with a probability
 //! set by the switching-delay distribution (Fig. 4). This module hosts
 //! the derivation ([`error_rate_for_clock`]) and the campaign-facing
-//! piece: [`ClockRateTable`], the memoized clock-period → error-rate map
-//! behind the spec-level `clock_periods_ns` grid dimension, which lets
-//! campaigns sweep clock periods end to end — device Monte Carlo →
-//! per-cell rate → noise profile → attack.
+//! piece: [`ClockRateTable`], the clock-period → error-rate map behind the
+//! spec-level `clock_periods_ns` grid dimension, which lets campaigns
+//! sweep clock periods end to end — device Monte Carlo → per-cell rate →
+//! noise profile → attack. The delay samples depend on the drive, not on
+//! the clock, so the table runs the Monte Carlo once and reads every
+//! period off the same samples.
 
-use gshe_device::{MonteCarlo, MonteCarloConfig, SwitchParams};
+use gshe_device::{miss_rate, DelaySample, MonteCarlo, MonteCarloConfig, SwitchParams};
 
 /// Spin current (A) every cloaked cell is driven at in a spec-level
 /// `clock_periods_ns` sweep: the paper's nominal 20 µA operating point,
@@ -18,9 +20,9 @@ use gshe_device::{MonteCarlo, MonteCarloConfig, SwitchParams};
 /// deterministic-to-stochastic regime (Fig. 4).
 pub const CLOCK_SWEEP_DRIVE_CURRENT: f64 = 20e-6;
 
-/// Monte Carlo samples per operating point in a `clock_periods_ns` sweep:
-/// enough for a stable rate estimate, cheap enough that expansion stays
-/// interactive (each distinct period costs one sweep, memoized).
+/// Monte Carlo samples behind a `clock_periods_ns` sweep: enough for a
+/// stable rate estimate, cheap enough that expansion stays interactive
+/// (one run per table, shared by every period).
 pub const CLOCK_SWEEP_MC_SAMPLES: usize = 256;
 
 /// Monte Carlo seed for `clock_periods_ns` sweeps. Fixed — the derived
@@ -46,37 +48,38 @@ pub fn error_rate_for_clock(
     samples: usize,
     seed: u64,
 ) -> f64 {
-    let mc = MonteCarlo::new(MonteCarloConfig {
+    miss_rate(&run_mc(params, i_s, samples, seed), t_clk)
+}
+
+/// `samples` seeded thermal switching events at spin current `i_s`.
+fn run_mc(params: &SwitchParams, i_s: f64, samples: usize, seed: u64) -> Vec<DelaySample> {
+    MonteCarlo::new(MonteCarloConfig {
         params: *params,
         samples,
         seed,
-        threads: 0,
-    });
-    1.0 - mc.switching_probability(i_s, t_clk)
+    })
+    .run(i_s)
 }
 
-/// A memoized clock-period → per-cell error-rate table over uniform
-/// drives ([`CLOCK_SWEEP_DRIVE_CURRENT`] at every cloaked cell): the
-/// engine behind the spec-level `clock_periods_ns` dimension. Each
-/// distinct clock period costs one Monte Carlo sweep per table lifetime,
-/// however many grid cells reference it.
-#[derive(Debug, Clone)]
+/// The clock-period → per-cell error-rate map over uniform drives
+/// ([`CLOCK_SWEEP_DRIVE_CURRENT`] at every cloaked cell): the engine
+/// behind the spec-level `clock_periods_ns` dimension. The table runs the
+/// drive's Monte Carlo once, on first use, and each period's rate is the
+/// share of those samples that miss it.
+#[derive(Debug, Clone, Default)]
 pub struct ClockRateTable {
-    params: SwitchParams,
-    measured: Vec<(u64, f64)>,
+    /// The drive's delay samples, once measured.
+    samples: Option<Vec<DelaySample>>,
 }
 
 impl ClockRateTable {
     /// An empty table over the paper's Table I device.
     pub fn new() -> Self {
-        ClockRateTable {
-            params: SwitchParams::table_i(),
-            measured: Vec::new(),
-        }
+        Self::default()
     }
 
     /// The uniform per-cell error rate at clock period `clock_ns`
-    /// (nanoseconds), measured on first use and memoized after.
+    /// (nanoseconds). The first call runs the Monte Carlo.
     ///
     /// # Panics
     ///
@@ -86,30 +89,15 @@ impl ClockRateTable {
             is_valid_clock_period(clock_ns),
             "clock period must be positive, got {clock_ns} ns"
         );
-        let key = clock_ns.to_bits();
-        if let Some(&(_, rate)) = self.measured.iter().find(|(k, _)| *k == key) {
-            return rate;
-        }
-        let rate = error_rate_for_clock(
-            &self.params,
-            CLOCK_SWEEP_DRIVE_CURRENT,
-            clock_ns * 1e-9,
-            CLOCK_SWEEP_MC_SAMPLES,
-            CLOCK_SWEEP_MC_SEED,
-        );
-        self.measured.push((key, rate));
-        rate
-    }
-
-    /// Distinct operating points measured so far.
-    pub fn measured_points(&self) -> usize {
-        self.measured.len()
-    }
-}
-
-impl Default for ClockRateTable {
-    fn default() -> Self {
-        Self::new()
+        let samples = self.samples.get_or_insert_with(|| {
+            run_mc(
+                &SwitchParams::table_i(),
+                CLOCK_SWEEP_DRIVE_CURRENT,
+                CLOCK_SWEEP_MC_SAMPLES,
+                CLOCK_SWEEP_MC_SEED,
+            )
+        });
+        miss_rate(samples, clock_ns * 1e-9)
     }
 }
 
@@ -122,11 +110,23 @@ mod tests {
         let mut table = ClockRateTable::new();
         let fast = table.rate_for(0.8);
         let slow = table.rate_for(6.0);
-        assert_eq!(table.measured_points(), 2);
-        // Repeat lookups are free and identical.
+        // Every period reads the miss rate of one Monte Carlo run at the
+        // drive, and repeat lookups are identical.
+        let samples = MonteCarlo::new(MonteCarloConfig {
+            params: SwitchParams::table_i(),
+            samples: CLOCK_SWEEP_MC_SAMPLES,
+            seed: CLOCK_SWEEP_MC_SEED,
+        })
+        .run(CLOCK_SWEEP_DRIVE_CURRENT);
+        for clock_ns in [0.8, 1.5, 2.0, 3.0, 6.0] {
+            assert_eq!(
+                table.rate_for(clock_ns),
+                miss_rate(&samples, clock_ns * 1e-9),
+                "{clock_ns} ns"
+            );
+        }
         assert_eq!(table.rate_for(0.8), fast);
         assert_eq!(table.rate_for(6.0), slow);
-        assert_eq!(table.measured_points(), 2);
         // Fig. 4: aggressive clocks err, relaxed clocks don't.
         assert!(fast > 0.2, "0.8 ns clock should err often: {fast}");
         assert!(slow < 0.05, "6 ns clock is near-deterministic: {slow}");

@@ -357,7 +357,7 @@ pub struct CampaignSpec {
     /// *Physical* clock periods, in nanoseconds, swept as additional
     /// rate sources: each period's per-cell error rate is derived from
     /// the device Monte Carlo at the nominal drive current (uniform
-    /// drives, memoized per operating point — see
+    /// drives, one Monte Carlo run for every period — see
     /// [`crate::physical::ClockRateTable`]). Empty = abstract rates only.
     pub clock_periods_ns: Vec<f64>,
     /// Error-profile shapes: how each rate spreads over the cloaked cells
@@ -448,7 +448,7 @@ impl CampaignSpec {
     /// scheme, attack, rotation period, rate source, profile, trial —
     /// outermost first). Rate sources are the abstract `error_rates`
     /// followed by the `clock_periods_ns`-derived rates (device Monte
-    /// Carlo at the nominal drive, memoized per operating point).
+    /// Carlo at the nominal drive, one run for every period).
     ///
     /// Seed policy: gate selection depends only on (campaign seed,
     /// benchmark, level) — the paper's fairness protocol, every scheme
@@ -496,8 +496,8 @@ impl CampaignSpec {
         };
         // Rate sources: (clock_ns, rate) pairs — abstract rates first
         // (clock 0, the historical cells), then the physically derived
-        // ones. Each distinct clock period costs one Monte Carlo sweep
-        // for the whole expansion.
+        // ones. The whole expansion runs one Monte Carlo, and each clock
+        // period counts its samples.
         let mut rate_cells: Vec<(f64, f64)> =
             self.error_rates.iter().map(|&rate| (0.0, rate)).collect();
         let mut clock_table = ClockRateTable::new();

@@ -120,7 +120,6 @@ pub fn measured_mean_delay(params: &SwitchParams, i_s: f64, samples: usize, seed
         params: *params,
         samples,
         seed,
-        threads: 0,
     });
     crate::montecarlo::mean_switched_delay(&mc.run(i_s))
 }

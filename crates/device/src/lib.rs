@@ -59,7 +59,7 @@ pub use integrator::{Integrator, MidpointIntegrator, StochasticHeun};
 pub use llgs::{LlgsSystem, Torque};
 pub use material::{HeavyMetal, Nanomagnet, SwitchParams};
 pub use montecarlo::{
-    mean_switched_delay, DelayHistogram, DelaySample, MonteCarlo, MonteCarloConfig,
+    mean_switched_delay, miss_rate, DelayHistogram, DelaySample, MonteCarlo, MonteCarloConfig,
 };
 pub use readout::{ReadoutCircuit, ReadoutPoint};
 pub use switch::{GsheSwitch, SwitchOutcome, WriteDrive};

@@ -5,8 +5,8 @@
 //! grows. [`MonteCarlo`] reproduces that experiment: each sample thermalizes
 //! the initial state, integrates the coupled pair under thermal noise, and
 //! records the first time the W/R pair reaches the target configuration.
-//! Sampling is parallelized with `std::thread::scope`; a seeded
-//! per-sample RNG keeps runs reproducible regardless of thread count.
+//! Sampling is spread over the available cores with `std::thread::scope`;
+//! a seeded per-sample RNG keeps runs reproducible on any core count.
 
 use crate::material::SwitchParams;
 use crate::switch::GsheSwitch;
@@ -33,8 +33,6 @@ pub struct MonteCarloConfig {
     pub samples: usize,
     /// Master seed; each sample derives its own `StdRng`.
     pub seed: u64,
-    /// Number of worker threads (0 → available parallelism).
-    pub threads: usize,
 }
 
 impl Default for MonteCarloConfig {
@@ -43,7 +41,6 @@ impl Default for MonteCarloConfig {
             params: SwitchParams::table_i(),
             samples: 1000,
             seed: 0xD47E,
-            threads: 0,
         }
     }
 }
@@ -65,18 +62,13 @@ impl MonteCarlo {
         &self.config
     }
 
-    /// Runs `samples` thermal switching events at spin current `i_s` and
-    /// returns the raw samples (in sample-index order, reproducibly).
+    /// Runs `samples` thermal switching events at spin current `i_s` on
+    /// every available core and returns the raw samples (in sample-index
+    /// order, reproducibly).
     pub fn run(&self, i_s: f64) -> Vec<DelaySample> {
         let n = self.config.samples;
-        let threads = if self.config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        } else {
-            self.config.threads
-        };
-        let chunk = n.div_ceil(threads.max(1));
+        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let chunk = n.div_ceil(threads);
         let mut results: Vec<Option<DelaySample>> = vec![None; n];
 
         std::thread::scope(|scope| {
@@ -123,12 +115,7 @@ impl MonteCarlo {
     /// the accuracy knob of the stochastic primitive (Sec. V-B: "the error
     /// rate for any switch can be tuned individually").
     pub fn switching_probability(&self, i_s: f64, t_clk: f64) -> f64 {
-        let samples = self.run(i_s);
-        let hits = samples
-            .iter()
-            .filter(|s| s.switched && s.delay <= t_clk)
-            .count();
-        hits as f64 / samples.len() as f64
+        1.0 - miss_rate(&self.run(i_s), t_clk)
     }
 }
 
@@ -162,6 +149,19 @@ pub fn mean_switched_delay(samples: &[DelaySample]) -> f64 {
     } else {
         switched.iter().sum::<f64>() / switched.len() as f64
     }
+}
+
+/// Fraction of `samples` that miss a clock deadline of `t_clk` seconds
+/// (did not switch, or switched later): the per-evaluation error rate of a
+/// switch clocked at `t_clk`. The samples do not depend on `t_clk`, so one
+/// sample set serves every clock period. An empty set misses every
+/// deadline (rate 1).
+pub fn miss_rate(samples: &[DelaySample], t_clk: f64) -> f64 {
+    let hits = samples
+        .iter()
+        .filter(|s| s.switched && s.delay <= t_clk)
+        .count();
+    1.0 - hits as f64 / samples.len().max(1) as f64
 }
 
 /// Histogram of switching delays, the Fig. 4 artifact.

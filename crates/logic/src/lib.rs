@@ -44,7 +44,7 @@ pub use builder::NetlistBuilder;
 pub use error::LogicError;
 pub use generator::{GeneratorConfig, NetlistGenerator, Topology, LOCAL_WINDOW};
 pub use netlist::{FanoutCsr, IdMap, Netlist, Node, NodeId, NodeKind, NodeRef, NodeSet};
-pub use noise::{ErrorProfile, FaultSimulator};
+pub use noise::ErrorProfile;
 pub use seq::scan_preprocess;
 pub use sim::{PatternBlock, Simulator};
 pub use stats::NetlistStats;

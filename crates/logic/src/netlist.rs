@@ -109,36 +109,6 @@ impl NodeKind {
     pub const fn is_gate(&self) -> bool {
         matches!(self, NodeKind::Gate1 { .. } | NodeKind::Gate2 { .. })
     }
-
-    /// The single gate-evaluation core shared by every interpreter —
-    /// scalar [`Netlist::evaluate`], the bit-parallel
-    /// [`crate::Simulator`], and the noise-aware
-    /// [`crate::FaultSimulator`].
-    ///
-    /// Evaluates this node over 64 bit-packed lanes: `values` holds the
-    /// already-computed lanes of earlier nodes (fanins are strictly
-    /// earlier by the topological invariant), and `input` supplies the
-    /// lane word for [`NodeKind::Input`] nodes (ignored otherwise). Scalar
-    /// interpreters use lane 0 only; every operation is bitwise, so the
-    /// unused lanes are free.
-    ///
-    /// Hot sweeps should prefer [`Netlist::eval_node_lanes`], which reads
-    /// the packed arena directly instead of materializing a `NodeKind`.
-    #[inline]
-    pub fn eval_lanes(&self, values: &[u64], input: u64) -> u64 {
-        match *self {
-            NodeKind::Input => input,
-            NodeKind::Const(c) => {
-                if c {
-                    !0
-                } else {
-                    0
-                }
-            }
-            NodeKind::Gate1 { f, a } => f.eval_u64(values[a.index()]),
-            NodeKind::Gate2 { f, a, b } => f.eval_u64(values[a.index()], values[b.index()]),
-        }
-    }
 }
 
 /// A single node: its kind plus a (unique) signal name. This is the
@@ -570,39 +540,14 @@ impl Netlist {
         self.try_evaluate(values).expect("input count mismatch")
     }
 
-    /// Fallible single-pattern evaluation.
+    /// Fallible single-pattern evaluation: one exact
+    /// [`Simulator::run_scalar`](crate::sim::Simulator::run_scalar) pass.
     ///
     /// # Errors
     ///
     /// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
     pub fn try_evaluate(&self, values: &[bool]) -> Result<Vec<bool>, LogicError> {
-        let all = self.evaluate_all(values)?;
-        Ok(self.outputs.iter().map(|o| all[o.index()]).collect())
-    }
-
-    /// Evaluates every node; returns one value per node in topological
-    /// order. Useful for fault-injection and probing experiments.
-    ///
-    /// Runs lane 0 of the shared bit-parallel gate core
-    /// ([`Netlist::eval_node_lanes`]) so scalar and packed evaluation
-    /// cannot drift apart.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
-    pub fn evaluate_all(&self, values: &[bool]) -> Result<Vec<bool>, LogicError> {
-        if values.len() != self.inputs.len() {
-            return Err(LogicError::InputCountMismatch {
-                expected: self.inputs.len(),
-                got: values.len(),
-            });
-        }
-        let mut lanes = vec![0u64; self.len()];
-        for i in 0..self.len() {
-            let v = self.eval_node_lanes(i, &lanes, |k| values[k] as u64);
-            lanes[i] = v;
-        }
-        Ok(lanes.iter().map(|&v| v & 1 == 1).collect())
+        crate::sim::Simulator::new(self).run_scalar(values)
     }
 
     /// Replaces gate `id` with the gate `kind` in place: function, arity

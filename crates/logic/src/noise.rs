@@ -1,36 +1,23 @@
-//! Noise-aware bit-parallel evaluation: the engine behind every stochastic
-//! oracle.
+//! Per-node error rates: what makes a [`Simulator`] a stochastic chip.
 //!
 //! The paper's headline defense (Sec. V-B) is stochastic switching whose
-//! "error rate for any switch can be tuned individually". This module makes
-//! that tunability a first-class, *fast* object:
+//! "error rate for any switch can be tuned individually". [`ErrorProfile`]
+//! is that tunability as one object: a dense per-node flip-rate table
+//! (`Vec<f64>`, one entry per netlist node). Uniform rates, per-node
+//! vectors, and device-derived per-switch rates (see
+//! `gshe_campaign::physical`) all normalize to it, so a pass never does a
+//! per-node set-membership probe.
 //!
-//! * [`ErrorProfile`] — a dense per-node flip-rate table (`Vec<f64>`, one
-//!   entry per netlist node). Uniform rates, per-node vectors, and
-//!   device-derived per-switch rates (see `gshe_campaign::physical`) all
-//!   normalize to this one representation, so interpreters never do a
-//!   per-node set-membership probe.
-//! * [`FaultSimulator`] — a noise-injecting simulator with one sample
-//!   stream: one `gen_bool` per noisy node per pattern, pattern-major.
-//!   [`FaultSimulator::run_scalar`] evaluates one pattern;
-//!   [`FaultSimulator::run_scalar_stream`] evaluates a block segment 64
-//!   lanes per pass (like [`Simulator`]) while drawing exactly the flips
-//!   the scalar calls would, so batching never changes a seeded answer.
-//!
-//! With an all-zero profile the engine is bit-identical to [`Simulator`]
-//! (property-tested in `tests/fault_sim_props.rs`), so deterministic and
-//! stochastic evaluation share one gate-eval core:
-//! [`NodeKind::eval_lanes`].
+//! [`Simulator::with_noise`] installs a profile and a seed. The noisy
+//! simulator draws one `gen_bool` per noisy node per pattern,
+//! pattern-major, whether patterns arrive one at a time or as a block
+//! segment. With an all-zero profile it is bit-identical to the exact
+//! simulator (property-tested in `tests/fault_sim_props.rs`).
 //!
 //! [`Simulator`]: crate::sim::Simulator
-//! [`NodeKind::eval_lanes`]: crate::netlist::NodeKind::eval_lanes
+//! [`Simulator::with_noise`]: crate::sim::Simulator::with_noise
 
-use crate::error::LogicError;
-use crate::netlist::{Netlist, NodeId};
-use crate::sim::{PatternBlock, NODES_EVALUATED};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::borrow::Cow;
+use crate::netlist::NodeId;
 
 /// A dense per-node error-rate table: entry `i` is the probability that
 /// node `i`'s computed value flips per evaluation.
@@ -152,8 +139,8 @@ impl ErrorProfile {
         self.noisy.len()
     }
 
-    /// `true` if every rate is zero (the engine is then bit-identical to
-    /// [`Simulator`](crate::sim::Simulator)).
+    /// `true` if every rate is zero (a noisy
+    /// [`Simulator`](crate::sim::Simulator) then answers as the exact one).
     pub fn is_quiet(&self) -> bool {
         self.noisy.is_empty()
     }
@@ -188,241 +175,15 @@ pub(crate) fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Bit-parallel, noise-aware netlist simulator: flips each node's computed
-/// value according to its [`ErrorProfile`] rate.
-///
-/// Faults at internal nodes propagate forward through the sweep and
-/// superpose — exactly the stochastically correlated output behaviour
-/// Sec. V-B relies on to break SAT-style attacks.
-///
-/// Noise comes from one stream: one `gen_bool` per noisy node per
-/// pattern, patterns in order and noisy nodes in topological order within
-/// each. [`FaultSimulator::run_scalar`] consumes it one pattern at a time;
-/// [`FaultSimulator::run_scalar_stream`] consumes it for a block segment
-/// while evaluating gates 64 lanes wide. Any split of a pattern sequence
-/// into scalar calls and segments therefore yields the same answers and
-/// leaves the RNG in the same state.
-///
-/// The netlist is held as a [`Cow`], so the engine normally borrows (the
-/// static-oracle case) but an upper layer may swap in an owned netlist of
-/// the same shape per key-rotation epoch ([`FaultSimulator::install`]) —
-/// the rates, RNG stream, and scratch all survive the swap.
-#[derive(Debug, Clone)]
-pub struct FaultSimulator<'a> {
-    netlist: Cow<'a, Netlist>,
-    profile: ErrorProfile,
-    /// Scratch buffer reused across calls.
-    values: Vec<u64>,
-    /// Pre-drawn flip masks for the scalar-stream path (one slot per noisy
-    /// node), reused across calls so a stream segment allocates nothing.
-    flips: Vec<u64>,
-    rng: StdRng,
-}
-
-impl<'a> FaultSimulator<'a> {
-    /// Creates an engine for `netlist` with the given `profile` and noise
-    /// seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile does not cover exactly the netlist's nodes.
-    pub fn new(netlist: &'a Netlist, profile: ErrorProfile, seed: u64) -> Self {
-        Self::over(Cow::Borrowed(netlist), profile, seed)
-    }
-
-    /// Creates an engine over an *owned* netlist (e.g. one resolved per
-    /// rotation epoch) with the given `profile` and noise seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profile does not cover exactly the netlist's nodes.
-    pub fn owned(netlist: Netlist, profile: ErrorProfile, seed: u64) -> FaultSimulator<'static> {
-        FaultSimulator::over(Cow::Owned(netlist), profile, seed)
-    }
-
-    fn over(netlist: Cow<'a, Netlist>, profile: ErrorProfile, seed: u64) -> Self {
-        assert_eq!(
-            profile.len(),
-            netlist.len(),
-            "error profile must cover every netlist node"
-        );
-        FaultSimulator {
-            values: vec![0; netlist.len()],
-            flips: vec![0; profile.noisy.len()],
-            netlist,
-            profile,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The bound netlist.
-    pub fn netlist(&self) -> &Netlist {
-        &self.netlist
-    }
-
-    /// Swaps the evaluated netlist for `netlist` (same node count — the
-    /// profile must keep covering every node), preserving the noise RNG
-    /// stream and scratch. This is the key-rotation hook: a rotating layer
-    /// re-resolves the keyed netlist per epoch and installs it here, so the
-    /// noise state spans epochs exactly like a scalar query stream would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `netlist` has a different node count than the profile.
-    pub fn install(&mut self, netlist: Netlist) {
-        assert_eq!(
-            self.profile.len(),
-            netlist.len(),
-            "installed netlist must match the error profile"
-        );
-        self.netlist = Cow::Owned(netlist);
-    }
-
-    /// The installed error profile.
-    pub fn profile(&self) -> &ErrorProfile {
-        &self.profile
-    }
-
-    /// Evaluates one pattern with fault injection, drawing exactly one
-    /// `gen_bool` per noisy node (flips at noisy nodes in topological
-    /// order) — the per-pattern reference for
-    /// [`FaultSimulator::run_scalar_stream`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
-    pub fn run_scalar(&mut self, inputs: &[bool]) -> Result<Vec<bool>, LogicError> {
-        let nl: &Netlist = &self.netlist;
-        if inputs.len() != nl.inputs().len() {
-            return Err(LogicError::InputCountMismatch {
-                expected: nl.inputs().len(),
-                got: inputs.len(),
-            });
-        }
-        let values = &mut self.values;
-        let rates = self.profile.rates();
-        // Lane 0 carries the pattern; the gate core is bitwise, so the
-        // remaining lanes are simply ignored.
-        for i in 0..nl.len() {
-            let mut v = nl.eval_node_lanes(i, values, |k| inputs[k] as u64);
-            let rate = rates[i];
-            if rate > 0.0 && self.rng.gen_bool(rate) {
-                v ^= 1;
-            }
-            values[i] = v;
-        }
-        gshe_obs::count(NODES_EVALUATED, nl.len() as u64);
-        Ok(nl
-            .outputs()
-            .iter()
-            .map(|o| values[o.index()] & 1 == 1)
-            .collect())
-    }
-
-    /// Evaluates a block segment (`start..start + len` of `block`'s
-    /// patterns) bit-parallel while drawing the **scalar** noise stream:
-    /// exactly one `gen_bool` per noisy node per pattern, pattern-major —
-    /// the same RNG order [`FaultSimulator::run_scalar`] consumes. The
-    /// flip decisions are pre-drawn into per-node masks (a flip is a
-    /// Bernoulli draw independent of the computed value, so pre-drawing
-    /// commutes with evaluation), then a single bit-parallel pass applies
-    /// them — gate evaluation stays 64-wide while the segment's outputs,
-    /// and the post-call RNG state, match `len` scalar calls bit for bit.
-    ///
-    /// Lanes outside the segment evaluate noise-free; callers mask to the
-    /// segment. The oracle stack answers every block through this path,
-    /// one segment per key-rotation epoch (a static chip is one segment),
-    /// so block queries keep the chip's per-query reference semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start + len` exceeds `block.count`.
-    pub fn run_scalar_stream(
-        &mut self,
-        block: &PatternBlock,
-        start: usize,
-        len: usize,
-    ) -> Result<Vec<u64>, LogicError> {
-        let mut out = Vec::with_capacity(self.netlist.outputs().len());
-        self.run_scalar_stream_into(block, start, len, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`FaultSimulator::run_scalar_stream`], but writes the output
-    /// lanes into a caller-owned buffer (cleared and refilled) — zero
-    /// allocations per segment in the steady state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogicError::InputCountMismatch`] on arity mismatch
-    /// (leaving `out` cleared).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start + len` exceeds `block.count`.
-    pub fn run_scalar_stream_into(
-        &mut self,
-        block: &PatternBlock,
-        start: usize,
-        len: usize,
-        out: &mut Vec<u64>,
-    ) -> Result<(), LogicError> {
-        out.clear();
-        let nl: &Netlist = &self.netlist;
-        if block.lanes.len() != nl.inputs().len() {
-            return Err(LogicError::InputCountMismatch {
-                expected: nl.inputs().len(),
-                got: block.lanes.len(),
-            });
-        }
-        assert!(start + len <= block.count, "segment exceeds block");
-        // Pre-draw the flip masks in scalar order: pattern-major, noisy
-        // nodes in topological (ascending-id) order within each pattern.
-        // The mask buffer is hoisted onto the simulator so a stream
-        // segment performs no allocation at all.
-        let rates = self.profile.rates();
-        let flips = &mut self.flips;
-        flips.clear();
-        flips.resize(self.profile.noisy.len(), 0);
-        for k in start..start + len {
-            for (slot, &i) in flips.iter_mut().zip(&self.profile.noisy) {
-                if self.rng.gen_bool(rates[i as usize]) {
-                    *slot |= 1 << k;
-                }
-            }
-        }
-        let values = &mut self.values;
-        let mut next_noisy = 0usize;
-        for i in 0..nl.len() {
-            let mut v = nl.eval_node_lanes(i, values, |k| block.lanes[k]);
-            if rates[i] > 0.0 {
-                v ^= flips[next_noisy];
-                next_noisy += 1;
-            }
-            values[i] = v;
-        }
-        gshe_obs::count(NODES_EVALUATED, nl.len() as u64);
-        out.extend(nl.outputs().iter().map(|o| values[o.index()]));
-        Ok(())
-    }
-
-    /// Values of *all* nodes from the most recent run (packed lanes; for
-    /// scalar runs only bit 0 is meaningful).
-    pub fn node_values(&self) -> &[u64] {
-        &self.values
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bf2::Bf2;
     use crate::builder::NetlistBuilder;
-    use crate::sim::Simulator;
+    use crate::netlist::Netlist;
+    use crate::sim::{PatternBlock, Simulator};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn adder() -> Netlist {
         let mut b = NetlistBuilder::new("fa");
@@ -435,28 +196,34 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// `nl`'s simulator with noise `profile` seeded by `seed`.
+    fn noisy(nl: &Netlist, profile: ErrorProfile, seed: u64) -> Simulator<'_> {
+        Simulator::new(nl).with_noise(profile, seed)
+    }
+
     #[test]
     fn quiet_profile_matches_plain_simulator() {
         let nl = adder();
         let mut rng = StdRng::seed_from_u64(9);
         let mut plain = Simulator::new(&nl);
-        let mut noisy = FaultSimulator::new(&nl, ErrorProfile::zero(nl.len()), 1);
+        let mut quiet = noisy(&nl, ErrorProfile::zero(nl.len()), 1);
         for _ in 0..8 {
             let block = PatternBlock::random(2, &mut rng);
-            assert_eq!(
-                plain.run(&block).unwrap(),
-                noisy.run_scalar_stream(&block, 0, 64).unwrap()
-            );
+            assert_eq!(plain.run(&block).unwrap(), quiet.run(&block).unwrap());
         }
     }
 
     #[test]
     fn scalar_and_block_agree_when_quiet() {
         let nl = adder();
-        let mut sim = FaultSimulator::new(&nl, ErrorProfile::zero(nl.len()), 1);
-        for p in 0..4u32 {
-            let inputs: Vec<bool> = (0..2).map(|k| (p >> k) & 1 == 1).collect();
-            assert_eq!(sim.run_scalar(&inputs).unwrap(), nl.evaluate(&inputs));
+        let mut sim = noisy(&nl, ErrorProfile::zero(nl.len()), 1);
+        let patterns: Vec<Vec<bool>> = (0..4u32)
+            .map(|p| (0..2).map(|k| (p >> k) & 1 == 1).collect())
+            .collect();
+        let lanes = sim.run(&PatternBlock::from_patterns(&patterns)).unwrap();
+        for (k, inputs) in patterns.iter().enumerate() {
+            let block_k: Vec<bool> = lanes.iter().map(|lane| (lane >> k) & 1 == 1).collect();
+            assert_eq!(sim.run_scalar(inputs).unwrap(), block_k);
         }
     }
 
@@ -465,9 +232,9 @@ mod tests {
         let nl = adder();
         let s = nl.find("s").unwrap();
         let profile = ErrorProfile::uniform_at(nl.len(), &[s], 1.0);
-        let mut sim = FaultSimulator::new(&nl, profile, 3);
+        let mut sim = noisy(&nl, profile, 3);
         let block = PatternBlock::from_patterns(&[vec![true, false]]);
-        let lanes = sim.run_scalar_stream(&block, 0, 1).unwrap();
+        let lanes = sim.run(&block).unwrap();
         // XOR(1,0) = 1, flipped with certainty → 0; AND untouched → 0.
         assert_eq!(lanes[0] & 1, 0);
         assert_eq!(lanes[1] & 1, 0);
@@ -506,23 +273,25 @@ mod tests {
     #[should_panic(expected = "cover every netlist node")]
     fn engine_rejects_mismatched_profile() {
         let nl = adder();
-        let _ = FaultSimulator::new(&nl, ErrorProfile::zero(nl.len() + 1), 0);
+        let _ = noisy(&nl, ErrorProfile::zero(nl.len() + 1), 0);
     }
 
     #[test]
     fn scalar_stream_block_matches_scalar_calls_bit_for_bit() {
-        // The scalar-stream block path must reproduce run_scalar exactly —
-        // outputs AND post-call RNG state — over arbitrary segment splits.
+        // The segment path must reproduce run_scalar exactly — outputs
+        // AND post-call RNG state — over arbitrary segment splits.
         let nl = adder();
         let s = nl.find("s").unwrap();
         let c = nl.find("c").unwrap();
         let profile = ErrorProfile::uniform_at(nl.len(), &[s, c], 0.3);
         let mut rng = StdRng::seed_from_u64(11);
-        let mut fast = FaultSimulator::new(&nl, profile.clone(), 7);
-        let mut slow = FaultSimulator::new(&nl, profile, 7);
+        let mut fast = noisy(&nl, profile.clone(), 7);
+        let mut slow = noisy(&nl, profile, 7);
+        let mut lanes = Vec::new();
         for (start, len) in [(0usize, 64usize), (0, 17), (17, 30), (47, 17)] {
             let block = PatternBlock::random(2, &mut rng);
-            let lanes = fast.run_scalar_stream(&block, start, len).unwrap();
+            fast.run_segment_into(&block, start, len, &mut lanes)
+                .unwrap();
             for k in start..start + len {
                 let y = slow.run_scalar(&block.pattern(k)).unwrap();
                 for (o, &bit) in y.iter().enumerate() {
@@ -547,8 +316,8 @@ mod tests {
         let nl = adder();
         let s = nl.find("s").unwrap();
         let profile = ErrorProfile::uniform_at(nl.len(), &[s], 0.5);
-        let mut a = FaultSimulator::new(&nl, profile.clone(), 3);
-        let mut b = FaultSimulator::new(&nl, profile, 3);
+        let mut a = noisy(&nl, profile.clone(), 3);
+        let mut b = noisy(&nl, profile, 3);
         let _ = a.run_scalar(&[true, false]).unwrap();
         let _ = b.run_scalar(&[true, false]).unwrap();
         // Install a structurally different netlist of the same size into
@@ -572,7 +341,7 @@ mod tests {
     #[should_panic(expected = "match the error profile")]
     fn install_rejects_mismatched_size() {
         let nl = adder();
-        let mut sim = FaultSimulator::new(&nl, ErrorProfile::zero(nl.len()), 0);
+        let mut sim = noisy(&nl, ErrorProfile::zero(nl.len()), 0);
         let mut b = NetlistBuilder::new("tiny");
         let x = b.input("x");
         b.output(x);

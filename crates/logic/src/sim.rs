@@ -1,17 +1,22 @@
-//! Bit-parallel netlist simulation.
+//! Bit-parallel netlist simulation: the one netlist evaluator.
 //!
 //! [`Simulator`] evaluates 64 input patterns per pass by packing one pattern
-//! per bit of a `u64`. The SAT-attack oracle, the stochastic-defense
-//! experiments, and functional-equivalence spot checks all run on top of
-//! this engine.
+//! per bit of a `u64`. It is exact, or noisy with per-node flip rates from
+//! an [`ErrorProfile`] (the stochastic chip of Sec. V-B), and it can swap
+//! its netlist in place (the key-rotating chip of Sec. V-C). The oracle
+//! stack, the SAT attacks' candidate checks, [`Netlist::evaluate`] and the
+//! functional-equivalence spot checks all run on it.
 
 use crate::error::LogicError;
 use crate::netlist::Netlist;
-use rand::Rng;
+use crate::noise::ErrorProfile;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 /// Obs counter: nodes evaluated by simulation sweeps (gate throughput —
 /// divide by wall clock for a gates/sec figure).
-pub(crate) const NODES_EVALUATED: &str = "logic.nodes_evaluated";
+const NODES_EVALUATED: &str = "logic.nodes_evaluated";
 
 /// A block of up to 64 input patterns, one per bit lane.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,153 +102,256 @@ impl PatternBlock {
     }
 }
 
-/// Bit-parallel simulator bound to one netlist.
+/// The bit-parallel simulator of one netlist: the working chip, exact or
+/// noisy.
+///
+/// A pass evaluates a block of up to 64 patterns, one per bit of a `u64`.
+/// An exact pass is [`Netlist::sweep_lanes`]. A noisy simulator
+/// ([`Simulator::with_noise`]) flips each node's value at its
+/// [`ErrorProfile`] rate, and the faults propagate forward and superpose
+/// at the outputs, the correlated output errors Sec. V-B relies on.
+///
+/// Noise comes from one stream: one `gen_bool` per noisy node per pattern,
+/// patterns in order and noisy nodes in topological order within each.
+/// [`Simulator::run_scalar`] consumes it one pattern at a time and
+/// [`Simulator::run_segment_into`] for a block segment, so any split of a
+/// pattern sequence into scalar calls and segments gives the same answers
+/// and leaves the RNG in the same state.
+///
+/// The netlist is held as a [`Cow`]: borrowed for a static chip, owned
+/// once a key-rotating chip installs its epoch's resolution
+/// ([`Simulator::install`]). Scratch is sized on the first pass, so a
+/// simulator that never runs never allocates.
 #[derive(Debug, Clone)]
 pub struct Simulator<'a> {
-    netlist: &'a Netlist,
-    /// Scratch buffer reused across calls.
+    netlist: Cow<'a, Netlist>,
+    /// Node lanes of the latest pass, reused across calls.
     values: Vec<u64>,
+    noise: Option<Noise>,
+}
+
+/// A noisy simulator's flip rates and the one RNG stream they draw from.
+#[derive(Debug, Clone)]
+struct Noise {
+    profile: ErrorProfile,
+    /// Pre-drawn flip masks of a segment, one per noisy node, reused
+    /// across calls.
+    flips: Vec<u64>,
+    rng: StdRng,
+}
+
+impl Noise {
+    /// One pass over `block` that flips, in the lanes of the segment
+    /// `start..start + len`, exactly the nodes `len` scalar passes would.
+    /// The flips are drawn first, pattern-major: a flip is a Bernoulli draw
+    /// independent of the computed value, so drawing ahead commutes with
+    /// evaluation, and the gates still evaluate 64 lanes wide. Lanes
+    /// outside the segment evaluate noise-free.
+    // Out of line on purpose: inlined into `run_segment_into`, the
+    // generator state is reloaded from memory on every draw instead of
+    // staying in registers, and the draws dominate a noisy pass.
+    #[inline(never)]
+    fn sweep(
+        &mut self,
+        nl: &Netlist,
+        values: &mut [u64],
+        block: &PatternBlock,
+        start: usize,
+        len: usize,
+    ) {
+        let rates = self.profile.rates();
+        self.flips.clear();
+        self.flips.resize(self.profile.noisy_count(), 0);
+        for k in start..start + len {
+            for (slot, node) in self.flips.iter_mut().zip(self.profile.noisy_nodes()) {
+                if self.rng.gen_bool(rates[node.index()]) {
+                    *slot |= 1 << k;
+                }
+            }
+        }
+        let mut next_noisy = 0usize;
+        for i in 0..nl.len() {
+            let mut v = nl.eval_node_lanes(i, values, |k| block.lanes[k]);
+            if rates[i] > 0.0 {
+                v ^= self.flips[next_noisy];
+                next_noisy += 1;
+            }
+            values[i] = v;
+        }
+    }
 }
 
 impl<'a> Simulator<'a> {
-    /// Creates a simulator for `netlist`.
+    /// An exact simulator of a borrowed netlist.
     pub fn new(netlist: &'a Netlist) -> Self {
         Simulator {
-            values: vec![0; netlist.len()],
-            netlist,
+            netlist: Cow::Borrowed(netlist),
+            values: Vec::new(),
+            noise: None,
         }
     }
 
-    /// The bound netlist.
+    /// An exact simulator of an owned netlist (e.g. a key-rotating chip's
+    /// first epoch).
+    pub fn owned(netlist: Netlist) -> Simulator<'static> {
+        Simulator {
+            netlist: Cow::Owned(netlist),
+            values: Vec::new(),
+            noise: None,
+        }
+    }
+
+    /// Makes the simulator noisy: every node flips at its `profile` rate,
+    /// drawn from the RNG stream seeded by `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile does not cover exactly the netlist's nodes.
+    pub fn with_noise(mut self, profile: ErrorProfile, seed: u64) -> Self {
+        assert_eq!(
+            profile.len(),
+            self.netlist.len(),
+            "error profile must cover every netlist node"
+        );
+        self.noise = Some(Noise {
+            profile,
+            flips: Vec::new(),
+            rng: StdRng::seed_from_u64(seed),
+        });
+        self
+    }
+
+    /// The simulated netlist.
     pub fn netlist(&self) -> &Netlist {
-        self.netlist
+        &self.netlist
+    }
+
+    /// The error profile of a noisy simulator (`None` when exact).
+    pub fn profile(&self) -> Option<&ErrorProfile> {
+        self.noise.as_ref().map(|noise| &noise.profile)
+    }
+
+    /// Swaps the simulated netlist for `netlist`, keeping the scratch and
+    /// the noise stream: the key-rotation hook. A rotating chip resolves
+    /// its keyed netlist per epoch and installs it here, so the noise
+    /// stream spans epochs as a scalar query stream would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulator is noisy and `netlist` has a different node
+    /// count than its profile.
+    pub fn install(&mut self, netlist: Netlist) {
+        if let Some(noise) = &self.noise {
+            assert_eq!(
+                noise.profile.len(),
+                netlist.len(),
+                "installed netlist must match the error profile"
+            );
+        }
+        self.netlist = Cow::Owned(netlist);
     }
 
     /// Simulates a block of patterns; returns one `u64` per primary output
-    /// (bit `k` = output value under pattern `k`).
+    /// (bit `k` = output value under pattern `k`). A noisy simulator draws
+    /// the flips of the block's `count` patterns.
     ///
     /// # Errors
     ///
     /// Returns [`LogicError::InputCountMismatch`] if the block width does
     /// not match the number of primary inputs.
     pub fn run(&mut self, block: &PatternBlock) -> Result<Vec<u64>, LogicError> {
-        run_with_scratch(self.netlist, &mut self.values, block)
+        let mut out = Vec::with_capacity(self.netlist.outputs().len());
+        self.run_segment_into(block, 0, block.count, &mut out)?;
+        Ok(out)
     }
 
-    /// Like [`Simulator::run`], but clears the bits of invalid lanes
-    /// (`k >= block.count`), so results compare bit-for-bit with a
-    /// pattern-at-a-time evaluation. Block-capable oracles answer through
-    /// this.
+    /// One pass over `block` that answers its segment `start..start + len`
+    /// into `out` (cleared and refilled), one `u64` per primary output. A
+    /// noisy simulator draws the flips of exactly the segment's patterns,
+    /// the draws `len` [`Simulator::run_scalar`] calls would make; lanes
+    /// outside the segment are not answers, and callers mask them off. A
+    /// key-rotating chip answers each epoch's segment of a block here.
     ///
     /// # Errors
     ///
     /// Returns [`LogicError::InputCountMismatch`] if the block width does
-    /// not match the number of primary inputs.
-    pub fn run_masked(&mut self, block: &PatternBlock) -> Result<Vec<u64>, LogicError> {
-        let mut lanes = self.run(block)?;
-        let mask = block.valid_mask();
-        for lane in &mut lanes {
-            *lane &= mask;
+    /// not match the number of primary inputs (leaving `out` cleared).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start + len` exceeds `block.count`.
+    pub fn run_segment_into(
+        &mut self,
+        block: &PatternBlock,
+        start: usize,
+        len: usize,
+        out: &mut Vec<u64>,
+    ) -> Result<(), LogicError> {
+        out.clear();
+        let Simulator {
+            netlist,
+            values,
+            noise,
+        } = self;
+        check_arity(netlist, block.lanes.len())?;
+        assert!(start + len <= block.count, "segment exceeds block");
+        values.resize(netlist.len(), 0);
+        match noise {
+            None => netlist.sweep_lanes(values, &block.lanes),
+            Some(noise) => noise.sweep(netlist, values, block, start, len),
         }
-        Ok(lanes)
+        gshe_obs::count(NODES_EVALUATED, netlist.len() as u64);
+        out.extend(netlist.outputs().iter().map(|o| values[o.index()]));
+        Ok(())
     }
 
-    /// Evaluates one pattern through lane 0 of the bit-parallel core,
-    /// reusing the simulator's scratch buffer — the allocation-free scalar
-    /// path for oracles answering pattern-at-a-time queries.
+    /// Evaluates one pattern through lane 0 of the gate core, drawing one
+    /// `gen_bool` per noisy node when the simulator is noisy.
     ///
     /// # Errors
     ///
     /// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
     pub fn run_scalar(&mut self, inputs: &[bool]) -> Result<Vec<bool>, LogicError> {
-        run_scalar_with_scratch(self.netlist, &mut self.values, inputs)
+        let Simulator {
+            netlist,
+            values,
+            noise,
+        } = self;
+        check_arity(netlist, inputs.len())?;
+        values.resize(netlist.len(), 0);
+        for i in 0..netlist.len() {
+            let mut v = netlist.eval_node_lanes(i, values, |k| inputs[k] as u64);
+            if let Some(Noise { profile, rng, .. }) = noise {
+                let rate = profile.rates()[i];
+                if rate > 0.0 && rng.gen_bool(rate) {
+                    v ^= 1;
+                }
+            }
+            values[i] = v;
+        }
+        gshe_obs::count(NODES_EVALUATED, netlist.len() as u64);
+        Ok(netlist
+            .outputs()
+            .iter()
+            .map(|o| values[o.index()] & 1 == 1)
+            .collect())
     }
 
-    /// Values of *all* nodes from the most recent [`Simulator::run`] call.
+    /// Values of *all* nodes from the latest pass (packed lanes; after
+    /// [`Simulator::run_scalar`] only bit 0 is meaningful).
     pub fn node_values(&self) -> &[u64] {
         &self.values
     }
 }
 
-/// One bit-parallel pass of `netlist` over `block` using a caller-owned
-/// scratch buffer (resized to fit). This is [`Simulator::run`]'s engine,
-/// exposed for owners whose netlist changes *identity* but not size across
-/// calls — e.g. a key-rotating oracle that re-resolves per epoch — so every
-/// pass reuses one allocation.
-///
-/// # Errors
-///
-/// Returns [`LogicError::InputCountMismatch`] if the block width does not
-/// match the number of primary inputs.
-pub fn run_with_scratch(
-    netlist: &Netlist,
-    scratch: &mut Vec<u64>,
-    block: &PatternBlock,
-) -> Result<Vec<u64>, LogicError> {
-    let mut out = Vec::with_capacity(netlist.outputs().len());
-    run_with_scratch_into(netlist, scratch, block, &mut out)?;
-    Ok(out)
-}
-
-/// Like [`run_with_scratch`], but writes the output lanes into a
-/// caller-owned buffer (cleared and refilled), so a steady-state caller —
-/// e.g. a rotating oracle answering epoch segments — performs **zero**
-/// allocations per pass.
-///
-/// # Errors
-///
-/// Returns [`LogicError::InputCountMismatch`] on arity mismatch (leaving
-/// `out` cleared).
-pub fn run_with_scratch_into(
-    netlist: &Netlist,
-    scratch: &mut Vec<u64>,
-    block: &PatternBlock,
-    out: &mut Vec<u64>,
-) -> Result<(), LogicError> {
-    out.clear();
-    if block.lanes.len() != netlist.inputs().len() {
-        return Err(LogicError::InputCountMismatch {
-            expected: netlist.inputs().len(),
-            got: block.lanes.len(),
-        });
+/// `Ok` when `got` input values fit `netlist`'s primary inputs.
+fn check_arity(netlist: &Netlist, got: usize) -> Result<(), LogicError> {
+    let expected = netlist.inputs().len();
+    if got == expected {
+        Ok(())
+    } else {
+        Err(LogicError::InputCountMismatch { expected, got })
     }
-    scratch.resize(netlist.len(), 0);
-    netlist.sweep_lanes(scratch, &block.lanes);
-    gshe_obs::count(NODES_EVALUATED, netlist.len() as u64);
-    out.extend(netlist.outputs().iter().map(|o| scratch[o.index()]));
-    Ok(())
-}
-
-/// Scalar sibling of [`run_with_scratch`]: evaluates one pattern through
-/// lane 0 of the shared gate core with a caller-owned buffer, so repeated
-/// scalar queries (the SAT-attack DIP loop) allocate nothing per call
-/// beyond the output vector.
-///
-/// # Errors
-///
-/// Returns [`LogicError::InputCountMismatch`] on arity mismatch.
-pub fn run_scalar_with_scratch(
-    netlist: &Netlist,
-    scratch: &mut Vec<u64>,
-    inputs: &[bool],
-) -> Result<Vec<bool>, LogicError> {
-    if inputs.len() != netlist.inputs().len() {
-        return Err(LogicError::InputCountMismatch {
-            expected: netlist.inputs().len(),
-            got: inputs.len(),
-        });
-    }
-    scratch.resize(netlist.len(), 0);
-    for i in 0..netlist.len() {
-        let v = netlist.eval_node_lanes(i, scratch, |k| inputs[k] as u64);
-        scratch[i] = v;
-    }
-    gshe_obs::count(NODES_EVALUATED, netlist.len() as u64);
-    Ok(netlist
-        .outputs()
-        .iter()
-        .map(|o| scratch[o.index()] & 1 == 1)
-        .collect())
 }
 
 /// Estimates whether two netlists with identical interfaces are functionally
@@ -255,18 +363,20 @@ pub fn run_scalar_with_scratch(
 ///
 /// # Errors
 ///
-/// Returns [`LogicError::InputCountMismatch`] if the interfaces differ.
+/// Returns [`LogicError::Validation`] naming both interfaces if their
+/// input or output counts differ.
 pub fn random_equivalence_check<R: Rng + ?Sized>(
     a: &Netlist,
     b: &Netlist,
     blocks: usize,
     rng: &mut R,
 ) -> Result<Option<Vec<bool>>, LogicError> {
-    if a.inputs().len() != b.inputs().len() || a.outputs().len() != b.outputs().len() {
-        return Err(LogicError::InputCountMismatch {
-            expected: a.inputs().len(),
-            got: b.inputs().len(),
-        });
+    let ports = |nl: &Netlist| (nl.inputs().len(), nl.outputs().len());
+    let ((ai, ao), (bi, bo)) = (ports(a), ports(b));
+    if (ai, ao) != (bi, bo) {
+        return Err(LogicError::Validation(format!(
+            "interfaces differ: inputs {ai} vs {bi}, outputs {ao} vs {bo}"
+        )));
     }
     let mut sim_a = Simulator::new(a);
     let mut sim_b = Simulator::new(b);
@@ -333,12 +443,16 @@ mod tests {
     }
 
     #[test]
-    fn run_scalar_matches_evaluate() {
+    fn run_scalar_matches_block_lanes() {
         let nl = adder();
         let mut sim = Simulator::new(&nl);
-        for p in 0..4u32 {
-            let inputs: Vec<bool> = (0..2).map(|k| (p >> k) & 1 == 1).collect();
-            assert_eq!(sim.run_scalar(&inputs).unwrap(), nl.evaluate(&inputs));
+        let patterns: Vec<Vec<bool>> = (0..4u32)
+            .map(|p| (0..2).map(|k| (p >> k) & 1 == 1).collect())
+            .collect();
+        let lanes = sim.run(&PatternBlock::from_patterns(&patterns)).unwrap();
+        for (k, inputs) in patterns.iter().enumerate() {
+            let block_k: Vec<bool> = lanes.iter().map(|lane| (lane >> k) & 1 == 1).collect();
+            assert_eq!(sim.run_scalar(inputs).unwrap(), block_k);
         }
         assert!(sim.run_scalar(&[true]).is_err(), "arity checked");
     }
@@ -372,6 +486,17 @@ mod tests {
         builder.output(x);
         let b = builder.finish().unwrap();
         assert!(random_equivalence_check(&a, &b, 1, &mut StdRng::seed_from_u64(0)).is_err());
+        // Same inputs, one output fewer: the error names the outputs.
+        let mut builder = NetlistBuilder::new("narrow");
+        let x = builder.input("x");
+        let y = builder.input("y");
+        let s = builder.gate2("s", Bf2::XOR, x, y);
+        builder.output(s);
+        let c = builder.finish().unwrap();
+        let err = random_equivalence_check(&a, &c, 1, &mut StdRng::seed_from_u64(0)).unwrap_err();
+        assert!(matches!(err, LogicError::Validation(_)), "{err:?}");
+        let message = err.to_string();
+        assert!(message.contains("outputs 2 vs 1"), "{message}");
     }
 
     #[test]

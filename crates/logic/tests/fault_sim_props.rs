@@ -1,15 +1,13 @@
-//! Property tests for the noise-aware evaluation engine.
+//! Property tests for the noisy [`Simulator`].
 //!
-//! Two contracts keep the engine honest: (1) a zero-rate
-//! [`FaultSimulator`] is *bit-identical* to the plain [`Simulator`] on
-//! arbitrary generated netlists (so the engine can stand in for every
-//! deterministic path), and (2) observed flip frequencies track the
-//! configured per-node rates (so the stochastic defense measures what the
-//! spec says it measures).
+//! Two contracts keep the noise honest: (1) a simulator with a zero-rate
+//! profile is *bit-identical* to the exact one on arbitrary generated
+//! netlists (the flip loop computes what the exact sweep computes), and
+//! (2) observed flip frequencies track the configured per-node rates (so
+//! the stochastic defense measures what the spec says it measures).
 
 use gshe_logic::{
-    Bf2, ErrorProfile, FaultSimulator, GeneratorConfig, NetlistBuilder, NetlistGenerator,
-    PatternBlock, Simulator,
+    Bf2, ErrorProfile, GeneratorConfig, NetlistBuilder, NetlistGenerator, PatternBlock, Simulator,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,9 +16,9 @@ use rand::SeedableRng;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// All rates = 0 ⇒ the fault engine matches the plain bit-parallel
-    /// simulator bit-for-bit, block segments and scalar calls alike, on
-    /// generated netlists of arbitrary shape.
+    /// All rates = 0 ⇒ the noisy simulator matches the exact one
+    /// bit-for-bit, blocks and scalar calls alike, on generated netlists of
+    /// arbitrary shape.
     #[test]
     fn zero_rate_engine_is_bit_identical_to_simulator(
         inputs in 2usize..12,
@@ -35,24 +33,25 @@ proptest! {
         .unwrap()
         .generate();
         let mut plain = Simulator::new(&nl);
-        let mut engine = FaultSimulator::new(&nl, ErrorProfile::zero(nl.len()), block_seed);
+        let mut engine =
+            Simulator::new(&nl).with_noise(ErrorProfile::zero(nl.len()), block_seed);
         let mut rng = StdRng::seed_from_u64(block_seed);
         for _ in 0..4 {
             let block = PatternBlock::random(nl.inputs().len(), &mut rng);
             let expected = plain.run(&block).unwrap();
-            prop_assert_eq!(&engine.run_scalar_stream(&block, 0, 64).unwrap(), &expected);
+            prop_assert_eq!(&engine.run(&block).unwrap(), &expected);
             // Per-node values agree too — the whole sweep is identical,
             // not just the outputs.
             prop_assert_eq!(engine.node_values(), plain.node_values());
-            // Scalar path agrees with the scalar interpreter.
+            // The scalar path agrees with lane k of the exact block pass.
             let k = (block_seed % 64) as usize;
-            let pattern = block.pattern(k);
-            prop_assert_eq!(engine.run_scalar(&pattern).unwrap(), nl.evaluate(&pattern));
+            let lane_k: Vec<bool> = expected.iter().map(|lane| (lane >> k) & 1 == 1).collect();
+            prop_assert_eq!(engine.run_scalar(&block.pattern(k)).unwrap(), lane_k);
         }
     }
 }
 
-/// Seeded statistical check on the *engine*: a noisy node's observed flip
+/// Seeded statistical check on the noisy simulator: a noisy node's observed flip
 /// frequency at the outputs tracks its configured rate, per node, within
 /// binomial tolerance.
 #[test]
@@ -71,7 +70,7 @@ fn observed_flip_frequency_tracks_per_node_rates() {
     let mut profile = ErrorProfile::zero(nl.len());
     profile.set(s, 0.05);
     profile.set(c, 0.3);
-    let mut engine = FaultSimulator::new(&nl, profile, 42);
+    let mut engine = Simulator::new(&nl).with_noise(profile, 42);
 
     let mut clean = Simulator::new(&nl);
     let mut rng = StdRng::seed_from_u64(7);
@@ -79,7 +78,7 @@ fn observed_flip_frequency_tracks_per_node_rates() {
     let mut flips = [0u64; 2];
     for _ in 0..blocks {
         let block = PatternBlock::random(2, &mut rng);
-        let noisy = engine.run_scalar_stream(&block, 0, 64).unwrap();
+        let noisy = engine.run(&block).unwrap();
         let reference = clean.run(&block).unwrap();
         for (o, flip_count) in flips.iter_mut().enumerate() {
             *flip_count += (noisy[o] ^ reference[o]).count_ones() as u64;
@@ -108,7 +107,7 @@ fn scalar_flip_frequency_tracks_rate() {
     let nl = b.finish().unwrap();
     let mut profile = ErrorProfile::zero(nl.len());
     profile.set(g, 0.1);
-    let mut engine = FaultSimulator::new(&nl, profile, 5);
+    let mut engine = Simulator::new(&nl).with_noise(profile, 5);
     let trials = 20_000;
     let mut flips = 0u32;
     for _ in 0..trials {

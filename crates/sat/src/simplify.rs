@@ -449,11 +449,6 @@ impl Solver {
         self.simp.mode = mode;
     }
 
-    /// The current simplification mode.
-    pub fn simplify_mode(&self) -> SimplifyMode {
-        self.simp.mode
-    }
-
     /// Protects `v` from variable elimination. Call for every variable
     /// whose model value is read across later `add_clause` calls, passed
     /// as an assumption in *later* solves, or named in future clauses —
@@ -464,16 +459,6 @@ impl Solver {
             self.reintroduce(v);
         }
         self.simp.frozen[v.index()] = true;
-    }
-
-    /// Releases the [`Solver::freeze`] protection of `v`.
-    pub fn melt(&mut self, v: Var) {
-        self.simp.frozen[v.index()] = false;
-    }
-
-    /// `true` if `v` is protected from elimination.
-    pub fn is_frozen(&self, v: Var) -> bool {
-        self.simp.frozen.get(v.index()).copied().unwrap_or(false)
     }
 
     /// `true` if `v` is currently removed by variable elimination.

@@ -304,11 +304,6 @@ impl Solver {
         self.reduce_limit = config.reduce_base;
     }
 
-    /// The current search-heuristic knobs.
-    pub fn search_config(&self) -> SearchConfig {
-        self.config
-    }
-
     /// Search statistics so far.
     pub fn stats(&self) -> SolverStats {
         self.stats
@@ -340,14 +335,6 @@ impl Solver {
     /// number for measured clause reductions.
     pub fn num_problem_clauses(&self) -> usize {
         self.clauses.len()
-    }
-
-    /// Number of variables neither assigned at level 0 nor eliminated by
-    /// preprocessing — the variables search can still branch on.
-    pub fn num_free_vars(&self) -> usize {
-        (0..self.assign.len())
-            .filter(|&i| self.assign[i] == LBool::Undef && !self.simp.eliminated[i])
-            .count()
     }
 
     /// Allocates a fresh variable.

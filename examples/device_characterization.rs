@@ -38,7 +38,6 @@ fn main() {
         params,
         samples: 400,
         seed: 9,
-        threads: 0,
     });
     println!("\nswitching-delay distributions (400 thermal samples each):");
     for i_s in [20e-6, 60e-6, 100e-6] {
