@@ -14,9 +14,9 @@
 //! * an optional **rotation layer** — epoch-segmented key resolution: the
 //!   chip answers `period` queries per key, then draws a fresh random key
 //!   and installs the re-resolved netlist into the simulator;
-//! * an optional **caching layer** — lives in `gshe-campaign` (the cache
-//!   is campaign-wide infrastructure) and composes over the bare exact
-//!   stack only, the one configuration whose answers are memoizable.
+//! * an optional **cache** — `gshe-campaign`'s `CachedOracle` (the cache
+//!   is session-wide infrastructure) wraps the bare exact stack only, the
+//!   one configuration whose answers are memoizable.
 //!
 //! Every layer is `query_block`-first, so any composition answers 64
 //! patterns per pass end to end. [`OracleStack`] is the only model of the

@@ -298,8 +298,8 @@ fn bench_simplify_miter(c: &mut Criterion) {
 /// scale 16, locality-biased topology, ~60k nodes): `query_block`
 /// through [`CachedOracle::over_cone`] cold (every block simulated,
 /// then inserted under its packed cone-input sub-key) vs. warm (pure
-/// hash probes on cone-width keys). The acceptance target is a ≥5×
-/// warm-over-cold win — in practice the gap is orders of magnitude,
+/// hash probes on cone-width keys). `superblue_stream` asserts a ≥5×
+/// warm-over-cold win; in practice the gap is orders of magnitude,
 /// since a cold query sweeps the full arena per block.
 fn bench_coi_cached_oracle(c: &mut Criterion) {
     use gshe_core::campaign::{CachedOracle, OracleCache};
@@ -329,7 +329,7 @@ fn bench_coi_cached_oracle(c: &mut Criterion) {
         b.iter(|| {
             // A fresh cache per iteration: every block misses and
             // simulates the full 60k-node arena.
-            let cache = OracleCache::shared_with_cap(0);
+            let cache = OracleCache::shared();
             let mut oracle = CachedOracle::over_cone(&nl, cache, cone.clone());
             for block in &blocks {
                 black_box(oracle.query_block(black_box(block)));
@@ -337,7 +337,7 @@ fn bench_coi_cached_oracle(c: &mut Criterion) {
         })
     });
 
-    let warm_cache = OracleCache::shared_with_cap(0);
+    let warm_cache = OracleCache::shared();
     let mut warm = CachedOracle::over_cone(&nl, warm_cache, cone.clone());
     for block in &blocks {
         warm.query_block(block);

@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! campaign [--spec FILE.toml] [SPEC FLAGS] [--cache-cap N] [--out PREFIX]
+//! campaign [--spec FILE.toml] [SPEC FLAGS] [--out PREFIX]
 //!          [--trace-out FILE] [--metrics-out FILE] [--deterministic]
 //!
 //! SPEC FLAGS (spec-file key `key_name` = flag `--key-name`):
@@ -26,7 +26,7 @@
 use gshe_bench::{fail, SpecArgs};
 use gshe_core::campaign::{
     pool_summary, scheme_name, valid_attack_names, valid_profile_names, valid_scheme_names,
-    CampaignSpec,
+    Campaign, CampaignSpec,
 };
 
 /// Prints usage, including every valid scheme/attack/profile name.
@@ -36,7 +36,7 @@ fn print_help() {
 Runs a protect->attack->measure campaign grid and prints the aggregated table.
 
 USAGE:
-  campaign [--spec FILE.toml] [SPEC FLAGS] [RUN FLAGS] [OUTPUT FLAGS]
+  campaign [--spec FILE.toml] [SPEC FLAGS] [RUN AND OUTPUT FLAGS]
 
 SPEC FLAGS: the spec-file key `key_name` is the flag `--key-name`, with the
 same value and unit (lists comma-separated, strings unquoted); each overrides
@@ -68,12 +68,8 @@ the spec file's value.
                          each finished chunk is evicted; 0 = no budget
                          (every benchmark built at once and kept resident)
 
-RUN FLAGS:
+RUN AND OUTPUT FLAGS:
   --spec FILE.toml       read the spec file before any other flag
-  --cache-cap N          oracle-cache entry cap (0 = unbounded; a session
-                         knob, not a spec-file key)
-
-OUTPUT FLAGS:
   --out PREFIX           write PREFIX.json and PREFIX.csv
   --trace-out FILE       enable instrumentation and write a Chrome
                          trace-event JSON (chrome://tracing / Perfetto)
@@ -89,21 +85,10 @@ OUTPUT FLAGS:
 
 fn main() {
     let args = SpecArgs::parse(print_help);
-    let mut cache_cap = 0;
-    let spec = args.spec(
-        "campaign",
-        CampaignSpec::parse_toml,
-        |spec, key, value| match key {
-            "cache_cap" => value.number().map(|cap| cache_cap = cap),
-            _ => spec.set(key, value),
-        },
-    );
+    let spec = args.spec("campaign", CampaignSpec::parse_toml, CampaignSpec::set);
     args.enable_instrumentation();
 
-    let session = gshe_core::campaign::EvalSession::with_cache_cap(spec.threads, cache_cap);
-    let report = session
-        .run(&spec)
-        .unwrap_or_else(|e| fail(&format!("campaign failed: {e}")));
+    let report = Campaign::run(&spec).unwrap_or_else(|e| fail(&format!("campaign failed: {e}")));
 
     args.write_outputs(|| (report.to_json(), report.to_csv()));
 
@@ -120,16 +105,8 @@ fn main() {
         report.wall_time.as_secs_f64(),
     );
     println!(
-        "oracle cache: {} hits / {} misses / {} entries ({}, {} evictions, block-level keys)",
-        report.cache_hits,
-        report.cache_misses,
-        report.cache_entries,
-        if session.cache().entry_cap() == u64::MAX {
-            "unbounded".to_string()
-        } else {
-            format!("cap {}", session.cache().entry_cap())
-        },
-        session.cache().evictions(),
+        "oracle cache: {} hits / {} misses / {} entries",
+        report.cache_hits, report.cache_misses, report.cache_entries,
     );
     if report.cone_hits + report.cone_misses > 0 {
         println!(

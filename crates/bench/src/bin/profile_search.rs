@@ -13,7 +13,7 @@
 //!   [--level FRACTION, e.g. 0.15] [--scheme gshe16] [--attacks sat,appsat]
 //!   [--rotation-period QUERIES] [--clock-periods-ns 0.8,2,6] [--trials N]
 //!   [--generations N] [--lambda N] [--target-success FRACTION] [--seed N]
-//!   [--timeout-secs SECS] [--threads N] [--cache-cap N]
+//!   [--timeout-secs SECS] [--threads N]
 //! ```
 //!
 //! `--rotation-period N` (> 0) searches the **combined**-defense frontier:
@@ -57,7 +57,6 @@ the spec file's value.
   --seed N               master seed (the whole search replays from it)
   --timeout-secs SECS    wall-clock budget per attack trial in seconds
   --threads N            workers (0 = available parallelism)
-  --cache-cap N          oracle-cache entry cap (0 = unbounded)
 
 RUN AND OUTPUT FLAGS:
   --spec FILE.toml       read the spec file before any other flag
@@ -78,7 +77,7 @@ fn main() {
     let spec = args.spec("profile-search", SearchSpec::parse_toml, SearchSpec::set);
     args.enable_instrumentation();
 
-    let session = EvalSession::with_cache_cap(spec.threads, spec.cache_cap);
+    let session = EvalSession::new(spec.threads);
     let search = ProfileSearch::new(&session, spec)
         .unwrap_or_else(|e| fail(&format!("search setup failed: {e}")));
     let report = search.run();
@@ -122,19 +121,8 @@ fn print_human(report: &SearchReport) {
             )
         },
     );
-    let (hits, misses, entries, evictions, cap) = report.cache;
-    println!(
-        "oracle cache: {} hits / {} misses / {} entries ({}, {} evictions)",
-        hits,
-        misses,
-        entries,
-        if cap == u64::MAX {
-            "unbounded".to_string()
-        } else {
-            format!("cap {cap}")
-        },
-        evictions,
-    );
+    let (hits, misses, entries) = report.cache;
+    println!("oracle cache: {hits} hits / {misses} misses / {entries} entries");
     println!();
     println!("PARETO FRONT (cheapest winning profiles, front-first):");
     println!("        gen switches mean-rate success%   queries  origin");

@@ -26,6 +26,7 @@
 #![warn(missing_docs)]
 
 use gshe_core::campaign::{flag_key, SpecValue};
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 /// Prints `error: <msg>` and exits with status 2 (command-line misuse or a
@@ -159,7 +160,7 @@ pub struct HarnessArgs {
     pub scale: usize,
     /// Per-attack wall-clock budget.
     pub timeout: Duration,
-    /// Monte Carlo sample count.
+    /// Monte Carlo sample count (at least 1).
     pub samples: usize,
     /// Master seed.
     pub seed: u64,
@@ -194,7 +195,8 @@ impl HarnessArgs {
     /// --threads N --levels FRACTIONS` from `std::env::args`, falling back
     /// to the defaults. Levels are fractions of gates camouflaged, as in
     /// campaign specs: `--levels 0.1,0.2`. Fails (see [`fail`]) on a
-    /// missing or malformed value and on an unknown flag.
+    /// missing or malformed value, on `--samples 0` and on an unknown
+    /// flag.
     pub fn parse() -> Self {
         let mut args = HarnessArgs::default();
         let mut argv = std::env::args().skip(1);
@@ -207,7 +209,10 @@ impl HarnessArgs {
                 "--timeout" => {
                     args.timeout = Duration::from_secs(parse_value(&key, &value, "seconds"))
                 }
-                "--samples" => args.samples = parse_value(&key, &value, "an integer"),
+                "--samples" => {
+                    args.samples =
+                        parse_value::<NonZeroUsize>(&key, &value, "a positive integer").get()
+                }
                 "--seed" => args.seed = parse_value(&key, &value, "an integer"),
                 "--only" => args.only = value,
                 "--threads" => args.threads = parse_value(&key, &value, "an integer"),

@@ -1,94 +1,53 @@
-//! Sharded, shared oracle-response cache — the **caching layer** of the
-//! oracle stack.
+//! The session-wide oracle-response cache, and [`CachedOracle`], the
+//! exact chip answering through it.
 //!
-//! Every attack job against the same benchmark queries the same working
-//! chip, and SAT-style attacks re-discover overlapping discriminating
-//! input patterns across schemes, protection levels, and trials (a
-//! deterministic cell's trials replay the *same* query sequence).
-//! Simulating each query once per *campaign* instead of once per *job*
-//! removes that redundancy.
+//! Of the oracle stacks a cell can attack, only the bare exact chip
+//! answers a block the same way twice: noisy answers are samples and
+//! rotating answers follow a per-chip key stream. So only deterministic
+//! static cells answer through the cache, and what hits is a **replay**:
+//! a deterministic cell's later trial asks its first trial's queries
+//! again, and so does a warm session re-running a grid. Distinct cells
+//! rarely ask the same block twice.
 //!
-//! Keys are **block-level**: `(netlist fingerprint, packed 64-pattern
-//! block)` — one hash-and-probe per [`PatternBlock`] instead of one per
-//! pattern, so cached campaign cells stop paying per-pattern hashing on
-//! the bit-parallel path (the ROADMAP scale item). Scalar queries ride
-//! the same path as single-pattern blocks. Values are the packed output
-//! lanes, immutable once inserted (a deterministic oracle always answers
-//! the same), which keeps the protocol to a get-or-insert.
-//!
-//! The map is split into [`SHARDS`] independently-locked shards selected
-//! by the key's hash, so concurrent workers rarely contend on the same
-//! lock.
-//!
-//! Long-lived sessions ([`crate::EvalSession`] — one cache across many
-//! campaigns and search generations) can bound residency with an **entry
-//! cap** ([`OracleCache::shared_with_cap`]): when an insert pushes
-//! [`OracleCache::entries`] past the cap, the oldest entry of a
-//! round-robin-selected shard is evicted (each shard keeps an
-//! insert-order ring, so eviction is per-entry LRU-ish rather than
-//! whole-shard, stats-visible via [`OracleCache::evictions`]) until the
-//! cache fits again. Eviction only ever costs recomputation, never
-//! correctness — entries are pure memoization.
+//! The cache is one `Mutex<HashMap>` with no cap. A key is the netlist
+//! (or cone) fingerprint plus the block's valid patterns packed as one
+//! dense bit string and the pattern count; a value is the packed output
+//! lanes, immutable once inserted (the exact chip always answers the
+//! same), so the protocol is a get-or-insert whose simulation runs
+//! outside the lock. The netlist fingerprint is
+//! [`Netlist::structural_hash`]: one pass over the raw arena, names left
+//! out, taken once per [`CachedOracle`].
 //!
 //! **Cone keys.** Superblue-scale cells attack through a
 //! cone-of-influence projection (`gshe_attacks::coi`), whose
-//! [`CoiOracle`](gshe_attacks::CoiOracle) scatter guarantees every
-//! query reaching the underlying full-design oracle carries `false` on
-//! all non-cone input positions. A [`CacheLayer`] built with a
-//! [`ConeKey`] exploits that invariant: entries key on the packed
-//! *cone-input sub-pattern* (a few words at an ~8k-input design with a
-//! small cone) under a cone-specific fingerprint, so DIP-loop
-//! re-queries across trials and rounds hit even though the full-width
-//! patterns would be megabyte keys. The cone fingerprint mixes the
-//! netlist fingerprint, the cone input ordinal list, and a salt, so
-//! cone entries can never alias full-key entries or another cone's.
-//! Every cone-keyed query asserts the invariant: a block whose valid
-//! patterns set an input outside the cone panics instead of aliasing.
-//!
-//! The netlist fingerprint is [`Netlist::structural_hash`] — one pass
-//! over the raw arena, names left out.
-//!
-//! [`CacheLayer`] is the layer itself: a thin `query_block`-first
-//! combinator over any inner [`Oracle`]. It only composes soundly over
-//! the bare exact stack — noisy answers are samples and rotating answers
-//! are a per-chip key stream, so neither is memoizable — which is why
-//! campaign job materialization stacks it only for deterministic static
-//! cells.
+//! [`CoiOracle`](gshe_attacks::CoiOracle) scatter guarantees every query
+//! reaching the underlying full-design oracle carries `false` on all
+//! non-cone input positions. [`CachedOracle::over_cone`] exploits that
+//! invariant: its entries key on the packed *cone-input sub-pattern* (a
+//! few words at an ~8k-input design with a small cone) under a
+//! cone-specific fingerprint, so DIP-loop re-queries across trials hit
+//! even though the full-width patterns would be kilobyte keys. The cone
+//! fingerprint mixes the netlist fingerprint, the cone input ordinal list
+//! and a salt, so cone entries never alias full-key entries or another
+//! cone's. Every cone-keyed query asserts the invariant: a block whose
+//! valid patterns set an input outside the cone panics instead of
+//! aliasing.
 
 use crate::job::hash_mix;
 use gshe_attacks::{Oracle, OracleStack};
 use gshe_logic::{Netlist, PatternBlock};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Number of independently-locked shards.
-pub const SHARDS: usize = 16;
-
-/// The "unbounded" entry cap (the historical behaviour and the default).
-pub const UNBOUNDED: u64 = u64::MAX;
-
-/// Key: netlist (or cone) fingerprint, then the packed block
-/// ([`pack_block`]) — input lanes masked to the valid patterns, then the
-/// pattern count. Masking makes blocks that differ only in garbage bits
-/// of invalid lanes share one entry; the count word keeps prefix blocks
-/// distinct.
+/// Key: netlist (or cone) fingerprint, then the packed block ([`pack`]).
 type Key = (u64, Vec<u64>);
 
-/// One independently-locked shard: the entry map plus an insert-order
-/// ring over the same keys. Entries only leave through ring-ordered
-/// eviction, so map and ring stay in lockstep.
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<Key, Vec<u64>>,
-    ring: VecDeque<Key>,
-}
-
-/// A process-wide cache of oracle block responses, safe to share across
+/// A session-wide cache of exact-chip block answers, safe to share across
 /// workers.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct OracleCache {
-    shards: [Mutex<Shard>; SHARDS],
+    map: Mutex<HashMap<Key, Vec<u64>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Hits/misses of cone-keyed probes (a subset of `hits`/`misses`).
@@ -96,136 +55,34 @@ pub struct OracleCache {
     cone_misses: AtomicU64,
     /// Widest cone key probed so far, in 64-bit words.
     cone_key_words: AtomicU64,
-    /// Entries evicted by the cap so far.
-    evictions: AtomicU64,
-    /// Maximum resident entries ([`UNBOUNDED`] = no cap).
-    entry_cap: AtomicU64,
-    /// Round-robin cursor selecting the next eviction shard.
-    evict_cursor: AtomicUsize,
-}
-
-impl Default for OracleCache {
-    fn default() -> Self {
-        OracleCache {
-            shards: Default::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            cone_hits: AtomicU64::new(0),
-            cone_misses: AtomicU64::new(0),
-            cone_key_words: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            entry_cap: AtomicU64::new(UNBOUNDED),
-            evict_cursor: AtomicUsize::new(0),
-        }
-    }
 }
 
 impl OracleCache {
-    /// An empty, unbounded cache behind an [`Arc`], ready to hand to
-    /// workers.
+    /// An empty cache behind an [`Arc`], ready to hand to workers.
     pub fn shared() -> Arc<OracleCache> {
         Arc::new(OracleCache::default())
     }
 
-    /// An empty cache bounded to at most `cap` resident entries (0 is
-    /// treated as [`UNBOUNDED`], matching "no cap configured").
-    pub fn shared_with_cap(cap: u64) -> Arc<OracleCache> {
-        let cache = OracleCache::default();
-        cache
-            .entry_cap
-            .store(if cap == 0 { UNBOUNDED } else { cap }, Ordering::Relaxed);
-        Arc::new(cache)
-    }
-
-    /// The configured entry cap ([`UNBOUNDED`] when none).
-    pub fn entry_cap(&self) -> u64 {
-        self.entry_cap.load(Ordering::Relaxed)
-    }
-
-    /// Entries evicted by the cap so far.
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Cap enforcement, called after an insert: while the cache holds
-    /// more than the cap, evict the **oldest entry** (insert-order ring)
-    /// of a round-robin-selected shard. Per-entry eviction keeps the
-    /// working set warm — a cap-1-over insert drops exactly one stale
-    /// block instead of a whole shard's worth of live ones — and the
-    /// just-inserted entry is its shard's newest, so it always survives.
-    fn enforce_cap(&self, keep: usize) {
-        let cap = self.entry_cap.load(Ordering::Relaxed);
-        if cap == UNBOUNDED {
-            return;
-        }
-        while self.entries() > cap {
-            let victim = self.evict_cursor.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            if victim == keep {
-                // Prefer evicting elsewhere so the shard just inserted
-                // into keeps its whole ring; fall through only when every
-                // other shard is already empty (the fresh entry is its
-                // ring's newest, so even then it survives).
-                let others_occupied = self
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .any(|(i, s)| i != keep && !s.lock().unwrap().map.is_empty());
-                if others_occupied {
-                    continue;
-                }
-            }
-            let evicted = {
-                let mut shard = self.shards[victim].lock().unwrap();
-                match shard.ring.pop_front() {
-                    Some(key) => {
-                        shard.map.remove(&key);
-                        true
-                    }
-                    None => false,
-                }
-            };
-            if evicted {
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-                gshe_obs::count("cache.evictions", 1);
-            }
-        }
-    }
-
-    /// Looks up `block` for the netlist identified by `fingerprint`,
-    /// computing and memoizing the packed output lanes via `compute` on a
-    /// miss.
+    /// The answer cached under `(fingerprint, key)`, computing and
+    /// inserting it via `compute` on a miss. `cone` attributes the probe
+    /// to the cone-keyed statistics.
     ///
-    /// `compute` runs *outside* the shard lock so concurrent workers on
-    /// the same shard never serialize their simulations; entries are
-    /// immutable, so the rare duplicate compute under a race is harmless
-    /// (first insert wins).
-    pub fn get_or_insert_block(
+    /// `compute` runs *outside* the lock so concurrent workers never
+    /// serialize their simulations; entries are immutable, so the rare
+    /// duplicate compute under a race is harmless (first insert wins).
+    fn get_or_insert(
         &self,
         fingerprint: u64,
-        block: &PatternBlock,
-        compute: impl FnOnce() -> Vec<u64>,
-    ) -> Vec<u64> {
-        self.get_or_insert_packed(fingerprint, pack_block(block), false, compute)
-    }
-
-    /// Like [`OracleCache::get_or_insert_block`] over an already-packed
-    /// key — the cone-keyed path packs only the cone columns. `cone`
-    /// attributes the probe to the cone-keyed statistics.
-    fn get_or_insert_packed(
-        &self,
-        fingerprint: u64,
-        packed: Vec<u64>,
+        key: Vec<u64>,
         cone: bool,
         compute: impl FnOnce() -> Vec<u64>,
     ) -> Vec<u64> {
         if cone {
             self.cone_key_words
-                .fetch_max(packed.len() as u64, Ordering::Relaxed);
+                .fetch_max(key.len() as u64, Ordering::Relaxed);
         }
-        let key = (fingerprint, packed);
-        let shard_index = (hash_key(&key) as usize) % SHARDS;
-        let shard = &self.shards[shard_index];
-        if let Some(hit) = shard.lock().unwrap().map.get(&key) {
+        let key = (fingerprint, key);
+        if let Some(hit) = self.map.lock().unwrap().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             gshe_obs::count("cache.hits", 1);
             if cone {
@@ -241,14 +98,11 @@ impl OracleCache {
             gshe_obs::count("cache.cone_misses", 1);
         }
         let value = compute();
-        {
-            let mut guard = shard.lock().unwrap();
-            if let std::collections::hash_map::Entry::Vacant(slot) = guard.map.entry(key.clone()) {
-                slot.insert(value.clone());
-                guard.ring.push_back(key);
-            }
-        }
-        self.enforce_cap(shard_index);
+        self.map
+            .lock()
+            .unwrap()
+            .entry(key)
+            .or_insert_with(|| value.clone());
         value
     }
 
@@ -261,7 +115,8 @@ impl OracleCache {
     }
 
     /// (hits, misses) of cone-keyed probes so far — the subset of
-    /// [`OracleCache::stats`] answered through [`ConeKey`]s.
+    /// [`OracleCache::stats`] answered through
+    /// [`CachedOracle::over_cone`].
     pub fn cone_stats(&self) -> (u64, u64) {
         (
             self.cone_hits.load(Ordering::Relaxed),
@@ -277,220 +132,148 @@ impl OracleCache {
         self.cone_key_words.load(Ordering::Relaxed)
     }
 
-    /// Number of distinct blocks currently cached, across all shards.
+    /// Number of distinct blocks cached.
     pub fn entries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().map.len() as u64)
-            .sum()
+        self.map.lock().unwrap().len() as u64
     }
 }
 
-/// Packs a block into its cache-key words: input lanes masked to the
-/// valid patterns, then the pattern count (so `[p]` and `[p, q]` with a
-/// shared prefix differ, and garbage bits beyond `count` never split
-/// logically-identical blocks).
+/// Packs the valid patterns of `block` on `columns` (input ordinals) into
+/// key words: column after column, the `count` valid bits of each
+/// column's lane as one dense bit string, then the pattern count.
 ///
-/// Single-pattern blocks — every DIP query of an attack — use a dense
-/// form instead ([`pack_bits`]): the pattern bit-packed across inputs
-/// plus the arity word (`⌈n/64⌉ + 1` words rather than `n + 1`), so
-/// per-query hashing and resident-key size stay at the pre-block-key
-/// level.
-fn pack_block(block: &PatternBlock) -> Vec<u64> {
-    if block.count == 1 {
-        return pack_bits(block.lanes.iter().map(|&lane| lane & 1 == 1));
-    }
+/// Bits beyond `count` are never read, so blocks that differ only there
+/// share a key, and the count word keeps a block apart from its prefixes.
+/// A key over `w` columns is `⌈count·w/64⌉ + 1` words: at most `w + 1`,
+/// and `⌈w/64⌉ + 1` for the single-pattern query of a DIP round.
+fn pack(block: &PatternBlock, columns: impl ExactSizeIterator<Item = usize>) -> Vec<u64> {
+    let count = block.count;
     let mask = block.valid_mask();
-    let mut words: Vec<u64> = block.lanes.iter().map(|&lane| lane & mask).collect();
-    words.push(block.count as u64);
-    words
-}
-
-/// The dense single-pattern key form shared by the `count == 1` arms of
-/// [`pack_block`] and [`pack_block_cone`]: pattern bits packed across
-/// inputs, then the input arity. The arity word keeps same-fingerprint
-/// queries of different widths (a caller bug the oracle would panic on)
-/// from ever aliasing a cached entry, and keeps the form disjoint from
-/// the multi-pattern encoding (whose word count differs whenever
-/// `n > 1`, and whose trailing count is `>= 2` at `n <= 1`).
-fn pack_bits(bits: impl ExactSizeIterator<Item = bool>) -> Vec<u64> {
-    let len = bits.len();
-    let mut words = vec![0u64; len.div_ceil(64) + 1];
-    for (i, bit) in bits.enumerate() {
-        if bit {
-            words[i / 64] |= 1 << (i % 64);
+    let mut words = vec![0u64; (columns.len() * count).div_ceil(64) + 1];
+    for (c, column) in columns.enumerate() {
+        let bits = block.lanes[column] & mask;
+        let (word, shift) = (c * count / 64, c * count % 64);
+        words[word] |= bits << shift;
+        if shift + count > 64 {
+            words[word + 1] |= bits >> (64 - shift);
         }
     }
-    *words.last_mut().expect("non-empty") = len as u64;
+    *words.last_mut().expect("the count word") = count as u64;
     words
 }
 
-fn hash_key(key: &Key) -> u64 {
-    let mut h = key.0;
-    for &w in &key.1 {
-        h = hash_mix(h ^ w);
+/// The fingerprint cone keys live under: the netlist's mixed with the
+/// cone's input ordinals under a salt, so cone entries never alias
+/// full-key entries (even for a cone reading every input) or another
+/// cone's.
+fn cone_fingerprint(netlist_fingerprint: u64, cone: &[usize]) -> u64 {
+    let mut h = hash_mix(netlist_fingerprint ^ 0xC04E_1B17_5A17_ED01);
+    h = hash_mix(h ^ cone.len() as u64);
+    for &i in cone {
+        h = hash_mix(h ^ i as u64);
     }
     h
 }
 
-/// The cone-input key space of one `(netlist, cone)` pair: the
-/// full-design input ordinals the attacked cone actually reads, plus a
-/// fingerprint mixing the netlist fingerprint with that ordinal list
-/// under a salt. Install on a [`CacheLayer`] **only** when every valid
-/// pattern of every query reaching it is `false` on all non-listed input
-/// positions — the invariant `gshe_attacks::CoiOracle`'s scatter
-/// provides — so the full output lanes are a pure function of the
-/// listed lanes and keying on them alone is sound. The layer asserts the
-/// invariant on every block.
-#[derive(Debug, Clone)]
-pub struct ConeKey {
-    /// Full-design input ordinals the cone reads, ascending.
-    inputs: Vec<usize>,
-    /// Salted mix of the netlist fingerprint and the ordinal list.
-    fingerprint: u64,
-}
-
-impl ConeKey {
-    /// Builds the key space for the cone reading `inputs` (full-design
-    /// input ordinals, ascending) of the netlist identified by
-    /// `full_fingerprint`. The salt keeps cone entries disjoint from
-    /// full-key entries even for a cone that happens to read every input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is not strictly ascending.
-    pub fn new(full_fingerprint: u64, inputs: Vec<usize>) -> Self {
-        assert!(
-            inputs.windows(2).all(|w| w[0] < w[1]),
-            "cone input ordinals must be strictly ascending"
-        );
-        let mut h = hash_mix(full_fingerprint ^ 0xC04E_1B17_5A17_ED01);
-        h = hash_mix(h ^ inputs.len() as u64);
-        for &i in &inputs {
-            h = hash_mix(h ^ i as u64);
-        }
-        ConeKey {
-            inputs,
-            fingerprint: h,
-        }
-    }
-
-    /// Number of cone inputs (the sub-pattern width, in bits).
-    pub fn width(&self) -> usize {
-        self.inputs.len()
-    }
-
-    /// Panics unless every valid pattern of `block` is `false` on every
-    /// input outside the cone — the contract that makes keying on the
-    /// cone lanes alone sound. One pass over the lanes.
-    fn assert_conforms(&self, block: &PatternBlock) {
-        let mask = block.valid_mask();
-        let mut cone = self.inputs.iter().peekable();
-        for (i, &lane) in block.lanes.iter().enumerate() {
-            if cone.next_if_eq(&&i).is_none() {
-                assert!(
-                    lane & mask == 0,
-                    "cone-keyed cache query sets input {i}, which is outside the cone"
-                );
-            }
-        }
-    }
-}
-
-/// Packs the cone-input sub-pattern of `block` under `cone`'s key
-/// space: the listed lanes masked to the valid patterns plus the count
-/// word, or the dense [`pack_bits`] form for a single pattern — the
-/// same two encodings as [`pack_block`], restricted to the cone
-/// columns.
-fn pack_block_cone(block: &PatternBlock, cone: &ConeKey) -> Vec<u64> {
-    if block.count == 1 {
-        return pack_bits(ConeBits {
-            lanes: &block.lanes,
-            ordinals: cone.inputs.iter(),
-        });
-    }
+/// Panics unless every valid pattern of `block` is `false` on every input
+/// outside `cone` (ascending ordinals) — the contract that makes keying
+/// on the cone lanes alone sound. One pass over the lanes.
+fn assert_zero_outside(block: &PatternBlock, cone: &[usize]) {
     let mask = block.valid_mask();
-    let mut words: Vec<u64> = cone.inputs.iter().map(|&i| block.lanes[i] & mask).collect();
-    words.push(block.count as u64);
-    words
-}
-
-/// Exact-size adaptor feeding a cone's bit columns into [`pack_bits`].
-struct ConeBits<'a> {
-    lanes: &'a [u64],
-    ordinals: std::slice::Iter<'a, usize>,
-}
-
-impl Iterator for ConeBits<'_> {
-    type Item = bool;
-    fn next(&mut self) -> Option<bool> {
-        self.ordinals.next().map(|&i| self.lanes[i] & 1 == 1)
+    let mut cone = cone.iter().peekable();
+    for (i, &lane) in block.lanes.iter().enumerate() {
+        if cone.next_if_eq(&&i).is_none() {
+            assert!(
+                lane & mask == 0,
+                "cone-keyed cache query sets input {i}, which is outside the cone"
+            );
+        }
     }
 }
 
-impl ExactSizeIterator for ConeBits<'_> {
-    fn len(&self) -> usize {
-        self.ordinals.len()
-    }
-}
-
-/// The caching layer: a `query_block`-first combinator answering through
-/// the campaign-wide [`OracleCache`], falling through to the inner oracle
-/// on a miss. Query accounting stays per-pattern and per-layer-instance
-/// (the inner oracle only counts misses).
-///
-/// Only sound over a *deterministic, non-rotating* inner oracle — the
-/// one stack composition whose answers are a pure function of the input
-/// block.
+/// The exact chip over one campaign netlist, answering through the
+/// session's [`OracleCache`] and simulating only on a miss. It is the
+/// only cached oracle, because the exact chip's answers are the only ones
+/// that can be memoized. Query accounting is per instance and per
+/// pattern, hit or miss.
 #[derive(Debug, Clone)]
-pub struct CacheLayer<O> {
-    inner: O,
-    fingerprint: u64,
+pub struct CachedOracle<'a> {
+    inner: OracleStack<'a>,
     cache: Arc<OracleCache>,
-    cone: Option<ConeKey>,
+    /// The netlist's fingerprint, or the cone's ([`cone_fingerprint`]).
+    fingerprint: u64,
+    /// For a cone-keyed oracle, the full-design input ordinals its keys
+    /// are packed from, ascending.
+    cone: Option<Vec<usize>>,
     count: u64,
 }
 
-impl<O: Oracle> CacheLayer<O> {
-    /// Stacks the cache over `inner`, whose netlist is identified by
-    /// `fingerprint` (see [`Netlist::structural_hash`]).
-    pub fn new(inner: O, fingerprint: u64, cache: Arc<OracleCache>) -> Self {
-        CacheLayer {
-            inner,
-            fingerprint,
+impl<'a> CachedOracle<'a> {
+    /// The exact chip for `netlist`, keyed on every input.
+    pub fn over(netlist: &'a Netlist, cache: Arc<OracleCache>) -> Self {
+        CachedOracle {
+            inner: OracleStack::exact(netlist),
             cache,
+            fingerprint: netlist.structural_hash(),
             cone: None,
             count: 0,
         }
     }
 
-    /// Switches this layer to cone-input keys. See [`ConeKey`] for the
-    /// soundness contract the caller must uphold; every query asserts it.
-    pub fn with_cone(mut self, cone: ConeKey) -> Self {
-        self.cone = Some(cone);
-        self
+    /// Like [`CachedOracle::over`], keyed on the cone-input sub-pattern:
+    /// `cone_inputs` are the full-design input ordinals of the cone the
+    /// attack will run through (see
+    /// [`gshe_attacks::cone_inputs`](gshe_attacks::coi::cone_inputs)).
+    /// Sound only when every query arrives through the matching
+    /// `CoiOracle` scatter, which sets no input outside the cone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cone_inputs` is not strictly ascending, and on any query
+    /// whose valid patterns set an input outside the cone.
+    pub fn over_cone(
+        netlist: &'a Netlist,
+        cache: Arc<OracleCache>,
+        cone_inputs: Vec<usize>,
+    ) -> Self {
+        assert!(
+            cone_inputs.windows(2).all(|w| w[0] < w[1]),
+            "cone input ordinals must be strictly ascending"
+        );
+        let mut oracle = Self::over(netlist, cache);
+        oracle.fingerprint = cone_fingerprint(oracle.fingerprint, &cone_inputs);
+        oracle.cone = Some(cone_inputs);
+        oracle
     }
 }
 
-impl<O: Oracle> Oracle for CacheLayer<O> {
+impl Oracle for CachedOracle<'_> {
+    /// # Panics
+    ///
+    /// Panics on a block whose width is not the netlist's input count,
+    /// and, for a cone-keyed oracle, on a block whose valid patterns set
+    /// an input outside the cone.
     fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
+        assert_eq!(
+            block.lanes.len(),
+            self.inner.num_inputs(),
+            "cached oracle query has the wrong number of inputs"
+        );
         self.count += block.count as u64;
         let timed = gshe_obs::enabled().then(std::time::Instant::now);
-        let inner = &mut self.inner;
-        let out = match &self.cone {
+        let key = match &self.cone {
             Some(cone) => {
-                cone.assert_conforms(block);
-                self.cache.get_or_insert_packed(
-                    cone.fingerprint,
-                    pack_block_cone(block, cone),
-                    true,
-                    || inner.query_block(block),
-                )
+                assert_zero_outside(block, cone);
+                pack(block, cone.iter().copied())
             }
-            None => self
-                .cache
-                .get_or_insert_block(self.fingerprint, block, || inner.query_block(block)),
+            None => pack(block, 0..block.lanes.len()),
         };
+        let inner = &mut self.inner;
+        let out = self
+            .cache
+            .get_or_insert(self.fingerprint, key, self.cone.is_some(), || {
+                inner.query_block(block)
+            });
         if let Some(t0) = timed {
             gshe_obs::record("cache.query_block_ns", t0.elapsed().as_nanos() as u64);
         }
@@ -510,46 +293,20 @@ impl<O: Oracle> Oracle for CacheLayer<O> {
     }
 }
 
-/// The campaign's deterministic cached oracle: the caching layer over the
-/// bare exact stack sharing a campaign netlist.
-pub type CachedOracle<'a> = CacheLayer<OracleStack<'a>>;
-
-impl<'a> CachedOracle<'a> {
-    /// Stacks the campaign cache over an exact base for `netlist`.
-    pub fn over(netlist: &'a Netlist, cache: Arc<OracleCache>) -> Self {
-        CacheLayer::new(
-            OracleStack::exact(netlist),
-            netlist.structural_hash(),
-            cache,
-        )
-    }
-
-    /// Like [`CachedOracle::over`], keyed on the cone-input sub-pattern:
-    /// `cone_inputs` are the full-design input ordinals of the cone the
-    /// attack will run through (see
-    /// [`gshe_attacks::cone_inputs`](gshe_attacks::coi::cone_inputs)).
-    /// Sound only when every query arrives through the matching
-    /// `CoiOracle` scatter — see [`ConeKey`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cone_inputs` is not strictly ascending, and on any query
-    /// whose valid patterns set an input outside the cone.
-    pub fn over_cone(
-        netlist: &'a Netlist,
-        cache: Arc<OracleCache>,
-        cone_inputs: Vec<usize>,
-    ) -> Self {
-        let fingerprint = netlist.structural_hash();
-        CacheLayer::new(OracleStack::exact(netlist), fingerprint, cache)
-            .with_cone(ConeKey::new(fingerprint, cone_inputs))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Every c17 input pattern, pattern `p` setting input `k` to bit `k`
+    /// of `p`.
+    fn c17_patterns() -> Vec<Vec<bool>> {
+        (0..32u32)
+            .map(|p| (0..5).map(|k| (p >> k) & 1 == 1).collect())
+            .collect()
+    }
 
     #[test]
     fn cache_hits_on_repeat_queries_across_oracles() {
@@ -588,12 +345,12 @@ mod tests {
         for lane in &mut garbage.lanes {
             *lane |= 0xFFFF_0000;
         }
-        assert_eq!(pack_block(&a), pack_block(&garbage));
+        assert_eq!(pack(&a, 0..5), pack(&garbage, 0..5));
         let longer = PatternBlock {
             lanes: a.lanes.clone(),
             count: 3,
         };
-        assert_ne!(pack_block(&a), pack_block(&longer));
+        assert_ne!(pack(&a, 0..5), pack(&longer, 0..5));
 
         let nl = parse_bench(C17_BENCH).unwrap();
         let cache = OracleCache::shared();
@@ -611,13 +368,7 @@ mod tests {
         // scalar query is a 1-pattern block query, so both share one
         // entry.
         let one = PatternBlock::from_patterns(&[vec![true, false, true, false, true]]);
-        assert_eq!(pack_block(&one), vec![0b10101, 5]);
-        // The arity word keeps different-width patterns (a caller bug)
-        // from aliasing: [T] and [T, F] pack to distinct keys.
-        assert_ne!(
-            pack_bits([true].into_iter()),
-            pack_bits([true, false].into_iter())
-        );
+        assert_eq!(pack(&one, 0..5), vec![0b10101, 1]);
 
         let nl = parse_bench(C17_BENCH).unwrap();
         let cache = OracleCache::shared();
@@ -631,39 +382,86 @@ mod tests {
     }
 
     #[test]
-    fn entry_cap_evicts_coarsely_and_counts() {
-        // A capped cache must never hold more entries than the cap after
-        // an insert settles, must count what it dropped, and must keep
-        // answering correctly (eviction costs recomputation only).
+    #[should_panic(expected = "wrong number of inputs")]
+    fn queries_of_another_width_are_refused() {
+        // Keys carry no width, so a block of another width must never
+        // reach the map: [T] would otherwise read c17's answer to
+        // [T, F, F, F, F].
         let nl = parse_bench(C17_BENCH).unwrap();
-        let cache = OracleCache::shared_with_cap(8);
-        assert_eq!(cache.entry_cap(), 8);
-        let mut o = CachedOracle::over(&nl, Arc::clone(&cache));
-        let patterns: Vec<Vec<bool>> = (0..32u32)
-            .map(|p| (0..5).map(|k| (p >> k) & 1 == 1).collect())
-            .collect();
-        let answers: Vec<Vec<bool>> = patterns.iter().map(|p| o.query(p)).collect();
+        let mut o = CachedOracle::over(&nl, OracleCache::shared());
+        o.query(&[true, false, false, false, false]);
+        o.query(&[true]);
+    }
+
+    #[test]
+    fn keys_agree_exactly_when_counts_and_valid_columns_agree() {
+        // Random block pairs, each of the second drawn to agree with the
+        // first or not in one of several ways: the keys must be equal
+        // exactly when the counts and the valid patterns on the key's
+        // columns are, whatever lies beyond `count` or outside the
+        // columns, and every key is ⌈count·w/64⌉ + 1 words.
+        let mut rng = StdRng::seed_from_u64(24);
+        let (mut equal, mut unequal) = (0, 0);
+        for n in [0usize, 1, 63, 64, 65] {
+            let strict_subset: Vec<usize> = (0..n).filter(|i| i % 3 != 1).collect();
+            let column_sets = if n == 0 {
+                vec![Vec::new()]
+            } else {
+                vec![(0..n).collect(), strict_subset]
+            };
+            for columns in &column_sets {
+                for _ in 0..200 {
+                    let count = rng.gen_range(1..=64);
+                    let a = PatternBlock::random_n(n, count, &mut rng);
+                    let mut b = a.clone();
+                    match rng.gen_range(0..4) {
+                        // The same valid patterns, other garbage beyond
+                        // `count` and other bits outside the columns.
+                        0 => {
+                            let mask = a.valid_mask();
+                            for (i, lane) in b.lanes.iter_mut().enumerate() {
+                                let fresh: u64 = rng.gen();
+                                *lane = if columns.contains(&i) {
+                                    (*lane & mask) | (fresh & !mask)
+                                } else {
+                                    fresh
+                                };
+                            }
+                        }
+                        // One valid bit flipped, on any input.
+                        1 if n > 0 => {
+                            let (i, k) = (rng.gen_range(0..n), rng.gen_range(0..count));
+                            b.lanes[i] ^= 1 << k;
+                        }
+                        // Another count over the same lanes.
+                        2 => b.count = rng.gen_range(1..=64),
+                        // An unrelated block.
+                        _ => b = PatternBlock::random_n(n, rng.gen_range(1..=64), &mut rng),
+                    }
+                    let agree = a.count == b.count
+                        && columns
+                            .iter()
+                            .all(|&i| a.lanes[i] & a.valid_mask() == b.lanes[i] & b.valid_mask());
+                    let (ka, kb) = (
+                        pack(&a, columns.iter().copied()),
+                        pack(&b, columns.iter().copied()),
+                    );
+                    assert_eq!(ka == kb, agree, "n={n} w={} a={a:?} b={b:?}", columns.len());
+                    for (block, key) in [(&a, &ka), (&b, &kb)] {
+                        assert_eq!(key.len(), (block.count * columns.len()).div_ceil(64) + 1);
+                    }
+                    if agree {
+                        equal += 1;
+                    } else {
+                        unequal += 1;
+                    }
+                }
+            }
+        }
         assert!(
-            cache.entries() <= 8,
-            "cap not enforced: {} entries",
-            cache.entries()
+            equal > 100 && unequal > 100,
+            "{equal} equal, {unequal} unequal"
         );
-        assert!(cache.evictions() > 0, "32 inserts into cap 8 must evict");
-        // Evicted patterns recompute to the same answers.
-        for (p, y) in patterns.iter().zip(&answers) {
-            assert_eq!(o.query(p), *y);
-        }
-        // An unbounded cache never evicts.
-        let unbounded = OracleCache::shared();
-        assert_eq!(unbounded.entry_cap(), UNBOUNDED);
-        let mut o = CachedOracle::over(&nl, Arc::clone(&unbounded));
-        for p in &patterns {
-            let _ = o.query(p);
-        }
-        assert_eq!(unbounded.evictions(), 0);
-        assert_eq!(unbounded.entries(), 32);
-        // Cap 0 means "no cap configured".
-        assert_eq!(OracleCache::shared_with_cap(0).entry_cap(), UNBOUNDED);
     }
 
     #[test]
@@ -671,10 +469,8 @@ mod tests {
         let nl = parse_bench(C17_BENCH).unwrap();
         let cache = OracleCache::shared();
         let mut o = CachedOracle::over(&nl, Arc::clone(&cache));
-        let patterns: Vec<Vec<bool>> = (0..10u32)
-            .map(|p| (0..5).map(|k| (p >> k) & 1 == 1).collect())
-            .collect();
-        let block = PatternBlock::from_patterns(&patterns);
+        let patterns = &c17_patterns()[..10];
+        let block = PatternBlock::from_patterns(patterns);
         let lanes = o.query_block(&block);
         assert_eq!(o.queries(), 10);
         assert_eq!(cache.stats(), (0, 1), "one probe per block, not ten");
@@ -693,39 +489,60 @@ mod tests {
     }
 
     #[test]
-    fn per_entry_eviction_keeps_the_newest_insert_resident() {
-        // cap 1: every new distinct block evicts the previous one, never
-        // itself — the insert-order ring's recency guarantee, which the
-        // old whole-shard clearing could not give.
+    fn threads_sharing_one_cache_answer_exactly_and_count_every_lookup() {
+        // Four workers share one cache. Each asks every c17 pattern as a
+        // scalar and the four 8-pattern blocks, through its own full-key
+        // and cone-keyed oracle (the cone reads every input, so every
+        // pattern conforms), in its own order, all starting together.
+        // Racing misses may simulate a key twice, but every answer is the
+        // exact chip's, every lookup is counted once, and each distinct
+        // key is one entry.
         let nl = parse_bench(C17_BENCH).unwrap();
-        let cache = OracleCache::shared_with_cap(1);
-        let mut o = CachedOracle::over(&nl, Arc::clone(&cache));
-        for p in 0..8u32 {
-            let pattern: Vec<bool> = (0..5).map(|k| (p >> k) & 1 == 1).collect();
-            let first = o.query(&pattern);
-            assert_eq!(cache.entries(), 1, "cap 1 after insert {p}");
-            // The immediate replay must hit: the fresh entry survived.
-            let (hits_before, _) = cache.stats();
-            assert_eq!(o.query(&pattern), first);
-            assert_eq!(
-                cache.stats().0,
-                hits_before + 1,
-                "insert {p} evicted itself"
-            );
-        }
-        assert_eq!(
-            cache.evictions(),
-            7,
-            "each insert after the first evicts one"
-        );
+        let cache = OracleCache::shared();
+        let patterns = c17_patterns();
+        let blocks: Vec<PatternBlock> = patterns
+            .chunks(8)
+            .map(PatternBlock::from_patterns)
+            .collect();
+        const THREADS: usize = 4;
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (nl, cache, patterns, blocks, start) =
+                    (&nl, &cache, &patterns, &blocks, &start);
+                scope.spawn(move || {
+                    let mut exact = OracleStack::exact(nl);
+                    let mut full = CachedOracle::over(nl, Arc::clone(cache));
+                    let mut cone = CachedOracle::over_cone(nl, Arc::clone(cache), (0..5).collect());
+                    start.wait();
+                    for step in 0..patterns.len() {
+                        let p = &patterns[(step * 7 + t * 9) % patterns.len()];
+                        let y = exact.query(p);
+                        assert_eq!(full.query(p), y, "thread {t}, pattern {p:?}");
+                        assert_eq!(cone.query(p), y, "thread {t}, pattern {p:?}");
+                    }
+                    for step in 0..blocks.len() {
+                        let block = &blocks[(step + t) % blocks.len()];
+                        let y = exact.query_block(block);
+                        assert_eq!(full.query_block(block), y, "thread {t}");
+                        assert_eq!(cone.query_block(block), y, "thread {t}");
+                    }
+                });
+            }
+        });
+        let per_oracle = (patterns.len() + blocks.len()) as u64;
+        let (hits, misses) = cache.stats();
+        assert_eq!(hits + misses, THREADS as u64 * 2 * per_oracle);
+        let (cone_hits, cone_misses) = cache.cone_stats();
+        assert_eq!(cone_hits + cone_misses, THREADS as u64 * per_oracle);
+        assert_eq!(cache.entries(), 2 * per_oracle, "one entry per key");
+        assert!(misses >= cache.entries());
     }
 
     /// Two independent cones; only the first is camouflaged, so the COI
     /// projection engages with cone inputs {a, b}.
     fn split_design() -> (gshe_logic::Netlist, gshe_camo::KeyedNetlist) {
         use gshe_logic::{Bf2, NetlistBuilder};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let mut b = NetlistBuilder::new("split");
         let a = b.input("a");
         let c = b.input("b");
@@ -815,7 +632,7 @@ mod tests {
     fn cone_keyed_queries_must_be_zero_outside_the_cone() {
         // Two blocks that differ only outside the cone would share one
         // cone-keyed entry and get one answer for two different output
-        // sets, so the layer refuses any block that sets a non-cone input
+        // sets, so the oracle refuses any block that sets a non-cone input
         // in a valid pattern.
         let nl = parse_bench(C17_BENCH).unwrap();
         let mut o = CachedOracle::over_cone(&nl, OracleCache::shared(), vec![0, 2]);

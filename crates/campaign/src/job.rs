@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// SplitMix64 finalizer: the one-way mixer used for seed derivation and
-/// cache sharding.
+/// the oracle cache's cone fingerprints.
 pub fn hash_mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -1,6 +1,6 @@
 //! # gshe-campaign
 //!
-//! A sharded, multi-threaded **campaign engine** orchestrating
+//! A multi-threaded **campaign engine** orchestrating
 //! protect→attack→measure experiments at scale. The paper's evaluation
 //! (Tables II–IV, Figs. 4–6) is a grid of campaigns — many netlists ×
 //! camouflaging schemes × attack configurations × stochastic error rates —
@@ -16,10 +16,11 @@
 //! * [`pool`] — a work-stealing thread pool (std-only) executing jobs with
 //!   per-job wall-clock budgets; a job that exhausts its budget is marked
 //!   [`JobStatus::TimedOut`] instead of wedging the pool;
-//! * [`cache`] — the oracle stack's caching layer: a sharded,
-//!   campaign-wide oracle-response cache with **block-level** keys
-//!   (netlist fingerprint + packed 64-pattern block), so no block is
-//!   simulated — or hashed pattern-at-a-time — twice across jobs;
+//! * [`cache`] — the session-wide cache of exact-chip answers (one map,
+//!   keyed on the netlist fingerprint and the packed pattern block) and
+//!   [`CachedOracle`], the exact chip answering through it, so a
+//!   replayed block — a deterministic cell's later trial, a warm
+//!   session's rerun — is simulated once;
 //! * [`physical`] — device-derived operating points: the Monte Carlo
 //!   error-rate derivations and the clock-period → error-rate table
 //!   (one Monte Carlo run, every period read off its samples) behind the
@@ -151,7 +152,7 @@ pub mod search;
 pub mod spec;
 
 pub use aggregate::{CellKey, DeviceRow, TableRow};
-pub use cache::{CacheLayer, CachedOracle, OracleCache};
+pub use cache::{CachedOracle, OracleCache};
 pub use job::{
     noise_profile, run_job, select_seed, transform_seed, AttackSeeds, JobContext, JobKind,
     JobResult, JobSpec, JobStatus, KeyedMemo, NoiseShape,
@@ -286,18 +287,11 @@ impl std::fmt::Debug for EvalSession {
 
 impl EvalSession {
     /// A session with `threads` workers (0 = available parallelism) and an
-    /// unbounded oracle cache.
+    /// empty oracle cache.
     pub fn new(threads: usize) -> Self {
-        Self::with_cache_cap(threads, 0)
-    }
-
-    /// A session whose oracle cache is bounded to `cache_cap` entries
-    /// (0 = unbounded) — long-lived sessions scoring open-ended candidate
-    /// streams should set a cap so the cache cannot grow without bound.
-    pub fn with_cache_cap(threads: usize, cache_cap: u64) -> Self {
         EvalSession {
             pool: pool::WorkerPool::new(resolve_threads(threads)),
-            cache: OracleCache::shared_with_cap(cache_cap),
+            cache: OracleCache::shared(),
             netlists: Mutex::new(Vec::new()),
             keyed: Arc::new(job::KeyedMemo::default()),
             params: SwitchParams::table_i(),
@@ -502,8 +496,8 @@ impl EvalSession {
     /// [`CampaignSpec::expand`] rejects, which a hand-built job list has
     /// not been through: a scale below 1, a job timeout too large for a
     /// deadline, an attack job's level outside `(0, 1]` or error rate
-    /// outside `[0, 1]`. Also when a job references a benchmark that
-    /// cannot be instantiated.
+    /// outside `[0, 1]`, and a device job without samples. Also when a
+    /// job references a benchmark that cannot be instantiated.
     pub fn run_jobs(
         &self,
         spec: &CampaignSpec,
@@ -513,12 +507,18 @@ impl EvalSession {
         check_scale(spec.scale)?;
         for job in &jobs {
             check_timeout(job.timeout)?;
-            if let JobKind::Attack {
-                level, error_rate, ..
-            } = &job.kind
-            {
-                check_level(*level)?;
-                check_rate("error rate", *error_rate)?;
+            match &job.kind {
+                JobKind::Attack {
+                    level, error_rate, ..
+                } => {
+                    check_level(*level)?;
+                    check_rate("error rate", *error_rate)?;
+                }
+                JobKind::DeviceDelay { samples, .. } | JobKind::DeviceErrorRate { samples, .. } => {
+                    if *samples == 0 {
+                        return Err("a device job needs at least one sample, got 0".to_string());
+                    }
+                }
             }
         }
         let start = Instant::now();
@@ -902,12 +902,22 @@ mod tests {
         unscaled.scale = 0;
         let mut forever = job.clone();
         forever.timeout = Duration::from_secs(u64::MAX);
+        let unsampled = JobSpec {
+            kind: JobKind::DeviceErrorRate {
+                i_s: 20e-6,
+                t_clk: 1e-9,
+                samples: 0,
+                seed: 1,
+            },
+            timeout: spec.timeout,
+        };
         let cases = [
             (&spec, attack(10.0, 0.0), "got 10"),
             (&spec, attack(f64::NAN, 0.0), "got NaN"),
             (&spec, attack(0.15, 1.5), "got 1.5"),
             (&unscaled, job.clone(), "got 0"),
             (&spec, forever, "got 18446744073709551615 s"),
+            (&spec, unsampled, "at least one sample, got 0"),
         ];
         for (spec, job, value) in cases {
             let session = EvalSession::new(1);

@@ -13,9 +13,7 @@
 //! The pool is **persistent** ([`WorkerPool`]): workers spawn once and
 //! sleep on a condvar between batches, so an [`crate::EvalSession`] that
 //! scores thousands of search candidates pays the thread-spawn cost once
-//! per session instead of once per scoring call. The one-shot [`run_all`]
-//! free function (spawn, drain, join) remains for callers that genuinely
-//! run a single batch.
+//! per session instead of once per scoring call.
 //!
 //! Results are returned **in submission order**, which is what makes
 //! campaign reports byte-identical across `threads = 1` and `threads = N`:
@@ -330,16 +328,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One-shot convenience: spawns an ephemeral pool, runs `tasks`, joins.
-/// Callers that run more than one batch should hold a [`WorkerPool`]
-/// (usually via an [`crate::EvalSession`]) instead.
-pub fn run_all<R: Send + 'static>(
-    threads: usize,
-    tasks: Vec<Box<dyn FnOnce() -> R + Send>>,
-) -> Vec<R> {
-    WorkerPool::new(threads).run_all(tasks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,7 +346,7 @@ mod tests {
     fn results_arrive_in_submission_order() {
         for threads in [1, 2, 4, 8] {
             let tasks = boxed((0..50).map(|i| move || i * i).collect::<Vec<_>>());
-            let out = run_all(threads, tasks);
+            let out = WorkerPool::new(threads).run_all(tasks);
             assert_eq!(
                 out,
                 (0..50).map(|i| i * i).collect::<Vec<_>>(),
@@ -403,7 +391,7 @@ mod tests {
             })
             .collect();
         let start = std::time::Instant::now();
-        let out = run_all(4, tasks);
+        let out = WorkerPool::new(4).run_all(tasks);
         let elapsed = start.elapsed();
         assert_eq!(out, (0..8).collect::<Vec<_>>());
         assert_eq!(slow_ran.load(Ordering::SeqCst), 4);
@@ -417,7 +405,7 @@ mod tests {
 
     #[test]
     fn zero_threads_degrades_to_one() {
-        let out = run_all(0, boxed(vec![|| 7usize]));
+        let out = WorkerPool::new(0).run_all(boxed(vec![|| 7usize]));
         assert_eq!(out, vec![7]);
         assert_eq!(WorkerPool::new(0).threads(), 1);
     }

@@ -43,8 +43,9 @@ pub struct CampaignReport {
     /// Cache misses on cone-keyed lookups. Subset of `cache_misses`.
     pub cone_misses: u64,
     /// Widest cone key packed so far, in 64-bit words (0 = no cone-keyed
-    /// traffic). Full-width block keys for the same designs would be
-    /// `ceil(inputs/64) + 1` words — the gap is the key-compression win.
+    /// traffic). A full-width key for the same `count`-pattern block
+    /// would be `ceil(count * inputs / 64) + 1` words — the gap is the
+    /// key-compression win.
     pub cone_key_words: u64,
     /// Peak bytes of memoized benchmark-netlist arenas over the run (the
     /// quantity the `memo_budget_mb` admission gate bounds).

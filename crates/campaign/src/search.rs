@@ -68,7 +68,7 @@ fn profile_salt(profile: &ErrorProfile) -> u64 {
 
 /// The keys of a search spec, in documentation order. Each is a
 /// spec-file key and, spelled `--key-name`, a `profile-search` flag.
-pub const SEARCH_KEYS: [&str; 16] = [
+pub const SEARCH_KEYS: [&str; 15] = [
     "name",
     "benchmark",
     "scale",
@@ -84,7 +84,6 @@ pub const SEARCH_KEYS: [&str; 16] = [
     "seed",
     "timeout_secs",
     "threads",
-    "cache_cap",
 ];
 
 /// A declarative description of one profile search.
@@ -126,8 +125,6 @@ pub struct SearchSpec {
     pub timeout: Duration,
     /// Worker threads (0 = available parallelism).
     pub threads: usize,
-    /// Oracle-cache entry cap for the session (0 = unbounded).
-    pub cache_cap: u64,
 }
 
 impl Default for SearchSpec {
@@ -148,7 +145,6 @@ impl Default for SearchSpec {
             seed: 1,
             timeout: Duration::from_secs(30),
             threads: 0,
-            cache_cap: 1 << 16,
         }
     }
 }
@@ -190,7 +186,6 @@ impl SearchSpec {
             "seed" => self.seed = value.number()?,
             "timeout_secs" => self.timeout = Duration::from_secs(value.number()?),
             "threads" => self.threads = value.number()?,
-            "cache_cap" => self.cache_cap = value.number()?,
             other => return Err(unknown_key(other, &SEARCH_KEYS)),
         }
         Ok(())
@@ -274,9 +269,8 @@ pub struct SearchReport {
     pub threads: usize,
     /// Total wall-clock time.
     pub wall_time: Duration,
-    /// Oracle cache (hits, misses, entries, evictions, cap) at the end of
-    /// the search.
-    pub cache: (u64, u64, u64, u64, u64),
+    /// Oracle cache (hits, misses, entries) at the end of the search.
+    pub cache: (u64, u64, u64),
 }
 
 impl SearchReport {
@@ -324,18 +318,14 @@ impl SearchReport {
             self.spec.lambda,
         );
         if timing {
-            let (hits, misses, entries, evictions, cap) = self.cache;
+            let (hits, misses, entries) = self.cache;
             let _ = write!(
                 out,
                 ",\"threads\":{},\"wall_time_secs\":{},\"cache_hits\":{hits},\
-                 \"cache_misses\":{misses},\"cache_entries\":{entries},\
-                 \"cache_evictions\":{evictions}",
+                 \"cache_misses\":{misses},\"cache_entries\":{entries}",
                 self.threads,
                 json_f64(self.wall_time.as_secs_f64()),
             );
-            if cap != crate::cache::UNBOUNDED {
-                let _ = write!(out, ",\"cache_cap\":{cap}");
-            }
         }
         out.push_str(",\"front\":[");
         for (i, &idx) in self.front.iter().enumerate() {
@@ -664,13 +654,7 @@ impl<'s> ProfileSearch<'s> {
             front,
             threads: self.session.threads(),
             wall_time: start.elapsed(),
-            cache: (
-                hits,
-                misses,
-                cache.entries(),
-                cache.evictions(),
-                cache.entry_cap(),
-            ),
+            cache: (hits, misses, cache.entries()),
         }
     }
 }
@@ -836,7 +820,7 @@ mod tests {
 
     /// A sample value for every key, spelled for a spec file and as a
     /// flag; each differs from the key's default.
-    const SAMPLES: [(&str, &str, &str); 16] = [
+    const SAMPLES: [(&str, &str, &str); 15] = [
         ("name", r#""s""#, "s"),
         ("benchmark", r#""c7552""#, "c7552"),
         ("scale", "40", "40"),
@@ -852,7 +836,6 @@ mod tests {
         ("seed", "9", "9"),
         ("timeout_secs", "20", "20"),
         ("threads", "2", "2"),
-        ("cache_cap", "1024", "1024"),
     ];
 
     #[test]
@@ -888,7 +871,6 @@ mod tests {
         assert_eq!(spec.seed, 9);
         assert_eq!(spec.timeout, Duration::from_secs(20));
         assert_eq!(spec.threads, 2);
-        assert_eq!(spec.cache_cap, 1024);
 
         let err = SearchSpec::parse_toml("bogus = 1").unwrap_err();
         assert!(err.contains("valid keys:"), "{err}");
@@ -1128,7 +1110,7 @@ mod tests {
             front: vec![1],
             threads: 2,
             wall_time: Duration::from_secs(1),
-            cache: (1, 2, 3, 4, 1 << 16),
+            cache: (1, 2, 3),
         };
         let det = report.deterministic_json();
         assert!(det.contains("\"front\":[{"));
@@ -1137,7 +1119,7 @@ mod tests {
         assert!(!det.contains("wall_time"));
         let full = report.to_json();
         assert!(full.contains("\"wall_time_secs\""));
-        assert!(full.contains("\"cache_cap\":65536"));
+        assert!(full.contains("\"cache_entries\":3"), "{full}");
         let csv = report.to_csv();
         assert!(csv.lines().count() == 3);
         assert!(csv.contains(",true,true,"), "{csv}");

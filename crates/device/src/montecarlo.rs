@@ -64,11 +64,11 @@ impl MonteCarlo {
 
     /// Runs `samples` thermal switching events at spin current `i_s` on
     /// every available core and returns the raw samples (in sample-index
-    /// order, reproducibly).
+    /// order, reproducibly; none for 0 samples).
     pub fn run(&self, i_s: f64) -> Vec<DelaySample> {
         let n = self.config.samples;
         let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-        let chunk = n.div_ceil(threads);
+        let chunk = n.div_ceil(threads).max(1);
         let mut results: Vec<Option<DelaySample>> = vec![None; n];
 
         std::thread::scope(|scope| {
@@ -272,6 +272,12 @@ mod tests {
         let a = mc.run(60e-6);
         let b = mc.run(60e-6);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn zero_samples_run_to_no_samples() {
+        let mc = MonteCarlo::new(quick_config(0));
+        assert!(mc.run(20e-6).is_empty());
     }
 
     #[test]

@@ -28,13 +28,12 @@ fn smoke_search_spec(threads: usize) -> SearchSpec {
         seed: 5,
         timeout: Duration::from_secs(20),
         threads,
-        cache_cap: 1 << 16,
     }
 }
 
 fn run_search(threads: usize) -> spin_hall_security::campaign::SearchReport {
     let spec = smoke_search_spec(threads);
-    let session = EvalSession::with_cache_cap(spec.threads, spec.cache_cap);
+    let session = EvalSession::new(spec.threads);
     ProfileSearch::new(&session, spec)
         .expect("search setup")
         .run()
@@ -119,7 +118,7 @@ fn combined_frontier_search_runs_under_a_rotation_budget() {
         clock_periods_ns: vec![6.0],
         ..smoke_search_spec(2)
     };
-    let session = EvalSession::with_cache_cap(spec.threads, spec.cache_cap);
+    let session = EvalSession::new(spec.threads);
     let report = ProfileSearch::new(&session, spec)
         .expect("search setup")
         .run();

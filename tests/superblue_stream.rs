@@ -4,7 +4,7 @@
 //! evicted afterwards), engage the cone-keyed oracle cache, and still
 //! serialize byte-identically to the same campaign run without a budget.
 //! A direct warm-vs-cold measurement on the cone-keyed cache pins the
-//! ≥5× replay win the caching layer exists for.
+//! ≥5× replay win the cone-keyed cache exists for.
 //!
 //! Ignored by default; CI runs it explicitly in release:
 //!
@@ -141,7 +141,7 @@ fn superblue_stream() {
             PatternBlock { lanes, count: 64 }
         })
         .collect();
-    let cache = OracleCache::shared_with_cap(0);
+    let cache = OracleCache::shared();
     let mut oracle = CachedOracle::over_cone(&sb1, cache, cone);
     let cold_t = Instant::now();
     for block in &blocks {
