@@ -26,9 +26,13 @@
 //! 4. **Oracle projection** — [`CoiOracle`] adapts the full working chip
 //!    to the cone interface: cone input lanes scatter into a full-width
 //!    block (zero elsewhere — the cone outputs do not depend on those
-//!    positions), and full outputs gather down to the affected subset.
-//!    Query accounting passes through one-to-one, so rotation periods
-//!    and per-pattern query counts are preserved exactly.
+//!    positions), and the chip answers only the affected outputs
+//!    ([`Oracle::query_outputs`]). The exact chip simulates just their
+//!    fanin cone; a noisy or rotating chip answers the whole block and
+//!    gathers, so its noise and key streams advance as they would for
+//!    the full design. Query accounting passes through one-to-one, so
+//!    rotation periods and per-pattern query counts are preserved
+//!    exactly.
 //!
 //! The DIP loop then runs unchanged on the cone instance and the
 //! recovered cone key is [expanded](CoiProjection::expand_key) to a full
@@ -85,7 +89,7 @@ pub fn cone_inputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<usize>> {
 
 /// Position of input node `id` in `nl.inputs()`, which lists the input
 /// nodes in ascending id order.
-fn input_ordinal(nl: &Netlist, id: NodeId) -> usize {
+pub(crate) fn input_ordinal(nl: &Netlist, id: NodeId) -> usize {
     nl.inputs().binary_search(&id).expect("an input node")
 }
 
@@ -200,8 +204,9 @@ impl CoiProjection {
 
 /// Adapts a full-design working chip to the cone interface of a
 /// [`CoiProjection`]: scatter cone input lanes into a full-width block
-/// (zero-filled elsewhere), gather affected output lanes back out. Query
-/// accounting delegates one-to-one to the wrapped oracle.
+/// (zero-filled elsewhere), and ask the chip for the affected outputs
+/// only ([`Oracle::query_outputs`]). Query accounting delegates
+/// one-to-one to the wrapped oracle.
 pub struct CoiOracle<'a> {
     inner: &'a mut dyn Oracle,
     proj: &'a CoiProjection,
@@ -224,8 +229,7 @@ impl Oracle for CoiOracle<'_> {
             lanes,
             count: block.count,
         };
-        let y = self.inner.query_block(&full_block);
-        self.proj.output_map.iter().map(|&o| y[o]).collect()
+        self.inner.query_outputs(&full_block, &self.proj.output_map)
     }
 
     fn num_inputs(&self) -> usize {

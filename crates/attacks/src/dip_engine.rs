@@ -185,6 +185,7 @@ pub fn refine(
 
     // Key copies first (their variable indices anchor the search), then the
     // circuit copies sharing one set of primary inputs, then the miter(s).
+    let encode_span = gshe_obs::span("attack.encode");
     let n_copies = if *policy == RefinePolicy::DoubleDip {
         4
     } else {
@@ -251,6 +252,7 @@ pub fn refine(
         };
         (phases, copies[0].inputs.clone())
     };
+    drop(encode_span);
     // Freezing contract (see `Solver::freeze`): preprocessing may run on
     // the first solve, so every literal this loop later reads from a model
     // (key bits, primary inputs) or reuses across solves (the phase
@@ -344,10 +346,13 @@ pub fn refine(
                         oracle.query_block(&PatternBlock::from_patterns(std::slice::from_ref(&dip)))
                     };
                     let y: Vec<bool> = lanes.iter().map(|lane| lane & 1 == 1).collect();
-                    let mut enc = CircuitEncoder::new(&mut solver);
-                    for key in &keys {
-                        let outs = encode_keyed_fixed(&mut enc, keyed, key, &dip);
-                        assert_outputs_equal(&mut enc, &outs, &y);
+                    {
+                        let _span = gshe_obs::span("attack.encode");
+                        let mut enc = CircuitEncoder::new(&mut solver);
+                        for key in &keys {
+                            let outs = encode_keyed_fixed(&mut enc, keyed, key, &dip);
+                            assert_outputs_equal(&mut enc, &outs, &y);
+                        }
                     }
                     if let Some(state) = appsat.as_mut() {
                         if let Some((status, key)) = appsat_round(
@@ -474,6 +479,7 @@ fn appsat_round(
         return Some((AttackStatus::Success, Some(cand)));
     }
     // Reinforce with the mismatching observations.
+    let _span = gshe_obs::span("attack.encode");
     let mut enc = CircuitEncoder::new(solver);
     for (x, y_chip) in mismatching {
         for key in &keys[..2] {

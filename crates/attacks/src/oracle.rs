@@ -5,6 +5,12 @@
 //! only reshape or memoize its answers: [`CoiOracle`](crate::coi::CoiOracle)
 //! projects it onto a cone of influence, and `gshe-campaign`'s caching
 //! layer memoizes the exact stack campaign-wide.
+//!
+//! An attack on a cone of influence reads only the outputs the cloaked
+//! cells reach, so it asks for those through [`Oracle::query_outputs`].
+//! By default that is a full [`Oracle::query_block`] and a gather; the
+//! exact stack answers from the listed outputs' fanin cone instead, and
+//! the campaign cache keys the subset answer apart from the full one.
 
 use gshe_logic::PatternBlock;
 
@@ -22,6 +28,20 @@ pub trait Oracle {
     /// Queries issued so far.
     fn queries(&self) -> u64;
 
+    /// Queries the chip on `block` like [`Oracle::query_block`], but
+    /// answers only the primary outputs listed in `outputs` (ordinals into
+    /// the output list, in the given order, repeats allowed): word `j` is
+    /// output `outputs[j]`'s lanes. Every pattern counts as one query, and
+    /// the chip's state afterwards is the state `query_block` leaves. The
+    /// default answers the whole block and gathers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an ordinal is out of range.
+    fn query_outputs(&mut self, block: &PatternBlock, outputs: &[usize]) -> Vec<u64> {
+        gather(&self.query_block(block), outputs)
+    }
+
     /// Queries the chip once: a one-pattern [`Oracle::query_block`].
     fn query(&mut self, inputs: &[bool]) -> Vec<bool> {
         let block = PatternBlock {
@@ -33,6 +53,11 @@ pub trait Oracle {
             .map(|lane| lane & 1 == 1)
             .collect()
     }
+}
+
+/// The words of `lanes` at `outputs`, in order.
+pub(crate) fn gather(lanes: &[u64], outputs: &[usize]) -> Vec<u64> {
+    outputs.iter().map(|&o| lanes[o]).collect()
 }
 
 #[cfg(test)]

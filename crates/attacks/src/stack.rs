@@ -24,6 +24,19 @@
 //! four compositions ([`OracleStack::exact`], [`OracleStack::noisy`],
 //! [`OracleStack::rotating`], [`OracleStack::rotating_noisy`]).
 //!
+//! ## The exact chip's cone answer
+//!
+//! An attack projected onto a cone of influence asks only for the
+//! outputs the cloaked cells reach ([`Oracle::query_outputs`]). The
+//! exact static stack answers those from their fanin cone of the
+//! original netlist: extracted with [`Netlist::cone_of`] on the first
+//! call for an output set (and again when the set changes), with its
+//! inputs mapped to the chip's input ordinals, then simulated one pass
+//! per block — a few hundred nodes instead of the whole design on a
+//! superblue-scale cell. Noisy and rotating stacks keep the default (a
+//! full `query_block`, then a gather), so their epochs, RNG streams and
+//! answers are those of `query_block`.
+//!
 //! ## Seed-salt composition
 //!
 //! A stack consumes up to two independent RNG streams, each derived from
@@ -47,9 +60,10 @@
 //! bit-for-bit the scalar loop — epochs, key draws, flips, and post-call
 //! RNG state all included. Batching never changes what the chip says.
 
-use crate::oracle::Oracle;
+use crate::coi::input_ordinal;
+use crate::oracle::{gather, Oracle};
 use gshe_camo::KeyedNetlist;
-use gshe_logic::{ErrorProfile, Netlist, PatternBlock, Simulator};
+use gshe_logic::{ErrorProfile, Netlist, NodeId, PatternBlock, Simulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -77,6 +91,58 @@ impl Rotation<'_> {
     }
 }
 
+/// The exact chip restricted to one output set: those outputs' fanin
+/// cone, simulated on its own.
+#[derive(Debug, Clone)]
+struct OutputCone {
+    /// The output ordinals answered, in the caller's order.
+    outputs: Vec<usize>,
+    /// Cone input `k` → the chip's input ordinal.
+    inputs: Vec<usize>,
+    sim: Simulator<'static>,
+    /// The cone's input lanes of the current block, reused across calls.
+    block: PatternBlock,
+}
+
+impl OutputCone {
+    fn build(nl: &Netlist, outputs: &[usize]) -> Self {
+        let roots: Vec<NodeId> = outputs.iter().map(|&o| nl.outputs()[o]).collect();
+        let (cone, map) = nl.cone_of(&roots);
+        let inputs: Vec<usize> = cone
+            .inputs()
+            .iter()
+            .map(|&ci| input_ordinal(nl, map.to_full(ci)))
+            .collect();
+        OutputCone {
+            outputs: outputs.to_vec(),
+            block: PatternBlock {
+                lanes: vec![0; inputs.len()],
+                count: 0,
+            },
+            inputs,
+            sim: Simulator::owned(cone),
+        }
+    }
+
+    /// One pass over the cone on `block`'s lanes of the cone inputs,
+    /// with lanes past `block.count` cleared.
+    fn answer(&mut self, block: &PatternBlock) -> Vec<u64> {
+        for (lane, &full) in self.block.lanes.iter_mut().zip(&self.inputs) {
+            *lane = block.lanes[full];
+        }
+        self.block.count = block.count;
+        let mut lanes = Vec::with_capacity(self.outputs.len());
+        self.sim
+            .run_segment_into(&self.block, 0, block.count, &mut lanes)
+            .expect("the cone block has one lane per cone input");
+        let mask = block.valid_mask();
+        for lane in &mut lanes {
+            *lane &= mask;
+        }
+        lanes
+    }
+}
+
 /// A layered oracle: one simulator (exact or noisy), with an optional
 /// key-rotation layer on top. See the [module docs](self) for the layer
 /// table, composition rules, and seed-salt derivation.
@@ -88,6 +154,8 @@ pub struct OracleStack<'a> {
     /// Per-epoch segment lanes, hoisted so a block query reuses one
     /// buffer across all its segments (and across calls).
     seg_buf: Vec<u64>,
+    /// The exact chip's cone for the latest `query_outputs` output set.
+    cone: Option<OutputCone>,
 }
 
 impl<'a> OracleStack<'a> {
@@ -148,6 +216,7 @@ impl<'a> OracleStack<'a> {
             rotation,
             count: 0,
             seg_buf: Vec::new(),
+            cone: None,
         }
     }
 
@@ -258,6 +327,34 @@ impl Oracle for OracleStack<'_> {
         lanes
     }
 
+    /// The exact static chip answers from the listed outputs' fanin cone,
+    /// extracted on the first call for an output set and again when the
+    /// set changes; a noisy or rotating chip answers the whole block and
+    /// gathers.
+    fn query_outputs(&mut self, block: &PatternBlock, outputs: &[usize]) -> Vec<u64> {
+        if self.rotation.is_some() || self.sim.profile().is_some() {
+            return gather(&self.query_block(block), outputs);
+        }
+        let timed = gshe_obs::enabled().then(std::time::Instant::now);
+        assert_eq!(
+            block.lanes.len(),
+            self.num_inputs(),
+            "oracle input arity mismatch"
+        );
+        if self.cone.as_ref().is_none_or(|c| c.outputs != outputs) {
+            self.cone = Some(OutputCone::build(self.sim.netlist(), outputs));
+        }
+        let lanes = self.cone.as_mut().expect("built above").answer(block);
+        self.count += block.count as u64;
+        if let Some(t0) = timed {
+            gshe_obs::record(
+                "oracle.eval.query_outputs_ns",
+                t0.elapsed().as_nanos() as u64,
+            );
+        }
+        lanes
+    }
+
     fn num_inputs(&self) -> usize {
         self.sim.netlist().inputs().len()
     }
@@ -276,7 +373,7 @@ pub(crate) mod tests {
     use super::*;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
-    use gshe_logic::NodeId;
+    use gshe_logic::{Bf1, Bf2, GeneratorConfig, NetlistBuilder, NetlistGenerator};
 
     /// c17 with its gates cloaked as GSHE-16 cells (test fixture).
     pub(crate) fn c17_keyed() -> (Netlist, KeyedNetlist) {
@@ -348,6 +445,135 @@ pub(crate) mod tests {
                 &format!("rotating period {period}"),
             );
             assert_blocks_match_scalar(
+                OracleStack::rotating_noisy(&keyed, noise.clone(), period, 5),
+                &format!("rotating+noisy period {period}"),
+            );
+        }
+    }
+
+    /// A seeded random design: 1–8 inputs, both constants, up to 40 gates
+    /// over earlier nodes, and outputs on any node, among them an input
+    /// and a constant.
+    fn random_design(rng: &mut StdRng) -> Netlist {
+        let mut b = NetlistBuilder::new("random");
+        let n_inputs: usize = rng.gen_range(1..=8);
+        let mut nodes: Vec<NodeId> = (0..n_inputs).map(|i| b.input(format!("i{i}"))).collect();
+        nodes.push(b.constant(false));
+        nodes.push(b.constant(true));
+        for _ in 0..rng.gen_range(0..=40) {
+            let a = nodes[rng.gen_range(0..nodes.len())];
+            let gate = if rng.gen_bool(0.2) {
+                b.gate1_auto(Bf1::ALL[rng.gen_range(0..2usize)], a)
+            } else {
+                let c = nodes[rng.gen_range(0..nodes.len())];
+                b.gate2_auto(Bf2::ALL[rng.gen_range(0..16usize)], a, c)
+            };
+            nodes.push(gate);
+        }
+        for _ in 0..rng.gen_range(1..=6) {
+            b.output(nodes[rng.gen_range(0..nodes.len())]);
+        }
+        b.output(nodes[rng.gen_range(0..n_inputs)]);
+        b.output(nodes[n_inputs + rng.gen_range(0..2usize)]);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn exact_cone_answers_equal_the_gathered_full_answer() {
+        // Seeded designs, the random ones with outputs on an input and a
+        // constant. Each stack is asked random output lists in a random
+        // order (repeats, the empty list and every output included), so
+        // its cone is rebuilt on a switch and reused on a repeat. Every
+        // answer must be the gather of the full block's, for full and
+        // partial blocks, at the same query count.
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut designs: Vec<Netlist> = (0..32).map(|_| random_design(&mut rng)).collect();
+        designs.extend((0..3).map(|seed| {
+            NetlistGenerator::new(GeneratorConfig::new("g", 12, 8, 200).with_seed(seed))
+                .unwrap()
+                .generate()
+        }));
+        let (mut switches, mut repeats) = (0, 0);
+        for (d, nl) in designs.iter().enumerate() {
+            let n = nl.outputs().len();
+            let mut sets: Vec<Vec<usize>> = vec![Vec::new(), (0..n).collect()];
+            for _ in 0..4 {
+                let len = rng.gen_range(1..=n + 2);
+                sets.push((0..len).map(|_| rng.gen_range(0..n)).collect());
+            }
+            let mut cone = OracleStack::exact(nl);
+            let mut full = OracleStack::exact(nl);
+            let mut last: Option<&Vec<usize>> = None;
+            for round in 0..16 {
+                let outputs = &sets[rng.gen_range(0..sets.len())];
+                match last {
+                    Some(prev) if prev == outputs => repeats += 1,
+                    Some(_) => switches += 1,
+                    None => {}
+                }
+                last = Some(outputs);
+                let count = if rng.gen() { 64 } else { rng.gen_range(1..64) };
+                let block = PatternBlock::random_n(nl.inputs().len(), count, &mut rng);
+                assert_eq!(
+                    cone.query_outputs(&block, outputs),
+                    gather(&full.query_block(&block), outputs),
+                    "design {d} round {round} outputs {outputs:?}"
+                );
+                assert_eq!(cone.queries(), full.queries(), "design {d} round {round}");
+            }
+        }
+        assert!(
+            switches > 100 && repeats > 20,
+            "{switches} switches, {repeats} repeats"
+        );
+    }
+
+    /// Answers full and partial blocks through `query_outputs` on a clone
+    /// of `stack` and through `query_block` and a gather on `stack`
+    /// itself, switching output lists between rounds, then checks answers,
+    /// query counts, and the post-call state of both RNG streams (the
+    /// follow-up scalar queries span several more rotations).
+    fn assert_outputs_match_gather(stack: OracleStack<'_>, label: &str) {
+        let mut fast = stack.clone();
+        let mut slow = stack;
+        let mut rng = StdRng::seed_from_u64(5);
+        let sets: [&[usize]; 5] = [&[1], &[0, 1], &[1, 1, 0], &[], &[0]];
+        for (round, count) in [64usize, 50, 64, 17, 1, 64].into_iter().enumerate() {
+            let outputs = sets[round % sets.len()];
+            let block = PatternBlock::random_n(5, count, &mut rng);
+            assert_eq!(
+                fast.query_outputs(&block, outputs),
+                gather(&slow.query_block(&block), outputs),
+                "{label} round {round} outputs {outputs:?}"
+            );
+            assert_eq!(fast.queries(), slow.queries(), "{label} round {round}");
+        }
+        for q in 0..64u32 {
+            let p: Vec<bool> = (0..5).map(|k| (q >> k) & 1 == 1).collect();
+            assert_eq!(
+                fast.query(&p),
+                slow.query(&p),
+                "{label}: post-block query {q} diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn noisy_and_rotating_output_answers_are_the_gather_bit_for_bit() {
+        // The default path for every stack but the exact one: the answer,
+        // the query count, the epochs and both RNG streams must be those
+        // of `query_block`. The exact stack's cone answer is checked the
+        // same way.
+        let (_, keyed) = c17_keyed();
+        let noise = cloaked_noise(&keyed, 0.3);
+        assert_outputs_match_gather(OracleStack::exact(keyed.netlist()), "exact");
+        assert_outputs_match_gather(OracleStack::noisy(&keyed, noise.clone(), 5), "noisy");
+        for period in [1u64, 7, 20, 1000] {
+            assert_outputs_match_gather(
+                OracleStack::rotating(&keyed, period, 5),
+                &format!("rotating period {period}"),
+            );
+            assert_outputs_match_gather(
                 OracleStack::rotating_noisy(&keyed, noise.clone(), period, 5),
                 &format!("rotating+noisy period {period}"),
             );

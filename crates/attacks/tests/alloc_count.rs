@@ -4,7 +4,9 @@
 //! per-epoch segment buffers and the evaluation scratch are hoisted onto
 //! the stack, so they must not re-allocate per call (the regression this
 //! test pins: the rotating path once collected a fresh `Vec` per epoch
-//! segment).
+//! segment). The exact stack's cone answer on an unchanged output set
+//! holds to the same: its cone, cone input lanes and simulation scratch
+//! live on the stack, and only the answer is allocated.
 //!
 //! It also pins that camouflaging a one-cell gshe16 draw copies the
 //! design and patches the cell in place: a few dozen allocations in
@@ -125,6 +127,36 @@ fn rotating_block_query_allocates_only_the_return_vector() {
     assert_eq!(
         n, rounds,
         "rotating query_block must reuse the hoisted segment buffer"
+    );
+}
+
+#[test]
+fn warm_cone_answer_allocates_only_the_return_vector() {
+    let nl = NetlistGenerator::new(GeneratorConfig::new("cone", 32, 16, 2_000).with_seed(3))
+        .unwrap()
+        .generate();
+    let mut oracle = OracleStack::exact(&nl);
+    let outputs = [5usize, 0, 5];
+    let mut rng = StdRng::seed_from_u64(3);
+    let blocks: Vec<PatternBlock> = (0..12)
+        .map(|k| PatternBlock::random_n(32, 64 - k, &mut rng))
+        .collect();
+
+    // Warm-up: extracts the cone and sizes its scratch.
+    for block in &blocks[..2] {
+        let _ = oracle.query_outputs(block, &outputs);
+    }
+
+    let rounds = 10;
+    let n = allocs_during(|| {
+        for block in &blocks[2..] {
+            let lanes = oracle.query_outputs(block, &outputs);
+            assert_eq!(lanes.len(), 3);
+        }
+    });
+    assert_eq!(
+        n, rounds,
+        "a warm cone answer must allocate exactly the returned lane vector"
     );
 }
 

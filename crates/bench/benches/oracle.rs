@@ -300,7 +300,10 @@ fn bench_simplify_miter(c: &mut Criterion) {
 /// then inserted under its packed cone-input sub-key) vs. warm (pure
 /// hash probes on cone-width keys). `superblue_stream` asserts a ≥5×
 /// warm-over-cold win; in practice the gap is orders of magnitude,
-/// since a cold query sweeps the full arena per block.
+/// since a cold query sweeps the full arena per block. A third row asks
+/// the same cold blocks for one output through `query_outputs`, as a
+/// cone-projected attack does: the exact chip extracts that output's
+/// fanin cone once per oracle and simulates only the cone per block.
 fn bench_coi_cached_oracle(c: &mut Criterion) {
     use gshe_core::campaign::{CachedOracle, OracleCache};
     use gshe_core::logic::Topology;
@@ -333,6 +336,18 @@ fn bench_coi_cached_oracle(c: &mut Criterion) {
             let mut oracle = CachedOracle::over_cone(&nl, cache, cone.clone());
             for block in &blocks {
                 black_box(oracle.query_block(black_box(block)));
+            }
+        })
+    });
+
+    group.bench_function("cold_query_outputs_x16", |b| {
+        b.iter(|| {
+            // A fresh cache and chip per iteration: the first block pays
+            // the cone extraction, and every block simulates the cone.
+            let cache = OracleCache::shared();
+            let mut oracle = CachedOracle::over_cone(&nl, cache, cone.clone());
+            for block in &blocks {
+                black_box(oracle.query_outputs(black_box(block), &[0]));
             }
         })
     });

@@ -32,6 +32,13 @@
 //! cone's. Every cone-keyed query asserts the invariant: a block whose
 //! valid patterns set an input outside the cone panics instead of
 //! aliasing.
+//!
+//! **Output-subset answers.** A cone-projected attack asks for the
+//! affected outputs only ([`Oracle::query_outputs`]), and the exact chip
+//! answers those from their fanin cone. Such an entry holds just the
+//! listed outputs' lanes, under the fingerprint salted with the output
+//! list, so a subset answer never aliases a full answer or another
+//! subset's; the key is packed the same way.
 
 use crate::job::hash_mix;
 use gshe_attacks::{Oracle, OracleStack};
@@ -175,6 +182,18 @@ fn cone_fingerprint(netlist_fingerprint: u64, cone: &[usize]) -> u64 {
     h
 }
 
+/// The fingerprint output-subset answers live under: `fingerprint` (the
+/// netlist's or the cone's) mixed with the output ordinals, in order,
+/// under a salt of their own.
+fn outputs_fingerprint(fingerprint: u64, outputs: &[usize]) -> u64 {
+    let mut h = hash_mix(fingerprint ^ 0x0B7E_5E1E_C7ED_5A17);
+    h = hash_mix(h ^ outputs.len() as u64);
+    for &o in outputs {
+        h = hash_mix(h ^ o as u64);
+    }
+    h
+}
+
 /// Panics unless every valid pattern of `block` is `false` on every input
 /// outside `cone` (ascending ordinals) — the contract that makes keying
 /// on the cone lanes alone sound. One pass over the lanes.
@@ -247,13 +266,17 @@ impl<'a> CachedOracle<'a> {
     }
 }
 
-impl Oracle for CachedOracle<'_> {
-    /// # Panics
-    ///
-    /// Panics on a block whose width is not the netlist's input count,
-    /// and, for a cone-keyed oracle, on a block whose valid patterns set
-    /// an input outside the cone.
-    fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
+impl<'a> CachedOracle<'a> {
+    /// The answer to `block` under `fingerprint`, through the cache:
+    /// checks the width and, for a cone-keyed oracle, the
+    /// zero-outside-the-cone contract, counts the patterns, and on a miss
+    /// asks the exact chip through `compute`.
+    fn answer(
+        &mut self,
+        block: &PatternBlock,
+        fingerprint: u64,
+        compute: impl FnOnce(&mut OracleStack<'a>) -> Vec<u64>,
+    ) -> Vec<u64> {
         assert_eq!(
             block.lanes.len(),
             self.inner.num_inputs(),
@@ -271,13 +294,37 @@ impl Oracle for CachedOracle<'_> {
         let inner = &mut self.inner;
         let out = self
             .cache
-            .get_or_insert(self.fingerprint, key, self.cone.is_some(), || {
-                inner.query_block(block)
-            });
+            .get_or_insert(fingerprint, key, self.cone.is_some(), || compute(inner));
         if let Some(t0) = timed {
             gshe_obs::record("cache.query_block_ns", t0.elapsed().as_nanos() as u64);
         }
         out
+    }
+}
+
+impl Oracle for CachedOracle<'_> {
+    /// # Panics
+    ///
+    /// Panics on a block whose width is not the netlist's input count,
+    /// and, for a cone-keyed oracle, on a block whose valid patterns set
+    /// an input outside the cone.
+    fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
+        self.answer(block, self.fingerprint, |inner| inner.query_block(block))
+    }
+
+    /// Like [`CachedOracle::query_block`], with the entry holding only
+    /// the listed outputs' lanes under the fingerprint salted with the
+    /// output list; a miss asks the exact chip for just those outputs.
+    ///
+    /// # Panics
+    ///
+    /// As [`CachedOracle::query_block`], and if an ordinal is out of
+    /// range.
+    fn query_outputs(&mut self, block: &PatternBlock, outputs: &[usize]) -> Vec<u64> {
+        let fingerprint = outputs_fingerprint(self.fingerprint, outputs);
+        self.answer(block, fingerprint, |inner| {
+            inner.query_outputs(block, outputs)
+        })
     }
 
     fn num_inputs(&self) -> usize {
@@ -486,6 +533,35 @@ mod tests {
         assert_eq!(again, lanes);
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(o.queries(), 20);
+    }
+
+    #[test]
+    fn output_subsets_are_entries_of_their_own() {
+        // One cone block asked for outputs [0], [1] and [0, 1]: three
+        // misses and three entries, each the gather of the exact chip's
+        // full answer, so no subset aliases another; the same block and
+        // outputs again hits, and a full answer is an entry of its own.
+        // Queries count per pattern, hit or miss.
+        let nl = parse_bench(C17_BENCH).unwrap();
+        let cache = OracleCache::shared();
+        let mut o = CachedOracle::over_cone(&nl, Arc::clone(&cache), (0..5).collect());
+        let block = PatternBlock::from_patterns(&c17_patterns()[..10]);
+        let full = OracleStack::exact(&nl).query_block(&block);
+        let sets: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
+        for (i, outputs) in sets.into_iter().enumerate() {
+            let expected: Vec<u64> = outputs.iter().map(|&k| full[k]).collect();
+            assert_eq!(o.query_outputs(&block, outputs), expected, "{outputs:?}");
+            assert_eq!(cache.stats(), (0, i as u64 + 1), "{outputs:?} hit");
+        }
+        assert_eq!(cache.entries(), 3);
+        assert_eq!(o.query_outputs(&block, &[1]), vec![full[1]]);
+        assert_eq!(cache.stats(), (1, 3), "a replay must hit");
+        assert_eq!(cache.cone_stats(), (1, 3));
+        assert_eq!(o.queries(), 40);
+        assert_eq!(o.query_block(&block), full);
+        assert_eq!(cache.stats(), (1, 4), "a full answer hit a subset entry");
+        assert_eq!(cache.entries(), 4);
+        assert_eq!(o.queries(), 50);
     }
 
     #[test]

@@ -46,8 +46,9 @@ use crate::job::{
 use crate::physical::ClockRateTable;
 use crate::report::{json_f64, json_str};
 use crate::spec::{
-    attacks_value, check_level, check_rate, check_scale, check_timeout, clock_periods_value,
-    read_toml, scheme_name, scheme_named, unknown_key, valid_attack_names, SpecValue,
+    attacks_value, check_level, check_rate, check_scale, check_timeout, check_trials,
+    clock_periods_value, read_toml, scheme_name, scheme_named, unknown_key, valid_attack_names,
+    SpecValue,
 };
 use crate::EvalSession;
 use gshe_attacks::{AttackConfig, AttackKind, AttackRunner, AttackStatus};
@@ -420,11 +421,13 @@ impl<'s> ProfileSearch<'s> {
     /// # Errors
     ///
     /// Propagates benchmark resolution and camouflage failures; rejects a
-    /// scale below 1, a level outside `(0, 1]`, a target success outside
-    /// `[0, 1]` or a timeout too large for a deadline (naming the value),
-    /// and a spec with no attacks (scoring would be a 0/0 success rate).
+    /// scale below 1, 0 trials, a level outside `(0, 1]`, a target success
+    /// outside `[0, 1]` or a timeout too large for a deadline (naming the
+    /// value), and a spec with no attacks (scoring would be a 0/0 success
+    /// rate).
     pub fn new(session: &'s EvalSession, spec: SearchSpec) -> Result<Self, String> {
         check_scale(spec.scale)?;
+        check_trials(spec.trials)?;
         check_level(spec.level)?;
         check_rate("target success", spec.target_success)?;
         check_timeout(spec.timeout)?;
@@ -535,7 +538,7 @@ impl<'s> ProfileSearch<'s> {
     /// pool in one batch; results in candidate order.
     pub fn score(&self, generation: u64, candidates: Vec<Candidate>) -> Vec<ScoredCandidate> {
         let spec = &self.spec;
-        let trials = spec.trials.max(1);
+        let trials = spec.trials;
         let mut tasks: Vec<Box<dyn FnOnce() -> TrialOutcome + Send>> = Vec::new();
         let period = spec.rotation_period;
         let config = AttackConfig {
@@ -917,6 +920,13 @@ mod tests {
                     ..SearchSpec::default()
                 },
                 "scale must be at least 1, got 0",
+            ),
+            (
+                SearchSpec {
+                    trials: 0,
+                    ..SearchSpec::default()
+                },
+                "trials must be at least 1, got 0",
             ),
             (
                 SearchSpec {

@@ -99,6 +99,15 @@ pub(crate) fn check_scale(scale: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// Rejects a trial count of 0: a grid cell or a candidate needs at
+/// least one attack.
+pub(crate) fn check_trials(trials: u64) -> Result<(), String> {
+    if trials == 0 {
+        return Err("trials must be at least 1, got 0".to_string());
+    }
+    Ok(())
+}
+
 /// Rejects a protection level (fraction of gates camouflaged) outside
 /// `(0, 1]`, NaN included.
 pub(crate) fn check_level(level: f64) -> Result<(), String> {
@@ -470,12 +479,13 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Rejects a scale below 1, a level outside `(0, 1]`, an error rate
-    /// outside `[0, 1]`, a timeout too large for a deadline and a
-    /// non-positive clock period, naming the value; propagates
+    /// Rejects a scale below 1, 0 trials, a level outside `(0, 1]`, an
+    /// error rate outside `[0, 1]`, a timeout too large for a deadline and
+    /// a non-positive clock period, naming the value; propagates
     /// benchmark-resolution failures.
     pub fn expand(&self) -> Result<Vec<JobSpec>, String> {
         check_scale(self.scale)?;
+        check_trials(self.trials)?;
         for &level in &self.levels {
             check_level(level)?;
         }
@@ -529,7 +539,7 @@ impl CampaignSpec {
                                         ^ profile.seed_salt()
                                         ^ rotation_salt(rotation_period)
                                         ^ clock_salt(clock_ns);
-                                    for trial in 0..self.trials.max(1) {
+                                    for trial in 0..self.trials {
                                         let oracle = oracle_seed(transform, attack, salt, trial);
                                         jobs.push(JobSpec {
                                             kind: JobKind::Attack {
@@ -926,6 +936,15 @@ mod tests {
             ..Default::default()
         });
         assert!(err.contains("scale must be at least 1, got 0"), "{err}");
+    }
+
+    #[test]
+    fn zero_trials_is_rejected() {
+        let err = expand_error(CampaignSpec {
+            trials: 0,
+            ..Default::default()
+        });
+        assert!(err.contains("trials must be at least 1, got 0"), "{err}");
     }
 
     #[test]

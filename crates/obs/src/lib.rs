@@ -73,8 +73,9 @@
 //! | `job.verify` | `campaign::job` | the recovered key's equivalence proof |
 //! | `session.materialize` | `campaign` | benchmark netlist generation |
 //! | `attack.coi_build` | `attacks::dip_engine` | the cone-of-influence projection |
+//! | `attack.encode` | `attacks::dip_engine` | the initial key-copy and miter encode, one DIP's fixed copies, or one AppSAT reinforcement |
 //! | `attack.solve` | `attacks::dip_engine` | one conflict-sliced solver call |
-//! | `attack.oracle` | `attacks::dip_engine` | one oracle `query`/`query_block` |
+//! | `attack.oracle` | `attacks::dip_engine` | one oracle `query_block` |
 //! | `search.trial` | `campaign::search` | one candidate-scoring attack trial |
 //!
 //! The SAT layer itself is dependency-free; its simplification work
