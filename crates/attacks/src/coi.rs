@@ -24,15 +24,15 @@
 //!    output at all (otherwise that output would be affected), so any
 //!    valid candidate works and the expansion assigns them code 0.
 //! 4. **Oracle projection** — [`CoiOracle`] adapts the full working chip
-//!    to the cone interface: cone input lanes scatter into a full-width
-//!    block (zero elsewhere — the cone outputs do not depend on those
-//!    positions), and the chip answers only the affected outputs
-//!    ([`Oracle::query_outputs`]). The exact chip simulates just their
-//!    fanin cone; a noisy or rotating chip answers the whole block and
-//!    gathers, so its noise and key streams advance as they would for
-//!    the full design. Query accounting passes through one-to-one, so
-//!    rotation periods and per-pattern query counts are preserved
-//!    exactly.
+//!    to the cone interface: each cone block goes to the chip as is,
+//!    with the cone's input ordinals and the affected outputs
+//!    ([`Oracle::query_cone`]); every other input is held at 0 (the cone
+//!    outputs do not depend on those positions). The exact chip simulates
+//!    just the outputs' fanin cone; a noisy or rotating chip scatters
+//!    the block to full width, answers it whole and gathers, so its noise
+//!    and key streams advance as they would for the full design. Query
+//!    accounting passes through one-to-one, so rotation periods and
+//!    per-pattern query counts are preserved exactly.
 //!
 //! The DIP loop then runs unchanged on the cone instance and the
 //! recovered cone key is [expanded](CoiProjection::expand_key) to a full
@@ -50,7 +50,7 @@
 
 use crate::oracle::Oracle;
 use gshe_camo::{CamoGate, KeyedNetlist};
-use gshe_logic::{Netlist, NodeId, NodeKind, PatternBlock};
+use gshe_logic::{Netlist, NodeId, PatternBlock};
 
 /// Whether the DIP engine, the campaign's oracle cache and key
 /// verification work on the cone of influence of the cloaked cells.
@@ -65,26 +65,12 @@ pub enum CoiMode {
 }
 
 /// Full-design **input ordinals** feeding the cone the DIP engine will
-/// attack under `mode`, ascending, or `None` when the engine stays on
-/// the full miter. This mirrors [`CoiProjection::build`]'s engagement
-/// decision exactly — same mode gate, same affected-output
-/// preconditions — but walks only the affected outputs' fanin and
-/// materializes nothing, so callers (the campaign's cone-keyed oracle
-/// cache) can key on the cone inputs *before* the attack runs without
-/// risking a key-aliasing mismatch.
+/// attack under `mode`, ascending (a [`CoiProjection::input_map`]), or
+/// `None` when the engine stays on the full miter. Kept, with its
+/// signature, for perfbench's frozen traced replay; ROADMAP item 1's
+/// benchmark change removes that last caller.
 pub fn cone_inputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<Vec<usize>> {
-    let nl = keyed.netlist();
-    let roots: Vec<NodeId> = affected_outputs(keyed, mode)?
-        .iter()
-        .map(|&k| nl.outputs()[k])
-        .collect();
-    Some(
-        nl.fanin_set(&roots)
-            .iter()
-            .filter(|&id| nl.kind(id) == NodeKind::Input)
-            .map(|id| input_ordinal(nl, id))
-            .collect(),
-    )
+    CoiProjection::build(keyed, mode).map(|p| p.input_map().to_vec())
 }
 
 /// Position of input node `id` in `nl.inputs()`, which lists the input
@@ -98,8 +84,8 @@ pub(crate) fn input_ordinal(nl: &Netlist, id: NodeId) -> usize {
 /// or `None` when callers should stay on the full design: mode
 /// [`CoiMode::Off`], no affected output (the key is unconstrained), or
 /// every output affected (no reduction to be had). The same decision
-/// [`CoiProjection::build`] and [`cone_inputs`] make, and all cone-scoped
-/// key verification needs.
+/// [`CoiProjection::build`] makes, and all cone-scoped key verification
+/// needs.
 pub fn affected_outputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<&[usize]> {
     let reached = keyed.reached_outputs();
     let strict = !reached.is_empty() && reached.len() < keyed.netlist().outputs().len();
@@ -112,14 +98,13 @@ pub fn affected_outputs(keyed: &KeyedNetlist, mode: CoiMode) -> Option<&[usize]>
 #[derive(Debug, Clone)]
 pub struct CoiProjection {
     keyed: KeyedNetlist,
-    /// Cone input ordinal → full input ordinal.
+    /// Cone input ordinal → full input ordinal, ascending.
     input_map: Vec<usize>,
     /// Cone output ordinal → full output ordinal.
     output_map: Vec<usize>,
     /// Cone key bit → full key bit.
     key_map: Vec<usize>,
     full_key_len: usize,
-    full_num_inputs: usize,
 }
 
 impl CoiProjection {
@@ -160,7 +145,6 @@ impl CoiProjection {
             output_map,
             key_map,
             full_key_len: keyed.key_len(),
-            full_num_inputs: nl.inputs().len(),
         })
     }
 
@@ -196,17 +180,18 @@ impl CoiProjection {
         self.keyed.netlist().len()
     }
 
-    /// Cone input ordinal → full-design input ordinal.
+    /// Cone input ordinal → full-design input ordinal. Ascending, since
+    /// [`Netlist::cone_of`](gshe_logic::Netlist::cone_of) keeps the
+    /// design's input order.
     pub fn input_map(&self) -> &[usize] {
         &self.input_map
     }
 }
 
 /// Adapts a full-design working chip to the cone interface of a
-/// [`CoiProjection`]: scatter cone input lanes into a full-width block
-/// (zero-filled elsewhere), and ask the chip for the affected outputs
-/// only ([`Oracle::query_outputs`]). Query accounting delegates
-/// one-to-one to the wrapped oracle.
+/// [`CoiProjection`]: each cone block goes to the chip with the cone's
+/// input ordinals and the affected outputs ([`Oracle::query_cone`]).
+/// Query accounting delegates one-to-one to the wrapped oracle.
 pub struct CoiOracle<'a> {
     inner: &'a mut dyn Oracle,
     proj: &'a CoiProjection,
@@ -221,15 +206,8 @@ impl<'a> CoiOracle<'a> {
 
 impl Oracle for CoiOracle<'_> {
     fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
-        let mut lanes = vec![0u64; self.proj.full_num_inputs];
-        for (k, &full) in self.proj.input_map.iter().enumerate() {
-            lanes[full] = block.lanes[k];
-        }
-        let full_block = PatternBlock {
-            lanes,
-            count: block.count,
-        };
-        self.inner.query_outputs(&full_block, &self.proj.output_map)
+        self.inner
+            .query_cone(block, &self.proj.input_map, &self.proj.output_map)
     }
 
     fn num_inputs(&self) -> usize {
@@ -252,7 +230,9 @@ mod tests {
     use crate::sat_attack::{sat_attack, AttackConfig, AttackStatus};
     use crate::stack::OracleStack;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
-    use gshe_logic::{Bf1, Bf2, GeneratorConfig, Netlist, NetlistBuilder, NetlistGenerator};
+    use gshe_logic::{
+        Bf1, Bf2, GeneratorConfig, Netlist, NetlistBuilder, NetlistGenerator, NodeKind,
+    };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -414,19 +394,41 @@ mod tests {
 
     #[test]
     fn cone_inputs_matches_projection_engagement_and_map() {
+        // `cone_inputs` is the projection's input map, which is strictly
+        // ascending (the order a cone key packs its lanes in) and names
+        // exactly the inputs the affected outputs read.
         let (_, keyed) = split_design();
-        // The cheap sweep and the full build must agree on engagement for
-        // every mode, and on the input set whenever both engage.
-        for mode in [CoiMode::On, CoiMode::Off] {
-            let inputs = cone_inputs(&keyed, mode);
-            let proj = CoiProjection::build(&keyed, mode);
-            assert_eq!(inputs.is_some(), proj.is_some(), "{mode:?}");
-            if let (Some(inputs), Some(proj)) = (inputs, proj) {
-                let mut from_proj = proj.input_map().to_vec();
-                from_proj.sort_unstable();
-                assert_eq!(inputs, from_proj, "{mode:?}");
-            }
+        assert_eq!(cone_inputs(&keyed, CoiMode::Off), None);
+        assert_eq!(cone_inputs(&keyed, CoiMode::On), Some(vec![0, 1]));
+        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 24, 12, 400).with_seed(2))
+            .unwrap()
+            .generate();
+        let mut engaged = 0;
+        for seed in 0..8 {
+            let picks = select_gates(&nl, 0.01, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
+            let Some(proj) = CoiProjection::build(&keyed, CoiMode::On) else {
+                continue;
+            };
+            engaged += 1;
+            let knl = keyed.netlist();
+            let roots: Vec<NodeId> = proj
+                .affected_outputs()
+                .iter()
+                .map(|&o| knl.outputs()[o])
+                .collect();
+            let read: Vec<usize> = knl
+                .fanin_set(&roots)
+                .iter()
+                .filter(|&id| knl.kind(id) == NodeKind::Input)
+                .map(|id| input_ordinal(knl, id))
+                .collect();
+            assert_eq!(proj.input_map(), read, "seed {seed}");
+            assert!(proj.input_map().windows(2).all(|w| w[0] < w[1]));
+            assert_eq!(cone_inputs(&keyed, CoiMode::On).as_deref(), Some(&read[..]));
         }
+        assert!(engaged > 0, "no draw engaged the projection");
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! projects it onto a cone of influence, and `gshe-campaign`'s caching
 //! layer memoizes the exact stack campaign-wide.
 //!
-//! An attack on a cone of influence reads only the outputs the cloaked
-//! cells reach, so it asks for those through [`Oracle::query_outputs`].
-//! By default that is a full [`Oracle::query_block`] and a gather; the
-//! exact stack answers from the listed outputs' fanin cone instead, and
-//! the campaign cache keys the subset answer apart from the full one.
+//! A cone-projected attack hands the chip each block with the cone's
+//! input ordinals and the affected outputs ([`Oracle::query_cone`]). By
+//! default that is a scatter, a full [`Oracle::query_block`] and a
+//! gather; the exact stack answers from the outputs' fanin cone instead.
 
 use gshe_logic::PatternBlock;
 
@@ -28,18 +27,25 @@ pub trait Oracle {
     /// Queries issued so far.
     fn queries(&self) -> u64;
 
-    /// Queries the chip on `block` like [`Oracle::query_block`], but
-    /// answers only the primary outputs listed in `outputs` (ordinals into
-    /// the output list, in the given order, repeats allowed): word `j` is
-    /// output `outputs[j]`'s lanes. Every pattern counts as one query, and
-    /// the chip's state afterwards is the state `query_block` leaves. The
-    /// default answers the whole block and gathers.
+    /// Queries the chip on a cone block: lane `k` drives input ordinal
+    /// `inputs[k]` (strictly ascending), every other input is held at 0,
+    /// and word `j` of the answer is output `outputs[j]`'s lanes (output
+    /// ordinals, any order, repeats allowed). Every pattern counts as one
+    /// query, and the chip is left as [`Oracle::query_block`] on the
+    /// scattered block leaves it. The default scatters, answers the whole
+    /// block and gathers.
     ///
     /// # Panics
     ///
-    /// Panics if an ordinal is out of range.
-    fn query_outputs(&mut self, block: &PatternBlock, outputs: &[usize]) -> Vec<u64> {
-        gather(&self.query_block(block), outputs)
+    /// Panics if `block` has not one lane per listed input, or an ordinal
+    /// is out of range.
+    fn query_cone(
+        &mut self,
+        block: &PatternBlock,
+        inputs: &[usize],
+        outputs: &[usize],
+    ) -> Vec<u64> {
+        query_cone_full(self, block, inputs, outputs)
     }
 
     /// Queries the chip once: a one-pattern [`Oracle::query_block`].
@@ -55,9 +61,28 @@ pub trait Oracle {
     }
 }
 
-/// The words of `lanes` at `outputs`, in order.
-pub(crate) fn gather(lanes: &[u64], outputs: &[usize]) -> Vec<u64> {
-    outputs.iter().map(|&o| lanes[o]).collect()
+/// The default [`Oracle::query_cone`], and every stack's but the exact
+/// static one: scatter, one [`Oracle::query_block`], gather.
+pub(crate) fn query_cone_full<O: Oracle + ?Sized>(
+    oracle: &mut O,
+    block: &PatternBlock,
+    inputs: &[usize],
+    outputs: &[usize],
+) -> Vec<u64> {
+    assert_eq!(
+        block.lanes.len(),
+        inputs.len(),
+        "a cone block has one lane per listed input"
+    );
+    let mut lanes = vec![0u64; oracle.num_inputs()];
+    for (&input, &lane) in inputs.iter().zip(&block.lanes) {
+        lanes[input] = lane;
+    }
+    let full = oracle.query_block(&PatternBlock {
+        lanes,
+        count: block.count,
+    });
+    outputs.iter().map(|&o| full[o]).collect()
 }
 
 #[cfg(test)]

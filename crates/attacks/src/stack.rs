@@ -26,16 +26,15 @@
 //!
 //! ## The exact chip's cone answer
 //!
-//! An attack projected onto a cone of influence asks only for the
-//! outputs the cloaked cells reach ([`Oracle::query_outputs`]). The
-//! exact static stack answers those from their fanin cone of the
-//! original netlist: extracted with [`Netlist::cone_of`] on the first
-//! call for an output set (and again when the set changes), with its
-//! inputs mapped to the chip's input ordinals, then simulated one pass
-//! per block — a few hundred nodes instead of the whole design on a
-//! superblue-scale cell. Noisy and rotating stacks keep the default (a
-//! full `query_block`, then a gather), so their epochs, RNG streams and
-//! answers are those of `query_block`.
+//! The exact static stack answers [`Oracle::query_cone`] from the listed
+//! outputs' fanin cone of the original netlist, extracted with
+//! [`Netlist::cone_of`] on the first call for an (inputs, outputs) pair
+//! and again when either list changes. Each cone input reads its lane of
+//! the cone block by its position in `inputs` (0 when unlisted), and each
+//! block is one pass over the cone — a few hundred nodes instead of the
+//! whole design on a superblue-scale cell. Noisy and rotating stacks keep
+//! the default scatter, `query_block` and gather, so their epochs, RNG
+//! streams and answers are those of `query_block`.
 //!
 //! ## Seed-salt composition
 //!
@@ -61,7 +60,7 @@
 //! RNG state all included. Batching never changes what the chip says.
 
 use crate::coi::input_ordinal;
-use crate::oracle::{gather, Oracle};
+use crate::oracle::{query_cone_full, Oracle};
 use gshe_camo::KeyedNetlist;
 use gshe_logic::{ErrorProfile, Netlist, NodeId, PatternBlock, Simulator};
 use rand::rngs::StdRng;
@@ -91,44 +90,59 @@ impl Rotation<'_> {
     }
 }
 
-/// The exact chip restricted to one output set: those outputs' fanin
-/// cone, simulated on its own.
+/// The exact chip restricted to one (inputs, outputs) pair: those
+/// outputs' fanin cone, simulated on its own.
 #[derive(Debug, Clone)]
 struct OutputCone {
+    /// The chip input ordinals the cone block's lanes drive, ascending.
+    inputs: Vec<usize>,
     /// The output ordinals answered, in the caller's order.
     outputs: Vec<usize>,
-    /// Cone input `k` → the chip's input ordinal.
-    inputs: Vec<usize>,
+    /// Cone input `k` → its lane in the cone block, `None` when held at 0.
+    lanes: Vec<Option<usize>>,
     sim: Simulator<'static>,
     /// The cone's input lanes of the current block, reused across calls.
     block: PatternBlock,
 }
 
 impl OutputCone {
-    fn build(nl: &Netlist, outputs: &[usize]) -> Self {
+    fn build(nl: &Netlist, inputs: &[usize], outputs: &[usize]) -> Self {
+        assert!(
+            inputs.windows(2).all(|w| w[0] < w[1]),
+            "cone input ordinals must be strictly ascending"
+        );
+        assert!(
+            inputs.last().is_none_or(|&i| i < nl.inputs().len()),
+            "cone input ordinal out of range"
+        );
         let roots: Vec<NodeId> = outputs.iter().map(|&o| nl.outputs()[o]).collect();
         let (cone, map) = nl.cone_of(&roots);
-        let inputs: Vec<usize> = cone
+        let lanes: Vec<Option<usize>> = cone
             .inputs()
             .iter()
-            .map(|&ci| input_ordinal(nl, map.to_full(ci)))
+            .map(|&ci| {
+                inputs
+                    .binary_search(&input_ordinal(nl, map.to_full(ci)))
+                    .ok()
+            })
             .collect();
         OutputCone {
+            inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
             block: PatternBlock {
-                lanes: vec![0; inputs.len()],
+                lanes: vec![0; lanes.len()],
                 count: 0,
             },
-            inputs,
+            lanes,
             sim: Simulator::owned(cone),
         }
     }
 
-    /// One pass over the cone on `block`'s lanes of the cone inputs,
-    /// with lanes past `block.count` cleared.
+    /// One pass over the cone on the cone block `block`, with lanes past
+    /// `block.count` cleared.
     fn answer(&mut self, block: &PatternBlock) -> Vec<u64> {
-        for (lane, &full) in self.block.lanes.iter_mut().zip(&self.inputs) {
-            *lane = block.lanes[full];
+        for (lane, from) in self.block.lanes.iter_mut().zip(&self.lanes) {
+            *lane = from.map_or(0, |k| block.lanes[k]);
         }
         self.block.count = block.count;
         let mut lanes = Vec::with_capacity(self.outputs.len());
@@ -154,7 +168,7 @@ pub struct OracleStack<'a> {
     /// Per-epoch segment lanes, hoisted so a block query reuses one
     /// buffer across all its segments (and across calls).
     seg_buf: Vec<u64>,
-    /// The exact chip's cone for the latest `query_outputs` output set.
+    /// The exact chip's cone for the latest `query_cone` lists.
     cone: Option<OutputCone>,
 }
 
@@ -327,30 +341,34 @@ impl Oracle for OracleStack<'_> {
         lanes
     }
 
-    /// The exact static chip answers from the listed outputs' fanin cone,
-    /// extracted on the first call for an output set and again when the
-    /// set changes; a noisy or rotating chip answers the whole block and
-    /// gathers.
-    fn query_outputs(&mut self, block: &PatternBlock, outputs: &[usize]) -> Vec<u64> {
+    /// The exact static chip answers from the listed outputs' fanin cone
+    /// (see the module docs); a noisy or rotating chip takes the default.
+    fn query_cone(
+        &mut self,
+        block: &PatternBlock,
+        inputs: &[usize],
+        outputs: &[usize],
+    ) -> Vec<u64> {
         if self.rotation.is_some() || self.sim.profile().is_some() {
-            return gather(&self.query_block(block), outputs);
+            return query_cone_full(self, block, inputs, outputs);
         }
         let timed = gshe_obs::enabled().then(std::time::Instant::now);
         assert_eq!(
             block.lanes.len(),
-            self.num_inputs(),
-            "oracle input arity mismatch"
+            inputs.len(),
+            "a cone block has one lane per listed input"
         );
-        if self.cone.as_ref().is_none_or(|c| c.outputs != outputs) {
-            self.cone = Some(OutputCone::build(self.sim.netlist(), outputs));
+        if self
+            .cone
+            .as_ref()
+            .is_none_or(|c| c.inputs != inputs || c.outputs != outputs)
+        {
+            self.cone = Some(OutputCone::build(self.sim.netlist(), inputs, outputs));
         }
         let lanes = self.cone.as_mut().expect("built above").answer(block);
         self.count += block.count as u64;
         if let Some(t0) = timed {
-            gshe_obs::record(
-                "oracle.eval.query_outputs_ns",
-                t0.elapsed().as_nanos() as u64,
-            );
+            gshe_obs::record("oracle.eval.query_cone_ns", t0.elapsed().as_nanos() as u64);
         }
         lanes
     }
@@ -478,14 +496,34 @@ pub(crate) mod tests {
         b.finish().unwrap()
     }
 
+    /// `block`'s lanes scattered onto `inputs` in a zero-filled block of
+    /// `width` lanes, and the words of `full` at `outputs`: the reference
+    /// a cone answer must equal.
+    fn scatter(block: &PatternBlock, inputs: &[usize], width: usize) -> PatternBlock {
+        let mut lanes = vec![0u64; width];
+        for (&i, &lane) in inputs.iter().zip(&block.lanes) {
+            lanes[i] = lane;
+        }
+        PatternBlock {
+            lanes,
+            count: block.count,
+        }
+    }
+
+    fn gather(full: &[u64], outputs: &[usize]) -> Vec<u64> {
+        outputs.iter().map(|&o| full[o]).collect()
+    }
+
     #[test]
     fn exact_cone_answers_equal_the_gathered_full_answer() {
         // Seeded designs, the random ones with outputs on an input and a
-        // constant. Each stack is asked random output lists in a random
-        // order (repeats, the empty list and every output included), so
-        // its cone is rebuilt on a switch and reused on a repeat. Every
-        // answer must be the gather of the full block's, for full and
-        // partial blocks, at the same query count.
+        // constant. Each stack is asked random (inputs, outputs) pairs in a
+        // random order: input lists that omit inputs the cone reads (held
+        // at 0) and list inputs it does not read, output lists with
+        // repeats, the empty list and every output. Its cone is rebuilt
+        // when either list switches and reused on a repeat. Every answer
+        // must be the gather of the scattered block's full answer, for
+        // full and partial blocks, at the same query count.
         let mut rng = StdRng::seed_from_u64(25);
         let mut designs: Vec<Netlist> = (0..32).map(|_| random_design(&mut rng)).collect();
         designs.extend((0..3).map(|seed| {
@@ -493,58 +531,75 @@ pub(crate) mod tests {
                 .unwrap()
                 .generate()
         }));
-        let (mut switches, mut repeats) = (0, 0);
+        let (mut switches, mut repeats, mut omits, mut extras) = (0, 0, 0, 0);
         for (d, nl) in designs.iter().enumerate() {
-            let n = nl.outputs().len();
-            let mut sets: Vec<Vec<usize>> = vec![Vec::new(), (0..n).collect()];
+            let (n_in, n_out) = (nl.inputs().len(), nl.outputs().len());
+            let mut output_sets: Vec<Vec<usize>> = vec![Vec::new(), (0..n_out).collect()];
             for _ in 0..4 {
-                let len = rng.gen_range(1..=n + 2);
-                sets.push((0..len).map(|_| rng.gen_range(0..n)).collect());
+                let len = rng.gen_range(1..=n_out + 2);
+                output_sets.push((0..len).map(|_| rng.gen_range(0..n_out)).collect());
+            }
+            let mut input_sets: Vec<Vec<usize>> = vec![Vec::new(), (0..n_in).collect()];
+            for _ in 0..3 {
+                input_sets.push((0..n_in).filter(|_| rng.gen()).collect());
             }
             let mut cone = OracleStack::exact(nl);
             let mut full = OracleStack::exact(nl);
-            let mut last: Option<&Vec<usize>> = None;
+            let mut last: Option<(&Vec<usize>, &Vec<usize>)> = None;
             for round in 0..16 {
-                let outputs = &sets[rng.gen_range(0..sets.len())];
+                let inputs = &input_sets[rng.gen_range(0..input_sets.len())];
+                let outputs = &output_sets[rng.gen_range(0..output_sets.len())];
                 match last {
-                    Some(prev) if prev == outputs => repeats += 1,
+                    Some(prev) if prev == (inputs, outputs) => repeats += 1,
                     Some(_) => switches += 1,
                     None => {}
                 }
-                last = Some(outputs);
+                last = Some((inputs, outputs));
+                let roots: Vec<NodeId> = outputs.iter().map(|&o| nl.outputs()[o]).collect();
+                let read: Vec<usize> = nl
+                    .fanin_set(&roots)
+                    .iter()
+                    .filter_map(|id| nl.inputs().binary_search(&id).ok())
+                    .collect();
+                omits += usize::from(read.iter().any(|i| !inputs.contains(i)));
+                extras += usize::from(inputs.iter().any(|i| !read.contains(i)));
                 let count = if rng.gen() { 64 } else { rng.gen_range(1..64) };
-                let block = PatternBlock::random_n(nl.inputs().len(), count, &mut rng);
+                let block = PatternBlock::random_n(inputs.len(), count, &mut rng);
+                let expected = gather(&full.query_block(&scatter(&block, inputs, n_in)), outputs);
                 assert_eq!(
-                    cone.query_outputs(&block, outputs),
-                    gather(&full.query_block(&block), outputs),
-                    "design {d} round {round} outputs {outputs:?}"
+                    cone.query_cone(&block, inputs, outputs),
+                    expected,
+                    "design {d} round {round} inputs {inputs:?} outputs {outputs:?}"
                 );
                 assert_eq!(cone.queries(), full.queries(), "design {d} round {round}");
             }
         }
         assert!(
-            switches > 100 && repeats > 20,
-            "{switches} switches, {repeats} repeats"
+            switches > 100 && repeats > 20 && omits > 100 && extras > 100,
+            "{switches} switches, {repeats} repeats, {omits} omitting, {extras} extra"
         );
     }
 
-    /// Answers full and partial blocks through `query_outputs` on a clone
-    /// of `stack` and through `query_block` and a gather on `stack`
-    /// itself, switching output lists between rounds, then checks answers,
-    /// query counts, and the post-call state of both RNG streams (the
-    /// follow-up scalar queries span several more rotations).
-    fn assert_outputs_match_gather(stack: OracleStack<'_>, label: &str) {
+    /// Answers full and partial blocks through `query_cone` on a clone of
+    /// `stack` and through a scatter, `query_block` and a gather on
+    /// `stack` itself, switching input and output lists between rounds,
+    /// then checks answers, query counts, and the post-call state of both
+    /// RNG streams (the follow-up scalar queries span several more
+    /// rotations).
+    fn assert_cone_matches_gather(stack: OracleStack<'_>, label: &str) {
         let mut fast = stack.clone();
         let mut slow = stack;
         let mut rng = StdRng::seed_from_u64(5);
-        let sets: [&[usize]; 5] = [&[1], &[0, 1], &[1, 1, 0], &[], &[0]];
-        for (round, count) in [64usize, 50, 64, 17, 1, 64].into_iter().enumerate() {
-            let outputs = sets[round % sets.len()];
-            let block = PatternBlock::random_n(5, count, &mut rng);
+        let input_sets: [&[usize]; 4] = [&[0, 1, 2, 3, 4], &[1, 3], &[], &[0, 2, 4]];
+        let output_sets: [&[usize]; 5] = [&[1], &[0, 1], &[1, 1, 0], &[], &[0]];
+        for (round, count) in [64usize, 50, 64, 17, 1, 64, 33].into_iter().enumerate() {
+            let inputs = input_sets[round % input_sets.len()];
+            let outputs = output_sets[round % output_sets.len()];
+            let block = PatternBlock::random_n(inputs.len(), count, &mut rng);
             assert_eq!(
-                fast.query_outputs(&block, outputs),
-                gather(&slow.query_block(&block), outputs),
-                "{label} round {round} outputs {outputs:?}"
+                fast.query_cone(&block, inputs, outputs),
+                gather(&slow.query_block(&scatter(&block, inputs, 5)), outputs),
+                "{label} round {round} inputs {inputs:?} outputs {outputs:?}"
             );
             assert_eq!(fast.queries(), slow.queries(), "{label} round {round}");
         }
@@ -562,18 +617,18 @@ pub(crate) mod tests {
     fn noisy_and_rotating_output_answers_are_the_gather_bit_for_bit() {
         // The default path for every stack but the exact one: the answer,
         // the query count, the epochs and both RNG streams must be those
-        // of `query_block`. The exact stack's cone answer is checked the
-        // same way.
+        // of `query_block` on the scattered block. The exact stack's cone
+        // answer is checked the same way.
         let (_, keyed) = c17_keyed();
         let noise = cloaked_noise(&keyed, 0.3);
-        assert_outputs_match_gather(OracleStack::exact(keyed.netlist()), "exact");
-        assert_outputs_match_gather(OracleStack::noisy(&keyed, noise.clone(), 5), "noisy");
+        assert_cone_matches_gather(OracleStack::exact(keyed.netlist()), "exact");
+        assert_cone_matches_gather(OracleStack::noisy(&keyed, noise.clone(), 5), "noisy");
         for period in [1u64, 7, 20, 1000] {
-            assert_outputs_match_gather(
+            assert_cone_matches_gather(
                 OracleStack::rotating(&keyed, period, 5),
                 &format!("rotating period {period}"),
             );
-            assert_outputs_match_gather(
+            assert_cone_matches_gather(
                 OracleStack::rotating_noisy(&keyed, noise.clone(), period, 5),
                 &format!("rotating+noisy period {period}"),
             );

@@ -4,9 +4,11 @@
 //! per-epoch segment buffers and the evaluation scratch are hoisted onto
 //! the stack, so they must not re-allocate per call (the regression this
 //! test pins: the rotating path once collected a fresh `Vec` per epoch
-//! segment). The exact stack's cone answer on an unchanged output set
-//! holds to the same: its cone, cone input lanes and simulation scratch
-//! live on the stack, and only the answer is allocated.
+//! segment). The exact stack's cone answer on unchanged input and output
+//! lists holds to the same: its cone, cone input lanes and simulation
+//! scratch live on the stack, and only the answer is allocated. So does a
+//! cone-projected query through `CoiOracle`, which hands the cone block to
+//! the chip as is instead of scattering it into a design-wide block.
 //!
 //! It also pins that camouflaging a one-cell gshe16 draw copies the
 //! design and patches the cell in place: a few dozen allocations in
@@ -17,10 +19,10 @@
 //! parallel threads, and a process-global counter would pick up a
 //! sibling test's allocations inside another test's window.
 
-use gshe_attacks::{Oracle, OracleStack};
+use gshe_attacks::{CoiMode, CoiOracle, CoiProjection, Oracle, OracleStack};
 use gshe_camo::{camouflage, select_gates, select_gates_count, CamoScheme};
 use gshe_logic::bench_format::{parse_bench, C17_BENCH};
-use gshe_logic::{GeneratorConfig, NetlistGenerator, PatternBlock};
+use gshe_logic::{GeneratorConfig, NetlistGenerator, PatternBlock, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -136,27 +138,72 @@ fn warm_cone_answer_allocates_only_the_return_vector() {
         .unwrap()
         .generate();
     let mut oracle = OracleStack::exact(&nl);
+    let inputs: Vec<usize> = (0..32).step_by(3).collect();
     let outputs = [5usize, 0, 5];
     let mut rng = StdRng::seed_from_u64(3);
     let blocks: Vec<PatternBlock> = (0..12)
-        .map(|k| PatternBlock::random_n(32, 64 - k, &mut rng))
+        .map(|k| PatternBlock::random_n(inputs.len(), 64 - k, &mut rng))
         .collect();
 
     // Warm-up: extracts the cone and sizes its scratch.
     for block in &blocks[..2] {
-        let _ = oracle.query_outputs(block, &outputs);
+        let _ = oracle.query_cone(block, &inputs, &outputs);
     }
 
     let rounds = 10;
     let n = allocs_during(|| {
         for block in &blocks[2..] {
-            let lanes = oracle.query_outputs(block, &outputs);
+            let lanes = oracle.query_cone(block, &inputs, &outputs);
             assert_eq!(lanes.len(), 3);
         }
     });
     assert_eq!(
         n, rounds,
         "a warm cone answer must allocate exactly the returned lane vector"
+    );
+}
+
+#[test]
+fn warm_projected_query_allocates_only_the_return_vector() {
+    // A one-cell draw on a 2,000-gate design: the projection engages, and
+    // each query through `CoiOracle` over the exact chip allocates the
+    // answer and nothing else — no design-wide block per query.
+    let config = GeneratorConfig::new("proj", 256, 32, 2_000)
+        .with_seed(7)
+        .with_topology(Topology::Local);
+    let nl = NetlistGenerator::new(config).unwrap().generate();
+    let proj = (0..)
+        .find_map(|seed| {
+            let picks = select_gates_count(&nl, 1, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
+            CoiProjection::build(&keyed, CoiMode::On)
+                .filter(|p| p.input_map().len() < nl.inputs().len())
+        })
+        .expect("some one-cell draw reads a strict input subset");
+    let mut chip = OracleStack::exact(&nl);
+    let mut oracle = CoiOracle::new(&mut chip, &proj);
+    let width = oracle.num_inputs();
+    let mut rng = StdRng::seed_from_u64(8);
+    let blocks: Vec<PatternBlock> = (0..12)
+        .map(|k| PatternBlock::random_n(width, 64 - k, &mut rng))
+        .collect();
+
+    // Warm-up: extracts the chip's cone and sizes its scratch.
+    for block in &blocks[..2] {
+        let _ = oracle.query_block(block);
+    }
+
+    let rounds = 10;
+    let n = allocs_during(|| {
+        for block in &blocks[2..] {
+            let lanes = oracle.query_block(block);
+            assert_eq!(lanes.len(), proj.affected_outputs().len());
+        }
+    });
+    assert_eq!(
+        n, rounds,
+        "a warm projected query must allocate exactly the returned lane vector"
     );
 }
 

@@ -294,16 +294,16 @@ fn bench_simplify_miter(c: &mut Criterion) {
     group.finish();
 }
 
-/// The cone-keyed campaign cache on a superblue-shaped instance (sb1 at
-/// scale 16, locality-biased topology, ~60k nodes): `query_block`
-/// through [`CachedOracle::over_cone`] cold (every block simulated,
-/// then inserted under its packed cone-input sub-key) vs. warm (pure
-/// hash probes on cone-width keys). `superblue_stream` asserts a ≥5×
-/// warm-over-cold win; in practice the gap is orders of magnitude,
-/// since a cold query sweeps the full arena per block. A third row asks
-/// the same cold blocks for one output through `query_outputs`, as a
-/// cone-projected attack does: the exact chip extracts that output's
-/// fanin cone once per oracle and simulates only the cone per block.
+/// The campaign cache on a superblue-shaped instance (sb1 at scale 16,
+/// locality-biased topology, ~60k nodes), over 16 blocks that drive the
+/// first 64 inputs: `query_block` on the blocks scattered to full width
+/// cold (every block simulated over the full arena, then inserted under
+/// its full-width key) vs. warm (pure hash probes). A third row asks the
+/// same cold blocks as cone blocks for one output through `query_cone`,
+/// as a cone-projected attack does: the exact chip extracts that
+/// output's fanin cone once per oracle and simulates only the cone per
+/// block, keyed on the 64 cone lanes. `superblue_stream` asserts a ≥5×
+/// warm-over-cold win for cone keys.
 fn bench_coi_cached_oracle(c: &mut Criterion) {
     use gshe_core::campaign::{CachedOracle, OracleCache};
     use gshe_core::logic::Topology;
@@ -312,12 +312,13 @@ fn bench_coi_cached_oracle(c: &mut Criterion) {
     let nl = suites::benchmark_scaled_with(spec, 16, 1, Topology::Local);
     let cone: Vec<usize> = (0..64).collect();
     let mut rng = StdRng::seed_from_u64(17);
-    // Random cone lanes scattered into zero-filled full-width blocks, as
-    // `CoiOracle` does: the cone-keyed cache keys on the cone lanes
-    // alone and rejects blocks that set any other input.
-    let blocks: Vec<PatternBlock> = (0..16)
-        .map(|_| {
-            let cone_block = PatternBlock::random(cone.len(), &mut rng);
+    let cone_blocks: Vec<PatternBlock> = (0..16)
+        .map(|_| PatternBlock::random(cone.len(), &mut rng))
+        .collect();
+    // The same lanes scattered into zero-filled full-width blocks.
+    let blocks: Vec<PatternBlock> = cone_blocks
+        .iter()
+        .map(|cone_block| {
             let mut lanes = vec![0u64; nl.inputs().len()];
             for (&full, &lane) in cone.iter().zip(&cone_block.lanes) {
                 lanes[full] = lane;
@@ -333,27 +334,27 @@ fn bench_coi_cached_oracle(c: &mut Criterion) {
             // A fresh cache per iteration: every block misses and
             // simulates the full 60k-node arena.
             let cache = OracleCache::shared();
-            let mut oracle = CachedOracle::over_cone(&nl, cache, cone.clone());
+            let mut oracle = CachedOracle::over(&nl, cache);
             for block in &blocks {
                 black_box(oracle.query_block(black_box(block)));
             }
         })
     });
 
-    group.bench_function("cold_query_outputs_x16", |b| {
+    group.bench_function("cold_query_cone_x16", |b| {
         b.iter(|| {
             // A fresh cache and chip per iteration: the first block pays
             // the cone extraction, and every block simulates the cone.
             let cache = OracleCache::shared();
-            let mut oracle = CachedOracle::over_cone(&nl, cache, cone.clone());
-            for block in &blocks {
-                black_box(oracle.query_outputs(black_box(block), &[0]));
+            let mut oracle = CachedOracle::over(&nl, cache);
+            for block in &cone_blocks {
+                black_box(oracle.query_cone(black_box(block), &cone, &[0]));
             }
         })
     });
 
     let warm_cache = OracleCache::shared();
-    let mut warm = CachedOracle::over_cone(&nl, warm_cache, cone.clone());
+    let mut warm = CachedOracle::over(&nl, warm_cache);
     for block in &blocks {
         warm.query_block(block);
     }

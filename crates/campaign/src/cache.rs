@@ -9,36 +9,27 @@
 //! again, and so does a warm session re-running a grid. Distinct cells
 //! rarely ask the same block twice.
 //!
-//! The cache is one `Mutex<HashMap>` with no cap. A key is the netlist
-//! (or cone) fingerprint plus the block's valid patterns packed as one
-//! dense bit string and the pattern count; a value is the packed output
-//! lanes, immutable once inserted (the exact chip always answers the
-//! same), so the protocol is a get-or-insert whose simulation runs
-//! outside the lock. The netlist fingerprint is
+//! The cache is one `Mutex<HashMap>` with no cap. A key is a fingerprint
+//! plus the block's valid patterns packed as one dense bit string and the
+//! pattern count; a value is the packed output lanes, immutable once
+//! inserted (the exact chip always answers the same), so the protocol is
+//! a get-or-insert whose simulation runs outside the lock. A full-width
+//! block lives under the netlist fingerprint,
 //! [`Netlist::structural_hash`]: one pass over the raw arena, names left
-//! out, taken once per [`CachedOracle`].
+//! out, taken once per design and memoized by the netlist.
 //!
-//! **Cone keys.** Superblue-scale cells attack through a
-//! cone-of-influence projection (`gshe_attacks::coi`), whose
-//! [`CoiOracle`](gshe_attacks::CoiOracle) scatter guarantees every query
-//! reaching the underlying full-design oracle carries `false` on all
-//! non-cone input positions. [`CachedOracle::over_cone`] exploits that
-//! invariant: its entries key on the packed *cone-input sub-pattern* (a
-//! few words at an ~8k-input design with a small cone) under a
-//! cone-specific fingerprint, so DIP-loop re-queries across trials hit
-//! even though the full-width patterns would be kilobyte keys. The cone
-//! fingerprint mixes the netlist fingerprint, the cone input ordinal list
-//! and a salt, so cone entries never alias full-key entries or another
-//! cone's. Every cone-keyed query asserts the invariant: a block whose
-//! valid patterns set an input outside the cone panics instead of
-//! aliasing.
-//!
-//! **Output-subset answers.** A cone-projected attack asks for the
-//! affected outputs only ([`Oracle::query_outputs`]), and the exact chip
-//! answers those from their fanin cone. Such an entry holds just the
-//! listed outputs' lanes, under the fingerprint salted with the output
-//! list, so a subset answer never aliases a full answer or another
-//! subset's; the key is packed the same way.
+//! **Cone keys.** A cone-projected attack hands the exact chip a cone
+//! block, the chip inputs its lanes drive and the outputs the cloaked
+//! cells reach ([`Oracle::query_cone`]); every other input is held at 0
+//! by the call's contract. [`CachedOracle::query_cone`] keys the cone
+//! block as given, every lane of it (a few words at an ~8k-input design
+//! with a small cone), under one fingerprint that mixes the netlist
+//! fingerprint, the input list and the output list under a salt of its
+//! own. A cone entry therefore never aliases a full-width entry (even for
+//! a cone listing every input) or an entry of another input or output
+//! list, and holds only the listed outputs' lanes. A miss asks the exact
+//! chip for its cone answer, and DIP-loop re-queries across trials hit on
+//! keys a handful of words wide.
 
 use crate::job::hash_mix;
 use gshe_attacks::{Oracle, OracleStack};
@@ -47,7 +38,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Key: netlist (or cone) fingerprint, then the packed block ([`pack`]).
+/// Key: the netlist or cone fingerprint, then the packed block ([`pack`]).
 type Key = (u64, Vec<u64>);
 
 /// A session-wide cache of exact-chip block answers, safe to share across
@@ -123,7 +114,7 @@ impl OracleCache {
 
     /// (hits, misses) of cone-keyed probes so far — the subset of
     /// [`OracleCache::stats`] answered through
-    /// [`CachedOracle::over_cone`].
+    /// [`CachedOracle::query_cone`].
     pub fn cone_stats(&self) -> (u64, u64) {
         (
             self.cone_hits.load(Ordering::Relaxed),
@@ -145,20 +136,20 @@ impl OracleCache {
     }
 }
 
-/// Packs the valid patterns of `block` on `columns` (input ordinals) into
-/// key words: column after column, the `count` valid bits of each
-/// column's lane as one dense bit string, then the pattern count.
+/// Packs the valid patterns of `block` into key words: lane after lane,
+/// the `count` valid bits of each lane as one dense bit string, then the
+/// pattern count.
 ///
 /// Bits beyond `count` are never read, so blocks that differ only there
 /// share a key, and the count word keeps a block apart from its prefixes.
-/// A key over `w` columns is `⌈count·w/64⌉ + 1` words: at most `w + 1`,
-/// and `⌈w/64⌉ + 1` for the single-pattern query of a DIP round.
-fn pack(block: &PatternBlock, columns: impl ExactSizeIterator<Item = usize>) -> Vec<u64> {
+/// A key over `w` lanes is `⌈count·w/64⌉ + 1` words: at most `w + 1`, and
+/// `⌈w/64⌉ + 1` for the single-pattern query of a DIP round.
+fn pack(block: &PatternBlock) -> Vec<u64> {
     let count = block.count;
     let mask = block.valid_mask();
-    let mut words = vec![0u64; (columns.len() * count).div_ceil(64) + 1];
-    for (c, column) in columns.enumerate() {
-        let bits = block.lanes[column] & mask;
+    let mut words = vec![0u64; (block.lanes.len() * count).div_ceil(64) + 1];
+    for (c, &lane) in block.lanes.iter().enumerate() {
+        let bits = lane & mask;
         let (word, shift) = (c * count / 64, c * count % 64);
         words[word] |= bits << shift;
         if shift + count > 64 {
@@ -169,45 +160,18 @@ fn pack(block: &PatternBlock, columns: impl ExactSizeIterator<Item = usize>) -> 
     words
 }
 
-/// The fingerprint cone keys live under: the netlist's mixed with the
-/// cone's input ordinals under a salt, so cone entries never alias
-/// full-key entries (even for a cone reading every input) or another
-/// cone's.
-fn cone_fingerprint(netlist_fingerprint: u64, cone: &[usize]) -> u64 {
+/// The fingerprint the cone keys of one (`inputs`, `outputs`) pair live
+/// under: the netlist's mixed with both lists under a salt, so cone
+/// entries never alias full-width entries or another pair's.
+fn cone_fingerprint(netlist_fingerprint: u64, inputs: &[usize], outputs: &[usize]) -> u64 {
     let mut h = hash_mix(netlist_fingerprint ^ 0xC04E_1B17_5A17_ED01);
-    h = hash_mix(h ^ cone.len() as u64);
-    for &i in cone {
-        h = hash_mix(h ^ i as u64);
-    }
-    h
-}
-
-/// The fingerprint output-subset answers live under: `fingerprint` (the
-/// netlist's or the cone's) mixed with the output ordinals, in order,
-/// under a salt of their own.
-fn outputs_fingerprint(fingerprint: u64, outputs: &[usize]) -> u64 {
-    let mut h = hash_mix(fingerprint ^ 0x0B7E_5E1E_C7ED_5A17);
-    h = hash_mix(h ^ outputs.len() as u64);
-    for &o in outputs {
-        h = hash_mix(h ^ o as u64);
-    }
-    h
-}
-
-/// Panics unless every valid pattern of `block` is `false` on every input
-/// outside `cone` (ascending ordinals) — the contract that makes keying
-/// on the cone lanes alone sound. One pass over the lanes.
-fn assert_zero_outside(block: &PatternBlock, cone: &[usize]) {
-    let mask = block.valid_mask();
-    let mut cone = cone.iter().peekable();
-    for (i, &lane) in block.lanes.iter().enumerate() {
-        if cone.next_if_eq(&&i).is_none() {
-            assert!(
-                lane & mask == 0,
-                "cone-keyed cache query sets input {i}, which is outside the cone"
-            );
+    for list in [inputs, outputs] {
+        h = hash_mix(h ^ list.len() as u64);
+        for &i in list {
+            h = hash_mix(h ^ i as u64);
         }
     }
+    h
 }
 
 /// The exact chip over one campaign netlist, answering through the
@@ -219,82 +183,52 @@ fn assert_zero_outside(block: &PatternBlock, cone: &[usize]) {
 pub struct CachedOracle<'a> {
     inner: OracleStack<'a>,
     cache: Arc<OracleCache>,
-    /// The netlist's fingerprint, or the cone's ([`cone_fingerprint`]).
+    /// The netlist's fingerprint.
     fingerprint: u64,
-    /// For a cone-keyed oracle, the full-design input ordinals its keys
-    /// are packed from, ascending.
-    cone: Option<Vec<usize>>,
     count: u64,
 }
 
 impl<'a> CachedOracle<'a> {
-    /// The exact chip for `netlist`, keyed on every input.
+    /// The exact chip for `netlist`.
     pub fn over(netlist: &'a Netlist, cache: Arc<OracleCache>) -> Self {
         CachedOracle {
             inner: OracleStack::exact(netlist),
             cache,
             fingerprint: netlist.structural_hash(),
-            cone: None,
             count: 0,
         }
     }
 
-    /// Like [`CachedOracle::over`], keyed on the cone-input sub-pattern:
-    /// `cone_inputs` are the full-design input ordinals of the cone the
-    /// attack will run through (see
-    /// [`gshe_attacks::cone_inputs`](gshe_attacks::coi::cone_inputs)).
-    /// Sound only when every query arrives through the matching
-    /// `CoiOracle` scatter, which sets no input outside the cone.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cone_inputs` is not strictly ascending, and on any query
-    /// whose valid patterns set an input outside the cone.
+    /// [`CachedOracle::over`]: every [`Oracle::query_cone`] call carries
+    /// its own cone inputs, so `_cone_inputs` is unused. Kept, with its
+    /// signature, for perfbench's frozen traced replay; ROADMAP item 1's
+    /// benchmark change removes that last caller.
     pub fn over_cone(
         netlist: &'a Netlist,
         cache: Arc<OracleCache>,
-        cone_inputs: Vec<usize>,
+        _cone_inputs: Vec<usize>,
     ) -> Self {
-        assert!(
-            cone_inputs.windows(2).all(|w| w[0] < w[1]),
-            "cone input ordinals must be strictly ascending"
-        );
-        let mut oracle = Self::over(netlist, cache);
-        oracle.fingerprint = cone_fingerprint(oracle.fingerprint, &cone_inputs);
-        oracle.cone = Some(cone_inputs);
-        oracle
+        Self::over(netlist, cache)
     }
-}
 
-impl<'a> CachedOracle<'a> {
-    /// The answer to `block` under `fingerprint`, through the cache:
-    /// checks the width and, for a cone-keyed oracle, the
-    /// zero-outside-the-cone contract, counts the patterns, and on a miss
-    /// asks the exact chip through `compute`.
+    /// The answer to `block` under `(fingerprint, key)`, through the
+    /// cache: counts the patterns, and on a miss asks the exact chip
+    /// through `compute`. `cone` attributes the probe to the cone-keyed
+    /// statistics.
     fn answer(
         &mut self,
         block: &PatternBlock,
         fingerprint: u64,
+        key: Vec<u64>,
+        cone: bool,
         compute: impl FnOnce(&mut OracleStack<'a>) -> Vec<u64>,
     ) -> Vec<u64> {
-        assert_eq!(
-            block.lanes.len(),
-            self.inner.num_inputs(),
-            "cached oracle query has the wrong number of inputs"
-        );
         self.count += block.count as u64;
         let timed = gshe_obs::enabled().then(std::time::Instant::now);
-        let key = match &self.cone {
-            Some(cone) => {
-                assert_zero_outside(block, cone);
-                pack(block, cone.iter().copied())
-            }
-            None => pack(block, 0..block.lanes.len()),
-        };
         let inner = &mut self.inner;
         let out = self
             .cache
-            .get_or_insert(fingerprint, key, self.cone.is_some(), || compute(inner));
+            .get_or_insert(fingerprint, key, cone, || compute(inner));
         if let Some(t0) = timed {
             gshe_obs::record("cache.query_block_ns", t0.elapsed().as_nanos() as u64);
         }
@@ -303,27 +237,47 @@ impl<'a> CachedOracle<'a> {
 }
 
 impl Oracle for CachedOracle<'_> {
+    /// Keys the block on every input under the netlist fingerprint.
+    ///
     /// # Panics
     ///
-    /// Panics on a block whose width is not the netlist's input count,
-    /// and, for a cone-keyed oracle, on a block whose valid patterns set
-    /// an input outside the cone.
+    /// Panics on a block whose width is not the netlist's input count.
     fn query_block(&mut self, block: &PatternBlock) -> Vec<u64> {
-        self.answer(block, self.fingerprint, |inner| inner.query_block(block))
+        assert_eq!(
+            block.lanes.len(),
+            self.inner.num_inputs(),
+            "cached oracle query has the wrong number of inputs"
+        );
+        let key = pack(block);
+        self.answer(block, self.fingerprint, key, false, |inner| {
+            inner.query_block(block)
+        })
     }
 
-    /// Like [`CachedOracle::query_block`], with the entry holding only
-    /// the listed outputs' lanes under the fingerprint salted with the
-    /// output list; a miss asks the exact chip for just those outputs.
+    /// Keys the cone block as given, on every lane, under the fingerprint
+    /// of the netlist, `inputs` and `outputs` under a salt of its own; the
+    /// entry holds only the listed outputs' lanes, and a miss asks the
+    /// exact chip's cone answer.
     ///
     /// # Panics
     ///
-    /// As [`CachedOracle::query_block`], and if an ordinal is out of
-    /// range.
-    fn query_outputs(&mut self, block: &PatternBlock, outputs: &[usize]) -> Vec<u64> {
-        let fingerprint = outputs_fingerprint(self.fingerprint, outputs);
-        self.answer(block, fingerprint, |inner| {
-            inner.query_outputs(block, outputs)
+    /// Panics on a block whose width is not `inputs.len()`, and as
+    /// [`OracleStack`]'s `query_cone` on a miss.
+    fn query_cone(
+        &mut self,
+        block: &PatternBlock,
+        inputs: &[usize],
+        outputs: &[usize],
+    ) -> Vec<u64> {
+        assert_eq!(
+            block.lanes.len(),
+            inputs.len(),
+            "cached cone query has the wrong number of inputs"
+        );
+        let fingerprint = cone_fingerprint(self.fingerprint, inputs, outputs);
+        let key = pack(block);
+        self.answer(block, fingerprint, key, true, |inner| {
+            inner.query_cone(block, inputs, outputs)
         })
     }
 
@@ -392,12 +346,12 @@ mod tests {
         for lane in &mut garbage.lanes {
             *lane |= 0xFFFF_0000;
         }
-        assert_eq!(pack(&a, 0..5), pack(&garbage, 0..5));
+        assert_eq!(pack(&a), pack(&garbage));
         let longer = PatternBlock {
             lanes: a.lanes.clone(),
             count: 3,
         };
-        assert_ne!(pack(&a, 0..5), pack(&longer, 0..5));
+        assert_ne!(pack(&a), pack(&longer));
 
         let nl = parse_bench(C17_BENCH).unwrap();
         let cache = OracleCache::shared();
@@ -415,7 +369,7 @@ mod tests {
         // scalar query is a 1-pattern block query, so both share one
         // entry.
         let one = PatternBlock::from_patterns(&[vec![true, false, true, false, true]]);
-        assert_eq!(pack(&one, 0..5), vec![0b10101, 1]);
+        assert_eq!(pack(&one), vec![0b10101, 1]);
 
         let nl = parse_bench(C17_BENCH).unwrap();
         let cache = OracleCache::shared();
@@ -443,10 +397,11 @@ mod tests {
     #[test]
     fn keys_agree_exactly_when_counts_and_valid_columns_agree() {
         // Random block pairs, each of the second drawn to agree with the
-        // first or not in one of several ways: the keys must be equal
-        // exactly when the counts and the valid patterns on the key's
-        // columns are, whatever lies beyond `count` or outside the
-        // columns, and every key is ⌈count·w/64⌉ + 1 words.
+        // first or not in one of several ways. Both are cut to a column
+        // set (every input, or a strict subset as a cone block takes it):
+        // the keys must be equal exactly when the counts and the valid
+        // patterns on those columns are, whatever lies beyond `count` or
+        // outside the columns, and every key is ⌈count·w/64⌉ + 1 words.
         let mut rng = StdRng::seed_from_u64(24);
         let (mut equal, mut unequal) = (0, 0);
         for n in [0usize, 1, 63, 64, 65] {
@@ -489,10 +444,11 @@ mod tests {
                         && columns
                             .iter()
                             .all(|&i| a.lanes[i] & a.valid_mask() == b.lanes[i] & b.valid_mask());
-                    let (ka, kb) = (
-                        pack(&a, columns.iter().copied()),
-                        pack(&b, columns.iter().copied()),
-                    );
+                    let on_columns = |block: &PatternBlock| PatternBlock {
+                        lanes: columns.iter().map(|&i| block.lanes[i]).collect(),
+                        count: block.count,
+                    };
+                    let (ka, kb) = (pack(&on_columns(&a)), pack(&on_columns(&b)));
                     assert_eq!(ka == kb, agree, "n={n} w={} a={a:?} b={b:?}", columns.len());
                     for (block, key) in [(&a, &ka), (&b, &kb)] {
                         assert_eq!(key.len(), (block.count * columns.len()).div_ceil(64) + 1);
@@ -535,6 +491,19 @@ mod tests {
         assert_eq!(o.queries(), 20);
     }
 
+    /// `block`'s lanes scattered onto `inputs` in a zero-filled c17-wide
+    /// block: the full-width block a cone block stands for.
+    fn scatter(block: &PatternBlock, inputs: &[usize]) -> PatternBlock {
+        let mut lanes = vec![0u64; 5];
+        for (&i, &lane) in inputs.iter().zip(&block.lanes) {
+            lanes[i] = lane;
+        }
+        PatternBlock {
+            lanes,
+            count: block.count,
+        }
+    }
+
     #[test]
     fn output_subsets_are_entries_of_their_own() {
         // One cone block asked for outputs [0], [1] and [0, 1]: three
@@ -544,74 +513,109 @@ mod tests {
         // Queries count per pattern, hit or miss.
         let nl = parse_bench(C17_BENCH).unwrap();
         let cache = OracleCache::shared();
-        let mut o = CachedOracle::over_cone(&nl, Arc::clone(&cache), (0..5).collect());
+        let mut o = CachedOracle::over(&nl, Arc::clone(&cache));
+        let all: Vec<usize> = (0..5).collect();
         let block = PatternBlock::from_patterns(&c17_patterns()[..10]);
         let full = OracleStack::exact(&nl).query_block(&block);
         let sets: [&[usize]; 3] = [&[0], &[1], &[0, 1]];
         for (i, outputs) in sets.into_iter().enumerate() {
             let expected: Vec<u64> = outputs.iter().map(|&k| full[k]).collect();
-            assert_eq!(o.query_outputs(&block, outputs), expected, "{outputs:?}");
+            assert_eq!(o.query_cone(&block, &all, outputs), expected, "{outputs:?}");
             assert_eq!(cache.stats(), (0, i as u64 + 1), "{outputs:?} hit");
         }
         assert_eq!(cache.entries(), 3);
-        assert_eq!(o.query_outputs(&block, &[1]), vec![full[1]]);
+        assert_eq!(o.query_cone(&block, &all, &[1]), vec![full[1]]);
         assert_eq!(cache.stats(), (1, 3), "a replay must hit");
         assert_eq!(cache.cone_stats(), (1, 3));
         assert_eq!(o.queries(), 40);
         assert_eq!(o.query_block(&block), full);
         assert_eq!(cache.stats(), (1, 4), "a full answer hit a subset entry");
+        assert_eq!(cache.cone_stats(), (1, 3), "a full answer is no cone probe");
         assert_eq!(cache.entries(), 4);
         assert_eq!(o.queries(), 50);
     }
 
     #[test]
+    fn one_cone_block_under_two_input_lists_is_two_entries() {
+        // The same two-lane block drives inputs [0, 1] in one call and
+        // [2, 3] in the other: two misses, two entries, and each answer is
+        // the exact chip's on its own scattered block. The answers differ,
+        // so one entry standing for both would answer one call wrongly.
+        let nl = parse_bench(C17_BENCH).unwrap();
+        let cache = OracleCache::shared();
+        let mut o = CachedOracle::over(&nl, Arc::clone(&cache));
+        let block = PatternBlock {
+            lanes: vec![0b0011, 0b0101],
+            count: 4,
+        };
+        let mut answers = Vec::new();
+        for inputs in [[0usize, 1], [2, 3]] {
+            let expected = OracleStack::exact(&nl).query_block(&scatter(&block, &inputs));
+            let got = o.query_cone(&block, &inputs, &[0, 1]);
+            assert_eq!(got, expected, "inputs {inputs:?}");
+            answers.push(got);
+        }
+        assert_ne!(answers[0], answers[1], "the two calls must differ");
+        assert_eq!(cache.cone_stats(), (0, 2));
+        assert_eq!(cache.entries(), 2);
+        for (inputs, answer) in [[0usize, 1], [2, 3]].iter().zip(&answers) {
+            assert_eq!(&o.query_cone(&block, inputs, &[0, 1]), answer);
+        }
+        assert_eq!(cache.cone_stats(), (2, 2), "replays must hit");
+    }
+
+    #[test]
     fn threads_sharing_one_cache_answer_exactly_and_count_every_lookup() {
         // Four workers share one cache. Each asks every c17 pattern as a
-        // scalar and the four 8-pattern blocks, through its own full-key
-        // and cone-keyed oracle (the cone reads every input, so every
-        // pattern conforms), in its own order, all starting together.
+        // one-pattern block and the four 8-pattern blocks, both full-width
+        // through `query_block` and as cone blocks listing every input
+        // through `query_cone`, in its own order, all starting together.
         // Racing misses may simulate a key twice, but every answer is the
         // exact chip's, every lookup is counted once, and each distinct
         // key is one entry.
         let nl = parse_bench(C17_BENCH).unwrap();
         let cache = OracleCache::shared();
         let patterns = c17_patterns();
+        let singles: Vec<PatternBlock> = patterns
+            .chunks(1)
+            .map(PatternBlock::from_patterns)
+            .collect();
         let blocks: Vec<PatternBlock> = patterns
             .chunks(8)
             .map(PatternBlock::from_patterns)
             .collect();
+        let all: Vec<usize> = (0..5).collect();
         const THREADS: usize = 4;
         let start = std::sync::Barrier::new(THREADS);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
-                let (nl, cache, patterns, blocks, start) =
-                    (&nl, &cache, &patterns, &blocks, &start);
+                let (nl, cache, singles, blocks, all, start) =
+                    (&nl, &cache, &singles, &blocks, &all, &start);
                 scope.spawn(move || {
                     let mut exact = OracleStack::exact(nl);
-                    let mut full = CachedOracle::over(nl, Arc::clone(cache));
-                    let mut cone = CachedOracle::over_cone(nl, Arc::clone(cache), (0..5).collect());
+                    let mut oracle = CachedOracle::over(nl, Arc::clone(cache));
                     start.wait();
-                    for step in 0..patterns.len() {
-                        let p = &patterns[(step * 7 + t * 9) % patterns.len()];
-                        let y = exact.query(p);
-                        assert_eq!(full.query(p), y, "thread {t}, pattern {p:?}");
-                        assert_eq!(cone.query(p), y, "thread {t}, pattern {p:?}");
+                    for step in 0..singles.len() {
+                        let single = &singles[(step * 7 + t * 9) % singles.len()];
+                        let y = exact.query_block(single);
+                        assert_eq!(oracle.query_block(single), y, "thread {t}, {single:?}");
+                        assert_eq!(oracle.query_cone(single, all, &[0, 1]), y, "thread {t}");
                     }
                     for step in 0..blocks.len() {
                         let block = &blocks[(step + t) % blocks.len()];
                         let y = exact.query_block(block);
-                        assert_eq!(full.query_block(block), y, "thread {t}");
-                        assert_eq!(cone.query_block(block), y, "thread {t}");
+                        assert_eq!(oracle.query_block(block), y, "thread {t}");
+                        assert_eq!(oracle.query_cone(block, all, &[0, 1]), y, "thread {t}");
                     }
                 });
             }
         });
-        let per_oracle = (patterns.len() + blocks.len()) as u64;
+        let per_kind = (singles.len() + blocks.len()) as u64;
         let (hits, misses) = cache.stats();
-        assert_eq!(hits + misses, THREADS as u64 * 2 * per_oracle);
+        assert_eq!(hits + misses, THREADS as u64 * 2 * per_kind);
         let (cone_hits, cone_misses) = cache.cone_stats();
-        assert_eq!(cone_hits + cone_misses, THREADS as u64 * per_oracle);
-        assert_eq!(cache.entries(), 2 * per_oracle, "one entry per key");
+        assert_eq!(cone_hits + cone_misses, THREADS as u64 * per_kind);
+        assert_eq!(cache.entries(), 2 * per_kind, "one entry per key");
         assert!(misses >= cache.entries());
     }
 
@@ -637,37 +641,52 @@ mod tests {
 
     #[test]
     fn cone_keyed_hits_are_byte_identical_to_full_key_and_uncached() {
-        use gshe_attacks::{cone_inputs, CoiMode, CoiOracle, CoiProjection};
+        use gshe_attacks::{CoiMode, CoiOracle, CoiProjection};
 
         let (nl, keyed) = split_design();
         let proj = CoiProjection::build(&keyed, CoiMode::On).expect("projection engages");
-        let inputs = cone_inputs(&keyed, CoiMode::On).expect("cone inputs");
-        assert_eq!(inputs.len(), 2, "only a, b feed the cloaked cone");
+        let inputs = proj.input_map().to_vec();
+        assert_eq!(inputs, [0, 1], "only a, b feed the cloaked cone");
+        let outputs = proj.affected_outputs().to_vec();
 
-        // Three stacks answering the same cone-interface queries: cone-
-        // keyed cache, full-key cache, and no cache at all.
+        // Three chips answering the same cone-interface queries: the
+        // cone-keyed cache behind the projection, the full-width cache
+        // asked the scattered block, and no cache at all.
         let cone_cache = OracleCache::shared();
         let full_cache = OracleCache::shared();
-        let mut cone_inner = CachedOracle::over_cone(&nl, Arc::clone(&cone_cache), inputs.clone());
-        let mut full_inner = CachedOracle::over(&nl, Arc::clone(&full_cache));
+        let mut cone_inner = CachedOracle::over(&nl, Arc::clone(&cone_cache));
+        let mut full_key = CachedOracle::over(&nl, Arc::clone(&full_cache));
         let mut bare_inner = OracleStack::exact(&nl);
         let mut cone_keyed = CoiOracle::new(&mut cone_inner, &proj);
-        let mut full_keyed = CoiOracle::new(&mut full_inner, &proj);
         let mut uncached = CoiOracle::new(&mut bare_inner, &proj);
+        let mut full_answer = |block: &PatternBlock| -> Vec<u64> {
+            let mut lanes = vec![0u64; nl.inputs().len()];
+            for (&i, &lane) in inputs.iter().zip(&block.lanes) {
+                lanes[i] = lane;
+            }
+            let full = full_key.query_block(&PatternBlock {
+                lanes,
+                count: block.count,
+            });
+            outputs.iter().map(|&o| full[o]).collect()
+        };
 
         // Every cone input combination, scalar and block form.
         for p in 0..4u32 {
             let pattern: Vec<bool> = (0..2).map(|k| (p >> k) & 1 == 1).collect();
+            let single = PatternBlock::from_patterns(std::slice::from_ref(&pattern));
             let y = cone_keyed.query(&pattern);
-            assert_eq!(y, full_keyed.query(&pattern), "scalar p={p}");
             assert_eq!(y, uncached.query(&pattern), "scalar p={p}");
+            let lanes = full_answer(&single);
+            let full_y: Vec<bool> = lanes.iter().map(|lane| lane & 1 == 1).collect();
+            assert_eq!(y, full_y, "scalar p={p}");
         }
         let patterns: Vec<Vec<bool>> = (0..3u32)
             .map(|p| (0..2).map(|k| (p >> k) & 1 == 1).collect())
             .collect();
         let block = PatternBlock::from_patterns(&patterns);
         let lanes = cone_keyed.query_block(&block);
-        assert_eq!(lanes, full_keyed.query_block(&block), "block");
+        assert_eq!(lanes, full_answer(&block), "block");
         assert_eq!(lanes, uncached.query_block(&block), "block");
 
         // A partial block differing only in garbage bits of invalid
@@ -696,7 +715,7 @@ mod tests {
 
         // A second job over the same cone (a later trial) hits the warm
         // cache through a fresh oracle instance.
-        let mut second_inner = CachedOracle::over_cone(&nl, Arc::clone(&cone_cache), inputs);
+        let mut second_inner = CachedOracle::over(&nl, Arc::clone(&cone_cache));
         let mut second = CoiOracle::new(&mut second_inner, &proj);
         let misses_before = cone_cache.stats().1;
         assert_eq!(second.query_block(&block), lanes);
@@ -704,40 +723,24 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside the cone")]
-    fn cone_keyed_queries_must_be_zero_outside_the_cone() {
-        // Two blocks that differ only outside the cone would share one
-        // cone-keyed entry and get one answer for two different output
-        // sets, so the oracle refuses any block that sets a non-cone input
-        // in a valid pattern.
-        let nl = parse_bench(C17_BENCH).unwrap();
-        let mut o = CachedOracle::over_cone(&nl, OracleCache::shared(), vec![0, 2]);
-        // Garbage beyond the valid patterns is allowed.
-        let conforming = PatternBlock {
-            lanes: vec![0b01, 0b100, 0b11, 0, 0b100],
-            count: 2,
-        };
-        o.query_block(&conforming);
-        let mut stray = conforming;
-        stray.lanes[4] = 0b10;
-        o.query_block(&stray);
-    }
-
-    #[test]
     fn cone_and_full_keys_never_alias() {
-        // Same netlist, same pattern content: the cone-keyed probe and
-        // the full-key probe must live under distinct fingerprints even
-        // when the cone reads every input.
+        // Same netlist, same block: a cone block listing every input and
+        // every output packs the same bits as the full-width block, but
+        // lives under its own fingerprint, so the full-width query misses.
+        // Replays of either hit their own entry.
         let nl = parse_bench(C17_BENCH).unwrap();
         let cache = OracleCache::shared();
-        let all_inputs: Vec<usize> = (0..5).collect();
-        let mut cone = CachedOracle::over_cone(&nl, Arc::clone(&cache), all_inputs);
-        let mut full = CachedOracle::over(&nl, Arc::clone(&cache));
-        let pattern = [true, false, true, false, true];
-        let ya = cone.query(&pattern);
-        let yb = full.query(&pattern);
-        assert_eq!(ya, yb, "same chip, same pattern");
+        let mut o = CachedOracle::over(&nl, Arc::clone(&cache));
+        let all: Vec<usize> = (0..5).collect();
+        let block = PatternBlock::from_patterns(&c17_patterns()[3..9]);
+        let cone = o.query_cone(&block, &all, &[0, 1]);
+        let full = o.query_block(&block);
+        assert_eq!(cone, full, "same chip, same block");
         assert_eq!(cache.stats(), (0, 2), "salted fingerprints keep keys apart");
         assert_eq!(cache.entries(), 2);
+        assert_eq!(o.query_cone(&block, &all, &[0, 1]), cone);
+        assert_eq!(o.query_block(&block), full);
+        assert_eq!(cache.stats(), (2, 2), "replays must hit");
+        assert_eq!(cache.cone_stats(), (1, 1));
     }
 }

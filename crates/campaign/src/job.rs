@@ -15,8 +15,8 @@
 
 use crate::cache::{CachedOracle, OracleCache};
 use gshe_attacks::{
-    cone_inputs, verify_key_scoped, AttackConfig, AttackKind, AttackOutcome, AttackRunner,
-    AttackStatus, CoiMode, KeyVerification, OracleStack, SimplifyMode,
+    verify_key_scoped, AttackConfig, AttackKind, AttackOutcome, AttackRunner, AttackStatus,
+    CoiMode, KeyVerification, OracleStack, SimplifyMode,
 };
 use gshe_camo::{camouflage, select_gates, CamoError, CamoScheme, KeyedNetlist};
 use gshe_device::{MonteCarlo, MonteCarloConfig, SwitchParams};
@@ -638,18 +638,9 @@ pub(crate) fn attack_cell(
     let seed = runner.seed;
     let out = match (rotation_period, noise) {
         (0, None) => {
-            // When the runner's COI mode engages on this design, the
-            // oracle answers are a pure function of the cone inputs (the
-            // engine zero-fills the rest), so the cache can key entries on
-            // the packed cone sub-pattern instead of the full input width —
-            // superblue-wide blocks shrink to cone-width keys and hit
-            // across cells whose non-cone lanes differ.
             let mut oracle = {
                 let _span = gshe_obs::span("job.oracle_build");
-                match cone_inputs(keyed, coi) {
-                    Some(cone) => CachedOracle::over_cone(nl, Arc::clone(cache), cone),
-                    None => CachedOracle::over(nl, Arc::clone(cache)),
-                }
+                CachedOracle::over(nl, Arc::clone(cache))
             };
             runner.run(keyed, &mut oracle)
         }

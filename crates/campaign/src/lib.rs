@@ -169,7 +169,7 @@ pub use spec::{
 use gshe_camo::KeyedNetlist;
 use gshe_device::SwitchParams;
 use gshe_logic::{suites, Netlist, Topology};
-use spec::{check_level, check_rate, check_scale, check_timeout, memo_budget_bytes};
+use spec::{check_at_least_one, check_level, check_rate, check_timeout, memo_budget_bytes};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -504,7 +504,7 @@ impl EvalSession {
         jobs: Vec<JobSpec>,
     ) -> Result<CampaignReport, String> {
         let budget = memo_budget_bytes(spec.memo_budget_mb)?;
-        check_scale(spec.scale)?;
+        check_at_least_one("scale", spec.scale as u64)?;
         for job in &jobs {
             check_timeout(job.timeout)?;
             match &job.kind {

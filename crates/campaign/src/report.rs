@@ -37,7 +37,7 @@ pub struct CampaignReport {
     /// (block-level keys: one entry answers up to 64 patterns).
     pub cache_entries: u64,
     /// Cache hits answered from **cone-keyed** entries (COI-engaged jobs
-    /// keying on the packed cone sub-pattern). Subset of `cache_hits`;
+    /// keying on the packed cone block). Subset of `cache_hits`;
     /// timing-side diagnostic.
     pub cone_hits: u64,
     /// Cache misses on cone-keyed lookups. Subset of `cache_misses`.

@@ -46,9 +46,8 @@ use crate::job::{
 use crate::physical::ClockRateTable;
 use crate::report::{json_f64, json_str};
 use crate::spec::{
-    attacks_value, check_level, check_rate, check_scale, check_timeout, check_trials,
-    clock_periods_value, read_toml, scheme_name, scheme_named, unknown_key, valid_attack_names,
-    SpecValue,
+    attacks_value, check_at_least_one, check_level, check_rate, check_timeout, clock_periods_value,
+    read_toml, scheme_name, scheme_named, unknown_key, valid_attack_names, SpecValue,
 };
 use crate::EvalSession;
 use gshe_attacks::{AttackConfig, AttackKind, AttackRunner, AttackStatus};
@@ -114,7 +113,7 @@ pub struct SearchSpec {
     pub trials: u64,
     /// Mutation generations after the physics-seeded generation 0.
     pub generations: u64,
-    /// Offspring per generation (the λ of 1+λ).
+    /// Offspring per generation (the λ of 1+λ), at least 1.
     pub lambda: usize,
     /// Highest attacker success rate a candidate may show and still win
     /// (the target confidence; 0.0 = the defense must shut the attack
@@ -421,13 +420,14 @@ impl<'s> ProfileSearch<'s> {
     /// # Errors
     ///
     /// Propagates benchmark resolution and camouflage failures; rejects a
-    /// scale below 1, 0 trials, a level outside `(0, 1]`, a target success
-    /// outside `[0, 1]` or a timeout too large for a deadline (naming the
-    /// value), and a spec with no attacks (scoring would be a 0/0 success
-    /// rate).
+    /// scale below 1, 0 trials, 0 offspring per generation (`lambda`), a
+    /// level outside `(0, 1]`, a target success outside `[0, 1]` or a
+    /// timeout too large for a deadline (naming the value), and a spec with
+    /// no attacks (scoring would be a 0/0 success rate).
     pub fn new(session: &'s EvalSession, spec: SearchSpec) -> Result<Self, String> {
-        check_scale(spec.scale)?;
-        check_trials(spec.trials)?;
+        check_at_least_one("scale", spec.scale as u64)?;
+        check_at_least_one("trials", spec.trials)?;
+        check_at_least_one("lambda", spec.lambda as u64)?;
         check_level(spec.level)?;
         check_rate("target success", spec.target_success)?;
         check_timeout(spec.timeout)?;
@@ -622,7 +622,7 @@ impl<'s> ProfileSearch<'s> {
                 front
             };
             let mut mutants = Vec::new();
-            for slot in 0..self.spec.lambda.max(1) {
+            for slot in 0..self.spec.lambda {
                 let parent = &archive[parents[slot % parents.len()]];
                 for _attempt in 0..8 {
                     let candidate = mutate(&parent.candidate, climbing, &mut rng);
@@ -927,6 +927,13 @@ mod tests {
                     ..SearchSpec::default()
                 },
                 "trials must be at least 1, got 0",
+            ),
+            (
+                SearchSpec {
+                    lambda: 0,
+                    ..SearchSpec::default()
+                },
+                "lambda must be at least 1, got 0",
             ),
             (
                 SearchSpec {

@@ -91,19 +91,12 @@ pub fn valid_profile_names() -> String {
     )
 }
 
-/// Rejects a benchmark-scale divisor below 1.
-pub(crate) fn check_scale(scale: usize) -> Result<(), String> {
-    if scale == 0 {
-        return Err("scale must be at least 1, got 0".to_string());
-    }
-    Ok(())
-}
-
-/// Rejects a trial count of 0: a grid cell or a candidate needs at
-/// least one attack.
-pub(crate) fn check_trials(trials: u64) -> Result<(), String> {
-    if trials == 0 {
-        return Err("trials must be at least 1, got 0".to_string());
+/// Rejects a count of 0 where at least one is needed: a benchmark-scale
+/// divisor, the trials of a grid cell or a candidate, a generation's
+/// offspring.
+pub(crate) fn check_at_least_one(name: &str, value: u64) -> Result<(), String> {
+    if value == 0 {
+        return Err(format!("{name} must be at least 1, got 0"));
     }
     Ok(())
 }
@@ -484,8 +477,8 @@ impl CampaignSpec {
     /// a non-positive clock period, naming the value; propagates
     /// benchmark-resolution failures.
     pub fn expand(&self) -> Result<Vec<JobSpec>, String> {
-        check_scale(self.scale)?;
-        check_trials(self.trials)?;
+        check_at_least_one("scale", self.scale as u64)?;
+        check_at_least_one("trials", self.trials)?;
         for &level in &self.levels {
             check_level(level)?;
         }

@@ -51,6 +51,7 @@ use crate::bf2::{Bf1, Bf2};
 use crate::error::LogicError;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Index of a node within its netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -180,6 +181,25 @@ fn pack(kind: NodeKind, ordinal: u32) -> (u8, u32, u32) {
     }
 }
 
+/// The memoized [`Netlist::structural_hash`]. Equality ignores it and a
+/// clone starts without it, so it never tells two netlists apart.
+#[derive(Debug, Default)]
+struct HashMemo(OnceLock<u64>);
+
+impl Clone for HashMemo {
+    fn clone(&self) -> Self {
+        HashMemo::default()
+    }
+}
+
+impl PartialEq for HashMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for HashMemo {}
+
 /// A combinational gate-level netlist in topological order, stored as a
 /// flat arena (see the module docs for the layout).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,6 +214,8 @@ pub struct Netlist {
     names: NameTable,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
+    /// Reset by every edit of the structure ([`Netlist::set_gate`]).
+    hash: HashMemo,
 }
 
 impl Netlist {
@@ -232,6 +254,7 @@ impl Netlist {
             names,
             inputs,
             outputs,
+            hash: HashMemo::default(),
         };
         nl.check()?;
         Ok(nl)
@@ -576,6 +599,7 @@ impl Netlist {
             )));
         }
         (self.meta[i], self.fanin_a[i], self.fanin_b[i]) = pack(kind, 0);
+        self.hash.0.take();
         Ok(())
     }
 
@@ -668,15 +692,18 @@ impl Netlist {
     ///
     /// One pass over the raw arena (`meta`, `fanin_a`, `fanin_b`, then
     /// `outputs`), spread over four independent multiply-rotate lanes so
-    /// consecutive words do not wait on each other.
+    /// consecutive words do not wait on each other. Taken once per netlist
+    /// and memoized; [`Netlist::set_gate`] drops the memo.
     pub fn structural_hash(&self) -> u64 {
-        let mut h = LaneHash::new(self.len() as u64, self.outputs.len() as u64);
-        h.absorb_bytes(&self.meta);
-        h.absorb_u32(&self.fanin_a);
-        h.absorb_u32(&self.fanin_b);
-        let outputs: Vec<u32> = self.outputs.iter().map(|o| o.0).collect();
-        h.absorb_u32(&outputs);
-        h.finish()
+        *self.hash.0.get_or_init(|| {
+            let mut h = LaneHash::new(self.len() as u64, self.outputs.len() as u64);
+            h.absorb_bytes(&self.meta);
+            h.absorb_u32(&self.fanin_a);
+            h.absorb_u32(&self.fanin_b);
+            let outputs: Vec<u32> = self.outputs.iter().map(|o| o.0).collect();
+            h.absorb_u32(&outputs);
+            h.finish()
+        })
     }
 
     /// Extracts the transitive fanin cone of `roots` as a standalone
@@ -729,6 +756,7 @@ impl Netlist {
             names,
             inputs,
             outputs,
+            hash: HashMemo::default(),
         };
         cone.check()
             .expect("cone extraction preserves netlist invariants");
@@ -1372,6 +1400,67 @@ mod tests {
         let z = b.gate1("z", Bf1::Inv, a);
         b.output(z);
         assert_ne!(b.finish().unwrap().structural_hash(), h, "another circuit");
+    }
+
+    #[test]
+    fn memoized_hash_follows_every_edit() {
+        // Hash, then edit through each entry point built on `set_gate`:
+        // the memo must not survive the edit, so each hash is the one a
+        // fresh build of the edited netlist takes.
+        let nl = full_adder();
+        let h = nl.structural_hash();
+        let (cout, s1) = (nl.find("cout").unwrap(), nl.find("s1").unwrap());
+        let c1 = nl.find("c1").unwrap();
+        let mut edited = nl.clone();
+        assert_eq!(edited.structural_hash(), h);
+        edited.set_gate2_function(cout, Bf2::AND).unwrap();
+        let fresh = rebuild(&edited, |_, _| {});
+        assert_ne!(edited.structural_hash(), h, "set_gate2_function");
+        assert_eq!(edited.structural_hash(), fresh.structural_hash());
+        edited
+            .set_gate(cout, NodeKind::Gate1 { f: Bf1::Inv, a: c1 })
+            .unwrap();
+        let fresh = rebuild(&edited, |nodes, _| {
+            assert_eq!(
+                nodes[cout.index()].kind,
+                NodeKind::Gate1 { f: Bf1::Inv, a: c1 }
+            );
+        });
+        assert_eq!(
+            edited.structural_hash(),
+            fresh.structural_hash(),
+            "set_gate"
+        );
+        let before = edited.structural_hash();
+        edited.set_gate1_function(cout, Bf1::Buf, c1).unwrap();
+        assert_ne!(edited.structural_hash(), before, "set_gate1_function");
+        assert_eq!(
+            edited.structural_hash(),
+            rebuild(&edited, |_, _| {}).structural_hash()
+        );
+        // A failed edit changes nothing.
+        assert!(edited.set_gate(s1, NodeKind::Input).is_err());
+        assert_eq!(
+            edited.structural_hash(),
+            rebuild(&edited, |_, _| {}).structural_hash()
+        );
+    }
+
+    #[test]
+    fn equality_ignores_the_hash_memo() {
+        // Two equal netlists compare equal whether neither, one or both
+        // have been hashed, and a clone of a hashed netlist is equal too.
+        let (a, b) = (full_adder(), full_adder());
+        assert_eq!(a, b);
+        let _ = a.structural_hash();
+        assert_eq!(a, b, "only the left one hashed");
+        assert_eq!(b, a, "only the right one hashed");
+        let _ = b.structural_hash();
+        assert_eq!(a, b, "both hashed");
+        let c = a.clone();
+        assert_eq!(c, a);
+        assert_eq!(c.structural_hash(), a.structural_hash());
+        assert_eq!(c.arena_bytes(), b.arena_bytes());
     }
 
     #[test]

@@ -69,7 +69,7 @@
 //! | `pool.task` | `campaign::pool` | one erased task on a worker |
 //! | `job.attack` / `job.device` | `campaign::job` | one campaign job |
 //! | `job.materialize` | `campaign::job` | camouflaged-netlist materialization |
-//! | `job.oracle_build` | `campaign::job` | the cached oracle's construction (cone inputs, netlist hash) |
+//! | `job.oracle_build` | `campaign::job` | the cached oracle's construction (the netlist fingerprint, memoized per design) |
 //! | `job.verify` | `campaign::job` | the recovered key's equivalence proof |
 //! | `session.materialize` | `campaign` | benchmark netlist generation |
 //! | `attack.coi_build` | `attacks::dip_engine` | the cone-of-influence projection |

@@ -123,34 +123,27 @@ fn superblue_stream() {
     // The cone-keyed cache's reason to exist, measured directly: warm
     // replay of superblue-wide blocks must beat cold simulation by ≥5×
     // (in practice orders of magnitude — a hash probe on cone-width
-    // keys vs a 13k-node bit-parallel sweep per block).
+    // keys vs a 13k-node bit-parallel sweep per block). The cone blocks
+    // drive 64 inputs and ask for every output, so each miss simulates
+    // the whole design.
     let sb1 =
         suites::benchmark_scaled_with(suites::spec("sb1").unwrap(), SCALE, SEED, Topology::Local);
     let cone: Vec<usize> = (0..64).collect();
+    let outputs: Vec<usize> = (0..sb1.outputs().len()).collect();
     let mut rng = StdRng::seed_from_u64(17);
-    // Random cone lanes scattered into zero-filled full-width blocks, as
-    // `CoiOracle` does: the cone-keyed cache keys on the cone lanes
-    // alone and rejects blocks that set any other input.
     let blocks: Vec<PatternBlock> = (0..32)
-        .map(|_| {
-            let cone_block = PatternBlock::random(cone.len(), &mut rng);
-            let mut lanes = vec![0u64; sb1.inputs().len()];
-            for (&full, &lane) in cone.iter().zip(&cone_block.lanes) {
-                lanes[full] = lane;
-            }
-            PatternBlock { lanes, count: 64 }
-        })
+        .map(|_| PatternBlock::random(cone.len(), &mut rng))
         .collect();
     let cache = OracleCache::shared();
-    let mut oracle = CachedOracle::over_cone(&sb1, cache, cone);
+    let mut oracle = CachedOracle::over(&sb1, cache);
     let cold_t = Instant::now();
     for block in &blocks {
-        oracle.query_block(block);
+        oracle.query_cone(block, &cone, &outputs);
     }
     let cold_elapsed = cold_t.elapsed();
     let warm_t = Instant::now();
     for block in &blocks {
-        oracle.query_block(block);
+        oracle.query_cone(block, &cone, &outputs);
     }
     let warm_elapsed = warm_t.elapsed();
     assert!(
