@@ -52,7 +52,7 @@ use crate::oracle::Oracle;
 use gshe_camo::{CamoGate, KeyedNetlist};
 use gshe_logic::{Netlist, NodeId, PatternBlock};
 
-/// Whether the DIP engine, the campaign's oracle cache and key
+/// Whether the DIP engine, the exact chip's answers and key
 /// verification work on the cone of influence of the cloaked cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoiMode {

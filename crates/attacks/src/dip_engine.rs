@@ -339,8 +339,6 @@ pub fn refine(
                     iterations += 1;
                     gshe_obs::count("attack.rounds", 1);
                     let dip: Vec<bool> = input_lits.iter().map(|&l| solver.model_lit(l)).collect();
-                    // A one-pattern block keeps the cache's dense
-                    // single-pattern key.
                     let lanes = {
                         let _span = gshe_obs::span("attack.oracle");
                         oracle.query_block(&PatternBlock::from_patterns(std::slice::from_ref(&dip)))

@@ -13,16 +13,14 @@
 //!   noisy (an [`ErrorProfile`] and a noise seed);
 //! * an optional **rotation layer** — epoch-segmented key resolution: the
 //!   chip answers `period` queries per key, then draws a fresh random key
-//!   and installs the re-resolved netlist into the simulator;
-//! * an optional **cache** — `gshe-campaign`'s `CachedOracle` (the cache
-//!   is session-wide infrastructure) wraps the bare exact stack only, the
-//!   one configuration whose answers are memoizable.
+//!   and installs the re-resolved netlist into the simulator.
 //!
 //! Every layer is `query_block`-first, so any composition answers 64
 //! patterns per pass end to end. [`OracleStack`] is the only model of the
 //! working chip: attacks, campaigns and benchmarks all build one of its
 //! four compositions ([`OracleStack::exact`], [`OracleStack::noisy`],
-//! [`OracleStack::rotating`], [`OracleStack::rotating_noisy`]).
+//! [`OracleStack::rotating`], [`OracleStack::rotating_noisy`]) and query
+//! it directly, with no answer cache in between.
 //!
 //! ## The exact chip's cone answer
 //!

@@ -294,18 +294,15 @@ fn bench_simplify_miter(c: &mut Criterion) {
     group.finish();
 }
 
-/// The campaign cache on a superblue-shaped instance (sb1 at scale 16,
+/// The exact chip on a superblue-shaped instance (sb1 at scale 16,
 /// locality-biased topology, ~60k nodes), over 16 blocks that drive the
 /// first 64 inputs: `query_block` on the blocks scattered to full width
-/// cold (every block simulated over the full arena, then inserted under
-/// its full-width key) vs. warm (pure hash probes). A third row asks the
-/// same cold blocks as cone blocks for one output through `query_cone`,
-/// as a cone-projected attack does: the exact chip extracts that
-/// output's fanin cone once per oracle and simulates only the cone per
-/// block, keyed on the 64 cone lanes. `superblue_stream` asserts a ≥5×
-/// warm-over-cold win for cone keys.
-fn bench_coi_cached_oracle(c: &mut Criterion) {
-    use gshe_core::campaign::{CachedOracle, OracleCache};
+/// (every block simulated over the full arena) vs. the same blocks asked
+/// as cone blocks for one output through `query_cone`, as a
+/// cone-projected attack asks them: the chip extracts that output's fanin
+/// cone once and simulates only the cone per block. Each iteration builds
+/// a fresh chip, so the cone row pays one extraction.
+fn bench_cone_oracle(c: &mut Criterion) {
     use gshe_core::logic::Topology;
 
     let spec = suites::spec("sb1").expect("superblue suite present");
@@ -327,41 +324,22 @@ fn bench_coi_cached_oracle(c: &mut Criterion) {
         })
         .collect();
 
-    let mut group = c.benchmark_group("coi_cached_oracle_sb1");
+    let mut group = c.benchmark_group("cone_oracle_sb1");
 
-    group.bench_function("cold_query_block_x16", |b| {
+    group.bench_function("query_block_x16", |b| {
         b.iter(|| {
-            // A fresh cache per iteration: every block misses and
-            // simulates the full 60k-node arena.
-            let cache = OracleCache::shared();
-            let mut oracle = CachedOracle::over(&nl, cache);
+            let mut oracle = OracleStack::exact(&nl);
             for block in &blocks {
                 black_box(oracle.query_block(black_box(block)));
             }
         })
     });
 
-    group.bench_function("cold_query_cone_x16", |b| {
+    group.bench_function("query_cone_x16", |b| {
         b.iter(|| {
-            // A fresh cache and chip per iteration: the first block pays
-            // the cone extraction, and every block simulates the cone.
-            let cache = OracleCache::shared();
-            let mut oracle = CachedOracle::over(&nl, cache);
+            let mut oracle = OracleStack::exact(&nl);
             for block in &cone_blocks {
                 black_box(oracle.query_cone(black_box(block), &cone, &[0]));
-            }
-        })
-    });
-
-    let warm_cache = OracleCache::shared();
-    let mut warm = CachedOracle::over(&nl, warm_cache);
-    for block in &blocks {
-        warm.query_block(block);
-    }
-    group.bench_function("warm_query_block_x16", |b| {
-        b.iter(|| {
-            for block in &blocks {
-                black_box(warm.query_block(black_box(block)));
             }
         })
     });
@@ -375,9 +353,9 @@ criterion_group! {
     targets = bench_oracle_paths, bench_stacked_oracle, bench_gates_per_sec
 }
 criterion_group! {
-    name = coi_cached_oracle;
+    name = cone_oracle;
     config = Criterion::default().sample_size(10);
-    targets = bench_coi_cached_oracle
+    targets = bench_cone_oracle
 }
 criterion_group! {
     name = candidate_score;
@@ -411,5 +389,5 @@ criterion_main!(
     coi_miter,
     simplify_miter,
     candidate_score,
-    coi_cached_oracle
+    cone_oracle
 );

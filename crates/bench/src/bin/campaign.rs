@@ -104,16 +104,6 @@ fn main() {
         report.threads,
         report.wall_time.as_secs_f64(),
     );
-    println!(
-        "oracle cache: {} hits / {} misses / {} entries",
-        report.cache_hits, report.cache_misses, report.cache_entries,
-    );
-    if report.cone_hits + report.cone_misses > 0 {
-        println!(
-            "cone-keyed entries: {} hits / {} misses ({} key words vs full-width blocks)",
-            report.cone_hits, report.cone_misses, report.cone_key_words,
-        );
-    }
     if spec.memo_budget_mb > 0.0 {
         println!(
             "streaming memo: peak {:.2} MiB of netlist arenas (budget {} MiB)",

@@ -121,8 +121,6 @@ fn print_human(report: &SearchReport) {
             )
         },
     );
-    let (hits, misses, entries) = report.cache;
-    println!("oracle cache: {hits} hits / {misses} misses / {entries} entries");
     println!();
     println!("PARETO FRONT (cheapest winning profiles, front-first):");
     println!("        gen switches mean-rate success%   queries  origin");

@@ -1,7 +1,7 @@
 //! Regenerates **Table IV**: SAT-attack runtimes for all seven schemes ×
 //! protection levels × benchmarks — now driven by the campaign engine,
-//! which runs the whole grid through a work-stealing pool with a shared
-//! oracle cache instead of a single-threaded loop.
+//! which runs the whole grid through a work-stealing pool instead of a
+//! single-threaded loop.
 //!
 //! The paper's fairness protocol is respected: for each benchmark, gates
 //! are selected once (seeded), memorized, and reapplied across every
@@ -124,9 +124,8 @@ fn main() {
     println!("expected shape: runtime grows left-to-right (more cloaked functions)");
     println!("and top-to-bottom within a benchmark (more gates protected);");
     println!("the all-16 GSHE column saturates to t-o first.");
-    let (hits, misses) = (report.cache_hits, report.cache_misses);
     println!(
-        "campaign: {} jobs in {:.1}s wall; oracle cache {hits} hits / {misses} misses",
+        "campaign: {} jobs in {:.1}s wall",
         report.results.len(),
         report.wall_time.as_secs_f64(),
     );

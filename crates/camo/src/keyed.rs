@@ -112,8 +112,8 @@ impl KeyedNetlist {
     ///
     /// Also computes [`KeyedNetlist::reached_outputs`]: one forward taint
     /// sweep from the lowest cloaked id to the end of the arena, so every
-    /// later cone-of-influence step on this draw (the cone-keyed cache,
-    /// the attack's projection, the key proof) starts from the cone
+    /// later cone-of-influence step on this draw (the exact chip's cone
+    /// answer, the attack's projection, the key proof) starts from the cone
     /// instead of sweeping the design again.
     ///
     /// # Panics

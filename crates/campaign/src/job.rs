@@ -13,7 +13,7 @@
 //! selection per benchmark × level across all schemes — the paper's
 //! fairness protocol).
 
-use crate::cache::{CachedOracle, OracleCache};
+use crate::cache::OracleCache;
 use gshe_attacks::{
     verify_key_scoped, AttackConfig, AttackKind, AttackOutcome, AttackRunner, AttackStatus,
     CoiMode, KeyVerification, OracleStack, SimplifyMode,
@@ -27,8 +27,7 @@ use rand::SeedableRng;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// SplitMix64 finalizer: the one-way mixer used for seed derivation and
-/// the oracle cache's cone fingerprints.
+/// SplitMix64 finalizer: the one-way mixer used for seed derivation.
 pub fn hash_mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -479,15 +478,17 @@ pub struct JobContext {
     /// Pre-built original netlists, keyed by benchmark name, in spec
     /// order.
     pub netlists: Vec<(String, Arc<Netlist>)>,
-    /// Campaign-wide oracle-response cache.
+    /// Unread: jobs query their [`OracleStack`] directly. Kept only
+    /// because perfbench's frozen replay builds a context with it; ROADMAP
+    /// item 1's benchmark change deletes it.
     pub cache: Arc<OracleCache>,
     /// Device parameters for device jobs.
     pub params: SwitchParams,
     /// Session-wide memo of scheme materializations.
     pub keyed: Arc<KeyedMemo>,
     /// Cone-of-influence policy shared by every attack job — the same
-    /// mode gates the attack engine's COI projection, the campaign
-    /// cache's cone-keyed entries and cone-scoped key verification, so
+    /// mode gates the attack engine's COI projection (and with it the
+    /// exact chip's cone answer) and cone-scoped key verification, so
     /// they can never disagree about whether a design's oracle answers
     /// are a function of its cone inputs alone.
     pub coi_mode: CoiMode,
@@ -564,8 +565,7 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
                 seeds.oracle,
             );
             let noise = (*error_rate > 0.0).then(|| noise_profile(&keyed, *profile, *error_rate));
-            let (out, verdict) =
-                attack_cell(nl, &keyed, &runner, noise, *rotation_period, &ctx.cache);
+            let (out, verdict) = attack_cell(nl, &keyed, &runner, noise, *rotation_period);
             result.status = match out.status {
                 AttackStatus::Success => JobStatus::Completed,
                 AttackStatus::Timeout => JobStatus::TimedOut,
@@ -619,12 +619,12 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
 /// and profile-search trials both attack through here, so a cell and a
 /// trial with the same dimensions face the same oracle and the same proof.
 ///
-/// The stack is built bottom-up: a noisy base when the cell carries a
-/// `noise` profile, a rotation layer when it carries a period (any
-/// combination is one bit-parallel stack), every layer seeded by
-/// `runner.seed`. The session `cache` sits only over the bare exact chip:
-/// noisy answers are samples and rotating answers a per-chip key stream,
-/// so neither is memoizable. Returns the attack's outcome and, when it
+/// The stack is the exact chip over `nl` when the cell carries neither a
+/// `noise` profile nor a rotation period; otherwise a noisy base and/or a
+/// rotation layer over the keyed design (any combination is one
+/// bit-parallel stack), every layer seeded by `runner.seed`. Building it,
+/// a rotating chip's correct-key resolution included, is timed by the
+/// `job.oracle_build` span. Returns the attack's outcome and, when it
 /// recovered a key, the proof's verdict.
 pub(crate) fn attack_cell(
     nl: &Netlist,
@@ -632,31 +632,24 @@ pub(crate) fn attack_cell(
     runner: &AttackRunner,
     noise: Option<ErrorProfile>,
     rotation_period: u64,
-    cache: &Arc<OracleCache>,
 ) -> (AttackOutcome, Option<Result<KeyVerification, CamoError>>) {
-    let coi = runner.config.coi;
     let seed = runner.seed;
-    let out = match (rotation_period, noise) {
-        (0, None) => {
-            let mut oracle = {
-                let _span = gshe_obs::span("job.oracle_build");
-                CachedOracle::over(nl, Arc::clone(cache))
-            };
-            runner.run(keyed, &mut oracle)
+    let mut oracle = {
+        let _span = gshe_obs::span("job.oracle_build");
+        match (rotation_period, noise) {
+            (0, None) => OracleStack::exact(nl),
+            (0, Some(noise)) => OracleStack::noisy(keyed, noise, seed),
+            (period, None) => OracleStack::rotating(keyed, period, seed),
+            (period, Some(noise)) => OracleStack::rotating_noisy(keyed, noise, period, seed),
         }
-        (0, Some(noise)) => runner.run(keyed, &mut OracleStack::noisy(keyed, noise, seed)),
-        (period, None) => runner.run(keyed, &mut OracleStack::rotating(keyed, period, seed)),
-        (period, Some(noise)) => runner.run(
-            keyed,
-            &mut OracleStack::rotating_noisy(keyed, noise, period, seed),
-        ),
     };
+    let out = runner.run(keyed, &mut oracle);
     // The proof is scoped to the cloaked cells' affected-output cones when
     // the COI mode engages, and structurally hashed, so the solver sees
     // only the outputs whose logic the recovered key changed.
     let verdict = out.key.as_deref().map(|key| {
         let _span = gshe_obs::span("job.verify");
-        verify_key_scoped(nl, keyed, key, coi)
+        verify_key_scoped(nl, keyed, key, runner.config.coi)
     });
     (out, verdict)
 }

@@ -16,11 +16,10 @@
 //! * [`pool`] — a work-stealing thread pool (std-only) executing jobs with
 //!   per-job wall-clock budgets; a job that exhausts its budget is marked
 //!   [`JobStatus::TimedOut`] instead of wedging the pool;
-//! * [`cache`] — the session-wide cache of exact-chip answers (one map,
-//!   keyed on the netlist fingerprint and the packed pattern block) and
-//!   [`CachedOracle`], the exact chip answering through it, so a
-//!   replayed block — a deterministic cell's later trial, a warm
-//!   session's rerun — is simulated once;
+//! * [`job`] — one job per grid cell; an attack cell queries the one
+//!   [`gshe_attacks::OracleStack`] its defense dimensions build, with no
+//!   answer cache in between ([`cache`] keeps only the old names
+//!   perfbench's frozen replay compiles against);
 //! * [`physical`] — device-derived operating points: the Monte Carlo
 //!   error-rate derivations and the clock-period → error-rate table
 //!   (one Monte Carlo run, every period read off its samples) behind the
@@ -29,10 +28,10 @@
 //!   table rows (key-recovery rate, query counts, output-error rate,
 //!   runtime percentiles) and serialize them to JSON or CSV;
 //! * [`EvalSession`] — the persistent **evaluation service** behind it
-//!   all: a long-lived worker pool plus session-wide oracle cache and
-//!   memoized benchmark/scheme materializations, so repeated scoring
-//!   calls (many specs, or a profile search's candidate stream) stop
-//!   re-spawning threads and re-parsing netlists;
+//!   all: a long-lived worker pool plus memoized benchmark/scheme
+//!   materializations, so repeated scoring calls (many specs, or a
+//!   profile search's candidate stream) stop re-spawning threads and
+//!   re-parsing netlists;
 //! * [`search`] — the defender's inverse problem on top of the service:
 //!   [`ProfileSearch`] (1+λ)-evolves dense per-switch error-rate vectors
 //!   toward the cheapest profile that still defeats the attacks, and
@@ -93,8 +92,8 @@
 //!
 //! There is no cone-of-influence key: whenever the cloaked cells reach a
 //! strict subset of the outputs, every attack cell runs on their cone
-//! ([`gshe_attacks::coi`]) — projected miter, cone-keyed cache entries
-//! and cone-scoped key verification — at any design size.
+//! ([`gshe_attacks::coi`]) — projected miter, the exact chip's cone
+//! answer and cone-scoped key verification — at any design size.
 //!
 //! Scheme names: `look-alike`, `stt-lut`, `sinw`, `inv-buf`, `four-fn`,
 //! `dwm`, `gshe16`.
@@ -127,8 +126,8 @@
 //!
 //! [`CampaignReport::deterministic_json`] is a pure function of the spec:
 //! byte-identical across `threads = 1` and `threads = N` runs. Wall-clock
-//! metrics (runtime percentiles, cache hit counts) live only in the full
-//! [`CampaignReport::to_json`] flavor.
+//! metrics (runtime percentiles, solver and pool counters, peak memo
+//! bytes) live only in the full [`CampaignReport::to_json`] flavor.
 //!
 //! One caveat: job *statuses* are part of the deterministic output, and a
 //! wall-clock timeout is decided by the clock — the paper's t-o semantics.
@@ -252,20 +251,18 @@ fn resolve_threads(threads: usize) -> usize {
 }
 
 /// A long-lived **evaluation service**: the persistent machinery one-shot
-/// campaign runs used to rebuild per call — worker threads, the shared
-/// block-level [`OracleCache`], and memoized benchmark / scheme
-/// materializations — extracted so repeated scoring calls (a profile
-/// search evaluates hundreds of candidates; a harness sweeps many specs)
-/// pay for thread spawn, netlist generation, and camouflaging once per
-/// *session* instead of once per *run*.
+/// campaign runs used to rebuild per call — worker threads and memoized
+/// benchmark / scheme materializations — extracted so repeated scoring
+/// calls (a profile search evaluates hundreds of candidates; a harness
+/// sweeps many specs) pay for thread spawn, netlist generation, and
+/// camouflaging once per *session* instead of once per *run*.
 ///
 /// [`Campaign::run`] is a thin one-session wrapper; its output is
 /// byte-identical whether jobs run through a fresh or a warm session
 /// (memoization only skips recomputing deterministic values, and
-/// cache/timing stats are per-run deltas).
+/// timing stats are per-run deltas).
 pub struct EvalSession {
     pool: pool::WorkerPool,
-    cache: Arc<OracleCache>,
     netlists: Mutex<Vec<(NetlistKey, Arc<Netlist>)>>,
     keyed: Arc<job::KeyedMemo>,
     params: SwitchParams,
@@ -286,12 +283,10 @@ impl std::fmt::Debug for EvalSession {
 }
 
 impl EvalSession {
-    /// A session with `threads` workers (0 = available parallelism) and an
-    /// empty oracle cache.
+    /// A session with `threads` workers (0 = available parallelism).
     pub fn new(threads: usize) -> Self {
         EvalSession {
             pool: pool::WorkerPool::new(resolve_threads(threads)),
-            cache: OracleCache::shared(),
             netlists: Mutex::new(Vec::new()),
             keyed: Arc::new(job::KeyedMemo::default()),
             params: SwitchParams::table_i(),
@@ -302,11 +297,6 @@ impl EvalSession {
     /// Worker threads the session runs on.
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// The session-wide oracle cache.
-    pub fn cache(&self) -> &Arc<OracleCache> {
-        &self.cache
     }
 
     /// Benchmarks materialized so far.
@@ -486,7 +476,7 @@ impl EvalSession {
     /// a historical seed derivation instead of [`CampaignSpec::expand`]'s.
     ///
     /// The spec's `threads` knob is ignored here — the session's pool is
-    /// already sized; reported cache stats are per-run deltas, so a warm
+    /// already sized; reported pool stats are per-run deltas, so a warm
     /// session reports the same shape a fresh one does.
     ///
     /// # Errors
@@ -522,14 +512,10 @@ impl EvalSession {
             }
         }
         let start = Instant::now();
-        let (hits_before, misses_before) = self.cache.stats();
-        let (cone_hits_before, cone_misses_before) = self.cache.cone_stats();
         let pool_before = self.pool.worker_stats();
 
         let (results, peak_memo) = self.run_chunks(spec, jobs, budget)?;
 
-        let (hits, misses) = self.cache.stats();
-        let (cone_hits, cone_misses) = self.cache.cone_stats();
         let pool_deltas: Vec<pool::WorkerStats> = self
             .pool
             .worker_stats()
@@ -542,21 +528,9 @@ impl EvalSession {
             results,
             self.threads(),
             start.elapsed(),
-            (
-                hits - hits_before,
-                misses - misses_before,
-                self.cache.entries(),
-            ),
-        )
-        .with_pool_stats(pool_deltas)
-        .with_cache_detail(
-            (
-                cone_hits - cone_hits_before,
-                cone_misses - cone_misses_before,
-            ),
-            self.cache.cone_key_words(),
             peak_memo,
-        ))
+        )
+        .with_pool_stats(pool_deltas))
     }
 
     /// The chunk loop behind [`Self::run_jobs`]. A chunk holds the next
@@ -635,7 +609,7 @@ impl EvalSession {
 
             let ctx = Arc::new(JobContext {
                 netlists: chunk,
-                cache: Arc::clone(&self.cache),
+                cache: OracleCache::shared(),
                 params: self.params,
                 keyed: Arc::clone(&self.keyed),
                 coi_mode: spec.coi_mode,
@@ -751,8 +725,8 @@ mod tests {
     #[test]
     fn warm_session_reuses_materializations_and_reports_identically() {
         // The EvalSession contract: a second run on a warm session redoes
-        // no netlist generation or camouflaging, reports per-run cache
-        // deltas, and emits byte-identical deterministic JSON.
+        // no netlist generation or camouflaging and emits byte-identical
+        // deterministic JSON.
         let spec = tiny_spec(2);
         let session = EvalSession::new(2);
         let first = session.run(&spec).unwrap();
@@ -768,10 +742,6 @@ mod tests {
             "keyed memo must hit"
         );
         assert_eq!(first.deterministic_json(), second.deterministic_json());
-        // Deterministic cells replay their query streams: the warm run
-        // answers from the session cache (all hits, no misses).
-        assert_eq!(second.cache_misses, 0, "{second:?}");
-        assert!(second.cache_hits > 0);
 
         // And the one-shot wrapper agrees byte-for-byte with both.
         let fresh = Campaign::run(&spec).unwrap();

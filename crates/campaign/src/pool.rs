@@ -2,7 +2,7 @@
 //!
 //! Jobs are coarse (one protect→attack→measure experiment each) and their
 //! runtimes vary by orders of magnitude — a timed-out SAT attack costs
-//! seconds while a cache-hit measurement costs microseconds — so static
+//! seconds while a small deterministic cell takes milliseconds — so static
 //! chunking wastes workers. Every worker owns a deque seeded round-robin
 //! at submission; a worker pops from the *front* of its own deque and,
 //! when empty, steals from the *back* of a sibling's, so the pool drains

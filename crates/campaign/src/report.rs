@@ -29,24 +29,6 @@ pub struct CampaignReport {
     pub threads: usize,
     /// Total wall-clock time of the run.
     pub wall_time: Duration,
-    /// Oracle cache hits / misses.
-    pub cache_hits: u64,
-    /// Oracle cache misses.
-    pub cache_misses: u64,
-    /// Distinct blocks resident in the oracle cache at the end of the run
-    /// (block-level keys: one entry answers up to 64 patterns).
-    pub cache_entries: u64,
-    /// Cache hits answered from **cone-keyed** entries (COI-engaged jobs
-    /// keying on the packed cone block). Subset of `cache_hits`;
-    /// timing-side diagnostic.
-    pub cone_hits: u64,
-    /// Cache misses on cone-keyed lookups. Subset of `cache_misses`.
-    pub cone_misses: u64,
-    /// Widest cone key packed so far, in 64-bit words (0 = no cone-keyed
-    /// traffic). A full-width key for the same `count`-pattern block
-    /// would be `ceil(count * inputs / 64) + 1` words — the gap is the
-    /// key-compression win.
-    pub cone_key_words: u64,
     /// Peak bytes of memoized benchmark-netlist arenas over the run (the
     /// quantity the `memo_budget_mb` admission gate bounds).
     pub peak_memo_bytes: u64,
@@ -57,14 +39,14 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Builds a report by aggregating `results`. `cache_stats` is
-    /// (hits, misses, entries).
+    /// Builds a report by aggregating `results`; `peak_memo_bytes` is the
+    /// run's peak memoized netlist arena bytes.
     pub fn new(
         name: String,
         results: Vec<JobResult>,
         threads: usize,
         wall_time: Duration,
-        cache_stats: (u64, u64, u64),
+        peak_memo_bytes: u64,
     ) -> Self {
         let (rows, device) = aggregate(&results);
         CampaignReport {
@@ -74,13 +56,7 @@ impl CampaignReport {
             device,
             threads,
             wall_time,
-            cache_hits: cache_stats.0,
-            cache_misses: cache_stats.1,
-            cache_entries: cache_stats.2,
-            cone_hits: 0,
-            cone_misses: 0,
-            cone_key_words: 0,
-            peak_memo_bytes: 0,
+            peak_memo_bytes,
             pool: Vec::new(),
         }
     }
@@ -88,17 +64,6 @@ impl CampaignReport {
     /// Attaches per-worker pool activity deltas captured over this run.
     pub fn with_pool_stats(mut self, pool: Vec<WorkerStats>) -> Self {
         self.pool = pool;
-        self
-    }
-
-    /// Attaches cone-keyed cache traffic (`cone` = per-run (hits, misses)
-    /// delta), the widest cone key seen, and the run's peak memoized
-    /// netlist arena bytes. All timing-side diagnostics.
-    pub fn with_cache_detail(mut self, cone: (u64, u64), key_words: u64, peak_memo: u64) -> Self {
-        self.cone_hits = cone.0;
-        self.cone_misses = cone.1;
-        self.cone_key_words = key_words;
-        self.peak_memo_bytes = peak_memo;
         self
     }
 
@@ -121,17 +86,9 @@ impl CampaignReport {
             out.push(',');
             let _ = write!(
                 out,
-                "\"threads\":{},\"wall_time_secs\":{},\"cache_hits\":{},\"cache_misses\":{},\
-                 \"cache_entries\":{},\"cone_hits\":{},\"cone_misses\":{},\"cone_key_words\":{},\
-                 \"peak_memo_bytes\":{}",
+                "\"threads\":{},\"wall_time_secs\":{},\"peak_memo_bytes\":{}",
                 self.threads,
                 json_f64(self.wall_time.as_secs_f64()),
-                self.cache_hits,
-                self.cache_misses,
-                self.cache_entries,
-                self.cone_hits,
-                self.cone_misses,
-                self.cone_key_words,
                 self.peak_memo_bytes
             );
             out.push_str(",\"pool\":{\"workers\":[");
@@ -384,13 +341,7 @@ mod tests {
             },
             error: None,
         };
-        CampaignReport::new(
-            "unit".into(),
-            vec![result],
-            4,
-            Duration::from_secs(2),
-            (3, 9, 2),
-        )
+        CampaignReport::new("unit".into(), vec![result], 4, Duration::from_secs(2), 4096)
     }
 
     #[test]
@@ -475,7 +426,7 @@ mod tests {
             report.results.clone(),
             1,
             Duration::from_secs(1),
-            (0, 0, 0),
+            0,
         );
         assert!(rebuilt
             .deterministic_json()
@@ -500,7 +451,7 @@ mod tests {
             report.results.clone(),
             1,
             Duration::from_secs(1),
-            (0, 0, 0),
+            0,
         );
         assert!(rebuilt
             .deterministic_json()
@@ -526,7 +477,7 @@ mod tests {
             report.results.clone(),
             1,
             Duration::from_secs(1),
-            (0, 0, 0),
+            0,
         );
         assert!(rebuilt
             .deterministic_json()
@@ -535,16 +486,10 @@ mod tests {
     }
 
     #[test]
-    fn cone_and_memo_stats_render_on_the_timing_side_only() {
-        let report = sample_report().with_cache_detail((5, 2), 3, 4096);
-        let full = report.to_json();
-        assert!(full.contains("\"cone_hits\":5"));
-        assert!(full.contains("\"cone_misses\":2"));
-        assert!(full.contains("\"cone_key_words\":3"));
-        assert!(full.contains("\"peak_memo_bytes\":4096"));
-        let det = report.deterministic_json();
-        assert!(!det.contains("cone_"));
-        assert!(!det.contains("peak_memo"));
+    fn peak_memo_bytes_render_on_the_timing_side_only() {
+        let report = sample_report();
+        assert!(report.to_json().contains("\"peak_memo_bytes\":4096"));
+        assert!(!report.deterministic_json().contains("peak_memo"));
     }
 
     #[test]

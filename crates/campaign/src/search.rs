@@ -22,9 +22,9 @@
 //!   scored, and evaluates λ fresh candidates;
 //! * **scoring** runs trials × attacks through the session pool: each
 //!   trial is one campaign attack cell. A quiet static candidate attacks
-//!   the session-cached exact chip; any other attacks the noisy, rotating
-//!   or rotating + noisy oracle stack (a rotation budget searches the
-//!   *combined*-defense frontier). Every recovered key gets the campaign's
+//!   the exact chip; any other attacks the noisy, rotating or rotating +
+//!   noisy oracle stack (a rotation budget searches the *combined*-defense
+//!   frontier). Every recovered key gets the campaign's
 //!   cone-scoped proof, and the defense wins a trial when the attack fails
 //!   to recover a functionally-correct key.
 //!
@@ -269,8 +269,6 @@ pub struct SearchReport {
     pub threads: usize,
     /// Total wall-clock time.
     pub wall_time: Duration,
-    /// Oracle cache (hits, misses, entries) at the end of the search.
-    pub cache: (u64, u64, u64),
 }
 
 impl SearchReport {
@@ -279,7 +277,7 @@ impl SearchReport {
         self.front.iter().map(|&i| &self.evaluated[i]).collect()
     }
 
-    /// Full JSON, including wall-clock timings and cache stats.
+    /// Full JSON, including wall-clock timings.
     pub fn to_json(&self) -> String {
         self.render_json(true)
     }
@@ -318,11 +316,9 @@ impl SearchReport {
             self.spec.lambda,
         );
         if timing {
-            let (hits, misses, entries) = self.cache;
             let _ = write!(
                 out,
-                ",\"threads\":{},\"wall_time_secs\":{},\"cache_hits\":{hits},\
-                 \"cache_misses\":{misses},\"cache_entries\":{entries}",
+                ",\"threads\":{},\"wall_time_secs\":{}",
                 self.threads,
                 json_f64(self.wall_time.as_secs_f64()),
             );
@@ -548,8 +544,8 @@ impl<'s> ProfileSearch<'s> {
         for candidate in &candidates {
             let profile = self.profile_of(candidate);
             let salt = rotation_salt(period) ^ profile_salt(&profile);
-            // A quiet candidate is the exact chip and rides the session
-            // cache, like a rate-0 campaign cell.
+            // A quiet candidate is the exact chip, like a rate-0 campaign
+            // cell.
             let noise = (!profile.is_quiet()).then_some(profile);
             for &attack in &spec.attacks {
                 for trial in 0..trials {
@@ -561,12 +557,10 @@ impl<'s> ProfileSearch<'s> {
                     let noise = noise.clone();
                     let netlist = Arc::clone(&self.netlist);
                     let keyed = Arc::clone(&self.keyed);
-                    let cache = Arc::clone(self.session.cache());
                     tasks.push(Box::new(move || {
                         let _span = gshe_obs::span("search.trial");
                         gshe_obs::count("search.trials", 1);
-                        let (out, verdict) =
-                            attack_cell(&netlist, &keyed, &runner, noise, period, &cache);
+                        let (out, verdict) = attack_cell(&netlist, &keyed, &runner, noise, period);
                         let attacker_won = out.status == AttackStatus::Success
                             && matches!(verdict, Some(Ok(v)) if v.functionally_equivalent);
                         (attacker_won, out.queries)
@@ -649,15 +643,12 @@ impl<'s> ProfileSearch<'s> {
                 .then(ra.mean_rate.total_cmp(&rb.mean_rate))
                 .then(a.cmp(&b))
         });
-        let cache = self.session.cache();
-        let (hits, misses) = cache.stats();
         SearchReport {
             spec: self.spec.clone(),
             evaluated: archive,
             front,
             threads: self.session.threads(),
             wall_time: start.elapsed(),
-            cache: (hits, misses, cache.entries()),
         }
     }
 }
@@ -1031,8 +1022,7 @@ mod tests {
     #[test]
     fn search_trials_attack_the_campaign_chip() {
         // A quiet search trial and the rate-0 campaign cell of the same
-        // instance run one attack cell: the cone-keyed cached chip, the
-        // same proof. Their oracle seeds differ, but SAT against an exact
+        // instance run one attack cell: the exact chip, the same proof. Their oracle seeds differ, but SAT against an exact
         // chip reads no seed, so the two measure the same attack.
         let session = EvalSession::new(1);
         let spec = SearchSpec {
@@ -1044,11 +1034,6 @@ mod tests {
         };
         let search = ProfileSearch::new(&session, spec).unwrap();
         let report = search.run();
-        let (cone_hits, cone_misses) = session.cache().cone_stats();
-        assert!(
-            cone_hits + cone_misses > 0,
-            "the quiet trial did not key the cache on the cone"
-        );
         let quiet = report
             .evaluated
             .iter()
@@ -1127,7 +1112,6 @@ mod tests {
             front: vec![1],
             threads: 2,
             wall_time: Duration::from_secs(1),
-            cache: (1, 2, 3),
         };
         let det = report.deterministic_json();
         assert!(det.contains("\"front\":[{"));
@@ -1136,7 +1120,7 @@ mod tests {
         assert!(!det.contains("wall_time"));
         let full = report.to_json();
         assert!(full.contains("\"wall_time_secs\""));
-        assert!(full.contains("\"cache_entries\":3"), "{full}");
+        assert!(full.contains("\"threads\":2"), "{full}");
         let csv = report.to_csv();
         assert!(csv.lines().count() == 3);
         assert!(csv.contains(",true,true,"), "{csv}");

@@ -345,8 +345,8 @@ pub struct CampaignSpec {
     pub schemes: Vec<CamoScheme>,
     /// Attack algorithms to launch.
     pub attacks: Vec<AttackKind>,
-    /// Cone-of-influence policy for every attack job, the campaign
-    /// cache's cone-keyed entries and key verification. Not a spec-file
+    /// Cone-of-influence policy for every attack job, the exact chip's
+    /// cone answer and key verification. Not a spec-file
     /// key: [`CoiMode::On`] (the default) is the one campaign path, and
     /// [`CoiMode::Off`] the full-design reference for equivalence tests.
     pub coi_mode: CoiMode,

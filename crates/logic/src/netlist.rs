@@ -51,7 +51,6 @@ use crate::bf2::{Bf1, Bf2};
 use crate::error::LogicError;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Index of a node within its netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -181,25 +180,6 @@ fn pack(kind: NodeKind, ordinal: u32) -> (u8, u32, u32) {
     }
 }
 
-/// The memoized [`Netlist::structural_hash`]. Equality ignores it and a
-/// clone starts without it, so it never tells two netlists apart.
-#[derive(Debug, Default)]
-struct HashMemo(OnceLock<u64>);
-
-impl Clone for HashMemo {
-    fn clone(&self) -> Self {
-        HashMemo::default()
-    }
-}
-
-impl PartialEq for HashMemo {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for HashMemo {}
-
 /// A combinational gate-level netlist in topological order, stored as a
 /// flat arena (see the module docs for the layout).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,8 +194,6 @@ pub struct Netlist {
     names: NameTable,
     inputs: Vec<NodeId>,
     outputs: Vec<NodeId>,
-    /// Reset by every edit of the structure ([`Netlist::set_gate`]).
-    hash: HashMemo,
 }
 
 impl Netlist {
@@ -254,7 +232,6 @@ impl Netlist {
             names,
             inputs,
             outputs,
-            hash: HashMemo::default(),
         };
         nl.check()?;
         Ok(nl)
@@ -599,7 +576,6 @@ impl Netlist {
             )));
         }
         (self.meta[i], self.fanin_a[i], self.fanin_b[i]) = pack(kind, 0);
-        self.hash.0.take();
         Ok(())
     }
 
@@ -685,27 +661,6 @@ impl Netlist {
         NodeSet::from_words(words, self.len())
     }
 
-    /// A hash of the netlist's structure: every node's kind, function and
-    /// fanin wiring, and the output list. Names are left out, so two
-    /// netlists that differ only in signal names hash equal. Stable across
-    /// runs and processes.
-    ///
-    /// One pass over the raw arena (`meta`, `fanin_a`, `fanin_b`, then
-    /// `outputs`), spread over four independent multiply-rotate lanes so
-    /// consecutive words do not wait on each other. Taken once per netlist
-    /// and memoized; [`Netlist::set_gate`] drops the memo.
-    pub fn structural_hash(&self) -> u64 {
-        *self.hash.0.get_or_init(|| {
-            let mut h = LaneHash::new(self.len() as u64, self.outputs.len() as u64);
-            h.absorb_bytes(&self.meta);
-            h.absorb_u32(&self.fanin_a);
-            h.absorb_u32(&self.fanin_b);
-            let outputs: Vec<u32> = self.outputs.iter().map(|o| o.0).collect();
-            h.absorb_u32(&outputs);
-            h.finish()
-        })
-    }
-
     /// Extracts the transitive fanin cone of `roots` as a standalone
     /// netlist, plus the [`IdMap`] between the two id spaces.
     ///
@@ -756,7 +711,6 @@ impl Netlist {
             names,
             inputs,
             outputs,
-            hash: HashMemo::default(),
         };
         cone.check()
             .expect("cone extraction preserves netlist invariants");
@@ -923,60 +877,6 @@ impl NodeSet {
                 })
             })
         })
-    }
-}
-
-/// Four independent multiply-rotate accumulators for
-/// [`Netlist::structural_hash`]: word `j` of every 4-word group feeds
-/// lane `j`, so each step depends only on its own lane's last state.
-struct LaneHash([u64; 4]);
-
-impl LaneHash {
-    const MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-
-    fn new(nodes: u64, outputs: u64) -> Self {
-        LaneHash([nodes, outputs, 0x243F_6A88_85A3_08D3, 0x1319_8A2E_0370_7344])
-    }
-
-    #[inline]
-    fn absorb(&mut self, words: [u64; 4]) {
-        for (lane, w) in self.0.iter_mut().zip(words) {
-            *lane = (*lane ^ w).wrapping_mul(Self::MUL).rotate_left(29);
-        }
-    }
-
-    /// Absorbs `bytes` 32 at a time; a short tail is zero-padded (the
-    /// lengths seeded in [`LaneHash::new`] keep padding unambiguous).
-    fn absorb_bytes(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(32);
-        for c in &mut chunks {
-            self.absorb(std::array::from_fn(|j| {
-                u64::from_le_bytes(c[8 * j..8 * j + 8].try_into().expect("8 bytes"))
-            }));
-        }
-        let mut tail = [0u8; 32];
-        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
-        self.absorb(std::array::from_fn(|j| {
-            u64::from_le_bytes(tail[8 * j..8 * j + 8].try_into().expect("8 bytes"))
-        }));
-    }
-
-    /// Absorbs `words` eight at a time, two per lane word.
-    fn absorb_u32(&mut self, words: &[u32]) {
-        let pair = |c: &[u32], j: usize| c[2 * j] as u64 | (c[2 * j + 1] as u64) << 32;
-        let mut chunks = words.chunks_exact(8);
-        for c in &mut chunks {
-            self.absorb(std::array::from_fn(|j| pair(c, j)));
-        }
-        let mut tail = [0u32; 8];
-        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
-        self.absorb(std::array::from_fn(|j| pair(&tail, j)));
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-            .iter()
-            .fold(0, |h, &lane| crate::noise::splitmix(h ^ lane))
     }
 }
 
@@ -1348,119 +1248,6 @@ mod tests {
         assert!(nl.arena_bytes() < 8 * 64, "{}", nl.arena_bytes());
         let (cone, _) = nl.cone_of(&[nl.find("cout").unwrap()]);
         assert!(cone.arena_bytes() < nl.arena_bytes());
-    }
-
-    /// `nl` rebuilt through [`Netlist::from_parts`] after `edit` changes
-    /// its nodes and output list.
-    fn rebuild(nl: &Netlist, edit: impl FnOnce(&mut Vec<Node>, &mut Vec<NodeId>)) -> Netlist {
-        let mut nodes: Vec<Node> = nl
-            .nodes()
-            .map(|n| Node {
-                kind: n.kind,
-                name: n.name.to_string(),
-            })
-            .collect();
-        let mut outputs = nl.outputs().to_vec();
-        edit(&mut nodes, &mut outputs);
-        Netlist::from_parts(nl.name(), nodes, nl.inputs().to_vec(), outputs).unwrap()
-    }
-
-    #[test]
-    fn structural_hash_covers_structure_not_names() {
-        let nl = full_adder();
-        let h = nl.structural_hash();
-        assert_eq!(nl.clone().structural_hash(), h);
-        let renamed = rebuild(&nl, |nodes, _| {
-            for n in nodes {
-                n.name.insert_str(0, "renamed_");
-            }
-        });
-        assert_eq!(renamed.structural_hash(), h, "names are not structure");
-
-        let cout = nl.find("cout").unwrap();
-        let mut refunc = nl.clone();
-        refunc.set_gate2_function(cout, Bf2::AND).unwrap();
-        assert_ne!(refunc.structural_hash(), h, "one changed function");
-
-        // cout = OR(c1, c2); rewire each fanin in turn to s1.
-        let s1 = nl.find("s1").unwrap();
-        let (c1, c2) = (nl.find("c1").unwrap(), nl.find("c2").unwrap());
-        for (a, b) in [(s1, c2), (c1, s1)] {
-            let rewired = rebuild(&nl, |nodes, _| {
-                nodes[cout.index()].kind = NodeKind::Gate2 { f: Bf2::OR, a, b };
-            });
-            assert_ne!(rewired.structural_hash(), h, "one rewired fanin");
-        }
-
-        let swapped = rebuild(&nl, |_, outputs| outputs.swap(0, 1));
-        assert_ne!(swapped.structural_hash(), h, "two swapped outputs");
-
-        let mut b = NetlistBuilder::new("tiny");
-        let a = b.input("a");
-        let z = b.gate1("z", Bf1::Inv, a);
-        b.output(z);
-        assert_ne!(b.finish().unwrap().structural_hash(), h, "another circuit");
-    }
-
-    #[test]
-    fn memoized_hash_follows_every_edit() {
-        // Hash, then edit through each entry point built on `set_gate`:
-        // the memo must not survive the edit, so each hash is the one a
-        // fresh build of the edited netlist takes.
-        let nl = full_adder();
-        let h = nl.structural_hash();
-        let (cout, s1) = (nl.find("cout").unwrap(), nl.find("s1").unwrap());
-        let c1 = nl.find("c1").unwrap();
-        let mut edited = nl.clone();
-        assert_eq!(edited.structural_hash(), h);
-        edited.set_gate2_function(cout, Bf2::AND).unwrap();
-        let fresh = rebuild(&edited, |_, _| {});
-        assert_ne!(edited.structural_hash(), h, "set_gate2_function");
-        assert_eq!(edited.structural_hash(), fresh.structural_hash());
-        edited
-            .set_gate(cout, NodeKind::Gate1 { f: Bf1::Inv, a: c1 })
-            .unwrap();
-        let fresh = rebuild(&edited, |nodes, _| {
-            assert_eq!(
-                nodes[cout.index()].kind,
-                NodeKind::Gate1 { f: Bf1::Inv, a: c1 }
-            );
-        });
-        assert_eq!(
-            edited.structural_hash(),
-            fresh.structural_hash(),
-            "set_gate"
-        );
-        let before = edited.structural_hash();
-        edited.set_gate1_function(cout, Bf1::Buf, c1).unwrap();
-        assert_ne!(edited.structural_hash(), before, "set_gate1_function");
-        assert_eq!(
-            edited.structural_hash(),
-            rebuild(&edited, |_, _| {}).structural_hash()
-        );
-        // A failed edit changes nothing.
-        assert!(edited.set_gate(s1, NodeKind::Input).is_err());
-        assert_eq!(
-            edited.structural_hash(),
-            rebuild(&edited, |_, _| {}).structural_hash()
-        );
-    }
-
-    #[test]
-    fn equality_ignores_the_hash_memo() {
-        // Two equal netlists compare equal whether neither, one or both
-        // have been hashed, and a clone of a hashed netlist is equal too.
-        let (a, b) = (full_adder(), full_adder());
-        assert_eq!(a, b);
-        let _ = a.structural_hash();
-        assert_eq!(a, b, "only the left one hashed");
-        assert_eq!(b, a, "only the right one hashed");
-        let _ = b.structural_hash();
-        assert_eq!(a, b, "both hashed");
-        let c = a.clone();
-        assert_eq!(c, a);
-        assert_eq!(c.structural_hash(), a.structural_hash());
-        assert_eq!(c.arena_bytes(), b.arena_bytes());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property tests for the bit-parallel pattern block: pack/extract
-//! round-trips and the `valid_mask` invariant that the simulator, the
-//! oracle cache, and the equivalence checker all lean on.
+//! round-trips and the `valid_mask` invariant that the simulator and the
+//! equivalence checker lean on.
 
 use gshe_logic::PatternBlock;
 use proptest::prelude::*;

@@ -2,10 +2,9 @@
 //!
 //! The campaign engine needs to answer "where did the time go?" — how much
 //! of an attack cell was SAT solving vs. oracle queries vs. scheme
-//! materialization, whether the worker pool starves, whether the session
-//! cache pays for itself. The build environment has no external registry,
-//! so this crate hand-rolls the usual tracing/metrics stack from `std`
-//! alone:
+//! materialization, and whether the worker pool starves. The build
+//! environment has no external registry, so this crate hand-rolls the
+//! usual tracing/metrics stack from `std` alone:
 //!
 //! - **Counters** ([`count`]) — lock-free [`AtomicU64`]s registered by
 //!   name, monotonically increasing event totals.
@@ -53,7 +52,7 @@
 //! [`metrics_json`] emits a machine-readable snapshot:
 //!
 //! ```json
-//! {"counters":{"cache.hits":42},
+//! {"counters":{"attack.rounds":42},
 //!  "histograms":{"sat.solve.conflicts":
 //!    {"count":7,"sum":98,"buckets":[[1,1],[8,3],[16,3]]}}}
 //! ```
@@ -69,7 +68,7 @@
 //! | `pool.task` | `campaign::pool` | one erased task on a worker |
 //! | `job.attack` / `job.device` | `campaign::job` | one campaign job |
 //! | `job.materialize` | `campaign::job` | camouflaged-netlist materialization |
-//! | `job.oracle_build` | `campaign::job` | the cached oracle's construction (the netlist fingerprint, memoized per design) |
+//! | `job.oracle_build` | `campaign::job` | every chip's oracle-stack construction (a rotating chip's correct-key resolution included) |
 //! | `job.verify` | `campaign::job` | the recovered key's equivalence proof |
 //! | `session.materialize` | `campaign` | benchmark netlist generation |
 //! | `attack.coi_build` | `attacks::dip_engine` | the cone-of-influence projection |

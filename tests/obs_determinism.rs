@@ -10,8 +10,9 @@ use spin_hall_security::obs;
 use spin_hall_security::prelude::{AttackKind, CamoScheme};
 use std::time::Duration;
 
-/// A small grid that still crosses the instrumented layers: cached exact
-/// oracle (rotation 0, rate 0), noisy stack, and a rotating stack.
+/// A small grid that still crosses the instrumented layers: one cell per
+/// oracle stack — exact (rotation 0, rate 0), noisy, rotating, and
+/// rotating + noisy.
 fn small_spec() -> CampaignSpec {
     CampaignSpec {
         name: "obs-golden".to_string(),
@@ -49,6 +50,7 @@ fn deterministic_json_is_byte_identical_with_obs_enabled_and_disabled() {
     let instrumented = Campaign::run(&spec)
         .expect("campaign with obs enabled")
         .deterministic_json();
+    let oracle_builds = obs::histogram("job.oracle_build").count();
 
     // Grab the artifacts before flipping the switch back off.
     let trace = obs::trace_json();
@@ -67,13 +69,14 @@ fn deterministic_json_is_byte_identical_with_obs_enabled_and_disabled() {
             "trace is missing `{span}` events"
         );
     }
-    // (`cache.hits` registers only on a hit; a single-trial SAT attack
-    // never re-queries a block, so the guaranteed cache signal is misses.)
     for metric in [
-        "\"cache.misses\"",
+        "\"job.oracle_build\"",
         "\"sat.decisions\"",
         "\"sat.solve.conflicts\"",
     ] {
         assert!(metrics.contains(metric), "metrics missing {metric}");
     }
+    // Every chip's construction is timed, the rotating chips' correct-key
+    // resolution included: one `job.oracle_build` per cell.
+    assert_eq!(oracle_builds, 4, "job.oracle_build spans");
 }

@@ -134,7 +134,7 @@ fn combined_frontier_search_runs_under_a_rotation_budget() {
 fn warm_session_campaign_output_stays_byte_identical() {
     // The EvalSession equality pin: the same campaign spec run twice on
     // one warm session — with a profile search in between, growing the
-    // session's memos and cache — must serialize byte-identically to a
+    // session's memos — must serialize byte-identically to a
     // fresh one-shot `Campaign::run` (whose verdicts the golden test pins
     // to `tests/golden/small_grid.json`).
     let campaign_spec = CampaignSpec {
