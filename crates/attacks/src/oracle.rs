@@ -1,10 +1,10 @@
 //! The attacker's view of the working chip: the [`Oracle`] trait.
 //!
 //! The chip itself is always an [`OracleStack`](crate::stack::OracleStack)
-//! — exact, noisy, rotating, or rotating + noisy. The other implementors
-//! only reshape or memoize its answers: [`CoiOracle`](crate::coi::CoiOracle)
-//! projects it onto a cone of influence, and `gshe-campaign`'s caching
-//! layer memoizes the exact stack campaign-wide.
+//! — exact, noisy, rotating, or rotating + noisy. The one other
+//! implementor only reshapes its answers: [`CoiOracle`](crate::coi::CoiOracle)
+//! projects it onto a cone of influence. Nothing memoizes them; every
+//! attack cell queries its stack directly.
 //!
 //! A cone-projected attack hands the chip each block with the cone's
 //! input ordinals and the affected outputs ([`Oracle::query_cone`]). By

@@ -170,20 +170,6 @@ fn main() {
             row.mean_simplify_ms,
         );
     }
-    for row in &report.device {
-        println!(
-            "device {:<12} i_s={:>6.1}uA t_clk={:>6} samples={:<6} value={:.4e}",
-            row.kind,
-            row.i_s * 1e6,
-            if row.t_clk.is_nan() {
-                "-".to_string()
-            } else {
-                format!("{:.1}ns", row.t_clk * 1e9)
-            },
-            row.samples,
-            row.value,
-        );
-    }
     let (pool_tasks, pool_steals, utilization) = pool_summary(&report.pool);
     println!(
         "pool: {} workers ran {} tasks ({} stolen), {:.0}% mean utilization",

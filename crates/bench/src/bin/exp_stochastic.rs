@@ -4,14 +4,16 @@
 //! Includes the AppSAT contender (fn. 6) and the device-level derivation of
 //! the error-rate knob (clock period vs. Fig. 4 delay distribution).
 //!
-//! The whole study — five device Monte Carlo sweeps plus a 4-accuracy ×
-//! 2-attack × 5-trial grid — is one campaign: every cell runs as a pooled
-//! job, so the trials that used to run back-to-back now run in parallel.
+//! The 4-accuracy × 2-attack × 5-trial grid is one campaign: every cell
+//! runs as a pooled job, so the trials run in parallel. The error-rate
+//! knob is one device Monte Carlo run, every clock period read off its
+//! samples.
 
 use gshe_bench::{fail, HarnessArgs};
 use gshe_core::campaign::{
     AttackSeeds, Campaign, CampaignSpec, JobKind, JobResult, JobSpec, JobStatus, NoiseShape,
 };
+use gshe_core::device::{miss_rate, MonteCarlo, MonteCarloConfig, SwitchParams};
 use gshe_core::logic::Topology;
 use gshe_core::prelude::{AttackKind, CamoScheme};
 
@@ -21,24 +23,10 @@ const TRIALS: u64 = 5;
 fn main() {
     let args = HarnessArgs::parse();
 
-    // Device-level: how the error rate is tuned (Sec. V-B point (ii)).
-    let clock_periods = [1.0e-9, 1.5e-9, 2.0e-9, 3.0e-9, 6.0e-9];
-    let mut jobs: Vec<JobSpec> = clock_periods
-        .iter()
-        .map(|&t_clk| JobSpec {
-            kind: JobKind::DeviceErrorRate {
-                i_s: 20e-6,
-                t_clk,
-                samples: args.samples.min(1000),
-                seed: args.seed,
-            },
-            timeout: args.timeout,
-        })
-        .collect();
-
     // Attack grid: accuracy sweep × {SAT, AppSAT} × trials, all on the
     // c7552-like benchmark at 20% protection (historical seeds: selection
     // seed ^ 7, transform seed, per-trial oracle seed ^ t).
+    let mut jobs = Vec::new();
     for &acc in &ACCURACIES {
         for trial in 0..TRIALS {
             for attack in [AttackKind::Sat, AttackKind::AppSat] {
@@ -76,13 +64,20 @@ fn main() {
     };
     let report = Campaign::run_jobs(&spec, jobs).unwrap_or_else(|e| fail(&e));
 
+    // Device-level: how the error rate is tuned (Sec. V-B point (ii)).
+    let samples = MonteCarlo::new(MonteCarloConfig {
+        params: SwitchParams::table_i(),
+        samples: args.samples.min(1000),
+        seed: args.seed,
+    })
+    .run(20e-6);
     println!("SEC. V-B — STOCHASTIC SWITCHING AGAINST SAT ATTACKS");
     println!("\nerror-rate knob (device Monte Carlo, I_S = 20 uA):");
-    for row in &report.device {
+    for t_clk in [1.0e-9, 1.5e-9, 2.0e-9, 3.0e-9, 6.0e-9] {
         println!(
             "  clock {:>4.1} ns -> per-device error rate {:>5.1}%",
-            row.t_clk * 1e9,
-            row.value * 100.0
+            t_clk * 1e9,
+            miss_rate(&samples, t_clk) * 100.0
         );
     }
 

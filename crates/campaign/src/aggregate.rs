@@ -87,22 +87,6 @@ pub struct TableRow {
     pub mean_simplify_ms: f64,
 }
 
-/// One device-measurement result, passed through (device jobs have no
-/// trial grid to reduce over).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceRow {
-    /// `"delay"` or `"error-rate"`.
-    pub kind: &'static str,
-    /// Spin current, A.
-    pub i_s: f64,
-    /// Clock period for error-rate rows, s (NaN for delay rows).
-    pub t_clk: f64,
-    /// Monte Carlo samples.
-    pub samples: usize,
-    /// The measurement (seconds or rate).
-    pub value: f64,
-}
-
 fn status_index(status: JobStatus) -> usize {
     match status {
         JobStatus::Completed => 0,
@@ -118,64 +102,40 @@ fn rank(q: f64, n: usize) -> usize {
     (((q * n as f64).ceil() as usize).max(1) - 1).min(n - 1)
 }
 
-/// Reduces raw results into attack table rows and device rows.
-pub fn aggregate(results: &[JobResult]) -> (Vec<TableRow>, Vec<DeviceRow>) {
+/// Reduces raw results into table rows, one per grid cell.
+pub fn aggregate(results: &[JobResult]) -> Vec<TableRow> {
     let mut rows: Vec<(CellKey, Vec<&JobResult>)> = Vec::new();
-    let mut device = Vec::new();
     for result in results {
-        match &result.spec.kind {
-            JobKind::Attack {
-                benchmark,
-                topology,
-                scheme,
-                level,
-                attack,
-                error_rate,
-                clock_ns,
-                profile,
-                rotation_period,
-                ..
-            } => {
-                let key = CellKey {
-                    benchmark: benchmark.clone(),
-                    topology: *topology,
-                    scheme: *scheme,
-                    level: *level,
-                    attack: *attack,
-                    error_rate: *error_rate,
-                    clock_ns: *clock_ns,
-                    profile: *profile,
-                    rotation_period: *rotation_period,
-                };
-                match rows.iter_mut().find(|(k, _)| *k == key) {
-                    Some((_, bucket)) => bucket.push(result),
-                    None => rows.push((key, vec![result])),
-                }
-            }
-            JobKind::DeviceDelay { i_s, samples, .. } => device.push(DeviceRow {
-                kind: "delay",
-                i_s: *i_s,
-                t_clk: f64::NAN,
-                samples: *samples,
-                value: result.measurement,
-            }),
-            JobKind::DeviceErrorRate {
-                i_s,
-                t_clk,
-                samples,
-                ..
-            } => device.push(DeviceRow {
-                kind: "error-rate",
-                i_s: *i_s,
-                t_clk: *t_clk,
-                samples: *samples,
-                value: result.measurement,
-            }),
+        let JobKind::Attack {
+            benchmark,
+            topology,
+            scheme,
+            level,
+            attack,
+            error_rate,
+            clock_ns,
+            profile,
+            rotation_period,
+            ..
+        } = &result.spec.kind;
+        let key = CellKey {
+            benchmark: benchmark.clone(),
+            topology: *topology,
+            scheme: *scheme,
+            level: *level,
+            attack: *attack,
+            error_rate: *error_rate,
+            clock_ns: *clock_ns,
+            profile: *profile,
+            rotation_period: *rotation_period,
+        };
+        match rows.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, bucket)) => bucket.push(result),
+            None => rows.push((key, vec![result])),
         }
     }
 
-    let table = rows
-        .into_iter()
+    rows.into_iter()
         .map(|(key, bucket)| {
             let n = bucket.len() as u64;
             let mut status_counts = [0u64; 5];
@@ -221,27 +181,7 @@ pub fn aggregate(results: &[JobResult]) -> (Vec<TableRow>, Vec<DeviceRow>) {
                 mean_simplify_ms: solver.simplify_ns as f64 / 1e6 / n as f64,
             }
         })
-        .collect();
-    (table, device)
-}
-
-impl TableRow {
-    /// Compact human-readable cell for runtime tables: the p50 runtime, or
-    /// the dominant failure marker (`t-o`, `incons`, `fail`).
-    pub fn runtime_cell(&self) -> String {
-        let [completed, timed_out, exhausted, inconsistent, failed] = self.status_counts;
-        let max = *self.status_counts.iter().max().unwrap();
-        if completed == max {
-            format!("{:.1}", self.runtime_p50)
-        } else if timed_out == max {
-            "t-o".to_string()
-        } else if inconsistent == max {
-            "incons".to_string()
-        } else {
-            let _ = (exhausted, failed);
-            "fail".to_string()
-        }
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -281,7 +221,6 @@ mod tests {
             } else {
                 f64::NAN
             },
-            measurement: f64::NAN,
             elapsed: Duration::from_secs_f64(secs),
             solver_stats: gshe_sat::SolverStats {
                 decisions: 10 * queries,
@@ -306,8 +245,7 @@ mod tests {
             result(1, JobStatus::Completed, 20, 3.0),
             result(2, JobStatus::TimedOut, 5, 60.0),
         ];
-        let (rows, device) = aggregate(&results);
-        assert!(device.is_empty());
+        let rows = aggregate(&results);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         assert_eq!(row.trials, 3);
@@ -326,34 +264,6 @@ mod tests {
         assert!((row.mean_subsumed - 175.0 / 3.0).abs() < 1e-12);
         assert!((row.mean_strengthened - 210.0 / 3.0).abs() < 1e-12);
         assert!((row.mean_simplify_ms - 35.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn runtime_cell_prefers_dominant_status() {
-        let (rows, _) = aggregate(&[result(0, JobStatus::Completed, 1, 2.5)]);
-        assert_eq!(rows[0].runtime_cell(), "2.5");
-        let (rows, _) = aggregate(&[
-            result(0, JobStatus::TimedOut, 1, 60.0),
-            result(1, JobStatus::TimedOut, 1, 60.0),
-            result(2, JobStatus::Completed, 1, 2.0),
-        ]);
-        assert_eq!(rows[0].runtime_cell(), "t-o");
-    }
-
-    #[test]
-    fn device_rows_pass_through() {
-        let mut r = result(0, JobStatus::Completed, 0, 0.1);
-        r.spec.kind = JobKind::DeviceDelay {
-            i_s: 20e-6,
-            samples: 100,
-            seed: 1,
-        };
-        r.measurement = 1.5e-9;
-        let (rows, device) = aggregate(&[r]);
-        assert!(rows.is_empty());
-        assert_eq!(device.len(), 1);
-        assert_eq!(device[0].kind, "delay");
-        assert_eq!(device[0].value, 1.5e-9);
     }
 
     #[test]

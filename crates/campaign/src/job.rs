@@ -1,17 +1,16 @@
-//! Campaign jobs: one protect→attack→measure experiment (or one device
-//! measurement) per job.
+//! Campaign jobs: one protect→attack→measure experiment per job, one
+//! attack cell.
 //!
 //! A job is a plain `Send` value describing *what* to run; *where* and
 //! *when* it runs is the pool's business. Every random choice a job makes
-//! comes from seeds **stored in the job spec** — gate selection, transform,
-//! and oracle seeds for attack jobs, a Monte Carlo seed for device jobs —
-//! never from thread ids or submission order, so a campaign's results are
-//! a pure function of its spec at any thread count. The default expansion
-//! ([`crate::CampaignSpec::expand`]) derives those seeds from the campaign
-//! master seed plus the job's identity; the paper-table harnesses instead
-//! install the exact historical derivations (e.g. Table IV shares one gate
-//! selection per benchmark × level across all schemes — the paper's
-//! fairness protocol).
+//! comes from seeds **stored in the job spec** — gate selection, transform
+//! and oracle seeds — never from thread ids or submission order, so a
+//! campaign's results are a pure function of its spec at any thread count.
+//! The default expansion ([`crate::CampaignSpec::expand`]) derives those
+//! seeds from the campaign master seed plus the job's identity; the
+//! paper-table harnesses instead install the exact historical derivations
+//! (e.g. Table IV shares one gate selection per benchmark × level across
+//! all schemes — the paper's fairness protocol).
 
 use crate::cache::OracleCache;
 use gshe_attacks::{
@@ -19,7 +18,7 @@ use gshe_attacks::{
     CoiMode, KeyVerification, OracleStack, SimplifyMode,
 };
 use gshe_camo::{camouflage, select_gates, CamoError, CamoScheme, KeyedNetlist};
-use gshe_device::{MonteCarlo, MonteCarloConfig, SwitchParams};
+use gshe_device::SwitchParams;
 use gshe_logic::{ErrorProfile, Netlist, NodeId, Topology};
 use gshe_sat::SolverStats;
 use rand::rngs::StdRng;
@@ -215,8 +214,14 @@ pub struct AttackSeeds {
     pub oracle: u64,
 }
 
-/// What a single job computes.
+/// What a single job computes: always an attack cell.
+///
+/// `#[non_exhaustive]` only so that perfbench's frozen replay, which
+/// matches `JobKind::Attack` refutably (a fallback arm, a `let … else`, an
+/// `if let`), builds without warnings on a one-variant enum; ROADMAP item
+/// 1's benchmark change deletes the attribute.
 #[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
 pub enum JobKind {
     /// Camouflage a benchmark, attack it through an oracle, verify the
     /// recovered key.
@@ -250,28 +255,6 @@ pub enum JobKind {
         /// The job's RNG seeds.
         seeds: AttackSeeds,
     },
-    /// Monte Carlo mean switching delay at a spin current (Table II's
-    /// measured row).
-    DeviceDelay {
-        /// Spin current, A.
-        i_s: f64,
-        /// Monte Carlo sample count.
-        samples: usize,
-        /// Monte Carlo master seed.
-        seed: u64,
-    },
-    /// Monte Carlo per-device error rate for a clock period (the Sec. V-B
-    /// error-rate knob).
-    DeviceErrorRate {
-        /// Spin current, A.
-        i_s: f64,
-        /// Clock period, s.
-        t_clk: f64,
-        /// Monte Carlo sample count.
-        samples: usize,
-        /// Monte Carlo master seed.
-        seed: u64,
-    },
 }
 
 /// One schedulable unit of campaign work.
@@ -286,7 +269,7 @@ pub struct JobSpec {
 /// How a job ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
-    /// The job's attack (or measurement) ran to completion.
+    /// The job's attack ran to completion.
     Completed,
     /// The attack hit its wall-clock budget; partial metrics recorded.
     TimedOut,
@@ -330,14 +313,12 @@ pub struct JobResult {
     /// Sampled output error rate of the recovered key's netlist vs. the
     /// original (0.0 when exactly equivalent; NaN when no key).
     pub output_error_rate: f64,
-    /// Scalar measurement for device jobs (mean delay in seconds, or
-    /// error rate), NaN for attack jobs.
-    pub measurement: f64,
     /// Wall-clock runtime of the job (excluded from deterministic
     /// serializations).
     pub elapsed: Duration,
     /// Cumulative CDCL solver statistics (decisions, propagations,
-    /// conflicts, …) of the attack's solver; zeroed for device jobs.
+    /// conflicts, …) of the attack's solver; zeroed when the job failed
+    /// before its attack ran.
     /// Reported only on the timing side of serializations — the counts
     /// are deterministic per job, but they are diagnostics, and keeping
     /// them out of the pinned deterministic JSON leaves the solver free
@@ -482,7 +463,9 @@ pub struct JobContext {
     /// because perfbench's frozen replay builds a context with it; ROADMAP
     /// item 1's benchmark change deletes it.
     pub cache: Arc<OracleCache>,
-    /// Device parameters for device jobs.
+    /// Unread: no job measures the device. Kept only because perfbench's
+    /// frozen replay builds a context with it; ROADMAP item 1's benchmark
+    /// change deletes it.
     pub params: SwitchParams,
     /// Session-wide memo of scheme materializations.
     pub keyed: Arc<KeyedMemo>,
@@ -518,96 +501,71 @@ pub fn run_job(spec: &JobSpec, ctx: &JobContext) -> JobResult {
         queries: 0,
         iterations: 0,
         output_error_rate: f64::NAN,
-        measurement: f64::NAN,
         elapsed: Duration::ZERO,
         solver_stats: SolverStats::default(),
         error: None,
     };
-    match &spec.kind {
-        JobKind::Attack {
-            benchmark,
-            topology: _,
-            scheme,
-            level,
-            attack,
-            error_rate,
-            clock_ns: _,
-            profile,
-            rotation_period,
-            trial: _,
-            seeds,
-        } => {
-            let Some(nl) = ctx.netlist(benchmark) else {
-                result.error = Some(format!("unknown benchmark `{benchmark}`"));
+    let JobKind::Attack {
+        benchmark,
+        topology: _,
+        scheme,
+        level,
+        attack,
+        error_rate,
+        clock_ns: _,
+        profile,
+        rotation_period,
+        trial: _,
+        seeds,
+    } = &spec.kind;
+    let Some(nl) = ctx.netlist(benchmark) else {
+        result.error = Some(format!("unknown benchmark `{benchmark}`"));
+        result.elapsed = start.elapsed();
+        return result;
+    };
+    let _job_span = gshe_obs::span("job.attack");
+    let keyed = {
+        let _span = gshe_obs::span("job.materialize");
+        match ctx.keyed.get_or_materialize(nl, *level, *scheme, seeds) {
+            Ok(k) => k,
+            Err(e) => {
+                result.error = Some(e);
                 result.elapsed = start.elapsed();
                 return result;
-            };
-            let _job_span = gshe_obs::span("job.attack");
-            let keyed = {
-                let _span = gshe_obs::span("job.materialize");
-                match ctx.keyed.get_or_materialize(nl, *level, *scheme, seeds) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        result.error = Some(e);
-                        result.elapsed = start.elapsed();
-                        return result;
-                    }
-                }
-            };
-            let runner = AttackRunner::with_config(
-                *attack,
-                AttackConfig {
-                    timeout: spec.timeout,
-                    ..Default::default()
-                }
-                .with_coi_mode(ctx.coi_mode)
-                .with_simplify_mode(ctx.sat_simplify),
-                seeds.oracle,
-            );
-            let noise = (*error_rate > 0.0).then(|| noise_profile(&keyed, *profile, *error_rate));
-            let (out, verdict) = attack_cell(nl, &keyed, &runner, noise, *rotation_period);
-            result.status = match out.status {
-                AttackStatus::Success => JobStatus::Completed,
-                AttackStatus::Timeout => JobStatus::TimedOut,
-                AttackStatus::ResourceExhausted => JobStatus::Exhausted,
-                AttackStatus::Inconsistent => JobStatus::Inconsistent,
-            };
-            result.queries = out.queries;
-            result.iterations = out.iterations;
-            result.solver_stats = out.solver_stats;
-            match verdict {
-                Some(Ok(v)) => {
-                    result.key_recovered = v.functionally_equivalent;
-                    result.output_error_rate = v.sampled_error_rate;
-                }
-                Some(Err(e)) => {
-                    result.status = JobStatus::Failed;
-                    result.error = Some(format!("verification failed: {e}"));
-                }
-                None => {}
             }
         }
-        JobKind::DeviceDelay { i_s, samples, seed } => {
-            match run_mc_budgeted(ctx, *i_s, *samples, *seed, start + spec.timeout) {
-                Some(runs) => {
-                    result.measurement = gshe_device::mean_switched_delay(&runs);
-                    result.status = JobStatus::Completed;
-                }
-                None => result.status = JobStatus::TimedOut,
-            }
+    };
+    let runner = AttackRunner::with_config(
+        *attack,
+        AttackConfig {
+            timeout: spec.timeout,
+            ..Default::default()
         }
-        JobKind::DeviceErrorRate {
-            i_s,
-            t_clk,
-            samples,
-            seed,
-        } => match run_mc_budgeted(ctx, *i_s, *samples, *seed, start + spec.timeout) {
-            Some(runs) => {
-                result.measurement = gshe_device::miss_rate(&runs, *t_clk);
-                result.status = JobStatus::Completed;
-            }
-            None => result.status = JobStatus::TimedOut,
-        },
+        .with_coi_mode(ctx.coi_mode)
+        .with_simplify_mode(ctx.sat_simplify),
+        seeds.oracle,
+    );
+    let noise = (*error_rate > 0.0).then(|| noise_profile(&keyed, *profile, *error_rate));
+    let (out, verdict) = attack_cell(nl, &keyed, &runner, noise, *rotation_period);
+    result.status = match out.status {
+        AttackStatus::Success => JobStatus::Completed,
+        AttackStatus::Timeout => JobStatus::TimedOut,
+        AttackStatus::ResourceExhausted => JobStatus::Exhausted,
+        AttackStatus::Inconsistent => JobStatus::Inconsistent,
+    };
+    result.queries = out.queries;
+    result.iterations = out.iterations;
+    result.solver_stats = out.solver_stats;
+    match verdict {
+        Some(Ok(v)) => {
+            result.key_recovered = v.functionally_equivalent;
+            result.output_error_rate = v.sampled_error_rate;
+        }
+        Some(Err(e)) => {
+            result.status = JobStatus::Failed;
+            result.error = Some(format!("verification failed: {e}"));
+        }
+        None => {}
     }
     result.elapsed = start.elapsed();
     result
@@ -652,38 +610,6 @@ pub(crate) fn attack_cell(
         verify_key_scoped(nl, keyed, key, runner.config.coi)
     });
     (out, verdict)
-}
-
-/// Samples per deadline check in budgeted Monte Carlo jobs.
-const MC_BUDGET_CHUNK: usize = 128;
-
-/// Runs a Monte Carlo sweep on the worker thread in chunks, checking the
-/// wall-clock `deadline` between chunks. Returns `None` when the budget
-/// runs out. The per-sample seeding makes the chunked result identical to
-/// a standalone full run at any thread count.
-fn run_mc_budgeted(
-    ctx: &JobContext,
-    i_s: f64,
-    samples: usize,
-    seed: u64,
-    deadline: Instant,
-) -> Option<Vec<gshe_device::DelaySample>> {
-    let mc = MonteCarlo::new(MonteCarloConfig {
-        params: ctx.params,
-        samples,
-        seed,
-    });
-    let mut runs = Vec::with_capacity(samples);
-    let mut done = 0;
-    while done < samples {
-        if Instant::now() >= deadline {
-            return None;
-        }
-        let count = MC_BUDGET_CHUNK.min(samples - done);
-        runs.extend(mc.run_range(i_s, done, count));
-        done += count;
-    }
-    Some(runs)
 }
 
 #[cfg(test)]
@@ -824,55 +750,5 @@ mod tests {
             .as_deref()
             .unwrap_or("")
             .contains("unknown benchmark"));
-    }
-
-    #[test]
-    fn device_jobs_respect_their_budget() {
-        let spec = JobSpec {
-            kind: JobKind::DeviceDelay {
-                i_s: 60e-6,
-                samples: 1_000_000,
-                seed: 3,
-            },
-            timeout: Duration::from_millis(0),
-        };
-        let ctx = JobContext {
-            netlists: Vec::new(),
-            cache: OracleCache::shared(),
-            params: SwitchParams::table_i(),
-            keyed: Arc::new(KeyedMemo::default()),
-            coi_mode: CoiMode::On,
-            sat_simplify: SimplifyMode::Off,
-        };
-        let out = run_job(&spec, &ctx);
-        assert_eq!(out.status, JobStatus::TimedOut);
-        assert!(out.measurement.is_nan());
-    }
-
-    #[test]
-    fn device_delay_job_measures() {
-        let spec = JobSpec {
-            kind: JobKind::DeviceDelay {
-                i_s: 60e-6,
-                samples: 24,
-                seed: 3,
-            },
-            timeout: Duration::from_secs(10),
-        };
-        let ctx = JobContext {
-            netlists: Vec::new(),
-            cache: OracleCache::shared(),
-            params: SwitchParams::table_i(),
-            keyed: Arc::new(KeyedMemo::default()),
-            coi_mode: CoiMode::On,
-            sat_simplify: SimplifyMode::Off,
-        };
-        let out = run_job(&spec, &ctx);
-        assert_eq!(out.status, JobStatus::Completed);
-        assert!(
-            out.measurement > 0.0 && out.measurement < 10e-9,
-            "{}",
-            out.measurement
-        );
     }
 }

@@ -150,7 +150,7 @@ pub mod report;
 pub mod search;
 pub mod spec;
 
-pub use aggregate::{CellKey, DeviceRow, TableRow};
+pub use aggregate::{CellKey, TableRow};
 pub use cache::{CachedOracle, OracleCache};
 pub use job::{
     noise_profile, run_job, select_seed, transform_seed, AttackSeeds, JobContext, JobKind,
@@ -230,10 +230,9 @@ impl NetlistSource {
 fn referenced_benchmarks(jobs: &[JobSpec]) -> Vec<String> {
     let mut referenced: Vec<String> = Vec::new();
     for job in jobs {
-        if let JobKind::Attack { benchmark, .. } = &job.kind {
-            if !referenced.iter().any(|n| n == benchmark) {
-                referenced.push(benchmark.clone());
-            }
+        let JobKind::Attack { benchmark, .. } = &job.kind;
+        if !referenced.iter().any(|n| n == benchmark) {
+            referenced.push(benchmark.clone());
         }
     }
     referenced
@@ -265,7 +264,6 @@ pub struct EvalSession {
     pool: pool::WorkerPool,
     netlists: Mutex<Vec<(NetlistKey, Arc<Netlist>)>>,
     keyed: Arc<job::KeyedMemo>,
-    params: SwitchParams,
     /// High-water mark of the netlist memo's summed arena bytes, sampled
     /// at every admission, the only time the memo grows (the memory a
     /// memo budget bounds; keyed materializations ride along per chunk).
@@ -289,7 +287,6 @@ impl EvalSession {
             pool: pool::WorkerPool::new(resolve_threads(threads)),
             netlists: Mutex::new(Vec::new()),
             keyed: Arc::new(job::KeyedMemo::default()),
-            params: SwitchParams::table_i(),
             peak_memo: AtomicU64::new(0),
         }
     }
@@ -485,9 +482,10 @@ impl EvalSession {
     /// `spec.memo_budget_mb` is negative or not finite, and on the values
     /// [`CampaignSpec::expand`] rejects, which a hand-built job list has
     /// not been through: a scale below 1, a job timeout too large for a
-    /// deadline, an attack job's level outside `(0, 1]` or error rate
-    /// outside `[0, 1]`, and a device job without samples. Also when a
-    /// job references a benchmark that cannot be instantiated.
+    /// deadline, and a job's level outside `(0, 1]` or error rate outside
+    /// `[0, 1]`. Also when a job references a benchmark that cannot be
+    /// instantiated. An empty job list builds nothing and returns an
+    /// empty report.
     pub fn run_jobs(
         &self,
         spec: &CampaignSpec,
@@ -497,19 +495,11 @@ impl EvalSession {
         check_at_least_one("scale", spec.scale as u64)?;
         for job in &jobs {
             check_timeout(job.timeout)?;
-            match &job.kind {
-                JobKind::Attack {
-                    level, error_rate, ..
-                } => {
-                    check_level(*level)?;
-                    check_rate("error rate", *error_rate)?;
-                }
-                JobKind::DeviceDelay { samples, .. } | JobKind::DeviceErrorRate { samples, .. } => {
-                    if *samples == 0 {
-                        return Err("a device job needs at least one sample, got 0".to_string());
-                    }
-                }
-            }
+            let JobKind::Attack {
+                level, error_rate, ..
+            } = &job.kind;
+            check_level(*level)?;
+            check_rate("error rate", *error_rate)?;
         }
         let start = Instant::now();
         let pool_before = self.pool.worker_stats();
@@ -537,9 +527,10 @@ impl EvalSession {
     /// benchmarks, in the order the jobs first name them, while their
     /// measured [`Netlist::arena_bytes`] fit `budget`; a benchmark bigger
     /// than the whole budget runs in a chunk of its own. Each chunk is
-    /// admitted to the memo and its jobs run in one pool batch; device
-    /// jobs ride in the first chunk. Results return in submission order,
-    /// so the deterministic report does not depend on the budget.
+    /// admitted to the memo and its jobs run in one pool batch. Results
+    /// return in submission order, so the deterministic report does not
+    /// depend on the budget. An empty job list names no benchmark, so the
+    /// loop never runs.
     ///
     /// The budget decides two things. A benchmark's size is known only
     /// once it is built, so a budgeted run builds one benchmark ahead
@@ -562,8 +553,7 @@ impl EvalSession {
         let mut slots: Vec<Option<JobResult>> = jobs.iter().map(|_| None).collect();
         let mut pending: Vec<Option<JobSpec>> = jobs.into_iter().map(Some).collect();
         let mut peak = 0;
-        let mut first_chunk = true;
-        while first_chunk || !built.is_empty() || !unbuilt.is_empty() {
+        while !built.is_empty() || !unbuilt.is_empty() {
             let mut chunk: Vec<NamedNetlist> = Vec::new();
             let mut used: u64 = 0;
             loop {
@@ -590,27 +580,22 @@ impl EvalSession {
             }
             peak = peak.max(self.admit(&chunk, spec.scale, spec.seed, spec.topology));
 
-            // Every job whose benchmark is in the chunk runs now; device
-            // jobs (no benchmark at all) ride in the first chunk.
+            // Every job whose benchmark is in the chunk runs now.
             let mut batch: Vec<(usize, JobSpec)> = Vec::new();
             for (idx, slot) in pending.iter_mut().enumerate() {
-                let runs_now = match slot.as_ref().map(|job| &job.kind) {
-                    Some(JobKind::Attack { benchmark, .. }) => {
-                        chunk.iter().any(|(name, _)| name == benchmark)
-                    }
-                    Some(_) => first_chunk,
-                    None => false,
-                };
+                let runs_now = slot.as_ref().is_some_and(|job| {
+                    let JobKind::Attack { benchmark, .. } = &job.kind;
+                    chunk.iter().any(|(name, _)| name == benchmark)
+                });
                 if runs_now {
                     batch.push((idx, slot.take().expect("checked Some above")));
                 }
             }
-            first_chunk = false;
 
             let ctx = Arc::new(JobContext {
                 netlists: chunk,
                 cache: OracleCache::shared(),
-                params: self.params,
+                params: SwitchParams::table_i(),
                 keyed: Arc::clone(&self.keyed),
                 coi_mode: spec.coi_mode,
                 sat_simplify: spec.sat_simplify,
@@ -858,36 +843,24 @@ mod tests {
         let job = spec.expand().unwrap().remove(0);
         let attack = |level: f64, rate: f64| {
             let mut job = job.clone();
-            if let JobKind::Attack {
+            let JobKind::Attack {
                 level: l,
                 error_rate: r,
                 ..
-            } = &mut job.kind
-            {
-                (*l, *r) = (level, rate);
-            }
+            } = &mut job.kind;
+            (*l, *r) = (level, rate);
             job
         };
         let mut unscaled = spec.clone();
         unscaled.scale = 0;
         let mut forever = job.clone();
         forever.timeout = Duration::from_secs(u64::MAX);
-        let unsampled = JobSpec {
-            kind: JobKind::DeviceErrorRate {
-                i_s: 20e-6,
-                t_clk: 1e-9,
-                samples: 0,
-                seed: 1,
-            },
-            timeout: spec.timeout,
-        };
         let cases = [
             (&spec, attack(10.0, 0.0), "got 10"),
             (&spec, attack(f64::NAN, 0.0), "got NaN"),
             (&spec, attack(0.15, 1.5), "got 1.5"),
             (&unscaled, job.clone(), "got 0"),
             (&spec, forever, "got 18446744073709551615 s"),
-            (&spec, unsampled, "at least one sample, got 0"),
         ];
         for (spec, job, value) in cases {
             let session = EvalSession::new(1);
@@ -921,36 +894,20 @@ mod tests {
     }
 
     #[test]
-    fn device_jobs_ride_in_the_first_chunk() {
-        // Device jobs name no benchmark. Mixed with attacks on two
-        // benchmarks, every result lands in its submission slot whether
-        // the run streams one benchmark per chunk or has no budget.
+    fn interleaved_benchmarks_land_in_submission_order() {
+        // Jobs of two benchmarks interleaved A, B, A, B: whether the run
+        // streams one benchmark per chunk or has no budget, every result
+        // lands in its submission slot and the reports agree.
         let mut spec = tiny_spec(2);
         spec.benchmarks = vec!["ex1010".into(), "c7552".into()];
-        spec.schemes = vec![CamoScheme::InvBuf];
-        let attacks = spec.expand().unwrap();
-        let device = |kind| JobSpec {
-            kind,
-            timeout: spec.timeout,
+        let expanded = spec.expand().unwrap();
+        let jobs: Vec<JobSpec> = [0, 2, 1, 3].map(|i| expanded[i].clone()).into();
+        let benchmark = |job: &JobSpec| {
+            let JobKind::Attack { benchmark, .. } = &job.kind;
+            benchmark.clone()
         };
-        let delay = device(JobKind::DeviceDelay {
-            i_s: 20e-6,
-            samples: 8,
-            seed: 1,
-        });
-        let rate = device(JobKind::DeviceErrorRate {
-            i_s: 20e-6,
-            t_clk: 1e-9,
-            samples: 8,
-            seed: 2,
-        });
-        let jobs = vec![
-            delay.clone(),
-            attacks[0].clone(),
-            rate.clone(),
-            attacks[1].clone(),
-            delay,
-        ];
+        let names: Vec<String> = jobs.iter().map(benchmark).collect();
+        assert_eq!(names, ["ex1010", "c7552", "ex1010", "c7552"]);
         let mut reports = Vec::new();
         for mb in [0.0, 1e-9] {
             spec.memo_budget_mb = mb;
@@ -964,15 +921,17 @@ mod tests {
             reports.push(report.deterministic_json());
         }
         assert_eq!(reports[0], reports[1]);
+    }
 
-        // A device-only job list under the same 1e-9 MiB budget: one
-        // chunk, no benchmark.
-        let report = EvalSession::new(1)
-            .run_jobs(&spec, vec![rate.clone()])
-            .unwrap();
-        assert_eq!(report.results.len(), 1);
-        assert_eq!(report.results[0].spec, rate);
-        assert_eq!(report.results[0].status, JobStatus::Completed);
+    #[test]
+    fn empty_job_list_builds_nothing() {
+        let session = EvalSession::new(1);
+        let report = session.run_jobs(&tiny_spec(1), Vec::new()).unwrap();
+        assert!(report.results.is_empty());
+        assert!(report.rows.is_empty());
+        assert_eq!(report.peak_memo_bytes, 0);
+        assert_eq!(session.cached_netlists(), 0);
+        assert_eq!(session.cached_keyed(), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! omits every timing field — that form is byte-identical across thread
 //! counts and is what the determinism tests compare.
 
-use crate::aggregate::{aggregate, DeviceRow, TableRow};
+use crate::aggregate::{aggregate, TableRow};
 use crate::job::{JobKind, JobResult, NoiseShape};
 use crate::pool::{pool_summary, WorkerStats};
 use crate::spec::scheme_name;
@@ -23,8 +23,6 @@ pub struct CampaignReport {
     pub results: Vec<JobResult>,
     /// Aggregated attack-grid rows.
     pub rows: Vec<TableRow>,
-    /// Device-measurement rows.
-    pub device: Vec<DeviceRow>,
     /// Worker threads the run actually used.
     pub threads: usize,
     /// Total wall-clock time of the run.
@@ -48,12 +46,11 @@ impl CampaignReport {
         wall_time: Duration,
         peak_memo_bytes: u64,
     ) -> Self {
-        let (rows, device) = aggregate(&results);
+        let rows = aggregate(&results);
         CampaignReport {
             name,
             results,
             rows,
-            device,
             threads,
             wall_time,
             peak_memo_bytes,
@@ -178,23 +175,6 @@ impl CampaignReport {
             }
             out.push('}');
         }
-        out.push_str("],\"device\":[");
-        for (i, row) in self.device.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            json_str(&mut out, "kind", row.kind);
-            let _ = write!(
-                out,
-                ",\"i_s\":{},\"t_clk\":{},\"samples\":{},\"value\":{}",
-                json_f64(row.i_s),
-                json_f64(row.t_clk),
-                row.samples,
-                json_f64(row.value),
-            );
-            out.push('}');
-        }
         out.push_str("]}");
         out
     }
@@ -250,14 +230,14 @@ impl CampaignReport {
     ) -> Vec<&JobResult> {
         self.results
             .iter()
-            .filter(|r| match &r.spec.kind {
-                JobKind::Attack {
+            .filter(|r| {
+                let JobKind::Attack {
                     benchmark: b,
                     scheme: s,
                     level: l,
                     ..
-                } => b == benchmark && *s == scheme && (*l - level).abs() < 1e-12,
-                _ => false,
+                } = &r.spec.kind;
+                b == benchmark && *s == scheme && (*l - level).abs() < 1e-12
             })
             .collect()
     }
@@ -325,7 +305,6 @@ mod tests {
             queries: 12,
             iterations: 12,
             output_error_rate: 0.0,
-            measurement: f64::NAN,
             elapsed: Duration::from_millis(1234),
             solver_stats: gshe_sat::SolverStats {
                 decisions: 40,
@@ -417,9 +396,7 @@ mod tests {
     fn uniform_profile_is_implicit_in_json_but_named_otherwise() {
         let mut report = sample_report();
         assert!(!report.deterministic_json().contains("profile"));
-        let JobKind::Attack { profile, .. } = &mut report.results[0].spec.kind else {
-            panic!()
-        };
+        let JobKind::Attack { profile, .. } = &mut report.results[0].spec.kind;
         *profile = NoiseShape::OutputCone;
         let rebuilt = CampaignReport::new(
             report.name.clone(),
@@ -441,10 +418,7 @@ mod tests {
         assert!(report.to_csv().contains(",uniform,0,"));
         let JobKind::Attack {
             rotation_period, ..
-        } = &mut report.results[0].spec.kind
-        else {
-            panic!()
-        };
+        } = &mut report.results[0].spec.kind;
         *rotation_period = 16;
         let rebuilt = CampaignReport::new(
             report.name.clone(),
@@ -468,9 +442,7 @@ mod tests {
             "{}",
             report.to_csv()
         );
-        let JobKind::Attack { topology, .. } = &mut report.results[0].spec.kind else {
-            panic!()
-        };
+        let JobKind::Attack { topology, .. } = &mut report.results[0].spec.kind;
         *topology = Topology::Local;
         let rebuilt = CampaignReport::new(
             report.name.clone(),

@@ -654,13 +654,9 @@ mod tests {
         let jobs = spec.expand().unwrap();
         assert_eq!(jobs.len(), 2 * 2 * 2 * 2 * 2 * 3);
         // Outermost loop is the benchmark.
-        let JobKind::Attack { benchmark, .. } = &jobs[0].kind else {
-            panic!()
-        };
+        let JobKind::Attack { benchmark, .. } = &jobs[0].kind;
         assert_eq!(benchmark, "c7552");
-        let JobKind::Attack { benchmark, .. } = &jobs.last().unwrap().kind else {
-            panic!()
-        };
+        let JobKind::Attack { benchmark, .. } = &jobs.last().unwrap().kind;
         assert_eq!(benchmark, "ex1010");
     }
 
@@ -675,9 +671,7 @@ mod tests {
         let selects: Vec<u64> = jobs
             .iter()
             .map(|j| {
-                let JobKind::Attack { seeds, .. } = &j.kind else {
-                    panic!()
-                };
+                let JobKind::Attack { seeds, .. } = &j.kind;
                 seeds.select
             })
             .collect();
@@ -690,9 +684,7 @@ mod tests {
         let oracles: Vec<u64> = jobs
             .iter()
             .map(|j| {
-                let JobKind::Attack { seeds, .. } = &j.kind else {
-                    panic!()
-                };
+                let JobKind::Attack { seeds, .. } = &j.kind;
                 seeds.oracle
             })
             .collect();
@@ -717,9 +709,7 @@ mod tests {
         // Uniform jobs keep the historical seed derivation; other shapes
         // draw a distinct noise stream.
         let oracle_of = |j: &JobSpec| {
-            let JobKind::Attack { seeds, profile, .. } = &j.kind else {
-                panic!()
-            };
+            let JobKind::Attack { seeds, profile, .. } = &j.kind;
             (*profile, seeds.oracle)
         };
         let base_jobs = base.expand().unwrap();
@@ -749,10 +739,7 @@ mod tests {
                     error_rate,
                     profile,
                     ..
-                } = &j.kind
-                else {
-                    panic!()
-                };
+                } = &j.kind;
                 (*error_rate, *profile)
             })
             .collect();
@@ -785,10 +772,7 @@ mod tests {
                 rotation_period,
                 seeds,
                 ..
-            } = &j.kind
-            else {
-                panic!()
-            };
+            } = &j.kind;
             (*rotation_period, seeds.oracle)
         };
         // Period-0 jobs keep the historical seed derivation byte-for-byte.
@@ -825,10 +809,7 @@ mod tests {
                     error_rate,
                     profile,
                     ..
-                } = &j.kind
-                else {
-                    panic!()
-                };
+                } = &j.kind;
                 (*rotation_period, *error_rate, *profile)
             })
             .collect();
@@ -849,9 +830,7 @@ mod tests {
         // single-defense cell keeps its historical derivation (checked by
         // the collapse-free sub-specs).
         let oracle_of = |j: &JobSpec| {
-            let JobKind::Attack { seeds, .. } = &j.kind else {
-                panic!()
-            };
+            let JobKind::Attack { seeds, .. } = &j.kind;
             seeds.oracle
         };
         let noise_only = oracle_of(&jobs[1]);
@@ -898,10 +877,7 @@ mod tests {
                 clock_ns,
                 seeds,
                 ..
-            } = &j.kind
-            else {
-                panic!()
-            };
+            } = &j.kind;
             (*clock_ns, *error_rate, seeds.oracle)
         };
         let (c0, r0, seed0) = cell_of(&jobs[0]);
@@ -1051,10 +1027,7 @@ mod tests {
             benchmark,
             topology,
             ..
-        } = &jobs[0].kind
-        else {
-            panic!()
-        };
+        } = &jobs[0].kind;
         assert_eq!(benchmark, "tests/data/epfl_ctrl.aag");
         assert_eq!(*topology, Topology::Local);
     }

@@ -90,16 +90,6 @@ impl MonteCarlo {
             .collect()
     }
 
-    /// Runs the samples with global indices `[start, start + count)` on
-    /// the calling thread — the exact per-sample streams of the
-    /// corresponding slice of [`MonteCarlo::run`], so chunked callers
-    /// (e.g. budget-checked campaign jobs) reproduce a full run's numbers.
-    pub fn run_range(&self, i_s: f64, start: usize, count: usize) -> Vec<DelaySample> {
-        (start..start + count)
-            .map(|idx| sample_at(&self.config.params, self.config.seed, idx as u64, i_s))
-            .collect()
-    }
-
     /// Runs the full Fig. 4 sweep over the given currents.
     pub fn sweep(&self, currents: &[f64]) -> Vec<(f64, DelayHistogram)> {
         currents
@@ -110,17 +100,10 @@ impl MonteCarlo {
             })
             .collect()
     }
-
-    /// Probability that a write at `i_s` completes within `t_clk` seconds —
-    /// the accuracy knob of the stochastic primitive (Sec. V-B: "the error
-    /// rate for any switch can be tuned individually").
-    pub fn switching_probability(&self, i_s: f64, t_clk: f64) -> f64 {
-        1.0 - miss_rate(&self.run(i_s), t_clk)
-    }
 }
 
 /// One seeded thermal switching event, keyed by its global sample index:
-/// reproducible regardless of threading or chunking.
+/// reproducible regardless of threading.
 fn sample_at(params: &SwitchParams, seed: u64, idx: u64, i_s: f64) -> DelaySample {
     let mut rng = StdRng::seed_from_u64(seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut sw = GsheSwitch::new(*params);
@@ -136,8 +119,7 @@ fn sample_at(params: &SwitchParams, seed: u64, idx: u64, i_s: f64) -> DelaySampl
 }
 
 /// Mean delay over the switched samples, or NaN when none switched — the
-/// scalar that Table II's measured row and the campaign's device-delay
-/// jobs both report.
+/// scalar Table II's measured row reports.
 pub fn mean_switched_delay(samples: &[DelaySample]) -> f64 {
     let switched: Vec<f64> = samples
         .iter()
@@ -153,9 +135,11 @@ pub fn mean_switched_delay(samples: &[DelaySample]) -> f64 {
 
 /// Fraction of `samples` that miss a clock deadline of `t_clk` seconds
 /// (did not switch, or switched later): the per-evaluation error rate of a
-/// switch clocked at `t_clk`. The samples do not depend on `t_clk`, so one
-/// sample set serves every clock period. An empty set misses every
-/// deadline (rate 1).
+/// switch clocked at `t_clk`, the accuracy knob of the stochastic
+/// primitive (Sec. V-B: "the error rate for any switch can be tuned
+/// individually"). The samples do not depend on `t_clk`, so one sample
+/// set serves every clock period. An empty set misses every deadline
+/// (rate 1).
 pub fn miss_rate(samples: &[DelaySample], t_clk: f64) -> f64 {
     let hits = samples
         .iter()
@@ -281,15 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_ranges_reproduce_a_full_run() {
-        let mc = MonteCarlo::new(quick_config(16));
-        let full = mc.run(60e-6);
-        let mut chunked = mc.run_range(60e-6, 0, 5);
-        chunked.extend(mc.run_range(60e-6, 5, 11));
-        assert_eq!(full, chunked);
-    }
-
-    #[test]
     fn histogram_fractions_sum_to_switched_fraction() {
         let mc = MonteCarlo::new(quick_config(40));
         let samples = mc.run(60e-6);
@@ -300,9 +275,11 @@ mod tests {
 
     #[test]
     fn switching_probability_increases_with_clock_period() {
-        let mc = MonteCarlo::new(quick_config(40));
-        let p_short = mc.switching_probability(20e-6, 0.8e-9);
-        let p_long = mc.switching_probability(20e-6, 6e-9);
+        // One run serves every clock period: a write completes within
+        // `t_clk` unless it misses the deadline.
+        let samples = MonteCarlo::new(quick_config(40)).run(20e-6);
+        let p_short = 1.0 - miss_rate(&samples, 0.8e-9);
+        let p_long = 1.0 - miss_rate(&samples, 6e-9);
         assert!(p_long >= p_short);
         assert!(p_long > 0.9, "p_long = {p_long}");
     }

@@ -66,7 +66,7 @@
 //! | span | layer | wraps |
 //! |------|-------|-------|
 //! | `pool.task` | `campaign::pool` | one erased task on a worker |
-//! | `job.attack` / `job.device` | `campaign::job` | one campaign job |
+//! | `job.attack` | `campaign::job` | one campaign job (an attack cell) |
 //! | `job.materialize` | `campaign::job` | camouflaged-netlist materialization |
 //! | `job.oracle_build` | `campaign::job` | every chip's oracle-stack construction (a rotating chip's correct-key resolution included) |
 //! | `job.verify` | `campaign::job` | the recovered key's equivalence proof |

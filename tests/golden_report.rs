@@ -65,14 +65,15 @@ fn golden_spec() -> CampaignSpec {
 }
 
 /// Splits a deterministic report's `rows` array into its `{...}` row
-/// objects, textually (the serializer emits no nested braces in rows).
+/// objects, textually (the serializer emits no nested braces or brackets
+/// in rows, so the array ends at its first `]`).
 fn row_objects(json: &str) -> Vec<&str> {
     let rows = json
         .split_once("\"rows\":[")
         .expect("rows array")
         .1
-        .split_once("],\"device\":")
-        .expect("device array")
+        .split_once(']')
+        .expect("end of the rows array")
         .0;
     rows.split_inclusive('}')
         .map(|r| r.trim_start_matches(',').trim())
