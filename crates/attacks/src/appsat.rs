@@ -83,14 +83,17 @@ mod tests {
     use gshe_logic::{GeneratorConfig, NetlistGenerator};
     use rand::rngs::StdRng as TestRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     #[test]
     fn appsat_recovers_exact_key_with_deterministic_oracle() {
         // Instance seed picked to converge well inside the wall-clock
         // budget under the vendored StdRng stream.
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 100).with_seed(42))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 100).with_seed(42))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 0.3, 19);
         let mut rng = TestRng::seed_from_u64(19);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -106,9 +109,11 @@ mod tests {
         // One reinforcement round per `reinforce_every` DIPs, each round
         // `samples_per_round` oracle queries; a negative threshold never
         // exits early, so every round runs to its full sample count.
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 100).with_seed(42))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 100).with_seed(42))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 0.3, 19);
         let mut rng = TestRng::seed_from_u64(19);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -144,9 +149,11 @@ mod tests {
 
     #[test]
     fn appsat_early_exit_with_loose_threshold() {
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 100).with_seed(43))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 100).with_seed(43))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 0.4, 23);
         let mut rng = TestRng::seed_from_u64(23);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -168,9 +175,11 @@ mod tests {
         // assumption. With a noisy oracle, repeated queries on similar
         // patterns contradict each other and the constraint set collapses
         // (Inconsistent), or the returned key is functionally wrong.
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 60).with_seed(47))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 60).with_seed(47))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 0.5, 29);
         let mut rng = TestRng::seed_from_u64(29);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();

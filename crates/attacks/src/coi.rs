@@ -235,10 +235,11 @@ mod tests {
     };
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     /// Two independent AND cones sharing nothing; camouflage only the
     /// first cone's gate, so exactly one output is affected.
-    fn split_design() -> (Netlist, KeyedNetlist) {
+    fn split_design() -> (Arc<Netlist>, KeyedNetlist) {
         let mut b = NetlistBuilder::new("split");
         let a = b.input("a");
         let c = b.input("b");
@@ -248,7 +249,7 @@ mod tests {
         let g2 = b.gate2("g2", Bf2::OR, d, e);
         b.output(g1);
         b.output(g2);
-        let nl = b.finish().unwrap();
+        let nl = Arc::new(b.finish().unwrap());
         let mut rng = StdRng::seed_from_u64(7);
         let keyed = camouflage(&nl, &[g1], CamoScheme::GsheAll16, &mut rng).unwrap();
         (nl, keyed)
@@ -274,7 +275,7 @@ mod tests {
         let other = b.gate2("other", Bf2::OR, d, e);
         b.output(cell);
         b.output(other);
-        let nl = b.finish().unwrap();
+        let nl = Arc::new(b.finish().unwrap());
         let mut rng = StdRng::seed_from_u64(3);
         let keyed = camouflage(&nl, &[cell], CamoScheme::GsheAll16, &mut rng).unwrap();
 
@@ -315,9 +316,11 @@ mod tests {
     #[test]
     fn fully_affected_designs_skip_the_projection() {
         // Every output in the cloaked cells' cone: nothing to reduce.
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 8, 2, 60).with_seed(1))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 8, 2, 60).with_seed(1))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 1.0, 5);
         let mut rng = StdRng::seed_from_u64(5);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -373,9 +376,11 @@ mod tests {
     fn engine_auto_threshold_is_transparent_end_to_end() {
         // coi: On through the engine entry point must recover an
         // equivalent key to coi: Off on the same seeded instance.
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 10, 8, 120).with_seed(11))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 10, 8, 120).with_seed(11))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 0.05, 13);
         let mut rng = StdRng::seed_from_u64(13);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -400,9 +405,11 @@ mod tests {
         let (_, keyed) = split_design();
         assert_eq!(cone_inputs(&keyed, CoiMode::Off), None);
         assert_eq!(cone_inputs(&keyed, CoiMode::On), Some(vec![0, 1]));
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 24, 12, 400).with_seed(2))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 24, 12, 400).with_seed(2))
+                .unwrap()
+                .generate(),
+        );
         let mut engaged = 0;
         for seed in 0..8 {
             let picks = select_gates(&nl, 0.01, seed);

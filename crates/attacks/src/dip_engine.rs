@@ -497,13 +497,16 @@ mod tests {
     use crate::stack::OracleStack;
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::{GeneratorConfig, Netlist, NetlistGenerator};
+    use std::sync::Arc;
 
-    fn keyed_instance(seed: u64) -> (Netlist, gshe_camo::KeyedNetlist) {
+    fn keyed_instance(seed: u64) -> (Arc<Netlist>, gshe_camo::KeyedNetlist) {
         // 12 inputs / moderate key: tractable in well under a second, hard
         // enough that refinement actually loops.
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 12, 6, 120).with_seed(seed))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 12, 6, 120).with_seed(seed))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 0.12, 55);
         let mut rng = StdRng::seed_from_u64(55);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -651,7 +654,7 @@ mod tests {
         // 3-variable miter make 73 variables before the first solve, and
         // every DIP adds at least one variable per cloaked cell and copy.
         use gshe_logic::bench_format::{parse_bench, C17_BENCH};
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = select_gates(&nl, 1.0, 3);
         let mut rng = StdRng::seed_from_u64(8);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();

@@ -42,10 +42,11 @@ mod tests {
     use gshe_logic::{GeneratorConfig, NetlistGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     #[test]
     fn double_dip_breaks_c17_for_every_scheme() {
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         for scheme in CamoScheme::ALL {
             let picks = select_gates(&nl, 1.0, 7);
             let mut rng = StdRng::seed_from_u64(7);
@@ -62,9 +63,11 @@ mod tests {
     fn double_dip_matches_sat_attack_on_generated_circuit() {
         // Instance seed picked to converge well inside the wall-clock
         // budget under the vendored StdRng stream.
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 90).with_seed(34))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 90).with_seed(34))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 0.3, 13);
         let mut rng = StdRng::seed_from_u64(13);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -96,9 +99,11 @@ mod tests {
     fn double_dip_is_costlier_per_run() {
         // The paper's observation: higher runtimes (more solver work),
         // fewer-or-equal oracle queries.
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 70).with_seed(37))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 9, 5, 70).with_seed(37))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 0.25, 17);
         let mut rng = StdRng::seed_from_u64(17);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();

@@ -254,9 +254,10 @@ mod tests {
     use gshe_sat::{SolveResult, Solver};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
-    fn keyed(scheme: CamoScheme) -> (Netlist, KeyedNetlist) {
-        let nl = parse_bench(C17_BENCH).unwrap();
+    fn keyed(scheme: CamoScheme) -> (Arc<Netlist>, KeyedNetlist) {
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = select_gates(&nl, 1.0, 3);
         let mut rng = StdRng::seed_from_u64(8);
         let k = camouflage(&nl, &picks, scheme, &mut rng).unwrap();
@@ -381,7 +382,7 @@ mod tests {
         for o in [g3, g4, g5, high, zero] {
             b.output(o);
         }
-        let nl = b.finish().unwrap();
+        let nl = Arc::new(b.finish().unwrap());
         for scheme in [CamoScheme::GsheAll16, CamoScheme::InvBuf] {
             let mut rng = StdRng::seed_from_u64(8);
             let keyed = camouflage(&nl, &[g1, g2, high], scheme, &mut rng).unwrap();

@@ -300,6 +300,7 @@ mod tests {
     use gshe_logic::Bf2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn sat_equivalent(a: &Netlist, b: &Netlist) -> bool {
         let all: Vec<usize> = (0..a.outputs().len()).collect();
@@ -326,7 +327,7 @@ mod tests {
 
     #[test]
     fn correct_key_verifies() {
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = select_gates(&nl, 1.0, 2);
         let mut rng = StdRng::seed_from_u64(2);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -338,7 +339,7 @@ mod tests {
 
     #[test]
     fn wrong_key_fails_verification() {
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = select_gates(&nl, 1.0, 2);
         let mut rng = StdRng::seed_from_u64(2);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -362,9 +363,11 @@ mod tests {
     #[test]
     fn scoped_verification_matches_full() {
         use gshe_logic::{GeneratorConfig, NetlistGenerator};
-        let nl = NetlistGenerator::new(GeneratorConfig::new("sv", 12, 8, 120).with_seed(9))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("sv", 12, 8, 120).with_seed(9))
+                .unwrap()
+                .generate(),
+        );
         // Cloak an output gate directly: its influence is exactly the
         // outputs that read it — a proper subset — where a random
         // interior pick percolates to every output on this topology.
@@ -437,9 +440,11 @@ mod tests {
     #[test]
     fn structurally_correct_key_leaves_no_pair_open() {
         use gshe_logic::{GeneratorConfig, NetlistGenerator};
-        let nl = NetlistGenerator::new(GeneratorConfig::new("sh", 12, 8, 120).with_seed(4))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("sh", 12, 8, 120).with_seed(4))
+                .unwrap()
+                .generate(),
+        );
         let all: Vec<usize> = (0..nl.outputs().len()).collect();
         let picks = select_gates(&nl, 0.3, 4);
         for scheme in [CamoScheme::GsheAll16, CamoScheme::InvBuf] {
@@ -463,7 +468,7 @@ mod tests {
 
     #[test]
     fn key_width_is_checked() {
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = select_gates(&nl, 1.0, 2);
         let mut rng = StdRng::seed_from_u64(2);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();

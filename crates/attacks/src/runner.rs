@@ -112,12 +112,13 @@ mod tests {
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn send_check<T: Send + 'static>(_: &T) {}
 
     #[test]
     fn runner_is_send_and_breaks_c17_with_every_kind() {
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = select_gates(&nl, 1.0, 5);
         let mut rng = StdRng::seed_from_u64(5);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -136,7 +137,7 @@ mod tests {
     fn with_config_reaches_the_engine() {
         // The scoring entry point: the runner's config, not a default,
         // bounds the engine's DIP loop.
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = select_gates(&nl, 1.0, 5);
         let mut rng = StdRng::seed_from_u64(5);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();

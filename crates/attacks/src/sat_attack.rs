@@ -135,8 +135,9 @@ mod tests {
     use gshe_logic::{GeneratorConfig, Netlist, NetlistGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
-    fn attack_and_verify(nl: &Netlist, scheme: CamoScheme, fraction: f64) -> AttackOutcome {
+    fn attack_and_verify(nl: &Arc<Netlist>, scheme: CamoScheme, fraction: f64) -> AttackOutcome {
         let picks = select_gates(nl, fraction, 55);
         let mut rng = StdRng::seed_from_u64(55);
         let keyed = camouflage(nl, &picks, scheme, &mut rng).unwrap();
@@ -154,7 +155,7 @@ mod tests {
 
     #[test]
     fn c17_fully_camouflaged_is_broken_for_every_scheme() {
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         for scheme in CamoScheme::ALL {
             attack_and_verify(&nl, scheme, 1.0);
         }
@@ -162,9 +163,11 @@ mod tests {
 
     #[test]
     fn generated_circuit_20pct_gshe16() {
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 10, 6, 150).with_seed(2))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 10, 6, 150).with_seed(2))
+                .unwrap()
+                .generate(),
+        );
         let out = attack_and_verify(&nl, CamoScheme::GsheAll16, 0.2);
         assert!(out.iterations > 0);
         assert_eq!(out.queries, out.iterations);
@@ -174,9 +177,11 @@ mod tests {
     fn more_functions_need_no_fewer_dips() {
         // Sanity on the paper's core observation: richer candidate sets
         // do not make the attack easier (same circuit, same picks).
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 80).with_seed(4))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 80).with_seed(4))
+                .unwrap()
+                .generate(),
+        );
         let small = attack_and_verify(&nl, CamoScheme::InvBuf, 0.25);
         let big = attack_and_verify(&nl, CamoScheme::GsheAll16, 0.25);
         assert!(big.solver_stats.decisions >= small.solver_stats.decisions);
@@ -184,7 +189,7 @@ mod tests {
 
     #[test]
     fn zero_timeout_reports_timeout() {
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = select_gates(&nl, 1.0, 1);
         let mut rng = StdRng::seed_from_u64(1);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -203,9 +208,11 @@ mod tests {
         // Sec. V-B: with a noisy oracle the attack either derives a wrong
         // key or collapses to inconsistency — it must not recover the
         // correct function reliably.
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 60).with_seed(6))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 60).with_seed(6))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 0.5, 9);
         let mut rng = StdRng::seed_from_u64(9);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();

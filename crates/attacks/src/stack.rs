@@ -390,10 +390,11 @@ pub(crate) mod tests {
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::bench_format::{parse_bench, C17_BENCH};
     use gshe_logic::{Bf1, Bf2, GeneratorConfig, NetlistBuilder, NetlistGenerator};
+    use std::sync::Arc;
 
     /// c17 with its gates cloaked as GSHE-16 cells (test fixture).
-    pub(crate) fn c17_keyed() -> (Netlist, KeyedNetlist) {
-        let nl = parse_bench(C17_BENCH).unwrap();
+    pub(crate) fn c17_keyed() -> (Arc<Netlist>, KeyedNetlist) {
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = select_gates(&nl, 1.0, 3);
         let mut rng = StdRng::seed_from_u64(0);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();

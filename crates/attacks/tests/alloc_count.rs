@@ -27,6 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// Counts every allocation (and growing reallocation) through the global
 /// allocator, per thread.
@@ -102,7 +103,7 @@ fn static_block_query_allocates_only_the_return_vector() {
 
 #[test]
 fn rotating_block_query_allocates_only_the_return_vector() {
-    let nl = parse_bench(C17_BENCH).unwrap();
+    let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
     let picks = select_gates(&nl, 1.0, 3);
     let mut camo_rng = StdRng::seed_from_u64(0);
     let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut camo_rng).unwrap();
@@ -171,7 +172,7 @@ fn warm_projected_query_allocates_only_the_return_vector() {
     let config = GeneratorConfig::new("proj", 256, 32, 2_000)
         .with_seed(7)
         .with_topology(Topology::Local);
-    let nl = NetlistGenerator::new(config).unwrap().generate();
+    let nl = Arc::new(NetlistGenerator::new(config).unwrap().generate());
     let proj = (0..)
         .find_map(|seed| {
             let picks = select_gates_count(&nl, 1, seed);
@@ -229,10 +230,12 @@ fn scalar_queries_allocate_only_the_return_vector() {
 }
 
 #[test]
-fn one_cell_gshe16_camouflage_patches_a_copy_instead_of_rebuilding() {
-    let nl = NetlistGenerator::new(GeneratorConfig::new("big", 64, 32, 20_000).with_seed(5))
-        .unwrap()
-        .generate();
+fn one_cell_gshe16_camouflage_shares_the_design_instead_of_rebuilding() {
+    let nl = Arc::new(
+        NetlistGenerator::new(GeneratorConfig::new("big", 64, 32, 20_000).with_seed(5))
+            .unwrap()
+            .generate(),
+    );
     let picks = select_gates_count(&nl, 1, 9);
     let mut rng = StdRng::seed_from_u64(0);
     let mut keyed = None;
@@ -240,6 +243,7 @@ fn one_cell_gshe16_camouflage_patches_a_copy_instead_of_rebuilding() {
         keyed = Some(camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap());
     });
     let keyed = keyed.unwrap();
+    assert!(keyed.shares_netlist(&nl));
     assert_eq!(keyed.netlist().len(), nl.len());
     assert_eq!(keyed.camo_gates()[0].node, picks[0]);
     assert!(

@@ -20,14 +20,15 @@ use gshe_logic::{suites, Netlist};
 use gshe_sat::{CircuitEncoder, Lit, Solver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// s38584 (the ISCAS-89 cell the paper's Table IV rows use) at scale 8:
 /// the full 304-output interface is kept, so most outputs lie outside
 /// the camouflaged gates' cones and the COI path does real work, while
 /// both attack variants stay debug-build fast.
-fn s38584_keyed() -> (Netlist, KeyedNetlist) {
+fn s38584_keyed() -> (Arc<Netlist>, KeyedNetlist) {
     let spec = suites::spec("s38584").expect("s-suite benchmark present");
-    let nl = suites::benchmark(spec, 8, 1);
+    let nl = Arc::new(suites::benchmark(spec, 8, 1));
     let picks = select_gates_count(&nl, 4, 3);
     let mut rng = StdRng::seed_from_u64(3);
     let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).expect("camouflage");

@@ -29,6 +29,7 @@ use gshe_camo::{camouflage, select_gates_count, CamoScheme};
 use gshe_logic::{suites, Netlist, NodeId, PatternBlock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Size of the fanin cone of the outputs affected by `picks`, or `None`
@@ -76,7 +77,7 @@ fn sb1_smoke() {
 
     // Full-scale sb1 — no scale-down factor.
     let spec = suites::spec("sb1").expect("superblue suite present");
-    let nl = suites::benchmark(spec, 1, 1);
+    let nl = Arc::new(suites::benchmark(spec, 1, 1));
     assert!(nl.gate_count() >= 856_000, "unscaled: {}", nl.gate_count());
 
     // The flat arena stays within ~tens of bytes per node (meta byte,
@@ -101,6 +102,9 @@ fn sb1_smoke() {
         .expect("some candidate has a proper cone");
     let mut rng = StdRng::seed_from_u64(3);
     let keyed = camouflage(&nl, &best_picks, CamoScheme::GsheAll16, &mut rng).expect("camouflage");
+    // A rule-1 draw holds the design's own arena: one 856k-gate arena in
+    // memory, not two.
+    assert!(keyed.shares_netlist(&nl));
 
     // The default COI mode engages, and with this placement the cone is
     // a small slice.

@@ -10,6 +10,7 @@ use gshe_core::camo::{camouflage, select_gates, CamoScheme};
 use gshe_core::logic::{GeneratorConfig, Netlist, NetlistGenerator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn workload() -> Netlist {
     NetlistGenerator::new(GeneratorConfig::new("bench", 12, 6, 120).with_seed(11))
@@ -18,7 +19,7 @@ fn workload() -> Netlist {
 }
 
 fn bench_attack_by_scheme(c: &mut Criterion) {
-    let nl = workload();
+    let nl = Arc::new(workload());
     let picks = select_gates(&nl, 0.2, 3);
     let mut group = c.benchmark_group("sat_attack_by_scheme");
     for scheme in [
@@ -44,7 +45,7 @@ fn bench_attack_by_scheme(c: &mut Criterion) {
 }
 
 fn bench_double_dip_vs_sat(c: &mut Criterion) {
-    let nl = workload();
+    let nl = Arc::new(workload());
     let picks = select_gates(&nl, 0.15, 5);
     let mut rng = StdRng::seed_from_u64(5);
     let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();

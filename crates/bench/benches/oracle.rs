@@ -19,18 +19,19 @@ use gshe_core::prelude::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 use std::time::Duration;
 
-fn s38584_keyed_at(level: f64) -> (Netlist, KeyedNetlist) {
+fn s38584_keyed_at(level: f64) -> (Arc<Netlist>, KeyedNetlist) {
     let spec = suites::spec("s38584").expect("s-suite benchmark present");
-    let nl = suites::benchmark_scaled(spec, 40, 1);
+    let nl = Arc::new(suites::benchmark_scaled(spec, 40, 1));
     let picks = select_gates(&nl, level, 3);
     let mut rng = StdRng::seed_from_u64(3);
     let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).expect("camouflage");
     (nl, keyed)
 }
 
-fn s38584_keyed() -> (Netlist, KeyedNetlist) {
+fn s38584_keyed() -> (Arc<Netlist>, KeyedNetlist) {
     s38584_keyed_at(0.1)
 }
 
@@ -244,7 +245,7 @@ fn bench_coi_miter(c: &mut Criterion) {
     use gshe_core::camo::select_gates_count;
 
     let spec = suites::spec("s38584").expect("s-suite benchmark present");
-    let nl = suites::benchmark(spec, 4, 1);
+    let nl = Arc::new(suites::benchmark(spec, 4, 1));
     let picks = select_gates_count(&nl, 6, 3);
     let mut rng = StdRng::seed_from_u64(3);
     let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).expect("camouflage");

@@ -9,9 +9,10 @@ use gshe_core::camo::{camouflage, select_gates, CamoScheme};
 use gshe_core::logic::suites::{benchmark_scaled, spec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--scale", "--timeout", "--seed", "--only"]);
     let config = AttackConfig {
         timeout: args.timeout,
         ..Default::default()
@@ -29,7 +30,11 @@ fn main() {
         if !args.only.is_empty() && name != args.only {
             continue;
         }
-        let nl = benchmark_scaled(spec(name).expect("spec"), args.scale, args.seed);
+        let nl = Arc::new(benchmark_scaled(
+            spec(name).expect("spec"),
+            args.scale,
+            args.seed,
+        ));
         let picks = select_gates(&nl, 0.10, args.seed ^ 100);
         let mut rng = StdRng::seed_from_u64(args.seed);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).expect("all-16");

@@ -11,7 +11,7 @@ use gshe_core::timing::DelayModel;
 use gshe_core::{protect_delay_aware, Provisioning};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--scale", "--timeout", "--seed", "--only"]);
     let model = DelayModel::cmos_45nm();
     let config = AttackConfig {
         timeout: args.timeout,

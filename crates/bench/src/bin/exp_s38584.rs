@@ -10,14 +10,15 @@ use gshe_core::camo::{camouflage, select_gates, CamoScheme};
 use gshe_core::logic::suites::{benchmark_scaled, S38584};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--scale", "--timeout", "--samples", "--seed"]);
     // Cost-limited protection: [25] replaces only a small share of gates
     // (about 1.5% here) to curb PPA overheads.
     let fraction = 0.015;
     let runs = args.samples.clamp(10, 100) as u64;
-    let nl = benchmark_scaled(&S38584, args.scale, args.seed);
+    let nl = Arc::new(benchmark_scaled(&S38584, args.scale, args.seed));
     let config = AttackConfig {
         timeout: args.timeout,
         ..Default::default()

@@ -21,7 +21,7 @@ const ACCURACIES: [f64; 4] = [1.0, 0.99, 0.95, 0.90];
 const TRIALS: u64 = 5;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--scale", "--timeout", "--samples", "--seed", "--threads"]);
 
     // Attack grid: accuracy sweep × {SAT, AppSAT} × trials, all on the
     // c7552-like benchmark at 20% protection (historical seeds: selection

@@ -6,7 +6,7 @@ use gshe_bench::{bar_line, HarnessArgs};
 use gshe_core::device::{DelayHistogram, MonteCarlo, MonteCarloConfig, SwitchParams};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--samples", "--seed"]);
     let mc = MonteCarlo::new(MonteCarloConfig {
         params: SwitchParams::table_i(),
         samples: args.samples,

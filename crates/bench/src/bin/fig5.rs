@@ -2,10 +2,12 @@
 //! each function's terminal configuration, verified both behaviorally and
 //! through the device-level (sLLGS) evaluation path.
 
+use gshe_bench::HarnessArgs;
 use gshe_core::logic::Bf2;
 use gshe_core::{GsheConfig, GshePrimitive};
 
 fn main() {
+    HarnessArgs::parse(&[]);
     println!("FIG. 5 — ALL 16 BOOLEAN FUNCTIONS FROM THE GSHE PRIMITIVE");
     println!(
         "{:<12} {:<22} {:<28} {:>9} {:>8}",

@@ -7,7 +7,7 @@ use gshe_core::logic::suites::{benchmark_scaled, spec};
 use gshe_core::timing::{path_delay_histogram, DelayModel};
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--scale", "--seed", "--only"]);
     let model = DelayModel::cmos_45nm();
     println!(
         "FIG. 6 — PATH-DELAY DISTRIBUTIONS OF SELECTED IBM SUPERBLUE CIRCUITS (scale 1/{})",

@@ -1,9 +1,11 @@
 //! Regenerates **Table I**: material parameters of the GSHE switch,
 //! including the derived electrical quantities the paper lists.
 
+use gshe_bench::HarnessArgs;
 use gshe_core::device::SwitchParams;
 
 fn main() {
+    HarnessArgs::parse(&[]);
     let p = SwitchParams::table_i();
     let w = &p.write;
     let r = &p.read;

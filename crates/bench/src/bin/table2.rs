@@ -11,7 +11,7 @@ use gshe_core::device::characterize::{
 use gshe_core::device::SwitchParams;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--samples", "--seed"]);
     let params = SwitchParams::table_i();
     let samples = args.samples.min(4000);
     let measured = measured_mean_delay(&params, 20e-6, samples, args.seed);

@@ -8,7 +8,7 @@ use gshe_core::logic::suites::{benchmark_scaled, S38584, TABLE_III};
 use gshe_core::logic::NetlistStats;
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&["--scale", "--seed", "--only"]);
     println!("TABLE III — CHARACTERISTICS OF SYNTHESIZED BENCHMARKS");
     println!("(italics = EPFL suite, bold = IBM superblue; both marked in the Suite column)");
     println!(

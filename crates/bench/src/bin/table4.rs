@@ -33,7 +33,14 @@ const BENCHES: [&str; 7] = [
 ];
 
 fn main() {
-    let args = HarnessArgs::parse();
+    let args = HarnessArgs::parse(&[
+        "--scale",
+        "--timeout",
+        "--seed",
+        "--only",
+        "--threads",
+        "--levels",
+    ]);
 
     // Build the job grid with the historical seed derivation: one gate
     // selection per (benchmark, level), shared by every scheme.

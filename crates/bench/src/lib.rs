@@ -186,55 +186,97 @@ impl Default for HarnessArgs {
     }
 }
 
-/// The flags [`HarnessArgs::parse`] reads.
-const HARNESS_USAGE: &str =
-    "--scale N --timeout SECS --samples N --seed N --only NAME --threads N --levels 0.1,0.2";
+/// Every flag a paper harness can read, with its value's shape for the
+/// usage line.
+const HARNESS_FLAGS: [(&str, &str); 7] = [
+    ("--scale", "N"),
+    ("--timeout", "SECS"),
+    ("--samples", "N"),
+    ("--seed", "N"),
+    ("--only", "NAME"),
+    ("--threads", "N"),
+    ("--levels", "0.1,0.2"),
+];
 
 impl HarnessArgs {
-    /// Parses `--scale N --timeout SECS --samples N --seed N --only NAME
-    /// --threads N --levels FRACTIONS` from `std::env::args`, falling back
-    /// to the defaults. Levels are fractions of gates camouflaged, as in
-    /// campaign specs: `--levels 0.1,0.2`. Fails (see [`fail`]) on a
-    /// missing or malformed value, on `--samples 0` and on an unknown
-    /// flag.
-    pub fn parse() -> Self {
-        let mut args = HarnessArgs::default();
-        let mut argv = std::env::args().skip(1);
+    /// Parses `std::env::args` with [`HarnessArgs::parse_from`], reading
+    /// only the flags in `reads`; on an error prints it (see [`fail`]) and
+    /// exits with status 2.
+    pub fn parse(reads: &[&str]) -> Self {
+        HarnessArgs::parse_from(std::env::args().skip(1), reads).unwrap_or_else(|e| fail(&e))
+    }
+
+    /// Parses `--flag value` pairs from `args`, falling back to the
+    /// defaults. `reads` lists the flags the harness reads, out of
+    /// `--scale N --timeout SECS --samples N --seed N --only NAME
+    /// --threads N --levels FRACTIONS`. Levels are fractions of gates
+    /// camouflaged, as in campaign specs: `--levels 0.1,0.2`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message for a flag outside `reads` (unknown, or
+    /// one the harness does not read) and a flag without a value, each
+    /// ending in the harness's usage, and for a malformed value and
+    /// `--samples 0`.
+    pub fn parse_from(
+        args: impl IntoIterator<Item = String>,
+        reads: &[&str],
+    ) -> Result<Self, String> {
+        let usage = usage(reads);
+        let mut parsed = HarnessArgs::default();
+        let mut argv = args.into_iter();
         while let Some(key) = argv.next() {
-            let value = argv.next().unwrap_or_else(|| {
-                fail(&format!("missing value for {key}; usage: {HARNESS_USAGE}"))
-            });
+            if !reads.contains(&key.as_str()) {
+                return Err(format!("this harness does not read {key}; usage: {usage}"));
+            }
+            let value = argv
+                .next()
+                .ok_or_else(|| format!("missing value for {key}; usage: {usage}"))?;
             match key.as_str() {
-                "--scale" => args.scale = parse_value(&key, &value, "an integer"),
+                "--scale" => parsed.scale = parse_value(&key, &value, "an integer")?,
                 "--timeout" => {
-                    args.timeout = Duration::from_secs(parse_value(&key, &value, "seconds"))
+                    parsed.timeout = Duration::from_secs(parse_value(&key, &value, "seconds")?)
                 }
                 "--samples" => {
-                    args.samples =
-                        parse_value::<NonZeroUsize>(&key, &value, "a positive integer").get()
+                    parsed.samples =
+                        parse_value::<NonZeroUsize>(&key, &value, "a positive integer")?.get()
                 }
-                "--seed" => args.seed = parse_value(&key, &value, "an integer"),
-                "--only" => args.only = value,
-                "--threads" => args.threads = parse_value(&key, &value, "an integer"),
+                "--seed" => parsed.seed = parse_value(&key, &value, "an integer")?,
+                "--only" => parsed.only = value,
+                "--threads" => parsed.threads = parse_value(&key, &value, "an integer")?,
                 "--levels" => {
-                    args.levels = value
+                    parsed.levels = value
                         .split(',')
                         .map(|v| parse_value(&key, v, "fractions (e.g. 0.1,0.2)"))
-                        .collect()
+                        .collect::<Result<_, _>>()?
                 }
-                other => fail(&format!("unknown option `{other}`; usage: {HARNESS_USAGE}")),
+                other => unreachable!("`{other}` is in `reads` but not a harness flag"),
             }
         }
-        args
+        Ok(parsed)
     }
 }
 
-/// Parses the `value` of `flag`, failing with a message that names the
-/// flag, what it takes and the value.
-fn parse_value<T: std::str::FromStr>(flag: &str, value: &str, what: &str) -> T {
+/// The usage line of a harness that reads `reads`.
+fn usage(reads: &[&str]) -> String {
+    let flags: Vec<String> = HARNESS_FLAGS
+        .iter()
+        .filter(|(f, _)| reads.contains(f))
+        .map(|(f, v)| format!("{f} {v}"))
+        .collect();
+    if flags.is_empty() {
+        "this harness takes no flags".into()
+    } else {
+        flags.join(" ")
+    }
+}
+
+/// Parses the `value` of `flag`, with a message that names the flag, what
+/// it takes and the value on failure.
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str, what: &str) -> Result<T, String> {
     value
         .parse()
-        .unwrap_or_else(|_| fail(&format!("{flag} takes {what}, got `{value}`")))
+        .map_err(|_| format!("{flag} takes {what}, got `{value}`"))
 }
 
 /// Renders a histogram line: a label, a unicode bar, and the value.
@@ -270,6 +312,56 @@ mod tests {
         let a = HarnessArgs::default();
         assert_eq!(a.scale, 20);
         assert_eq!(a.timeout, Duration::from_secs(60));
+    }
+
+    fn parse(args: &[&str], reads: &[&str]) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse_from(args.iter().map(|a| a.to_string()), reads)
+    }
+
+    #[test]
+    fn harness_reads_only_its_own_flags() {
+        let reads = ["--samples", "--seed"];
+        let a = parse(&["--samples", "64", "--seed", "9"], &reads).unwrap();
+        assert_eq!((a.samples, a.seed), (64, 9));
+        assert_eq!(a.timeout, HarnessArgs::default().timeout);
+        assert_eq!(parse(&[], &reads).unwrap(), HarnessArgs::default());
+
+        let usage = "usage: --samples N --seed N";
+        let unread = parse(&["--samples", "8", "--timeout", "10"], &reads).unwrap_err();
+        assert_eq!(
+            unread,
+            format!("this harness does not read --timeout; {usage}")
+        );
+        let unknown = parse(&["--bogus", "1"], &reads).unwrap_err();
+        assert_eq!(
+            unknown,
+            format!("this harness does not read --bogus; {usage}")
+        );
+        let missing = parse(&["--seed"], &reads).unwrap_err();
+        assert_eq!(missing, format!("missing value for --seed; {usage}"));
+        let malformed = parse(&["--samples", "many"], &reads).unwrap_err();
+        assert_eq!(malformed, "--samples takes a positive integer, got `many`");
+        let zero = parse(&["--samples", "0"], &reads).unwrap_err();
+        assert_eq!(zero, "--samples takes a positive integer, got `0`");
+    }
+
+    #[test]
+    fn a_harness_without_flags_rejects_every_flag() {
+        let err = parse(&["--seed", "1"], &[]).unwrap_err();
+        assert_eq!(
+            err,
+            "this harness does not read --seed; usage: this harness takes no flags"
+        );
+        assert_eq!(parse(&[], &[]).unwrap(), HarnessArgs::default());
+    }
+
+    #[test]
+    fn levels_parse_as_fractions() {
+        let reads = ["--levels", "--scale"];
+        let a = parse(&["--levels", "0.1,0.25", "--scale", "100"], &reads).unwrap();
+        assert_eq!((a.levels, a.scale), (vec![0.1, 0.25], 100));
+        let bad = parse(&["--levels", "0.1,x"], &reads).unwrap_err();
+        assert_eq!(bad, "--levels takes fractions (e.g. 0.1,0.2), got `x`");
     }
 
     #[test]

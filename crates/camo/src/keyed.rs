@@ -2,6 +2,7 @@
 
 use crate::error::CamoError;
 use gshe_logic::{Bf1, Bf2, Netlist, NodeId, NodeKind};
+use std::sync::Arc;
 
 /// Candidate function set of one cloaked cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,9 +99,14 @@ impl CamoGate {
 /// nodes (so the defender can simulate the real chip); an attacker is given
 /// only the structure plus each cell's candidate set — which is what the
 /// SAT encoding in `gshe-attacks` consumes.
+///
+/// The netlist is held by [`Arc`]. A draw whose every cell is its gate
+/// unchanged holds the source design's own `Arc` (see
+/// [`KeyedNetlist::shares_netlist`]), so many draws of one design cost one
+/// arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyedNetlist {
-    netlist: Netlist,
+    netlist: Arc<Netlist>,
     camo_gates: Vec<CamoGate>,
     key_len: usize,
     /// Ordinals of the outputs some cloaked cell reaches, ascending.
@@ -119,7 +125,12 @@ impl KeyedNetlist {
     /// # Panics
     ///
     /// Panics if key offsets are inconsistent with `key_len`.
-    pub fn new(netlist: Netlist, camo_gates: Vec<CamoGate>, key_len: usize) -> Self {
+    pub fn new(
+        netlist: impl Into<Arc<Netlist>>,
+        camo_gates: Vec<CamoGate>,
+        key_len: usize,
+    ) -> Self {
+        let netlist = netlist.into();
         let total: usize = camo_gates.iter().map(|g| g.key_bits()).sum();
         assert_eq!(total, key_len, "key offsets inconsistent with key length");
         let reached_outputs = reached_outputs(&netlist, &camo_gates);
@@ -142,6 +153,12 @@ impl KeyedNetlist {
     /// (defender's view).
     pub fn netlist(&self) -> &Netlist {
         &self.netlist
+    }
+
+    /// `true` when this draw holds `design`'s own arena (the same [`Arc`]
+    /// allocation) rather than a copy.
+    pub fn shares_netlist(&self, design: &Arc<Netlist>) -> bool {
+        Arc::ptr_eq(&self.netlist, design)
     }
 
     /// The cloaked cells.
@@ -211,7 +228,7 @@ impl KeyedNetlist {
     /// Returns the errors of [`KeyedNetlist::cell_kinds`].
     pub fn resolve(&self, key: &[bool]) -> Result<Netlist, CamoError> {
         let cells = self.cell_kinds(key)?;
-        let mut nl = self.netlist.clone();
+        let mut nl = Netlist::clone(&self.netlist);
         for (id, kind) in cells {
             nl.set_gate(id, kind)
                 .expect("cell_kinds keeps each cell's gate and fanins");

@@ -7,15 +7,17 @@
 //! ref. \[36\]): a camouflaged gate with `k` candidate functions is modeled
 //! as a key-controlled selection among those candidates, which is exactly
 //! what a SAT attacker reasons about. [`KeyedNetlist`] is that model;
-//! [`camouflage`] produces it from a plain netlist, a memorized gate
-//! selection, and a [`CamoScheme`].
+//! [`camouflage`] produces it from a plain netlist held by `Arc`, a
+//! memorized gate selection, and a [`CamoScheme`]. A draw that changes no
+//! node shares the netlist instead of copying it.
 //!
 //! ```
 //! use gshe_camo::{camouflage, select_gates, CamoScheme};
 //! use gshe_logic::{parse_bench, bench_format::C17_BENCH};
 //! use rand::{rngs::StdRng, SeedableRng};
+//! use std::sync::Arc;
 //!
-//! let nl = parse_bench(C17_BENCH).unwrap();
+//! let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
 //! let picks = select_gates(&nl, 0.5, 7);
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let locked = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();

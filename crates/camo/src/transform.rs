@@ -22,22 +22,27 @@
 //! Rule 1 and rule 4's direct case cloak a gate *in its own slot*: the
 //! cell is the gate itself, and rule 4 swaps the one-input gate for the
 //! degenerate cell `f₂(a, a)` on the same fanin. When every pick of a
-//! draw is cloaked that way, the transform copies the design's arena and
-//! installs each cell with [`Netlist::set_gate`], so ids, names and ports
-//! all stay. That covers every gshe16, stt-lut and dwm draw on a
-//! generated (`Gate2`-only, standard-function) design. A draw with any
-//! pick that needs an inserted node (INV/BUF insertion, rules 2–3, rule
-//! 4's complement case) goes through the builder loop instead, which
-//! re-emits every node through [`NetlistBuilder`] and renumbers the nodes
-//! behind each insertion. For an in-place draw both ways give the same
-//! keyed netlist, except that the copy keeps each constant's name where
-//! the builder renames it `const0_<n>` / `const1_<n>`.
+//! draw is cloaked that way, the transform takes the design's own
+//! [`Arc`], so ids, names and ports all stay. A rule-1 cell changes no
+//! node, so a draw of only rule-1 cells shares the design's arena: that
+//! covers every gshe16, stt-lut and dwm draw on a generated
+//! (`Gate2`-only, standard-function) design. The first rule-4 cell copies
+//! the arena ([`Arc::make_mut`]) and each such cell is installed with
+//! [`Netlist::set_gate`]; the caller's design is never written. A draw
+//! with any pick that needs an inserted node (INV/BUF insertion, rules
+//! 2–3, rule 4's complement case) goes through the builder loop instead,
+//! which re-emits every node through [`NetlistBuilder`] and renumbers the
+//! nodes behind each insertion. Both ways keep the design's name. For an
+//! in-place draw both give the same keyed netlist, except that the
+//! in-place way keeps each constant's name where the builder renames it
+//! `const0_<n>` / `const1_<n>`.
 
 use crate::error::CamoError;
 use crate::keyed::{CamoGate, Candidates, KeyedNetlist};
 use crate::scheme::CamoScheme;
 use gshe_logic::{Bf1, Bf2, Netlist, NetlistBuilder, NodeId, NodeKind};
 use rand::Rng;
+use std::sync::Arc;
 
 /// Statistics of one camouflaging run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,7 +79,9 @@ impl CamoReport {
 }
 
 /// Camouflages `picks` (a memorized selection from
-/// [`crate::selection::select_gates`]) in `netlist` under `scheme`.
+/// [`crate::selection::select_gates`]) in `netlist` under `scheme`. A
+/// draw that changes no node shares `netlist` (see
+/// [`KeyedNetlist::shares_netlist`]).
 ///
 /// # Errors
 ///
@@ -82,7 +89,7 @@ impl CamoReport {
 /// and [`CamoError::Uncloakable`] if the scheme cannot absorb a picked
 /// gate's function.
 pub fn camouflage<R: Rng + ?Sized>(
-    netlist: &Netlist,
+    netlist: &Arc<Netlist>,
     picks: &[NodeId],
     scheme: CamoScheme,
     rng: &mut R,
@@ -96,7 +103,7 @@ pub fn camouflage<R: Rng + ?Sized>(
 ///
 /// See [`camouflage`].
 pub fn camouflage_with_report<R: Rng + ?Sized>(
-    netlist: &Netlist,
+    netlist: &Arc<Netlist>,
     picks: &[NodeId],
     scheme: CamoScheme,
     rng: &mut R,
@@ -149,10 +156,12 @@ fn cloak_in_place(kind: NodeKind, candidates: &Candidates) -> Option<(NodeKind, 
     }
 }
 
-/// The in-place way: a copy of `netlist` with each `(gate, cell, correct
-/// index)` of `cells` installed in its own slot.
+/// The in-place way: `netlist` with each `(gate, cell, correct index)` of
+/// `cells` installed in its own slot. A cell equal to its gate is skipped,
+/// so the result shares `netlist` until a cell changes a kind; that cell
+/// copies it once.
 fn patch(
-    netlist: &Netlist,
+    netlist: &Arc<Netlist>,
     mut cells: Vec<(NodeId, NodeKind, usize)>,
     scheme: CamoScheme,
 ) -> (KeyedNetlist, CamoReport) {
@@ -160,15 +169,18 @@ fn patch(
     // builder loop's `picked` bitmap.
     cells.sort_unstable_by_key(|&(id, ..)| id);
     cells.dedup_by_key(|&mut (id, ..)| id);
-    let mut nl = netlist.clone();
-    nl.set_name(format!("{}_camo", netlist.name()));
+    let mut nl = Arc::clone(netlist);
     let mut report = CamoReport::default();
     let mut camo_gates = Vec::with_capacity(cells.len());
     let mut key_offset = 0;
     for (id, cell, correct_index) in cells {
-        report.count_plain(netlist.kind(id));
-        nl.set_gate(id, cell)
-            .expect("an in-place cell keeps its gate's fanins");
+        let kind = netlist.kind(id);
+        report.count_plain(kind);
+        if cell != kind {
+            Arc::make_mut(&mut nl)
+                .set_gate(id, cell)
+                .expect("an in-place cell keeps its gate's fanins");
+        }
         let gate = CamoGate {
             node: id,
             candidates: scheme.candidates(),
@@ -197,7 +209,7 @@ fn rebuild<R: Rng + ?Sized>(
         picked[p.index()] = true;
     }
 
-    let mut b = NetlistBuilder::new(format!("{}_camo", netlist.name()));
+    let mut b = NetlistBuilder::new(netlist.name());
     let mut map: Vec<Option<NodeId>> = vec![None; netlist.len()];
     let mut camo_gates: Vec<CamoGate> = Vec::with_capacity(picks.len());
     let mut key_offset = 0usize;
@@ -345,10 +357,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn sample() -> Netlist {
-        NetlistGenerator::new(GeneratorConfig::new("t", 10, 5, 120).with_seed(21))
-            .unwrap()
-            .generate()
+    fn sample() -> Arc<Netlist> {
+        Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 10, 5, 120).with_seed(21))
+                .unwrap()
+                .generate(),
+        )
     }
 
     fn check_correct_key_preserves_function(scheme: CamoScheme) {
@@ -421,7 +435,7 @@ mod tests {
 
     #[test]
     fn c17_full_protection_all_schemes() {
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = nl.gate_ids();
         for scheme in CamoScheme::ALL {
             let mut rng = StdRng::seed_from_u64(9);
@@ -437,7 +451,7 @@ mod tests {
 
     #[test]
     fn wrong_key_usually_breaks_function() {
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = nl.gate_ids();
         let mut rng = StdRng::seed_from_u64(10);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -459,7 +473,7 @@ mod tests {
 
     #[test]
     fn picking_an_input_is_rejected() {
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let input = nl.inputs()[0];
         let mut rng = StdRng::seed_from_u64(11);
         assert!(matches!(
@@ -470,10 +484,12 @@ mod tests {
 
     /// Camouflages `picks` through the in-place way and through the
     /// builder loop, and asserts both give the same keyed netlist and
-    /// report, and that the public entry point gives it too.
-    fn assert_in_place_matches_builder(nl: &Netlist, picks: &[NodeId], scheme: CamoScheme) {
+    /// report, both keep `nl`'s name, the in-place draw shares `nl`
+    /// exactly when every cell is its gate unchanged, and the public entry
+    /// point gives the same draw.
+    fn assert_in_place_matches_builder(nl: &Arc<Netlist>, picks: &[NodeId], scheme: CamoScheme) {
         let candidates = scheme.candidates();
-        let cells = picks
+        let cells: Vec<_> = picks
             .iter()
             .map(|&p| {
                 let (cell, pos) =
@@ -481,6 +497,7 @@ mod tests {
                 (p, cell, pos)
             })
             .collect();
+        let keeps_kinds = cells.iter().all(|&(p, cell, _)| nl.kind(p) == cell);
         let (patched, patched_report) = patch(nl, cells, scheme);
         let mut rng = StdRng::seed_from_u64(0);
         let (built, built_report) = rebuild(nl, picks, scheme, &mut rng).unwrap();
@@ -490,7 +507,9 @@ mod tests {
         for (i, (pn, bn)) in p.nodes().zip(b.nodes()).enumerate() {
             assert_eq!(pn, bn, "{what}: node {i}");
         }
-        assert_eq!(p.name(), b.name(), "{what}");
+        assert_eq!(p.name(), nl.name(), "{what}");
+        assert_eq!(b.name(), nl.name(), "{what}");
+        assert_eq!(patched.shares_netlist(nl), keeps_kinds, "{what}");
         assert_eq!(p.inputs(), b.inputs(), "{what}");
         assert_eq!(p.outputs(), b.outputs(), "{what}");
         assert_eq!(patched.camo_gates(), built.camo_gates(), "{what}");
@@ -521,9 +540,11 @@ mod tests {
     #[test]
     fn in_place_matches_builder_on_generated_designs() {
         for seed in [3, 21, 58] {
-            let nl = NetlistGenerator::new(GeneratorConfig::new("g", 12, 6, 300).with_seed(seed))
-                .unwrap()
-                .generate();
+            let nl = Arc::new(
+                NetlistGenerator::new(GeneratorConfig::new("g", 12, 6, 300).with_seed(seed))
+                    .unwrap()
+                    .generate(),
+            );
             for level in [0.01, 0.1, 0.5, 1.0] {
                 let picks = select_gates(&nl, level, seed ^ 7);
                 for scheme in IN_PLACE_SCHEMES {
@@ -543,7 +564,7 @@ mod tests {
 
     #[test]
     fn in_place_matches_builder_on_one_input_gates() {
-        let nl = parse_bench(ONE_INPUT_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(ONE_INPUT_BENCH).unwrap());
         let gates = nl.gate_ids();
         let one_input: Vec<NodeId> = gates
             .iter()
@@ -563,11 +584,29 @@ mod tests {
     }
 
     #[test]
+    fn a_draw_that_changes_a_kind_copies_and_leaves_the_design_alone() {
+        let nl = Arc::new(parse_bench(ONE_INPUT_BENCH).unwrap());
+        let before = Netlist::clone(&nl);
+        let gates = nl.gate_ids();
+        let mut rng = StdRng::seed_from_u64(0);
+        let keyed = camouflage(&nl, &gates, CamoScheme::GsheAll16, &mut rng).unwrap();
+        assert!(!keyed.shares_netlist(&nl), "rule 4 rewrites NOT and BUFF");
+        assert_eq!(*nl, before, "copy-on-write never writes the design");
+        assert_ne!(keyed.netlist(), &before);
+        let two_input: Vec<NodeId> = gates
+            .into_iter()
+            .filter(|&g| matches!(nl.kind(g), NodeKind::Gate2 { .. }))
+            .collect();
+        let keyed = camouflage(&nl, &two_input, CamoScheme::GsheAll16, &mut rng).unwrap();
+        assert!(keyed.shares_netlist(&nl), "rule-1 cells change no node");
+    }
+
+    #[test]
     fn a_pick_that_inserts_sends_the_draw_through_the_builder() {
         // SiNW has neither AND nor a candidate with f₂(v, v) = v: the AND
         // gate takes rule 2 and BUFF rule 4's complement case, and each
         // inserts a visible inverter that renumbers every later node.
-        let nl = parse_bench(ONE_INPUT_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(ONE_INPUT_BENCH).unwrap());
         let gates = nl.gate_ids();
         let mut rng = StdRng::seed_from_u64(0);
         let (keyed, report) =
@@ -580,7 +619,7 @@ mod tests {
 
     #[test]
     fn picking_outside_the_design_is_rejected() {
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let outside = NodeId(nl.len() as u32);
         for scheme in CamoScheme::ALL {
             let mut rng = StdRng::seed_from_u64(11);

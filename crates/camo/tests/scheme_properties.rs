@@ -6,11 +6,14 @@ use gshe_logic::sim::random_equivalence_check;
 use gshe_logic::{GeneratorConfig, Netlist, NetlistGenerator, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
-fn workload(seed: u64) -> Netlist {
-    NetlistGenerator::new(GeneratorConfig::new("w", 10, 5, 100).with_seed(seed))
-        .unwrap()
-        .generate()
+fn workload(seed: u64) -> Arc<Netlist> {
+    Arc::new(
+        NetlistGenerator::new(GeneratorConfig::new("w", 10, 5, 100).with_seed(seed))
+            .unwrap()
+            .generate(),
+    )
 }
 
 #[test]

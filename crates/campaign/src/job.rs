@@ -361,7 +361,10 @@ impl KeyedKey {
 /// shared by every job of an [`crate::EvalSession`]. Camouflaging a
 /// benchmark is deterministic in its seeds, so trials of one cell — and
 /// every search candidate scored against one keyed netlist — can share a
-/// single materialization instead of re-transforming per job.
+/// single materialization instead of re-transforming per job. A draw that
+/// changes no node holds its design's own `Arc` (see
+/// [`KeyedNetlist::shares_netlist`]), so the memo adds an arena only for
+/// draws that insert or rewrite nodes.
 #[derive(Default)]
 pub struct KeyedMemo {
     entries: Mutex<Vec<(KeyedKey, Arc<KeyedNetlist>)>>,
@@ -427,12 +430,16 @@ impl KeyedMemo {
     }
 
     /// Total [`gshe_logic::Netlist::arena_bytes`] of the keyed netlists
-    /// currently memoized — the memo's dominant memory cost.
+    /// currently memoized beyond their designs — the memo's dominant
+    /// memory cost. A draw that shares its design's arena adds nothing:
+    /// the design is counted once, by whoever holds it (the session's
+    /// benchmark memo).
     pub fn arena_bytes(&self) -> usize {
         self.entries
             .lock()
             .unwrap()
             .iter()
+            .filter(|(k, keyed)| !keyed.shares_netlist(&k.netlist))
             .map(|(_, keyed)| keyed.netlist().arena_bytes())
             .sum()
     }
@@ -638,7 +645,7 @@ mod tests {
 
     fn tiny_keyed() -> KeyedNetlist {
         use gshe_logic::bench_format::{parse_bench, C17_BENCH};
-        let nl = parse_bench(C17_BENCH).unwrap();
+        let nl = Arc::new(parse_bench(C17_BENCH).unwrap());
         let picks = select_gates(&nl, 1.0, 3);
         let mut rng = StdRng::seed_from_u64(0);
         gshe_camo::camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap()
@@ -720,6 +727,39 @@ mod tests {
             "quiet cone must fall back to uniform"
         );
         assert_eq!(cone.noisy_nodes().collect::<Vec<_>>(), vec![g]);
+    }
+
+    #[test]
+    fn in_place_draws_share_their_design_and_cost_the_memo_nothing() {
+        use gshe_logic::{GeneratorConfig, NetlistGenerator};
+        let design = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("g", 12, 6, 300).with_seed(5))
+                .unwrap()
+                .generate(),
+        );
+        let memo = KeyedMemo::default();
+        let seeds = |select| AttackSeeds {
+            select,
+            transform: 2,
+            oracle: 3,
+        };
+        for select in 0..16 {
+            let keyed = memo
+                .get_or_materialize(&design, 0.1, CamoScheme::GsheAll16, &seeds(select))
+                .unwrap();
+            assert!(keyed.shares_netlist(&design), "draw {select}");
+        }
+        assert_eq!(memo.len(), 16);
+        assert_eq!(memo.arena_bytes(), 0);
+        // The test's own handle, then each entry's key and its draw: no
+        // copy of the design hides anywhere.
+        assert_eq!(Arc::strong_count(&design), 1 + 2 * 16);
+
+        let invbuf = memo
+            .get_or_materialize(&design, 0.1, CamoScheme::InvBuf, &seeds(0))
+            .unwrap();
+        assert!(!invbuf.shares_netlist(&design));
+        assert_eq!(memo.arena_bytes(), invbuf.netlist().arena_bytes());
     }
 
     #[test]

@@ -266,7 +266,8 @@ pub struct EvalSession {
     keyed: Arc<job::KeyedMemo>,
     /// High-water mark of the netlist memo's summed arena bytes, sampled
     /// at every admission, the only time the memo grows (the memory a
-    /// memo budget bounds; keyed materializations ride along per chunk).
+    /// memo budget bounds; keyed materializations ride along per chunk,
+    /// and those that change no node share their benchmark's arena).
     peak_memo: AtomicU64,
 }
 
@@ -358,7 +359,9 @@ impl EvalSession {
     }
 
     /// The keyed (camouflaged) netlist for the given materialization
-    /// identity, memoized for the session's lifetime.
+    /// identity, memoized for the session's lifetime. A draw that changes
+    /// no node holds the session's own copy of the benchmark
+    /// ([`KeyedNetlist::shares_netlist`]), so it adds no arena.
     ///
     /// # Errors
     ///

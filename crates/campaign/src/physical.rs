@@ -3,8 +3,9 @@
 //!
 //! Sec. V-B's knob is *physical*: a switch driven at spin current `I_S`
 //! and clocked with period `t_clk` misses its deadline with a probability
-//! set by the switching-delay distribution (Fig. 4). This module hosts
-//! the derivation ([`error_rate_for_clock`]) and the campaign-facing
+//! set by the switching-delay distribution (Fig. 4): the share of the
+//! device Monte Carlo's samples that miss the clock,
+//! [`gshe_device::miss_rate`]. This module hosts the campaign-facing
 //! piece: [`ClockRateTable`], the clock-period → error-rate map behind the
 //! spec-level `clock_periods_ns` grid dimension, which lets campaigns
 //! sweep clock periods end to end — device Monte Carlo → per-cell rate →
@@ -38,29 +39,6 @@ pub fn is_valid_clock_period(clock_ns: f64) -> bool {
     clock_ns.is_finite() && clock_ns > 0.0
 }
 
-/// Estimates the per-evaluation error rate of a switch driven at spin
-/// current `i_s` and clocked with period `t_clk`: the probability that a
-/// thermal switching event misses the clock deadline.
-pub fn error_rate_for_clock(
-    params: &SwitchParams,
-    i_s: f64,
-    t_clk: f64,
-    samples: usize,
-    seed: u64,
-) -> f64 {
-    miss_rate(&run_mc(params, i_s, samples, seed), t_clk)
-}
-
-/// `samples` seeded thermal switching events at spin current `i_s`.
-fn run_mc(params: &SwitchParams, i_s: f64, samples: usize, seed: u64) -> Vec<DelaySample> {
-    MonteCarlo::new(MonteCarloConfig {
-        params: *params,
-        samples,
-        seed,
-    })
-    .run(i_s)
-}
-
 /// The clock-period → per-cell error-rate map over uniform drives
 /// ([`CLOCK_SWEEP_DRIVE_CURRENT`] at every cloaked cell): the engine
 /// behind the spec-level `clock_periods_ns` dimension. The table runs the
@@ -90,12 +68,12 @@ impl ClockRateTable {
             "clock period must be positive, got {clock_ns} ns"
         );
         let samples = self.samples.get_or_insert_with(|| {
-            run_mc(
-                &SwitchParams::table_i(),
-                CLOCK_SWEEP_DRIVE_CURRENT,
-                CLOCK_SWEEP_MC_SAMPLES,
-                CLOCK_SWEEP_MC_SEED,
-            )
+            MonteCarlo::new(MonteCarloConfig {
+                params: SwitchParams::table_i(),
+                samples: CLOCK_SWEEP_MC_SAMPLES,
+                seed: CLOCK_SWEEP_MC_SEED,
+            })
+            .run(CLOCK_SWEEP_DRIVE_CURRENT)
         });
         miss_rate(samples, clock_ns * 1e-9)
     }
@@ -142,9 +120,13 @@ mod tests {
     fn error_rate_decreases_with_higher_current() {
         // Fig. 4: higher I_S → faster, tighter distribution → fewer misses
         // at a fixed (aggressive) clock.
-        let params = SwitchParams::table_i();
-        let low = error_rate_for_clock(&params, 20e-6, 1.2e-9, 64, 5);
-        let high = error_rate_for_clock(&params, 100e-6, 1.2e-9, 64, 5);
+        let mc = MonteCarlo::new(MonteCarloConfig {
+            params: SwitchParams::table_i(),
+            samples: 64,
+            seed: 5,
+        });
+        let low = miss_rate(&mc.run(20e-6), 1.2e-9);
+        let high = miss_rate(&mc.run(100e-6), 1.2e-9);
         assert!(high < low, "I_S=100uA err {high} vs 20uA err {low}");
     }
 }

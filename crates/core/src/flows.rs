@@ -7,6 +7,7 @@ use gshe_logic::{Netlist, NodeId};
 use gshe_timing::{delay_aware_replace, DelayModel, HybridResult};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// How the secret configuration is provisioned against an untrusted fab
 /// (Sec. IV).
@@ -58,8 +59,9 @@ pub struct Protected {
 pub fn protect(netlist: &Netlist, fraction: f64, seed: u64) -> Result<Protected, CamoError> {
     let selection = select_gates(netlist, fraction, seed);
     let mut rng = StdRng::seed_from_u64(seed);
+    let design = Arc::new(netlist.clone());
     let (keyed, report) =
-        camouflage_with_report(netlist, &selection, CamoScheme::GsheAll16, &mut rng)?;
+        camouflage_with_report(&design, &selection, CamoScheme::GsheAll16, &mut rng)?;
     Ok(Protected {
         keyed,
         report,
@@ -82,8 +84,9 @@ pub fn protect_delay_aware(
 ) -> Result<(Protected, HybridResult), CamoError> {
     let hybrid = delay_aware_replace(netlist, model, 0.0);
     let mut rng = StdRng::seed_from_u64(seed);
+    let design = Arc::new(netlist.clone());
     let (keyed, report) =
-        camouflage_with_report(netlist, &hybrid.gshe_gates, CamoScheme::GsheAll16, &mut rng)?;
+        camouflage_with_report(&design, &hybrid.gshe_gates, CamoScheme::GsheAll16, &mut rng)?;
     let protected = Protected {
         keyed,
         report,

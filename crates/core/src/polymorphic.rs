@@ -104,6 +104,7 @@ mod tests {
     use gshe_camo::{camouflage, select_gates, CamoScheme};
     use gshe_logic::sim::random_equivalence_check;
     use gshe_logic::{Bf2, GeneratorConfig, NetlistBuilder, NetlistGenerator};
+    use std::sync::Arc;
 
     #[test]
     fn morph_preserves_function() {
@@ -174,9 +175,11 @@ mod tests {
 
     #[test]
     fn rotating_oracle_defeats_sat_attack() {
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 60).with_seed(7))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 8, 4, 60).with_seed(7))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 0.5, 11);
         let mut rng = StdRng::seed_from_u64(11);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();
@@ -204,9 +207,11 @@ mod tests {
 
     #[test]
     fn rotating_oracle_is_consistent_within_first_epoch() {
-        let nl = NetlistGenerator::new(GeneratorConfig::new("t", 6, 3, 30).with_seed(9))
-            .unwrap()
-            .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("t", 6, 3, 30).with_seed(9))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates(&nl, 0.5, 13);
         let mut rng = StdRng::seed_from_u64(13);
         let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).unwrap();

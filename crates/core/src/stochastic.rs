@@ -5,8 +5,9 @@
 //! occasionally miss the deadline — the output error rate becomes a *knob*
 //! set by the clock period and the spin current: "the error rate for any
 //! switch can be tuned individually".
-//! [`gshe_campaign::physical::error_rate_for_clock`] derives the rate from
-//! the device Monte Carlo (in the campaign crate, so campaigns can sweep
+//! [`gshe_device::miss_rate`] reads the rate off the device Monte Carlo's
+//! delay samples, and [`gshe_campaign::ClockRateTable`] maps clock periods
+//! to rates that way (in the campaign crate, so campaigns can sweep
 //! physical clock periods); [`StochasticPrimitive`] applies it at the
 //! logic level.
 
@@ -27,7 +28,8 @@ pub struct StochasticPrimitive {
 
 impl StochasticPrimitive {
     /// Creates a stochastic primitive with the given per-evaluation error
-    /// rate (e.g. from [`gshe_campaign::physical::error_rate_for_clock`]).
+    /// rate (e.g. from [`gshe_device::miss_rate`] or
+    /// [`gshe_campaign::ClockRateTable`]).
     ///
     /// # Panics
     ///

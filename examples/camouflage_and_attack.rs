@@ -8,10 +8,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spin_hall_security::logic::suites::{benchmark_scaled, spec};
 use spin_hall_security::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // A c7552-scale workload (scaled 1/20, interface proportional).
-    let design = benchmark_scaled(spec("c7552").expect("known benchmark"), 20, 7);
+    let design = Arc::new(benchmark_scaled(
+        spec("c7552").expect("known benchmark"),
+        20,
+        7,
+    ));
     println!("workload: {design}");
 
     // The memorized selection protocol: the same 20% of gates for every

@@ -20,6 +20,7 @@ use rand::SeedableRng;
 use spin_hall_security::attacks::SimplifyMode;
 use spin_hall_security::logic::{suites, Topology};
 use spin_hall_security::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -35,7 +36,12 @@ fn main() {
         .unwrap_or_default();
 
     let spec = suites::spec(&bench).expect("unknown benchmark");
-    let nl = suites::benchmark_scaled_with(spec, scale, 1, Topology::Local);
+    let nl = Arc::new(suites::benchmark_scaled_with(
+        spec,
+        scale,
+        1,
+        Topology::Local,
+    ));
     eprintln!(
         "{bench}/{scale}: {} nodes, {} inputs, {} outputs",
         nl.len(),

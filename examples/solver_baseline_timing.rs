@@ -5,11 +5,14 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spin_hall_security::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
     let spec = spin_hall_security::logic::suites::spec("s38584").expect("benchmark");
-    let nl = spin_hall_security::logic::suites::benchmark_scaled(spec, 40, 1);
+    let nl = Arc::new(spin_hall_security::logic::suites::benchmark_scaled(
+        spec, 40, 1,
+    ));
     let picks = select_gates(&nl, 0.05, 3);
     let mut rng = StdRng::seed_from_u64(3);
     let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).expect("camouflage");

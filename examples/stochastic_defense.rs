@@ -6,17 +6,24 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spin_hall_security::campaign::noise_profile;
-use spin_hall_security::campaign::physical::error_rate_for_clock;
+use spin_hall_security::device::miss_rate;
 use spin_hall_security::logic::{GeneratorConfig, NetlistGenerator};
 use spin_hall_security::prelude::*;
+use std::sync::Arc;
 
 fn main() {
     // Device level: the error rate is a *knob* — clock period vs the
-    // Fig. 4 delay distribution.
-    let params = SwitchParams::table_i();
+    // Fig. 4 delay distribution. The delays depend on the drive, not on
+    // the clock, so one Monte Carlo run serves every period.
+    let samples = MonteCarlo::new(MonteCarloConfig {
+        params: SwitchParams::table_i(),
+        samples: 500,
+        seed: 3,
+    })
+    .run(20e-6);
     println!("error-rate knob (I_S = 20 uA, 500 Monte Carlo samples per point):");
     for t_clk in [1.0e-9, 2.0e-9, 4.0e-9] {
-        let eps = error_rate_for_clock(&params, 20e-6, t_clk, 500, 3);
+        let eps = miss_rate(&samples, t_clk);
         println!(
             "  clock {:.1} ns -> per-device error rate {:.1}%",
             t_clk * 1e9,
@@ -25,9 +32,11 @@ fn main() {
     }
 
     // Logic level: a camouflaged design whose oracle is 95% accurate.
-    let design = NetlistGenerator::new(GeneratorConfig::new("w", 12, 6, 150).with_seed(5))
-        .expect("valid config")
-        .generate();
+    let design = Arc::new(
+        NetlistGenerator::new(GeneratorConfig::new("w", 12, 6, 150).with_seed(5))
+            .expect("valid config")
+            .generate(),
+    );
     let picks = select_gates(&design, 0.4, 17);
     let mut rng = StdRng::seed_from_u64(17);
     let keyed = camouflage(&design, &picks, CamoScheme::GsheAll16, &mut rng).expect("camouflage");

@@ -7,6 +7,7 @@ use spin_hall_security::logic::bench_format::{parse_bench, write_bench, C17_BENC
 use spin_hall_security::logic::suites::{benchmark_scaled, spec};
 use spin_hall_security::prelude::*;
 use spin_hall_security::{protect, protect_delay_aware, GsheConfig};
+use std::sync::Arc;
 
 #[test]
 fn full_pipeline_on_c17() {
@@ -33,7 +34,7 @@ fn full_pipeline_on_c17() {
 fn scheme_ordering_on_shared_selection() {
     // The Table IV shape on one workload: solver effort (decisions) is
     // monotone-ish in the cloaked-function count; we check the endpoints.
-    let design = benchmark_scaled(spec("c7552").expect("spec"), 40, 3);
+    let design = Arc::new(benchmark_scaled(spec("c7552").expect("spec"), 40, 3));
     let picks = select_gates(&design, 0.2, 5);
 
     let mut effort = std::collections::HashMap::new();

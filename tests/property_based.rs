@@ -15,6 +15,7 @@ use spin_hall_security::logic::sim::random_equivalence_check;
 use spin_hall_security::logic::{Bf2, GeneratorConfig, NetlistGenerator, Topology};
 use spin_hall_security::sat::{CircuitEncoder, Lit, SolveResult, Solver};
 use spin_hall_security::timing::{DelayModel, TimingAnalysis};
+use std::sync::Arc;
 
 /// Fragments random spec input is built from: the TOML subset's
 /// punctuation, names the setters look up, and numbers at and past the
@@ -181,11 +182,11 @@ proptest! {
         cells in 1usize..12,
     ) {
         let scheme = CamoScheme::ALL[scheme_idx];
-        let nl = NetlistGenerator::new(
-            GeneratorConfig::new("ck", 8, 4, 60).with_seed(seed),
-        )
-        .unwrap()
-        .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("ck", 8, 4, 60).with_seed(seed))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates_count(&nl, cells, seed);
         let mut rng = StdRng::seed_from_u64(seed);
         let keyed = camouflage(&nl, &picks, scheme, &mut rng).unwrap();
@@ -217,11 +218,11 @@ proptest! {
         subset in 1u32..16,
     ) {
         let scheme = CamoScheme::ALL[scheme_idx];
-        let nl = NetlistGenerator::new(
-            GeneratorConfig::new("eq", 8, 4, 60).with_seed(seed),
-        )
-        .unwrap()
-        .generate();
+        let nl = Arc::new(
+            NetlistGenerator::new(GeneratorConfig::new("eq", 8, 4, 60).with_seed(seed))
+                .unwrap()
+                .generate(),
+        );
         let picks = select_gates_count(&nl, cells, seed);
         let mut rng = StdRng::seed_from_u64(seed);
         let keyed = camouflage(&nl, &picks, scheme, &mut rng).unwrap();

@@ -21,6 +21,7 @@ use spin_hall_security::campaign::{Campaign, CampaignSpec, JobStatus};
 use spin_hall_security::logic::suites;
 use spin_hall_security::prelude::{camouflage, select_gates, CamoScheme};
 use spin_hall_security::sat::{CircuitEncoder, Lit, Polarity, Solver};
+use std::sync::Arc;
 
 #[test]
 fn smoke_verdicts_match_with_and_without_simplification() {
@@ -91,7 +92,7 @@ fn smoke_verdicts_match_with_and_without_simplification() {
 #[test]
 fn preprocessing_reduces_the_s38584_miter_by_30_percent() {
     let spec = suites::spec("s38584").expect("s-suite benchmark present");
-    let nl = suites::benchmark_scaled(spec, 40, 1);
+    let nl = Arc::new(suites::benchmark_scaled(spec, 40, 1));
     let picks = select_gates(&nl, 0.1, 3);
     let mut rng = StdRng::seed_from_u64(3);
     let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).expect("camouflage");

@@ -11,11 +11,12 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spin_hall_security::logic::suites::{benchmark_scaled, spec};
 use spin_hall_security::prelude::*;
+use std::sync::Arc;
 
 #[test]
 fn sat_attack_recovers_a_correct_key_on_s38584() {
     let suite = spec("s38584").expect("s-suite benchmark present");
-    let nl = benchmark_scaled(suite, 40, 1);
+    let nl = Arc::new(benchmark_scaled(suite, 40, 1));
     let picks = select_gates(&nl, 0.05, 3);
     let mut rng = StdRng::seed_from_u64(3);
     let keyed = camouflage(&nl, &picks, CamoScheme::GsheAll16, &mut rng).expect("camouflage");
