@@ -14,7 +14,7 @@
 //!   [--error-rates FRACTIONS, e.g. 0,0.05] [--clock-periods-ns 0.8,2,6]
 //!   [--profiles uniform,output-cone,depth-gradient|all]
 //!   [--rotation-periods QUERIES, e.g. 0,1,16,64] [--trials N] [--seed N]
-//!   [--timeout-secs SECS] [--threads N] [--memo-budget-mb MIB]
+//!   [--timeout-secs SECS] [--threads N]
 //! ```
 //!
 //! `--spec` is read first, and each spec flag overrides its key wherever it
@@ -62,11 +62,6 @@ the spec file's value.
   --seed N               master seed
   --timeout-secs SECS    per-job attack budget in seconds
   --threads N            workers (0 = available parallelism)
-  --memo-budget-mb MIB   memo budget in MiB (fractions allowed; at least
-                         one byte when positive): benchmarks run in chunks
-                         whose arenas fit the budget, built one ahead, and
-                         each finished chunk is evicted; 0 = no budget
-                         (every benchmark built at once and kept resident)
 
 RUN AND OUTPUT FLAGS:
   --spec FILE.toml       read the spec file before any other flag
@@ -104,13 +99,6 @@ fn main() {
         report.threads,
         report.wall_time.as_secs_f64(),
     );
-    if spec.memo_budget_mb > 0.0 {
-        println!(
-            "streaming memo: peak {:.2} MiB of netlist arenas (budget {} MiB)",
-            report.peak_memo_bytes as f64 / (1024.0 * 1024.0),
-            spec.memo_budget_mb,
-        );
-    }
     println!(
         "{:<14} {:>8} {:<10} {:>5} {:>10} {:>8} {:>14} {:>7}  {:>6} {:>8} {:>9} {:>9} {:>8} {:>8} {:>10} {:>9} {:>8} {:>9} {:>8}",
         "benchmark",

@@ -444,17 +444,6 @@ impl KeyedMemo {
             .sum()
     }
 
-    /// Evicts every materialization derived from `nl` (matched by `Arc`
-    /// allocation identity, like the memo's own lookups). Returns how
-    /// many entries were dropped. A run with a memo budget calls this
-    /// when a benchmark's chunk finishes.
-    pub fn evict_for(&self, nl: &Arc<Netlist>) -> usize {
-        let mut entries = self.entries.lock().unwrap();
-        let before = entries.len();
-        entries.retain(|(k, _)| !Arc::ptr_eq(&k.netlist, nl));
-        before - entries.len()
-    }
-
     /// `true` when nothing has been materialized yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -463,8 +452,8 @@ impl KeyedMemo {
 
 /// Immutable context shared by every job in a campaign run.
 pub struct JobContext {
-    /// Pre-built original netlists, keyed by benchmark name, in spec
-    /// order.
+    /// Pre-built original netlists, keyed by benchmark name, in the order
+    /// the run's jobs first name them.
     pub netlists: Vec<(String, Arc<Netlist>)>,
     /// Unread: jobs query their [`OracleStack`] directly. Kept only
     /// because perfbench's frozen replay builds a context with it; ROADMAP

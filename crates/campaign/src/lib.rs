@@ -87,7 +87,6 @@
 //! seed = 1                   # master seed (1)
 //! timeout_secs = 60          # per-job attack budget (60)
 //! threads = 0                # workers; 0 = available parallelism (0)
-//! memo_budget_mb = 256.5     # memo budget per chunk, MiB; 0 = no budget (0)
 //! ```
 //!
 //! There is no cone-of-influence key: whenever the cloaked cells reach a
@@ -126,8 +125,8 @@
 //!
 //! [`CampaignReport::deterministic_json`] is a pure function of the spec:
 //! byte-identical across `threads = 1` and `threads = N` runs. Wall-clock
-//! metrics (runtime percentiles, solver and pool counters, peak memo
-//! bytes) live only in the full [`CampaignReport::to_json`] flavor.
+//! metrics (runtime percentiles, solver and pool counters) live only in
+//! the full [`CampaignReport::to_json`] flavor.
 //!
 //! One caveat: job *statuses* are part of the deterministic output, and a
 //! wall-clock timeout is decided by the clock — the paper's t-o semantics.
@@ -168,9 +167,7 @@ pub use spec::{
 use gshe_camo::KeyedNetlist;
 use gshe_device::SwitchParams;
 use gshe_logic::{suites, Netlist, Topology};
-use spec::{check_at_least_one, check_level, check_rate, check_timeout, memo_budget_bytes};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use spec::{check_at_least_one, check_level, check_rate, check_timeout};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -226,7 +223,7 @@ impl NetlistSource {
 }
 
 /// The benchmarks a job list references, in first-reference order (the
-/// order the chunk loop admits them in).
+/// order of the run's [`JobContext::netlists`]).
 fn referenced_benchmarks(jobs: &[JobSpec]) -> Vec<String> {
     let mut referenced: Vec<String> = Vec::new();
     for job in jobs {
@@ -256,6 +253,9 @@ fn resolve_threads(threads: usize) -> usize {
 /// sweeps many specs) pay for thread spawn, netlist generation, and
 /// camouflaging once per *session* instead of once per *run*.
 ///
+/// The memos only grow: every benchmark and scheme materialization a run
+/// builds stays until the session is dropped.
+///
 /// [`Campaign::run`] is a thin one-session wrapper; its output is
 /// byte-identical whether jobs run through a fresh or a warm session
 /// (memoization only skips recomputing deterministic values, and
@@ -264,11 +264,6 @@ pub struct EvalSession {
     pool: pool::WorkerPool,
     netlists: Mutex<Vec<(NetlistKey, Arc<Netlist>)>>,
     keyed: Arc<job::KeyedMemo>,
-    /// High-water mark of the netlist memo's summed arena bytes, sampled
-    /// at every admission, the only time the memo grows (the memory a
-    /// memo budget bounds; keyed materializations ride along per chunk,
-    /// and those that change no node share their benchmark's arena).
-    peak_memo: AtomicU64,
 }
 
 impl std::fmt::Debug for EvalSession {
@@ -288,7 +283,6 @@ impl EvalSession {
             pool: pool::WorkerPool::new(resolve_threads(threads)),
             netlists: Mutex::new(Vec::new()),
             keyed: Arc::new(job::KeyedMemo::default()),
-            peak_memo: AtomicU64::new(0),
         }
     }
 
@@ -305,16 +299,6 @@ impl EvalSession {
     /// Scheme materializations memoized so far.
     pub fn cached_keyed(&self) -> usize {
         self.keyed.len()
-    }
-
-    /// High-water mark, in bytes, of the benchmark memo's summed
-    /// [`Netlist::arena_bytes`] over the session's lifetime. A run with a
-    /// [`CampaignSpec::memo_budget_mb`] keeps it within the budget, or
-    /// within its largest benchmark when that alone exceeds the budget.
-    /// A report's [`CampaignReport::peak_memo_bytes`] is its own run's
-    /// peak.
-    pub fn peak_memo_bytes(&self) -> u64 {
-        self.peak_memo.load(Ordering::Relaxed)
     }
 
     /// Runs an arbitrary task batch on the session's worker pool, results
@@ -354,7 +338,6 @@ impl EvalSession {
         topology: Topology,
     ) -> Result<Arc<Netlist>, String> {
         let built = self.materialize_netlists(&[name.to_string()], scale, seed, topology)?;
-        self.admit(&built, scale, seed, topology);
         Ok(Arc::clone(&built[0].1))
     }
 
@@ -380,10 +363,10 @@ impl EvalSession {
     }
 
     /// Returns each benchmark in `names`, in order: from the memo when
-    /// resident, otherwise built. Every missing name resolves before any
-    /// build starts, so an unknown benchmark or an unreadable `.aag` file
-    /// fails before generation work. Admits nothing: the caller decides
-    /// what becomes resident ([`Self::admit`]).
+    /// resident, otherwise built and memoized for the session's lifetime.
+    /// Every missing name resolves before any build starts, so an unknown
+    /// benchmark or an unreadable `.aag` file fails before generation
+    /// work.
     fn materialize_netlists(
         &self,
         names: &[String],
@@ -417,9 +400,21 @@ impl EvalSession {
                 }) as Box<dyn FnOnce() -> Result<NamedNetlist, String> + Send>
             })
             .collect();
-        for generated in self.pool.run_all(gen_tasks) {
-            found.push(generated?);
+        let built = self
+            .pool
+            .run_all(gen_tasks)
+            .into_iter()
+            .collect::<Result<Vec<NamedNetlist>, String>>()?;
+        if !built.is_empty() {
+            let mut memo = self.netlists.lock().unwrap();
+            for (name, nl) in &built {
+                let key = (name.clone(), scale, seed, topology);
+                if !memo.iter().any(|(k, _)| *k == key) {
+                    memo.push((key, Arc::clone(nl)));
+                }
+            }
         }
+        found.extend(built);
         Ok(names
             .iter()
             .map(|name| {
@@ -432,48 +427,27 @@ impl EvalSession {
             .collect())
     }
 
-    /// Admits entries into the netlist memo (idempotent) and returns the
-    /// memo's summed arena bytes afterwards. The memo grows only here, so
-    /// this is where the session's peak is sampled.
-    fn admit(&self, entries: &[NamedNetlist], scale: usize, seed: u64, topology: Topology) -> u64 {
-        let mut memo = self.netlists.lock().unwrap();
-        for (name, nl) in entries {
-            let key = (name.clone(), scale, seed, topology);
-            if !memo.iter().any(|(k, _)| *k == key) {
-                memo.push((key, Arc::clone(nl)));
-            }
-        }
-        let bytes = memo.iter().map(|(_, nl)| nl.arena_bytes() as u64).sum();
-        self.peak_memo.fetch_max(bytes, Ordering::Relaxed);
-        bytes
-    }
-
-    /// Releases a finished chunk: drops its netlists from the memo and
-    /// evicts every keyed-scheme materialization built over them.
-    fn evict(&self, chunk: &[NamedNetlist]) {
-        let mut memo = self.netlists.lock().unwrap();
-        for (_, nl) in chunk {
-            self.keyed.evict_for(nl);
-            memo.retain(|(_, resident)| !Arc::ptr_eq(resident, nl));
-        }
-    }
-
     /// Runs a full campaign described by `spec` on this session.
     ///
     /// # Errors
     ///
     /// Returns a message when the spec cannot be expanded (unknown
-    /// benchmark selector) or its memo budget is negative or not finite.
-    /// Individual job failures do *not* abort the campaign; they surface
-    /// as [`JobStatus::Failed`] results.
+    /// benchmark selector). Individual job failures do *not* abort the
+    /// campaign; they surface as [`JobStatus::Failed`] results.
     pub fn run(&self, spec: &CampaignSpec) -> Result<CampaignReport, String> {
         let jobs = spec.expand()?;
         self.run_jobs(spec, jobs)
     }
 
     /// Runs an explicit job list under `spec`'s shared knobs (name, scale,
-    /// seed, memo budget). This is the entry point for harnesses that need
-    /// a historical seed derivation instead of [`CampaignSpec::expand`]'s.
+    /// seed, topology, COI and simplification modes). This is the entry
+    /// point for harnesses that need a historical seed derivation instead
+    /// of [`CampaignSpec::expand`]'s.
+    ///
+    /// Every benchmark the jobs name that the session has not built yet
+    /// builds in one pool batch; then every job runs in one pool batch over
+    /// one [`JobContext`], and results return in submission order. What was
+    /// built stays memoized for later runs on the session.
     ///
     /// The spec's `threads` knob is ignored here — the session's pool is
     /// already sized; reported pool stats are per-run deltas, so a warm
@@ -481,8 +455,7 @@ impl EvalSession {
     ///
     /// # Errors
     ///
-    /// Returns a message, before anything is built or run, when
-    /// `spec.memo_budget_mb` is negative or not finite, and on the values
+    /// Returns a message, before anything is built or run, on the values
     /// [`CampaignSpec::expand`] rejects, which a hand-built job list has
     /// not been through: a scale below 1, a job timeout too large for a
     /// deadline, and a job's level outside `(0, 1]` or error rate outside
@@ -494,7 +467,6 @@ impl EvalSession {
         spec: &CampaignSpec,
         jobs: Vec<JobSpec>,
     ) -> Result<CampaignReport, String> {
-        let budget = memo_budget_bytes(spec.memo_budget_mb)?;
         check_at_least_one("scale", spec.scale as u64)?;
         for job in &jobs {
             check_timeout(job.timeout)?;
@@ -507,7 +479,28 @@ impl EvalSession {
         let start = Instant::now();
         let pool_before = self.pool.worker_stats();
 
-        let (results, peak_memo) = self.run_chunks(spec, jobs, budget)?;
+        let netlists = self.materialize_netlists(
+            &referenced_benchmarks(&jobs),
+            spec.scale,
+            spec.seed,
+            spec.topology,
+        )?;
+        let ctx = Arc::new(JobContext {
+            netlists,
+            cache: OracleCache::shared(),
+            params: SwitchParams::table_i(),
+            keyed: Arc::clone(&self.keyed),
+            coi_mode: spec.coi_mode,
+            sat_simplify: spec.sat_simplify,
+        });
+        let tasks: Vec<Box<dyn FnOnce() -> JobResult + Send>> = jobs
+            .into_iter()
+            .map(|job| {
+                let ctx = Arc::clone(&ctx);
+                Box::new(move || run_job(&job, &ctx)) as Box<dyn FnOnce() -> JobResult + Send>
+            })
+            .collect();
+        let results = self.pool.run_all(tasks);
 
         let pool_deltas: Vec<pool::WorkerStats> = self
             .pool
@@ -516,115 +509,10 @@ impl EvalSession {
             .zip(&pool_before)
             .map(|(now, then)| now.delta_from(then))
             .collect();
-        Ok(CampaignReport::new(
-            spec.name.clone(),
-            results,
-            self.threads(),
-            start.elapsed(),
-            peak_memo,
+        Ok(
+            CampaignReport::new(spec.name.clone(), results, self.threads(), start.elapsed())
+                .with_pool_stats(pool_deltas),
         )
-        .with_pool_stats(pool_deltas))
-    }
-
-    /// The chunk loop behind [`Self::run_jobs`]. A chunk holds the next
-    /// benchmarks, in the order the jobs first name them, while their
-    /// measured [`Netlist::arena_bytes`] fit `budget`; a benchmark bigger
-    /// than the whole budget runs in a chunk of its own. Each chunk is
-    /// admitted to the memo and its jobs run in one pool batch. Results
-    /// return in submission order, so the deterministic report does not
-    /// depend on the budget. An empty job list names no benchmark, so the
-    /// loop never runs.
-    ///
-    /// The budget decides two things. A benchmark's size is known only
-    /// once it is built, so a budgeted run builds one benchmark ahead
-    /// (one built-but-unadmitted benchmark of slack) and evicts each
-    /// finished chunk's netlists and keyed materializations. Without a
-    /// budget, every missing benchmark builds in one pool batch, one chunk
-    /// runs, and the memo is kept for later runs on the session.
-    ///
-    /// Also returns the run's peak memo bytes: the largest memo size at
-    /// its admissions.
-    fn run_chunks(
-        &self,
-        spec: &CampaignSpec,
-        jobs: Vec<JobSpec>,
-        budget: Option<u64>,
-    ) -> Result<(Vec<JobResult>, u64), String> {
-        let names = referenced_benchmarks(&jobs);
-        let mut unbuilt: &[String] = &names;
-        let mut built: VecDeque<NamedNetlist> = VecDeque::new();
-        let mut slots: Vec<Option<JobResult>> = jobs.iter().map(|_| None).collect();
-        let mut pending: Vec<Option<JobSpec>> = jobs.into_iter().map(Some).collect();
-        let mut peak = 0;
-        while !built.is_empty() || !unbuilt.is_empty() {
-            let mut chunk: Vec<NamedNetlist> = Vec::new();
-            let mut used: u64 = 0;
-            loop {
-                if built.is_empty() && !unbuilt.is_empty() {
-                    let ahead = if budget.is_some() { 1 } else { unbuilt.len() };
-                    let (now, later) = unbuilt.split_at(ahead);
-                    built.extend(self.materialize_netlists(
-                        now,
-                        spec.scale,
-                        spec.seed,
-                        spec.topology,
-                    )?);
-                    unbuilt = later;
-                }
-                let Some((_, nl)) = built.front() else {
-                    break;
-                };
-                let bytes = nl.arena_bytes() as u64;
-                if !chunk.is_empty() && budget.is_some_and(|b| used + bytes > b) {
-                    break;
-                }
-                used += bytes;
-                chunk.extend(built.pop_front());
-            }
-            peak = peak.max(self.admit(&chunk, spec.scale, spec.seed, spec.topology));
-
-            // Every job whose benchmark is in the chunk runs now.
-            let mut batch: Vec<(usize, JobSpec)> = Vec::new();
-            for (idx, slot) in pending.iter_mut().enumerate() {
-                let runs_now = slot.as_ref().is_some_and(|job| {
-                    let JobKind::Attack { benchmark, .. } = &job.kind;
-                    chunk.iter().any(|(name, _)| name == benchmark)
-                });
-                if runs_now {
-                    batch.push((idx, slot.take().expect("checked Some above")));
-                }
-            }
-
-            let ctx = Arc::new(JobContext {
-                netlists: chunk,
-                cache: OracleCache::shared(),
-                params: SwitchParams::table_i(),
-                keyed: Arc::clone(&self.keyed),
-                coi_mode: spec.coi_mode,
-                sat_simplify: spec.sat_simplify,
-            });
-            let indices: Vec<usize> = batch.iter().map(|(idx, _)| *idx).collect();
-            let tasks: Vec<Box<dyn FnOnce() -> JobResult + Send>> = batch
-                .into_iter()
-                .map(|(_, job)| {
-                    let ctx = Arc::clone(&ctx);
-                    Box::new(move || run_job(&job, &ctx)) as Box<dyn FnOnce() -> JobResult + Send>
-                })
-                .collect();
-            for (idx, result) in indices.into_iter().zip(self.pool.run_all(tasks)) {
-                slots[idx] = Some(result);
-            }
-            if budget.is_some() {
-                self.evict(&ctx.netlists);
-            }
-        }
-
-        let results = slots
-            .into_iter()
-            .zip(pending)
-            .map(|(slot, job)| slot.ok_or_else(|| format!("job was never scheduled: {job:?}")))
-            .collect::<Result<Vec<JobResult>, String>>()?;
-        Ok((results, peak))
     }
 }
 
@@ -648,7 +536,8 @@ impl Campaign {
     }
 
     /// Runs an explicit job list under `spec`'s shared knobs on a fresh
-    /// one-shot [`EvalSession`] (see [`EvalSession::run_jobs`]).
+    /// one-shot [`EvalSession`] of `spec.threads` workers, whose memos are
+    /// dropped when the run returns (see [`EvalSession::run_jobs`]).
     ///
     /// # Errors
     ///
@@ -686,7 +575,6 @@ mod tests {
             seed: 5,
             timeout: Duration::from_secs(30),
             threads,
-            memo_budget_mb: 0.0,
         }
     }
 
@@ -712,18 +600,23 @@ mod tests {
 
     #[test]
     fn warm_session_reuses_materializations_and_reports_identically() {
-        // The EvalSession contract: a second run on a warm session redoes
-        // no netlist generation or camouflaging and emits byte-identical
+        // The EvalSession contract: the cold run memoizes every benchmark
+        // it builds, and a second run on the warm session redoes no
+        // netlist generation or camouflaging and emits byte-identical
         // deterministic JSON.
-        let spec = tiny_spec(2);
+        let mut spec = tiny_spec(2);
+        spec.benchmarks = vec!["ex1010".into(), "c7552".into(), "b14".into()];
         let session = EvalSession::new(2);
         let first = session.run(&spec).unwrap();
-        assert_eq!(session.cached_netlists(), 1);
+        assert_eq!(session.cached_netlists(), 3);
         let keyed_after_first = session.cached_keyed();
-        assert_eq!(keyed_after_first, 2, "one materialization per scheme");
+        assert_eq!(
+            keyed_after_first, 6,
+            "one materialization per benchmark and scheme"
+        );
 
         let second = session.run(&spec).unwrap();
-        assert_eq!(session.cached_netlists(), 1, "netlist memo must hit");
+        assert_eq!(session.cached_netlists(), 3, "netlist memo must hit");
         assert_eq!(
             session.cached_keyed(),
             keyed_after_first,
@@ -734,108 +627,6 @@ mod tests {
         // And the one-shot wrapper agrees byte-for-byte with both.
         let fresh = Campaign::run(&spec).unwrap();
         assert_eq!(fresh.deterministic_json(), first.deterministic_json());
-    }
-
-    #[test]
-    fn streaming_budget_matches_unbounded_and_bounds_the_memo() {
-        // Three benchmarks, a budget sized so at most one ~64-gate arena
-        // is resident at a time: the run must chunk, hold peak memo bytes
-        // to one benchmark (the benchmark built ahead is not admitted),
-        // evict everything at the end, and still emit byte-identical
-        // deterministic output.
-        let mut spec = tiny_spec(2);
-        spec.benchmarks = vec!["ex1010".into(), "c7552".into(), "b14".into()];
-        let unbounded = Campaign::run(&spec).unwrap();
-
-        let session = EvalSession::new(2);
-        spec.memo_budget_mb = 0.001; // ~1 KiB: every chunk is one benchmark
-        let streamed = session.run(&spec).unwrap();
-        assert_eq!(
-            streamed.deterministic_json(),
-            unbounded.deterministic_json()
-        );
-
-        // Regenerate the three arenas (deterministic) to state the exact
-        // invariant: a chunk never exceeds max(budget, one benchmark) —
-        // only a single oversized benchmark may overflow, alone — so the
-        // peak must sit strictly below the whole suite's footprint.
-        let arenas: Vec<u64> = session
-            .materialize_netlists(&spec.benchmarks, spec.scale, spec.seed, spec.topology)
-            .unwrap()
-            .iter()
-            .map(|(_, nl)| nl.arena_bytes() as u64)
-            .collect();
-        let budget = (spec.memo_budget_mb * 1024.0 * 1024.0) as u64;
-        let largest = *arenas.iter().max().unwrap();
-        let total: u64 = arenas.iter().sum();
-        assert!(total > budget, "suite must not fit the budget: {arenas:?}");
-        let peak = session.peak_memo_bytes();
-        assert!(peak > 0);
-        assert!(
-            peak <= budget.max(largest),
-            "peak {peak} exceeds the chunk bound (budget {budget}, largest {largest})"
-        );
-        assert!(peak < total, "whole suite was resident at once: {arenas:?}");
-        assert_eq!(session.cached_netlists(), 0, "all chunks must be evicted");
-        assert_eq!(session.cached_keyed(), 0, "keyed memo must be evicted too");
-        assert_eq!(streamed.peak_memo_bytes, peak);
-    }
-
-    #[test]
-    fn streaming_with_roomy_budget_is_one_chunk() {
-        // A budget far above the suite's footprint degenerates to a
-        // single chunk: one admission pass, one pool batch, then a full
-        // eviction (budgeted sessions never retain materializations).
-        let mut spec = tiny_spec(1);
-        spec.benchmarks = vec!["ex1010".into(), "c7552".into()];
-        spec.memo_budget_mb = 64.0;
-        let session = EvalSession::new(1);
-        let report = session.run(&spec).unwrap();
-        assert_eq!(report.results.len(), 4);
-        assert!(report
-            .results
-            .iter()
-            .all(|r| r.status == JobStatus::Completed));
-        assert_eq!(session.cached_netlists(), 0);
-        spec.memo_budget_mb = 0.0;
-        let unbounded = session.run(&spec).unwrap();
-        assert_eq!(report.deterministic_json(), unbounded.deterministic_json());
-    }
-
-    #[test]
-    fn sub_byte_budget_streams_one_benchmark_per_chunk() {
-        // A positive budget under one byte is still a budget: it rounds up
-        // to one byte, so every chunk is one benchmark and none stays.
-        let mut spec = tiny_spec(2);
-        spec.benchmarks = vec!["ex1010".into(), "c7552".into(), "b14".into()];
-        spec.schemes = vec![CamoScheme::InvBuf];
-        spec.memo_budget_mb = 1e-9;
-        let session = EvalSession::new(2);
-        let report = session.run(&spec).unwrap();
-        assert_eq!(session.cached_netlists(), 0, "every chunk is evicted");
-        let largest = session
-            .materialize_netlists(&spec.benchmarks, spec.scale, spec.seed, spec.topology)
-            .unwrap()
-            .iter()
-            .map(|(_, nl)| nl.arena_bytes() as u64)
-            .max()
-            .unwrap();
-        assert_eq!(report.peak_memo_bytes, largest);
-    }
-
-    #[test]
-    fn negative_or_non_finite_budget_is_an_error() {
-        // A struct-built spec skips the setter's check; the run applies it
-        // before any job runs.
-        let session = EvalSession::new(1);
-        for mb in [-1.0, f64::NAN, f64::INFINITY] {
-            let mut spec = tiny_spec(1);
-            spec.memo_budget_mb = mb;
-            let err = session.run(&spec).unwrap_err();
-            assert!(err.contains(&format!("got {mb}")), "{err}");
-            assert_eq!(session.run_jobs(&spec, Vec::new()).unwrap_err(), err);
-        }
-        assert_eq!(session.cached_netlists(), 0);
     }
 
     #[test]
@@ -874,33 +665,9 @@ mod tests {
     }
 
     #[test]
-    fn report_peak_is_the_runs_own() {
-        // A budgeted run after a larger one on the same session reports
-        // its own peak; the session keeps the lifetime mark.
-        let mut spec = tiny_spec(1);
-        spec.benchmarks = vec!["c7552".into()];
-        spec.schemes = vec![CamoScheme::InvBuf];
-        spec.memo_budget_mb = 64.0;
-        spec.scale = 20;
-        let session = EvalSession::new(1);
-        let large = session.run(&spec).unwrap();
-        spec.scale = 400;
-        let small = session.run(&spec).unwrap();
-        let arena = session
-            .materialize_netlists(&spec.benchmarks, spec.scale, spec.seed, spec.topology)
-            .unwrap()[0]
-            .1
-            .arena_bytes() as u64;
-        assert_eq!(small.peak_memo_bytes, arena);
-        assert!(large.peak_memo_bytes > arena, "{}", large.peak_memo_bytes);
-        assert_eq!(session.peak_memo_bytes(), large.peak_memo_bytes);
-    }
-
-    #[test]
     fn interleaved_benchmarks_land_in_submission_order() {
-        // Jobs of two benchmarks interleaved A, B, A, B: whether the run
-        // streams one benchmark per chunk or has no budget, every result
-        // lands in its submission slot and the reports agree.
+        // Jobs of two benchmarks interleaved A, B, A, B: every result lands
+        // in its submission slot.
         let mut spec = tiny_spec(2);
         spec.benchmarks = vec!["ex1010".into(), "c7552".into()];
         let expanded = spec.expand().unwrap();
@@ -911,19 +678,13 @@ mod tests {
         };
         let names: Vec<String> = jobs.iter().map(benchmark).collect();
         assert_eq!(names, ["ex1010", "c7552", "ex1010", "c7552"]);
-        let mut reports = Vec::new();
-        for mb in [0.0, 1e-9] {
-            spec.memo_budget_mb = mb;
-            let report = EvalSession::new(2).run_jobs(&spec, jobs.clone()).unwrap();
-            let order: Vec<&JobSpec> = report.results.iter().map(|r| &r.spec).collect();
-            assert_eq!(order, jobs.iter().collect::<Vec<_>>());
-            assert!(report
-                .results
-                .iter()
-                .all(|r| r.status == JobStatus::Completed));
-            reports.push(report.deterministic_json());
-        }
-        assert_eq!(reports[0], reports[1]);
+        let report = EvalSession::new(2).run_jobs(&spec, jobs.clone()).unwrap();
+        let order: Vec<&JobSpec> = report.results.iter().map(|r| &r.spec).collect();
+        assert_eq!(order, jobs.iter().collect::<Vec<_>>());
+        assert!(report
+            .results
+            .iter()
+            .all(|r| r.status == JobStatus::Completed));
     }
 
     #[test]
@@ -932,7 +693,6 @@ mod tests {
         let report = session.run_jobs(&tiny_spec(1), Vec::new()).unwrap();
         assert!(report.results.is_empty());
         assert!(report.rows.is_empty());
-        assert_eq!(report.peak_memo_bytes, 0);
         assert_eq!(session.cached_netlists(), 0);
         assert_eq!(session.cached_keyed(), 0);
     }

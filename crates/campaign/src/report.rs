@@ -27,9 +27,6 @@ pub struct CampaignReport {
     pub threads: usize,
     /// Total wall-clock time of the run.
     pub wall_time: Duration,
-    /// Peak bytes of memoized benchmark-netlist arenas over the run (the
-    /// quantity the `memo_budget_mb` admission gate bounds).
-    pub peak_memo_bytes: u64,
     /// Per-worker pool activity over this run (indexed by worker id);
     /// empty when the runner didn't capture pool deltas. Wall-clock data,
     /// so it surfaces only on the timing side of serializations.
@@ -37,15 +34,8 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Builds a report by aggregating `results`; `peak_memo_bytes` is the
-    /// run's peak memoized netlist arena bytes.
-    pub fn new(
-        name: String,
-        results: Vec<JobResult>,
-        threads: usize,
-        wall_time: Duration,
-        peak_memo_bytes: u64,
-    ) -> Self {
+    /// Builds a report by aggregating `results`.
+    pub fn new(name: String, results: Vec<JobResult>, threads: usize, wall_time: Duration) -> Self {
         let rows = aggregate(&results);
         CampaignReport {
             name,
@@ -53,7 +43,6 @@ impl CampaignReport {
             rows,
             threads,
             wall_time,
-            peak_memo_bytes,
             pool: Vec::new(),
         }
     }
@@ -83,10 +72,9 @@ impl CampaignReport {
             out.push(',');
             let _ = write!(
                 out,
-                "\"threads\":{},\"wall_time_secs\":{},\"peak_memo_bytes\":{}",
+                "\"threads\":{},\"wall_time_secs\":{}",
                 self.threads,
                 json_f64(self.wall_time.as_secs_f64()),
-                self.peak_memo_bytes
             );
             out.push_str(",\"pool\":{\"workers\":[");
             for (i, w) in self.pool.iter().enumerate() {
@@ -320,7 +308,7 @@ mod tests {
             },
             error: None,
         };
-        CampaignReport::new("unit".into(), vec![result], 4, Duration::from_secs(2), 4096)
+        CampaignReport::new("unit".into(), vec![result], 4, Duration::from_secs(2))
     }
 
     #[test]
@@ -403,7 +391,6 @@ mod tests {
             report.results.clone(),
             1,
             Duration::from_secs(1),
-            0,
         );
         assert!(rebuilt
             .deterministic_json()
@@ -425,7 +412,6 @@ mod tests {
             report.results.clone(),
             1,
             Duration::from_secs(1),
-            0,
         );
         assert!(rebuilt
             .deterministic_json()
@@ -449,19 +435,11 @@ mod tests {
             report.results.clone(),
             1,
             Duration::from_secs(1),
-            0,
         );
         assert!(rebuilt
             .deterministic_json()
             .contains("\"topology\":\"local\""));
         assert!(rebuilt.to_csv().contains(",0,local,"));
-    }
-
-    #[test]
-    fn peak_memo_bytes_render_on_the_timing_side_only() {
-        let report = sample_report();
-        assert!(report.to_json().contains("\"peak_memo_bytes\":4096"));
-        assert!(!report.deterministic_json().contains("peak_memo"));
     }
 
     #[test]

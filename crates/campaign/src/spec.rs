@@ -45,7 +45,7 @@ pub fn parse_scheme(name: &str) -> Option<CamoScheme> {
 
 /// The keys of a campaign spec, in documentation order. Each is a
 /// spec-file key and, spelled `--key-name`, a `campaign` flag.
-pub const SPEC_KEYS: [&str; 17] = [
+pub const SPEC_KEYS: [&str; 16] = [
     "name",
     "benchmarks",
     "scale",
@@ -62,7 +62,6 @@ pub const SPEC_KEYS: [&str; 17] = [
     "seed",
     "timeout_secs",
     "threads",
-    "memo_budget_mb",
 ];
 
 fn join_names<I: IntoIterator<Item = &'static str>>(names: I) -> String {
@@ -142,18 +141,6 @@ pub(crate) fn check_timeout(timeout: Duration) -> Result<(), String> {
             timeout.as_secs()
         )),
     }
-}
-
-/// Converts a memo budget in MiB to bytes: `None` for `0` (no budget),
-/// and at least one byte for any positive budget. Rejects a negative or
-/// non-finite budget, naming the value.
-pub(crate) fn memo_budget_bytes(mb: f64) -> Result<Option<u64>, String> {
-    if !(mb.is_finite() && mb >= 0.0) {
-        return Err(format!(
-            "memo_budget_mb must be a non-negative number of MiB, got {mb}"
-        ));
-    }
-    Ok((mb > 0.0).then(|| ((mb * (1u64 << 20) as f64) as u64).max(1)))
 }
 
 /// A spec value as one front end spells it. Every key reads its value
@@ -378,15 +365,6 @@ pub struct CampaignSpec {
     pub timeout: Duration,
     /// Worker threads (0 = available parallelism).
     pub threads: usize,
-    /// Memory budget, in MiB (fractional allowed, at least one byte when
-    /// positive), for memoized benchmark materializations during a run.
-    /// [`crate::EvalSession::run_jobs`] runs benchmarks in chunks whose
-    /// measured [`gshe_logic::Netlist::arena_bytes`] fit the budget,
-    /// building one benchmark ahead and evicting each finished chunk's
-    /// materializations. `0` = no budget: every benchmark builds at once,
-    /// runs in one chunk and stays resident for later runs on the
-    /// session. Negative and non-finite budgets are rejected.
-    pub memo_budget_mb: f64,
 }
 
 impl Default for CampaignSpec {
@@ -409,7 +387,6 @@ impl Default for CampaignSpec {
             seed: 1,
             timeout: Duration::from_secs(60),
             threads: 0,
-            memo_budget_mb: 0.0,
         }
     }
 }
@@ -610,11 +587,6 @@ impl CampaignSpec {
             "seed" => self.seed = value.number()?,
             "timeout_secs" => self.timeout = Duration::from_secs(value.number()?),
             "threads" => self.threads = value.number()?,
-            "memo_budget_mb" => {
-                let mb: f64 = value.number()?;
-                memo_budget_bytes(mb)?;
-                self.memo_budget_mb = mb;
-            }
             other => return Err(unknown_key(other, &SPEC_KEYS)),
         }
         Ok(())
@@ -986,20 +958,15 @@ mod tests {
     }
 
     #[test]
-    fn topology_coi_and_memo_budget_parse_from_toml() {
-        let spec = CampaignSpec::parse_toml(
-            "topology = \"local\"\nsat_simplify = \"on\"\nmemo_budget_mb = 1.5",
-        )
-        .unwrap();
+    fn topology_and_sat_simplify_parse_from_toml() {
+        let spec = CampaignSpec::parse_toml("topology = \"local\"\nsat_simplify = \"on\"").unwrap();
         assert_eq!(spec.topology, Topology::Local);
         assert_eq!(spec.sat_simplify, SimplifyMode::On);
-        assert_eq!(spec.memo_budget_mb, 1.5);
         // Defaults: uniform wiring, the cone path, no simplification.
         let default = CampaignSpec::default();
         assert_eq!(default.topology, Topology::Uniform);
         assert_eq!(default.coi_mode, CoiMode::On);
         assert_eq!(default.sat_simplify, SimplifyMode::Off);
-        assert_eq!(default.memo_budget_mb, 0.0);
 
         let err = CampaignSpec::parse_toml("topology = \"spiral\"").unwrap_err();
         assert!(err.contains("uniform, local"), "{err}");
@@ -1007,8 +974,6 @@ mod tests {
         assert!(err.contains("valid: on, off"), "{err}");
         // The cone of influence is not a spec knob.
         assert!(!SPEC_KEYS.contains(&"coi_mode"));
-        assert!(CampaignSpec::parse_toml("memo_budget_mb = -1").is_err());
-        assert!(CampaignSpec::parse_toml("memo_budget_mb = nan").is_err());
     }
 
     #[test]
@@ -1081,7 +1046,7 @@ mod tests {
 
     /// A sample value for every key, spelled for a spec file and as a
     /// flag; each differs from the key's default.
-    const SAMPLES: [(&str, &str, &str); 17] = [
+    const SAMPLES: [(&str, &str, &str); 16] = [
         ("name", r#""smoke""#, "smoke"),
         (
             "benchmarks",
@@ -1106,7 +1071,6 @@ mod tests {
         ("seed", "9", "9"),
         ("timeout_secs", "30", "30"),
         ("threads", "4", "4"),
-        ("memo_budget_mb", "1.5", "1.5"),
     ];
 
     #[test]

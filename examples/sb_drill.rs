@@ -49,7 +49,7 @@ fn main() {
         nl.outputs().len()
     );
 
-    // A thin slice of cloaked cells, as in the superblue streaming
+    // A thin slice of cloaked cells, as in the superblue grid
     // campaign: local wiring keeps their cones narrow, so the COI
     // projection carves out a small instance and the per-solve metrics
     // describe cone-sized miters.

@@ -29,7 +29,6 @@ fn two_by_two_spec(threads: usize) -> CampaignSpec {
         topology: Topology::Uniform,
         coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Off,
-        memo_budget_mb: 0.0,
     }
 }
 
@@ -97,7 +96,6 @@ fn exhausted_budgets_mark_jobs_timed_out_without_hanging_the_pool() {
         topology: Topology::Uniform,
         coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Off,
-        memo_budget_mb: 0.0,
     };
     let start = Instant::now();
     let report = Campaign::run(&spec).expect("timeout campaign");
@@ -148,7 +146,6 @@ fn rotation_period_sweep_shows_attack_collapse_end_to_end() {
         topology: Topology::Uniform,
         coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Off,
-        memo_budget_mb: 0.0,
     };
     let report = Campaign::run(&spec).expect("rotation campaign");
     // One row per period, in sweep order, each carrying its period.
@@ -198,7 +195,6 @@ fn combined_defense_grid_is_no_easier_than_either_defense_alone() {
         topology: Topology::Uniform,
         coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Off,
-        memo_budget_mb: 0.0,
     };
     let report = Campaign::run(&spec).expect("combined campaign");
     // 3 periods × (rate-0 collapses profiles → 1 cell, rate 0.25 → 2
@@ -269,7 +265,6 @@ fn clock_period_sweep_derives_physical_rates_end_to_end() {
         topology: Topology::Uniform,
         coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Off,
-        memo_budget_mb: 0.0,
     };
     let report = Campaign::run(&spec).expect("clock campaign");
     assert_eq!(report.rows.len(), 2);
@@ -332,7 +327,6 @@ fn aag_suite_runs_through_the_campaign_engine() {
         topology: Topology::Uniform,
         coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Off,
-        memo_budget_mb: 0.0,
     };
     let report = Campaign::run(&spec_for(2)).expect("aag campaign");
     assert_eq!(report.results.len(), 2);
@@ -381,7 +375,6 @@ fn stochastic_cells_defeat_the_attack_in_campaign_form() {
         topology: Topology::Uniform,
         coi_mode: CoiMode::On,
         sat_simplify: SimplifyMode::Off,
-        memo_budget_mb: 0.0,
     };
     let report = Campaign::run(&spec).expect("stochastic campaign");
     let row = &report.rows[0];

@@ -60,7 +60,6 @@ fn golden_spec() -> CampaignSpec {
         topology: spin_hall_security::logic::Topology::Uniform,
         coi_mode: spin_hall_security::attacks::CoiMode::On,
         sat_simplify: spin_hall_security::attacks::SimplifyMode::Off,
-        memo_budget_mb: 0.0,
     }
 }
 
