@@ -106,9 +106,9 @@ pub(crate) fn solve_sliced(
                 }
             }
             done => {
-                // Per-solve effort distributions (log2-bucket histograms)
-                // for the sb_drill diagnostics harness; pure reads, so
-                // enabling instrumentation cannot perturb the search.
+                // Per-solve effort distributions (log2-bucket histograms,
+                // in `campaign --metrics-out`); pure reads, so enabling
+                // instrumentation cannot perturb the search.
                 if gshe_obs::enabled() {
                     let after = solver.stats();
                     gshe_obs::record("sat.solve.conflicts", after.conflicts - before.conflicts);
@@ -298,7 +298,7 @@ pub fn refine(
             gshe_obs::record("sat.simplify_ns", stats.simplify_ns);
         }
         if gshe_obs::enabled() {
-            // Final learnt-DB LBD distribution for sb_drill diagnostics.
+            // Final learnt-DB LBD distribution, for `campaign --metrics-out`.
             for lbd in solver.learnt_lbds() {
                 gshe_obs::record("sat.lbd", u64::from(lbd));
             }

@@ -2,8 +2,8 @@
 //!
 //! The benchmark harness that regenerates **every table and figure** of the
 //! paper's evaluation. Each artifact has a dedicated binary (see
-//! `src/bin/`), and Criterion benches in `benches/` measure the hot paths
-//! and the ablation comparisons DESIGN.md calls out.
+//! `src/bin/`). Speed is measured elsewhere, by the `perfbench` harness,
+//! which writes the repository's `BENCH_*.json` files.
 //!
 //! | Artifact | Binary |
 //! |----------|--------|

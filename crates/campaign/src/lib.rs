@@ -132,10 +132,12 @@
 //! wall-clock timeout is decided by the clock — the paper's t-o semantics.
 //! A job whose real runtime sits near its budget can therefore flip
 //! between `Completed` and `TimedOut` under CPU contention (e.g.
-//! oversubscribed workers on few cores). The contract holds whenever
-//! budgets are comfortably above or below actual runtimes; for strict
-//! scheduling-independence set `AttackConfig::max_iterations` /
-//! conflict budgets instead of tight wall clocks.
+//! oversubscribed workers on few cores). A campaign sets no iteration or
+//! conflict cap: the one budget it can set is the wall clock,
+//! `timeout_secs` (`JobSpec::timeout` in a hand-built job list). The
+//! contract therefore holds when `timeout_secs` sits comfortably above or
+//! below the cells' actual runtimes, and `threads` no higher than the
+//! core count keeps contention from stretching them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -46,8 +46,9 @@ use crate::job::{
 use crate::physical::ClockRateTable;
 use crate::report::{json_f64, json_str};
 use crate::spec::{
-    attacks_value, check_at_least_one, check_level, check_rate, check_timeout, clock_periods_value,
-    read_toml, scheme_name, scheme_named, unknown_key, valid_attack_names, SpecValue,
+    attacks_value, check_at_least_one, check_clock_period, check_level, check_rate, check_timeout,
+    clock_periods_value, read_toml, scheme_name, scheme_named, unknown_key, valid_attack_names,
+    SpecValue,
 };
 use crate::EvalSession;
 use gshe_attacks::{AttackConfig, AttackKind, AttackRunner, AttackStatus};
@@ -417,15 +418,19 @@ impl<'s> ProfileSearch<'s> {
     ///
     /// Propagates benchmark resolution and camouflage failures; rejects a
     /// scale below 1, 0 trials, 0 offspring per generation (`lambda`), a
-    /// level outside `(0, 1]`, a target success outside `[0, 1]` or a
-    /// timeout too large for a deadline (naming the value), and a spec with
-    /// no attacks (scoring would be a 0/0 success rate).
+    /// level outside `(0, 1]`, a target success outside `[0, 1]`, a clock
+    /// period that is not a positive number of ns or a timeout too large
+    /// for a deadline (naming the value), and a spec with no attacks
+    /// (scoring would be a 0/0 success rate).
     pub fn new(session: &'s EvalSession, spec: SearchSpec) -> Result<Self, String> {
         check_at_least_one("scale", spec.scale as u64)?;
         check_at_least_one("trials", spec.trials)?;
         check_at_least_one("lambda", spec.lambda as u64)?;
         check_level(spec.level)?;
         check_rate("target success", spec.target_success)?;
+        for &clock_ns in &spec.clock_periods_ns {
+            check_clock_period(clock_ns)?;
+        }
         check_timeout(spec.timeout)?;
         if spec.attacks.is_empty() {
             return Err(format!(
@@ -960,6 +965,20 @@ mod tests {
                     ..SearchSpec::default()
                 },
                 "target success must be in [0, 1], got NaN",
+            ),
+            (
+                SearchSpec {
+                    clock_periods_ns: vec![0.0],
+                    ..SearchSpec::default()
+                },
+                "clock period must be a positive number of ns, got 0",
+            ),
+            (
+                SearchSpec {
+                    clock_periods_ns: vec![6.0, f64::INFINITY],
+                    ..SearchSpec::default()
+                },
+                "clock period must be a positive number of ns, got inf",
             ),
         ] {
             let err = match ProfileSearch::new(&session, spec) {

@@ -121,7 +121,7 @@ pub(crate) fn check_rate(what: &str, rate: f64) -> Result<(), String> {
 }
 
 /// Rejects a clock period that is not a positive number of ns.
-fn check_clock_period(clock_ns: f64) -> Result<(), String> {
+pub(crate) fn check_clock_period(clock_ns: f64) -> Result<(), String> {
     if is_valid_clock_period(clock_ns) {
         Ok(())
     } else {
@@ -549,8 +549,8 @@ impl CampaignSpec {
     ///
     /// # Errors
     ///
-    /// Rejects an unknown key, a malformed value, an unknown name, a
-    /// non-positive clock period and a negative or non-finite memo budget.
+    /// Rejects an unknown key, a malformed value, an unknown name and a
+    /// clock period that is not a positive number of ns.
     pub fn set(&mut self, key: &str, value: SpecValue) -> Result<(), String> {
         match key {
             "name" => self.name = value.string()?,

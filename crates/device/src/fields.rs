@@ -117,11 +117,6 @@ impl UniaxialAnisotropy {
     pub fn field(&self, m: Vec3) -> Vec3 {
         self.axis * (self.h_k * m.dot(self.axis))
     }
-
-    /// Energy density −μ₀ M_s H_k (m·ê)²/2 relative offset, J/m³ (for tests).
-    pub fn energy_density(&self, m: Vec3, ms: f64) -> f64 {
-        -0.5 * MU_0 * ms * self.h_k * m.dot(self.axis).powi(2)
-    }
 }
 
 /// Demagnetizing (shape-anisotropy) field `H = −M_s N m` with the diagonal

@@ -10,8 +10,9 @@
 //!   floating-point drift. The thermal field is evaluated once per step,
 //!   consistent with the Stratonovich interpretation.
 //! * [`StochasticHeun`] — the standard explicit predictor–corrector for
-//!   Stratonovich SDEs, used as a cross-check (ablation bench
-//!   `benches/device.rs` compares the two).
+//!   Stratonovich SDEs, used as a cross-check: the test
+//!   `midpoint_and_heun_agree_over_short_horizon` takes it as the
+//!   midpoint rule's reference.
 
 use crate::error::DeviceError;
 use crate::llgs::{LlgsSystem, PairState};

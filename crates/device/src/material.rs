@@ -6,7 +6,7 @@
 //! magnetizations. [`SwitchParams::table_i`] reproduces the exact Table I
 //! device.
 
-use crate::consts::{GAMMA_E, MU_0};
+use crate::consts::MU_0;
 use crate::error::DeviceError;
 use crate::fields::demag_factors;
 use crate::vec3::Vec3;
@@ -85,16 +85,6 @@ impl Nanomagnet {
     /// Total magnetic moment M_s V, A m².
     pub fn moment(&self) -> f64 {
         self.ms * self.volume()
-    }
-
-    /// Number of Bohr magnetons in the magnet (for sanity checks).
-    pub fn spins(&self) -> f64 {
-        self.moment() / crate::consts::MU_B
-    }
-
-    /// Characteristic precession frequency γ μ₀ H_k, rad/s.
-    pub fn precession_rate(&self) -> f64 {
-        GAMMA_E * MU_0 * self.anisotropy_field()
     }
 
     /// Validates that all parameters are positive and finite.

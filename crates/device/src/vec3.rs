@@ -95,15 +95,6 @@ impl Vec3 {
         self / n
     }
 
-    /// Component-wise product.
-    pub fn hadamard(self, rhs: Vec3) -> Vec3 {
-        Vec3 {
-            x: self.x * rhs.x,
-            y: self.y * rhs.y,
-            z: self.z * rhs.z,
-        }
-    }
-
     /// The triple product `self · (a × b)`.
     pub fn triple(self, a: Vec3, b: Vec3) -> f64 {
         self.dot(a.cross(b))

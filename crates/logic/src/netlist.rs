@@ -302,11 +302,6 @@ impl Netlist {
         &self.name
     }
 
-    /// Renames the design.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// All nodes, in topological order.
     pub fn nodes(&self) -> Nodes<'_> {
         Nodes {

@@ -83,12 +83,12 @@ fn smoke_verdicts_match_with_and_without_simplification() {
 }
 
 /// The preprocessing payoff on the attack's real workload, pinned: on
-/// the s38584 two-copy key-search miter (the instance the
-/// `simplify_miter_s38584` bench attacks), subsumption + bounded variable
-/// elimination must shave at least 30% of the problem clauses or 30% of
-/// the variables. The construction mirrors `dip_engine::refine` exactly —
-/// key codes, two circuit copies over shared inputs, output miter — with
-/// the same interface freezing (key and input literals).
+/// the s38584 two-copy key-search miter (scaled 1/40, 10% protection),
+/// subsumption + bounded variable elimination must shave at least 30% of
+/// the problem clauses or 30% of the variables. The construction mirrors
+/// `dip_engine::refine` exactly — key codes, two circuit copies over
+/// shared inputs, output miter — with the same interface freezing (key and
+/// input literals).
 #[test]
 fn preprocessing_reduces_the_s38584_miter_by_30_percent() {
     let spec = suites::spec("s38584").expect("s-suite benchmark present");

@@ -1,6 +1,6 @@
 //! The CDCL-rewrite equivalence pin on a real benchmark: the seeded SAT
-//! attack on s38584 (scaled, 5% protection — the `sat_attack_s38584`
-//! criterion bench's instance) must recover a functionally correct key.
+//! attack on s38584 (scaled 1/40, 5% protection) must recover a
+//! functionally correct key.
 //! Solver changes may move the search trajectory (query and conflict
 //! counts), but never the attack's semantic outcome.
 //!
