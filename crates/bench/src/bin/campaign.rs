@@ -23,7 +23,7 @@
 //! pipes two runs of it through `diff`. `campaign --help` describes every
 //! flag and lists the valid scheme, attack and profile names.
 
-use gshe_bench::{fail, SpecArgs};
+use gshe_bench::{fail, level_label, SpecArgs};
 use gshe_core::campaign::{
     pool_summary, scheme_name, valid_attack_names, valid_profile_names, valid_scheme_names,
     Campaign, CampaignSpec,
@@ -100,11 +100,11 @@ fn main() {
         report.wall_time.as_secs_f64(),
     );
     println!(
-        "{:<14} {:>8} {:<10} {:>5} {:>10} {:>8} {:>14} {:>7}  {:>6} {:>8} {:>9} {:>9} {:>8} {:>8} {:>10} {:>9} {:>8} {:>9} {:>8}",
+        "{:<14} {:>8} {:<10} {:>6} {:>10} {:>8} {:>14} {:>7}  {:>6} {:>8} {:>9} {:>9} {:>8} {:>8} {:>10} {:>9} {:>8} {:>9} {:>8}",
         "benchmark",
         "scheme",
         "attack",
-        "prot",
+        "level",
         "error",
         "clock",
         "profile",
@@ -121,14 +121,14 @@ fn main() {
         "elim-vars",
         "simp ms"
     );
-    println!("{:-<186}", "");
+    println!("{:-<187}", "");
     for row in &report.rows {
         println!(
-            "{:<14} {:>8} {:<10} {:>4.0}% {:>10.4} {:>8} {:>14} {:>7}  {:>6} {:>7.0}% {:>9.1} {:>9} {:>8.2} {:>8.2} {:>10.0} {:>9.0} {:>8.0} {:>9.0} {:>8.2}",
+            "{:<14} {:>8} {:<10} {:>6} {:>10.4} {:>8} {:>14} {:>7}  {:>6} {:>7.0}% {:>9.1} {:>9} {:>8.2} {:>8.2} {:>10.0} {:>9.0} {:>8.0} {:>9.0} {:>8.2}",
             row.key.benchmark,
             scheme_name(row.key.scheme),
             row.key.attack.name(),
-            row.key.level * 100.0,
+            level_label(row.key.level),
             row.key.error_rate,
             if row.key.clock_ns == 0.0 {
                 "-".to_string()
@@ -158,12 +158,11 @@ fn main() {
             row.mean_simplify_ms,
         );
     }
-    let (pool_tasks, pool_steals, utilization) = pool_summary(&report.pool);
+    let (pool_tasks, _, utilization) = pool_summary(&report.pool);
     println!(
-        "pool: {} workers ran {} tasks ({} stolen), {:.0}% mean utilization",
+        "pool: {} workers ran {} tasks, {:.0}% mean utilization",
         report.pool.len(),
         pool_tasks,
-        pool_steals,
         utilization * 100.0,
     );
 }

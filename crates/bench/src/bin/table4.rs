@@ -1,21 +1,24 @@
 //! Regenerates **Table IV**: SAT-attack runtimes for all seven schemes ×
 //! protection levels × benchmarks — now driven by the campaign engine,
-//! which runs the whole grid through a work-stealing pool instead of a
+//! which runs the whole grid through its worker pool instead of a
 //! single-threaded loop.
 //!
 //! The paper's fairness protocol is respected: for each benchmark, gates
 //! are selected once (seeded), memorized, and reapplied across every
 //! scheme — the job list pins one selection seed per (benchmark, level).
 //! Runtimes are wall-clock seconds; `t-o` marks the configured timeout
-//! (the paper used 48 h on a Xeon; default here is 60 s on scaled
-//! netlists — the *ordering* across schemes/levels is the reproduced
-//! artifact, per DESIGN.md substitution 3).
+//! (the paper used 48 h on a Xeon; default here is 60 s). The paper's
+//! netlists are not in the repository: each benchmark is a generated
+//! stand-in with its Table III row's gate, input and output counts, all
+//! divided by `--scale` (`gshe_logic::suites`), so these runtimes are not
+//! the paper's, and no check yet compares their ordering across schemes
+//! and levels with Table IV's.
 //!
 //! Usage: `table4 [--scale N] [--timeout SECS] [--seed N] [--only BENCH]
 //! [--threads N] [--levels FRACTIONS]`, with levels as fractions of gates
 //! camouflaged (default `0.1,0.2,0.3,0.4`).
 
-use gshe_bench::{fail, runtime_cell, HarnessArgs};
+use gshe_bench::{fail, level_label, runtime_cell, HarnessArgs};
 use gshe_core::campaign::{
     AttackSeeds, Campaign, CampaignSpec, JobKind, JobSpec, JobStatus, NoiseShape,
 };
@@ -93,7 +96,7 @@ fn main() {
         report.threads,
     );
     let header: Vec<String> = CamoScheme::ALL.iter().map(|s| s.to_string()).collect();
-    println!("{:<14} {:>5}  {}", "Benchmark", "prot", header.join("  "));
+    println!("{:<14} {:>6}  {}", "Benchmark", "level", header.join("  "));
     println!("{:-<120}", "");
 
     for name in BENCHES {
@@ -120,7 +123,12 @@ fn main() {
                     ));
                 }
             }
-            println!("{:<14} {:>4.0}%  {}", name, level * 100.0, cells.join("  "));
+            println!(
+                "{:<14} {:>6}  {}",
+                name,
+                level_label(level),
+                cells.join("  ")
+            );
         }
     }
     println!("{:-<120}", "");

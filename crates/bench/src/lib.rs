@@ -292,6 +292,13 @@ pub fn bar_line(label: &str, value: f64, max: f64, width: usize) -> String {
     )
 }
 
+/// Renders a protection level as the fraction that the `--levels` flags,
+/// the CSV and the JSON use (`0.15`, `0.0005`), so that sub-percent levels
+/// stay distinct in a human table.
+pub fn level_label(level: f64) -> String {
+    format!("{level}")
+}
+
 /// Formats a runtime cell for Table IV: seconds, or `t-o` on timeout, or
 /// `fail` on resource exhaustion.
 pub fn runtime_cell(status: &str, secs: f64) -> String {
@@ -370,6 +377,12 @@ mod tests {
         assert!(l.contains("█████"));
         let empty = bar_line("x", 0.0, 10.0, 10);
         assert!(!empty.contains('█'));
+    }
+
+    #[test]
+    fn levels_render_as_distinct_fractions() {
+        let labels = [0.0005, 0.0006, 0.15].map(level_label);
+        assert_eq!(labels, ["0.0005", "0.0006", "0.15"]);
     }
 
     #[test]

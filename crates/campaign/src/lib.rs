@@ -13,9 +13,11 @@
 //!   RNG seeds derive from the campaign seed and each job's *identity*
 //!   (never execution order), so results are reproducible at any thread
 //!   count;
-//! * [`pool`] — a work-stealing thread pool (std-only) executing jobs with
-//!   per-job wall-clock budgets; a job that exhausts its budget is marked
-//!   [`JobStatus::TimedOut`] instead of wedging the pool;
+//! * [`pool`] — a std-only thread pool that runs each batch of jobs on
+//!   the calling thread and scoped worker threads, all taking tasks from
+//!   one shared queue, with per-job wall-clock budgets; a job that
+//!   exhausts its budget is marked [`JobStatus::TimedOut`] instead of
+//!   wedging the pool;
 //! * [`job`] — one job per grid cell; an attack cell queries the one
 //!   [`gshe_attacks::OracleStack`] its defense dimensions build, with no
 //!   answer cache in between ([`cache`] keeps only the old names
@@ -28,10 +30,10 @@
 //!   table rows (key-recovery rate, query counts, output-error rate,
 //!   runtime percentiles) and serialize them to JSON or CSV;
 //! * [`EvalSession`] — the persistent **evaluation service** behind it
-//!   all: a long-lived worker pool plus memoized benchmark/scheme
-//!   materializations, so repeated scoring calls (many specs, or a
-//!   profile search's candidate stream) stop re-spawning threads and
-//!   re-parsing netlists;
+//!   all: a worker pool plus memoized benchmark/scheme materializations,
+//!   so repeated scoring calls (many specs, or a profile search's
+//!   candidate stream) stop re-generating netlists and re-camouflaging
+//!   benchmarks;
 //! * [`search`] — the defender's inverse problem on top of the service:
 //!   [`ProfileSearch`] (1+λ)-evolves dense per-switch error-rate vectors
 //!   toward the cheapest profile that still defeats the attacks, and
@@ -248,12 +250,13 @@ fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// A long-lived **evaluation service**: the persistent machinery one-shot
-/// campaign runs used to rebuild per call — worker threads and memoized
-/// benchmark / scheme materializations — extracted so repeated scoring
-/// calls (a profile search evaluates hundreds of candidates; a harness
-/// sweeps many specs) pay for thread spawn, netlist generation, and
-/// camouflaging once per *session* instead of once per *run*.
+/// A long-lived **evaluation service**: a worker pool plus memoized
+/// benchmark / scheme materializations, so repeated scoring calls (a
+/// profile search evaluates hundreds of candidates; a harness sweeps many
+/// specs) pay for netlist generation and camouflaging once per *session*
+/// instead of once per *run*. The session holds no thread between
+/// batches: each batch runs on the calling thread plus scoped threads
+/// that end with it ([`pool::WorkerPool::run_all`]).
 ///
 /// The memos only grow: every benchmark and scheme materialization a run
 /// builds stays until the session is dropped.
@@ -390,8 +393,8 @@ impl EvalSession {
             }
         }
         // Generation can be minutes of work at low scale divisors, so the
-        // missing benchmarks build in one batch on the same work-stealing
-        // pool as the jobs (and outside the memo lock).
+        // missing benchmarks build in one batch on the same pool as the
+        // jobs (and outside the memo lock).
         let gen_tasks: Vec<Box<dyn FnOnce() -> Result<NamedNetlist, String> + Send>> = missing
             .into_iter()
             .map(|(name, source)| {
@@ -697,6 +700,29 @@ mod tests {
         assert!(report.rows.is_empty());
         assert_eq!(session.cached_netlists(), 0);
         assert_eq!(session.cached_keyed(), 0);
+    }
+
+    #[test]
+    fn a_panicking_batch_leaves_the_session_usable() {
+        // One panicking task must not poison session state: its panic is
+        // re-raised once the batch drains, and a campaign on the same
+        // session then reports what a fresh session reports.
+        let session = EvalSession::new(2);
+        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = vec![
+            Box::new(|| 1),
+            Box::new(|| panic!("injected task panic")),
+            Box::new(|| 3),
+        ];
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.run_tasks(tasks)));
+        let payload = caught.expect_err("the task panic must be re-raised");
+        let message = payload.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("injected task panic"), "{message}");
+
+        let spec = tiny_spec(2);
+        let after_panic = session.run(&spec).unwrap().deterministic_json();
+        let fresh = EvalSession::new(2).run(&spec).unwrap().deterministic_json();
+        assert_eq!(after_panic, fresh);
     }
 
     #[test]

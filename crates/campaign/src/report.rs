@@ -83,8 +83,8 @@ impl CampaignReport {
                 }
                 let _ = write!(
                     out,
-                    "{{\"tasks\":{},\"steals\":{},\"busy_ns\":{},\"idle_ns\":{}}}",
-                    w.tasks, w.steals, w.busy_ns, w.idle_ns
+                    "{{\"tasks\":{},\"busy_ns\":{},\"idle_ns\":{}}}",
+                    w.tasks, w.busy_ns, w.idle_ns
                 );
             }
             let (_, _, utilization) = pool_summary(&self.pool);
@@ -345,21 +345,19 @@ mod tests {
         let report = sample_report().with_pool_stats(vec![
             WorkerStats {
                 tasks: 3,
-                steals: 1,
                 busy_ns: 750,
                 idle_ns: 250,
             },
             WorkerStats {
                 tasks: 2,
-                steals: 0,
                 busy_ns: 250,
                 idle_ns: 750,
             },
         ]);
         let full = report.to_json();
         assert!(full.contains(
-            "\"pool\":{\"workers\":[{\"tasks\":3,\"steals\":1,\"busy_ns\":750,\"idle_ns\":250},\
-             {\"tasks\":2,\"steals\":0,\"busy_ns\":250,\"idle_ns\":750}],\"utilization\":0.5}"
+            "\"pool\":{\"workers\":[{\"tasks\":3,\"busy_ns\":750,\"idle_ns\":250},\
+             {\"tasks\":2,\"busy_ns\":250,\"idle_ns\":750}],\"utilization\":0.5}"
         ));
         assert!(!report.deterministic_json().contains("pool"));
     }

@@ -63,34 +63,9 @@ fn parse_call(expr: &str, line: usize) -> Result<(String, Vec<String>), LogicErr
     Ok((op, args))
 }
 
-/// Interface bookkeeping for a parsed `.bench` design.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedBench {
-    /// The (scan-preprocessed) combinational netlist. Pseudo primary
-    /// inputs/outputs from DFF cutting come *after* the real ones, in DFF
-    /// declaration order.
-    pub netlist: Netlist,
-    /// Number of genuine primary inputs (before the pseudo inputs).
-    pub real_inputs: usize,
-    /// Number of genuine primary outputs (before the pseudo outputs).
-    pub real_outputs: usize,
-    /// Number of flip-flops that were cut.
-    pub dff_count: usize,
-}
-
-/// Parses a `.bench` netlist. Sequential designs are scan-preprocessed
-/// (DFF boundaries become pseudo-PI/PO).
-///
-/// # Errors
-///
-/// See [`parse_bench_detailed`].
-pub fn parse_bench(text: &str) -> Result<Netlist, LogicError> {
-    parse_bench_detailed(text).map(|p| p.netlist)
-}
-
-/// Parses a `.bench` netlist, additionally reporting the real/pseudo
-/// interface split (needed to rebuild sequential semantics, see
-/// [`crate::seq`]).
+/// Parses a `.bench` netlist. Sequential designs are scan-preprocessed:
+/// each DFF boundary becomes a pseudo primary input and output, after the
+/// real ones, in DFF declaration order.
 ///
 /// # Errors
 ///
@@ -98,7 +73,7 @@ pub fn parse_bench(text: &str) -> Result<Netlist, LogicError> {
 /// [`LogicError::UnknownSignal`] / [`LogicError::DuplicateSignal`] for
 /// wiring bugs, and [`LogicError::CombinationalLoop`] if the combinational
 /// core is cyclic.
-pub fn parse_bench_detailed(text: &str) -> Result<ParsedBench, LogicError> {
+pub fn parse_bench(text: &str) -> Result<Netlist, LogicError> {
     let mut inputs: Vec<String> = Vec::new();
     let mut outputs: Vec<String> = Vec::new();
     let mut gates: Vec<RawGate> = Vec::new();
@@ -230,12 +205,7 @@ pub fn parse_bench_detailed(text: &str) -> Result<ParsedBench, LogicError> {
             .ok_or_else(|| LogicError::UnknownSignal(out.clone()))?;
         b.output(id);
     }
-    Ok(ParsedBench {
-        netlist: b.finish()?,
-        real_inputs: inputs.len(),
-        real_outputs: outputs.len(),
-        dff_count: pseudo_inputs.len(),
-    })
+    b.finish()
 }
 
 fn emit_gate(b: &mut NetlistBuilder, g: &RawGate, args: &[NodeId]) -> Result<NodeId, LogicError> {

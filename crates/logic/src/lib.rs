@@ -2,8 +2,9 @@
 //!
 //! Gate-level netlist substrate for the DATE 2018 GSHE hardware-security
 //! reproduction: the intermediate representation, two-input Boolean function
-//! algebra ([`Bf2`]), an ISCAS `.bench` parser/writer, fast (bit-parallel)
-//! simulation, sequential-to-combinational scan preprocessing, and the
+//! algebra ([`Bf2`]), an ISCAS `.bench` parser/writer ([`parse_bench`]
+//! scan-preprocesses a sequential design, cutting each DFF into a pseudo
+//! input and a pseudo output), fast (bit-parallel) simulation, and the
 //! seeded synthetic benchmark generator that stands in for the paper's
 //! ISCAS-85 / MCNC / ITC-99 / EPFL / IBM superblue suites (Table III).
 //!
@@ -32,7 +33,6 @@ pub mod error;
 pub mod generator;
 pub mod netlist;
 pub mod noise;
-pub mod seq;
 pub mod sim;
 pub mod stats;
 pub mod suites;
@@ -45,7 +45,6 @@ pub use error::LogicError;
 pub use generator::{GeneratorConfig, NetlistGenerator, Topology, LOCAL_WINDOW};
 pub use netlist::{FanoutCsr, IdMap, Netlist, Node, NodeId, NodeKind, NodeRef, NodeSet};
 pub use noise::ErrorProfile;
-pub use seq::scan_preprocess;
 pub use sim::{PatternBlock, Simulator};
 pub use stats::NetlistStats;
 pub use suites::{

@@ -1,10 +1,12 @@
 //! The paper's benchmark suites (Table III), realized through the synthetic
 //! generator.
 //!
-//! Gate counts can be *scaled down* uniformly (`scale` parameter) so the
-//! SAT-attack study completes in minutes instead of the paper's 48-hour
-//! Xeon budget; the attack-hardness *ordering* across schemes and
-//! protection levels is preserved (see DESIGN.md, substitution 3).
+//! The paper's netlists are not in the repository, so each benchmark is a
+//! generated stand-in with its Table III row's gate, input and output
+//! counts. [`benchmark_scaled_with`] divides all three by `scale` (the
+//! harnesses' `--scale`, with floors of 64 gates, 32 inputs and 16
+//! outputs) so the SAT-attack study completes in minutes instead of the
+//! paper's 48-hour Xeon budget.
 
 use crate::generator::{GeneratorConfig, NetlistGenerator, Topology};
 use crate::netlist::Netlist;

@@ -65,7 +65,7 @@
 //!
 //! | span | layer | wraps |
 //! |------|-------|-------|
-//! | `pool.task` | `campaign::pool` | one erased task on a worker |
+//! | `pool.task` | `campaign::pool` | one task on a pool worker |
 //! | `job.attack` | `campaign::job` | one campaign job (an attack cell) |
 //! | `job.materialize` | `campaign::job` | camouflaged-netlist materialization |
 //! | `job.oracle_build` | `campaign::job` | every chip's oracle-stack construction (a rotating chip's correct-key resolution included) |
@@ -384,11 +384,15 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
 }
 
-/// Zeroes every counter and histogram and clears all trace buffers.
-/// Registered instruments stay valid (references held by hot paths keep
-/// working), and thread ids are preserved.
+/// Zeroes every counter and histogram and clears all trace buffers,
+/// dropping those of threads that have exited. Registered instruments
+/// stay valid (references held by hot paths keep working), and live
+/// threads keep their ids.
 pub fn reset() {
-    let reg = registry().lock().unwrap();
+    let mut reg = registry().lock().unwrap();
+    // An exited thread's slot has dropped its handle: the registry's is
+    // the last one.
+    reg.buffers.retain(|buffer| Arc::strong_count(buffer) > 1);
     for c in &reg.counters {
         c.value.store(0, Ordering::Relaxed);
     }
@@ -702,6 +706,25 @@ mod tests {
         assert!(metrics.contains("\"test.json_counter\":2"));
         assert!(metrics
             .contains("\"test.json_histogram\":{\"count\":1,\"sum\":77,\"buckets\":[[64,1]]}"));
+    }
+
+    #[test]
+    fn reset_drops_the_buffers_of_exited_threads() {
+        let _guard = obs_lock();
+        enable_tracing();
+        std::thread::spawn(|| drop(span("test.exited_thread_span")))
+            .join()
+            .unwrap();
+        disable();
+        let exited = |reg: &Registry| {
+            reg.buffers
+                .iter()
+                .filter(|buffer| Arc::strong_count(buffer) == 1)
+                .count()
+        };
+        assert!(exited(&registry().lock().unwrap()) >= 1);
+        reset();
+        assert_eq!(exited(&registry().lock().unwrap()), 0);
     }
 
     #[test]
