@@ -13,6 +13,7 @@
 //! all schemes — the paper's fairness protocol).
 
 use crate::cache::OracleCache;
+use crate::lock_memo;
 use gshe_attacks::{
     verify_key_scoped, AttackConfig, AttackKind, AttackOutcome, AttackRunner, AttackStatus,
     CoiMode, KeyVerification, OracleStack, SimplifyMode,
@@ -390,10 +391,7 @@ impl KeyedMemo {
         scheme: CamoScheme,
         seeds: &AttackSeeds,
     ) -> Result<Arc<KeyedNetlist>, String> {
-        if let Some((_, keyed)) = self
-            .entries
-            .lock()
-            .unwrap()
+        if let Some((_, keyed)) = lock_memo(&self.entries)
             .iter()
             .find(|(k, _)| k.matches(nl, level, scheme, seeds))
         {
@@ -404,7 +402,7 @@ impl KeyedMemo {
         let keyed = camouflage(nl, &picks, scheme, &mut rng)
             .map_err(|e| format!("camouflage failed: {e}"))?;
         let keyed = Arc::new(keyed);
-        let mut entries = self.entries.lock().unwrap();
+        let mut entries = lock_memo(&self.entries);
         if let Some((_, existing)) = entries
             .iter()
             .find(|(k, _)| k.matches(nl, level, scheme, seeds))
@@ -426,7 +424,7 @@ impl KeyedMemo {
 
     /// Materializations currently memoized.
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        lock_memo(&self.entries).len()
     }
 
     /// Total [`gshe_logic::Netlist::arena_bytes`] of the keyed netlists
@@ -435,9 +433,7 @@ impl KeyedMemo {
     /// the design is counted once, by whoever holds it (the session's
     /// benchmark memo).
     pub fn arena_bytes(&self) -> usize {
-        self.entries
-            .lock()
-            .unwrap()
+        lock_memo(&self.entries)
             .iter()
             .filter(|(k, keyed)| !keyed.shares_netlist(&k.netlist))
             .map(|(_, keyed)| keyed.netlist().arena_bytes())
@@ -749,6 +745,39 @@ mod tests {
             .unwrap();
         assert!(!invbuf.shares_netlist(&design));
         assert_eq!(memo.arena_bytes(), invbuf.netlist().arena_bytes());
+    }
+
+    #[test]
+    fn a_panic_under_the_memo_lock_does_not_poison_the_memo() {
+        use gshe_logic::bench_format::{parse_bench, C17_BENCH};
+        let design = Arc::new(parse_bench(C17_BENCH).unwrap());
+        let memo = KeyedMemo::default();
+        let seeds = |select| AttackSeeds {
+            select,
+            transform: 2,
+            oracle: 3,
+        };
+        let resident = memo
+            .get_or_materialize(&design, 0.5, CamoScheme::InvBuf, &seeds(0))
+            .unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = memo.entries.lock();
+                panic!("a job panics while it holds the memo lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(memo.entries.is_poisoned());
+
+        let again = memo
+            .get_or_materialize(&design, 0.5, CamoScheme::InvBuf, &seeds(0))
+            .unwrap();
+        assert!(Arc::ptr_eq(&again, &resident), "the resident entry");
+        memo.get_or_materialize(&design, 0.5, CamoScheme::InvBuf, &seeds(1))
+            .unwrap();
+        assert_eq!(memo.len(), 2, "a new draw is built and memoized");
+        assert!(memo.arena_bytes() > 0);
     }
 
     #[test]

@@ -172,8 +172,19 @@ use gshe_camo::KeyedNetlist;
 use gshe_device::SwitchParams;
 use gshe_logic::{suites, Netlist, Topology};
 use spec::{check_at_least_one, check_level, check_rate, check_timeout};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// Locks one of the session's memos (the benchmark memo here, the keyed
+/// memo in [`job::KeyedMemo`]), recovering the guard if a thread panicked
+/// while it held the lock. Recovery is sound because every critical
+/// section on a memo only finds, pushes or counts entries of a `Vec` of
+/// (key, `Arc`) pairs: a push lands whole or not at all, so a panic
+/// cannot leave the memo half-written, and one panicking job cannot fail
+/// every later job of the session.
+pub(crate) fn lock_memo<T>(memo: &Mutex<T>) -> MutexGuard<'_, T> {
+    memo.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A named, shareable benchmark netlist (one [`JobContext`] entry).
 type NamedNetlist = (String, Arc<Netlist>);
@@ -298,7 +309,7 @@ impl EvalSession {
 
     /// Benchmarks materialized so far.
     pub fn cached_netlists(&self) -> usize {
-        self.netlists.lock().unwrap().len()
+        lock_memo(&self.netlists).len()
     }
 
     /// Scheme materializations memoized so far.
@@ -382,7 +393,7 @@ impl EvalSession {
         let mut found: Vec<NamedNetlist> = Vec::new();
         let mut missing: Vec<(String, NetlistSource)> = Vec::new();
         {
-            let memo = self.netlists.lock().unwrap();
+            let memo = lock_memo(&self.netlists);
             for name in names {
                 let key = (name.clone(), scale, seed, topology);
                 if let Some((_, nl)) = memo.iter().find(|(k, _)| *k == key) {
@@ -411,7 +422,7 @@ impl EvalSession {
             .into_iter()
             .collect::<Result<Vec<NamedNetlist>, String>>()?;
         if !built.is_empty() {
-            let mut memo = self.netlists.lock().unwrap();
+            let mut memo = lock_memo(&self.netlists);
             for (name, nl) in &built {
                 let key = (name.clone(), scale, seed, topology);
                 if !memo.iter().any(|(k, _)| *k == key) {
@@ -632,6 +643,26 @@ mod tests {
         // And the one-shot wrapper agrees byte-for-byte with both.
         let fresh = Campaign::run(&spec).unwrap();
         assert_eq!(fresh.deterministic_json(), first.deterministic_json());
+    }
+
+    #[test]
+    fn a_panic_under_the_netlist_memo_lock_does_not_poison_the_session() {
+        let session = EvalSession::new(1);
+        let resident = session.netlist("ex1010", 400, 5).unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = session.netlists.lock();
+                panic!("a job panics while it holds the netlist memo lock");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(session.netlists.is_poisoned());
+
+        let again = session.netlist("ex1010", 400, 5).unwrap();
+        assert!(Arc::ptr_eq(&again, &resident), "the resident entry");
+        session.netlist("c7552", 400, 5).unwrap();
+        assert_eq!(session.cached_netlists(), 2, "a new benchmark is built");
     }
 
     #[test]

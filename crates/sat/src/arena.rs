@@ -101,6 +101,19 @@ impl ClauseArena {
         Lit::from_code(self.words[c.0 as usize + 1 + i] as usize)
     }
 
+    /// The literal words (codes, see [`Lit::code`]) of `c`, or `None` if
+    /// `c` is deleted. One bounds check covers the whole clause, so the
+    /// propagation loop reads and reorders a clause through this slice
+    /// rather than through [`Self::lit`] and [`Self::swap_lits`].
+    pub fn live_lits_mut(&mut self, c: ClauseRef) -> Option<&mut [u32]> {
+        let start = c.0 as usize;
+        let header = self.words[start];
+        if header & DELETED != 0 {
+            return None;
+        }
+        Some(&mut self.words[start + 1..start + 1 + (header >> SIZE_SHIFT) as usize])
+    }
+
     /// Swaps literals `i` and `j` of `c` (watch maintenance).
     pub fn swap_lits(&mut self, c: ClauseRef, i: usize, j: usize) {
         self.words.swap(c.0 as usize + 1 + i, c.0 as usize + 1 + j);
@@ -220,6 +233,22 @@ mod tests {
         let d = a.alloc(&lits(&[2, 4]), false, 0);
         assert!(!a.is_learnt(d));
         assert_eq!(a.len(d), 2);
+    }
+
+    #[test]
+    fn live_lits_are_one_slice_and_deleted_clauses_have_none() {
+        let mut a = ClauseArena::new();
+        let c = a.alloc(&lits(&[0, 3, 5]), true, 7);
+        let d = a.alloc(&lits(&[2, 4]), false, 0);
+        let words = a.live_lits_mut(c).expect("live");
+        assert_eq!(words, &[0, 3, 5]);
+        words.swap(0, 2);
+        assert_eq!(a.lit(c, 0), Lit::from_code(5));
+        assert_eq!(a.lit(c, 2), Lit::from_code(0));
+        assert_eq!(a.live_lits_mut(d).map(|w| w.to_vec()), Some(vec![2, 4]));
+        a.delete(c);
+        assert!(a.live_lits_mut(c).is_none());
+        assert_eq!(a.len(d), 2, "deleting c leaves d alone");
     }
 
     #[test]

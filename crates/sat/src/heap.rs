@@ -1,4 +1,11 @@
 //! Indexed max-heap ordered by variable activity (the VSIDS order heap).
+//!
+//! Both sifts move through a hole: the moving variable is held aside,
+//! each parent or child it passes is written one slot over, and the
+//! variable itself is written once, where it stops. That is half the
+//! stores of swapping at every level, with the same final layout: a
+//! sift down takes the right child only if it beats the left one, so
+//! ties go left, and pops come out in the same order as with swaps.
 
 use crate::lit::Var;
 
@@ -19,13 +26,6 @@ impl OrderHeap {
         OrderHeap::default()
     }
 
-    /// Ensures capacity for variables `0..n`.
-    pub fn grow(&mut self, n: usize) {
-        if self.position.len() < n {
-            self.position.resize(n, ABSENT);
-        }
-    }
-
     /// Number of queued variables.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -41,55 +41,67 @@ impl OrderHeap {
         self.position.get(v.index()).is_some_and(|&p| p != ABSENT)
     }
 
-    fn less(&self, a: Var, b: Var, activity: &[f64]) -> bool {
-        // Max-heap: "less" means lower priority.
-        activity[a.index()] < activity[b.index()]
-    }
-
+    /// Moves the variable at `i` up while its parent has lower activity.
+    /// The moving variable is held aside and written once, into the
+    /// hole left where it stops; each parent it passes slides down.
     fn sift_up(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        let act = activity[v.index()];
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.less(self.heap[parent], self.heap[i], activity) {
-                self.swap(i, parent);
-                i = parent;
-            } else {
+            let pv = self.heap[parent];
+            if activity[pv.index()] >= act {
                 break;
             }
+            self.heap[i] = pv;
+            self.position[pv.index()] = i;
+            i = parent;
         }
+        self.heap[i] = v;
+        self.position[v.index()] = i;
     }
 
+    /// Moves the variable at `i` down while a child has higher activity,
+    /// through a hole like [`Self::sift_up`]. The right child is taken
+    /// only if it beats the left one, so ties go left.
     fn sift_down(&mut self, mut i: usize, activity: &[f64]) {
+        let v = self.heap[i];
+        let act = activity[v.index()];
+        let n = self.heap.len();
         loop {
             let l = 2 * i + 1;
-            let r = 2 * i + 2;
-            let mut best = i;
-            if l < self.heap.len() && self.less(self.heap[best], self.heap[l], activity) {
-                best = l;
-            }
-            if r < self.heap.len() && self.less(self.heap[best], self.heap[r], activity) {
-                best = r;
-            }
-            if best == i {
+            if l >= n {
                 break;
             }
-            self.swap(i, best);
-            i = best;
+            let r = l + 1;
+            let child = if r < n && activity[self.heap[l].index()] < activity[self.heap[r].index()]
+            {
+                r
+            } else {
+                l
+            };
+            let cv = self.heap[child];
+            if act >= activity[cv.index()] {
+                break;
+            }
+            self.heap[i] = cv;
+            self.position[cv.index()] = i;
+            i = child;
         }
+        self.heap[i] = v;
+        self.position[v.index()] = i;
     }
 
-    fn swap(&mut self, i: usize, j: usize) {
-        self.heap.swap(i, j);
-        self.position[self.heap[i].index()] = i;
-        self.position[self.heap[j].index()] = j;
-    }
-
-    /// Inserts `v` (no-op if already present).
+    /// Inserts `v` (no-op if already present). Only a variable beyond
+    /// every one seen so far grows the position table.
     pub fn insert(&mut self, v: Var, activity: &[f64]) {
-        self.grow(v.index() + 1);
-        if self.contains(v) {
+        let vi = v.index();
+        if vi >= self.position.len() {
+            self.position.resize(vi + 1, ABSENT);
+        } else if self.position[vi] != ABSENT {
             return;
         }
-        self.position[v.index()] = self.heap.len();
+        self.position[vi] = self.heap.len();
         self.heap.push(v);
         self.sift_up(self.heap.len() - 1, activity);
     }
@@ -101,7 +113,6 @@ impl OrderHeap {
         self.position[top.index()] = ABSENT;
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.position[last.index()] = 0;
             self.sift_down(0, activity);
         }
         Some(top)
@@ -143,6 +154,21 @@ mod tests {
             .map(|v| v.0)
             .collect();
         assert_eq!(order, vec![1, 3, 2, 4, 0]);
+    }
+
+    #[test]
+    fn ties_pop_in_a_fixed_order() {
+        // Equal activities leave the order to the sifts alone: this is
+        // the order the swap-based sifts gave, which the hole sifts keep.
+        let activity = vec![2.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0, 2.0, 2.0, 3.0, 1.0];
+        let mut h = OrderHeap::new();
+        for i in 0..12 {
+            h.insert(Var(i), &activity);
+        }
+        let order: Vec<u32> = std::iter::from_fn(|| h.pop(&activity))
+            .map(|v| v.0)
+            .collect();
+        assert_eq!(order, vec![3, 10, 6, 8, 0, 9, 2, 5, 4, 11, 7, 1]);
     }
 
     #[test]

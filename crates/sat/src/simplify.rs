@@ -512,7 +512,8 @@ impl Solver {
         for &l in extra_frozen {
             frozen[l.var().index()] = true;
         }
-        for (f, a) in frozen.iter_mut().zip(&self.assign) {
+        // Positive literals have the even codes.
+        for (f, a) in frozen.iter_mut().zip(self.vals.iter().step_by(2)) {
             *f |= *a != LBool::Undef;
         }
         for &c in &self.learnts {

@@ -10,7 +10,17 @@
 //! - **Binary clauses** live in dedicated watcher lists that carry the
 //!   implied literal inline, so binary propagation never touches the
 //!   arena; longer clauses use two watched literals with a blocker-literal
-//!   fast path.
+//!   fast path, and each visited clause is read and reordered as one
+//!   slice ([`ClauseArena::live_lits_mut`]).
+//! - **Literal-indexed values**: one array holds the value of every
+//!   literal, indexed by [`Lit::code`]. An assignment writes both
+//!   polarities and a backtrack clears both, so reading a literal's value
+//!   is one load with no polarity branch.
+//! - **Allocation-free conflict analysis**: the learnt clause and the
+//!   literals minimization drops live in solver-owned buffers reused
+//!   across conflicts, minimization filters in place, and the learnt
+//!   clause's LBD is counted with the same level-stamp generation that
+//!   refreshes the LBD of clauses pulled into analysis.
 //! - **Restarts** use Glucose-style adaptive pacing: restart when the
 //!   recent-LBD average runs hot against the lifetime average, blocked
 //!   while the trail is much deeper than usual (the solver is probably
@@ -202,7 +212,10 @@ pub struct Solver {
     watches: Vec<Vec<Watch>>,
     /// Per-literal watchers for binary clauses.
     bwatches: Vec<Vec<BinWatch>>,
-    pub(crate) assign: Vec<LBool>,
+    /// The value of every literal, indexed by [`Lit::code`]. An
+    /// assignment writes both polarities of its variable and a backtrack
+    /// clears both, so reading a literal's value is one load.
+    pub(crate) vals: Vec<LBool>,
     pub(crate) level: Vec<u32>,
     pub(crate) reason: Vec<ClauseRef>,
     pub(crate) trail: Vec<Lit>,
@@ -213,6 +226,12 @@ pub struct Solver {
     pub(crate) heap: OrderHeap,
     phase: Vec<bool>,
     seen: Vec<bool>,
+    /// The clause [`Solver::analyze`] learns, asserting literal first;
+    /// reused across conflicts.
+    learnt_clause: Vec<Lit>,
+    /// Literals minimization dropped from the learnt clause, whose `seen`
+    /// marks still need clearing; reused across conflicts.
+    to_clear: Vec<Lit>,
     /// Level-stamp scratch for O(clause) LBD recomputation, indexed by
     /// decision level (entry 0 is unused padding).
     lbd_stamp: Vec<u64>,
@@ -266,7 +285,7 @@ impl Solver {
             learnts: Vec::new(),
             watches: Vec::new(),
             bwatches: Vec::new(),
-            assign: Vec::new(),
+            vals: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
             trail: Vec::new(),
@@ -277,6 +296,8 @@ impl Solver {
             heap: OrderHeap::new(),
             phase: Vec::new(),
             seen: Vec::new(),
+            learnt_clause: Vec::new(),
+            to_clear: Vec::new(),
             lbd_stamp: vec![0],
             lbd_stamp_gen: 0,
             ok: true,
@@ -322,7 +343,7 @@ impl Solver {
 
     /// Number of variables allocated.
     pub fn num_vars(&self) -> usize {
-        self.assign.len()
+        self.vals.len() / 2
     }
 
     /// Number of clauses (problem + retained learnts, minus deleted).
@@ -339,8 +360,9 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(self.assign.len() as u32);
-        self.assign.push(LBool::Undef);
+        let v = Var(self.num_vars() as u32);
+        self.vals.push(LBool::Undef);
+        self.vals.push(LBool::Undef);
         self.level.push(0);
         self.reason.push(ClauseRef::NONE);
         self.activity.push(0.0);
@@ -358,12 +380,7 @@ impl Solver {
     }
 
     pub(crate) fn value_lit(&self, l: Lit) -> LBool {
-        let v = self.assign[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        self.vals[l.code()]
     }
 
     /// The value of `v` in the most recent model.
@@ -390,15 +407,22 @@ impl Solver {
             LBool::True => true,
             LBool::False => false,
             LBool::Undef => {
-                let v = l.var();
-                self.assign[v.index()] = LBool::from_bool(l.is_positive());
-                self.level[v.index()] = self.decision_level();
-                self.reason[v.index()] = reason;
-                self.phase[v.index()] = l.is_positive();
-                self.trail.push(l);
+                self.assign_lit(l, reason);
                 true
             }
         }
+    }
+
+    /// Makes the unassigned literal `l` true at the current level.
+    fn assign_lit(&mut self, l: Lit, reason: ClauseRef) {
+        debug_assert_eq!(self.value_lit(l), LBool::Undef);
+        let v = l.var().index();
+        self.vals[l.code()] = LBool::True;
+        self.vals[(!l).code()] = LBool::False;
+        self.level[v] = self.decision_level();
+        self.reason[v] = reason;
+        self.phase[v] = l.is_positive();
+        self.trail.push(l);
     }
 
     /// Adds a clause. Returns `false` if the solver became trivially
@@ -547,22 +571,28 @@ impl Solver {
             self.qhead += 1;
             self.stats.propagations += 1;
             let false_lit = !p;
+            let false_word = false_lit.code() as u32;
 
             // Binary clauses watching ¬p: the watcher itself carries the
             // implied literal, so this loop never touches the arena.
-            let n_bin = self.bwatches[p.code()].len();
-            for i in 0..n_bin {
-                let w = self.bwatches[p.code()][i];
+            // Enqueueing never pushes a watcher, so the list is taken out
+            // and put back like the long list below.
+            let bins = std::mem::take(&mut self.bwatches[p.code()]);
+            let mut conflict = ClauseRef::NONE;
+            for &w in &bins {
                 match self.value_lit(w.other) {
                     LBool::True => {}
                     LBool::False => {
-                        self.qhead = self.trail.len();
-                        return w.clause;
+                        conflict = w.clause;
+                        break;
                     }
-                    LBool::Undef => {
-                        let _ = self.enqueue(w.other, w.clause);
-                    }
+                    LBool::Undef => self.assign_lit(w.other, w.clause),
                 }
+            }
+            self.bwatches[p.code()] = bins;
+            if !conflict.is_none() {
+                self.qhead = self.trail.len();
+                return conflict;
             }
 
             // Longer clauses: two watched literals with in-place watcher
@@ -570,7 +600,6 @@ impl Solver {
             let mut list = std::mem::take(&mut self.watches[p.code()]);
             let mut i = 0usize;
             let mut j = 0usize;
-            let mut conflict = ClauseRef::NONE;
             while i < list.len() {
                 let w = list[i];
                 // Quick satisfied check via the blocker literal.
@@ -581,17 +610,20 @@ impl Solver {
                     continue;
                 }
                 let c = w.clause;
-                if self.arena.is_deleted(c) {
+                // The clause as one slice of literal codes; the borrow
+                // is of the arena alone, so `vals` and the other watch
+                // lists stay readable and writable beside it.
+                let Some(lits) = self.arena.live_lits_mut(c) else {
                     i += 1; // drop the watcher of a deleted clause
                     continue;
-                }
+                };
                 // Make sure the false literal is at position 1.
-                if self.arena.lit(c, 0) == false_lit {
-                    self.arena.swap_lits(c, 0, 1);
+                if lits[0] == false_word {
+                    lits.swap(0, 1);
                 }
-                debug_assert_eq!(self.arena.lit(c, 1), false_lit);
-                let first = self.arena.lit(c, 0);
-                if first != w.blocker && self.value_lit(first) == LBool::True {
+                debug_assert_eq!(lits[1], false_word);
+                let first = Lit::from_code(lits[0] as usize);
+                if first != w.blocker && self.vals[first.code()] == LBool::True {
                     list[j] = Watch {
                         clause: c,
                         blocker: first,
@@ -601,12 +633,11 @@ impl Solver {
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.arena.len(c);
                 let mut found = false;
-                for k in 2..len {
-                    let l = self.arena.lit(c, k);
-                    if self.value_lit(l) != LBool::False {
-                        self.arena.swap_lits(c, 1, k);
+                for k in 2..lits.len() {
+                    let l = Lit::from_code(lits[k] as usize);
+                    if self.vals[l.code()] != LBool::False {
+                        lits.swap(1, k);
                         // l ≠ false_lit (it is not false), so this never
                         // pushes onto the list taken above.
                         self.watches[(!l).code()].push(Watch {
@@ -636,7 +667,7 @@ impl Solver {
                     }
                     break;
                 }
-                let _ = self.enqueue(first, c);
+                self.assign_lit(first, c);
             }
             list.truncate(j);
             debug_assert!(self.watches[p.code()].is_empty());
@@ -676,14 +707,26 @@ impl Solver {
         n
     }
 
-    /// 1UIP conflict analysis; returns (learnt clause, backtrack level, lbd).
-    fn analyze(&mut self, conflict: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(Var(0))]; // placeholder slot 0
+    /// 1UIP conflict analysis. Leaves the learnt clause in
+    /// `self.learnt_clause`, asserting literal first and a literal of the
+    /// backtrack level second, and returns (backtrack level, lbd). It
+    /// allocates nothing: the clause and the to-clear list are
+    /// solver-owned buffers, and the LBD is counted with the `lbd_stamp`
+    /// generation.
+    fn analyze(&mut self, conflict: ClauseRef) -> (u32, u32) {
+        let mut learnt = std::mem::take(&mut self.learnt_clause);
+        learnt.clear();
+        learnt.push(Lit::pos(Var(0))); // placeholder slot 0
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut confl = conflict;
         let mut index = self.trail.len();
         let current = self.decision_level();
+        // Empty assumption levels can put the decision level past the
+        // variable count the stamp table was sized by.
+        if self.lbd_stamp.len() <= current as usize {
+            self.lbd_stamp.resize(current as usize + 1, 0);
+        }
 
         loop {
             debug_assert!(!confl.is_none(), "reason must exist below the UIP");
@@ -739,47 +782,52 @@ impl Solver {
         let uip = p.expect("at least one resolution");
         learnt[0] = !uip;
 
-        // Clause minimization: drop literals implied by the rest.
-        let keep: Vec<bool> = learnt
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| i == 0 || !self.literal_is_redundant(l))
-            .collect();
-        let mut minimized: Vec<Lit> = learnt
-            .iter()
-            .zip(&keep)
-            .filter(|(_, &k)| k)
-            .map(|(&l, _)| l)
-            .collect();
-
-        // Clear seen flags for the literals we marked.
-        for &l in &learnt {
+        // Clause minimization: drop literals implied by the rest. The
+        // filter runs in place, and every check reads the full marked set
+        // because no `seen` mark is cleared until it is done.
+        self.to_clear.clear();
+        let mut kept = 1;
+        for i in 1..learnt.len() {
+            let l = learnt[i];
+            if self.literal_is_redundant(l) {
+                self.to_clear.push(l);
+            } else {
+                learnt[kept] = l;
+                kept += 1;
+            }
+        }
+        learnt.truncate(kept);
+        for &l in learnt.iter().chain(&self.to_clear) {
             self.seen[l.var().index()] = false;
         }
 
-        // Backtrack level = max level among minimized[1..].
-        let (bt, lbd) = if minimized.len() == 1 {
+        // Backtrack level = max level among learnt[1..]; LBD = the number
+        // of distinct levels, every one of them above 0.
+        let (bt, lbd) = if learnt.len() == 1 {
             (0, 1)
         } else {
             let mut max_i = 1;
-            for i in 2..minimized.len() {
-                if self.level[minimized[i].var().index()]
-                    > self.level[minimized[max_i].var().index()]
-                {
+            for i in 2..learnt.len() {
+                if self.level[learnt[i].var().index()] > self.level[learnt[max_i].var().index()] {
                     max_i = i;
                 }
             }
-            minimized.swap(1, max_i);
-            let bt = self.level[minimized[1].var().index()];
-            let mut levels: Vec<u32> = minimized
-                .iter()
-                .map(|l| self.level[l.var().index()])
-                .collect();
-            levels.sort_unstable();
-            levels.dedup();
-            (bt, levels.len() as u32)
+            learnt.swap(1, max_i);
+            let bt = self.level[learnt[1].var().index()];
+            self.lbd_stamp_gen += 1;
+            let gen = self.lbd_stamp_gen;
+            let mut lbd = 0u32;
+            for l in &learnt {
+                let lvl = self.level[l.var().index()] as usize;
+                if self.lbd_stamp[lvl] != gen {
+                    self.lbd_stamp[lvl] = gen;
+                    lbd += 1;
+                }
+            }
+            (bt, lbd)
         };
-        (minimized, bt, lbd)
+        self.learnt_clause = learnt;
+        (bt, lbd)
     }
 
     /// A literal is redundant if its reason clause's other literals are all
@@ -802,8 +850,10 @@ impl Solver {
         }
         let bound = self.trail_lim[target as usize];
         for i in (bound..self.trail.len()).rev() {
-            let v = self.trail[i].var();
-            self.assign[v.index()] = LBool::Undef;
+            let l = self.trail[i];
+            let v = l.var();
+            self.vals[l.code()] = LBool::Undef;
+            self.vals[(!l).code()] = LBool::Undef;
             self.reason[v.index()] = ClauseRef::NONE;
             self.heap.insert(v, &self.activity);
         }
@@ -817,7 +867,7 @@ impl Solver {
             // Eliminated variables occur in no clause; branching on them
             // would only pad the trail. They re-enter the heap on
             // reintroduction.
-            if self.assign[v.index()] == LBool::Undef && !self.simp.eliminated[v.index()] {
+            if self.value_lit(Lit::pos(v)) == LBool::Undef && !self.simp.eliminated[v.index()] {
                 return Some(v);
             }
         }
@@ -1026,30 +1076,22 @@ impl Solver {
                 {
                     self.lbd_queue.clear();
                 }
-                // Conflicts under assumption levels make the assumption set
-                // unsatisfiable once analysis would backtrack above them —
-                // handled below by clamping.
-                let (learnt, bt, lbd) = self.analyze(conflict);
+                let (bt, lbd) = self.analyze(conflict);
                 self.lbd_queue.push(lbd as u64);
                 self.global_lbd_sum += lbd as u64;
-                let assumed = (assumptions.len() as u32).min(self.decision_level());
-                if bt < assumed {
-                    // The learnt clause flips something at/above an
-                    // assumption level: re-propagate from the assumption
-                    // boundary; if the learnt clause is violated there, the
-                    // assumptions are inconsistent.
-                    self.cancel_until(bt);
+                self.cancel_until(bt);
+                let learnt = std::mem::take(&mut self.learnt_clause);
+                let asserting = learnt[0];
+                let reason = if learnt.len() == 1 {
+                    ClauseRef::NONE
                 } else {
-                    self.cancel_until(bt);
-                }
-                if learnt.len() == 1 {
-                    if !self.enqueue(learnt[0], ClauseRef::NONE) {
-                        self.ok = false;
-                        return SolveResult::Unsat;
-                    }
-                } else {
-                    let c = self.attach_clause(&learnt, true, lbd);
-                    let _ = self.enqueue(learnt[0], c);
+                    self.attach_clause(&learnt, true, lbd)
+                };
+                self.learnt_clause = learnt;
+                // A learnt unit already false at level 0 refutes the formula.
+                if !self.enqueue(asserting, reason) && reason.is_none() {
+                    self.ok = false;
+                    return SolveResult::Unsat;
                 }
                 self.var_inc *= VAR_DECAY;
                 if let Some(max) = self.budget.max_conflicts {
@@ -1097,10 +1139,12 @@ impl Solver {
             match self.pick_branch_var() {
                 None => {
                     // Complete assignment: extract the model.
+                    // Positive literals have the even codes.
                     self.model = self
-                        .assign
+                        .vals
                         .iter()
-                        .map(|&v| matches!(v, LBool::True))
+                        .step_by(2)
+                        .map(|&v| v == LBool::True)
                         .collect();
                     return SolveResult::Sat;
                 }
@@ -1329,6 +1373,20 @@ mod tests {
         assert!(s.model_lit(v[1]));
         // Solver stays usable for unconditional solving.
         assert_eq!(s.solve(), SolveResult::Sat);
+    }
+
+    #[test]
+    fn repeated_assumptions_open_more_levels_than_variables() {
+        // Each repeat of a satisfied assumption opens an empty level, so
+        // the pigeonhole search below runs at decision levels past the
+        // variable count; conflict analysis must still count LBDs there.
+        let mut s = Solver::new();
+        let a = Lit::pos(s.new_var());
+        pigeonhole(&mut s, 4, 3);
+        assert!(s.num_vars() < 20);
+        assert_eq!(s.solve_with(&[a; 20]), SolveResult::Unsat);
+        assert!(s.stats().conflicts > 0);
+        assert_eq!(s.solve_with(&[!a; 20]), SolveResult::Unsat);
     }
 
     #[test]
