@@ -103,8 +103,8 @@ impl ClauseArena {
 
     /// The literal words (codes, see [`Lit::code`]) of `c`, or `None` if
     /// `c` is deleted. One bounds check covers the whole clause, so the
-    /// propagation loop reads and reorders a clause through this slice
-    /// rather than through [`Self::lit`] and [`Self::swap_lits`].
+    /// propagation loop reads a clause, and reorders it for watch
+    /// maintenance, through this slice rather than literal by literal.
     pub fn live_lits_mut(&mut self, c: ClauseRef) -> Option<&mut [u32]> {
         let start = c.0 as usize;
         let header = self.words[start];
@@ -112,11 +112,6 @@ impl ClauseArena {
             return None;
         }
         Some(&mut self.words[start + 1..start + 1 + (header >> SIZE_SHIFT) as usize])
-    }
-
-    /// Swaps literals `i` and `j` of `c` (watch maintenance).
-    pub fn swap_lits(&mut self, c: ClauseRef, i: usize, j: usize) {
-        self.words.swap(c.0 as usize + 1 + i, c.0 as usize + 1 + j);
     }
 
     /// `true` if `c` was learnt (vs. a problem clause).

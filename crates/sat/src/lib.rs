@@ -11,10 +11,11 @@
 //!   long incremental sessions.
 //! - **Propagation**: two watched literals with a blocker-literal fast
 //!   path, plus dedicated binary-clause watchers that carry the implied
-//!   literal inline so binary propagation never touches the arena.
-//! - **Search**: 1UIP learning with clause minimization, EVSIDS
-//!   branching, phase saving, Glucose-style adaptive restarts (fast/slow
-//!   LBD averages with trail-depth restart blocking), on-the-fly LBD
+//!   literal inline so binary propagation never touches the arena; values
+//!   are indexed by literal, and a visited clause is read as one slice.
+//! - **Search**: allocation-free 1UIP learning with clause minimization,
+//!   EVSIDS branching, phase saving, Glucose-style adaptive restarts
+//!   (fast/slow LBD averages with trail-depth restart blocking), on-the-fly LBD
 //!   updates, and LBD-tiered learnt-DB reduction on a geometric schedule
 //!   — see [`solver::SearchConfig`].
 //! - **Incrementality**: clause addition between solves, solving under

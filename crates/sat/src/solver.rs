@@ -232,8 +232,8 @@ pub struct Solver {
     /// Literals minimization dropped from the learnt clause, whose `seen`
     /// marks still need clearing; reused across conflicts.
     to_clear: Vec<Lit>,
-    /// Level-stamp scratch for O(clause) LBD recomputation, indexed by
-    /// decision level (entry 0 is unused padding).
+    /// Level-stamp scratch for O(clause) LBD counts, indexed by decision
+    /// level; [`Solver::analyze`] grows it to the current level.
     lbd_stamp: Vec<u64>,
     lbd_stamp_gen: u64,
     pub(crate) ok: bool,
@@ -298,7 +298,7 @@ impl Solver {
             seen: Vec::new(),
             learnt_clause: Vec::new(),
             to_clear: Vec::new(),
-            lbd_stamp: vec![0],
+            lbd_stamp: Vec::new(),
             lbd_stamp_gen: 0,
             ok: true,
             model: Vec::new(),
@@ -368,7 +368,6 @@ impl Solver {
         self.activity.push(0.0);
         self.phase.push(false);
         self.seen.push(false);
-        self.lbd_stamp.push(0);
         self.simp.frozen.push(false);
         self.simp.eliminated.push(false);
         self.watches.push(Vec::new());
@@ -722,8 +721,8 @@ impl Solver {
         let mut confl = conflict;
         let mut index = self.trail.len();
         let current = self.decision_level();
-        // Empty assumption levels can put the decision level past the
-        // variable count the stamp table was sized by.
+        // Every level analysis reads is at most the current one, which
+        // repeated assumptions can push past the variable count.
         if self.lbd_stamp.len() <= current as usize {
             self.lbd_stamp.resize(current as usize + 1, 0);
         }
