@@ -34,6 +34,13 @@
 //! them to the observation ([`assert_outputs_equal`]). The pin rules out
 //! every key that disagrees with the observation before the next solve,
 //! so the same pattern can never be a DIP twice.
+//!
+//! On a fixed input, every cloaked cell whose fanins are known folds into
+//! the copy at no variable and no clause: a GSHE16 or INV/BUF cell is one
+//! key literal there. An output such a cell drives is pinned by a unit
+//! clause on that literal, so when a noisy chip answers two patterns in
+//! ways no key explains, the solver meets the contradiction by unit
+//! propagation at level 0 rather than by search.
 
 use crate::coi::{CoiMode, CoiOracle, CoiProjection};
 use crate::encode::{

@@ -1,10 +1,24 @@
 //! SAT encoding of keyed netlists (the attacker's model).
 //!
-//! A cloaked cell with candidate set `{f₀ … f_{k−1}}` and key bits `K` is
-//! encoded as: for every candidate `i` and every input row, the clause
-//! `(K ≠ i) ∨ (inputs ≠ row) ∨ (z = fᵢ(row))`. Unused binary codes are
-//! globally forbidden by [`assert_valid_key_codes`] so SAT models always
-//! decode to real candidates.
+//! A cloaked cell is a key-driven multiplexer. Its candidates `{f₀ … f_{k−1}}`
+//! fix, for each row of its fanins, a function of its key bits `K`: bit
+//! `i` of the row's table is `fᵢ(row)`. On each row of its symbolic
+//! fanins that agrees with the known ones, the cell's output `z` is
+//! defined as that function by its prime implicates over `K`
+//! ([`CircuitEncoder::define_tt`]), each clause guarded by
+//! `symbolic fanins ≠ row`. A GSHE16 cell's row function is one key bit,
+//! so a row costs the clause pair `(row ∨ ¬z ∨ kᵣ)`, `(row ∨ z ∨ ¬kᵣ)`.
+//! Codes at or above the candidate count are don't-cares:
+//! [`assert_valid_key_codes`] forbids them once per key vector, and every
+//! encoding of a cell relies on it.
+//!
+//! A cell whose fanins are all known has one row, and folds away: to a
+//! constant when its valid candidates agree on the row, to the key literal
+//! `kⱼ` or `¬kⱼ` when the row's function is one key bit, and only
+//! otherwise to a fresh literal defined over `K`. Every GSHE16 and INV/BUF
+//! cell with known fanins costs no variable and no clause, so two
+//! observations that contradict each other meet as complementary unit
+//! clauses instead of in search.
 //!
 //! One encoder walks the keyed netlist under a vector of key literals,
 //! carrying each signal as a known constant or a literal ([`SigVal`]).
@@ -13,17 +27,15 @@
 //! - [`encode_keyed`] gives every input a fresh literal: the symbolic
 //!   copies the miter compares.
 //! - [`encode_keyed_fixed`] fixes the inputs, for the oracle I/O
-//!   constraints `C(X_d, K) = Y_d`: all key-independent logic folds away
-//!   and each cloaked cell costs only one short clause per candidate — the
-//!   dominant factor in DIP-loop throughput.
+//!   constraints `C(X_d, K) = Y_d`: all key-independent logic folds away,
+//!   and so does every cell that only key-independent logic feeds.
 //!
 //! Constants fold the same way in both, so a `Const` node or a constant
 //! one-input gate costs no variable or clause.
 
 use gshe_camo::{CamoGate, Candidates, KeyedNetlist};
 use gshe_logic::NodeKind;
-use gshe_sat::{CircuitEncoder, Lit};
-use std::collections::HashMap;
+use gshe_sat::{CircuitEncoder, Lit, Polarity};
 
 /// One encoded copy of the keyed circuit.
 #[derive(Debug, Clone)]
@@ -44,33 +56,34 @@ pub enum SigVal {
     Sym(Lit),
 }
 
-/// The literals of `K ≠ code` over the cell's key bits: the prefix that
-/// satisfies a clause unless the cell's key selects `code`.
-fn selector_negation<'a>(
-    gate: &'a CamoGate,
-    code: usize,
-    key: &'a [Lit],
-) -> impl Iterator<Item = Lit> + 'a {
-    key[gate.key_offset..gate.key_offset + gate.key_bits()]
-        .iter()
-        .enumerate()
-        .map(move |(j, &k)| if (code >> j) & 1 == 1 { !k } else { k })
+/// The cell's key literals, least significant code bit first.
+fn cell_key<'a>(gate: &CamoGate, key: &'a [Lit]) -> &'a [Lit] {
+    &key[gate.key_offset..gate.key_offset + gate.key_bits()]
+}
+
+/// The cell's valid codes as a truth-table care set: bit `code` is set
+/// for every code below the candidate count.
+fn valid_codes(gate: &CamoGate) -> u16 {
+    ((1u32 << gate.candidates.len()) - 1) as u16
 }
 
 /// Forbids the unused binary codes of every cloaked cell (emit once per key
-/// vector, not per circuit copy).
+/// vector, not per circuit copy): one clause per cube of their prime cover.
 pub fn assert_valid_key_codes(enc: &mut CircuitEncoder<'_>, keyed: &KeyedNetlist, key: &[Lit]) {
     for gate in keyed.camo_gates() {
-        let n = gate.candidates.len();
-        for code in n..(1usize << gate.key_bits()) {
-            let clause: Vec<Lit> = selector_negation(gate, code, key).collect();
-            enc.clause(&clause);
+        let invalid = !valid_codes(gate);
+        let vars = cell_key(gate, key);
+        if invalid & ((1u32 << (1 << vars.len())) - 1) as u16 != 0 {
+            enc.forbid_tt(vars, invalid);
         }
     }
 }
 
 /// Encodes a full symbolic copy of the keyed circuit under key literals
 /// `key`, allocating fresh input literals.
+///
+/// `key` must carry [`assert_valid_key_codes`]: a cell's encoding leaves
+/// its output unconstrained under an invalid code.
 ///
 /// # Panics
 ///
@@ -93,6 +106,9 @@ pub fn encode_keyed(
 
 /// Encodes the circuit with *fixed* primary inputs, constant-folding all
 /// key-independent logic. Returns the output signals.
+///
+/// `key` must carry [`assert_valid_key_codes`]: a cell's encoding leaves
+/// its output unconstrained under an invalid code.
 ///
 /// # Panics
 ///
@@ -121,17 +137,16 @@ fn encode_copy(
     if let Some(fixed) = fixed {
         assert_eq!(fixed.len(), nl.inputs().len(), "input width mismatch");
     }
-    let camo: HashMap<usize, &CamoGate> = keyed
-        .camo_gates()
-        .iter()
-        .map(|g| (g.node.index(), g))
-        .collect();
+    // The cells in node order, met by one cursor as the walk passes them.
+    let mut cells: Vec<&CamoGate> = keyed.camo_gates().iter().collect();
+    cells.sort_unstable_by_key(|g| g.node);
+    let mut cells = cells.into_iter().peekable();
     let mut vals: Vec<SigVal> = Vec::with_capacity(nl.len());
     let mut inputs = Vec::with_capacity(nl.inputs().len());
 
     for (i, node) in nl.nodes().enumerate() {
-        let v = if let Some(gate) = camo.get(&i) {
-            SigVal::Sym(encode_camo_cell(enc, gate, key, &vals, &node.kind))
+        let v = if let Some(gate) = cells.next_if(|g| g.node.index() == i) {
+            encode_camo_cell(enc, gate, key, &vals, &node.kind)
         } else {
             match node.kind {
                 NodeKind::Input => {
@@ -177,51 +192,106 @@ fn of_one_literal(f0: bool, f1: bool, l: Lit) -> SigVal {
     }
 }
 
-/// Encodes a cloaked cell and returns its output literal `z`: for every
-/// candidate `i` and every row of the fanins that agrees with the known
-/// ones, the clause `(K ≠ i) ∨ (symbolic fanins ≠ row) ∨ (z = fᵢ(row))`.
+/// The value of a function of the cell's key bits, given as its table
+/// `on` over the valid codes `care`, when it needs no definition: a
+/// constant when the valid codes agree, `kⱼ` or `¬kⱼ` when it is one key
+/// bit.
+fn fold_key_function(on: u16, care: u16, key: &[Lit]) -> Option<SigVal> {
+    // The codes whose bit `j` is set, for each of a cell's at most four
+    // key bits.
+    const KEY_BIT_CODES: [u16; 4] = [0xAAAA, 0xCCCC, 0xF0F0, 0xFF00];
+    let on = on & care;
+    if on == 0 || on == care {
+        return Some(SigVal::Known(on != 0));
+    }
+    key.iter().zip(KEY_BIT_CODES).find_map(|(&k, bit)| {
+        if on == bit & care {
+            Some(SigVal::Sym(k))
+        } else if on == !bit & care {
+            Some(SigVal::Sym(!k))
+        } else {
+            None
+        }
+    })
+}
+
+/// Encodes a cloaked cell. Its function on fanin row `row` is the table
+/// over its key codes whose bit `i` is candidate `i`'s output on the row.
+/// With every fanin known, the cell has one row and folds
+/// ([`fold_key_function`]) or, failing that, is a fresh literal defined
+/// over the key bits. Otherwise its output `z` is defined on every row that
+/// agrees with the known fanins, guarded by `symbolic fanins ≠ row`.
 fn encode_camo_cell(
     enc: &mut CircuitEncoder<'_>,
     gate: &CamoGate,
     key: &[Lit],
     vals: &[SigVal],
     kind: &NodeKind,
-) -> Lit {
-    // The fanin signals, and each candidate's truth table over them (bit
-    // `row` is the output when fanin `j` carries bit `j` of `row`).
-    let (fanins, tables): (Vec<SigVal>, Vec<u8>) = match (&gate.candidates, kind) {
-        (Candidates::TwoInput(fs), NodeKind::Gate2 { a, b, .. }) => (
-            vec![vals[a.index()], vals[b.index()]],
-            fs.iter().map(|f| f.truth_table()).collect(),
-        ),
-        (Candidates::OneInput(fs), NodeKind::Gate1 { a, .. }) => (
-            vec![vals[a.index()]],
-            fs.iter()
-                .map(|f| u8::from(f.eval(false)) | u8::from(f.eval(true)) << 1)
-                .collect(),
-        ),
+) -> SigVal {
+    // The fanin signals; fanin `j` carries bit `j` of a row.
+    let (fanins, arity) = match (&gate.candidates, kind) {
+        (Candidates::TwoInput(_), NodeKind::Gate2 { a, b, .. }) => {
+            ([vals[a.index()], vals[b.index()]], 2)
+        }
+        (Candidates::OneInput(_), NodeKind::Gate1 { a, .. }) => {
+            ([vals[a.index()], SigVal::Known(false)], 1)
+        }
         (c, k) => unreachable!("camo cell shape mismatch: {c:?} at {k:?}"),
     };
-    let z = enc.fresh();
-    let mut clause = Vec::new();
-    for (i, tt) in tables.into_iter().enumerate() {
-        for row in 0..1u8 << fanins.len() {
-            let bit = |j: usize| (row >> j) & 1 == 1;
-            if (0..fanins.len()).any(|j| fanins[j] == SigVal::Known(!bit(j))) {
-                continue;
-            }
-            clause.clear();
-            clause.extend(selector_negation(gate, i, key));
-            for (j, &s) in fanins.iter().enumerate() {
-                if let SigVal::Sym(l) = s {
-                    clause.push(if bit(j) { !l } else { l });
-                }
-            }
-            clause.push(if (tt >> row) & 1 == 1 { z } else { !z });
-            enc.clause(&clause);
+    let row_function = |row: u8| -> u16 {
+        let out = |i: usize, bit: bool| u16::from(bit) << i;
+        match &gate.candidates {
+            Candidates::TwoInput(fs) => fs
+                .iter()
+                .enumerate()
+                .map(|(i, f)| out(i, (f.truth_table() >> row) & 1 == 1))
+                .sum(),
+            Candidates::OneInput(fs) => fs
+                .iter()
+                .enumerate()
+                .map(|(i, f)| out(i, f.eval(row & 1 == 1)))
+                .sum(),
+        }
+    };
+    let cell_key = cell_key(gate, key);
+    let care = valid_codes(gate);
+    // The known fanins as a row mask and their values.
+    let (mut known, mut bits) = (0u8, 0u8);
+    for (j, s) in fanins[..arity].iter().enumerate() {
+        if let SigVal::Known(v) = *s {
+            known |= 1 << j;
+            bits |= u8::from(v) << j;
         }
     }
-    z
+    if known == (1 << arity) - 1 {
+        let on = row_function(bits);
+        return fold_key_function(on, care, cell_key).unwrap_or_else(|| {
+            let z = enc.fresh();
+            enc.define_tt(z, &[], cell_key, on, care, Polarity::Both);
+            SigVal::Sym(z)
+        });
+    }
+    let z = enc.fresh();
+    for row in (0..1u8 << arity).filter(|row| row & known == bits) {
+        // `symbolic fanins ≠ row`: at most two literals.
+        let mut guard = [z; 2];
+        let mut len = 0;
+        for (j, s) in fanins[..arity].iter().enumerate() {
+            if let SigVal::Sym(l) = *s {
+                guard[len] = if (row >> j) & 1 == 1 { !l } else { l };
+                len += 1;
+            }
+        }
+        enc.define_tt(
+            z,
+            &guard[..len],
+            cell_key,
+            row_function(row),
+            care,
+            Polarity::Both,
+        );
+    }
+    SigVal::Sym(z)
 }
 
 /// Asserts `outputs == expected`; a `Known` mismatch adds the empty clause
@@ -388,6 +458,156 @@ mod tests {
             let keyed = camouflage(&nl, &[g1, g2, high], scheme, &mut rng).unwrap();
             check_input_domains_agree(&keyed, 8, &format!("const_fed {scheme}"));
         }
+    }
+
+    /// Inputs `x` and `y` and one output gate `f(x, y)`, returned with it.
+    fn one_gate(f: Bf2) -> (Arc<Netlist>, gshe_logic::NodeId) {
+        let mut b = NetlistBuilder::new("one_gate");
+        let (x, y) = (b.input("x"), b.input("y"));
+        let g = b.gate2("g", f, x, y);
+        b.output(g);
+        (Arc::new(b.finish().unwrap()), g)
+    }
+
+    /// A solver holding fresh key literals for `keyed`, their valid codes
+    /// asserted.
+    fn keyed_solver(keyed: &KeyedNetlist) -> (Solver, Vec<Lit>) {
+        let mut s = Solver::new();
+        let key: Vec<Lit> = (0..keyed.key_len())
+            .map(|_| Lit::pos(s.new_var()))
+            .collect();
+        assert_valid_key_codes(&mut CircuitEncoder::new(&mut s), keyed, &key);
+        (s, key)
+    }
+
+    /// A one-output design's fixed copy on `inputs`: its output, its
+    /// solver and key literals, and the variables and clauses it added.
+    struct FixedCopy {
+        out: SigVal,
+        s: Solver,
+        key: Vec<Lit>,
+        added: (usize, usize),
+    }
+
+    fn fixed_copy(keyed: &KeyedNetlist, inputs: [bool; 2]) -> FixedCopy {
+        let (mut s, key) = keyed_solver(keyed);
+        let before = (s.num_vars(), s.num_clauses());
+        let outs = encode_keyed_fixed(&mut CircuitEncoder::new(&mut s), keyed, &key, &inputs);
+        let added = (s.num_vars() - before.0, s.num_clauses() - before.1);
+        FixedCopy {
+            out: outs[0],
+            s,
+            key,
+            added,
+        }
+    }
+
+    #[test]
+    fn cells_with_known_fanins_cost_nothing_and_are_the_selected_key_literal() {
+        for scheme in [CamoScheme::GsheAll16, CamoScheme::InvBuf] {
+            let (nl, g) = one_gate(Bf2::AND);
+            let keyed = camouflage(&nl, &[g], scheme, &mut StdRng::seed_from_u64(8)).unwrap();
+            let cell = &keyed.camo_gates()[0];
+            for row in 0..4usize {
+                let v = [row & 1 == 1, row & 2 == 2];
+                let FixedCopy {
+                    out, key, added, ..
+                } = fixed_copy(&keyed, v);
+                assert_eq!(added, (0, 0), "{scheme} {v:?} added to the formula");
+                let SigVal::Sym(lit) = out else {
+                    panic!("{scheme} {v:?}: a cell with key-dependent output folded to {out:?}");
+                };
+                let bit = (cell.key_offset..cell.key_offset + cell.key_bits())
+                    .find(|&b| lit.var() == key[b].var())
+                    .expect("the output is a key literal");
+                let positive = lit == key[bit];
+                if scheme == CamoScheme::GsheAll16 {
+                    // Candidate `i` is truth table `i`: row `r` reads key bit `r`.
+                    assert_eq!((bit - cell.key_offset, positive), (row, true));
+                }
+                for code in 0..cell.candidates.len() {
+                    let mut k = vec![false; keyed.key_len()];
+                    cell.encode(code, &mut k);
+                    let want = keyed.resolve(&k).unwrap().evaluate(&v)[0];
+                    assert_eq!(k[bit] == positive, want, "{scheme} {v:?} code {code}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cell_whose_valid_candidates_agree_folds_to_a_constant() {
+        // Look-alike's NAND, NOR and XOR all read 0 on row 11.
+        let (nl, g) = one_gate(Bf2::NAND);
+        let scheme = CamoScheme::LookAlike;
+        let keyed = camouflage(&nl, &[g], scheme, &mut StdRng::seed_from_u64(8)).unwrap();
+        assert_eq!(keyed.camo_gates()[0].node, g, "the cell is the gate itself");
+        let copy = fixed_copy(&keyed, [true, true]);
+        assert_eq!(copy.out, SigVal::Known(false));
+        assert_eq!(copy.added, (0, 0));
+    }
+
+    #[test]
+    fn a_four_fn_cell_on_row_01_is_a_fresh_literal_defined_by_prime_clauses() {
+        // AND, OR, NAND, NOR on a = 1, b = 0 read 0, 1, 1, 0: k0 ⊕ k1.
+        let (nl, g) = one_gate(Bf2::OR);
+        let scheme = CamoScheme::FourFn;
+        let keyed = camouflage(&nl, &[g], scheme, &mut StdRng::seed_from_u64(8)).unwrap();
+        let cell = &keyed.camo_gates()[0];
+        assert_eq!(cell.node, g, "the cell is the gate itself");
+        let FixedCopy {
+            out,
+            mut s,
+            key,
+            added,
+        } = fixed_copy(&keyed, [true, false]);
+        let SigVal::Sym(z) = out else {
+            panic!("k0 ⊕ k1 folded to {out:?}");
+        };
+        assert_eq!(z.var().index(), s.num_vars() - 1, "a fresh literal");
+        // The four prime implicates of z ↔ k0 ⊕ k1, each over k0, k1, z.
+        assert_eq!(added, (1, 4));
+        for code in 0..4 {
+            let k: Vec<Lit> = (0..2)
+                .map(|j| key[cell.key_offset + j])
+                .zip([code & 1 == 1, code & 2 == 2])
+                .map(|(l, bit)| if bit { l } else { !l })
+                .collect();
+            let want = (code == 1) || (code == 2);
+            assert_eq!(
+                s.solve_with(&[k[0], k[1], if want { z } else { !z }]),
+                SolveResult::Sat
+            );
+            assert_eq!(
+                s.solve_with(&[k[0], k[1], if want { !z } else { z }]),
+                SolveResult::Unsat
+            );
+        }
+    }
+
+    #[test]
+    fn opposite_observations_of_one_cell_conflict_without_search() {
+        // One GSHE16 cell drives the output; two fixed copies on one input
+        // see opposite answers. Both copies are the same key literal, so
+        // the pins are complementary units.
+        let (nl, g) = one_gate(Bf2::AND);
+        let keyed = camouflage(
+            &nl,
+            &[g],
+            CamoScheme::GsheAll16,
+            &mut StdRng::seed_from_u64(8),
+        )
+        .unwrap();
+        let (mut s, key) = keyed_solver(&keyed);
+        {
+            let mut enc = CircuitEncoder::new(&mut s);
+            for y in [true, false] {
+                let outs = encode_keyed_fixed(&mut enc, &keyed, &key, &[false, false]);
+                assert_outputs_equal(&mut enc, &outs, &[y]);
+            }
+        }
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert_eq!(s.stats().conflicts, 0, "the contradiction needed search");
     }
 
     #[test]

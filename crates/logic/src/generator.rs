@@ -10,9 +10,8 @@
 //! many short paths, few long critical ones (Fig. 6).
 
 use crate::bf2::Bf2;
-use crate::builder::NetlistBuilder;
 use crate::error::LogicError;
-use crate::netlist::{Netlist, NodeId};
+use crate::netlist::{Netlist, NetlistAssembly, NodeId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -197,11 +196,11 @@ impl NetlistGenerator {
         }
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut b = NetlistBuilder::new(cfg.name.clone());
+        let mut b = NetlistAssembly::new(cfg.name.clone(), cfg.inputs + cfg.gates);
 
         let mut nodes: Vec<NodeId> = Vec::with_capacity(cfg.inputs + cfg.gates);
         for i in 0..cfg.inputs {
-            nodes.push(b.input(format!("pi{i}")));
+            nodes.push(b.input(format_args!("pi{i}")));
         }
         // FIFO pool of nodes that currently have no fanout. Consuming the
         // *oldest* dangling node first yields balanced, shallow structure
@@ -237,7 +236,7 @@ impl NetlistGenerator {
             for id in [a, bb] {
                 has_fanout[id.index()] = true;
             }
-            let id = b.gate2(format!("g{g}"), f, a, bb);
+            let id = b.gate2(format_args!("g{g}"), f, a, bb);
             nodes.push(id);
             unused.push_back(id);
             has_fanout.push(false);
@@ -291,9 +290,11 @@ impl NetlistGenerator {
     fn generate_local(&self) -> Netlist {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut b = NetlistBuilder::new(cfg.name.clone());
+        let mut b = NetlistAssembly::new(cfg.name.clone(), cfg.inputs + cfg.gates);
 
-        let pis: Vec<NodeId> = (0..cfg.inputs).map(|i| b.input(format!("pi{i}"))).collect();
+        let pis: Vec<NodeId> = (0..cfg.inputs)
+            .map(|i| b.input(format_args!("pi{i}")))
+            .collect();
         let tiles = cfg.gates.div_ceil(LOCAL_WINDOW).max(1);
         // Each tile's visible nodes, seeded with its round-robin share
         // of the primary inputs (plus shared fallbacks so every tile
@@ -348,7 +349,7 @@ impl NetlistGenerator {
             for id in [a, bb] {
                 has_fanout[id.index()] = true;
             }
-            let id = b.gate2(format!("g{g}"), f, a, bb);
+            let id = b.gate2(format_args!("g{g}"), f, a, bb);
             all_gates.push(id);
             tile_nodes[k].push(id);
             tile_unused[k].push_back(id);

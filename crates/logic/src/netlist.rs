@@ -39,7 +39,9 @@
 //! roots as a standalone netlist plus an [`IdMap`] between the two id
 //! spaces. The cone preserves relative topological order, keeps the
 //! original primary-input order (restricted to the cone), and is
-//! re-validated by [`Netlist::check`]. The SAT attack uses this to encode
+//! re-validated structurally: its names are a subset of the checked
+//! design's, so only [`Netlist::check`]'s structural pass runs (the name
+//! pass under `debug_assert!`). The SAT attack uses this to encode
 //! cone-of-influence-restricted miters at superblue scale.
 //!
 //! [`Netlist::fanin_set`] is the walk underneath: it marks the cone in a
@@ -157,6 +159,12 @@ impl NameTable {
         self.spans.push(self.bytes.len() as u32);
     }
 
+    /// Appends a name formatted straight into the buffer.
+    fn push_fmt(&mut self, name: fmt::Arguments<'_>) {
+        fmt::Write::write_fmt(&mut self.bytes, name).expect("a String takes any write");
+        self.spans.push(self.bytes.len() as u32);
+    }
+
     fn get(&self, i: usize) -> &str {
         &self.bytes[self.spans[i] as usize..self.spans[i + 1] as usize]
     }
@@ -243,6 +251,22 @@ impl Netlist {
     ///
     /// Returns [`LogicError::Validation`] describing the first violation.
     pub fn check(&self) -> Result<(), LogicError> {
+        self.check_names()?;
+        self.check_structure()
+    }
+
+    /// Validates a netlist this crate assembled from names that are
+    /// distinct by construction (generated or copied from a checked
+    /// netlist): [`Netlist::check`]'s structural pass, with its name pass
+    /// left to `debug_assert!`.
+    pub(crate) fn assembled(self) -> Result<Self, LogicError> {
+        debug_assert_eq!(self.check_names(), Ok(()), "assembled names collide");
+        self.check_structure()?;
+        Ok(self)
+    }
+
+    /// [`Netlist::check`]'s name pass: every name is distinct.
+    fn check_names(&self) -> Result<(), LogicError> {
         let n = self.len();
         let mut seen_names: HashMap<&str, usize> = HashMap::with_capacity(n);
         for i in 0..n {
@@ -252,10 +276,20 @@ impl Netlist {
                     "name `{name}` used by nodes {prev} and {i}"
                 )));
             }
+        }
+        Ok(())
+    }
+
+    /// [`Netlist::check`]'s structural pass: topological fanins, the input
+    /// list, the output range.
+    fn check_structure(&self) -> Result<(), LogicError> {
+        let n = self.len();
+        for i in 0..n {
             for fanin in self.fanins(NodeId(i as u32)) {
                 if fanin.index() >= i {
                     return Err(LogicError::Validation(format!(
-                        "node {i} (`{name}`) has non-topological fanin {fanin}"
+                        "node {i} (`{}`) has non-topological fanin {fanin}",
+                        self.names.get(i)
                     )));
                 }
             }
@@ -662,7 +696,8 @@ impl Netlist {
     /// The cone keeps the full netlist's relative topological order, its
     /// primary inputs are the original inputs that lie in the cone (in
     /// original order), and its outputs are `roots` in the given order.
-    /// The result is re-validated by [`Netlist::check`].
+    /// The result is re-validated by [`Netlist::check`]'s structural pass;
+    /// its names are the checked design's.
     ///
     /// # Panics
     ///
@@ -707,9 +742,78 @@ impl Netlist {
             inputs,
             outputs,
         };
-        cone.check()
+        let cone = cone
+            .assembled()
             .expect("cone extraction preserves netlist invariants");
         (cone, IdMap { set, back })
+    }
+}
+
+/// Node-by-node assembly of a netlist whose names are distinct by
+/// construction, such as the generator's `pi{i}` and `g{g}`: each name is
+/// formatted straight into the name table, no name set is kept, and
+/// [`NetlistAssembly::finish`] validates through [`Netlist::assembled`].
+/// Names from outside the crate go through [`crate::NetlistBuilder`] or
+/// [`Netlist::from_parts`], which check them.
+#[derive(Debug)]
+pub(crate) struct NetlistAssembly {
+    nl: Netlist,
+}
+
+impl NetlistAssembly {
+    /// Starts a netlist called `name` with room for `nodes` nodes.
+    pub(crate) fn new(name: String, nodes: usize) -> Self {
+        NetlistAssembly {
+            nl: Netlist {
+                name,
+                meta: Vec::with_capacity(nodes),
+                fanin_a: Vec::with_capacity(nodes),
+                fanin_b: Vec::with_capacity(nodes),
+                names: NameTable::with_capacity(nodes),
+                inputs: Vec::new(),
+                outputs: Vec::new(),
+            },
+        }
+    }
+
+    fn push(&mut self, kind: NodeKind, name: fmt::Arguments<'_>) -> NodeId {
+        let nl = &mut self.nl;
+        let id = NodeId(nl.meta.len() as u32);
+        let (m, a, b) = pack(kind, nl.inputs.len() as u32);
+        if kind == NodeKind::Input {
+            nl.inputs.push(id);
+        }
+        nl.meta.push(m);
+        nl.fanin_a.push(a);
+        nl.fanin_b.push(b);
+        nl.names.push_fmt(name);
+        id
+    }
+
+    /// Declares a primary input.
+    pub(crate) fn input(&mut self, name: fmt::Arguments<'_>) -> NodeId {
+        self.push(NodeKind::Input, name)
+    }
+
+    /// Adds a two-input gate.
+    pub(crate) fn gate2(
+        &mut self,
+        name: fmt::Arguments<'_>,
+        f: Bf2,
+        a: NodeId,
+        b: NodeId,
+    ) -> NodeId {
+        self.push(NodeKind::Gate2 { f, a, b }, name)
+    }
+
+    /// Marks `id` as a primary output.
+    pub(crate) fn output(&mut self, id: NodeId) {
+        self.nl.outputs.push(id);
+    }
+
+    /// The netlist, validated by [`Netlist::assembled`].
+    pub(crate) fn finish(self) -> Result<Netlist, LogicError> {
+        self.nl.assembled()
     }
 }
 

@@ -321,6 +321,7 @@ pub fn benchmark_scaled_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::netlist::NodeKind;
     use crate::stats::NetlistStats;
 
     #[test]
@@ -457,6 +458,55 @@ mod tests {
             benchmark_scaled(spec, 10, 42),
             benchmark_scaled_with(spec, 10, 42, Topology::Uniform)
         );
+    }
+
+    /// FNV-1a over every node's name, kind and fanins, then the input and
+    /// output lists: equal fingerprints mean node-for-node equal netlists.
+    fn fingerprint(nl: &Netlist) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &byte in bytes {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for node in nl.nodes() {
+            eat(node.name.as_bytes());
+            match node.kind {
+                NodeKind::Input => eat(&[0]),
+                NodeKind::Const(c) => eat(&[1, u8::from(c)]),
+                NodeKind::Gate1 { f, a } => {
+                    eat(&[2, f.code()]);
+                    eat(&a.0.to_le_bytes());
+                }
+                NodeKind::Gate2 { f, a, b } => {
+                    eat(&[3, f.truth_table()]);
+                    eat(&a.0.to_le_bytes());
+                    eat(&b.0.to_le_bytes());
+                }
+            }
+        }
+        for ports in [nl.inputs(), nl.outputs()] {
+            eat(&(ports.len() as u32).to_le_bytes());
+            for id in ports {
+                eat(&id.0.to_le_bytes());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn generated_netlists_keep_their_fingerprints() {
+        let s38584 = spec("s38584").unwrap();
+        let sb18 = spec("sb18").unwrap();
+        for (spec, scale, topology, want) in [
+            (s38584, 20, Topology::Uniform, 0x017a_49dc_f2ab_5c0a_u64),
+            (s38584, 40, Topology::Uniform, 0x7fed_ceff_f812_1fa1),
+            (sb18, 64, Topology::Local, 0x5323_620b_bbfb_7058),
+        ] {
+            let nl = benchmark_scaled_with(spec, scale, 1, topology);
+            assert_eq!(fingerprint(&nl), want, "{}/{scale}", spec.name);
+        }
     }
 
     #[test]

@@ -232,6 +232,8 @@ pub struct Solver {
     /// Literals minimization dropped from the learnt clause, whose `seen`
     /// marks still need clearing; reused across conflicts.
     to_clear: Vec<Lit>,
+    /// The clause [`Solver::add_clause`] normalizes; reused across calls.
+    added: Vec<Lit>,
     /// Level-stamp scratch for O(clause) LBD counts, indexed by decision
     /// level; [`Solver::analyze`] grows it to the current level.
     lbd_stamp: Vec<u64>,
@@ -298,6 +300,7 @@ impl Solver {
             seen: Vec::new(),
             learnt_clause: Vec::new(),
             to_clear: Vec::new(),
+            added: Vec::new(),
             lbd_stamp: Vec::new(),
             lbd_stamp_gen: 0,
             ok: true,
@@ -455,41 +458,45 @@ impl Solver {
         // complementary-literal check below catches every tautology no
         // matter how the input interleaved duplicates and complements —
         // pinned by `tautology_detection_survives_interleaving`.
-        let mut c: Vec<Lit> = lits.to_vec();
+        // The survivors are compacted in place into the front of the one
+        // solver-owned buffer, so adding a clause allocates nothing once
+        // the buffer has grown to the longest clause.
+        let mut c = std::mem::take(&mut self.added);
+        c.clear();
+        c.extend_from_slice(lits);
         c.sort_unstable();
         c.dedup();
-        let mut out: Vec<Lit> = Vec::with_capacity(c.len());
-        for (i, &l) in c.iter().enumerate() {
+        let mut kept = 0;
+        for i in 0..c.len() {
+            let l = c[i];
             if i + 1 < c.len() && c[i + 1] == !l {
+                self.added = c;
                 return true; // tautology: x ∨ ¬x
             }
             match self.value_lit(l) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => out.push(l),
+                LBool::True => {
+                    self.added = c;
+                    return true; // already satisfied at level 0
+                }
+                LBool::False => {} // drop falsified literal
+                LBool::Undef => {
+                    c[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match out.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
-            1 => {
-                if !self.enqueue(out[0], ClauseRef::NONE) {
-                    self.ok = false;
-                    return false;
-                }
-                if !self.propagate().is_none() {
-                    self.ok = false;
-                    return false;
-                }
-                true
-            }
+        c.truncate(kept);
+        let ok = match c.len() {
+            0 => false,
+            1 => self.enqueue(c[0], ClauseRef::NONE) && self.propagate().is_none(),
             _ => {
-                self.attach_clause(&out, false, 0);
+                self.attach_clause(&c, false, 0);
                 true
             }
-        }
+        };
+        self.added = c;
+        self.ok = ok;
+        ok
     }
 
     /// Adds a **blocking clause** forbidding the most recent model's

@@ -3,7 +3,11 @@
 //! grid's deterministic JSON). Only verdict fields are compared — each
 //! row's cell identity, status counts and `key_recovery_rate` — so a
 //! change to the encoding or the search may move query counts and the
-//! output error of wrong keys, but not a verdict. The grid deliberately
+//! output error of wrong keys without touching the artifact. Such a
+//! change can still move a *noisy* row's verdict: a noisy chip answers
+//! the queries in the order they come, so a different DIP sequence meets
+//! different noise. An exact row's verdict must never move; one that
+//! loses key recovery is a bug, not a re-baseline. The grid deliberately
 //! crosses every deterministic-report feature: two schemes,
 //! deterministic + stochastic cells, a heterogeneous noise profile, a
 //! dynamic-camouflaging rotation period, and combined rotating +

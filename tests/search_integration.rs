@@ -93,17 +93,22 @@ fn front_profiles_win_while_a_cheaper_rejected_neighbor_loses() {
     );
 
     // Mutations only ever explore cheaper neighbors of winners, so the
-    // front must be at least as cheap as every physics seed that won.
-    let cheapest_seed_mean = report
+    // front must be at least as cheap as every physics seed that won: some
+    // front member is no worse on both axes. (The member with the fewest
+    // switches need not have the lowest mean rate once the front has more
+    // than one member.)
+    for seed in report
         .evaluated
         .iter()
         .filter(|row| row.generation == 0 && row.wins)
-        .map(|row| row.mean_rate)
-        .fold(f64::INFINITY, f64::min);
-    assert!(
-        cheapest.mean_rate <= cheapest_seed_mean,
-        "search did not improve on its physics seeds"
-    );
+    {
+        assert!(
+            front.iter().any(|m| {
+                m.noisy_switches <= seed.noisy_switches && m.mean_rate <= seed.mean_rate
+            }),
+            "search did not improve on its physics seed {seed:?}: front {front:?}"
+        );
+    }
 }
 
 #[test]
