@@ -548,40 +548,48 @@ mod tests {
     }
 
     #[test]
-    fn a_four_fn_cell_on_row_01_is_a_fresh_literal_defined_by_prime_clauses() {
-        // AND, OR, NAND, NOR on a = 1, b = 0 read 0, 1, 1, 0: k0 ⊕ k1.
-        let (nl, g) = one_gate(Bf2::OR);
-        let scheme = CamoScheme::FourFn;
-        let keyed = camouflage(&nl, &[g], scheme, &mut StdRng::seed_from_u64(8)).unwrap();
-        let cell = &keyed.camo_gates()[0];
-        assert_eq!(cell.node, g, "the cell is the gate itself");
-        let FixedCopy {
-            out,
-            mut s,
-            key,
-            added,
-        } = fixed_copy(&keyed, [true, false]);
-        let SigVal::Sym(z) = out else {
-            panic!("k0 ⊕ k1 folded to {out:?}");
-        };
-        assert_eq!(z.var().index(), s.num_vars() - 1, "a fresh literal");
-        // The four prime implicates of z ↔ k0 ⊕ k1, each over k0, k1, z.
-        assert_eq!(added, (1, 4));
-        for code in 0..4 {
-            let k: Vec<Lit> = (0..2)
-                .map(|j| key[cell.key_offset + j])
-                .zip([code & 1 == 1, code & 2 == 2])
-                .map(|(l, bit)| if bit { l } else { !l })
-                .collect();
-            let want = (code == 1) || (code == 2);
+    fn a_row_function_of_two_key_bits_is_a_fresh_literal_defined_by_prime_clauses() {
+        for (scheme, f, inputs, clauses) in [
+            // AND, OR, NAND, NOR on a = 1, b = 0 read 0, 1, 1, 0: k0 ⊕ k1,
+            // whose four prime implicates with z are its minterms.
+            (CamoScheme::FourFn, Bf2::OR, [true, false], 4),
+            // NAND, NOR, XOR, XNOR on 00 read 1, 1, 0, 1: ¬k1 ∨ k0, one
+            // ternary clause for its zero and two binary ones with z.
+            (CamoScheme::SiNw, Bf2::NAND, [false, false], 3),
+        ] {
+            let (nl, g) = one_gate(f);
+            let keyed = camouflage(&nl, &[g], scheme, &mut StdRng::seed_from_u64(8)).unwrap();
+            let cell = &keyed.camo_gates()[0];
+            assert_eq!(cell.node, g, "{scheme}: the cell is the gate itself");
+            let FixedCopy {
+                out,
+                mut s,
+                key,
+                added,
+            } = fixed_copy(&keyed, inputs);
+            let SigVal::Sym(z) = out else {
+                panic!("{scheme}: a two-bit row function folded to {out:?}");
+            };
             assert_eq!(
-                s.solve_with(&[k[0], k[1], if want { z } else { !z }]),
-                SolveResult::Sat
+                z.var().index(),
+                s.num_vars() - 1,
+                "{scheme}: a fresh literal"
             );
-            assert_eq!(
-                s.solve_with(&[k[0], k[1], if want { !z } else { z }]),
-                SolveResult::Unsat
-            );
+            assert_eq!(added, (1, clauses), "{scheme}");
+            for code in 0..4 {
+                let mut k = vec![false; keyed.key_len()];
+                cell.encode(code, &mut k);
+                let want = keyed.resolve(&k).unwrap().evaluate(&inputs)[0];
+                let mut asm: Vec<Lit> = assume(&key, &k).collect();
+                asm.push(if want { z } else { !z });
+                assert_eq!(s.solve_with(&asm), SolveResult::Sat, "{scheme} code {code}");
+                *asm.last_mut().unwrap() = !*asm.last().unwrap();
+                assert_eq!(
+                    s.solve_with(&asm),
+                    SolveResult::Unsat,
+                    "{scheme} code {code}"
+                );
+            }
         }
     }
 
